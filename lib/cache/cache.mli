@@ -39,8 +39,8 @@ type counters = {
   mutable evictions : int;
 }
 (** Live access counters (host ints; the {!stats} view widens to
-    int64). Exposed for the engine specialization layer (DESIGN.md
-    §14), which bumps a perfect cache's counters inline — a perfect
+    int64). Exposed for the engine's closure family (DESIGN.md §14),
+    which bumps a perfect cache's counters inline — a perfect
     cache's access is nothing but these increments plus the constant
     hit latency. Treat as read-only elsewhere. *)
 

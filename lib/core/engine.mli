@@ -220,68 +220,23 @@ val simulate :
   ?config:Config.t -> Resim_trace.Record.t array -> Stats.t
 (** [create] + [run]. *)
 
-(** {1 Engine specialization — staged variants (DESIGN.md §14)}
+(** {1 Engine implementations (DESIGN.md §14)}
 
-    The per-cycle implementation behind {!step} is swappable: the
-    generic engine interprets the frozen configuration every cycle,
-    while a staged variant built by {!Staged} runs monomorphic phase
-    code with the configuration constants bound once at functor
-    application — following Reshadi & Dutt's generated cycle-accurate
-    simulators. Variants are required to be bit-identical to the
-    generic engine (cycles, every {!Stats} counter, the pipetrace
-    event stream); the three-way differential suite proves it. Variant
-    selection policy (the pre-instantiated grid, [Auto]/[Always]/
-    [Never]) lives in [Resim_spec.Spec] — this module only provides
-    the mechanism. *)
+    Every engine runs the closure family: per-cycle code built once, at
+    {!create}, from the engine's own configuration — statistics cells
+    resolved up front, allocation-free index loops, the O(1) queue and
+    pool operations transcribed in place. The readable reference phases
+    remain as the differential oracle. Both are bit-identical (cycles,
+    every {!Stats} counter, the pipetrace event stream, the phase-probe
+    sites); the committed golden digests and the differential suite
+    hold them to it. *)
 
-(** The configuration facts a staged variant freezes as compile-time
-    constants. Anything not listed here (queue geometries other than
-    ROB/LSQ, caches, predictor) stays runtime state read from the
-    engine. *)
-module type STATIC_CONFIG = sig
-  val width : int
-  val rob_entries : int
-  val lsq_entries : int
-  val alu_count : int
-  val alu_latency : int
-  val mult_count : int
-  val mult_latency : int
-  val div_count : int
-  val div_latency : int
-  val mem_read_ports : int
-  val mem_write_ports : int
-  val misfetch_penalty : int
-  val misspeculation_penalty : int
-  val organization : Config.organization
-  val scheduler : Config.scheduler
-end
-
-(** A staged engine variant: allocation-free monomorphic per-cycle
-    code specialized to one [STATIC_CONFIG] point. *)
-module Staged (_ : STATIC_CONFIG) : sig
-  val name : string
-  (** Stable variant identifier (reported by {!variant}, the CLI and
-      profile/metrics JSON). *)
-
-  val matches : Config.t -> bool
-  (** Whether a runtime configuration agrees with every frozen
-      constant — the bit-identity precondition for {!install}. *)
-
-  val install : t -> unit
-  (** Make {!step} run this variant. Raises [Invalid_argument] when
-      the engine's configuration does not {!matches} — installing a
-      mismatched variant would silently change simulated timing. *)
-end
-
-val set_stepper : t -> name:string -> (t -> unit) -> unit
-(** Install a per-cycle implementation (the specialization layer's
-    hook; {!Staged.install} validates and calls this). The stepper
-    must preserve the generic engine's observable behavior exactly. *)
-
-val clear_stepper : t -> unit
-(** Revert {!step} to the generic engine. *)
-
-val is_specialized : t -> bool
+val use_reference : t -> unit
+(** Make {!step} run the readable reference phases instead of the
+    closure family, from the next cycle on. *)
 
 val variant : t -> string option
-(** Name of the installed variant, or [None] on the generic engine. *)
+(** The closure family's identifier for this configuration,
+    ["<organization>-<scheduler>-w<N>-rob<R>-lsq<L>-rp<P>wp<Q>"] (reported
+    by the CLI and the metrics and profile JSON), or [None] after
+    {!use_reference}. *)

@@ -14,12 +14,13 @@
     storage). The heap grows geometrically and never shrinks while in
     use.
 
-    The representation is exposed for the engine specialization layer
+    The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines the O(1) reads ([is_empty], [min_at],
-    the root payload). The heap-ordered prefix lives in [0, size);
-    [payload] keeps stale references in its unused suffix. Treat the
-    type as private elsewhere; pushes and drops must go through the
-    operations below. *)
+    the root payload) and transcribes [push]/[drop] with the same key
+    order. The heap-ordered prefix lives in [0, size); [payload] keeps
+    stale references in its unused suffix. Treat the type as private
+    elsewhere; other pushes and drops must go through the operations
+    below. *)
 
 type 'a t = {
   mutable at : int array;

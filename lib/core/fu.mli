@@ -6,7 +6,7 @@
     — it stays busy for its full latency. Branches and address
     generation execute on ALUs.
 
-    The representation is exposed for the engine specialization layer
+    The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines allocation in its issue loop.
     [div_busy_until.(i)] is the first cycle divider [i] is free again;
     [alu_allocations] feeds {!alu_busy_fraction}. Treat the type as
@@ -35,18 +35,6 @@ val try_allocate : t -> request -> now:int -> int
     the operation this cycle, [no_unit] otherwise. Returns a bare [int]
     rather than an option: the issue loop calls this once per candidate
     per cycle and must not allocate. *)
-
-(** Constant-parameterized allocators for the staged engine variants
-    (DESIGN.md §14): identical bookkeeping to {!try_allocate}, but the
-    unit count and latency come from the caller's frozen configuration
-    instead of a [Config] field read per attempt. The caller guarantees
-    they equal the pool's configuration ({!Staged.matches} checks). *)
-
-val try_allocate_alu : t -> count:int -> latency:int -> int
-
-val try_allocate_mult : t -> count:int -> latency:int -> int
-
-val try_allocate_div : t -> now:int -> latency:int -> int
 
 val flush : t -> unit
 (** Squash: abandon in-flight work (frees the divider). *)

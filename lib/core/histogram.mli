@@ -2,7 +2,7 @@
     width, issue width, queue occupancy). Values above the range are
     clamped into the last bin.
 
-    The representation is exposed for the engine specialization layer
+    The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines the per-cycle {!observe}. Treat the
     type as private elsewhere. *)
 

@@ -5,7 +5,7 @@
     happens at commit (when the branch is the oldest instruction), a
     squash always empties the window, so recovery is a full {!reset}.
 
-    The representation is exposed for the engine specialization layer
+    The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines the per-dispatch lookups. Slot [r]
     holds the producing entry id for architectural register [r], or
     [Entry.no_producer]; slot 0 (the zero register) is never defined.

@@ -38,8 +38,7 @@ val simulate_trace :
   Resim_trace.Record.t array ->
   outcome
 (** [instrument] runs on the freshly created engine before the first
-    cycle — the hook the observability sinks and the specialization
-    layer ([Resim_spec.Spec]) attach through. *)
+    cycle — the hook the observability sinks attach through. *)
 
 val simulate_program :
   ?config:Config.t ->
@@ -113,6 +112,7 @@ val simulate_pull_robust :
 
 val resume_trace :
   ?config:Config.t ->
+  ?instrument:(Engine.t -> unit) ->
   checkpoint:Checkpoint.t ->
   Resim_trace.Record.t array ->
   (outcome, string) result
@@ -122,7 +122,8 @@ val resume_trace :
     configuration), then run to completion. The final statistics are
     bit-identical to an unbounded run by construction. A checkpoint
     stamped with a different {!engine_identity} is refused before the
-    replay starts ([RSM-K007]). *)
+    replay starts ([RSM-K007]). [instrument] runs on the freshly created
+    engine before the replay, as in {!simulate_robust}. *)
 
 (** {1 Paper metrics} *)
 

@@ -1,8 +1,8 @@
 (** Bounded circular buffers — the hardware queues (IFQ, decouple buffer,
     LSQ ordering) of the simulated processor.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14): the staged per-cycle code inlines the constant-time
+    The representation is exposed for the engine's closure family
+    (DESIGN.md §14): the per-cycle code inlines the constant-time
     operations, which a non-flambda build would otherwise leave as
     out-of-line calls. Treat the type as private elsewhere — construct
     with {!create} and mutate only through the operations below. *)

@@ -1,7 +1,7 @@
 (** Reorder Buffer (the paper's RB): the in-order window of in-flight
     instructions, RUU-style. Head = oldest.
 
-    The representation is exposed for the engine specialization layer
+    The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines the per-cycle window walks.
     [sequence] is the id the next dispatched entry receives; ids in the
     window are consecutive, so the entry with id [i] sits

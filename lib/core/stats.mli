@@ -20,9 +20,9 @@ val add : t -> (t -> counter) -> int -> unit
 
 val live : (t -> counter) -> t -> int ref
 (** The raw cell behind a counter, for code that bumps it on a per-cycle
-    budget: the staged engine variants (DESIGN.md §14) resolve every
-    counter they touch once at install time and then use plain ref
-    arithmetic. The cell stays valid for the lifetime of [t]. *)
+    budget: the engine's closure family (DESIGN.md §14) resolves every
+    counter it touches once, when the engine is created, and then uses
+    plain ref arithmetic. The cell stays valid for the lifetime of [t]. *)
 
 val major_cycles : t -> counter
 val fetched : t -> counter

@@ -130,8 +130,8 @@ let to_json ?specialized ?variant t =
   let buffer = Buffer.create 256 in
   Buffer.add_string buffer "{";
   (* The engine identity the sections were measured against, when the
-     caller knows it: generic vs staged runs have different phase-cost
-     shapes, so the document must say which one it profiles. *)
+     caller knows it: the closure family and the reference phases have
+     different phase-cost shapes, so the document must say which one it profiles. *)
   (match specialized with
   | Some flag ->
       Buffer.add_string buffer

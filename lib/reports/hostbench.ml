@@ -249,117 +249,6 @@ let speedup_vs_seed measurements ~kernel ~config_name =
       | Some _ | None -> None)
   | None -> None
 
-(* ------------------------------------------------------------------ *)
-(* Specialized-engine bench (DESIGN.md §14): the same protocol with a
-   staged variant installed before timing, against the reference
-   configuration — the grid the specialization registry covers. Each
-   point's speedup divides by the *generic* measurement of the same
-   (kernel, scheduler) from the main grid, so the ratio isolates what
-   installing the variant buys on identical simulated work. *)
-
-type specialized_measurement = {
-  z_kernel : string;
-  z_scale : int option;
-  z_scheduler : string;
-  z_variant : string;
-  z_cycles : int64;
-  z_runs : int;
-  z_ns_per_run : float;
-  z_host_mips : float;
-  z_speedup : float option;
-      (** over the generic reference measurement, same scheduler *)
-}
-
-let measure_specialized ?(quick = false) measurements =
-  let runs = if quick then 2 else 9 in
-  List.concat_map
-    (fun (kernel_name, scale) ->
-      let kernel = Resim_workloads.Workload.find kernel_name in
-      let program =
-        match scale with
-        | Some scale ->
-            Resim_workloads.Workload.program_of kernel ~scale ()
-        | None -> Resim_workloads.Workload.program_of kernel ()
-      in
-      let generated = Resim_tracegen.Generator.run program in
-      let records = generated.records in
-      List.filter_map
-        (fun scheduler ->
-          let config = { Config.reference with Config.scheduler } in
-          match Resim_spec.Spec.select config with
-          | None -> None
-          | Some (module V : Resim_spec.Spec.VARIANT) ->
-              let stats = ref (Stats.create ()) in
-              let seconds =
-                time_best ~runs (fun () ->
-                    let engine = Engine.create ~config records in
-                    V.install engine;
-                    stats := Engine.run engine)
-              in
-              let host_mips =
-                if seconds > 0.0 then
-                  float_of_int generated.correct_path /. seconds /. 1e6
-                else 0.0
-              in
-              let generic =
-                find measurements ~kernel:kernel_name
-                  ~config_name:"reference"
-                  ~scheduler:(Config.scheduler_name scheduler)
-              in
-              let z_speedup =
-                match generic with
-                | Some g when g.host_mips > 0.0 && host_mips > 0.0 ->
-                    Some (host_mips /. g.host_mips)
-                | Some _ | None -> None
-              in
-              Some
-                { z_kernel = kernel_name;
-                  z_scale = scale;
-                  z_scheduler = Config.scheduler_name scheduler;
-                  z_variant = V.name;
-                  z_cycles = Stats.get Stats.major_cycles !stats;
-                  z_runs = runs;
-                  z_ns_per_run = seconds *. 1e9;
-                  z_host_mips = host_mips;
-                  z_speedup })
-        schedulers)
-    (grid ~quick)
-
-let specialized_geomean ?scheduler specialized =
-  let ratios =
-    List.filter_map
-      (fun z ->
-        match scheduler with
-        | Some s when not (String.equal s z.z_scheduler) -> None
-        | Some _ | None -> z.z_speedup)
-      specialized
-  in
-  match ratios with
-  | [] -> None
-  | ratios ->
-      Some
-        (exp
-           (List.fold_left (fun acc r -> acc +. log r) 0.0 ratios
-           /. float_of_int (List.length ratios)))
-
-let pp_specialized ppf specialized =
-  Format.fprintf ppf "@[<v>%-8s %-20s %-6s %12s %12s %10s %9s@,"
-    "kernel" "variant" "sched" "cycles" "ns/run" "host MIPS" "speedup";
-  List.iter
-    (fun z ->
-      Format.fprintf ppf "%-8s %-20s %-6s %12Ld %12.0f %10.3f %s@,"
-        z.z_kernel z.z_variant z.z_scheduler z.z_cycles z.z_ns_per_run
-        z.z_host_mips
-        (match z.z_speedup with
-        | Some ratio -> Printf.sprintf "%8.2fx" ratio
-        | None -> "       -"))
-    specialized;
-  (match specialized_geomean ~scheduler:"event" specialized with
-  | Some geomean ->
-      Format.fprintf ppf "geomean over generic event: %.2fx@," geomean
-  | None -> ());
-  Format.fprintf ppf "@]"
-
 let pp_table ppf measurements =
   Format.fprintf ppf "@[<v>%-8s %-16s %-6s %12s %12s %10s@," "kernel"
     "config" "sched" "cycles" "ns/run" "host MIPS";
@@ -388,7 +277,7 @@ let pp_table ppf measurements =
    configuration name can break the document. *)
 let json_escape = Resim_core.Json.escape
 
-let to_json ?sweep_outcomes ?sampled ?specialized measurements =
+let to_json ?sweep_outcomes ?sampled measurements =
   let buffer = Buffer.create 4096 in
   Buffer.add_string buffer "{\n";
   Buffer.add_string buffer "  \"benchmark\": \"resim-engine-host-throughput\",\n";
@@ -472,41 +361,6 @@ let to_json ?sweep_outcomes ?sampled ?specialized measurements =
            (if index = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buffer "  ],\n";
-  (match specialized with
-  | None -> Buffer.add_string buffer "  \"specialized\": null,\n"
-  | Some specialized ->
-      Buffer.add_string buffer "  \"specialized\": {\n";
-      (match specialized_geomean ~scheduler:"event" specialized with
-      | Some geomean ->
-          Buffer.add_string buffer
-            (Printf.sprintf
-               "    \"geomean_event_speedup\": %.4f,\n" geomean)
-      | None ->
-          Buffer.add_string buffer
-            "    \"geomean_event_speedup\": null,\n");
-      Buffer.add_string buffer "    \"points\": [\n";
-      List.iteri
-        (fun index z ->
-          Buffer.add_string buffer
-            (Printf.sprintf
-               "      {\"kernel\": \"%s\", \"scale\": %s, \"scheduler\": \
-                \"%s\", \"variant\": \"%s\", \"cycles\": %Ld, \"runs\": \
-                %d, \"ns_per_run\": %.0f, \"host_mips\": %.4f, \
-                \"speedup_vs_generic\": %s}%s\n"
-               (json_escape z.z_kernel)
-               (match z.z_scale with
-               | Some scale -> string_of_int scale
-               | None -> "null")
-               (json_escape z.z_scheduler)
-               (json_escape z.z_variant)
-               z.z_cycles z.z_runs z.z_ns_per_run z.z_host_mips
-               (match z.z_speedup with
-               | Some ratio -> Printf.sprintf "%.4f" ratio
-               | None -> "null")
-               (if index = List.length specialized - 1 then "" else ",")))
-        specialized;
-      Buffer.add_string buffer "    ]\n";
-      Buffer.add_string buffer "  },\n");
   (match sampled with
   | None -> Buffer.add_string buffer "  \"sampled\": null\n"
   | Some sampled ->
@@ -540,10 +394,10 @@ let to_json ?sweep_outcomes ?sampled ?specialized measurements =
   Buffer.add_string buffer "}\n";
   Buffer.contents buffer
 
-let write_json ~path ?sweep_outcomes ?sampled ?specialized measurements =
+let write_json ~path ?sweep_outcomes ?sampled measurements =
   let channel = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out channel)
     (fun () ->
       output_string channel
-        (to_json ?sweep_outcomes ?sampled ?specialized measurements))
+        (to_json ?sweep_outcomes ?sampled measurements))

@@ -50,39 +50,6 @@ val speedup_vs_seed :
     point — the end-to-end engine-core speedup this optimization work
     delivered. *)
 
-(** {1 Specialized-engine bench (DESIGN.md §14)} *)
-
-type specialized_measurement = {
-  z_kernel : string;
-  z_scale : int option;
-  z_scheduler : string;
-  z_variant : string;  (** the installed {!Resim_spec.Spec} variant *)
-  z_cycles : int64;  (** bit-identical to the generic run by contract *)
-  z_runs : int;
-  z_ns_per_run : float;
-  z_host_mips : float;
-  z_speedup : float option;
-      (** specialized over *generic* host MIPS, same (kernel,
-          scheduler) reference point from the main grid; [None] when
-          the generic measurement is missing *)
-}
-
-val measure_specialized :
-  ?quick:bool -> measurement list -> specialized_measurement list
-(** Re-run the bench kernels at the reference configuration (both
-    schedulers) with the matching staged variant installed — same
-    trace, same best-of-n protocol. [measurements] supplies the
-    generic baselines the speedups divide by; kernels whose
-    configuration has no registry variant are skipped. *)
-
-val specialized_geomean :
-  ?scheduler:string -> specialized_measurement list -> float option
-(** Geometric mean of the available speedups, optionally restricted to
-    one scheduler ("event" is the headline gate). *)
-
-val pp_specialized :
-  Format.formatter -> specialized_measurement list -> unit
-
 (** {1 Sampled simulation bench (DESIGN.md §13)} *)
 
 type sampled_measurement = {
@@ -114,22 +81,18 @@ val pp_sampled : Format.formatter -> sampled_measurement list -> unit
 val to_json :
   ?sweep_outcomes:Resim_sweep.Sweep.counts ->
   ?sampled:sampled_measurement list ->
-  ?specialized:specialized_measurement list ->
   measurement list ->
   string
 (** The full JSON document (pretty-printed, schema documented in
     README). [sweep_outcomes] are the per-job outcome counts from the
     harness's full-grid sweep (ok/failed/timed_out/truncated/retried);
     when absent — e.g. quick mode — the key is emitted as [null].
-    [sampled] is the sampled-simulation section; [specialized] the
-    staged-engine section (with its event-scheduler geomean speedup);
-    each is [null] when absent. *)
+    [sampled] is the sampled-simulation section, [null] when absent. *)
 
 val write_json :
   path:string ->
   ?sweep_outcomes:Resim_sweep.Sweep.counts ->
   ?sampled:sampled_measurement list ->
-  ?specialized:specialized_measurement list ->
   measurement list ->
   unit
 (** [to_json] to a file. *)

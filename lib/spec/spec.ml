@@ -1,254 +1,12 @@
 open Resim_core
 
-module type VARIANT = sig
-  val name : string
-  val matches : Config.t -> bool
-  val install : Engine.t -> unit
-end
-
-type mode = Auto | Always | Never
-
-let mode_name = function
-  | Auto -> "auto"
-  | Always -> "always"
-  | Never -> "never"
-
-let mode_of_string = function
-  | "auto" -> Ok Auto
-  | "always" -> Ok Always
-  | "never" -> Ok Never
-  | other ->
-      Error
-        (Printf.sprintf "unknown specialization mode %S (auto|always|never)"
-           other)
-
-(* The pre-instantiated grid: the reference machine's window, units and
-   penalties at widths 2/4/8 (ports scaled with the width), across the
-   three §IV organizations and both schedulers. The Optimized
-   organization supports at most N-1 memory ports, which excludes
-   width 2 there ([Config.validate] would refuse it too). Each functor
-   application below compiles one monomorphic per-cycle engine. *)
-
-module Base = struct
-  let rob_entries = 16
-  let lsq_entries = 8
-  let alu_latency = 1
-  let mult_count = 1
-  let mult_latency = 3
-  let div_count = 1
-  let div_latency = 10
-  let misfetch_penalty = 3
-  let misspeculation_penalty = 3
-end
-
-module W2 = struct
-  include Base
-
-  let width = 2
-  let alu_count = 2
-  let mem_read_ports = 1
-  let mem_write_ports = 1
-end
-
-module W4 = struct
-  include Base
-
-  let width = 4
-  let alu_count = 4
-  let mem_read_ports = 2
-  let mem_write_ports = 1
-end
-
-module W8 = struct
-  include Base
-
-  let width = 8
-  let alu_count = 8
-  let mem_read_ports = 4
-  let mem_write_ports = 2
-end
-
-module Simple_scan_w2 = Engine.Staged (struct
-  include W2
-
-  let organization = Config.Simple
-  let scheduler = Config.Scan
-end)
-
-module Simple_event_w2 = Engine.Staged (struct
-  include W2
-
-  let organization = Config.Simple
-  let scheduler = Config.Event
-end)
-
-module Improved_scan_w2 = Engine.Staged (struct
-  include W2
-
-  let organization = Config.Improved
-  let scheduler = Config.Scan
-end)
-
-module Improved_event_w2 = Engine.Staged (struct
-  include W2
-
-  let organization = Config.Improved
-  let scheduler = Config.Event
-end)
-
-module Simple_scan_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Simple
-  let scheduler = Config.Scan
-end)
-
-module Simple_event_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Simple
-  let scheduler = Config.Event
-end)
-
-module Improved_scan_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Improved
-  let scheduler = Config.Scan
-end)
-
-module Improved_event_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Improved
-  let scheduler = Config.Event
-end)
-
-module Optimized_scan_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Optimized
-  let scheduler = Config.Scan
-end)
-
-module Optimized_event_w4 = Engine.Staged (struct
-  include W4
-
-  let organization = Config.Optimized
-  let scheduler = Config.Event
-end)
-
-module Simple_scan_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Simple
-  let scheduler = Config.Scan
-end)
-
-module Simple_event_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Simple
-  let scheduler = Config.Event
-end)
-
-module Improved_scan_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Improved
-  let scheduler = Config.Scan
-end)
-
-module Improved_event_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Improved
-  let scheduler = Config.Event
-end)
-
-module Optimized_scan_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Optimized
-  let scheduler = Config.Scan
-end)
-
-module Optimized_event_w8 = Engine.Staged (struct
-  include W8
-
-  let organization = Config.Optimized
-  let scheduler = Config.Event
-end)
-
-let variants : (module VARIANT) list =
-  [ (module Optimized_event_w4);
-    (module Optimized_scan_w4);
-    (module Improved_event_w4);
-    (module Improved_scan_w4);
-    (module Simple_event_w4);
-    (module Simple_scan_w4);
-    (module Improved_event_w2);
-    (module Improved_scan_w2);
-    (module Simple_event_w2);
-    (module Simple_scan_w2);
-    (module Optimized_event_w8);
-    (module Optimized_scan_w8);
-    (module Improved_event_w8);
-    (module Improved_scan_w8);
-    (module Simple_event_w8);
-    (module Simple_scan_w8) ]
-
-let variant_names =
-  List.map (fun (module V : VARIANT) -> V.name) variants
-
-let select config =
-  List.find_opt (fun (module V : VARIANT) -> V.matches config) variants
-
-(* [Always] on a configuration off the grid: freeze the runtime values
-   into a one-off STATIC_CONFIG and apply the functor dynamically. The
-   constants are module fields rather than immediates, so the one-off
-   keeps only the staged engine's structural wins (resolved cells,
-   direct phase calls), but it is bit-identical all the same. *)
-let static_of_config (c : Config.t) : (module Engine.STATIC_CONFIG) =
-  (module struct
-    let width = c.Config.width
-    let rob_entries = c.Config.rob_entries
-    let lsq_entries = c.Config.lsq_entries
-    let alu_count = c.Config.alu_count
-    let alu_latency = c.Config.alu_latency
-    let mult_count = c.Config.mult_count
-    let mult_latency = c.Config.mult_latency
-    let div_count = c.Config.div_count
-    let div_latency = c.Config.div_latency
-    let mem_read_ports = c.Config.mem_read_ports
-    let mem_write_ports = c.Config.mem_write_ports
-    let misfetch_penalty = c.Config.misfetch_penalty
-    let misspeculation_penalty = c.Config.misspeculation_penalty
-    let organization = c.Config.organization
-    let scheduler = c.Config.scheduler
-  end)
+type mode = Auto | Never
 
 let install ?(mode = Auto) engine =
-  let config = Engine.config engine in
   match mode with
+  | Auto -> true
   | Never ->
-      Engine.clear_stepper engine;
+      Engine.use_reference engine;
       false
-  | Auto -> (
-      match select config with
-      | Some (module V) ->
-          V.install engine;
-          true
-      | None ->
-          Engine.clear_stepper engine;
-          false)
-  | Always ->
-      (match select config with
-      | Some (module V) -> V.install engine
-      | None ->
-          let module S = (val static_of_config config) in
-          let module V = Engine.Staged (S) in
-          V.install engine);
-      true
 
-let instrument mode engine = ignore (install ~mode engine)
+let instrument mode engine = ignore (install ~mode engine : bool)

@@ -1,58 +1,17 @@
-(** Engine specialization policy (DESIGN.md §14).
-
-    {!Resim_core.Engine.Staged} is the mechanism — a functor that
-    compiles one monomorphic per-cycle engine per configuration grid
-    point. This module is the policy: a registry of pre-instantiated
-    variants covering the common grid (the reference machine at widths
-    2/4/8 across the three organizations and both schedulers), a
-    selector, and the [Auto]/[Always]/[Never] installation modes the
-    CLI surfaces as [--no-specialize].
-
-    Staged variants are bit-identical to the generic engine by
-    contract — same cycles, same statistics, same pipetrace stream —
-    so installation is purely a host-speed decision. *)
-
-open Resim_core
-
-(** A pre-instantiated staged variant (the result signature of
-    {!Engine.Staged}). *)
-module type VARIANT = sig
-  val name : string
-  val matches : Config.t -> bool
-  val install : Engine.t -> unit
-end
+(** Engine selection, kept for the layered benchmark ([perfbench/]),
+    which links [install ~mode:Auto|Never] and [instrument Auto] to time
+    the default engine against the reference phases. Every engine runs
+    the closure family from {!Resim_core.Engine.create} on (DESIGN.md
+    §14), so nothing else needs this module. *)
 
 type mode =
-  | Auto  (** specialize when a grid variant matches, else generic *)
-  | Always
-      (** specialize even off-grid, via a one-off runtime-built
-          variant (keeps the structural wins, not the constant
-          folding) *)
-  | Never  (** force the generic engine ([--no-specialize]) *)
+  | Auto  (** the default engine: the closure family *)
+  | Never  (** the reference phases ({!Resim_core.Engine.use_reference}) *)
 
-val mode_name : mode -> string
+val install : ?mode:mode -> Resim_core.Engine.t -> bool
+(** Apply [mode] (default [Auto]) to a freshly created engine; returns
+    whether the closure family runs. *)
 
-val mode_of_string : string -> (mode, string) result
-
-val variants : (module VARIANT) list
-(** The built-in grid, most-common configuration first ({!select}
-    takes the first match). *)
-
-val variant_names : string list
-
-val select : Config.t -> (module VARIANT) option
-(** First registry variant whose frozen constants agree with the
-    configuration. *)
-
-val static_of_config : Config.t -> (module Engine.STATIC_CONFIG)
-(** Freeze a runtime configuration into a one-off static module (the
-    [Always] fallback). *)
-
-val install : ?mode:mode -> Engine.t -> bool
-(** Apply the policy to a freshly created engine; returns whether a
-    staged variant is now installed. [Never] (and an [Auto] miss)
-    reverts to the generic stepper. *)
-
-val instrument : mode -> Engine.t -> unit
-(** {!install} shaped for {!Resim_core.Resim.simulate_robust}'s
-    [instrument] hook. *)
+val instrument : mode -> Resim_core.Engine.t -> unit
+(** {!install} shaped for the [instrument] hooks of
+    {!Resim_core.Resim.simulate_robust} and [Resim_sweep.Sweep.run]. *)

@@ -116,8 +116,7 @@ val run_job : ?instrument:(Resim_core.Engine.t -> unit) -> job -> result
     {!Invalid_config} before any work when the configuration does not
     validate, and lets trace faults and deadlocks escape. [instrument]
     runs on each job's freshly created engine before its first cycle —
-    the hook the engine-specialization layer ([Resim_spec.Spec]) and
-    observability probes attach through. *)
+    the hook observability probes attach through. *)
 
 (** {1 Fault domains} *)
 
@@ -199,8 +198,8 @@ val run :
     [prof] charges pool queue-wait/run spans ({!Pool.map}).
     [instrument] runs on every job's fresh engine before its first
     cycle (see {!run_job}); each worker domain calls it on its own
-    engines, so the hook must be domain-safe — the specialization
-    installer and per-engine probes are. *)
+    engines, so the hook must be domain-safe — per-engine probes
+    are. *)
 
 val completed : report -> result list
 (** Results with statistics, in job order: [Ok] plus [Truncated]

@@ -1,6 +1,13 @@
 (* Aggregated test runner: `dune runtest`. *)
 
 let () =
+  (* Regenerating the golden-digest table is a deliberate act, never a
+     side effect of a test run. *)
+  Option.iter
+    (fun path ->
+      Test_golden.write path;
+      exit 0)
+    (Sys.getenv_opt "RESIM_GOLDEN_WRITE");
   Alcotest.run "resim"
     (List.concat
        [ Test_isa.suite;
@@ -22,6 +29,7 @@ let () =
          Test_fault.suite;
          Test_sample.suite;
          Test_spec.suite;
+         Test_golden.suite;
          Test_extensions.suite;
          Test_frontier.suite;
          Test_consistency.suite;

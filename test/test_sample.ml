@@ -546,18 +546,58 @@ let test_cli_exit_codes () =
       ("stream + sample refused", "simulate -k gzip --stream --sample 50:450", 2);
       ("stream without trace", "simulate -k gzip --stream", 2) ]
   in
+  (* Rows that also pin bytes of the --metrics document: the engine
+     identity perfbench's simulate-file golden digest hashes, and the
+     same identity after a resume. *)
+  let fresh_metrics = Filename.temp_file "resim_test" ".json" in
+  let resumed_metrics = Filename.temp_file "resim_test" ".json" in
+  let checkpoint = Filename.temp_file "resim_test" ".rscp" in
+  let reference_identity =
+    [ "\"specialized\": true";
+      "\"variant\": \"optimized-event-w4-rob16-lsq8-rp2wp1\"" ]
+  in
+  let metrics_cases =
+    [ ( "simulate --metrics names the engine",
+        Printf.sprintf "simulate -k gzip -s 512 --metrics %s"
+          (Filename.quote fresh_metrics),
+        fresh_metrics );
+      ( "resume --metrics names the same engine",
+        Printf.sprintf "simulate -k gzip -s 512 --resume %s --metrics %s"
+          (Filename.quote checkpoint)
+          (Filename.quote resumed_metrics),
+        resumed_metrics ) ]
+  in
+  let contains document needle =
+    let n = String.length document and m = String.length needle in
+    let rec scan i = i + m <= n && (String.sub document i m = needle || scan (i + 1)) in
+    scan 0
+  in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove corrupt_trace;
-      Sys.remove bad_checkpoint;
-      Sys.remove good_text;
-      Sys.remove bad_text)
+      List.iter Sys.remove
+        [ corrupt_trace; bad_checkpoint; good_text; bad_text; fresh_metrics;
+          resumed_metrics; checkpoint ])
     (fun () ->
       List.iter
         (fun (label, args, expected) ->
           check int (Printf.sprintf "%s (`resim %s`)" label args) expected
             (run_cli args))
-        cases)
+        cases;
+      check int "truncated run writes the resume checkpoint" 0
+        (run_cli
+           (Printf.sprintf "simulate -k gzip -s 512 --max-cycles 2000 --checkpoint %s"
+              (Filename.quote checkpoint)));
+      List.iter
+        (fun (label, args, metrics) ->
+          check int (Printf.sprintf "%s (`resim %s`)" label args) 0
+            (run_cli args);
+          let document = In_channel.with_open_text metrics In_channel.input_all in
+          List.iter
+            (fun needle ->
+              check bool (Printf.sprintf "%s: contains %s" label needle) true
+                (contains document needle))
+            reference_identity)
+        metrics_cases)
 
 let suite =
   [ ("sample:spec",

@@ -1,8 +1,9 @@
-(* Tests for the engine-specialization layer (DESIGN.md §14): staged
-   variants must be bit-identical to the generic engine — same cycles,
-   same full statistics dump, same observer event stream — on the
-   kernel grid, on random synthetic traces, and through checkpoint
-   resume; plus the Auto/Always/Never selection policy itself. *)
+(* Tests for the engine implementations (DESIGN.md §14): the closure
+   family every engine runs must be bit-identical to the reference
+   phases — same cycles, same full statistics dump, same observer event
+   stream — on the kernel grid and on random traces over random
+   structurally sound configurations, and through checkpoint resume;
+   plus the [Resim_spec.Spec] modes the layered benchmark links. *)
 
 open Resim_core
 module Spec = Resim_spec.Spec
@@ -14,53 +15,30 @@ let string = Alcotest.string
 
 let stats_dump stats = Format.asprintf "%a" Stats.pp stats
 
-(* ------------------------------------------------------------------- *)
-(* Engine runs with an event-stream signature: every observer event is
-   folded into a compact string, so stream equality is equality of the
-   whole pipetrace (order included), not just of final counters. *)
-
-let attach_signature engine buffer =
-  Engine.set_observer engine (fun event ->
-      Buffer.add_string buffer
-        (match event with
-        | Engine.Ev_fetch _ -> "F"
-        | Engine.Ev_dispatch e -> Printf.sprintf "D%d" e.Entry.id
-        | Engine.Ev_issue e -> Printf.sprintf "I%d" e.Entry.id
-        | Engine.Ev_complete e -> Printf.sprintf "C%d" e.Entry.id
-        | Engine.Ev_commit e -> Printf.sprintf "R%d" e.Entry.id
-        | Engine.Ev_squash e -> Printf.sprintf "Q%d" e.Entry.id
-        | Engine.Ev_flush_frontend -> "X"
-        | Engine.Ev_stall reason ->
-            "s" ^ Engine.stall_reason_name reason);
-      Buffer.add_char buffer ';')
-
 type run = { stats : Stats.t; events : string; variant : string option }
 
-let run_engine ~mode ~observe config records =
+let run_engine ~reference config records =
   let engine = Engine.create ~config records in
   let buffer = Buffer.create 4096 in
-  if observe then attach_signature engine buffer;
-  ignore (Spec.install ~mode engine : bool);
+  Test_golden.attach_signature engine buffer;
+  if reference then Engine.use_reference engine;
   let stats = Engine.run engine in
-  { stats;
-    events = Buffer.contents buffer;
-    variant = Engine.variant engine }
+  { stats; events = Buffer.contents buffer; variant = Engine.variant engine }
 
-let assert_staged_identical ~name config records =
-  (* Generic vs staged, same scheduler, with the observer attached:
-     cycles, full stats and the event stream must match exactly. *)
-  let generic = run_engine ~mode:Spec.Never ~observe:true config records in
-  let staged = run_engine ~mode:Spec.Auto ~observe:true config records in
-  check bool (name ^ ": a variant installed") true (staged.variant <> None);
+let assert_identical ~name config records =
+  let reference = run_engine ~reference:true config records in
+  let closures = run_engine ~reference:false config records in
+  check bool (name ^ ": the closure family ran") true (closures.variant <> None);
   check string
     (name ^ ": full stats dump")
-    (stats_dump generic.stats) (stats_dump staged.stats);
-  check string (name ^ ": event stream") generic.events staged.events
+    (stats_dump reference.stats) (stats_dump closures.stats);
+  check string (name ^ ": event stream") reference.events closures.events;
+  closures
 
 (* ------------------------------------------------------------------- *)
 (* Three-way kernel differential: five kernels x the three
-   organizations x both schedulers, each point proving Scan-generic,
-   Event-generic and the staged variant agree on everything. *)
+   organizations x both schedulers, each point proving Scan-reference,
+   Event-reference and the closure family agree on everything. *)
 
 let kernel_records =
   lazy
@@ -71,204 +49,130 @@ let kernel_records =
          (name, Resim_tracegen.Generator.records program))
        Resim_workloads.Workload.all)
 
-let organizations =
-  [ Config.Simple; Config.Improved; Config.Optimized ]
-
-let schedulers = [ Config.Scan; Config.Event ]
-
 let test_kernel_differential () =
   List.iter
     (fun (kernel, records) ->
       List.iter
         (fun organization ->
-          (* Reference window at width 4: on the registry grid for
-             every organization. *)
-          let base =
-            { Config.reference with Config.organization }
-          in
           let dumps =
             List.map
               (fun scheduler ->
-                let config = { base with Config.scheduler } in
+                let config =
+                  { Config.reference with Config.organization; scheduler }
+                in
                 let name =
                   Printf.sprintf "%s/%s/%s" kernel
                     (Config.organization_name organization)
                     (Config.scheduler_name scheduler)
                 in
-                assert_staged_identical ~name config records;
-                let staged =
-                  run_engine ~mode:Spec.Auto ~observe:false config records
-                in
-                stats_dump staged.stats)
-              schedulers
+                stats_dump (assert_identical ~name config records).stats)
+              [ Config.Scan; Config.Event ]
           in
-          (* And the third leg: the two schedulers (staged) agree with
-             each other, so all three engines pin the same timing. *)
+          (* The third leg: the two schedulers agree with each other, so
+             all three engines pin the same timing. *)
           match dumps with
           | [ scan; event ] ->
               check string
-                (Printf.sprintf "%s/%s: scan vs event (staged)" kernel
+                (Printf.sprintf "%s/%s: scan vs event" kernel
                    (Config.organization_name organization))
                 scan event
           | _ -> assert false)
-        organizations)
+        [ Config.Simple; Config.Improved; Config.Optimized ])
     (Lazy.force kernel_records)
 
 (* ------------------------------------------------------------------- *)
-(* Selection policy.                                                    *)
+(* Engine identity and the Spec modes.                                  *)
 
-let exotic_config =
-  (* Off every grid point: a ROB size the registry does not carry. *)
-  { Config.reference with Config.rob_entries = 24 }
+let off_grid = { Config.reference with Config.rob_entries = 24 }
 
-let test_auto_selection () =
-  (match Spec.select Config.reference with
-  | Some (module V : Spec.VARIANT) ->
-      check bool "reference variant matches" true
-        (V.matches Config.reference);
-      check bool "reference maps to the optimized-event-w4 point" true
-        (V.name = "optimized-event-w4-rob16-lsq8-rp2wp1")
-  | None -> Alcotest.fail "reference configuration must be on the grid");
-  check bool "exotic config is off the grid" true
-    (match Spec.select exotic_config with None -> true | Some _ -> false);
-  (* Every registry variant matches the configuration it was frozen
-     from — or at least claims a distinct name. *)
-  check bool "registry names are distinct" true
-    (let names = List.sort_uniq compare Spec.variant_names in
-     List.length names = List.length Spec.variant_names)
+let test_variant_for_every_config () =
+  let configs =
+    Config.reference :: off_grid
+    :: QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:200
+         Test_check.sound_config
+  in
+  List.iter
+    (fun config ->
+      check bool
+        (Format.asprintf "variant reported for %a" Config.pp config)
+        true
+        (Engine.variant (Engine.create ~config [||]) <> None))
+    configs;
+  check (Alcotest.option string) "reference variant name"
+    (Some "optimized-event-w4-rob16-lsq8-rp2wp1")
+    (Engine.variant (Engine.create ~config:Config.reference [||]))
 
 let test_install_modes () =
   let records = snd (List.hd (Lazy.force kernel_records)) in
-  let engine = Engine.create ~config:Config.reference records in
-  check bool "Never leaves the generic engine" false
+  let engine = Engine.create ~config:off_grid records in
+  check bool "a fresh engine runs the closure family" true
+    (Engine.variant engine <> None);
+  check bool "Auto keeps it" true (Spec.install ~mode:Spec.Auto engine);
+  check bool "still the closure family" true (Engine.variant engine <> None);
+  check bool "Never selects the reference phases" false
     (Spec.install ~mode:Spec.Never engine);
-  check bool "not specialized after Never" false
-    (Engine.is_specialized engine);
-  check bool "Auto installs on the grid" true
-    (Spec.install ~mode:Spec.Auto engine);
-  check bool "specialized after Auto" true (Engine.is_specialized engine);
-  check bool "variant is reported" true (Engine.variant engine <> None);
-  (* Auto off-grid: fall back to generic, not an error. *)
-  let exotic = Engine.create ~config:exotic_config records in
-  check bool "Auto misses off the grid" false
-    (Spec.install ~mode:Spec.Auto exotic);
-  check bool "off-grid Auto stays generic" false
-    (Engine.is_specialized exotic)
+  check (Alcotest.option string) "no variant after Never" None
+    (Engine.variant engine)
 
-let test_always_fallback_is_identical () =
-  (* Always on an exotic configuration builds a one-off variant at run
-     time; it must remain bit-identical to the generic engine. *)
+(* A budget-truncated run hands the resume a checkpoint it accepts, and
+   the resumed statistics equal an uninterrupted run's — on a
+   configuration no fixed grid ever covered, closure family throughout. *)
+let test_checkpoint_resume () =
   let records = snd (List.hd (Lazy.force kernel_records)) in
-  List.iter
-    (fun scheduler ->
-      let config = { exotic_config with Config.scheduler } in
-      let generic =
-        run_engine ~mode:Spec.Never ~observe:true config records
-      in
-      let engine = Engine.create ~config records in
-      let buffer = Buffer.create 4096 in
-      attach_signature engine buffer;
-      check bool "Always installs off-grid" true
-        (Spec.install ~mode:Spec.Always engine);
-      let stats = Engine.run engine in
-      check string
-        (Config.scheduler_name scheduler ^ ": fallback stats")
-        (stats_dump generic.stats) (stats_dump stats);
-      check string
-        (Config.scheduler_name scheduler ^ ": fallback event stream")
-        generic.events (Buffer.contents buffer))
-    schedulers
-
-(* ------------------------------------------------------------------- *)
-(* Checkpoint resume: a budget-truncated specialized run must hand the
-   generic replay a checkpoint it accepts, and the resumed statistics
-   must equal an uninterrupted run's. *)
-
-let test_checkpoint_resume_under_specialization () =
-  let records = snd (List.hd (Lazy.force kernel_records)) in
-  let config = Config.reference in
-  match
-    Resim.simulate_robust ~config ~max_cycles:1000L
-      ~instrument:(Spec.instrument Spec.Auto) records
-  with
-  | Error _ -> Alcotest.fail "bounded specialized run failed"
+  let config = off_grid in
+  match Resim.simulate_robust ~config ~max_cycles:1000L records with
+  | Error _ -> Alcotest.fail "bounded run failed"
   | Ok robust -> (
       match robust.Resim.resume with
       | None -> Alcotest.fail "expected a resume checkpoint"
       | Some checkpoint -> (
-          match Resim.resume_trace ~config ~checkpoint records with
+          let variant = ref None in
+          match
+            Resim.resume_trace ~config
+              ~instrument:(fun engine -> variant := Engine.variant engine)
+              ~checkpoint records
+          with
           | Error message -> Alcotest.fail message
           | Ok outcome ->
-              let full = Engine.simulate ~config records in
+              check bool "resume ran the closure family" true (!variant <> None);
               check string "resumed run matches uninterrupted"
-                (stats_dump full) (stats_dump outcome.Resim.stats)))
+                (stats_dump (Engine.simulate ~config records))
+                (stats_dump outcome.Resim.stats)))
 
 (* ------------------------------------------------------------------- *)
-(* Random-trace differential across the registry grid.                  *)
+(* Random traces over random structurally sound configurations.        *)
 
-let grid_configs =
-  (* One configuration per registry width, every organization where the
-     port constraint allows it, cycled through both schedulers by the
-     property itself. *)
-  let point ~width ~alu ~rp ~wp organization =
-    { Config.reference with
-      Config.organization;
-      width;
-      ifq_entries = width;
-      decouple_entries = width;
-      alu_count = alu;
-      mem_read_ports = rp;
-      mem_write_ports = wp }
-  in
-  [| point ~width:2 ~alu:2 ~rp:1 ~wp:1 Config.Simple;
-     point ~width:2 ~alu:2 ~rp:1 ~wp:1 Config.Improved;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Simple;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Improved;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Optimized;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Simple;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Improved;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Optimized |]
-
-let staged_matches_generic =
+let closures_match_reference =
   QCheck.Test.make
-    ~name:"staged variants are bit-identical on random traces" ~count:80
+    ~name:"closure family matches the reference on generated configs"
+    ~count:80
     QCheck.(
-      pair (int_bound 100_000)
-        (pair (int_bound (Array.length grid_configs - 1))
-           (pair (int_range 150 400) bool)))
-    (fun (seed, (config_index, (instructions, use_event))) ->
-      let config =
-        { grid_configs.(config_index) with
-          Config.scheduler =
-            (if use_event then Config.Event else Config.Scan) }
-      in
+      pair Test_check.arbitrary_sound_config
+        (pair (int_bound 100_000) (int_range 150 400)))
+    (fun (config, (seed, instructions)) ->
       let profile =
         { (Synthetic.balanced ~name:"spec-diff" ~instructions) with
           Synthetic.dependency_density = 0.5;
           mispredict_rate = 0.08 }
       in
       let records = Synthetic.generate ~seed profile in
-      let generic =
-        run_engine ~mode:Spec.Never ~observe:true config records
-      in
-      let staged =
-        run_engine ~mode:Spec.Auto ~observe:true config records
-      in
-      staged.variant <> None
-      && String.equal (stats_dump generic.stats) (stats_dump staged.stats)
-      && String.equal generic.events staged.events)
+      let reference = run_engine ~reference:true config records in
+      let closures = run_engine ~reference:false config records in
+      closures.variant <> None
+      && String.equal (stats_dump reference.stats) (stats_dump closures.stats)
+      && String.equal reference.events closures.events)
 
 (* ------------------------------------------------------------------- *)
 
 let suite =
   [ ("spec:policy",
-     [ Alcotest.test_case "auto selection" `Quick test_auto_selection;
+     [ Alcotest.test_case "every generated config runs the closure family"
+         `Quick test_variant_for_every_config;
        Alcotest.test_case "install modes" `Quick test_install_modes;
-       Alcotest.test_case "Always fallback is identical" `Quick
-         test_always_fallback_is_identical;
-       Alcotest.test_case "checkpoint resume under specialization" `Quick
-         test_checkpoint_resume_under_specialization ]);
+       Alcotest.test_case
+         "checkpoint resume of a truncated run on an off-grid config" `Quick
+         test_checkpoint_resume ]);
     ("spec:differential",
      [ Alcotest.test_case "kernels x organizations x schedulers" `Slow
          test_kernel_differential;
-       QCheck_alcotest.to_alcotest staged_matches_generic ]) ]
+       QCheck_alcotest.to_alcotest closures_match_reference ]) ]
