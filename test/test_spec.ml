@@ -85,7 +85,9 @@ let test_kernel_differential () =
 
 let off_grid = { Config.reference with Config.rob_entries = 24 }
 
-let test_variant_for_every_config () =
+(* Auto selects the closure family for every configuration: the
+   reference, an off-grid one and 200 generated ones. *)
+let test_auto_selection () =
   let configs =
     Config.reference :: off_grid
     :: QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:200
@@ -93,10 +95,15 @@ let test_variant_for_every_config () =
   in
   List.iter
     (fun config ->
+      let engine = Engine.create ~config [||] in
+      check bool
+        (Format.asprintf "Auto installs on %a" Config.pp config)
+        true
+        (Spec.install ~mode:Spec.Auto engine);
       check bool
         (Format.asprintf "variant reported for %a" Config.pp config)
         true
-        (Engine.variant (Engine.create ~config [||]) <> None))
+        (Engine.variant engine <> None))
     configs;
   check (Alcotest.option string) "reference variant name"
     (Some "optimized-event-w4-rob16-lsq8-rp2wp1")
@@ -113,6 +120,20 @@ let test_install_modes () =
     (Spec.install ~mode:Spec.Never engine);
   check (Alcotest.option string) "no variant after Never" None
     (Engine.variant engine)
+
+(* An off-grid configuration falls back to nothing: the closure family
+   is built from it at create time and stays bit-identical to the
+   reference phases under both schedulers. *)
+let test_always_fallback_is_identical () =
+  let records = snd (List.hd (Lazy.force kernel_records)) in
+  List.iter
+    (fun scheduler ->
+      let config = { off_grid with Config.scheduler } in
+      ignore
+        (assert_identical
+           ~name:(Config.scheduler_name scheduler ^ ": off-grid")
+           config records))
+    [ Config.Scan; Config.Event ]
 
 (* A budget-truncated run hands the resume a checkpoint it accepts, and
    the resumed statistics equal an uninterrupted run's — on a
@@ -166,9 +187,10 @@ let closures_match_reference =
 
 let suite =
   [ ("spec:policy",
-     [ Alcotest.test_case "every generated config runs the closure family"
-         `Quick test_variant_for_every_config;
+     [ Alcotest.test_case "auto selection" `Quick test_auto_selection;
        Alcotest.test_case "install modes" `Quick test_install_modes;
+       Alcotest.test_case "Always fallback is identical" `Quick
+         test_always_fallback_is_identical;
        Alcotest.test_case
          "checkpoint resume of a truncated run on an off-grid config" `Quick
          test_checkpoint_resume ]);
