@@ -682,12 +682,8 @@ let simulate workload scale source_file trace_file trace_format stream
             (Resim_core.Checkpoint.error_to_string message);
           exit 2
       | Ok checkpoint -> (
-          match
-            Resim_core.Resim.resume_trace ~config
-              ~instrument:(fun engine ->
-                engine_variant := Resim_core.Engine.variant engine)
-              ~checkpoint records
-          with
+          engine_variant := Some (Resim_core.Engine.variant_name config);
+          match Resim_core.Resim.resume_trace ~config ~checkpoint records with
           | Error message ->
               Format.eprintf "resume failed: %s@." message;
               exit fault_exit

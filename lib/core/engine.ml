@@ -201,18 +201,17 @@ let minor_cycles t = Int64.of_int (t.cycle * t.s_minor_latency)
 let use_reference t = t.stepper <- Reference
 
 (* Once per run, by reporting code; never on the per-cycle path. *)
+let variant_name (c : Config.t) =
+  (* resim-lint: allow *)
+  Printf.sprintf "%s-%s-w%d-rob%d-lsq%d-rp%dwp%d"
+    (Config.organization_name c.organization)
+    (Config.scheduler_name c.scheduler)
+    c.width c.rob_entries c.lsq_entries c.mem_read_ports c.mem_write_ports
+
 let variant t =
   match t.stepper with
   | Reference -> None
-  | Closures _ ->
-      let c = t.config in
-      Some
-        ((* resim-lint: allow *)
-         Printf.sprintf "%s-%s-w%d-rob%d-lsq%d-rp%dwp%d"
-           (Config.organization_name c.organization)
-           (Config.scheduler_name c.scheduler)
-           c.width c.rob_entries c.lsq_entries c.mem_read_ports
-           c.mem_write_ports)
+  | Closures _ -> Some (variant_name t.config)
 
 let set_observer t observer = t.observer <- Some observer
 

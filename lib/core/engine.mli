@@ -235,8 +235,11 @@ val use_reference : t -> unit
 (** Make {!step} run the readable reference phases instead of the
     closure family, from the next cycle on. *)
 
-val variant : t -> string option
-(** The closure family's identifier for this configuration,
+val variant_name : Config.t -> string
+(** The closure family's identifier for a configuration,
     ["<organization>-<scheduler>-w<N>-rob<R>-lsq<L>-rp<P>wp<Q>"] (reported
-    by the CLI and the metrics and profile JSON), or [None] after
+    by the CLI and the metrics and profile JSON). *)
+
+val variant : t -> string option
+(** [Some (variant_name (config t))], or [None] after
     {!use_reference}. *)

@@ -110,7 +110,7 @@ let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
   | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
   | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
 
-let resume_trace ?(config = Config.reference) ?instrument ~checkpoint records =
+let resume_trace ?(config = Config.reference) ~checkpoint records =
   let target = checkpoint.Checkpoint.cycle in
   (* Identity check first (RSM-K007): refusing a foreign-build handle
      outright beats letting the replay run to a baffling statistics
@@ -122,7 +122,6 @@ let resume_trace ?(config = Config.reference) ?instrument ~checkpoint records =
   | Ok () ->
   match
     let engine = Engine.create ~config records in
-    Option.iter (fun instrument -> instrument engine) instrument;
     while
       Int64.compare (Engine.cycle engine) target < 0
       && not (Engine.finished engine)

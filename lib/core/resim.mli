@@ -112,7 +112,6 @@ val simulate_pull_robust :
 
 val resume_trace :
   ?config:Config.t ->
-  ?instrument:(Engine.t -> unit) ->
   checkpoint:Checkpoint.t ->
   Resim_trace.Record.t array ->
   (outcome, string) result
@@ -122,8 +121,7 @@ val resume_trace :
     configuration), then run to completion. The final statistics are
     bit-identical to an unbounded run by construction. A checkpoint
     stamped with a different {!engine_identity} is refused before the
-    replay starts ([RSM-K007]). [instrument] runs on the freshly created
-    engine before the replay, as in {!simulate_robust}. *)
+    replay starts ([RSM-K007]). *)
 
 (** {1 Paper metrics} *)
 

@@ -77,50 +77,66 @@ let time_best ~runs f =
   !best
 
 let measure ?(quick = false) () =
-  (* Best-of-n keeps the minimum, so extra runs only sharpen the floor;
-     9 rides out multi-second host-load bursts that best-of-5 did not. *)
+  (* Best-of-n keeps the minimum, so extra runs only sharpen the floor.
+     The runs are interleaved across the grid, one round over every
+     point at a time: a host-load burst lasting several seconds then
+     costs each point one or two of its runs instead of all of them. *)
   let runs = if quick then 2 else 9 in
-  List.concat_map
-    (fun (kernel_name, scale) ->
-      let kernel = Resim_workloads.Workload.find kernel_name in
-      let program =
-        match scale with
-        | Some scale ->
-            Resim_workloads.Workload.program_of kernel ~scale ()
-        | None -> Resim_workloads.Workload.program_of kernel ()
+  let points =
+    List.concat_map
+      (fun (kernel_name, scale) ->
+        let kernel = Resim_workloads.Workload.find kernel_name in
+        let program =
+          match scale with
+          | Some scale ->
+              Resim_workloads.Workload.program_of kernel ~scale ()
+          | None -> Resim_workloads.Workload.program_of kernel ()
+        in
+        let generated = Resim_tracegen.Generator.run program in
+        List.concat_map
+          (fun (config_name, config) ->
+            List.map
+              (fun scheduler ->
+                (kernel_name, scale, config_name,
+                 { config with Config.scheduler }, generated))
+              schedulers)
+          configurations)
+      (grid ~quick)
+    |> Array.of_list
+  in
+  let run (_, _, _, config, generated) =
+    Engine.simulate ~config generated.Resim_tracegen.Generator.records
+  in
+  let stats = Array.map run points in
+  let best = Array.make (Array.length points) infinity in
+  for _ = 1 to runs do
+    Array.iteri
+      (fun index point ->
+        let started = Unix.gettimeofday () in
+        stats.(index) <- run point;
+        let elapsed = Unix.gettimeofday () -. started in
+        if elapsed < best.(index) then best.(index) <- elapsed)
+      points
+  done;
+  List.init (Array.length points) (fun index ->
+      let kernel_name, scale, config_name, config, generated =
+        points.(index)
       in
-      let generated = Resim_tracegen.Generator.run program in
-      let records = generated.records in
-      List.concat_map
-        (fun (config_name, config) ->
-          List.map
-            (fun scheduler ->
-              let config = { config with Config.scheduler } in
-              let stats = ref (Stats.create ()) in
-              let seconds =
-                time_best ~runs (fun () ->
-                    stats := Engine.simulate ~config records)
-              in
-              let ns_per_run = seconds *. 1e9 in
-              let host_mips =
-                if seconds > 0.0 then
-                  float_of_int generated.correct_path /. seconds /. 1e6
-                else 0.0
-              in
-              { kernel = kernel_name;
-                scale;
-                config_name;
-                scheduler = Config.scheduler_name scheduler;
-                instructions = generated.correct_path;
-                record_count = Array.length records;
-                cycles = Stats.get Stats.major_cycles !stats;
-                runs;
-                ns_per_run;
-                host_mips;
-                stall_causes = Stats.stall_causes !stats })
-            schedulers)
-        configurations)
-    (grid ~quick)
+      let seconds = best.(index) and stats = stats.(index) in
+      { kernel = kernel_name;
+        scale;
+        config_name;
+        scheduler = Config.scheduler_name config.Config.scheduler;
+        instructions = generated.correct_path;
+        record_count = Array.length generated.records;
+        cycles = Stats.get Stats.major_cycles stats;
+        runs;
+        ns_per_run = seconds *. 1e9;
+        host_mips =
+          (if seconds > 0.0 then
+             float_of_int generated.correct_path /. seconds /. 1e6
+           else 0.0);
+        stall_causes = Stats.stall_causes stats })
 
 (* ------------------------------------------------------------------ *)
 (* Sampled simulation (DESIGN.md §13): the same engine-only protocol,

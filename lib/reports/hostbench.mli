@@ -26,7 +26,9 @@ type measurement = {
 val measure : ?quick:bool -> unit -> measurement list
 (** Run the measurement grid. [quick] (default [false]) shrinks it to a
     single small kernel for smoke tests; the full grid covers several
-    kernels, both paper configurations and both schedulers. *)
+    kernels, both paper configurations and both schedulers. Every point
+    is warmed once, then timed in [runs] interleaved rounds over the
+    whole grid, keeping each point's best. *)
 
 val pp_table : Format.formatter -> measurement list -> unit
 (** Human-readable table, with a per-(kernel, config) Event/Scan
