@@ -817,9 +817,9 @@ let simulate_cmd =
                 however large the trace, so multi-GB files, shard sets \
                 and unbounded pipes ($(b,tracegen --stream |)) \
                 simulate in constant memory. Statistics are \
-                bit-identical to the in-memory path; \
-                $(b,bits/instruction) reads 0 (the payload size is \
-                unknown mid-stream). Not combinable with \
+                bit-identical to the in-memory path, and so is the \
+                $(b,bits/instr) line once the trace drains. Not \
+                combinable with \
                 $(b,--sample)/$(b,--resume)/$(b,--degraded).")
   in
   let perfect_bp =

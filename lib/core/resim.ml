@@ -76,16 +76,18 @@ let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
 (* Streaming robust entry: the engine pulls records on demand through a
    [Source] window, so the trace never materialises — constant memory
    for traces larger than RAM (pipes, chunked file cursors, foreign
-   adapters). The trace summary accumulates incrementally as records
-   stream past; [bits_per_instruction] needs the encoded payload and is
-   reported as 0 (unknown) on this path. *)
+   adapters). The trace summary and the Fixed-format bit count
+   accumulate incrementally as records stream past, so the report
+   matches the materialized path's. *)
 let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
     ?deadline ?instrument pull =
   let summary = ref Resim_trace.Summary.zero in
+  let bits = Resim_trace.Codec.Bit_count.create () in
   let counted () =
     match pull () with
     | Some record ->
         summary := Resim_trace.Summary.add !summary record;
+        Resim_trace.Codec.Bit_count.add bits record;
         Some record
     | None -> None
   in
@@ -97,7 +99,8 @@ let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
         { config;
           stats = bounded.Engine.final;
           trace_summary = !summary;
-          bits_per_instruction = 0.0;
+          bits_per_instruction =
+            Resim_trace.Codec.Bit_count.per_instruction bits;
           icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
           dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) };
       stop = bounded.Engine.stop;

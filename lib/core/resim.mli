@@ -105,10 +105,12 @@ val simulate_pull_robust :
     engine draws records on demand through a {!Source} window, so the
     trace never materialises — constant memory for traces larger than
     RAM (chunked file cursors, pipes, foreign-format adapters). The
-    trace summary accumulates incrementally; [bits_per_instruction] is
-    0 on this path (the encoded payload size is unknown). A pull that
-    raises {!Resim_trace.Fault.Trace_fault} (truncated or corrupt
-    stream, malformed foreign line) comes back as [Error (Fault _)]. *)
+    trace summary and the Fixed-format bit count accumulate
+    incrementally, so [bits_per_instruction] is that of the records
+    pulled — the materialized path's figure once the stream drains. A
+    pull that raises {!Resim_trace.Fault.Trace_fault} (truncated or
+    corrupt stream, malformed foreign line) comes back as
+    [Error (Fault _)]. *)
 
 val resume_trace :
   ?config:Config.t ->

@@ -16,21 +16,23 @@ module Writer = struct
       w.acc_bits <- shift
     done
 
+  (* The whole field joins [acc] in one shift when it fits the 62 bits
+     an int holds without touching the sign; flushing keeps [acc_bits]
+     under 8, so only fields of 55+ bits ever take the split. *)
+  let rec put_field w bits value =
+    if w.acc_bits + bits <= 62 then begin
+      w.acc <- (w.acc lsl bits) lor (value land ((1 lsl bits) - 1));
+      w.acc_bits <- w.acc_bits + bits;
+      flush_bytes w
+    end
+    else begin
+      put_field w (bits - 32) (value lsr 32);
+      put_field w 32 value
+    end
+
   let put w ~bits value =
     if bits <= 0 || bits > 62 then invalid_arg "Bitio.Writer.put: bits";
-    let masked = value land ((1 lsl bits) - 1) in
-    (* Emit in chunks small enough to keep [acc] within native int range. *)
-    let rec emit bits =
-      if bits > 0 then begin
-        let chunk = min bits (56 - w.acc_bits) in
-        let shift = bits - chunk in
-        w.acc <- (w.acc lsl chunk) lor ((masked lsr shift) land ((1 lsl chunk) - 1));
-        w.acc_bits <- w.acc_bits + chunk;
-        flush_bytes w;
-        emit shift
-      end
-    in
-    emit bits;
+    put_field w bits value;
     w.total <- w.total + bits
 
   let put_bool w b = put w ~bits:1 (if b then 1 else 0)
@@ -131,13 +133,52 @@ module Reader = struct
     r.total <- r.total + 1;
     value
 
-  let get r ~bits =
-    if bits <= 0 || bits > 62 then invalid_arg "Bitio.Reader.get: bits";
+  (* The per-bit loop: the reference semantics, used only when the
+     stream cannot supply the whole field. It consumes what is there
+     and raises [Out_of_bits] at the first missing bit, so position and
+     diagnostics after a short read are those of a bit-serial reader. *)
+  let get_bits r bits =
     let rec loop acc remaining =
       if remaining = 0 then acc
       else loop ((acc lsl 1) lor get_bit r) (remaining - 1)
     in
     loop 0 bits
+
+  (* A buffered field is read whole: the rest of the current byte, then
+     full bytes, then the head of the last one. [bits] <= 62, so [acc]
+     never holds more than the field. *)
+  let get_buffered r bits =
+    let data = r.data in
+    let avail = 8 - r.bit in
+    let head = Char.code (String.get data r.byte) land ((1 lsl avail) - 1) in
+    r.total <- r.total + bits;
+    if bits < avail then begin
+      r.bit <- r.bit + bits;
+      head lsr (avail - bits)
+    end
+    else begin
+      let acc = ref head and remaining = ref (bits - avail)
+      and byte = ref (r.byte + 1) in
+      while !remaining >= 8 do
+        acc := (!acc lsl 8) lor Char.code (String.get data !byte);
+        incr byte;
+        remaining := !remaining - 8
+      done;
+      if !remaining > 0 then
+        acc :=
+          (!acc lsl !remaining)
+          lor (Char.code (String.get data !byte) lsr (8 - !remaining));
+      r.byte <- !byte;
+      r.bit <- !remaining;
+      !acc
+    end
+
+  let get r ~bits =
+    if bits <= 0 || bits > 62 then invalid_arg "Bitio.Reader.get: bits";
+    if ((String.length r.data - r.byte) * 8) - r.bit >= bits
+       || ensure_bits r bits
+    then get_buffered r bits
+    else get_bits r bits
 
   let get_bool r = get r ~bits:1 = 1
 

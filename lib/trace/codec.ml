@@ -41,32 +41,36 @@ let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
 
 (* Compact deltas: a 2-bit selector chooses an 8/16/24-bit zig-zag delta
-   or a full-width absolute escape. *)
+   or a full-width absolute escape (selector 3). The thresholds live in
+   [delta_selector] alone, so the encoder and the bit counter agree. *)
+let delta_selector delta =
+  if delta < 1 lsl 8 then 0
+  else if delta < 1 lsl 16 then 1
+  else if delta < 1 lsl 24 then 2
+  else 3
+
+let delta_width selector = 8 * (selector + 1)
+
 let put_delta w ~abs_bits ~value ~reference =
   let delta = zigzag (value - reference) in
-  if delta < 1 lsl 8 then begin
-    Bitio.Writer.put w ~bits:selector_bits 0;
-    Bitio.Writer.put w ~bits:8 delta
-  end
-  else if delta < 1 lsl 16 then begin
-    Bitio.Writer.put w ~bits:selector_bits 1;
-    Bitio.Writer.put w ~bits:16 delta
-  end
-  else if delta < 1 lsl 24 then begin
-    Bitio.Writer.put w ~bits:selector_bits 2;
-    Bitio.Writer.put w ~bits:24 delta
-  end
-  else begin
-    Bitio.Writer.put w ~bits:selector_bits 3;
-    Bitio.Writer.put w ~bits:abs_bits value
-  end
+  match delta_selector delta with
+  | 3 ->
+      Bitio.Writer.put w ~bits:selector_bits 3;
+      Bitio.Writer.put w ~bits:abs_bits value
+  | selector ->
+      Bitio.Writer.put w ~bits:selector_bits selector;
+      Bitio.Writer.put w ~bits:(delta_width selector) delta
+
+let delta_bits ~abs_bits ~value ~reference =
+  match delta_selector (zigzag (value - reference)) with
+  | 3 -> selector_bits + abs_bits
+  | selector -> selector_bits + delta_width selector
 
 let get_delta r ~abs_bits ~reference =
   match Bitio.Reader.get r ~bits:selector_bits with
-  | 0 -> reference + unzigzag (Bitio.Reader.get r ~bits:8)
-  | 1 -> reference + unzigzag (Bitio.Reader.get r ~bits:16)
-  | 2 -> reference + unzigzag (Bitio.Reader.get r ~bits:24)
-  | _ -> Bitio.Reader.get r ~bits:abs_bits
+  | 3 -> Bitio.Reader.get r ~bits:abs_bits
+  | selector ->
+      reference + unzigzag (Bitio.Reader.get r ~bits:(delta_width selector))
 
 type encoder_state = { mutable prev_pc : int; mutable prev_addr : int }
 
@@ -110,6 +114,46 @@ let encode_record format w state (record : Record.t) =
       | Fixed -> Bitio.Writer.put w ~bits:pc_bits target
       | Compact ->
           put_delta w ~abs_bits:pc_bits ~value:target ~reference:record.pc)
+
+(* [encode_record]'s bit count without encoding: the same field widths,
+   the same sequential-PC test and delta thresholds, and the same state
+   updates. Type, tag, three registers and the sequential flag open
+   every record. *)
+let record_head_bits = type_bits + 1 + (3 * reg_bits) + 1
+
+let record_bits format state (record : Record.t) =
+  let pc_bits_used =
+    if record.pc = state.prev_pc + 1 then 0
+    else
+      match format with
+      | Fixed -> pc_bits
+      | Compact ->
+          delta_bits ~abs_bits:pc_bits ~value:record.pc
+            ~reference:(state.prev_pc + 1)
+  in
+  state.prev_pc <- record.pc;
+  let payload_bits =
+    match record.payload with
+    | Other _ -> class_bits
+    | Memory { address; _ } ->
+        let address_bits =
+          match format with
+          | Fixed -> addr_bits
+          | Compact ->
+              delta_bits ~abs_bits:addr_bits ~value:address
+                ~reference:state.prev_addr
+        in
+        state.prev_addr <- address;
+        1 + address_bits
+    | Branch { target; _ } -> (
+        kind_bits + 1
+        +
+        match format with
+        | Fixed -> pc_bits
+        | Compact ->
+            delta_bits ~abs_bits:pc_bits ~value:target ~reference:record.pc)
+  in
+  record_head_bits + pc_bits_used + payload_bits
 
 let decode_record format r state : Record.t =
   let type_code = Bitio.Reader.get r ~bits:type_bits in
@@ -162,11 +206,14 @@ let format_of_code = function
   | 1 -> Compact
   | n -> raise (Corrupt (Printf.sprintf "format %d" n))
 
-let payload_string ?(format = Fixed) records =
-  let w = Bitio.Writer.create () in
+let encode_payload ?(format = Fixed) w records =
   let state = fresh_state () in
-  Array.iter (encode_record format w state) records;
-  (Bitio.Writer.contents w, Bitio.Writer.bit_length w)
+  Array.iter (encode_record format w state) records
+
+let payload_string ~format records =
+  let w = Bitio.Writer.create () in
+  encode_payload ~format w records;
+  Bitio.Writer.contents w
 
 (* A record count of -1 in the header marks a *streamed* trace: the
    producer did not know the count up front (tracegen --stream, pipes),
@@ -183,7 +230,7 @@ let header_string ~format ~count =
   Buffer.contents header
 
 let encode ?(format = Fixed) records =
-  let payload, _bits = payload_string ~format records in
+  let payload = payload_string ~format records in
   header_string ~format ~count:(Array.length records) ^ payload
 
 let header_length = 4 + 1 + 1 + 8
@@ -387,36 +434,44 @@ module Cursor = struct
     scan (start + 1)
 end
 
+(* How many records to pre-size a decode for: the declared count, capped
+   by what the payload can hold (no record is shorter than a head plus
+   an op class), so a corrupt count cannot demand a huge array.
+   Streamed traces declare nothing and grow by doubling. *)
+let min_record_bits = record_head_bits + class_bits
+
+let initial_capacity cursor =
+  if Cursor.streamed cursor then 1024
+  else
+    min (Cursor.count cursor)
+      ((Cursor.bits_remaining cursor / min_record_bits) + 1)
+
 let decode data =
   let cursor = Cursor.of_string data in
-  let records =
-    try
-      if Cursor.streamed cursor then begin
-        let out = ref [] in
-        while Cursor.has_next cursor do
-          out := Cursor.next cursor :: !out
-        done;
-        Array.of_list (List.rev !out)
-      end
-      else Array.init cursor.Cursor.count (fun _ -> Cursor.next cursor)
-    with Bitio.Reader.Out_of_bits -> raise (Corrupt "truncated payload")
-  in
-  (records, cursor.Cursor.format)
+  let records = Collect.create (initial_capacity cursor) in
+  (try
+     while Cursor.has_next cursor do
+       Collect.push records (Cursor.next cursor)
+     done
+   with Bitio.Reader.Out_of_bits -> raise (Corrupt "truncated payload"));
+  (Collect.contents records, Cursor.format cursor)
 
 let decode_result data =
   match Cursor.of_string_result data with
   | Error error -> Error error
   | Ok cursor ->
-      let rec collect acc =
-        if not (Cursor.has_next cursor) then Ok (List.rev acc)
+      let records = Collect.create (initial_capacity cursor) in
+      let rec collect () =
+        if not (Cursor.has_next cursor) then
+          Ok (Collect.contents records, Cursor.format cursor)
         else
           match Cursor.next_result cursor with
-          | Ok record -> collect (record :: acc)
+          | Ok record ->
+              Collect.push records record;
+              collect ()
           | Error error -> Error error
       in
-      (match collect [] with
-      | Ok records -> Ok (Array.of_list records, cursor.Cursor.format)
-      | Error error -> Error error)
+      collect ()
 
 (* Degraded decode: salvage every structurally decodable record from a
    corrupt stream. On a decode failure the cursor resyncs to the next
@@ -429,7 +484,7 @@ let decode_degraded data =
   | Error error -> Error error
   | Ok cursor ->
       let faults = ref [] in
-      let records = ref [] in
+      let records = Collect.create (initial_capacity cursor) in
       let fault (error : error) =
         faults :=
           Fault.make ~code:error.error_code ~offset:cursor.Cursor.decoded
@@ -440,7 +495,7 @@ let decode_degraded data =
       let stop = ref false in
       while (not !stop) && Cursor.has_next cursor do
         match Cursor.next_result cursor with
-        | Ok record -> records := record :: !records
+        | Ok record -> Collect.push records record
         | Error error -> (
             fault error;
             (* Skipping to the next decodable boundary also abandons the
@@ -450,18 +505,41 @@ let decode_degraded data =
             | Some _skipped -> cursor.Cursor.decoded <- cursor.Cursor.decoded + 1
             | None -> stop := true)
       done;
-      Ok
-        ( Array.of_list (List.rev !records),
-          cursor.Cursor.format,
-          List.rev !faults )
+      Ok (Collect.contents records, Cursor.format cursor, List.rev !faults)
 
-let encoded_bits ?(format = Fixed) records =
-  let _payload, bits = payload_string ~format records in
-  bits
+(* Payload bits counted record by record, never encoded: the materialized
+   and streamed runs both report bits/instr through this counter. *)
+module Bit_count = struct
+  type t = {
+    format : format;
+    state : encoder_state;
+    mutable bits : int;
+    mutable records : int;
+  }
 
-let bits_per_instruction ?(format = Fixed) records =
-  if Array.length records = 0 then 0.0
-  else float_of_int (encoded_bits ~format records) /. float_of_int (Array.length records)
+  let create ?(format = Fixed) () =
+    { format; state = fresh_state (); bits = 0; records = 0 }
+
+  let add t record =
+    t.bits <- t.bits + record_bits t.format t.state record;
+    t.records <- t.records + 1
+
+  let bits t = t.bits
+
+  let per_instruction t =
+    if t.records = 0 then 0.0
+    else float_of_int t.bits /. float_of_int t.records
+end
+
+let count_bits ?format records =
+  let counter = Bit_count.create ?format () in
+  Array.iter (Bit_count.add counter) records;
+  counter
+
+let encoded_bits ?format records = Bit_count.bits (count_bits ?format records)
+
+let bits_per_instruction ?format records =
+  Bit_count.per_instruction (count_bits ?format records)
 
 let write_file ?format path records =
   let oc = open_out_bin path in

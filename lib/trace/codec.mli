@@ -43,6 +43,10 @@ val streamed_count : int64
 val encode : ?format:format -> Record.t array -> string
 (** Serialise; default format [Fixed]. *)
 
+val encode_payload : ?format:format -> Bitio.Writer.t -> Record.t array -> unit
+(** Append the records' payload encoding (fresh delta state, no header,
+    no padding) to a writer — what {!encode} writes after the header. *)
+
 val decode : string -> Record.t array * format
 
 val decode_result : string -> (Record.t array * format, error) result
@@ -186,9 +190,29 @@ module Shard : sig
       own. *)
 end
 
+(** Payload bits counted record by record without encoding: the field
+    widths, sequential-PC test and delta thresholds of the encoder, so a
+    count always equals the bit length of the real encoding. Streamed
+    runs feed it one record at a time. *)
+module Bit_count : sig
+  type t
+
+  val create : ?format:format -> unit -> t
+  (** An empty count with fresh delta state; default format [Fixed]. *)
+
+  val add : t -> Record.t -> unit
+  (** Count the next record of the stream. *)
+
+  val bits : t -> int
+  (** Payload bits of the records added so far. *)
+
+  val per_instruction : t -> float
+  (** [bits] over the records added; 0 when none were. *)
+end
+
 val encoded_bits : ?format:format -> Record.t array -> int
 (** Payload size in bits, excluding the stream header — the quantity the
-    paper reports per instruction. *)
+    paper reports per instruction. Counted by {!Bit_count}, not encoded. *)
 
 val bits_per_instruction : ?format:format -> Record.t array -> float
 (** [encoded_bits / Array.length records]; 0 for an empty trace. *)

@@ -110,5 +110,6 @@ let fold f init t =
 let iter f t = fold (fun () record -> f record) () t
 
 let to_array t =
-  let out = fold (fun acc record -> record :: acc) [] t in
-  Array.of_list (List.rev out)
+  let records = Collect.create 1024 in
+  iter (Collect.push records) t;
+  Collect.contents records

@@ -109,9 +109,48 @@ let test_streamed_matches_in_memory () =
               check string
                 (label ^ ": full stats dump")
                 (stats_dump in_memory.outcome.stats)
-                (stats_dump streamed.outcome.stats))
+                (stats_dump streamed.outcome.stats);
+              check (Alcotest.float 0.0)
+                (label ^ ": bits/instr")
+                in_memory.outcome.bits_per_instruction
+                streamed.outcome.bits_per_instruction)
             [ Config.Scan; Config.Event ]))
     (Lazy.force kernel_records)
+
+(* The CLI face of the differential: [simulate --stream -t F] prints the
+   report [simulate -t F] prints, bits/instr line included, and writes
+   the same metrics document; only the "wrote metrics" line differs. *)
+let test_cli_stream_report_matches_file () =
+  let cli = Filename.quote Test_sample.cli in
+  let tmp suffix = Filename.temp_file "resim_frontier" suffix in
+  let trace = tmp ".rtr" and out = tmp ".out" in
+  let metrics = [| tmp ".json"; tmp ".json" |] in
+  let report i args =
+    check int args 0
+      (Sys.command
+         (Printf.sprintf "%s simulate %s -t %s --metrics %s > %s" cli args
+            (Filename.quote trace)
+            (Filename.quote metrics.(i))
+            (Filename.quote out)));
+    List.filter
+      (fun line -> not (String.starts_with ~prefix:"wrote metrics" line))
+      (String.split_on_char '\n' (read_bytes out))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (trace :: out :: Array.to_list metrics))
+    (fun () ->
+      check int "tracegen" 0
+        (Sys.command
+           (Printf.sprintf "%s tracegen -k gzip -s 512 -o %s > /dev/null" cli
+              (Filename.quote trace)));
+      let file = report 0 "" in
+      let streamed = report 1 "--stream" in
+      check bool "the report has a bits/instr line" true
+        (List.exists (String.starts_with ~prefix:"trace encoding: ") file);
+      check (Alcotest.list string) "stdout" file streamed;
+      check string "metrics document" (read_bytes metrics.(0))
+        (read_bytes metrics.(1)))
 
 (* ------------------------------------------------------------------- *)
 (* Chunked cursors: absolute offsets and record-for-record agreement
@@ -655,7 +694,9 @@ let adapter_roundtrip =
 let suite =
   [ ("frontier:streamed differential",
      [ Alcotest.test_case "pull path matches in-memory on all kernels" `Slow
-         test_streamed_matches_in_memory ]);
+         test_streamed_matches_in_memory;
+       Alcotest.test_case "simulate --stream prints the -t report" `Quick
+         test_cli_stream_report_matches_file ]);
     ("frontier:chunked cursor",
      [ Alcotest.test_case "agrees with in-memory on every corruption class"
          `Quick test_chunked_agrees_on_every_corruption_class;

@@ -85,6 +85,97 @@ let bitio_roundtrip_property =
           Bitio.Reader.get r ~bits = masked)
         fields)
 
+(* A bit-serial reference reader over the whole stream: a field the
+   stream cannot finish consumes what is left and raises
+   [Out_of_bits]. Positions are absolute, so it also stands for chunked
+   readers. *)
+module Serial_reader = struct
+  type t = { data : string; mutable pos : int }
+
+  let create data = { data; pos = 0 }
+
+  let get r ~bits =
+    let rec loop acc remaining =
+      if remaining = 0 then acc
+      else if r.pos >= 8 * String.length r.data then
+        raise Bitio.Reader.Out_of_bits
+      else begin
+        let bit =
+          (Char.code r.data.[r.pos / 8] lsr (7 - (r.pos mod 8))) land 1
+        in
+        r.pos <- r.pos + 1;
+        loop ((acc lsl 1) lor bit) (remaining - 1)
+      end
+    in
+    loop 0 bits
+
+  let bits_consumed r = r.pos
+  let byte_position r = r.pos / 8
+end
+
+let chunked_reader data ~chunk =
+  let at = ref 0 in
+  Bitio.Reader.of_refill (fun () ->
+      let n = min chunk (String.length data - !at) in
+      let piece = String.sub data !at n in
+      at := !at + n;
+      piece)
+
+(* Same value or the same [Out_of_bits] for every field, and the same
+   position after each get; in-memory readers also agree on the bits
+   left. Widths run past the end of the stream on purpose. *)
+let reader_agrees ~exact reader data widths =
+  let reference = Serial_reader.create data in
+  let same_position () =
+    Bitio.Reader.bits_consumed reader = Serial_reader.bits_consumed reference
+    && Bitio.Reader.byte_position reader
+       = Serial_reader.byte_position reference
+    && ((not exact)
+       || Bitio.Reader.bits_remaining reader
+          = (8 * String.length data) - Serial_reader.bits_consumed reference)
+  in
+  let rec go = function
+    | [] -> true
+    | bits :: rest -> (
+        let got =
+          match Bitio.Reader.get reader ~bits with
+          | v -> Some v
+          | exception Bitio.Reader.Out_of_bits -> None
+        in
+        let want =
+          match Serial_reader.get reference ~bits with
+          | v -> Some v
+          | exception Bitio.Reader.Out_of_bits -> None
+        in
+        got = want && same_position ()
+        && match got with None -> true | Some _ -> go rest)
+  in
+  go widths
+
+let bitio_reader_matches_serial_property =
+  let input =
+    QCheck.make
+      ~print:(fun (data, chunk, (lead, widths)) ->
+        Printf.sprintf "%d bytes %S, chunk %d, lead-in %d, widths [%s]"
+          (String.length data) data chunk lead
+          (String.concat "; " (List.map string_of_int widths)))
+      QCheck.Gen.(
+        quad
+          (string_size ~gen:char (int_range 0 40))
+          (int_range 1 17) (int_range 0 7)
+          (list_size (int_range 1 40) (int_range 1 62))
+        |> map (fun (data, chunk, lead, widths) ->
+               (data, chunk, (lead, widths))))
+  in
+  QCheck.Test.make
+    ~name:"bitio: get agrees with a bit-serial reader, in memory and chunked"
+    ~count:300 input
+    (fun (data, chunk, (lead, widths)) ->
+      (* A lead-in field puts the first width at every bit offset. *)
+      let widths = if lead = 0 then widths else lead :: widths in
+      reader_agrees ~exact:true (Bitio.Reader.create data) data widths
+      && reader_agrees ~exact:false (chunked_reader data ~chunk) data widths)
+
 (* --- records ------------------------------------------------------------ *)
 
 let sample_records =
@@ -271,6 +362,80 @@ let codec_encode_deterministic_property =
       && Codec.encode ~format:Codec.Compact records
          = Codec.encode ~format:Codec.Compact records)
 
+(* Deltas drawn per selector: |delta| within the 8-, 16- or 24-bit
+   zig-zag range or past it (the absolute escape), either sign. *)
+let selector_delta_gen =
+  let open QCheck.Gen in
+  let magnitude =
+    oneof
+      [ int_range 0 127; int_range 128 32_767; int_range 32_768 8_388_607;
+        int_range 8_388_608 ((1 lsl 28) - 1) ]
+  in
+  map2 (fun m negative -> if negative then -m else m) magnitude bool
+
+let clamp ~bits v = max 0 (min v ((1 lsl bits) - 1))
+
+(* Records whose PCs, addresses and branch targets move by
+   [selector_delta_gen], so both formats see sequential and jumping PCs,
+   negative deltas and every Compact selector. *)
+let selector_records_gen =
+  let open QCheck.Gen in
+  let kind =
+    oneofl
+      Resim_isa.Opcode.[ Cond; Jump; Call; Ret; Indirect ]
+  in
+  let op_class = oneofl Record.[ Alu; Mult; Divide ] in
+  let step (pc, addr) =
+    bool >>= fun sequential ->
+    selector_delta_gen >>= fun pc_delta ->
+    selector_delta_gen >>= fun addr_delta ->
+    selector_delta_gen >>= fun target_delta ->
+    int_range 0 2 >>= fun shape ->
+    kind >>= fun kind ->
+    op_class >>= fun op_class ->
+    bool >>= fun flag ->
+    int_bound 32767 >>= fun regs ->
+    let pc = if sequential then pc + 1 else clamp ~bits:30 (pc + 1 + pc_delta) in
+    let address = clamp ~bits:32 (addr + addr_delta) in
+    let payload =
+      match shape with
+      | 0 -> Record.Other { op_class }
+      | 1 -> Record.Memory { is_load = flag; address }
+      | _ ->
+          Record.Branch
+            { kind; taken = flag; target = clamp ~bits:30 (pc + target_delta) }
+    in
+    let record =
+      { Record.pc; wrong_path = regs land 1 = 1; dest = (regs lsr 1) land 31;
+        src1 = (regs lsr 6) land 31; src2 = (regs lsr 11) land 31; payload }
+    in
+    return (record, (pc, if shape = 1 then address else addr))
+  in
+  let rec build n at acc =
+    if n = 0 then return (Array.of_list (List.rev acc))
+    else step at >>= fun (record, at) -> build (n - 1) at (record :: acc)
+  in
+  int_range 0 120 >>= fun n ->
+  int_bound ((1 lsl 30) - 1) >>= fun pc ->
+  build n (pc, 0) []
+
+let encoded_bits_matches_writer_property =
+  QCheck.Test.make
+    ~name:"codec: encoded_bits equals the bit length of the real encoding"
+    ~count:300
+    (QCheck.make
+       ~print:(fun records ->
+         String.concat "\n"
+           (Array.to_list (Array.map (Format.asprintf "%a" Record.pp) records)))
+       selector_records_gen)
+    (fun records ->
+      List.for_all
+        (fun format ->
+          let w = Bitio.Writer.create () in
+          Codec.encode_payload ~format w records;
+          Codec.encoded_bits ~format records = Bitio.Writer.bit_length w)
+        [ Codec.Fixed; Codec.Compact ])
+
 (* --- profile ---------------------------------------------------------- *)
 
 let profile_records =
@@ -355,7 +520,8 @@ let suite =
        Alcotest.test_case "contents is idempotent" `Quick
          test_bitio_contents_idempotent;
        QCheck_alcotest.to_alcotest bitio_roundtrip_property;
-       QCheck_alcotest.to_alcotest bitio_contents_pure_property ]);
+       QCheck_alcotest.to_alcotest bitio_contents_pure_property;
+       QCheck_alcotest.to_alcotest bitio_reader_matches_serial_property ]);
     ("trace:record",
      [ Alcotest.test_case "predicates" `Quick test_record_predicates;
        Alcotest.test_case "of_observation" `Quick test_record_of_observation
@@ -377,7 +543,8 @@ let suite =
        QCheck_alcotest.to_alcotest
          (codec_roundtrip_property Codec.Compact
             "codec: compact encoding round-trips random traces");
-       QCheck_alcotest.to_alcotest codec_encode_deterministic_property ]);
+       QCheck_alcotest.to_alcotest codec_encode_deterministic_property;
+       QCheck_alcotest.to_alcotest encoded_bits_matches_writer_property ]);
     ("trace:profile",
      [ Alcotest.test_case "hot branches" `Quick test_profile_hot_branches;
        Alcotest.test_case "pages and mix" `Quick test_profile_pages_and_mix;
