@@ -121,29 +121,6 @@ module Reader = struct
             end
           end
 
-  let get_bit r =
-    if r.byte >= String.length r.data && not (ensure_bits r 1) then
-      raise Out_of_bits;
-    let value = (Char.code r.data.[r.byte] lsr (7 - r.bit)) land 1 in
-    if r.bit = 7 then begin
-      r.bit <- 0;
-      r.byte <- r.byte + 1
-    end
-    else r.bit <- r.bit + 1;
-    r.total <- r.total + 1;
-    value
-
-  (* The per-bit loop: the reference semantics, used only when the
-     stream cannot supply the whole field. It consumes what is there
-     and raises [Out_of_bits] at the first missing bit, so position and
-     diagnostics after a short read are those of a bit-serial reader. *)
-  let get_bits r bits =
-    let rec loop acc remaining =
-      if remaining = 0 then acc
-      else loop ((acc lsl 1) lor get_bit r) (remaining - 1)
-    in
-    loop 0 bits
-
   (* A buffered field is read whole: the rest of the current byte, then
      full bytes, then the head of the last one. [bits] <= 62, so [acc]
      never holds more than the field. *)
@@ -173,12 +150,21 @@ module Reader = struct
       !acc
     end
 
+  (* A field the stream cannot finish consumes what is there, as a
+     bit-serial reader would before hitting the first missing bit: the
+     reader ends exhausted (every buffered bit counted, positioned at the
+     stream's end), then raises. [ensure_bits] failing means the stream
+     is over, so nothing more will arrive. *)
+  let exhaust r =
+    r.total <- r.total + buffered_bits r;
+    r.byte <- String.length r.data;
+    r.bit <- 0;
+    raise Out_of_bits
+
   let get r ~bits =
     if bits <= 0 || bits > 62 then invalid_arg "Bitio.Reader.get: bits";
-    if ((String.length r.data - r.byte) * 8) - r.bit >= bits
-       || ensure_bits r bits
-    then get_buffered r bits
-    else get_bits r bits
+    if buffered_bits r >= bits || ensure_bits r bits then get_buffered r bits
+    else exhaust r
 
   let get_bool r = get r ~bits:1 = 1
 

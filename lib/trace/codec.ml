@@ -206,13 +206,10 @@ let format_of_code = function
   | 1 -> Compact
   | n -> raise (Corrupt (Printf.sprintf "format %d" n))
 
-let encode_payload ?(format = Fixed) w records =
-  let state = fresh_state () in
-  Array.iter (encode_record format w state) records
-
 let payload_string ~format records =
   let w = Bitio.Writer.create () in
-  encode_payload ~format w records;
+  let state = fresh_state () in
+  Array.iter (encode_record format w state) records;
   Bitio.Writer.contents w
 
 (* A record count of -1 in the header marks a *streamed* trace: the

@@ -43,10 +43,6 @@ val streamed_count : int64
 val encode : ?format:format -> Record.t array -> string
 (** Serialise; default format [Fixed]. *)
 
-val encode_payload : ?format:format -> Bitio.Writer.t -> Record.t array -> unit
-(** Append the records' payload encoding (fresh delta state, no header,
-    no padding) to a writer — what {!encode} writes after the header. *)
-
 val decode : string -> Record.t array * format
 
 val decode_result : string -> (Record.t array * format, error) result
