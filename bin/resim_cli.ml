@@ -360,13 +360,6 @@ let adapter_format_arg =
               own branch predictor; malformed lines are RSM-A \
               diagnostics with file:line:col (DESIGN.md §17).")
 
-(* How the trace reaches the engine: a fully materialized array (the
-   default; required by --sample and --resume, which need random
-   access / replay) or a constant-memory pull stream (--stream). *)
-type trace_input =
-  | Materialized of Resim_trace.Record.t array
-  | Pulled of (unit -> Resim_trace.Record.t option) * (unit -> unit)
-
 let report_open_error path (error : Resim_trace.Codec.error) =
   Format.eprintf "%s: %s@." path
     (Resim_trace.Codec.error_to_string error);
@@ -381,6 +374,52 @@ let report_adapter_stats ~file adapter =
      record(s) in synthesized blocks (%d conditional mispredict(s))@."
     file stats.Adapter.lines stats.instructions stats.wrong_path
     stats.mispredicted
+
+(* An encoded trace file, or the whole shard set it belongs to, read
+   into memory — the trace [simulate -t] and [profile -t] run. Host I/O
+   errors exit 2 (RSM-T009) and malformed bytes exit 3. With
+   [degraded], damaged records are skipped and returned as faults. *)
+let read_trace ?(degraded = false) path =
+  if degraded then begin
+    let data =
+      match read_file_bytes path with
+      | data -> data
+      | exception Sys_error reason ->
+          Format.eprintf "%s: [RSM-T009] %s@." path reason;
+          exit 2
+    in
+    match Resim_trace.Codec.decode_degraded data with
+    | Error error ->
+        Format.eprintf "%s: %s@." path
+          (Resim_trace.Codec.error_to_string error);
+        exit fault_exit
+    | Ok (records, _format, faults) -> (records, faults)
+  end
+  else
+    match Resim_trace.Codec.Shard.expand path with
+    | Some shards -> (
+        (* A shard set: concatenate through the streaming cursor. *)
+        match Stream.open_sharded shards with
+        | Error error -> report_open_error path error
+        | Ok s -> (
+            match Stream.to_array s with
+            | records -> (records, [])
+            | exception Resim_trace.Fault.Trace_fault fault ->
+                Format.eprintf "%s: %s@." path
+                  (Resim_trace.Fault.to_string fault);
+                exit fault_exit))
+    | None -> (
+        match Resim_trace.Codec.read_file_result path with
+        | Error error ->
+            Format.eprintf "%s: %s@." path
+              (Resim_trace.Codec.error_to_string error);
+            if String.equal error.error_code "RSM-T009" then exit 2
+            else begin
+              Format.eprintf
+                "(simulate --degraded resync skips damaged records)@.";
+              exit fault_exit
+            end
+        | Ok (records, _format) -> (records, []))
 
 (* Mirror of [Sample.splice_metrics]: inject the engine identity into
    the stats JSON object, so every metrics document says which engine
@@ -460,7 +499,11 @@ let simulate workload scale source_file trace_file trace_format stream
        no --format)@.";
     exit 2
   end;
-  let input, salvage_faults =
+  (* How the trace reaches the engine: a materialized array (the
+     default; required by --sample and --resume, which need random
+     access / replay) or a constant-memory pull stream (--stream), with
+     the cleanup to run once the engine is done with it. *)
+  let trace, cleanup, salvage_faults =
     match trace_file with
     | None ->
         if degraded_resync then begin
@@ -469,7 +512,8 @@ let simulate workload scale source_file trace_file trace_format stream
           exit 2
         end;
         let program = program_of ?source_file workload scale in
-        (Materialized (Resim_tracegen.Generator.records program), [])
+        (Resim_core.Resim.Records (Resim_tracegen.Generator.records program),
+         ignore, [])
     | Some path -> (
         match trace_format with
         | Some format ->
@@ -488,12 +532,12 @@ let simulate workload scale source_file trace_file trace_format stream
                     exit 2
             in
             let adapter = Adapter.of_channel ~format ~file ic in
+            let close () = if owned then close_in_noerr ic in
             if stream then
-              ( Pulled
-                  ( Adapter.pull_exn adapter,
-                    fun () ->
-                      report_adapter_stats ~file adapter;
-                      if owned then close_in_noerr ic ),
+              ( Resim_core.Resim.Pull (Adapter.pull_exn adapter),
+                (fun () ->
+                  report_adapter_stats ~file adapter;
+                  close ()),
                 [] )
             else begin
               match Adapter.to_records_result adapter with
@@ -502,84 +546,42 @@ let simulate workload scale source_file trace_file trace_format stream
                   exit 1
               | Ok records ->
                   report_adapter_stats ~file adapter;
-                  if owned then close_in_noerr ic;
-                  (Materialized records, [])
+                  close ();
+                  (Resim_core.Resim.Records records, ignore, [])
             end
         | None when stream ->
             (* Encoded trace through the chunked cursor: O(chunk)
                memory however large the file or pipe. *)
-            if String.equal path "-" then begin
-              set_binary_mode_in stdin true;
-              match Resim_trace.Codec.Cursor.of_channel_result stdin with
-              | Error error -> report_open_error "<stdin>" error
-              | Ok cursor ->
-                  let s = Stream.of_cursor ~source:"<stdin>" cursor in
-                  ( Pulled ((fun () -> Stream.next s), fun () -> Stream.close s),
-                    [] )
-            end
-            else begin
-              match Stream.open_path path with
-              | Error error -> report_open_error path error
-              | Ok s ->
-                  ( Pulled ((fun () -> Stream.next s), fun () -> Stream.close s),
-                    [] )
-            end
+            let s =
+              if String.equal path "-" then begin
+                set_binary_mode_in stdin true;
+                match Resim_trace.Codec.Cursor.of_channel_result stdin with
+                | Error error -> report_open_error "<stdin>" error
+                | Ok cursor -> Stream.of_cursor ~source:"<stdin>" cursor
+              end
+              else
+                match Stream.open_path path with
+                | Error error -> report_open_error path error
+                | Ok s -> s
+            in
+            ( Resim_core.Resim.Pull (fun () -> Stream.next s),
+              (fun () -> Stream.close s),
+              [] )
         | None ->
             if String.equal path "-" then begin
               Format.eprintf
                 "--trace - (stdin) requires --stream or --format@.";
               exit 2
             end;
-            if degraded_resync then begin
-              let data =
-                match read_file_bytes path with
-                | data -> data
-                | exception Sys_error reason ->
-                    Format.eprintf "%s: [RSM-T009] %s@." path reason;
-                    exit 2
-              in
-              match Resim_trace.Codec.decode_degraded data with
-              | Error error ->
-                  Format.eprintf "%s: %s@." path
-                    (Resim_trace.Codec.error_to_string error);
-                  exit fault_exit
-              | Ok (records, _format, faults) ->
-                  (Materialized records, faults)
-            end
-            else begin
-              match Resim_trace.Codec.Shard.expand path with
-              | Some shards -> (
-                  (* A shard set: concatenate through the streaming
-                     cursor, materialized for --sample/--resume use. *)
-                  match Stream.open_sharded shards with
-                  | Error error -> report_open_error path error
-                  | Ok s -> (
-                      match Stream.to_array s with
-                      | records -> (Materialized records, [])
-                      | exception Resim_trace.Fault.Trace_fault fault ->
-                          Format.eprintf "%s: %s@." path
-                            (Resim_trace.Fault.to_string fault);
-                          exit fault_exit))
-              | None -> (
-                  match Resim_trace.Codec.read_file_result path with
-                  | Error error ->
-                      Format.eprintf "%s: %s@." path
-                        (Resim_trace.Codec.error_to_string error);
-                      if String.equal error.error_code "RSM-T009" then
-                        exit 2
-                      else begin
-                        Format.eprintf
-                          "(rerun with --degraded resync to skip damaged \
-                           records)@.";
-                        exit fault_exit
-                      end
-                  | Ok (records, _format) -> (Materialized records, []))
-            end)
+            let records, faults = read_trace ~degraded:degraded_resync path in
+            (Resim_core.Resim.Records records, ignore, faults))
   in
   let records =
     (* The paths that need random access were guarded against --stream
-       above; [Pulled] only reaches the plain robust runner. *)
-    match input with Materialized records -> records | Pulled _ -> [||]
+       above; a pulled trace only reaches [Resim.run]. *)
+    match trace with
+    | Resim_core.Resim.Records records -> records
+    | Resim_core.Resim.Pull _ -> [||]
   in
   let config =
     let base = Resim_core.Config.reference in
@@ -765,35 +767,25 @@ let simulate workload scale source_file trace_file trace_format stream
                 report.warmed_instructions);
         finish ?report robust.Resim_core.Resim.outcome
       in
-      match sample_spec with
-      | Some spec -> (
-          match
-            Resim_sample.Sample.run ~config ?deadline ?max_cycles
-              ?instrument ~spec records
-          with
-          | Error failure -> fail failure
-          | Ok (robust, report) -> conclude ~report robust)
-      | None -> (
-          match input with
-          | Materialized records -> (
-              match
-                Resim_core.Resim.simulate_robust ~config ?max_cycles
-                  ?deadline ?instrument records
-              with
-              | Error failure -> fail failure
-              | Ok robust -> conclude robust)
-          | Pulled (pull, cleanup) -> (
-              (* Constant-memory path: the engine draws records on
-                 demand; the cleanup closes owned channels (and, for
-                 adapters, prints the adaptation stats). *)
-              let result =
-                Fun.protect ~finally:cleanup (fun () ->
-                    Resim_core.Resim.simulate_pull_robust ~config
-                      ?max_cycles ?deadline ?instrument pull)
-              in
-              match result with
-              | Error failure -> fail failure
-              | Ok robust -> conclude robust)))
+      (* The cleanup closes owned channels (and, for adapters, prints
+         the adaptation stats) once the engine is done with the trace. *)
+      let result =
+        Fun.protect ~finally:cleanup (fun () ->
+            match sample_spec with
+            | Some spec ->
+                Result.map
+                  (fun (robust, report) -> (robust, Some report))
+                  (Resim_sample.Sample.run ~config ?deadline ?max_cycles
+                     ?instrument ~spec records)
+            | None ->
+                Result.map
+                  (fun robust -> (robust, None))
+                  (Resim_core.Resim.run ~config ?max_cycles ?deadline
+                     ?instrument trace))
+      in
+      match result with
+      | Error failure -> fail failure
+      | Ok (robust, report) -> conclude ?report robust)
 
 let simulate_cmd =
   let trace_file =
@@ -1024,14 +1016,7 @@ let ptrace_cmd =
 let profile workload scale source_file trace_file json =
   let records =
     match trace_file with
-    | Some path -> (
-        let data = read_file_bytes path in
-        match Resim_trace.Codec.decode_result data with
-        | Error error ->
-            Format.eprintf "%s: %s@." path
-              (Resim_trace.Codec.error_to_string error);
-            exit fault_exit
-        | Ok (records, _format) -> records)
+    | Some path -> fst (read_trace path)
     | None ->
         let program = program_of ?source_file workload scale in
         Resim_tracegen.Generator.records program
@@ -1040,15 +1025,15 @@ let profile workload scale source_file trace_file json =
   ensure_valid_config ~context:"profile" config;
   let prof = Resim_obs.Prof.create () in
   (* The phase-probe closer charges the span still open when the run
-     ends; simulate_robust owns the engine, so capture it here. *)
+     ends; Resim.run owns the engine, so capture it here. *)
   let closer = ref (fun () -> ()) in
   let engine_variant = ref None in
   let result =
-    Resim_core.Resim.simulate_robust ~config
+    Resim_core.Resim.run ~config
       ~instrument:(fun engine ->
         engine_variant := Resim_core.Engine.variant engine;
         closer := Resim_obs.Prof.instrument_engine prof engine)
-      records
+      (Resim_core.Resim.Records records)
   in
   !closer ();
   match result with
@@ -1173,8 +1158,8 @@ let dedupe_jobs jobs =
       end)
     jobs
 
-let sweep jobs quick keep_going timeout max_cycles retries metrics_out
-    profile_pool sample =
+let sweep jobs quick timeout max_cycles retries metrics_out profile_pool
+    sample =
   let sample_spec =
     match sample with
     | None -> None
@@ -1207,13 +1192,10 @@ let sweep jobs quick keep_going timeout max_cycles retries metrics_out
           (fun job -> { job with Resim_sweep.Sweep.sample = sample_spec })
           grid
   in
-  (* --keep-going validates per job inside the fault domain instead, so
-     one bad configuration cannot abort the whole grid. *)
-  if not keep_going then
-    List.iter
-      (fun (job : Resim_sweep.Sweep.job) ->
-        ensure_valid_config ~context:("sweep job " ^ job.label) job.config)
-      grid;
+  List.iter
+    (fun (job : Resim_sweep.Sweep.job) ->
+      ensure_valid_config ~context:("sweep job " ^ job.label) job.config)
+    grid;
   Format.printf
     "sweeping %d job(s) across %d worker domain(s) (host recommends %d)@."
     (List.length grid) jobs
@@ -1225,9 +1207,7 @@ let sweep jobs quick keep_going timeout max_cycles retries metrics_out
     if profile_pool then Some (Resim_obs.Prof.create ()) else None
   in
   let started = Unix.gettimeofday () in
-  let report =
-    Resim_sweep.Sweep.run ~strict:(not keep_going) ~policy ?prof ~jobs grid
-  in
+  let report = Resim_sweep.Sweep.run ~policy ?prof ~jobs grid in
   let wall = Unix.gettimeofday () -. started in
   let results = Resim_sweep.Sweep.completed report in
   Format.printf "%a@." Resim_sweep.Sweep.pp_table results;
@@ -1273,21 +1253,12 @@ let sweep_cmd =
           ~doc:"Rescale every job to its kernel's default (small) input \
                 for a fast smoke run.")
   in
-  let keep_going =
-    Arg.(
-      value & flag
-      & info [ "keep-going" ]
-          ~doc:"Per-job fault domains: a corrupt trace, deadlock or \
-                timeout becomes a row in the failure summary and the \
-                rest of the sweep still completes (exit 1 when any job \
-                failed). Without it the first failure aborts the sweep.")
-  in
   let timeout =
     Arg.(
       value
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-job wall-clock budget (with --keep-going).")
+          ~doc:"Per-job wall-clock budget; jobs over it report timed out.")
   in
   let max_cycles =
     Arg.(
@@ -1295,16 +1266,16 @@ let sweep_cmd =
       & opt (some int64) None
       & info [ "max-cycles" ] ~docv:"N"
           ~doc:"Per-job cycle budget; jobs over it report truncated \
-                partial statistics (with --keep-going).")
+                partial statistics.")
   in
   let retries =
     Arg.(
       value & opt int 0
       & info [ "retries" ] ~docv:"N"
           ~doc:"Extra attempts for crashed or timed-out jobs, with \
-                doubling capped backoff between rounds (with \
-                --keep-going). Deterministic failures — trace faults, \
-                deadlocks, invalid configurations — are never retried.")
+                doubling capped backoff between rounds. Deterministic \
+                failures — trace faults, deadlocks, invalid \
+                configurations — are never retried.")
   in
   let metrics =
     Arg.(
@@ -1336,8 +1307,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Run the full ablation grid as a domain-parallel sweep")
     Term.(
-      const sweep $ jobs $ quick $ keep_going $ timeout $ max_cycles
-      $ retries $ metrics $ profile_pool $ sample)
+      const sweep $ jobs $ quick $ timeout $ max_cycles $ retries $ metrics
+      $ profile_pool $ sample)
 
 (* --- bench ----------------------------------------------------------- *)
 

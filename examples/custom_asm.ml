@@ -62,7 +62,7 @@ let () =
   Format.printf "%a@.@." Resim_trace.Profile.pp_report records;
 
   (* Offline vs on-the-fly: identical timing, bounded memory. *)
-  let offline = Resim_core.Resim.simulate_trace records in
+  let offline = Resim_core.Resim.(outcome_exn (run (Records records))) in
   let cosim = Resim_core.Cosim.run program in
   Format.printf
     "offline: %Ld cycles; co-simulation: %Ld cycles (window %d records)@.@."
@@ -75,7 +75,9 @@ let () =
   List.iter
     (fun organization ->
       let config = { Resim_core.Config.reference with organization } in
-      let outcome = Resim_core.Resim.simulate_trace ~config records in
+      let outcome =
+        Resim_core.Resim.(outcome_exn (run ~config (Records records)))
+      in
       Format.printf "%-10s L=%d  %Ld major cycles  %.2f MIPS on V5@."
         (Resim_core.Config.organization_name organization)
         (Resim_core.Config.minor_cycle_latency config)

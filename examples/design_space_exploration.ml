@@ -49,7 +49,8 @@ let () =
                 configuration ~width ~rob_entries ~perfect_memory
               in
               let outcome =
-                Resim_core.Resim.simulate_trace ~config generated.records
+                Resim_core.Resim.(
+                  outcome_exn (run ~config (Records generated.records)))
               in
               let area =
                 Resim_fpga.Area.estimate

@@ -20,7 +20,9 @@ let () =
         let workload = Resim_workloads.Workload.find name in
         let program = Resim_workloads.Workload.program_of workload () in
         { System.name;
-          feed = System.Records (Resim_tracegen.Generator.records program);
+          feed =
+            Resim_core.Resim.Records
+              (Resim_tracegen.Generator.records program);
           config = Resim_core.Config.reference })
       core_workloads
   in

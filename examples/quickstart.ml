@@ -52,7 +52,9 @@ let () =
     generated.correct_path generated.wrong_path;
 
   (* 2. Timing simulation with the reference 4-wide processor. *)
-  let outcome = Resim_core.Resim.simulate_trace generated.records in
+  let outcome =
+    Resim_core.Resim.(outcome_exn (run (Records generated.records)))
+  in
   Format.printf "@.%a@." Resim_core.Resim.pp_outcome outcome;
 
   (* 3. The paper's metric: simulation speed at the FPGA's minor-cycle

@@ -6,16 +6,16 @@ type result = {
 let run ?(config = Resim_core.Config.reference) ?(max_instructions = 20_000_000)
     program =
   let generator =
-    { Resim_tracegen.Generator.predictor = config.predictor;
-      wrong_path_limit = config.rob_entries + config.ifq_entries;
-      max_instructions }
+    { (Resim_core.Resim.generator_config config) with max_instructions }
   in
   (* Functional pass: interpretation, branch prediction, speculative
      wrong-path execution with rollback. *)
   let generated = Resim_tracegen.Generator.run ~config:generator program in
   (* Timing pass over the freshly produced records, as an
      execution-driven simulator performs inline. *)
-  let outcome = Resim_core.Resim.simulate_trace ~config generated.records in
+  let outcome =
+    Resim_core.Resim.(outcome_exn (run ~config (Records generated.records)))
+  in
   { outcome;
     functional_instructions =
       generated.correct_path + generated.wrong_path }

@@ -8,12 +8,7 @@ type result = {
 
 let run ?(config = Config.reference) ?generator program =
   let generator =
-    match generator with
-    | Some generator_config -> generator_config
-    | None ->
-        { Resim_tracegen.Generator.predictor = config.predictor;
-          wrong_path_limit = config.rob_entries + config.ifq_entries;
-          max_instructions = 20_000_000 }
+    Option.value generator ~default:(Resim.generator_config config)
   in
   let stream = Resim_tracegen.Stream.create ~config:generator program in
   let source =

@@ -23,6 +23,5 @@ val run :
   ?generator:Resim_tracegen.Generator.config ->
   Resim_isa.Program.t ->
   result
-(** When [generator] is omitted it mirrors the engine configuration
-    (same predictor; wrong-path limit ROB + IFQ), as in
-    {!Resim.simulate_program}. *)
+(** When [generator] is omitted it is {!Resim.generator_config}, the
+    same generator {!Resim.simulate_program} uses. *)

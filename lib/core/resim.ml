@@ -14,24 +14,31 @@ type outcome = {
   dcache_stats : Resim_cache.Cache.stats;
 }
 
-let outcome_of ~config ~records engine stats =
+let outcome_of ~config engine stats (trace_summary, bits_per_instruction) =
   { config;
     stats;
-    trace_summary = Resim_trace.Summary.of_records records;
-    bits_per_instruction = Resim_trace.Codec.bits_per_instruction records;
+    trace_summary;
+    bits_per_instruction;
     icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
     dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) }
 
-let simulate_trace ?(config = Config.reference) ?instrument records =
-  let engine = Engine.create ~config records in
-  (match instrument with Some f -> f engine | None -> ());
-  let stats = Engine.run engine in
-  outcome_of ~config ~records engine stats
+(* The trace half of an outcome: its summary and Fixed-format bits per
+   instruction (Table 3). *)
+let describe records =
+  ( Resim_trace.Summary.of_records records,
+    Resim_trace.Codec.bits_per_instruction records )
 
-(* ------------------------------------------------------------------ *)
-(* Robust entry points: structured failures instead of exceptions,
-   graceful truncation under cycle/wall-clock budgets, deterministic
-   resume from a replay checkpoint. *)
+(* One generator for every run that derives its trace from the engine
+   configuration: the same predictor, so generator and engine model the
+   same front end, and tagged blocks bounded by ROB + IFQ entries. *)
+let generator_config (config : Config.t) =
+  { Resim_tracegen.Generator.predictor = config.predictor;
+    wrong_path_limit = config.rob_entries + config.ifq_entries;
+    max_instructions = 20_000_000 }
+
+type trace =
+  | Records of Resim_trace.Record.t array
+  | Pull of (unit -> Resim_trace.Record.t option)
 
 type failure =
   | Fault of Resim_trace.Fault.t
@@ -47,10 +54,32 @@ type robust = {
   resume : Checkpoint.t option;  (* Some whenever the run was truncated *)
 }
 
-let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
-    ?deadline ?instrument ?driver records =
+let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
+    ?instrument ?driver trace =
+  (* An array keeps the whole-array source, whose fetch path the engine
+     inlines, and is summarized after the run. A pull stream never
+     materialises: its summary and Fixed-format bit count accumulate as
+     the records go past. *)
+  let source, describe_trace =
+    match trace with
+    | Records records -> (Source.of_array records, fun () -> describe records)
+    | Pull pull ->
+        let summary = ref Resim_trace.Summary.zero in
+        let bits = Resim_trace.Codec.Bit_count.create () in
+        let counted () =
+          match pull () with
+          | Some record as next ->
+              summary := Resim_trace.Summary.add !summary record;
+              Resim_trace.Codec.Bit_count.add bits record;
+              next
+          | None -> None
+        in
+        ( Source.of_pull counted,
+          fun () ->
+            (!summary, Resim_trace.Codec.Bit_count.per_instruction bits) )
+  in
   match
-    let engine = Engine.create ~config records in
+    let engine = Engine.create_from_source ~config source in
     (* Observability hook: attach sinks/probes to the freshly created
        engine before the first cycle runs. *)
     (match instrument with Some f -> f engine | None -> ());
@@ -59,7 +88,8 @@ let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
       | Some drive -> drive engine
       | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
     in
-    { outcome = outcome_of ~config ~records engine bounded.Engine.final;
+    { outcome =
+        outcome_of ~config engine bounded.Engine.final (describe_trace ());
       stop = bounded.Engine.stop;
       resume =
         (* Stamp truncation handles with the engine identity so a
@@ -73,45 +103,10 @@ let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
   | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
   | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
 
-(* Streaming robust entry: the engine pulls records on demand through a
-   [Source] window, so the trace never materialises — constant memory
-   for traces larger than RAM (pipes, chunked file cursors, foreign
-   adapters). The trace summary and the Fixed-format bit count
-   accumulate incrementally as records stream past, so the report
-   matches the materialized path's. *)
-let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
-    ?deadline ?instrument pull =
-  let summary = ref Resim_trace.Summary.zero in
-  let bits = Resim_trace.Codec.Bit_count.create () in
-  let counted () =
-    match pull () with
-    | Some record ->
-        summary := Resim_trace.Summary.add !summary record;
-        Resim_trace.Codec.Bit_count.add bits record;
-        Some record
-    | None -> None
-  in
-  match
-    let engine = Engine.create_from_source ~config (Source.of_pull counted) in
-    (match instrument with Some f -> f engine | None -> ());
-    let bounded = Engine.run_bounded ?watchdog ?max_cycles ?deadline engine in
-    { outcome =
-        { config;
-          stats = bounded.Engine.final;
-          trace_summary = !summary;
-          bits_per_instruction =
-            Resim_trace.Codec.Bit_count.per_instruction bits;
-          icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
-          dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) };
-      stop = bounded.Engine.stop;
-      resume =
-        Option.map
-          (Checkpoint.with_engine (engine_identity config))
-          bounded.Engine.resume }
-  with
-  | robust -> Ok robust
-  | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
-  | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
+let outcome_exn = function
+  | Ok robust -> robust.outcome
+  | Error (Fault fault) -> raise (Resim_trace.Fault.Trace_fault fault)
+  | Error (Deadlock deadlock) -> raise (Engine.Deadlock deadlock)
 
 let resume_trace ?(config = Config.reference) ~checkpoint records =
   let target = checkpoint.Checkpoint.cycle in
@@ -146,7 +141,7 @@ let resume_trace ?(config = Config.reference) ~checkpoint records =
     else if
       Stats.to_assoc (Engine.stats engine) <> checkpoint.Checkpoint.counters
     then Error "statistics mismatch at checkpoint cycle — wrong trace or configuration"
-    else Ok (outcome_of ~config ~records engine (Engine.run engine))
+    else Ok (outcome_of ~config engine (Engine.run engine) (describe records))
   with
   | result -> result
   | exception Resim_trace.Fault.Trace_fault fault ->
@@ -155,16 +150,9 @@ let resume_trace ?(config = Config.reference) ~checkpoint records =
       Error (Format.asprintf "deadlock: %a" Engine.pp_deadlock deadlock)
 
 let simulate_program ?(config = Config.reference) ?generator program =
-  let generator =
-    match generator with
-    | Some generator_config -> generator_config
-    | None ->
-        { Resim_tracegen.Generator.default_config with
-          predictor = config.predictor;
-          wrong_path_limit = config.rob_entries + config.ifq_entries }
-  in
+  let generator = Option.value generator ~default:(generator_config config) in
   let records = Resim_tracegen.Generator.records ~config:generator program in
-  simulate_trace ~config records
+  outcome_exn (run ~config (Records records))
 
 let mips outcome ~device =
   Resim_fpga.Throughput.mips ~mhz:device.Resim_fpga.Device.minor_cycle_mhz

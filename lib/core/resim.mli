@@ -19,7 +19,7 @@ val version : string
 val engine_identity : Config.t -> string
 (** ["<version>/<config hash>"] — the identity a checkpoint or cached
     result is only valid against. Stamped onto truncation checkpoints
-    by {!simulate_robust}, checked on resume ([RSM-K007]), and used as
+    by {!run}, checked on resume ([RSM-K007]), and used as
     the engine component of the server's cache keys. *)
 
 type outcome = {
@@ -32,31 +32,25 @@ type outcome = {
   dcache_stats : Resim_cache.Cache.stats;
 }
 
-val simulate_trace :
-  ?config:Config.t ->
-  ?instrument:(Engine.t -> unit) ->
-  Resim_trace.Record.t array ->
-  outcome
-(** [instrument] runs on the freshly created engine before the first
-    cycle — the hook the observability sinks attach through. *)
+val generator_config : Config.t -> Resim_tracegen.Generator.config
+(** The trace generator a run derives from its engine configuration:
+    the configuration's predictor (so the generator and the engine
+    model the same front end), tagged blocks of at most ROB + IFQ
+    records, and a 20 M correct-path instruction budget.
+    {!simulate_program}, {!Cosim.run}, sweep jobs and the
+    execution-driven baseline all use it. *)
 
-val simulate_program :
-  ?config:Config.t ->
-  ?generator:Resim_tracegen.Generator.config ->
-  Resim_isa.Program.t ->
-  outcome
-(** Trace generation ({!Resim_tracegen.Generator}) followed by
-    {!simulate_trace}. When [generator] is omitted, its predictor is
-    taken from the engine configuration so the generator and the engine
-    model the same front end. *)
+(** How a trace reaches the engine. *)
+type trace =
+  | Records of Resim_trace.Record.t array
+      (** materialized: the engine fetches straight from the array *)
+  | Pull of (unit -> Resim_trace.Record.t option)
+      (** a pull stream drawn on demand through a {!Source} window, so
+          the trace never materialises — constant memory for traces
+          larger than RAM (chunked file cursors, pipes, foreign-format
+          adapters, a live functional simulator) *)
 
-(** {1 Robust entry points}
-
-    Structured failures instead of exceptions, graceful truncation under
-    cycle/wall-clock budgets, and deterministic resume from a replay
-    checkpoint. *)
-
-(** Why a robust run could not produce statistics. *)
+(** Why a run could not produce statistics. *)
 type failure =
   | Fault of Resim_trace.Fault.t
       (** the trace violated the format or tag-bit protocol *)
@@ -71,46 +65,48 @@ type robust = {
       (** a replay checkpoint whenever the run was truncated *)
 }
 
-val simulate_robust :
+val run :
   ?config:Config.t ->
   ?watchdog:int ->
   ?max_cycles:int64 ->
   ?deadline:(unit -> bool) ->
   ?instrument:(Engine.t -> unit) ->
   ?driver:(Engine.t -> Engine.bounded) ->
-  Resim_trace.Record.t array ->
+  trace ->
   (robust, failure) result
-(** {!simulate_trace} under fault domains: trace faults and deadlocks
-    come back as [Error]; cycle/wall-clock budgets truncate gracefully
-    with partial statistics and a resume checkpoint. [instrument] runs
-    on the freshly created engine before the first cycle, so callers
-    can attach observability sinks ({!Engine.set_observer}) or phase
-    probes ({!Engine.set_phase_probe}) without building the engine
-    themselves. [driver] replaces {!Engine.run_bounded} as the run
-    loop — the sampled-simulation driver ({!Resim_sample.Sample}) uses
-    it to alternate functional warm-up and detailed intervals; when
-    given, it owns all budget handling and [watchdog]/[max_cycles]/
-    [deadline] are ignored. Trace faults and deadlocks it raises are
-    still caught into [Error]. *)
+(** Run the timing engine over a trace — the one way every caller runs
+    one. Trace faults (including a pull that raises
+    {!Resim_trace.Fault.Trace_fault}: a truncated or corrupt stream, a
+    malformed foreign line) and deadlocks come back as [Error];
+    cycle/wall-clock budgets truncate gracefully with partial
+    statistics and a resume checkpoint stamped with {!engine_identity}.
 
-val simulate_pull_robust :
+    The trace summary and bits per instruction describe the whole array
+    for [Records], and the records pulled for [Pull] — the same figures
+    once the stream drains.
+
+    [instrument] runs on the freshly created engine before the first
+    cycle, so callers can attach observability sinks
+    ({!Engine.set_observer}) or phase probes ({!Engine.set_phase_probe})
+    without building the engine themselves. [driver] replaces
+    {!Engine.run_bounded} as the run loop — the sampled-simulation
+    driver ({!Resim_sample.Sample}) uses it to alternate functional
+    warm-up and detailed intervals; when given, it owns all budget
+    handling and [watchdog]/[max_cycles]/[deadline] are ignored. Trace
+    faults and deadlocks it raises are still caught into [Error]. *)
+
+val outcome_exn : (robust, failure) result -> outcome
+(** The fail-fast view of {!run}: the outcome, or the caught
+    {!Resim_trace.Fault.Trace_fault} or {!Engine.Deadlock} raised
+    again. *)
+
+val simulate_program :
   ?config:Config.t ->
-  ?watchdog:int ->
-  ?max_cycles:int64 ->
-  ?deadline:(unit -> bool) ->
-  ?instrument:(Engine.t -> unit) ->
-  (unit -> Resim_trace.Record.t option) ->
-  (robust, failure) result
-(** {!simulate_robust} over a pull stream instead of an array: the
-    engine draws records on demand through a {!Source} window, so the
-    trace never materialises — constant memory for traces larger than
-    RAM (chunked file cursors, pipes, foreign-format adapters). The
-    trace summary and the Fixed-format bit count accumulate
-    incrementally, so [bits_per_instruction] is that of the records
-    pulled — the materialized path's figure once the stream drains. A
-    pull that raises {!Resim_trace.Fault.Trace_fault} (truncated or
-    corrupt stream, malformed foreign line) comes back as
-    [Error (Fault _)]. *)
+  ?generator:Resim_tracegen.Generator.config ->
+  Resim_isa.Program.t ->
+  outcome
+(** Trace generation ({!Resim_tracegen.Generator}, by default with
+    {!generator_config}) followed by a fail-fast {!run}. *)
 
 val resume_trace :
   ?config:Config.t ->

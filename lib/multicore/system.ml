@@ -1,15 +1,6 @@
-(* How a core's trace reaches its engine: a materialized array, or a
-   pull stream drawn through a [Source] window so a core can run a
-   trace larger than RAM (chunked file cursor, pipe, foreign adapter).
-   Every core gets a Source-backed engine either way — [Records] is
-   just the whole-array source. *)
-type feed =
-  | Records of Resim_trace.Record.t array
-  | Stream of (unit -> Resim_trace.Record.t option)
-
 type core_spec = {
   name : string;
-  feed : feed;
+  feed : Resim_core.Resim.trace;
   config : Resim_core.Config.t;
 }
 
@@ -23,9 +14,11 @@ type core = {
 
 type t = { cores : core list; mutable clock : int64 }
 
+(* Every core gets a Source-backed engine either way — [Records] is
+   just the whole-array source. *)
 let source_of_feed = function
-  | Records records -> Resim_core.Source.of_array records
-  | Stream pull -> Resim_core.Source.of_pull pull
+  | Resim_core.Resim.Records records -> Resim_core.Source.of_array records
+  | Resim_core.Resim.Pull pull -> Resim_core.Source.of_pull pull
 
 let create specs =
   if specs = [] then invalid_arg "System.create: no cores";

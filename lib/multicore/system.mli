@@ -10,18 +10,14 @@
     answers the sizing questions: does the system fit a device, and what
     aggregate simulation throughput does it reach? *)
 
-(** How a core's trace reaches its engine: a materialized array, or a
-    pull stream drawn through a [Source] window — so a core can run a
-    trace larger than RAM (chunked file cursor, pipe, foreign-format
-    adapter). A pull that raises {!Resim_trace.Fault.Trace_fault}
-    (truncated/corrupt stream) stops that core without draining it. *)
-type feed =
-  | Records of Resim_trace.Record.t array
-  | Stream of (unit -> Resim_trace.Record.t option)
-
 type core_spec = {
   name : string;
-  feed : feed;
+  feed : Resim_core.Resim.trace;
+      (** a materialized array, or a pull stream drawn through a
+          [Source] window — so a core can run a trace larger than RAM
+          (chunked file cursor, pipe, foreign-format adapter). A pull
+          that raises {!Resim_trace.Fault.Trace_fault} (truncated or
+          corrupt stream) stops that core without draining it. *)
   config : Resim_core.Config.t;
 }
 

@@ -4,6 +4,9 @@ module Stats = Resim_core.Stats
 let v5 = Resim_fpga.Device.virtex5_xc5vlx50t
 let gzip () = Resim_workloads.Workload.find "gzip"
 
+let simulate ~config records =
+  Resim_core.Resim.(outcome_exn (run ~config (Records records)))
+
 let gzip_trace ~config =
   let run = Runner.run_kernel ~key:"ablation" ~config ~scale:(Runner.Exact 8192) (gzip ()) in
   run.Runner.generated.records
@@ -18,7 +21,7 @@ let print_organizations ppf =
   List.iter
     (fun organization ->
       let config = { config with organization } in
-      let outcome = Resim_core.Resim.simulate_trace ~config records in
+      let outcome = simulate ~config records in
       let majors = Stats.(get major_cycles) outcome.stats in
       Format.fprintf ppf "%-10s %6d %14Ld %14Ld %10.2f@,"
         (Config.organization_name organization)
@@ -81,7 +84,7 @@ let print_rob_sweep ppf =
   List.iter
     (fun rob_entries ->
       let config = { base with rob_entries } in
-      let outcome = Resim_core.Resim.simulate_trace ~config records in
+      let outcome = simulate ~config records in
       let area = Resim_fpga.Area.estimate (area_params config) in
       Format.fprintf ppf "%5d %8.3f %10.2f %10d@," rob_entries
         (Stats.ipc outcome.stats)
@@ -93,7 +96,7 @@ let print_rob_sweep ppf =
 let print_serial_vs_parallel ppf =
   let config = Config.reference in
   let records = gzip_trace ~config in
-  let outcome = Resim_core.Resim.simulate_trace ~config records in
+  let outcome = simulate ~config records in
   let ipc = Stats.ipc outcome.stats in
   Format.fprintf ppf
     "@[<v>Ablation: serial vs parallel ReSim implementation (model; \
@@ -168,9 +171,7 @@ let print_predictors ppf =
           max_instructions = 20_000_000 }
       in
       let generated = Resim_tracegen.Generator.run ~config:generator program in
-      let outcome =
-        Resim_core.Resim.simulate_trace ~config generated.records
-      in
+      let outcome = simulate ~config generated.records in
       Format.fprintf ppf "%-22s %12d %8.3f %10.2f@," name
         generated.mispredicted_branches
         (Stats.ipc outcome.stats)
@@ -210,12 +211,8 @@ let print_l2 ppf =
           ~config:Config.fast_comparable workload
       in
       let records = run.Runner.generated.records in
-      let flat =
-        Resim_core.Resim.simulate_trace ~config:flat_config records
-      in
-      let with_l2 =
-        Resim_core.Resim.simulate_trace ~config:l2_config_full records
-      in
+      let flat = simulate ~config:flat_config records in
+      let with_l2 = simulate ~config:l2_config_full records in
       let mips outcome = Resim_core.Resim.mips outcome ~device:v5 in
       Format.fprintf ppf "%-8s %12.2f %12.2f %9.1f%%@," run.Runner.kernel
         (mips flat) (mips with_l2)

@@ -104,12 +104,13 @@ let prewarm ?jobs requests =
         end)
       requests
   in
-  (* Strict: report-table inputs must all succeed, and the fail-fast
-     contract keeps the [iter2] below total (completed = all jobs). *)
+  (* Fail-fast: report-table inputs must all succeed, so each job runs
+     through [run_job] and the lowest-index failure is raised again. *)
   let results =
-    Resim_sweep.Sweep.completed
-      (Resim_sweep.Sweep.run ~strict:true ?jobs
-         (List.map job_of_request missing))
+    Resim_sweep.Pool.map
+      ~jobs:(Option.value jobs ~default:(Resim_sweep.Pool.recommended_jobs ()))
+      Resim_sweep.Sweep.run_job
+      (Array.of_list (List.map job_of_request missing))
   in
   List.iter2
     (fun request result ->
@@ -117,7 +118,7 @@ let prewarm ?jobs requests =
         (store
            (cache_key request.workload request.config request.scale)
            (run_of_result result)))
-    missing results
+    missing (Array.to_list results)
 
 let mips run ~device = Resim_core.Resim.mips run.outcome ~device
 

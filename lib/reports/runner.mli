@@ -35,9 +35,8 @@ val run_kernel :
     Every uncached run executes through {!Resim_sweep.Sweep.run_job},
     so the configuration passes the resim-check validator first:
     {!Resim_sweep.Sweep.Invalid_config} is raised (naming the failing
-    fields) before any trace generation. The same holds for
-    {!prewarm}, which validates the whole batch before spawning
-    domains. *)
+    fields) before any trace generation. {!prewarm} runs each job the
+    same way and raises the lowest-index failure. *)
 
 val clear_cache : unit -> unit
 
@@ -63,10 +62,12 @@ val job_of_request : request -> Resim_sweep.Sweep.job
     request, labelled ["key:kernel"]. *)
 
 val prewarm : ?jobs:int -> request list -> unit
-(** Run every not-yet-cached request as one domain-parallel sweep
-    ([jobs] defaults to the host's recommended domain count) and seed
-    the memo cache, so subsequent {!run_kernel} calls hit. Duplicate
-    and already-cached requests are skipped. *)
+(** Run every not-yet-cached request through
+    {!Resim_sweep.Sweep.run_job} across a domain pool ([jobs] defaults
+    to the host's recommended domain count) and seed the memo cache, so
+    subsequent {!run_kernel} calls hit. Duplicate and already-cached
+    requests are skipped. Fail-fast like {!run_kernel}: the
+    lowest-index failing job's exception is raised again. *)
 
 val mips : run -> device:Resim_fpga.Device.t -> float
 val mips_wrong_path : run -> device:Resim_fpga.Device.t -> float

@@ -290,7 +290,7 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
 let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec records =
   let cell = ref None in
   let driver = driver ?watchdog ?deadline ?max_cycles ~spec cell in
-  match Resim.simulate_robust ?config ?instrument ~driver records with
+  match Resim.run ?config ?instrument ~driver (Resim.Records records) with
   | Error _ as error -> error
   | Ok robust -> (
       match !cell with

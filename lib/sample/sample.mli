@@ -78,7 +78,7 @@ val driver :
   report option ref ->
   Resim_core.Engine.t ->
   Resim_core.Engine.bounded
-(** The run loop handed to {!Resim_core.Resim.simulate_robust} via its
+(** The run loop handed to {!Resim_core.Resim.run} via its
     [?driver] parameter: alternate functional warm-up and detailed
     intervals until the trace drains, writing the accumulated {!report}
     through the ref (also on truncation — the intervals completed so
@@ -95,7 +95,8 @@ val run :
   spec:spec ->
   Resim_trace.Record.t array ->
   (Resim_core.Resim.robust * report, Resim_core.Resim.failure) result
-(** {!Resim_core.Resim.simulate_robust} under the sampling {!driver}.
+(** {!Resim_core.Resim.run} over the materialized trace under the
+    sampling {!driver}.
     The outcome's statistics cover only the detailed portions (plus
     drain and priming cycles); [report] carries the sampled IPC
     estimate. *)

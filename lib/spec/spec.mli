@@ -14,4 +14,4 @@ val install : ?mode:mode -> Resim_core.Engine.t -> bool
 
 val instrument : mode -> Resim_core.Engine.t -> unit
 (** {!install} shaped for the [instrument] hooks of
-    {!Resim_core.Resim.simulate_robust} and [Resim_sweep.Sweep.run]. *)
+    {!Resim_core.Resim.run} and [Resim_sweep.Sweep.run]. *)

@@ -2,6 +2,7 @@ module Config = Resim_core.Config
 module Stats = Resim_core.Stats
 module Engine = Resim_core.Engine
 module Checkpoint = Resim_core.Checkpoint
+module Resim = Resim_core.Resim
 module Fault = Resim_trace.Fault
 module Rcheck = Resim_check.Check
 
@@ -12,10 +13,9 @@ type job = {
   workload : Resim_workloads.Workload.t;
   config : Config.t;
   scale : scale;
-  records : Resim_trace.Record.t array option;
-      (* pre-built trace overriding kernel generation *)
-  stream : (unit -> unit -> Resim_trace.Record.t option) option;
-      (* opened on the worker domain; overrides [records] *)
+  trace : (unit -> Resim.trace) option;
+      (* a pre-built trace, opened on the worker domain; None generates
+         the kernel *)
   timeout : float option;  (* per-job wall-clock budget, seconds *)
   sample : Resim_sample.Sample.spec option;
       (* sampled simulation instead of a full detailed run *)
@@ -27,8 +27,7 @@ let job ?label ?(scale = Evaluation) ?timeout ?sample ~config workload =
     | Some label -> label
     | None -> Resim_workloads.Workload.name_of workload
   in
-  { label; workload; config; scale; records = None; stream = None; timeout;
-    sample }
+  { label; workload; config; scale; trace = None; timeout; sample }
 
 let trace_job ?(label = "trace") ?timeout ?sample ~config records =
   { label;
@@ -37,8 +36,7 @@ let trace_job ?(label = "trace") ?timeout ?sample ~config records =
     workload = List.hd Resim_workloads.Workload.all;
     config;
     scale = Exact (Array.length records);
-    records = Some records;
-    stream = None;
+    trace = Some (fun () -> Resim.Records records);
     timeout;
     sample }
 
@@ -47,24 +45,18 @@ let stream_job ?(label = "stream") ?timeout ~config open_stream =
     workload = List.hd Resim_workloads.Workload.all;
     config;
     scale = Exact 0;
-    records = None;
-    stream = Some open_stream;
+    trace = Some (fun () -> Resim.Pull (open_stream ()));
     timeout;
     (* Sampling needs random access into the trace; a one-pass pull
        stream cannot provide it. *)
     sample = None }
-
-let generator_config (config : Config.t) =
-  { Resim_tracegen.Generator.predictor = config.predictor;
-    wrong_path_limit = config.rob_entries + config.ifq_entries;
-    max_instructions = 20_000_000 }
 
 type telemetry = { wall_seconds : float; host_mips : float }
 
 type result = {
   job : job;
   generated : Resim_tracegen.Generator.result;
-  outcome : Resim_core.Resim.outcome;
+  outcome : Resim.outcome;
   telemetry : telemetry;
   sample_report : Resim_sample.Sample.report option;
 }
@@ -77,110 +69,6 @@ let program_of job =
   | Exact scale -> K.program ~scale ()
 
 exception Invalid_config of string
-
-(* Fail before any domain spawns or trace generation starts: a sweep
-   burning minutes of host time on a configuration the validator
-   rejects is the bug resim-check exists to catch. *)
-let validate_job job =
-  match Rcheck.Config.error_summary job.config with
-  | None -> ()
-  | Some summary ->
-      raise (Invalid_config (Printf.sprintf "%s: %s" job.label summary))
-
-(* A pre-built trace arrives without generator metadata; derive the
-   figures the result record and tables need from the records. *)
-let generated_of_records records =
-  let wrong =
-    Array.fold_left
-      (fun acc (r : Resim_trace.Record.t) ->
-        if r.wrong_path then acc + 1 else acc)
-      0 records
-  in
-  { Resim_tracegen.Generator.records;
-    correct_path = Array.length records - wrong;
-    wrong_path = wrong;
-    mispredicted_branches = 0;
-    executed_to_completion = true }
-
-let acquire job =
-  match job.records with
-  | Some records -> generated_of_records records
-  | None ->
-      Resim_tracegen.Generator.run ~config:(generator_config job.config)
-        (program_of job)
-
-(* A streamed job's trace never materialises; after the run, the
-   incremental summary stands in for generator metadata. *)
-let generated_of_summary (summary : Resim_trace.Summary.t) =
-  { Resim_tracegen.Generator.records = [||];
-    correct_path = summary.correct_path;
-    wrong_path = summary.wrong_path;
-    mispredicted_branches = 0;
-    executed_to_completion = true }
-
-let wrap_result ~job ~generated ~started ~sample_report outcome =
-  let wall_seconds = Unix.gettimeofday () -. started in
-  let committed = Int64.to_float (Stats.get Stats.committed outcome.Resim_core.Resim.stats) in
-  let host_mips =
-    if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6 else 0.0
-  in
-  { job; generated; outcome; telemetry = { wall_seconds; host_mips };
-    sample_report }
-
-let run_stream_job ?instrument job open_stream =
-  let started = Unix.gettimeofday () in
-  match
-    Resim_core.Resim.simulate_pull_robust ~config:job.config ?instrument
-      (open_stream ())
-  with
-  | Stdlib.Error (Resim_core.Resim.Fault fault) ->
-      raise (Fault.Trace_fault fault)
-  | Stdlib.Error (Resim_core.Resim.Deadlock d) -> raise (Engine.Deadlock d)
-  | Stdlib.Ok robust ->
-      let outcome = robust.Resim_core.Resim.outcome in
-      wrap_result ~job
-        ~generated:(generated_of_summary outcome.trace_summary)
-        ~started ~sample_report:None outcome
-
-let run_job ?instrument job =
-  validate_job job;
-  match job.stream with
-  | Some open_stream -> run_stream_job ?instrument job open_stream
-  | None ->
-  let generated = acquire job in
-  (* The wall-clock window opens after trace acquisition: host_mips is
-     an engine-throughput figure, and generation (often the longer
-     half) must not dilute it. A regression test pins this. *)
-  let started = Unix.gettimeofday () in
-  let outcome, sample_report =
-    match job.sample with
-    | None ->
-        ( Resim_core.Resim.simulate_trace ~config:job.config ?instrument
-            generated.records,
-          None )
-    | Some spec -> (
-        (* Fail-fast contract: re-raise what a direct engine run would
-           have thrown. *)
-        match
-          Resim_sample.Sample.run ~config:job.config ?instrument ~spec
-            generated.records
-        with
-        | Stdlib.Ok (robust, report) ->
-            (robust.Resim_core.Resim.outcome, Some report)
-        | Stdlib.Error (Resim_core.Resim.Fault fault) ->
-            raise (Fault.Trace_fault fault)
-        | Stdlib.Error (Resim_core.Resim.Deadlock d) ->
-            raise (Engine.Deadlock d))
-  in
-  let wall_seconds = Unix.gettimeofday () -. started in
-  let committed =
-    Int64.to_float (Stats.get Stats.committed outcome.stats)
-  in
-  let host_mips =
-    if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6 else 0.0
-  in
-  { job; generated; outcome; telemetry = { wall_seconds; host_mips };
-    sample_report }
 
 (* ------------------------------------------------------------------ *)
 (* Per-job fault domains: one job's corrupt trace, deadlock, timeout or
@@ -251,132 +139,139 @@ let fault_of_diagnostic (d : Rcheck.Diagnostic.t) =
   in
   Fault.make ~code:d.code ~offset ~context:d.message
 
-(* Streamed jobs: open the pull stream on this (worker) domain — the
-   thunk captures only domain-safe values, typically a path — and let
-   the engine draw records through a Source window. There is no
-   up-front lint gate (a one-pass stream cannot be linted and then
-   simulated); the codec cursor's typed errors surface mid-run as
-   Trace_fault and land in [Failed (Fault _)], and a truncated stream
-   is exactly such a fault, never a silently short [Ok]. *)
-let attempt_stream ~policy ?instrument (job : job) open_stream : outcome =
-  let started = Unix.gettimeofday () in
-  let timeout =
-    match job.timeout with Some t -> Some t | None -> policy.timeout
-  in
-  let deadline =
-    Option.map
-      (fun seconds ->
-        let limit = started +. seconds in
-        fun () -> Unix.gettimeofday () > limit)
-      timeout
-  in
-  match
-    Resim_core.Resim.simulate_pull_robust ~config:job.config
-      ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles ?deadline
-      ?instrument (open_stream ())
-  with
-  | Stdlib.Error (Resim_core.Resim.Fault fault) -> Failed (Fault fault)
-  | Stdlib.Error (Resim_core.Resim.Deadlock d) -> Failed (Deadlock d)
-  | Stdlib.Ok robust -> (
-      let outcome = robust.Resim_core.Resim.outcome in
-      let result =
-        wrap_result ~job
-          ~generated:(generated_of_summary outcome.trace_summary)
-          ~started ~sample_report:None outcome
-      in
-      match robust.Resim_core.Resim.stop with
-      | Engine.Drained -> Ok result
-      | Engine.Time_budget -> Timed_out result.telemetry.wall_seconds
-      | Engine.Cycle_budget | Engine.Commit_target -> (
-          match robust.Resim_core.Resim.resume with
-          | Some checkpoint -> Truncated (result, checkpoint)
-          | None -> Ok result))
-
-let attempt_unsafe ~policy ?instrument job : outcome =
-  match job.stream with
-  | Some open_stream -> attempt_stream ~policy ?instrument job open_stream
+(* The job's trace, with generator metadata when it was generated. A
+   kernel is generated here. A pre-built trace opens here, on the
+   worker domain (a stream's opener captures only domain-safe values,
+   typically a path). A pre-built array passes the resim-check lint
+   gate first: the engine tolerates many protocol violations silently
+   (orphan tags are discarded, runaway blocks squashed), so structural
+   faults must surface as structured failures with their RSM-T code.
+   Generated traces are valid by construction and a one-pass stream
+   cannot be linted and then simulated, so neither is gated; a
+   stream's typed codec errors surface mid-run as faults instead, and
+   a truncated stream is exactly such a fault, never a short [Ok]. *)
+let acquire job =
+  match job.trace with
   | None ->
-  let generated = acquire job in
-  (* Pre-built traces pass the resim-check lint gate first: the engine
-     tolerates many protocol violations silently (orphan tags are
-     discarded, runaway blocks squashed), so structural faults must
-     surface here as structured failures with their RSM-T code. *)
-  let gate =
-    match job.records with
-    | None -> None
-    | Some records ->
-        let lint =
-          Rcheck.Trace.lint_records
-            ~max_wrong_path_run:(protocol_max_run job.config) records
-        in
-        List.find_opt Rcheck.Diagnostic.is_error
-          lint.Rcheck.Trace.diagnostics
-  in
-  match gate with
-  | Some diagnostic -> Failed (Fault (fault_of_diagnostic diagnostic))
-  | None -> (
-      let started = Unix.gettimeofday () in
-      let timeout =
-        match job.timeout with Some t -> Some t | None -> policy.timeout
+      let generated =
+        Resim_tracegen.Generator.run
+          ~config:(Resim.generator_config job.config)
+          (program_of job)
       in
-      let deadline =
-        Option.map
-          (fun seconds ->
-            let limit = started +. seconds in
-            fun () -> Unix.gettimeofday () > limit)
-          timeout
-      in
-      let simulated =
-        match job.sample with
-        | None ->
-            Stdlib.Result.map
-              (fun robust -> (robust, None))
-              (Resim_core.Resim.simulate_robust ~config:job.config
-                 ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles
-                 ?deadline ?instrument
-                 generated.Resim_tracegen.Generator.records)
-        | Some spec ->
-            (* Sampled under the same budgets: the driver threads the
-               deadline and cycle ceiling through every detailed
-               interval, so truncation behaves like an unsampled run. *)
-            Stdlib.Result.map
-              (fun (robust, report) -> (robust, Some report))
-              (Resim_sample.Sample.run ~config:job.config
-                 ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles
-                 ?deadline ?instrument ~spec
-                 generated.Resim_tracegen.Generator.records)
-      in
-      match simulated with
-      | Stdlib.Error (Resim_core.Resim.Fault fault) -> Failed (Fault fault)
-      | Stdlib.Error (Resim_core.Resim.Deadlock d) -> Failed (Deadlock d)
-      | Stdlib.Ok (robust, sample_report) ->
-          let wall_seconds = Unix.gettimeofday () -. started in
-          let outcome = robust.Resim_core.Resim.outcome in
-          let committed =
-            Int64.to_float (Stats.get Stats.committed outcome.stats)
+      Stdlib.Ok (Some generated, Resim.Records generated.records)
+  | Some open_trace -> (
+      match open_trace () with
+      | Resim.Pull _ as trace -> Stdlib.Ok (None, trace)
+      | Resim.Records records as trace -> (
+          let lint =
+            Rcheck.Trace.lint_records
+              ~max_wrong_path_run:(protocol_max_run job.config) records
           in
-          let host_mips =
-            if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6
-            else 0.0
-          in
-          let result =
-            { job; generated; outcome;
-              telemetry = { wall_seconds; host_mips }; sample_report }
-          in
-          (match robust.Resim_core.Resim.stop with
-          | Engine.Drained -> Ok result
-          | Engine.Time_budget -> Timed_out wall_seconds
-          | Engine.Cycle_budget | Engine.Commit_target -> (
-              match robust.Resim_core.Resim.resume with
-              | Some checkpoint -> Truncated (result, checkpoint)
-              | None -> Ok result)))
+          match
+            List.find_opt Rcheck.Diagnostic.is_error
+              lint.Rcheck.Trace.diagnostics
+          with
+          | Some diagnostic -> Stdlib.Error (fault_of_diagnostic diagnostic)
+          | None -> Stdlib.Ok (None, trace)))
 
+(* A pre-built trace arrives without generator metadata; the run's
+   trace summary stands in for it. *)
+let generated_of_trace trace (summary : Resim_trace.Summary.t) =
+  { Resim_tracegen.Generator.records =
+      (match trace with Resim.Records records -> records | Resim.Pull _ -> [||]);
+    correct_path = summary.correct_path;
+    wrong_path = summary.wrong_path;
+    mispredicted_branches = 0;
+    executed_to_completion = true }
+
+(* One attempt at a job on the calling domain, whatever its kind:
+   validate the configuration, acquire the trace, run it under the
+   policy's budgets and map the stop reason to an outcome. Never
+   raises. *)
 let attempt ~policy ?instrument job : outcome =
-  match attempt_unsafe ~policy ?instrument job with
-  | outcome -> outcome
-  | exception Fault.Trace_fault fault -> Failed (Fault fault)
-  | exception Engine.Deadlock d -> Failed (Deadlock d)
-  | exception exn -> Failed (Crashed (Printexc.to_string exn))
+  let simulate () =
+    match acquire job with
+    | Stdlib.Error fault -> Failed (Fault fault)
+    | Stdlib.Ok (generated, trace) -> (
+        (* The wall-clock window opens once the trace is in hand:
+           host_mips is an engine-throughput figure, and generation
+           (often the longer half) must not dilute it. A regression
+           test pins this. *)
+        let started = Unix.gettimeofday () in
+        let deadline =
+          Option.map
+            (fun seconds ->
+              let limit = started +. seconds in
+              fun () -> Unix.gettimeofday () > limit)
+            (match job.timeout with Some _ as t -> t | None -> policy.timeout)
+        in
+        let { watchdog; max_cycles; _ } = policy in
+        let simulated =
+          match (job.sample, trace) with
+          | Some spec, Resim.Records records ->
+              (* Sampled under the same budgets: the driver threads the
+                 deadline and cycle ceiling through every detailed
+                 interval, so truncation behaves like an unsampled run. *)
+              Result.map
+                (fun (robust, report) -> (robust, Some report))
+                (Resim_sample.Sample.run ~config:job.config ?watchdog
+                   ?max_cycles ?deadline ?instrument ~spec records)
+          | None, _ | Some _, Resim.Pull _ ->
+              Result.map
+                (fun robust -> (robust, None))
+                (Resim.run ~config:job.config ?watchdog ?max_cycles
+                   ?deadline ?instrument trace)
+        in
+        match simulated with
+        | Stdlib.Error (Resim.Fault fault) -> Failed (Fault fault)
+        | Stdlib.Error (Resim.Deadlock d) -> Failed (Deadlock d)
+        | Stdlib.Ok (robust, sample_report) -> (
+            let wall_seconds = Unix.gettimeofday () -. started in
+            let outcome = robust.Resim.outcome in
+            let committed =
+              Int64.to_float (Stats.get Stats.committed outcome.stats)
+            in
+            let host_mips =
+              if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6
+              else 0.0
+            in
+            let generated =
+              match generated with
+              | Some generated -> generated
+              | None -> generated_of_trace trace outcome.trace_summary
+            in
+            let result =
+              { job; generated; outcome;
+                telemetry = { wall_seconds; host_mips }; sample_report }
+            in
+            match robust.Resim.stop with
+            | Engine.Drained -> Ok result
+            | Engine.Time_budget -> Timed_out wall_seconds
+            | Engine.Cycle_budget | Engine.Commit_target -> (
+                match robust.Resim.resume with
+                | Some checkpoint -> Truncated (result, checkpoint)
+                | None -> Ok result)))
+  in
+  match Rcheck.Config.error_summary job.config with
+  | Some summary -> Failed (Invalid summary)
+  | None -> (
+      match simulate () with
+      | outcome -> outcome
+      | exception Fault.Trace_fault fault -> Failed (Fault fault)
+      | exception Engine.Deadlock d -> Failed (Deadlock d)
+      | exception exn -> Failed (Crashed (Printexc.to_string exn)))
+
+let run_job ?instrument job =
+  match attempt ~policy:default_policy ?instrument job with
+  | Ok result | Truncated (result, _) -> result
+  | Timed_out seconds ->
+      failwith
+        (Printf.sprintf "%s: deadline hit after %.2f s" job.label seconds)
+  | Failed (Fault fault) -> raise (Fault.Trace_fault fault)
+  | Failed (Deadlock d) -> raise (Engine.Deadlock d)
+  | Failed (Invalid summary) ->
+      raise (Invalid_config (Printf.sprintf "%s: %s" job.label summary))
+  | Failed (Crashed message) -> failwith message
 
 (* Deterministic failures — corrupt traces, deadlocks, invalid
    configurations — fail identically on every attempt, so retrying them
@@ -386,11 +281,6 @@ let attempt ~policy ?instrument job : outcome =
 let retryable = function
   | Failed (Crashed _) | Timed_out _ -> true
   | Ok _ | Truncated _ | Failed (Fault _ | Deadlock _ | Invalid _) -> false
-
-let first_attempt ~policy ?instrument job : job_report =
-  match Rcheck.Config.error_summary job.config with
-  | Some summary -> { job; outcome = Failed (Invalid summary); attempts = 1 }
-  | None -> { job; outcome = attempt ~policy ?instrument job; attempts = 1 }
 
 let run_job_robust ?(policy = default_policy) ?instrument job : job_report =
   let rec go (report : job_report) backoff =
@@ -409,69 +299,57 @@ let run_job_robust ?(policy = default_policy) ?instrument job : job_report =
         (Float.min policy.max_backoff (backoff *. 2.0))
     end
   in
-  go (first_attempt ~policy ?instrument job) policy.backoff
+  go { job; outcome = attempt ~policy ?instrument job; attempts = 1 }
+    policy.backoff
 
-let run ?(strict = false) ?policy ?prof ?jobs ?instrument list =
+let run ?(policy = default_policy) ?prof ?jobs ?instrument list =
   let jobs =
     match jobs with Some jobs -> jobs | None -> Pool.recommended_jobs ()
   in
-  if strict then begin
-    List.iter validate_job list;
-    let results =
-      Pool.map ?prof ~jobs (run_job ?instrument) (Array.of_list list)
-    in
-    { job_reports =
-        Array.to_list
-          (Array.map
-             (fun (result : result) ->
-               { job = result.job; outcome = Ok result; attempts = 1 })
-             results) }
-  end
-  else begin
-    let policy = match policy with Some p -> p | None -> default_policy in
-    let job_array = Array.of_list list in
-    (* Round 0: one attempt per job across the pool. *)
-    let reports =
-      Pool.map ?prof ~jobs (first_attempt ~policy ?instrument) job_array
-    in
-    (* Retry rounds: the coordinator sleeps out the backoff once per
-       round while every worker slot stays free, then resubmits only the
-       still-retryable jobs. Merging by index preserves job order. *)
-    let backoff = ref policy.backoff in
-    let round = ref 0 in
-    let pending () =
-      let indices = ref [] in
-      Array.iteri
-        (fun i (report : job_report) ->
-          if retryable report.outcome then indices := i :: !indices)
-        reports;
-      Array.of_list (List.rev !indices)
-    in
-    let continue = ref (policy.retries > 0) in
-    while !continue && !round < policy.retries do
-      let indices = pending () in
-      if Array.length indices = 0 then continue := false
-      else begin
-        incr round;
-        Unix.sleepf !backoff;
-        backoff := Float.min policy.max_backoff (!backoff *. 2.0);
-        let retried =
-          Pool.map ?prof ~jobs
-            (fun i -> attempt ~policy ?instrument job_array.(i))
-            indices
-        in
-        Array.iteri
-          (fun slot i ->
-            let previous = reports.(i) in
-            reports.(i) <-
-              { previous with
-                outcome = retried.(slot);
-                attempts = previous.attempts + 1 })
+  let job_array = Array.of_list list in
+  (* Round 0: one attempt per job across the pool. *)
+  let reports =
+    Pool.map ?prof ~jobs
+      (fun job -> { job; outcome = attempt ~policy ?instrument job; attempts = 1 })
+      job_array
+  in
+  (* Retry rounds: the coordinator sleeps out the backoff once per
+     round while every worker slot stays free, then resubmits only the
+     still-retryable jobs. Merging by index preserves job order. *)
+  let backoff = ref policy.backoff in
+  let round = ref 0 in
+  let pending () =
+    let indices = ref [] in
+    Array.iteri
+      (fun i (report : job_report) ->
+        if retryable report.outcome then indices := i :: !indices)
+      reports;
+    Array.of_list (List.rev !indices)
+  in
+  let continue = ref (policy.retries > 0) in
+  while !continue && !round < policy.retries do
+    let indices = pending () in
+    if Array.length indices = 0 then continue := false
+    else begin
+      incr round;
+      Unix.sleepf !backoff;
+      backoff := Float.min policy.max_backoff (!backoff *. 2.0);
+      let retried =
+        Pool.map ?prof ~jobs
+          (fun i -> attempt ~policy ?instrument job_array.(i))
           indices
-      end
-    done;
-    { job_reports = Array.to_list reports }
-  end
+      in
+      Array.iteri
+        (fun slot i ->
+          let previous = reports.(i) in
+          reports.(i) <-
+            { previous with
+              outcome = retried.(slot);
+              attempts = previous.attempts + 1 })
+        indices
+    end
+  done;
+  { job_reports = Array.to_list reports }
 
 let completed report =
   List.filter_map
@@ -609,7 +487,7 @@ let pp_table ppf results =
         (Config.organization_name config.organization)
         (Stats.get Stats.major_cycles result.outcome.stats)
         (Stats.ipc result.outcome.stats)
-        (Resim_core.Resim.mips result.outcome ~device:v5)
+        (Resim.mips result.outcome ~device:v5)
         result.telemetry.wall_seconds result.telemetry.host_mips)
     results;
   Format.fprintf ppf

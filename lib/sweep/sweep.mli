@@ -3,16 +3,15 @@
     A sweep is a list of independent jobs — (workload, configuration,
     scale) triples, or pre-built traces — sharded across worker domains
     ({!Pool}). Each job generates or takes its trace and runs
-    {!Resim_core.Resim} entirely on one domain (every [Engine.t] is an
-    independent mutable island, so confinement is the whole safety
+    {!Resim_core.Resim.run} entirely on one domain (every [Engine.t] is
+    an independent mutable island, so confinement is the whole safety
     argument), and outcomes come back in job order.
 
-    Robustness: by default each job runs in its own fault domain — a
-    corrupt trace, watchdog deadlock, per-job timeout or unexpected
-    crash becomes a structured {!outcome} in the {!report} and the rest
-    of the sweep still completes. [~strict:true] restores the original
-    fail-fast contract (validate everything up front, re-raise the
-    first failing job's exception).
+    Robustness: each job runs in its own fault domain — an invalid
+    configuration, a corrupt trace, a watchdog deadlock, a per-job
+    timeout or cycle budget, or an unexpected crash becomes a
+    structured {!outcome} in the {!report}, and the rest of the sweep
+    still completes. {!run_job} is the fail-fast view of one job.
 
     Trace generation and the timing engine are deterministic, so a
     sweep's results are identical at any [jobs] count; a parallel run
@@ -29,18 +28,18 @@ type job = {
   workload : Resim_workloads.Workload.t;
   config : Resim_core.Config.t;
   scale : scale;
-  records : Resim_trace.Record.t array option;
-      (** pre-built trace overriding kernel generation *)
-  stream : (unit -> unit -> Resim_trace.Record.t option) option;
-      (** a pull-stream opener, called once on the worker domain that
-          runs the job; overrides [records]. See {!stream_job}. *)
+  trace : (unit -> Resim_core.Resim.trace) option;
+      (** [None] generates the kernel at [scale]. [Some open_trace]
+          runs a pre-built trace instead: [open_trace] is called once,
+          on the worker domain that runs the job. See {!trace_job} and
+          {!stream_job}. *)
   timeout : float option;
       (** per-job wall-clock budget in seconds, overriding the policy *)
   sample : Resim_sample.Sample.spec option;
       (** run sampled (functional warm-up + detailed intervals,
           DESIGN.md §13) instead of fully detailed; the statistics then
           cover only the detailed portions and the result carries the
-          sampled IPC report *)
+          sampled IPC report. A pulled trace runs fully detailed. *)
 }
 
 val job :
@@ -60,10 +59,11 @@ val trace_job :
   config:Resim_core.Config.t ->
   Resim_trace.Record.t array ->
   job
-(** A job over a pre-built (possibly corrupt) trace. Robust runs pass
+(** A job over a pre-built (possibly corrupt) trace. Every run passes
     it through the resim-check trace lint before simulating, so
     protocol violations surface as structured {!Fault} failures with
-    their RSM-T code rather than silently skewed statistics. *)
+    their RSM-T code rather than silently skewed statistics. Generated
+    kernel traces are valid by construction and are not linted. *)
 
 val stream_job :
   ?label:string ->
@@ -80,12 +80,6 @@ val stream_job :
     gate on this path: the codec's typed stream errors (truncation,
     corruption — RSM-T codes) surface mid-run and land in
     [Failed (Fault _)]. Sampling is unavailable (one-pass stream). *)
-
-val generator_config :
-  Resim_core.Config.t -> Resim_tracegen.Generator.config
-(** The generator a job derives from its engine configuration: the
-    configuration's predictor, wrong-path blocks of ROB + IFQ entries,
-    and a 20 M instruction budget. *)
 
 type telemetry = {
   wall_seconds : float;
@@ -108,15 +102,8 @@ type result = {
 
 exception Invalid_config of string
 (** A job's configuration has {!Resim_check.Check.Config} errors; the
-    payload names the job label and every failing field. Raised only on
-    the strict path. *)
-
-val run_job : ?instrument:(Resim_core.Engine.t -> unit) -> job -> result
-(** Run one job on the calling domain, fail-fast: raises
-    {!Invalid_config} before any work when the configuration does not
-    validate, and lets trace faults and deadlocks escape. [instrument]
-    runs on each job's freshly created engine before its first cycle —
-    the hook observability probes attach through. *)
+    payload names the job label and every failing field. Raised only by
+    {!run_job}. *)
 
 (** {1 Fault domains} *)
 
@@ -164,6 +151,17 @@ val retryable : outcome -> bool
     failures ([Fault], [Deadlock], [Invalid]) fail identically every
     attempt and are reported after exactly one. *)
 
+val run_job : ?instrument:(Resim_core.Engine.t -> unit) -> job -> result
+(** Run one job on the calling domain, fail-fast: the same single
+    attempt {!run_job_robust} makes under {!default_policy}, with its
+    failure raised again — {!Invalid_config} before any work when the
+    configuration does not validate, {!Resim_trace.Fault.Trace_fault}
+    (lint-gate faults included) and {!Resim_core.Engine.Deadlock} as
+    a direct engine run would raise them, and [Failure] for a crash or
+    an expired per-job [timeout]. [instrument] runs on the job's
+    freshly created engine before its first cycle — the hook
+    observability probes attach through. *)
+
 val run_job_robust :
   ?policy:policy ->
   ?instrument:(Resim_core.Engine.t -> unit) ->
@@ -177,7 +175,6 @@ val run_job_robust :
     backoff never counts into [telemetry.wall_seconds]. *)
 
 val run :
-  ?strict:bool ->
   ?policy:policy ->
   ?prof:Resim_obs.Prof.t ->
   ?jobs:int ->
@@ -186,16 +183,13 @@ val run :
   report
 (** Shard the jobs over [jobs] worker domains (default
     {!Pool.recommended_jobs}; [1] runs everything on the calling
-    domain). By default every job runs in its own fault domain and the
-    sweep always completes with a full per-job report — partial results
-    stay available when some jobs fail. {!retryable} outcomes are
-    retried in coordinator-driven rounds: the coordinator sleeps out
-    the (doubling, capped) backoff between rounds and resubmits only
-    the still-retryable jobs, so no worker slot ever sleeps. With
-    [~strict:true] the original contract applies: every configuration
-    is validated up front ({!Invalid_config} before any domain spawns)
-    and the first failing job's exception, in job order, is re-raised.
-    [prof] charges pool queue-wait/run spans ({!Pool.map}).
+    domain). Every job runs in its own fault domain under the [policy]
+    budgets, and the sweep always completes with a full per-job report
+    — partial results stay available when some jobs fail. {!retryable}
+    outcomes are retried in coordinator-driven rounds: the coordinator
+    sleeps out the (doubling, capped) backoff between rounds and
+    resubmits only the still-retryable jobs, so no worker slot ever
+    sleeps. [prof] charges pool queue-wait/run spans ({!Pool.map}).
     [instrument] runs on every job's fresh engine before its first
     cycle (see {!run_job}); each worker domain calls it on its own
     engines, so the hook must be domain-safe — per-engine probes

@@ -25,7 +25,9 @@ let test_fused_agrees_with_trace_driven () =
       max_instructions = 20_000_000 }
   in
   let records = Resim_tracegen.Generator.records ~config:generator program in
-  let separate = Resim_core.Resim.simulate_trace ~config records in
+  let separate =
+    Resim_core.Resim.(outcome_exn (run ~config (Records records)))
+  in
   check i64 "same committed"
     (Resim_core.Stats.get Resim_core.Stats.committed fused.outcome.stats)
     (Resim_core.Stats.get Resim_core.Stats.committed separate.stats);

@@ -32,6 +32,25 @@ let three_way_agreement () =
         (Stats.to_assoc cosim = offline_counters))
     Resim_workloads.Workload.all
 
+(* The offline pipeline and co-simulation share one default generator,
+   so they agree past the old 1 M instruction cap too: gzip at its
+   evaluation scale runs about 2.1 M instructions. *)
+let cosim_at_evaluation_scale () =
+  let workload = Resim_workloads.Workload.find "gzip" in
+  let program =
+    Resim_workloads.Workload.program_of workload
+      ~scale:Resim_workloads.Gzip_like.evaluation_scale ()
+  in
+  let offline = (Resim_core.Resim.simulate_program program).stats in
+  let cosim = Resim_core.Cosim.run program in
+  check bool "past 1 M instructions" true
+    (Int64.compare (Stats.get Stats.committed offline) 1_000_000L > 0);
+  check i64 "cosim commits = offline commits"
+    (Stats.get Stats.committed offline)
+    (Stats.get Stats.committed cosim.stats);
+  check bool "cosim = offline" true
+    (Stats.to_assoc cosim.stats = Stats.to_assoc offline)
+
 let accounting_identities stats =
   let get field = Stats.get field stats in
   let committed = get Stats.committed in
@@ -146,6 +165,8 @@ let suite =
   [ ("consistency",
      [ Alcotest.test_case "three pipelines agree on all kernels" `Slow
          three_way_agreement;
+       Alcotest.test_case "cosim = offline at evaluation scale" `Slow
+         cosim_at_evaluation_scale;
        Alcotest.test_case "accounting identities (kernels)" `Slow
          test_accounting_on_kernels;
        QCheck_alcotest.to_alcotest accounting_on_synthetic;

@@ -121,7 +121,7 @@ let spec_of name scale =
   let workload = Resim_workloads.Workload.find name in
   let program = Resim_workloads.Workload.program_of workload ~scale () in
   { Resim_multicore.System.name;
-    feed = Resim_multicore.System.Records (Resim_tracegen.Generator.records program);
+    feed = Resim_core.Resim.Records (Resim_tracegen.Generator.records program);
     config = Resim_core.Config.reference }
 
 let test_multicore_lockstep_equals_standalone () =
@@ -134,9 +134,9 @@ let test_multicore_lockstep_equals_standalone () =
          (result : Resim_multicore.System.core_result) ->
       let standalone =
         match spec.feed with
-        | Resim_multicore.System.Records records ->
+        | Resim_core.Resim.Records records ->
             Resim_core.Engine.simulate ~config:spec.config records
-        | Resim_multicore.System.Stream _ -> assert false
+        | Resim_core.Resim.Pull _ -> assert false
       in
       check i64
         (spec.name ^ " cycles match standalone")

@@ -102,7 +102,7 @@ let exercise_engine data =
       List.iter
         (fun config ->
           match
-            Resim.simulate_robust ~config ~watchdog:50_000 records
+            Resim.run ~config ~watchdog:50_000 (Records records)
           with
           | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ())
         org_sched_grid
@@ -144,7 +144,7 @@ let property_class_seed =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.simulate_robust ~watchdog:50_000 salvaged with
+          match Resim.run ~watchdog:50_000 (Records salvaged) with
           | Ok _ | Error _ -> ()));
       diagnosed)
 
@@ -165,7 +165,7 @@ let property_random_byte =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.simulate_robust ~watchdog:50_000 salvaged with
+          match Resim.run ~watchdog:50_000 (Records salvaged) with
           | Ok _ | Error _ -> ()));
       true)
 
@@ -280,12 +280,46 @@ let test_sweep_truncation_and_retry () =
   check bool "invalid config is not retryable" false
     (Sweep.retryable (Sweep.Failed (Sweep.Invalid "bad width")))
 
+(* The fail-fast view runs the same lint gate as the fault domain: every
+   record-level class that lints as an error raises the fault
+   [run_job_robust] reports, instead of returning skewed statistics. *)
+let test_run_job_lint_gate () =
+  let records = Lazy.force base_records in
+  let gated =
+    List.filter_map
+      (fun fault ->
+        match
+          (Fault_inject.severity fault, Fault_inject.inject_records fault records)
+        with
+        | `Error, Some corrupt -> Some (fault, corrupt)
+        | _ -> None)
+      Fault_inject.all
+  in
+  check (Alcotest.list Alcotest.string) "record-level error classes"
+    [ "RSM-T005"; "RSM-T007"; "RSM-T008" ]
+    (List.filter_map (fun (fault, _) -> Fault_inject.expected_code fault) gated);
+  List.iter
+    (fun (fault, corrupt) ->
+      let name = Fault_inject.name fault in
+      let job = Sweep.trace_job ~label:name ~config:Config.reference corrupt in
+      let reported =
+        match (Sweep.run_job_robust job).outcome with
+        | Sweep.Failed (Sweep.Fault fault) -> fault.Fault.code
+        | _ -> Alcotest.failf "%s: run_job_robust did not report a fault" name
+      in
+      match Sweep.run_job job with
+      | _ -> Alcotest.failf "%s: run_job returned statistics" name
+      | exception Fault.Trace_fault raised ->
+          check Alcotest.string (name ^ ": raised code") reported
+            raised.Fault.code)
+    gated
+
 (* --- checkpoint / resume ---------------------------------------------- *)
 
 let test_checkpoint_resume_bit_identical () =
   let records = Lazy.force base_records in
-  let full = (Resim.simulate_trace records).stats in
-  match Resim.simulate_robust ~max_cycles:1_000L records with
+  let full = (Resim.outcome_exn (Resim.run (Records records))).stats in
+  match Resim.run ~max_cycles:1_000L (Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok robust -> (
       check bool "stopped on the cycle budget" true
@@ -309,7 +343,7 @@ let test_checkpoint_resume_bit_identical () =
 
 let test_resume_refuses_mismatch () =
   let records = Lazy.force base_records in
-  match Resim.simulate_robust ~max_cycles:1_000L records with
+  match Resim.run ~max_cycles:1_000L (Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok robust -> (
       let checkpoint =
@@ -347,7 +381,7 @@ let test_degraded_decode_marks_stats () =
   | Ok (salvaged, _format, faults) ->
       check bool "salvage reported" true (faults <> []);
       check bool "records salvaged" true (Array.length salvaged > 0);
-      let outcome = Resim.simulate_trace salvaged in
+      let outcome = Resim.outcome_exn (Resim.run (Records salvaged)) in
       Stats.mark_degraded ~faults:(List.length faults) outcome.stats;
       check bool "stats marked degraded" true (Stats.degraded outcome.stats)
 
@@ -365,7 +399,9 @@ let suite =
      [ Alcotest.test_case "partial results on failures" `Quick
          test_sweep_partial_results;
        Alcotest.test_case "truncation and retry" `Quick
-         test_sweep_truncation_and_retry ]);
+         test_sweep_truncation_and_retry;
+       Alcotest.test_case "run_job raises the lint-gate fault" `Quick
+         test_run_job_lint_gate ]);
     ("fault:checkpoint",
      [ Alcotest.test_case "resume is bit-identical" `Quick
          test_checkpoint_resume_bit_identical;

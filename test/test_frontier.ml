@@ -85,7 +85,7 @@ let test_streamed_matches_in_memory () =
               in
               let config = with_scheduler scheduler Config.reference in
               let in_memory =
-                robust_exn label (Resim.simulate_robust ~config records)
+                robust_exn label (Resim.run ~config (Records records))
               in
               let stream =
                 match Stream.open_file ~chunk:512 path with
@@ -99,8 +99,8 @@ let test_streamed_matches_in_memory () =
                   ~finally:(fun () -> Stream.close stream)
                   (fun () ->
                     robust_exn label
-                      (Resim.simulate_pull_robust ~config (fun () ->
-                           Stream.next stream)))
+                      (Resim.run ~config
+                         (Pull (fun () -> Stream.next stream))))
               in
               check i64
                 (label ^ ": major cycles")
@@ -397,10 +397,10 @@ let test_multicore_truncated_stream () =
       in
       let specs =
         [ { System.name = "healthy";
-            feed = System.Records records;
+            feed = Resim.Records records;
             config = Config.reference };
           { System.name = "starved";
-            feed = System.Stream (fun () -> Stream.next stream);
+            feed = Resim.Pull (fun () -> Stream.next stream);
             config = Config.reference } ]
       in
       let system = System.create specs in
@@ -435,10 +435,10 @@ let test_multicore_stream_feed_matches_records_feed () =
       in
       let specs =
         [ { System.name = "array";
-            feed = System.Records records;
+            feed = Resim.Records records;
             config = Config.reference };
           { System.name = "stream";
-            feed = System.Stream (fun () -> Stream.next stream);
+            feed = Resim.Pull (fun () -> Stream.next stream);
             config = Config.reference } ]
       in
       let system = System.create specs in
@@ -650,7 +650,7 @@ let test_adapter_wrong_path_reaches_engine () =
        (Seq.filter (fun r -> r.Record.wrong_path)
           (Array.to_seq records))));
   let robust =
-    robust_exn "adapted simulate" (Resim.simulate_robust records)
+    robust_exn "adapted simulate" (Resim.run (Records records))
   in
   check bool "engine fetched down the wrong path" true
     (Stats.get Stats.fetched_wrong_path robust.outcome.stats > 0L)

@@ -126,7 +126,8 @@ let test_covers () =
 let test_functional_warmup_advances () =
   let records = Lazy.force base_records in
   let full =
-    Stats.get_int Stats.committed (Resim.simulate_trace records).stats
+    Stats.get_int Stats.committed
+      (Resim.outcome_exn (Resim.run (Records records))).stats
   in
   let engine = Engine.create records in
   check bool "fresh pipeline is empty" true (Engine.pipeline_empty engine);
@@ -199,7 +200,8 @@ let test_differential_grid () =
               (Config.scheduler_name config.Config.scheduler)
           in
           let full_ipc =
-            Stats.ipc (Resim.simulate_trace ~config records).stats
+            Stats.ipc
+              (Resim.outcome_exn (Resim.run ~config (Records records))).stats
           in
           match Sample.run ~config ~spec records with
           | Error failure ->
@@ -242,7 +244,8 @@ let test_determinism () =
 let test_report_accounting () =
   let records = Lazy.force base_records in
   let full =
-    Stats.get_int Stats.committed (Resim.simulate_trace records).stats
+    Stats.get_int Stats.committed
+      (Resim.outcome_exn (Resim.run (Records records))).stats
   in
   let spec = { Sample.detail = 100; warmup = 400; seed = 3 } in
   match Sample.run ~spec records with
@@ -427,7 +430,7 @@ let evil = "a\"b\\c\ntab\tctrl\x01slash/close}"
 
 let test_emitters_parse () =
   let records = Lazy.force base_records in
-  let outcome = Resim.simulate_trace records in
+  let outcome = Resim.outcome_exn (Resim.run (Records records)) in
   validates "Stats.to_json" (Stats.to_json outcome.Resim.stats);
   (* sweep metrics with an adversarial label, sampled and unsampled *)
   let spec = { Sample.detail = 100; warmup = 400; seed = 1 } in
@@ -491,6 +494,17 @@ let run_cli args =
     (Printf.sprintf "%s %s > /dev/null 2> /dev/null"
        (Filename.quote cli) args)
 
+let cli_stdout args =
+  let out = Filename.temp_file "resim_test" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote cli) args
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
 let write_tmp suffix content =
   let path = Filename.temp_file "resim_test" suffix in
   let oc = open_out_bin path in
@@ -529,6 +543,10 @@ let test_cli_exit_codes () =
          usage error, malformed foreign input a typed exit-1, clean
          foreign and streamed runs exit 0 *)
       ("missing trace file", "simulate -t /nonexistent/no-such.rtr", 2);
+      ( "profile of a directory",
+        Printf.sprintf "profile -t %s"
+          (Filename.quote (Filename.get_temp_dir_name ())),
+        2 );
       ("missing foreign file", "simulate -t /nonexistent/no.trc --format text", 2);
       ( "clean foreign text",
         Printf.sprintf "simulate -t %s --format text" (Filename.quote good_text),
@@ -572,11 +590,24 @@ let test_cli_exit_codes () =
     let rec scan i = i + m <= n && (String.sub document i m = needle || scan (i + 1)) in
     scan 0
   in
+  let sweep_metrics = Filename.temp_file "resim_test" ".json" in
+  (* A shard set: `profile -t` on one shard profiles the whole set, as
+     `simulate -t` reads it. *)
+  let shard_stem = Filename.temp_file "resim_test_shard" "" in
+  let sharded =
+    (Generator.run (Workload.program_of (Workload.find "gzip") ~scale:512 ()))
+      .records
+  in
+  let shards =
+    Resim_trace.Codec.Shard.write ~records_per_shard:1000 ~stem:shard_stem
+      sharded
+  in
   Fun.protect
     ~finally:(fun () ->
       List.iter Sys.remove
-        [ corrupt_trace; bad_checkpoint; good_text; bad_text; fresh_metrics;
-          resumed_metrics; checkpoint ])
+        ([ corrupt_trace; bad_checkpoint; good_text; bad_text; fresh_metrics;
+           resumed_metrics; checkpoint; sweep_metrics; shard_stem ]
+        @ shards))
     (fun () ->
       List.iter
         (fun (label, args, expected) ->
@@ -597,7 +628,43 @@ let test_cli_exit_codes () =
               check bool (Printf.sprintf "%s: contains %s" label needle) true
                 (contains document needle))
             reference_identity)
-        metrics_cases)
+        metrics_cases;
+      (* Every sweep runs its jobs in fault domains under the budget
+         flags: a cycle budget truncates each job, which is not a
+         failure. *)
+      check int "budgeted sweep exits 0" 0
+        (run_cli
+           (Printf.sprintf "sweep --quick -j 2 --max-cycles 1000 --metrics %s"
+              (Filename.quote sweep_metrics)));
+      (match
+         Json.parse (In_channel.with_open_text sweep_metrics In_channel.input_all)
+       with
+      | Error message -> Alcotest.failf "sweep metrics: %s" message
+      | Ok document ->
+          let jobs =
+            match Json.member "jobs" document with
+            | Some (Json.List jobs) -> jobs
+            | _ -> []
+          in
+          check bool "sweep metrics list jobs" true (jobs <> []);
+          List.iter
+            (fun job ->
+              check (Alcotest.option Alcotest.string) "job outcome"
+                (Some "truncated")
+                (Option.bind (Json.member "outcome" job) Json.string_value))
+            jobs);
+      check bool "several shards" true (List.length shards > 1);
+      let code, output =
+        cli_stdout (Printf.sprintf "profile -t %s" (Filename.quote (List.hd shards)))
+      in
+      check int "profile of a shard exits 0" 0 code;
+      let committed =
+        Array.fold_left
+          (fun n (r : Resim_trace.Record.t) -> if r.wrong_path then n else n + 1)
+          0 sharded
+      in
+      check bool "profile of a shard runs the whole set" true
+        (contains output (Printf.sprintf "%d instructions committed" committed)))
 
 let suite =
   [ ("sample:spec",

@@ -141,7 +141,7 @@ let test_always_fallback_is_identical () =
 let test_checkpoint_resume () =
   let records = snd (List.hd (Lazy.force kernel_records)) in
   let config = off_grid in
-  match Resim.simulate_robust ~config ~max_cycles:1000L records with
+  match Resim.run ~config ~max_cycles:1000L (Records records) with
   | Error _ -> Alcotest.fail "bounded run failed"
   | Ok robust -> (
       match robust.Resim.resume with
