@@ -33,8 +33,8 @@ let three_way_agreement () =
     Resim_workloads.Workload.all
 
 (* The offline pipeline and co-simulation share one default generator,
-   so they agree past the old 1 M instruction cap too: gzip at its
-   evaluation scale runs about 2.1 M instructions. *)
+   so they agree on long runs too: gzip at its evaluation scale runs
+   about 2.1 M instructions. *)
 let cosim_at_evaluation_scale () =
   let workload = Resim_workloads.Workload.find "gzip" in
   let program =
