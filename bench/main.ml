@@ -5,7 +5,7 @@
 
    Flags:
      --json PATH   also write the engine host-throughput grid (host MIPS
-                   per kernel x config x scheduler) as JSON to PATH —
+                   per kernel x config) as JSON to PATH —
                    the perf trajectory tracked across PRs
                    (BENCH_engine.json at the repo root)
      --quick       smoke mode: only the (shrunken) host-throughput grid,
@@ -190,15 +190,17 @@ let sweep_section () =
   counts
 
 (* ------------------------------------------------------------------ *)
-(* Engine host-throughput grid (Scan vs Event schedulers).              *)
+(* Engine host-throughput grid (kernel x configuration).                *)
 
-let scheduler_section ~quick ~json ?sweep_outcomes () =
-  section "Engine host throughput: Scan vs Event scheduler";
+let engine_section ~quick ~json ?sweep_outcomes () =
+  section "Engine host throughput";
   let measurements = Resim_reports.Hostbench.measure ~quick () in
   Format.printf "%a@." Resim_reports.Hostbench.pp_table measurements;
   match json with
   | Some path ->
-      Resim_reports.Hostbench.write_json ~path ?sweep_outcomes measurements;
+      Out_channel.with_open_text path (fun channel ->
+          output_string channel
+            (Resim_reports.Hostbench.to_json ?sweep_outcomes measurements));
       Format.printf "@.wrote %s@." path
   | None -> ()
 
@@ -214,7 +216,7 @@ let () =
     "bench [--quick] [--json PATH]";
   Format.printf "ReSim reproduction benchmark harness (v%s)@."
     Resim_core.Resim.version;
-  if !quick then scheduler_section ~quick:true ~json:!json ()
+  if !quick then engine_section ~quick:true ~json:!json ()
   else begin
     reports ();
     let csvs = Resim_reports.Csv_export.write_all ~dir:"." in
@@ -222,8 +224,8 @@ let () =
       (String.concat ", " csvs);
     bechamel_section ();
     (* The sweep runs first so its per-job outcome counts land in the
-       JSON the scheduler section writes. *)
+       JSON the engine section writes. *)
     let sweep_outcomes = sweep_section () in
-    scheduler_section ~quick:false ~json:!json ~sweep_outcomes ()
+    engine_section ~quick:false ~json:!json ~sweep_outcomes ()
   end;
   Format.printf "@.done.@."

@@ -7,7 +7,7 @@
      schedule   render a minor-cycle schedule (Figures 2-4)
      table      regenerate one of the paper's tables
      sweep      run the ablation grid as a domain-parallel sweep
-     bench      measure engine host throughput (scan vs event scheduler)
+     bench      measure engine host throughput (kernel x configuration)
      lint       statically lint encoded trace files or pipetrace JSONL
      profile    attribute host time/allocation to engine phases
      workloads  list the built-in kernels *)
@@ -26,6 +26,28 @@ let ensure_valid_config ~context config =
       (Check.Diagnostic.summary diagnostics)
       Check.Diagnostic.pp_list diagnostics;
   if Check.Diagnostic.has_errors diagnostics then exit 2
+
+(* Every file the CLI writes goes through [writing]: a host I/O failure
+   on the output path (a missing directory, a permission, a full disk)
+   prints [<path>: <reason>] on stderr and exits 2, the usage-error
+   code an unreadable input gets, instead of escaping as an uncaught
+   [Sys_error]. [write] is {!write_file} or a library writer that opens
+   the path itself. *)
+let writing path write =
+  match write () with
+  | result -> result
+  | exception Sys_error reason ->
+      Format.eprintf "%s: %s@." path reason;
+      exit 2
+
+(* The explicit flush surfaces a short write (a full disk) as the
+   [Sys_error] [writing] reports; [with_open_bin] then closes without
+   raising, which after the flush loses nothing. *)
+let write_file path contents =
+  writing path (fun () ->
+      Out_channel.with_open_bin path (fun channel ->
+          output_string channel contents;
+          flush channel))
 
 let kernel_conv =
   let parse name =
@@ -145,8 +167,9 @@ let tracegen workload scale source_file output compact stream limit
           else output
         in
         let shards =
-          Resim_trace.Codec.Shard.write ~format ~records_per_shard:per_shard
-            ~stem generated.records
+          writing output (fun () ->
+              Resim_trace.Codec.Shard.write ~format
+                ~records_per_shard:per_shard ~stem generated.records)
         in
         Format.printf
           "wrote %d shard(s) %s .. %s: %d records (%d correct, %d \
@@ -159,7 +182,8 @@ let tracegen workload scale source_file output compact stream limit
         Format.eprintf "tracegen: --records-per-shard must be positive@.";
         exit 2
     | None ->
-        Resim_trace.Codec.write_file ~format output generated.records;
+        write_file output
+          (Resim_trace.Codec.encode ~format generated.records);
         Format.printf
           "wrote %s: %d records (%d correct, %d wrong-path), %.2f \
            bits/instr@."
@@ -259,10 +283,7 @@ let faultgen workload scale source_file fault_name seed output compact
             let data =
               Fault_inject.apply ~seed ~format fault generated.records
             in
-            let channel = open_out_bin output in
-            Fun.protect
-              ~finally:(fun () -> close_out channel)
-              (fun () -> output_string channel data);
+            write_file output data;
             Format.printf
               "wrote %s: %d clean records + %s (seed %d, expect %s, \
                severity %s)@."
@@ -610,7 +631,7 @@ let simulate workload scale source_file trace_file trace_format stream
     match pipetrace_out with
     | None -> None
     | Some path when String.equal path "-" -> Some (path, stdout)
-    | Some path -> Some (path, open_out path)
+    | Some path -> Some (path, writing path (fun () -> open_out path))
   in
   let sinks =
     (match pipetrace_channel with
@@ -631,7 +652,7 @@ let simulate workload scale source_file trace_file trace_format stream
     Resim_obs.Obs.close sinks;
     match pipetrace_channel with
     | Some (path, channel) when not (String.equal path "-") ->
-        close_out channel;
+        writing path (fun () -> close_out channel);
         Format.printf "wrote pipetrace %s@." path
     | Some _ | None -> ()
   in
@@ -656,10 +677,7 @@ let simulate workload scale source_file trace_file trace_format stream
         in
         if String.equal path "-" then print_string body
         else begin
-          let channel = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out channel)
-            (fun () -> output_string channel body);
+          write_file path body;
           Format.printf "wrote metrics %s@." path
         end
   in
@@ -737,7 +755,8 @@ let simulate workload scale source_file trace_file trace_format stream
               "run truncated at commit target; statistics are partial@.");
         (match (robust.Resim_core.Resim.resume, checkpoint_out) with
         | Some checkpoint, Some path ->
-            Resim_core.Checkpoint.save path checkpoint;
+            writing path (fun () ->
+                Resim_core.Checkpoint.save path checkpoint);
             Format.printf "wrote checkpoint %s (resume with --resume)@."
               path
         | Some _, None | None, None -> ()
@@ -1053,17 +1072,11 @@ let profile workload scale source_file trace_file json =
       Format.printf "%a@." Resim_obs.Prof.pp prof;
       (match json with
       | Some path ->
-          let channel = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out channel)
-            (fun () ->
-              output_string channel
-                (Resim_obs.Prof.to_json
-                   ~specialized:
-                     (match !engine_variant with
-                     | Some _ -> true
-                     | None -> false)
-                   ?variant:!engine_variant prof));
+          write_file path
+            (Resim_obs.Prof.to_json
+               ~specialized:
+                 (match !engine_variant with Some _ -> true | None -> false)
+               ?variant:!engine_variant prof);
           Format.printf "wrote profile %s@." path
       | None -> ())
 
@@ -1109,7 +1122,10 @@ let vhdl width rob lsq output_dir =
          else Resim_core.Config.Improved) }
   in
   ensure_valid_config ~context:"vhdl" config;
-  let paths = Resim_vhdlgen.Core_gen.write_all ~dir:output_dir config in
+  let paths =
+    writing output_dir (fun () ->
+        Resim_vhdlgen.Core_gen.write_all ~dir:output_dir config)
+  in
   List.iter (fun path -> Format.printf "wrote %s@." path) paths
 
 let vhdl_cmd =
@@ -1222,11 +1238,7 @@ let sweep jobs quick timeout max_cycles retries metrics_out profile_pool
   Format.printf "%a@." Resim_sweep.Sweep.pp_stalls results;
   (match metrics_out with
   | Some path ->
-      let channel = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out channel)
-        (fun () ->
-          output_string channel (Resim_sweep.Sweep.metrics_json report));
+      write_file path (Resim_sweep.Sweep.metrics_json report);
       Format.printf "wrote metrics %s@." path
   | None -> ());
   (match prof with
@@ -1348,8 +1360,9 @@ let bench json quick =
   in
   match json with
   | Some path ->
-      Resim_reports.Hostbench.write_json ~path ?sweep_outcomes ~sampled
-        measurements;
+      write_file path
+        (Resim_reports.Hostbench.to_json ?sweep_outcomes ~sampled
+           measurements);
       Format.printf "wrote %s@." path
   | None -> ()
 
@@ -1359,9 +1372,9 @@ let bench_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the host-MIPS grid (kernel x config x scheduler) \
-                as JSON to $(docv) — the cross-PR perf trajectory \
-                (conventionally BENCH_engine.json).")
+          ~doc:"Write the host-MIPS grid (kernel x config) as JSON to \
+                $(docv) — the cross-PR perf trajectory (conventionally \
+                BENCH_engine.json).")
   in
   let quick =
     Arg.(
@@ -1371,8 +1384,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Measure engine host throughput per (kernel, config, \
-             scheduler)")
+       ~doc:"Measure engine host throughput per (kernel, config)")
     Term.(const bench $ json $ quick)
 
 (* --- lint ------------------------------------------------------------ *)
@@ -1622,15 +1634,10 @@ let serve_cmd =
       $ retries $ backoff $ cache_dir $ test_hooks $ verbose)
 
 let submit socket client status lint crash_worker garbage sweep kernels widths
-    kernel scale trace base width rob lsq organization scheduler max_cycles
-    timeout sample quiet =
+    kernel scale trace base width rob lsq organization max_cycles timeout
+    sample quiet =
   let config_spec =
-    { Serve_protocol.base;
-      width;
-      rob;
-      lsq;
-      organization;
-      scheduler }
+    { Serve_protocol.base; width; rob; lsq; organization }
   in
   let body =
     if status then Serve_protocol.Status
@@ -1796,8 +1803,10 @@ let submit_cmd =
       value
       & opt (some int) None
       & info [ "w"; "width" ] ~docv:"N"
-          ~doc:"Issue-width override (derives the same front end as \
-                $(b,resim vhdl)).")
+          ~doc:"Issue-width override: decouple buffer, ALUs, memory \
+                ports and organization as $(b,resim vhdl) derives them; \
+                the IFQ keeps the base's depth when that is deeper \
+                (reference at width 2: IFQ 4, where $(b,vhdl) builds 2).")
   in
   let rob =
     Arg.(
@@ -1817,13 +1826,6 @@ let submit_cmd =
       & opt (some string) None
       & info [ "organization" ] ~docv:"ORG"
           ~doc:"Organization override (simple|improved|optimized).")
-  in
-  let scheduler =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scheduler" ] ~docv:"SCHED"
-          ~doc:"Scheduler override (scan|event).")
   in
   let max_cycles =
     Arg.(
@@ -1862,8 +1864,8 @@ let submit_cmd =
     Term.(
       const submit $ socket_arg $ client $ status $ lint $ crash_worker
       $ garbage $ sweep $ kernels $ widths $ kernel $ scale $ trace $ base
-      $ width $ rob $ lsq $ organization $ scheduler $ max_cycles $ timeout
-      $ sample $ quiet)
+      $ width $ rob $ lsq $ organization $ max_cycles $ timeout $ sample
+      $ quiet)
 
 let loadgen socket kernel jobs clients quick output =
   let client_counts = if quick then [ 1; 2 ] else clients in
@@ -1883,10 +1885,7 @@ let loadgen socket kernel jobs clients quick output =
   match output with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Serve_load.to_json tiers));
+      write_file path (Serve_load.to_json tiers);
       Printf.printf "wrote %s\n" path
 
 let loadgen_cmd =

@@ -18,10 +18,6 @@ let minor_cycles_per_major organization ~width =
   | Improved -> width + 4
   | Optimized -> width + 3
 
-type scheduler = Scan | Event
-
-let scheduler_name = function Scan -> "scan" | Event -> "event"
-
 type t = {
   width : int;
   ifq_entries : int;
@@ -39,7 +35,6 @@ type t = {
   misfetch_penalty : int;
   misspeculation_penalty : int;
   organization : organization;
-  scheduler : scheduler;
   predictor : Resim_bpred.Predictor.config;
   icache : Resim_cache.Cache.config;
   dcache : Resim_cache.Cache.config;
@@ -65,7 +60,6 @@ let reference =
     misfetch_penalty = 3;
     misspeculation_penalty = 3;
     organization = Optimized;
-    scheduler = Event;
     predictor = Resim_bpred.Predictor.default_config;
     icache = Resim_cache.Cache.Perfect;
     dcache = Resim_cache.Cache.Perfect;
@@ -122,11 +116,10 @@ let pp ppf t =
      FUs: %d ALU/%d, %d MUL/%d, %d DIV/%d@,\
      memory ports: %d read, %d write@,\
      penalties: misfetch %d, misspeculation %d@,\
-     organization: %s (L = %d minor cycles), %s scheduler@]"
+     organization: %s (L = %d minor cycles)@]"
     t.width t.ifq_entries t.rob_entries t.lsq_entries t.alu_count
     t.alu_latency t.mult_count t.mult_latency t.div_count t.div_latency
     t.mem_read_ports t.mem_write_ports t.misfetch_penalty
     t.misspeculation_penalty
     (organization_name t.organization)
     (minor_cycle_latency t)
-    (scheduler_name t.scheduler)

@@ -1,4 +1,4 @@
-(** Simulated-processor and engine configuration.
+(** Simulated-processor configuration.
 
     Mirrors §V.C: the reference processor is 4-way superscalar with 16
     Reorder Buffer entries, 8 LSQ entries, four single-cycle ALUs, one
@@ -23,19 +23,6 @@ val is_optimized : organization -> bool
 val minor_cycles_per_major : organization -> width:int -> int
 (** The latency formulas above. *)
 
-(** Host-side scheduling strategy of the timing engine. Both produce
-    bit-identical cycle counts and statistics — a property the
-    differential test suite enforces; they differ only in host cost.
-    [Scan] is the reference oracle: every phase walks the whole ROB/LSQ
-    each major cycle. [Event] only touches state that can change in the
-    current cycle (completion heap, producer→consumer wakeup lists, a
-    ready pool, incremental LSQ reclassification). *)
-type scheduler =
-  | Scan   (** O(ROB·N + LSQ²) per cycle; the reference implementation *)
-  | Event  (** O(active) per cycle; the default *)
-
-val scheduler_name : scheduler -> string
-
 type t = {
   width : int;                 (** issue width N *)
   ifq_entries : int;
@@ -53,7 +40,6 @@ type t = {
   misfetch_penalty : int;
   misspeculation_penalty : int;
   organization : organization;
-  scheduler : scheduler;
   predictor : Resim_bpred.Predictor.config;
   icache : Resim_cache.Cache.config;
   dcache : Resim_cache.Cache.config;

@@ -30,9 +30,9 @@ let[@inline] imax (a : int) b = if a >= b then a else b
 (* Why the pipeline lost a slot or a cycle — the stall-cause taxonomy
    of the observability layer (DESIGN.md §11). Events carrying these are
    emitted at exactly the sites that bump the matching Stats counters,
-   all shared between the Scan and Event schedulers (or proven
-   visit-identical by the differential suite), so stall streams are
-   bit-identical across schedulers. *)
+   the same sites in the closure family and the reference phases (or
+   proven visit-identical by the differential suite), so stall streams
+   are bit-identical between the two. *)
 type stall_reason =
   | Stall_ifq_empty        (* dispatch starved: nothing decoupled *)
   | Stall_rob_full
@@ -126,7 +126,6 @@ type t = {
      The configuration cannot change for the life of the run, so they
      are plain immutable fields here (ROADMAP item 3). *)
   s_width : int;
-  s_event : bool;     (* scheduler = Event *)
   s_optimized : bool; (* organization = Optimized *)
   s_read_ports : int;
   s_write_ports : int;
@@ -142,21 +141,6 @@ type t = {
   lsq : Lsq.t;
   rename : Rename.t;
   fu : Fu.t;
-  (* Event-scheduler state (unused in Scan mode). [completion] holds
-     issued entries keyed by (complete_at, id); [due] holds completed
-     executions awaiting a broadcast slot, keyed by (0, id) so the
-     paper's oldest-first broadcast order is preserved when more than N
-     results are due; [ready] is the issue pool, also in (0, id) order.
-     Squashed entries are dropped lazily when popped. *)
-  completion : Entry.t Event_queue.t;
-  due : Entry.t Event_queue.t;
-  ready : Entry.t Event_queue.t;
-  (* Scratch buffer the event issue phase drains the ready pool into —
-     reused every cycle so issue allocates no per-cycle list. Stale
-     references past [candidate_count] are bounded by the ROB capacity
-     and overwritten on reuse, the Ring storage policy. *)
-  mutable candidates : Entry.t array;
-  mutable candidate_count : int;
   predictor : Bpred.Predictor.t;
   icache : Hierarchy.t;
   dcache : Hierarchy.t;
@@ -200,12 +184,13 @@ let minor_cycles t = Int64.of_int (t.cycle * t.s_minor_latency)
 
 let use_reference t = t.stepper <- Reference
 
-(* Once per run, by reporting code; never on the per-cycle path. *)
+(* Once per run, by reporting code; never on the per-cycle path. The
+   literal [event] component names the closure family's scheduler; the
+   metrics documents (and the goldens that hash them) pin the bytes. *)
 let variant_name (c : Config.t) =
   (* resim-lint: allow *)
-  Printf.sprintf "%s-%s-w%d-rob%d-lsq%d-rp%dwp%d"
+  Printf.sprintf "%s-event-w%d-rob%d-lsq%d-rp%dwp%d"
     (Config.organization_name c.organization)
-    (Config.scheduler_name c.scheduler)
     c.width c.rob_entries c.lsq_entries c.mem_read_ports c.mem_write_ports
 
 let variant t =
@@ -247,90 +232,9 @@ let finished t =
   (not (Source.has t.source t.cursor)) && pipeline_empty t
 
 (* ------------------------------------------------------------------ *)
-(* Event scheduler: touch only state that can change this cycle.
-   Correctness invariants (proved against the Scan oracle by the
-   differential suite):
-   - broadcast selection is the N oldest entries whose execution is due,
-     exactly as the oldest-first ROB scan picks them;
-   - the ready pool holds exactly the entries the scan's [try_issue]
-     would act on (issue, allocate a unit, or charge a port stall), in
-     the same oldest-first order;
-   - a load's readiness is reclassified on every change of its
-     classification inputs (its own sources, an older store's
-     address/data, a store's retirement), so its value at issue time
-     equals the per-cycle Lsq_refresh result. *)
-
-let[@inline] event_mode t = t.s_event
-
-let push_ready t (entry : Entry.t) =
-  if not entry.in_ready then begin
-    entry.in_ready <- true;
-    Event_queue.push t.ready ~at:0 ~id:entry.id entry
-  end
-
-let load_is_ready (entry : Entry.t) =
-  match entry.load_readiness with
-  | Entry.Load_forward | Entry.Load_needs_port -> true
-  | Entry.Load_not_checked | Entry.Load_blocked -> false
-
-(* Pool membership for loads is monotone: once a load classifies as
-   Forward or Needs_port it stays issuable (the value may still flip
-   between those two, e.g. when the forwarding store retires first). *)
-let pool_load t (load : Entry.t) = if load_is_ready load then push_ready t load
-
-let reclassify_load t (load : Entry.t) =
-  Lsq.refresh_entry t.lsq load;
-  pool_load t load
-
-(* An older store's address or data just resolved, or a store retired:
-   only loads younger than it can change classification. *)
-let store_resolved t (store : Entry.t) =
-  Lsq.refresh_younger t.lsq ~than_id:store.Entry.id
-    ~reclassified:(pool_load t)
-
-let store_retired t =
-  Lsq.refresh_younger t.lsq ~than_id:(-1) ~reclassified:(pool_load t)
-
-(* At dispatch, hang the new entry off its producers' wakeup lists (a
-   producer with a live rename mapping is necessarily still in the
-   window) and seed the ready pool / LSQ classification. *)
-let register_dispatched t (entry : Entry.t) =
-  let register id =
-    match Rob.entry_by_id t.rob id with
-    | Some producer ->
-        producer.Entry.dependents <- entry :: producer.Entry.dependents
-    | None ->
-        (* Corrupt dependency state can only come from a malformed trace
-           (register fields outside the renameable range decode to wild
-           producers); surface it as a structured trace fault. *)
-        raise
-          (Trace.Fault.Trace_fault
-             { code = "RSM-T008";
-               offset = t.cursor;
-               context =
-                 Printf.sprintf
-                   "entry #%d depends on #%d which is not in flight \
-                    (cycle %d)"
-                   entry.id id t.cycle })
-  in
-  let src1 = entry.src1_producer in
-  let src2 = entry.src2_producer in
-  if src1 >= 0 then register src1;
-  if src2 >= 0 && src2 <> src1 then register src2;
-  if Entry.is_load entry then begin
-    if Entry.sources_ready entry then reclassify_load t entry
-  end
-  else if Entry.sources_ready entry then push_ready t entry
-
-(* ------------------------------------------------------------------ *)
 (* Squash: branch resolution at commit flushes everything younger.     *)
 
 let squash t (branch : Entry.t) =
-  if event_mode t then
-    Rob.iter
-      (fun (entry : Entry.t) ->
-        if entry.id > branch.id then entry.squashed <- true)
-      t.rob;
   if observed t then begin
     Rob.iter
       (fun (entry : Entry.t) ->
@@ -416,11 +320,8 @@ let commit_phase t =
           in
           if entry_commits then begin
             Rob.drop_head t.rob;
-            if Trace.Record.is_memory entry.record then begin
+            if Trace.Record.is_memory entry.record then
               Lsq.release_head t.lsq entry;
-              (* A retired store stops shadowing younger loads. *)
-              if event_mode t && Entry.is_store entry then store_retired t
-            end;
             if observed t then notify t (Ev_commit entry);
             Stats.incr t.stats Stats.committed;
             incr committed;
@@ -459,7 +360,7 @@ let commit_phase t =
 (* Writeback: the oldest completed executions broadcast and wake their
    dependents; same-cycle issue of woken instructions is legal.         *)
 
-let wakeup_scan t (producer : Entry.t) =
+let wakeup t (producer : Entry.t) =
   Rob.iter
     (fun (dependent : Entry.t) ->
       if dependent.src1_producer = producer.id then
@@ -470,43 +371,7 @@ let wakeup_scan t (producer : Entry.t) =
   let dest = producer.record.Trace.Record.dest in
   if dest > 0 then Rename.clear t.rename ~reg:dest ~id:producer.id
 
-(* Event wakeup: walk only the registered consumers. Clearing a source
-   of a waiting store means its address (src1) or data (src2) just
-   resolved, which can reclassify younger loads. *)
-let wakeup_event t (producer : Entry.t) =
-  let dependents = producer.Entry.dependents in
-  producer.Entry.dependents <- [];
-  (* The cons list is youngest-first; processing order among a
-     producer's dependents is immaterial (the ready pool orders by id
-     and [in_ready] dedups; a load woken before a sibling store
-     resolves is reclassified again by that store's [store_resolved]),
-     so iterate directly instead of allocating a [List.rev] copy. *)
-  List.iter
-    (fun (dependent : Entry.t) ->
-      if not dependent.squashed then begin
-        let cleared = ref false in
-        if dependent.src1_producer = producer.id then begin
-          dependent.src1_producer <- Entry.no_producer;
-          cleared := true
-        end;
-        if dependent.src2_producer = producer.id then begin
-          dependent.src2_producer <- Entry.no_producer;
-          cleared := true
-        end;
-        if !cleared && Entry.is_dispatched dependent then
-          if Entry.is_load dependent then begin
-            if Entry.sources_ready dependent then reclassify_load t dependent
-          end
-          else begin
-            if Entry.sources_ready dependent then push_ready t dependent;
-            if Entry.is_store dependent then store_resolved t dependent
-          end
-      end)
-    dependents;
-  let dest = producer.record.Trace.Record.dest in
-  if dest > 0 then Rename.clear t.rename ~reg:dest ~id:producer.id
-
-let writeback_phase_scan t =
+let writeback_phase t =
   let broadcast = ref 0 in
   let now = t.cycle in
   (* Oldest-first scan; at most N broadcasts per major cycle. *)
@@ -519,36 +384,11 @@ let writeback_phase_scan t =
            entry.state <- Entry.Completed;
            entry.completed_cycle <- now;
            if observed t then notify t (Ev_complete entry);
-           wakeup_scan t entry;
+           wakeup t entry;
            incr broadcast
          end)
        t.rob
    with Exit -> ())
-
-let writeback_phase_event t =
-  (* Move every execution that is due this cycle from the completion
-     heap to the broadcast queue, then broadcast the N oldest. Results
-     beyond the bandwidth stay queued — exactly the entries the scan
-     would find still Issued-and-due next cycle. *)
-  let now = t.cycle in
-  while Event_queue.min_at t.completion <= now do
-    let entry : Entry.t = Event_queue.top t.completion in
-    Event_queue.drop t.completion;
-    if (not entry.squashed) && Entry.is_issued entry then
-      Event_queue.push t.due ~at:0 ~id:entry.id entry
-  done;
-  let broadcast = ref 0 in
-  while !broadcast < t.s_width && not (Event_queue.is_empty t.due) do
-    let entry : Entry.t = Event_queue.top t.due in
-    Event_queue.drop t.due;
-    if (not entry.squashed) && Entry.is_issued entry then begin
-      entry.state <- Entry.Completed;
-      entry.completed_cycle <- now;
-      if observed t then notify t (Ev_complete entry);
-      wakeup_event t entry;
-      incr broadcast
-    end
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Issue: schedule ready instructions onto units, oldest first.         *)
@@ -625,13 +465,10 @@ let try_issue t ~reads_used (entry : Entry.t) =
 let issue_entry t entry ~latency =
   entry.Entry.state <- Entry.Issued;
   entry.Entry.complete_at <- t.cycle + latency;
-  if event_mode t then
-    Event_queue.push t.completion ~at:entry.Entry.complete_at
-      ~id:entry.Entry.id entry;
   if observed t then notify t (Ev_issue entry);
   Stats.incr t.stats Stats.issued
 
-let issue_phase_scan t =
+let issue_phase t =
   Fu.begin_cycle t.fu;
   let slots_used = ref 0 in
   let reads_used = ref 0 in
@@ -667,71 +504,6 @@ let issue_phase_scan t =
          end)
        t.rob
    with Exit -> ());
-  Stats.observe_issue_width t.stats !slots_used
-
-let push_candidate t (entry : Entry.t) =
-  let capacity = Array.length t.candidates in
-  if t.candidate_count = capacity then begin
-    let grown = Array.make (imax 16 (2 * capacity)) entry in
-    Array.blit t.candidates 0 grown 0 capacity;
-    t.candidates <- grown
-  end;
-  t.candidates.(t.candidate_count) <- entry;
-  t.candidate_count <- t.candidate_count + 1
-
-let issue_phase_event t =
-  Fu.begin_cycle t.fu;
-  let slots_used = ref 0 in
-  let reads_used = ref 0 in
-  let width = t.s_width in
-  (* Drain the pool oldest-first into the reusable scratch buffer;
-     entries that do not issue this cycle re-enter it. The pool holds
-     exactly the source-ready entries, so walking it reproduces the
-     scan's visit order over every entry whose [try_issue] could have an
-     effect (including port-stall charges). *)
-  t.candidate_count <- 0;
-  while not (Event_queue.is_empty t.ready) do
-    let entry : Entry.t = Event_queue.top t.ready in
-    Event_queue.drop t.ready;
-    entry.in_ready <- false;
-    if (not entry.squashed) && Entry.is_dispatched entry then
-      push_candidate t entry
-  done;
-  let first_slot = ref (-1) in
-  (* Load-barred first slot of the Optimized organization. *)
-  if t.s_optimized then begin
-    try
-      for i = 0 to t.candidate_count - 1 do
-        let entry = t.candidates.(i) in
-        if not (Entry.is_load entry) then begin
-          let latency = try_issue t ~reads_used entry in
-          if latency >= 0 then begin
-            issue_entry t entry ~latency;
-            incr slots_used;
-            first_slot := entry.id;
-            raise Exit
-          end
-        end
-      done
-    with Exit -> ()
-  end;
-  for i = 0 to t.candidate_count - 1 do
-    let entry = t.candidates.(i) in
-    if entry.id <> !first_slot then begin
-      if !slots_used >= width then
-        (* Past the width cutoff the scan stops visiting entries, so
-           charge no stalls — just keep them ready for next cycle. *)
-        push_ready t entry
-      else begin
-        let latency = try_issue t ~reads_used entry in
-        if latency >= 0 then begin
-          issue_entry t entry ~latency;
-          incr slots_used
-        end
-        else push_ready t entry
-      end
-    end
-  done;
   Stats.observe_issue_width t.stats !slots_used
 
 (* ------------------------------------------------------------------ *)
@@ -772,7 +544,6 @@ let dispatch_phase t =
             Rename.define t.rename ~reg:fetched.record.dest ~id:entry.id;
           if Trace.Record.is_memory fetched.record then
             Lsq.dispatch t.lsq entry;
-          if event_mode t then register_dispatched t entry;
           if observed t then notify t (Ev_dispatch entry);
           Stats.incr t.stats Stats.dispatched;
           incr count
@@ -948,21 +719,11 @@ let reference_step t =
   if not (finished t) then begin
     probe t Ph_commit;
     commit_phase t;
-    if t.s_event then begin
-      (* LSQ readiness is maintained incrementally by the commit,
-         wakeup and dispatch hooks — no per-cycle refresh. *)
-      probe t Ph_writeback;
-      writeback_phase_event t;
-      probe t Ph_issue;
-      issue_phase_event t
-    end
-    else begin
-      probe t Ph_writeback;
-      writeback_phase_scan t;
-      Lsq.refresh t.lsq;
-      probe t Ph_issue;
-      issue_phase_scan t
-    end;
+    probe t Ph_writeback;
+    writeback_phase t;
+    Lsq.refresh t.lsq;
+    probe t Ph_issue;
+    issue_phase t;
     probe t Ph_dispatch;
     dispatch_phase t;
     probe t Ph_decouple;
@@ -1211,13 +972,30 @@ let run ?(max_cycles = 1_000_000_000L) t =
    Ring/Event_queue/Fu/Rename/Histogram operations are transcribed over
    their exposed representations instead of called across modules.
 
+   Where the reference phases scan the whole ROB and LSQ every cycle
+   (the paper's formulation), the closure family is event-driven: it
+   touches only state that can change this cycle. A completion heap
+   replaces the writeback scan, producer->dependent wakeup lists the
+   broadcast scan, an id-ordered ready pool the issue scan, and loads
+   are reclassified incrementally instead of by the per-cycle
+   Lsq_refresh. Invariants that keep it equal to the scan:
+   - broadcast selection is the N oldest entries whose execution is due,
+     exactly as the oldest-first ROB scan picks them;
+   - the ready pool holds exactly the entries the scan's [try_issue]
+     would act on (issue, allocate a unit, or charge a port stall), in
+     the same oldest-first order;
+   - a load's readiness is reclassified on every change of its
+     classification inputs (its own sources, an older store's
+     address/data, a store's retirement), so its value at issue time
+     equals the per-cycle Lsq_refresh result.
+
    Correctness contract: bit-identical to the reference phases above —
    same cycle count, same value in every Stats counter, same observer
-   event stream in the same order, same probe sites. Every phase below
-   is a line-by-line transcription of its reference counterpart with
-   the accessor indirections resolved; the committed golden digests and
-   the off-grid differential suite (test_golden.ml, test_spec.ml) hold
-   both to it. *)
+   event stream in the same order, same probe sites. Commit, dispatch,
+   decouple and fetch are line-by-line transcriptions of their
+   reference counterparts with the accessor indirections resolved; the
+   committed golden digests and the differential suite (test_golden.ml,
+   test_event.ml, test_obs.ml) hold both to it. *)
 
 let make_run (t : t) =
   (* Configuration facts, captured once as closure locals. *)
@@ -1231,7 +1009,6 @@ let make_run (t : t) =
   let div_latency = t.config.div_latency in
   let misspeculation_penalty = t.s_misspeculation_penalty in
   let optimized = t.s_optimized in
-  let event = t.s_event in
   (* Engine components, resolved once. *)
   let stats = t.stats in
   let rob = t.rob in
@@ -1240,9 +1017,22 @@ let make_run (t : t) =
   let rename = t.rename in
   let ifq = t.ifq in
   let decouple = t.decouple in
-  let completion = t.completion in
-  let due = t.due in
-  let ready = t.ready in
+  (* The event-scheduler state, the family's own: the reference phases
+     scan the ROB instead. [completion] holds issued entries keyed by
+     (complete_at, id); [due] holds completed executions awaiting a
+     broadcast slot, keyed by (0, id) so the paper's oldest-first
+     broadcast order is preserved when more than N results are due;
+     [ready] is the issue pool, also in (0, id) order. Squashed entries
+     are dropped lazily when popped. *)
+  let completion = Event_queue.create () in
+  let due = Event_queue.create () in
+  let ready = Event_queue.create () in
+  (* Scratch buffer the issue phase drains the ready pool into — reused
+     every cycle so issue allocates no per-cycle list. Stale references
+     past [candidate_count] are bounded by the ROB capacity and
+     overwritten on reuse, the Ring storage policy. *)
+  let candidates = ref [||] in
+  let candidate_count = ref 0 in
   let source = t.source in
   let dcache = t.dcache in
   let icache = t.icache in
@@ -1546,14 +1336,16 @@ let make_run (t : t) =
   let sources_ready (entry : Entry.t) =
     entry.Entry.src1_producer < 0 && entry.Entry.src2_producer < 0
   in
-  (* ---- event-scheduler bookkeeping (mirrors the top-level
-     helpers, with the components pre-resolved) ---- *)
+  (* ---- event bookkeeping ---- *)
   let push_ready (entry : Entry.t) =
     if not entry.in_ready then begin
       entry.in_ready <- true;
       eq_push ready ~at:0 ~id:entry.id entry
     end
   in
+  (* Pool membership for loads is monotone: once a load classifies as
+     Forward or Needs_port it stays issuable (the value may still flip
+     between those two, e.g. when the forwarding store retires first). *)
   let pool_load (load : Entry.t) =
     match load.Entry.load_readiness with
     | Entry.Load_forward | Entry.Load_needs_port -> push_ready load
@@ -1563,23 +1355,30 @@ let make_run (t : t) =
     Lsq.refresh_entry lsq load;
     pool_load load
   in
-  (* One closure for every refresh, instead of the per-call partial
-     application the reference phases allocate. *)
+  (* An older store's address or data just resolved, or a store
+     retired: only loads younger than it can change classification. One
+     closure serves every refresh. *)
   let store_resolved (store : Entry.t) =
     Lsq.refresh_younger lsq ~than_id:store.Entry.id ~reclassified:pool_load
   in
   let store_retired () =
     Lsq.refresh_younger lsq ~than_id:(-1) ~reclassified:pool_load
   in
+  (* At dispatch, hang the new entry off its producers' wakeup lists (a
+     producer with a live rename mapping is necessarily still in the
+     window) and seed the ready pool / LSQ classification. *)
   let register_dispatched (entry : Entry.t) =
-    (* [Rob.entry_by_id] unfolded: window ids are consecutive, so the
-       lookup is offset arithmetic from the head entry's id. *)
+    (* Window ids are consecutive, so the producer lookup is offset
+       arithmetic from the head entry's id. *)
     let register id =
       let n = rob_ring.Ring.length in
       let index =
         if n = 0 then -1 else id - (ring_front rob_ring).Entry.id
       in
       if index < 0 || index >= n then
+        (* Corrupt dependency state can only come from a malformed trace
+           (register fields outside the renameable range decode to wild
+           producers); surface it as a structured trace fault. *)
         raise
           (Trace.Fault.Trace_fault
              { code = "RSM-T008";
@@ -1621,7 +1420,7 @@ let make_run (t : t) =
     | Some _ | None -> ()
   in
   let squash (branch : Entry.t) =
-    if event then mark_squashed rob_ring.Ring.length 0 branch.Entry.id;
+    mark_squashed rob_ring.Ring.length 0 branch.Entry.id;
     if observed t then begin
       let rec notify_squashed n i =
         if i < n then begin
@@ -1687,7 +1486,8 @@ let make_run (t : t) =
         ring_drop rob_ring;
         if record_is_memory entry.record then begin
           Lsq.release_head lsq entry;
-          if event && entry_is_store entry then store_retired ()
+          (* A retired store stops shadowing younger loads. *)
+          if entry_is_store entry then store_retired ()
         end;
         if observed t then notify t (Ev_commit entry);
         Stdlib.incr st_committed;
@@ -1727,7 +1527,14 @@ let make_run (t : t) =
     end
   in
   let commit_phase () = observe_width commit_widths (commit_loop 0 0) in
-  (* ---- writeback (event) ---- *)
+  (* ---- writeback ---- *)
+  (* Walk only the registered consumers. The cons list is
+     youngest-first; processing order among a producer's dependents is
+     immaterial (the ready pool orders by id and [in_ready] dedups; a
+     load woken before a sibling store resolves is reclassified again by
+     that store's [store_resolved]). Clearing a source of a waiting
+     store means its address (src1) or data (src2) just resolved, which
+     can reclassify younger loads. *)
   let rec wake_dependents producer_id = function
     | [] -> ()
     | (dependent : Entry.t) :: rest ->
@@ -1747,7 +1554,7 @@ let make_run (t : t) =
         end;
         wake_dependents producer_id rest
   in
-  let wakeup_event (producer : Entry.t) =
+  let wakeup (producer : Entry.t) =
     let dependents = producer.Entry.dependents in
     producer.Entry.dependents <- [];
     wake_dependents producer.id dependents;
@@ -1772,47 +1579,20 @@ let make_run (t : t) =
         entry.state <- Entry.Completed;
         entry.completed_cycle <- now;
         if observed t then notify t (Ev_complete entry);
-        wakeup_event entry;
+        wakeup entry;
         broadcast_loop now (n + 1)
       end
       else broadcast_loop now n
     end
   in
-  let writeback_phase_event () =
+  (* Move every execution that is due this cycle from the completion
+     heap to the broadcast queue, then broadcast the N oldest. Results
+     beyond the bandwidth stay queued — exactly the entries the scan
+     would find still Issued-and-due next cycle. *)
+  let writeback_phase () =
     drain_completion t.cycle;
     broadcast_loop t.cycle 0
   in
-  (* ---- writeback (scan) ---- *)
-  let rec wakeup_scan_loop n i producer_id =
-    if i < n then begin
-      let dependent : Entry.t = ring_get rob_ring i in
-      if dependent.src1_producer = producer_id then
-        dependent.src1_producer <- Entry.no_producer;
-      if dependent.src2_producer = producer_id then
-        dependent.src2_producer <- Entry.no_producer;
-      wakeup_scan_loop n (i + 1) producer_id
-    end
-  in
-  let wakeup_scan (producer : Entry.t) =
-    wakeup_scan_loop rob_ring.Ring.length 0 producer.Entry.id;
-    let dest = producer.record.Trace.Record.dest in
-    if dest > 0 && dest < register_count && producers.(dest) = producer.id
-    then producers.(dest) <- no_producer
-  in
-  let rec writeback_scan_loop n i broadcast =
-    if i < n && broadcast < width then begin
-      let entry : Entry.t = ring_get rob_ring i in
-      if entry_is_issued entry && entry.complete_at <= t.cycle then begin
-        entry.state <- Entry.Completed;
-        entry.completed_cycle <- t.cycle;
-        if observed t then notify t (Ev_complete entry);
-        wakeup_scan entry;
-        writeback_scan_loop n (i + 1) (broadcast + 1)
-      end
-      else writeback_scan_loop n (i + 1) broadcast
-    end
-  in
-  let writeback_phase_scan () = writeback_scan_loop rob_ring.Ring.length 0 0 in
   (* ---- issue ---- *)
   let try_issue ~reads_used (entry : Entry.t) =
     match entry.record.payload with
@@ -1882,118 +1662,89 @@ let make_run (t : t) =
   let issue_entry (entry : Entry.t) ~latency =
     entry.Entry.state <- Entry.Issued;
     entry.Entry.complete_at <- t.cycle + latency;
-    if event then
-      eq_push completion ~at:entry.Entry.complete_at
-        ~id:entry.Entry.id entry;
+    eq_push completion ~at:entry.Entry.complete_at ~id:entry.Entry.id entry;
     if observed t then notify t (Ev_issue entry);
     Stdlib.incr st_issued
   in
-  (* Event issue. The Optimized first-slot pass returns the issued
-     entry's id (or -1): non-loads never consume read ports, so
-     [reads_used] is still 0 when the main walk starts. *)
-  let rec first_slot_event i =
-    if i >= t.candidate_count then -1
+  (* The Optimized first-slot pass returns the issued entry's id (or
+     -1): non-loads never consume read ports, so [reads_used] is still 0
+     when the main walk starts. *)
+  let rec first_slot i =
+    if i >= !candidate_count then -1
     else begin
-      let entry = t.candidates.(i) in
-      if entry_is_load entry then first_slot_event (i + 1)
+      let entry = !candidates.(i) in
+      if entry_is_load entry then first_slot (i + 1)
       else begin
         let verdict = try_issue ~reads_used:0 entry in
         if verdict >= 0 then begin
           issue_entry entry ~latency:verdict;
           entry.id
         end
-        else first_slot_event (i + 1)
+        else first_slot (i + 1)
       end
     end
   in
-  let rec issue_event_loop i slots_used reads_used first_id =
-    if i >= t.candidate_count then slots_used
+  let rec issue_loop i slots_used reads_used first_id =
+    if i >= !candidate_count then slots_used
     else begin
-      let entry = t.candidates.(i) in
+      let entry = !candidates.(i) in
       if entry.id = first_id then
-        issue_event_loop (i + 1) slots_used reads_used first_id
+        issue_loop (i + 1) slots_used reads_used first_id
       else if slots_used >= width then begin
         (* Past the width cutoff the scan stops visiting entries, so
            charge no stalls — just keep them ready for next cycle. *)
         push_ready entry;
-        issue_event_loop (i + 1) slots_used reads_used first_id
+        issue_loop (i + 1) slots_used reads_used first_id
       end
       else begin
         let verdict = try_issue ~reads_used entry in
         if verdict >= 0 then begin
           issue_entry entry ~latency:verdict;
-          issue_event_loop (i + 1) (slots_used + 1)
+          issue_loop (i + 1) (slots_used + 1)
             (if consumed_read_port entry verdict then reads_used + 1
              else reads_used)
             first_id
         end
         else begin
           push_ready entry;
-          issue_event_loop (i + 1) slots_used reads_used first_id
+          issue_loop (i + 1) slots_used reads_used first_id
         end
       end
     end
   in
+  let push_candidate (entry : Entry.t) =
+    let capacity = Array.length !candidates in
+    if !candidate_count = capacity then begin
+      let grown = Array.make (imax 16 (2 * capacity)) entry in
+      Array.blit !candidates 0 grown 0 capacity;
+      candidates := grown
+    end;
+    !candidates.(!candidate_count) <- entry;
+    Stdlib.incr candidate_count
+  in
+  (* Drain the pool oldest-first into the scratch buffer; entries that
+     do not issue this cycle re-enter it. The pool holds exactly the
+     source-ready entries, so walking it reproduces the scan's visit
+     order over every entry whose [try_issue] could have an effect
+     (including port-stall charges). *)
   let rec drain_ready () =
     if not (eq_is_empty ready) then begin
       let entry : Entry.t = eq_top ready in
       eq_drop ready;
       entry.in_ready <- false;
       if (not entry.squashed) && entry_is_dispatched entry then
-        push_candidate t entry;
+        push_candidate entry;
       drain_ready ()
     end
   in
-  let issue_phase_event () =
+  let issue_phase () =
     fu.Fu.alu_used <- 0;
     fu.Fu.mult_used <- 0;
-    t.candidate_count <- 0;
+    candidate_count := 0;
     drain_ready ();
-    let first_id = if optimized then first_slot_event 0 else -1 in
+    let first_id = if optimized then first_slot 0 else -1 in
     let slots = if first_id >= 0 then 1 else 0 in
-    let slots = issue_event_loop 0 slots 0 first_id in
-    observe_width issue_widths slots
-  in
-  (* Scan issue: the first-slot pass leaves the winner Issued, so the
-     main walk's dispatched filter skips it without id tracking. *)
-  let rec first_slot_scan n i =
-    if i >= n then 0
-    else begin
-      let entry : Entry.t = ring_get rob_ring i in
-      if entry_is_dispatched entry && not (entry_is_load entry) then begin
-        let verdict = try_issue ~reads_used:0 entry in
-        if verdict >= 0 then begin
-          issue_entry entry ~latency:verdict;
-          1
-        end
-        else first_slot_scan n (i + 1)
-      end
-      else first_slot_scan n (i + 1)
-    end
-  in
-  let rec issue_scan_loop n i slots_used reads_used =
-    if i >= n || slots_used >= width then slots_used
-    else begin
-      let entry : Entry.t = ring_get rob_ring i in
-      if entry_is_dispatched entry then begin
-        let verdict = try_issue ~reads_used entry in
-        if verdict >= 0 then begin
-          issue_entry entry ~latency:verdict;
-          issue_scan_loop n (i + 1) (slots_used + 1)
-            (if consumed_read_port entry verdict then reads_used + 1
-             else reads_used)
-        end
-        else issue_scan_loop n (i + 1) slots_used reads_used
-      end
-      else issue_scan_loop n (i + 1) slots_used reads_used
-    end
-  in
-  let issue_phase_scan () =
-    fu.Fu.alu_used <- 0;
-    fu.Fu.mult_used <- 0;
-    let n = rob_ring.Ring.length in
-    let first = if optimized then first_slot_scan n 0 else 0 in
-    let slots = issue_scan_loop n 0 first 0 in
+    let slots = issue_loop 0 slots 0 first_id in
     observe_width issue_widths slots
   in
   (* ---- dispatch / decouple ---- *)
@@ -2037,7 +1788,7 @@ let make_run (t : t) =
         if dest > 0 && dest < register_count then
           producers.(dest) <- entry.id;
         if record_is_memory fetched.record then Lsq.dispatch lsq entry;
-        if event then register_dispatched entry;
+        register_dispatched entry;
         if observed t then notify t (Ev_dispatch entry);
         Stdlib.incr st_dispatched;
         dispatch_loop (count + 1)
@@ -2135,14 +1886,14 @@ let make_run (t : t) =
     && decouple.Ring.length = 0
     && rob_ring.Ring.length = 0
   in
-  let step_event () =
+  fun () ->
     if not (finished_here ()) then begin
       probe t Ph_commit;
       commit_phase ();
       probe t Ph_writeback;
-      writeback_phase_event ();
+      writeback_phase ();
       probe t Ph_issue;
-      issue_phase_event ();
+      issue_phase ();
       probe t Ph_dispatch;
       dispatch_phase ();
       probe t Ph_decouple;
@@ -2152,27 +1903,6 @@ let make_run (t : t) =
       probe t Ph_account;
       account ()
     end
-  in
-  let step_scan () =
-    if not (finished_here ()) then begin
-      probe t Ph_commit;
-      commit_phase ();
-      probe t Ph_writeback;
-      writeback_phase_scan ();
-      Lsq.refresh lsq;
-      probe t Ph_issue;
-      issue_phase_scan ();
-      probe t Ph_dispatch;
-      dispatch_phase ();
-      probe t Ph_decouple;
-      decouple_phase ();
-      probe t Ph_fetch;
-      fetch_phase ();
-      probe t Ph_account;
-      account ()
-    end
-  in
-  if event then step_event else step_scan
 
 let create_from_source ?(config = Config.reference) source =
   let config =
@@ -2188,10 +1918,6 @@ let create_from_source ?(config = Config.reference) source =
   let t =
     { config;
       s_width = config.width;
-      s_event =
-        (match config.scheduler with
-        | Config.Event -> true
-        | Config.Scan -> false);
       s_optimized = Config.is_optimized config.organization;
       s_read_ports = config.mem_read_ports;
       s_write_ports = config.mem_write_ports;
@@ -2207,11 +1933,6 @@ let create_from_source ?(config = Config.reference) source =
       lsq = Lsq.create ~entries:config.lsq_entries;
       rename = Rename.create ~registers:Resim_isa.Reg.count;
       fu = Fu.create config;
-      completion = Event_queue.create ();
-      due = Event_queue.create ();
-      ready = Event_queue.create ();
-      candidates = [||];
-      candidate_count = 0;
       predictor = Bpred.Predictor.create config.predictor;
       icache =
         Hierarchy.create ~timing:config.cache_timing config.icache ~l2:shared_l2;

@@ -28,7 +28,7 @@ type t
     of the observability layer (DESIGN.md §11). Each constructor maps
     one-to-one onto a {!Stats} counter and is emitted at exactly the
     sites that bump it, so stall streams are bit-identical between the
-    Scan and Event schedulers. *)
+    default engine and the reference phases ({!use_reference}). *)
 type stall_reason =
   | Stall_ifq_empty
       (** dispatch under-filled: nothing decoupled (front-end
@@ -223,22 +223,26 @@ val simulate :
 (** {1 Engine implementations (DESIGN.md §14)}
 
     Every engine runs the closure family: per-cycle code built once, at
-    {!create}, from the engine's own configuration — statistics cells
-    resolved up front, allocation-free index loops, the O(1) queue and
-    pool operations transcribed in place. The readable reference phases
-    remain as the differential oracle. Both are bit-identical (cycles,
+    {!create}, from the engine's own configuration, and event-driven —
+    a completion heap, producer-to-dependent wakeup lists, an
+    oldest-first ready pool and incremental LSQ reclassification, so a
+    cycle touches only state that can change in it. The readable
+    reference phases remain as the test oracle and keep the paper's
+    formulation: every cycle scans the ROB for writeback and issue and
+    refreshes every load (Lsq_refresh). Both are bit-identical (cycles,
     every {!Stats} counter, the pipetrace event stream, the phase-probe
     sites); the committed golden digests and the differential suite
     hold them to it. *)
 
 val use_reference : t -> unit
-(** Make {!step} run the readable reference phases instead of the
-    closure family, from the next cycle on. *)
+(** Make {!step} run the reference phases (the per-cycle scan) instead
+    of the closure family, from the next cycle on. *)
 
 val variant_name : Config.t -> string
 (** The closure family's identifier for a configuration,
-    ["<organization>-<scheduler>-w<N>-rob<R>-lsq<L>-rp<P>wp<Q>"] (reported
-    by the CLI and the metrics and profile JSON). *)
+    ["<organization>-event-w<N>-rob<R>-lsq<L>-rp<P>wp<Q>"] (reported by
+    the CLI and the metrics and profile JSON); [event] is a literal,
+    naming the closure family's scheduler. *)
 
 val variant : t -> string option
 (** [Some (variant_name (config t))], or [None] after

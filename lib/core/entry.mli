@@ -36,13 +36,13 @@ type t = {
       (** mispredicted branch: resolves and squashes at commit *)
   mutable ras_repair : Resim_bpred.Ras.t option;
   mutable dependents : t list;
-      (** event scheduler: younger entries whose sources this entry
+      (** closure family (event-driven): younger entries whose sources this entry
           produces, registered at their dispatch and woken (only them —
           not the whole ROB) when this entry's result broadcasts *)
   mutable in_ready : bool;
-      (** event scheduler: entry currently sits in the ready pool *)
+      (** closure family: entry currently sits in the ready pool *)
   mutable squashed : bool;
-      (** event scheduler: entry was squashed; pending heap/pool/wakeup
+      (** closure family: entry was squashed; pending heap/pool/wakeup
           references to it are skipped lazily *)
 }
 

@@ -1,4 +1,6 @@
-(** Binary min-heap of timestamped events for the event-driven scheduler.
+(** Binary min-heap of timestamped events for the event-driven engine.
+    The closure family ({!Engine}) transcribes [push] and [drop] over
+    the exposed representation; this module is their reference form.
 
     Keys are [(at, id)] pairs compared lexicographically — [at] is a
     simulated cycle ([complete_at] for completion events, [0] for

@@ -55,7 +55,7 @@ let refresh t =
         entry.load_readiness <- classify_load t ~position entry)
     t.ring
 
-(* Incremental variants for the event-driven scheduler: instead of the
+(* Incremental variants for the event-driven closure family: instead of the
    per-cycle full refresh, a load is reclassified only when one of its
    classification inputs changes — its own sources resolve
    ([refresh_entry]), or an older store's address/data resolves or the

@@ -22,16 +22,17 @@ val dispatch : t -> Entry.t -> unit
 
 val refresh : t -> unit
 (** The Lsq_refresh pass: set {!Entry.load_readiness} on every waiting
-    load. Word-granularity address matching. Used by the [Scan]
-    scheduler once per major cycle. *)
+    load. Word-granularity address matching. The reference phases
+    ({!Engine.use_reference}) run it once per major cycle. *)
 
 val refresh_entry : t -> Entry.t -> unit
-(** Event scheduler: reclassify one waiting load (no-op for stores or
+(** Incremental refresh, for the event-driven closure family:
+    reclassify one waiting load (no-op for stores or
     already-issued loads). Call when the load's own sources resolve or
     at its dispatch. *)
 
 val refresh_younger : t -> than_id:int -> reclassified:(Entry.t -> unit) -> unit
-(** Event scheduler: reclassify every waiting load younger than
+(** Incremental refresh: reclassify every waiting load younger than
     [than_id], invoking [reclassified] on each. Call when a store's
     address or data resolves (with the store's id) or when a store
     retires (with [than_id] = -1: everything left is younger). *)

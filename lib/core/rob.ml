@@ -33,22 +33,6 @@ let find predicate t =
    with Exit -> ());
   !found
 
-(* Entry ids in the window are consecutive (dispatch allocates them in
-   sequence; a squash drops a suffix), so id -> slot is pure offset
-   arithmetic from the head's id. *)
-let entry_by_id t id =
-  if Ring.is_empty t.ring then None
-  else begin
-    let head : Entry.t = Ring.front t.ring in
-    let index = id - head.id in
-    if index < 0 || index >= Ring.length t.ring then None
-    else begin
-      let entry = Ring.get t.ring index in
-      assert (entry.Entry.id = id);
-      Some entry
-    end
-  end
-
 let squash_younger t ~than_id =
   Ring.drop_while_back (fun (entry : Entry.t) -> entry.id > than_id) t.ring
 

@@ -39,11 +39,6 @@ val iter : (Entry.t -> unit) -> t -> unit
 
 val find : (Entry.t -> bool) -> t -> Entry.t option
 
-val entry_by_id : t -> int -> Entry.t option
-(** O(1) lookup of an in-flight entry by id (ids in the window are
-    consecutive). [None] when the id has committed, was squashed, or has
-    not been dispatched yet. *)
-
 val squash_younger : t -> than_id:int -> int
 (** Remove every entry whose id is greater than [than_id]; returns how
     many were removed. *)

@@ -12,7 +12,8 @@
     human waterfall renderer (the classic per-instruction Gantt view,
     like sim-outorder's ptrace). Sink output is a pure function of the
     event stream, which itself is deterministic and bit-identical
-    between the Scan and Event schedulers (asserted by the differential
+    between the default engine and the reference phases
+    ({!Resim_core.Engine.use_reference}; asserted by the differential
     suite). *)
 
 type sink

@@ -6,7 +6,6 @@ type measurement = {
   kernel : string;
   scale : int option;
   config_name : string;
-  scheduler : string;
   instructions : int;
   record_count : int;
   cycles : int64;
@@ -46,16 +45,18 @@ let seed_baseline =
    which inflates MIPS and would fabricate a speedup). *)
 let seed_scale = function "gzip" -> Some 8192 | _ -> None
 
-let seed_mips ~kernel ~scale ~config_name =
-  if scale <> seed_scale kernel then None
+let speedup_vs_seed m =
+  if m.scale <> seed_scale m.kernel then None
   else
     List.find_map
-      (fun (k, c, mips) ->
-        if String.equal k kernel && String.equal c config_name then Some mips
+      (fun (kernel, config_name, mips) ->
+        if
+          String.equal kernel m.kernel
+          && String.equal config_name m.config_name
+          && mips > 0.0
+        then Some (m.host_mips /. mips)
         else None)
       seed_baseline
-
-let schedulers = [ Config.Scan; Config.Event ]
 
 let grid ~quick =
   if quick then [ ("gzip", Some 1024) ]
@@ -93,13 +94,9 @@ let measure ?(quick = false) () =
           | None -> Resim_workloads.Workload.program_of kernel ()
         in
         let generated = Resim_tracegen.Generator.run program in
-        List.concat_map
+        List.map
           (fun (config_name, config) ->
-            List.map
-              (fun scheduler ->
-                (kernel_name, scale, config_name,
-                 { config with Config.scheduler }, generated))
-              schedulers)
+            (kernel_name, scale, config_name, config, generated))
           configurations)
       (grid ~quick)
     |> Array.of_list
@@ -119,14 +116,11 @@ let measure ?(quick = false) () =
       points
   done;
   List.init (Array.length points) (fun index ->
-      let kernel_name, scale, config_name, config, generated =
-        points.(index)
-      in
+      let kernel_name, scale, config_name, _, generated = points.(index) in
       let seconds = best.(index) and stats = stats.(index) in
       { kernel = kernel_name;
         scale;
         config_name;
-        scheduler = Config.scheduler_name config.Config.scheduler;
         instructions = generated.correct_path;
         record_count = Array.length generated.records;
         cycles = Stats.get Stats.major_cycles stats;
@@ -239,52 +233,17 @@ let pp_sampled ppf sampled =
     sampled;
   Format.fprintf ppf "@]"
 
-let find measurements ~kernel ~config_name ~scheduler =
-  List.find_opt
-    (fun m ->
-      String.equal m.kernel kernel
-      && String.equal m.config_name config_name
-      && String.equal m.scheduler scheduler)
-    measurements
-
-let speedup measurements ~kernel ~config_name =
-  match
-    ( find measurements ~kernel ~config_name ~scheduler:"scan",
-      find measurements ~kernel ~config_name ~scheduler:"event" )
-  with
-  | Some scan, Some event when scan.host_mips > 0.0 ->
-      Some (event.host_mips /. scan.host_mips)
-  | _ -> None
-
-let speedup_vs_seed measurements ~kernel ~config_name =
-  match find measurements ~kernel ~config_name ~scheduler:"event" with
-  | Some event -> (
-      match seed_mips ~kernel ~scale:event.scale ~config_name with
-      | Some baseline when baseline > 0.0 ->
-          Some (event.host_mips /. baseline)
-      | Some _ | None -> None)
-  | None -> None
-
 let pp_table ppf measurements =
-  Format.fprintf ppf "@[<v>%-8s %-16s %-6s %12s %12s %10s@," "kernel"
-    "config" "sched" "cycles" "ns/run" "host MIPS";
+  Format.fprintf ppf "@[<v>%-8s %-16s %12s %12s %10s@," "kernel" "config"
+    "cycles" "ns/run" "host MIPS";
   List.iter
     (fun m ->
-      Format.fprintf ppf "%-8s %-16s %-6s %12Ld %12.0f %10.3f" m.kernel
-        m.config_name m.scheduler m.cycles m.ns_per_run m.host_mips;
-      if String.equal m.scheduler "event" then begin
-        (match speedup measurements ~kernel:m.kernel
-                 ~config_name:m.config_name
-         with
-        | Some ratio -> Format.fprintf ppf "   (%.2fx vs scan" ratio
-        | None -> Format.fprintf ppf "   (");
-        (match speedup_vs_seed measurements ~kernel:m.kernel
-                 ~config_name:m.config_name
-         with
-        | Some ratio -> Format.fprintf ppf ", %.2fx vs seed)@," ratio
-        | None -> Format.fprintf ppf ")@,")
-      end
-      else Format.fprintf ppf "@,")
+      Format.fprintf ppf "%-8s %-16s %12Ld %12.0f %10.3f" m.kernel
+        m.config_name m.cycles m.ns_per_run m.host_mips;
+      (match speedup_vs_seed m with
+      | Some ratio -> Format.fprintf ppf "   (%.2fx vs seed)" ratio
+      | None -> ());
+      Format.fprintf ppf "@,")
     measurements;
   Format.fprintf ppf "@]"
 
@@ -323,20 +282,19 @@ let to_json ?sweep_outcomes ?sampled measurements =
       Buffer.add_string buffer
         (Printf.sprintf
            "    {\"kernel\": \"%s\", \"scale\": %s, \"config\": \"%s\", \
-            \"scheduler\": \"%s\", \"instructions\": %d, \"records\": %d, \
-            \"cycles\": %Ld, \"runs\": %d, \"ns_per_run\": %.0f, \
-            \"host_mips\": %.4f, \"stalls\": {%s}}%s\n"
+            \"instructions\": %d, \"records\": %d, \"cycles\": %Ld, \
+            \"runs\": %d, \"ns_per_run\": %.0f, \"host_mips\": %.4f, \
+            \"stalls\": {%s}}%s\n"
            (json_escape m.kernel)
            (match m.scale with Some s -> string_of_int s | None -> "null")
            (json_escape m.config_name)
-           (json_escape m.scheduler)
            m.instructions m.record_count m.cycles m.runs m.ns_per_run
            m.host_mips stalls
            (if index = List.length measurements - 1 then "" else ",")))
     measurements;
   Buffer.add_string buffer "  ],\n";
   Buffer.add_string buffer
-    "  \"baseline\": {\"commit\": \"45c755d\", \"scheduler\": \"scan\", \
+    "  \"baseline\": {\"commit\": \"45c755d\", \
      \"note\": \"pre-event-engine seed, same protocol and host class\", \
      \"host_mips\": [\n";
   List.iteri
@@ -353,27 +311,18 @@ let to_json ?sweep_outcomes ?sampled measurements =
   let points =
     List.filter_map
       (fun m ->
-        if String.equal m.scheduler "event" then
-          match speedup measurements ~kernel:m.kernel
-                  ~config_name:m.config_name
-          with
-          | Some ratio -> Some (m.kernel, m.config_name, ratio)
-          | None -> None
-        else None)
+        Option.map
+          (fun ratio -> (m.kernel, m.config_name, ratio))
+          (speedup_vs_seed m))
       measurements
   in
   List.iteri
     (fun index (kernel, config_name, ratio) ->
-      let vs_seed =
-        match speedup_vs_seed measurements ~kernel ~config_name with
-        | Some ratio -> Printf.sprintf ", \"event_over_seed\": %.4f" ratio
-        | None -> ""
-      in
       Buffer.add_string buffer
         (Printf.sprintf
            "    {\"kernel\": \"%s\", \"config\": \"%s\", \
-            \"event_over_scan\": %.4f%s}%s\n"
-           (json_escape kernel) (json_escape config_name) ratio vs_seed
+            \"event_over_seed\": %.4f}%s\n"
+           (json_escape kernel) (json_escape config_name) ratio
            (if index = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buffer "  ],\n";
@@ -409,11 +358,3 @@ let to_json ?sweep_outcomes ?sampled measurements =
       Buffer.add_string buffer "  ]\n");
   Buffer.add_string buffer "}\n";
   Buffer.contents buffer
-
-let write_json ~path ?sweep_outcomes ?sampled measurements =
-  let channel = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out channel)
-    (fun () ->
-      output_string channel
-        (to_json ?sweep_outcomes ?sampled measurements))

@@ -2,16 +2,13 @@
     PRs as machine-readable JSON ([BENCH_engine.json]).
 
     Each measurement runs the engine on a pre-generated kernel trace and
-    reports host MIPS (simulated correct-path instructions per host
-    microsecond... reported as millions per second) for one
-    (kernel, configuration, scheduler) point, so the Scan-oracle versus
-    Event-scheduler speedup is recorded per configuration. *)
+    reports host MIPS (millions of simulated correct-path instructions
+    per host second) for one (kernel, configuration) point. *)
 
 type measurement = {
   kernel : string;
   scale : int option;          (** [None] = the kernel's default scale *)
   config_name : string;        (** "reference" | "fast-comparable" *)
-  scheduler : string;          (** {!Resim_core.Config.scheduler_name} *)
   instructions : int;          (** correct-path instructions per run *)
   record_count : int;          (** trace records (incl. wrong path) *)
   cycles : int64;              (** simulated major cycles *)
@@ -26,31 +23,23 @@ type measurement = {
 val measure : ?quick:bool -> unit -> measurement list
 (** Run the measurement grid. [quick] (default [false]) shrinks it to a
     single small kernel for smoke tests; the full grid covers several
-    kernels, both paper configurations and both schedulers. Every point
+    kernels and both paper configurations. Every point
     is warmed once, then timed in [runs] interleaved rounds over the
     whole grid, keeping each point's best. *)
 
 val pp_table : Format.formatter -> measurement list -> unit
-(** Human-readable table, with a per-(kernel, config) Event/Scan
-    speedup column. *)
-
-val speedup : measurement list -> kernel:string -> config_name:string -> float option
-(** Event-over-Scan host-MIPS ratio for one grid point, when both
-    measurements are present. The in-binary Scan oracle shares the
-    representation optimizations introduced with the event engine, so
-    this ratio understates the engine-core trajectory; see
-    {!speedup_vs_seed}. *)
+(** Human-readable table, with the {!speedup_vs_seed} ratio where the
+    point has an anchor. *)
 
 val seed_baseline : (string * string * float) list
 (** [(kernel, config, host_mips)] anchors measured at the
     pre-event-engine seed commit (scan-only engine) with the same
     protocol and host class. *)
 
-val speedup_vs_seed :
-  measurement list -> kernel:string -> config_name:string -> float option
-(** Event host-MIPS over the {!seed_baseline} anchor for one grid
-    point — the end-to-end engine-core speedup this optimization work
-    delivered. *)
+val speedup_vs_seed : measurement -> float option
+(** Host MIPS over the point's {!seed_baseline} anchor — the end-to-end
+    engine-core speedup since the scan-only seed; [None] off the
+    anchored grid (quick mode's smaller gzip trace included). *)
 
 (** {1 Sampled simulation bench (DESIGN.md §13)} *)
 
@@ -90,11 +79,3 @@ val to_json :
     harness's full-grid sweep (ok/failed/timed_out/truncated/retried);
     when absent — e.g. quick mode — the key is emitted as [null].
     [sampled] is the sampled-simulation section, [null] when absent. *)
-
-val write_json :
-  path:string ->
-  ?sweep_outcomes:Resim_sweep.Sweep.counts ->
-  ?sampled:sampled_measurement list ->
-  measurement list ->
-  unit
-(** [to_json] to a file. *)

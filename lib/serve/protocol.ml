@@ -65,7 +65,6 @@ type config_spec = {
   rob : int option;
   lsq : int option;
   organization : string option;
-  scheduler : string option;
 }
 
 let reference_spec =
@@ -73,12 +72,12 @@ let reference_spec =
     width = None;
     rob = None;
     lsq = None;
-    organization = None;
-    scheduler = None }
+    organization = None }
 
-(* Width implies the same derived front end the [resim vhdl] surface
-   uses, so a wire job at width N simulates the machine the rest of
-   the tooling calls "width N". *)
+(* A width override derives the decouple buffer, ALU count, memory
+   ports and organization as [resim vhdl] does, but keeps the base's
+   IFQ when it is deeper than one fetch group (reference at width 2:
+   IFQ 4, where [vhdl -w 2] builds IFQ 2). *)
 let resolve_config spec =
   let ( let* ) = Result.bind in
   let* base =
@@ -111,19 +110,12 @@ let resolve_config spec =
     | None -> config
     | Some lsq_entries -> { config with Config.lsq_entries }
   in
-  let* config =
-    match spec.organization with
-    | None -> Ok config
-    | Some "simple" -> Ok { config with Config.organization = Simple }
-    | Some "improved" -> Ok { config with Config.organization = Improved }
-    | Some "optimized" -> Ok { config with Config.organization = Optimized }
-    | Some other -> Error (Printf.sprintf "unknown organization %S" other)
-  in
-  match spec.scheduler with
+  match spec.organization with
   | None -> Ok config
-  | Some "scan" -> Ok { config with Config.scheduler = Scan }
-  | Some "event" -> Ok { config with Config.scheduler = Event }
-  | Some other -> Error (Printf.sprintf "unknown scheduler %S" other)
+  | Some "simple" -> Ok { config with Config.organization = Simple }
+  | Some "improved" -> Ok { config with Config.organization = Improved }
+  | Some "optimized" -> Ok { config with Config.organization = Optimized }
+  | Some other -> Error (Printf.sprintf "unknown organization %S" other)
 
 type sim_spec = {
   kernel : string;
@@ -235,7 +227,6 @@ let add_config_spec b spec =
     (fun b f n v -> add_field b f n (string_of_int v))
     b first "lsq" spec.lsq;
   add_opt add_string_field b first "organization" spec.organization;
-  add_opt add_string_field b first "scheduler" spec.scheduler;
   Buffer.add_char b '}'
 
 let add_sim_fields b first spec =
@@ -388,8 +379,7 @@ let decode_config_spec value =
           width = int_member "width" v;
           rob = int_member "rob" v;
           lsq = int_member "lsq" v;
-          organization = str_member "organization" v;
-          scheduler = str_member "scheduler" v }
+          organization = str_member "organization" v }
   | Some _ -> bad_shape "config is not an object"
 
 let decode_sim_spec v =

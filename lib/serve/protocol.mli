@@ -36,16 +36,18 @@ val finish : string -> offset:int -> (unit, frame_error) result
 (** {1 Requests} *)
 
 (** Wire form of a configuration: a named base plus overrides. A
-    [width] override derives the same front end as [resim vhdl]
-    (IFQ/decouple/ALU count, memory ports, organization), so wire jobs
-    agree with the rest of the tooling about what "width N" means. *)
+    [width] override N derives the decouple buffer and ALU count (N),
+    the memory ports and the organization as [resim vhdl] does, but the
+    IFQ keeps the base's depth when that exceeds N ([max N
+    base.ifq_entries]): the reference base at width 2 simulates IFQ 4,
+    where [resim vhdl -w 2] builds IFQ 2. Unknown members are ignored on
+    decode, including the [scheduler] member older clients send. *)
 type config_spec = {
   base : string;  (** ["reference"] or ["fast"] *)
   width : int option;
   rob : int option;
   lsq : int option;
   organization : string option;  (** simple | improved | optimized *)
-  scheduler : string option;     (** scan | event *)
 }
 
 val reference_spec : config_spec

@@ -6,7 +6,10 @@
 
 type mode =
   | Auto  (** the default engine: the closure family *)
-  | Never  (** the reference phases ({!Resim_core.Engine.use_reference}) *)
+  | Never
+      (** the reference phases ({!Resim_core.Engine.use_reference}): the
+          paper's per-cycle scan, where the closure family is
+          event-driven *)
 
 val install : ?mode:mode -> Resim_core.Engine.t -> bool
 (** Apply [mode] (default [Auto]) to a freshly created engine; returns

@@ -39,19 +39,19 @@ python3 - "$ANCHORS" "$TMP/bench.json" "$TOLERANCE" <<'EOF'
 import json, math, sys
 
 anchors_path, fresh_path, tolerance = sys.argv[1], sys.argv[2], float(sys.argv[3])
-anchors = {(m["kernel"], m["config"], m["scheduler"]): m["host_mips"]
+anchors = {(m["kernel"], m["config"]): m["host_mips"]
            for m in json.load(open(anchors_path))["measurements"]}
 fresh = json.load(open(fresh_path))["measurements"]
 
 ratios = []
 for m in fresh:
-    key = (m["kernel"], m["config"], m["scheduler"])
+    key = (m["kernel"], m["config"])
     anchor = anchors.get(key)
     if anchor is None or anchor <= 0.0:
         continue
     ratio = m["host_mips"] / anchor
     ratios.append(ratio)
-    print(f"{key[0]:8s} {key[1]:16s} {key[2]:6s} "
+    print(f"{key[0]:8s} {key[1]:16s} "
           f"anchor {anchor:7.4f}  now {m['host_mips']:7.4f}  "
           f"{(ratio - 1.0) * 100.0:+6.1f}%")
 

@@ -53,9 +53,7 @@ let test_optimized_port_budget () =
   check bool "C013 fires" true
     (List.mem "RSM-C013" (error_codes (Check.Config.validate too_many)));
   (* The same port count is legal under the improved organization. *)
-  let improved =
-    { too_many with organization = Config.Improved; scheduler = Config.Scan }
-  in
+  let improved = { too_many with organization = Config.Improved } in
   check string_list "improved organization accepts the ports" []
     (error_codes (Check.Config.validate improved));
   (* Exactly N-1 ports is the boundary and is accepted. *)
@@ -122,8 +120,8 @@ let test_warnings_are_not_errors () =
 
 (* Structurally sound configurations: width 1-8 with the queues, ROB
    and LSQ sized around it, functional-unit counts and latencies, memory
-   ports within the organization's budget, penalties, both schedulers,
-   and perfect or set-associative L1 caches of power-of-two geometry.
+   ports within the organization's budget, penalties, and perfect or
+   set-associative L1 caches of power-of-two geometry.
    Every draw passes resim-check with no diagnostic at all. Shared with
    the engine differential in test_spec.ml. *)
 let sound_config : Config.t QCheck.Gen.t =
@@ -172,7 +170,6 @@ let sound_config : Config.t QCheck.Gen.t =
     misfetch_penalty = misfetch;
     misspeculation_penalty = misfetch + int 1 3;
     organization;
-    scheduler = pick [ Config.Scan; Config.Event ];
     icache = cache ();
     dcache = cache () }
 

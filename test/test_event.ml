@@ -1,8 +1,10 @@
-(* Tests for the event-driven scheduler: Event_queue ordering and
-   stability, and the differential guarantee that the Event scheduler is
-   cycle- and stats-identical to the Scan reference oracle on every
-   workload kernel and on random synthetic traces across organizations,
-   widths and memory systems. *)
+(* Tests for the event-driven engine: Event_queue ordering and
+   stability, and the differential guarantee that the default engine
+   (the closure family, event-driven) is cycle-, stats- and
+   event-stream-identical to the reference phases (the paper's
+   per-cycle scan) on every workload kernel, on handcrafted corner
+   cases and on random synthetic traces across organizations, widths
+   and memory systems. The harness is {!Test_spec.assert_identical}. *)
 
 open Resim_core
 module Record = Resim_trace.Record
@@ -11,7 +13,6 @@ module Synthetic = Resim_tracegen.Synthetic
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
-let i64 = Alcotest.int64
 
 (* ------------------------------------------------------------------- *)
 (* Event_queue                                                          *)
@@ -91,44 +92,11 @@ let queue_matches_sorted_model =
       drain queue = expected)
 
 (* ------------------------------------------------------------------- *)
-(* Differential harness: Scan vs Event.                                 *)
-
-let with_scheduler scheduler (config : Config.t) = { config with scheduler }
-
-let stats_dump stats = Format.asprintf "%a" Stats.pp stats
-
-let assert_schedulers_agree ~name config records =
-  let scan =
-    Engine.simulate ~config:(with_scheduler Config.Scan config) records
-  in
-  let event =
-    Engine.simulate ~config:(with_scheduler Config.Event config) records
-  in
-  check i64
-    (name ^ ": major cycles")
-    (Stats.get Stats.major_cycles scan)
-    (Stats.get Stats.major_cycles event);
-  check Alcotest.string (name ^ ": full stats dump") (stats_dump scan)
-    (stats_dump event)
-
-let schedulers_agree config records =
-  let scan =
-    Engine.simulate ~config:(with_scheduler Config.Scan config) records
-  in
-  let event =
-    Engine.simulate ~config:(with_scheduler Config.Event config) records
-  in
-  Int64.equal
-    (Stats.get Stats.major_cycles scan)
-    (Stats.get Stats.major_cycles event)
-  && String.equal (stats_dump scan) (stats_dump event)
-
-(* ------------------------------------------------------------------- *)
 (* Differential: every workload kernel (plus a synthetic eighth), both
    paper configurations.                                                *)
 
 let kernel_records =
-  (* Generated lazily once; reused by both scheduler runs and both
+  (* Generated lazily once; reused by both engines and both
      configurations. *)
   lazy
     (let kernels =
@@ -152,13 +120,13 @@ let kernel_records =
 let test_kernels_reference () =
   List.iter
     (fun (name, records) ->
-      assert_schedulers_agree ~name Config.reference records)
+      Test_spec.assert_identical ~name Config.reference records)
     (Lazy.force kernel_records)
 
 let test_kernels_fast_comparable () =
   List.iter
     (fun (name, records) ->
-      assert_schedulers_agree ~name Config.fast_comparable records)
+      Test_spec.assert_identical ~name Config.fast_comparable records)
     (Lazy.force kernel_records)
 
 (* ------------------------------------------------------------------- *)
@@ -186,7 +154,7 @@ let branch ?(wrong = false) ~pc ~taken ~target () =
 
 let test_corner_cases () =
   (* Forwarding store retires before the starved load issues: the load
-     must fall back to a D-cache port in both schedulers. Width 1 keeps
+     must fall back to a D-cache port in both engines. Width 1 keeps
      the load queued behind older ALU work. *)
   let narrow =
     { Config.reference with
@@ -204,7 +172,7 @@ let test_corner_cases () =
         Array.init 6 (fun i -> alu ~pc:(1 + i) ~dest:3 ~src1:29 ~src2:0 ());
         [| load ~pc:7 ~dest:4 ~base:29 ~addr:64 () |] ]
   in
-  assert_schedulers_agree ~name:"forward-then-retire" narrow
+  Test_spec.assert_identical ~name:"forward-then-retire" narrow
     forward_then_retire;
   (* Broadcast bandwidth: a divider, a chain and independent ALUs all
      complete around the same cycles; more results can be due than the
@@ -220,7 +188,7 @@ let test_corner_cases () =
     { narrow with width = 2; ifq_entries = 2; decouple_entries = 2;
       alu_count = 2 }
   in
-  assert_schedulers_agree ~name:"broadcast-pressure" two_wide
+  Test_spec.assert_identical ~name:"broadcast-pressure" two_wide
     broadcast_pressure;
   (* Squash with in-flight long-latency work and a pending store: heap
      and pool entries for the squashed suffix must be discarded. *)
@@ -241,7 +209,7 @@ let test_corner_cases () =
      it explicitly. *)
   squash_with_inflight.(2) <-
     { (squash_with_inflight.(2)) with Record.wrong_path = true };
-  assert_schedulers_agree ~name:"squash-inflight" Config.reference
+  Test_spec.assert_identical ~name:"squash-inflight" Config.reference
     squash_with_inflight
 
 (* ------------------------------------------------------------------- *)
@@ -305,10 +273,10 @@ let synthetic_profile ~instructions ~loads ~stores ~branches ~divides
     working_set_bytes = working_set;
     sequential_locality = 0.5 }
 
-let scan_vs_event_differential =
+let random_differential =
   (* The acceptance bar: >= 100 random traces, every organization and a
-     width spread, equal cycles and equal full stats dumps. *)
-  QCheck.Test.make ~name:"Scan and Event schedulers are cycle-exact equal"
+     width spread, equal cycles, full stats dumps and event streams. *)
+  QCheck.Test.make ~name:"random traces match the reference cycle-exactly"
     ~count:120
     QCheck.(
       pair (int_bound 100_000)
@@ -328,13 +296,13 @@ let scan_vs_event_differential =
           ~working_set:(64 * (1 + (knob mod 64)))
       in
       let records = Synthetic.generate ~seed profile in
-      schedulers_agree differential_configs.(config_index) records)
+      Test_spec.identical differential_configs.(config_index) records)
 
-let scan_vs_event_store_heavy =
+let store_heavy_differential =
   (* Tiny working sets force dense store-to-load aliasing: the
      incremental LSQ reclassification is the code under stress. *)
   QCheck.Test.make
-    ~name:"schedulers agree under dense store-load aliasing" ~count:40
+    ~name:"dense store-load aliasing matches the reference" ~count:40
     QCheck.(pair (int_bound 100_000) (int_range 0 4))
     (fun (seed, config_index) ->
       let profile =
@@ -343,7 +311,7 @@ let scan_vs_event_store_heavy =
           ~mispredict_rate:0.1 ~working_set:64
       in
       let records = Synthetic.generate ~seed profile in
-      schedulers_agree differential_configs.(config_index) records)
+      Test_spec.identical differential_configs.(config_index) records)
 
 (* ------------------------------------------------------------------- *)
 
@@ -362,5 +330,5 @@ let suite =
        Alcotest.test_case "kernels, fast-comparable config" `Slow
          test_kernels_fast_comparable;
        Alcotest.test_case "corner cases" `Quick test_corner_cases;
-       QCheck_alcotest.to_alcotest scan_vs_event_differential;
-       QCheck_alcotest.to_alcotest scan_vs_event_store_heavy ]) ]
+       QCheck_alcotest.to_alcotest random_differential;
+       QCheck_alcotest.to_alcotest store_heavy_differential ]) ]

@@ -80,15 +80,11 @@ let test_diagnostics_carry_offsets () =
           check bool "record offset in range" true
             (index >= 0 && index < total))
 
-(* --- no escape, no hang: all organizations x both schedulers --------- *)
+(* --- no escape, no hang: all organizations ---------------------------- *)
 
-let org_sched_grid =
-  List.concat_map
-    (fun organization ->
-      List.map
-        (fun scheduler ->
-          { Config.reference with organization; scheduler })
-        [ Config.Scan; Config.Event ])
+let org_grid =
+  List.map
+    (fun organization -> { Config.reference with organization })
     [ Config.Simple; Config.Improved; Config.Optimized ]
 
 (* A corrupted stream must come back as structured data at one of the
@@ -105,7 +101,7 @@ let exercise_engine data =
             Resim.run ~config ~watchdog:50_000 (Records records)
           with
           | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ())
-        org_sched_grid
+        org_grid
 
 let test_no_escape_across_configs () =
   let records = Lazy.force base_records in
@@ -391,7 +387,7 @@ let suite =
          test_classes_surface_codes;
        Alcotest.test_case "diagnostics carry record offsets" `Quick
          test_diagnostics_carry_offsets;
-       Alcotest.test_case "no escape across orgs x schedulers" `Slow
+       Alcotest.test_case "no escape across organizations" `Slow
          test_no_escape_across_configs;
        QCheck_alcotest.to_alcotest property_class_seed;
        QCheck_alcotest.to_alcotest property_random_byte ]);

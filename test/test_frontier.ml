@@ -2,7 +2,7 @@
    RISC-V profiles), constant-memory streaming cursors and encoders,
    sharded trace sets, and the differential guarantee that the streamed
    engine path is stats-identical to the in-memory path on every
-   workload kernel under both schedulers. *)
+   workload kernel. *)
 
 open Resim_core
 module Record = Resim_trace.Record
@@ -39,31 +39,10 @@ let read_bytes path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let stats_dump stats = Format.asprintf "%a" Stats.pp stats
-let with_scheduler scheduler (config : Config.t) = { config with scheduler }
 
 (* ------------------------------------------------------------------- *)
 (* Differential: streamed pull path vs in-memory array path, every
-   workload kernel (plus a synthetic eighth), both schedulers.          *)
-
-let kernel_records =
-  lazy
-    (let kernels =
-       Resim_workloads.Workload.all @ Resim_workloads.Workload.extended
-     in
-     let from_kernels =
-       List.map
-         (fun kernel ->
-           let name = Resim_workloads.Workload.name_of kernel in
-           let program = Resim_workloads.Workload.program_of kernel () in
-           (name, Resim_tracegen.Generator.records program))
-         kernels
-     in
-     let synthetic =
-       ( "synthetic",
-         Synthetic.generate ~seed:7
-           (Synthetic.balanced ~name:"eighth" ~instructions:4000) )
-     in
-     from_kernels @ [ synthetic ])
+   workload kernel (plus a synthetic eighth).                           *)
 
 let robust_exn label = function
   | Ok (r : Resim.robust) -> r
@@ -75,47 +54,37 @@ let test_streamed_matches_in_memory () =
     (fun (name, records) ->
       with_tmp ~suffix:".rtr" (fun path ->
           Codec.write_file ~format:Codec.Compact path records;
-          List.iter
-            (fun scheduler ->
-              let label =
-                Printf.sprintf "%s/%s" name
-                  (match scheduler with
-                  | Config.Scan -> "scan"
-                  | Config.Event -> "event")
-              in
-              let config = with_scheduler scheduler Config.reference in
-              let in_memory =
-                robust_exn label (Resim.run ~config (Records records))
-              in
-              let stream =
-                match Stream.open_file ~chunk:512 path with
-                | Ok stream -> stream
-                | Error e ->
-                    Alcotest.failf "%s: open_file: %s" label
-                      (Codec.error_to_string e)
-              in
-              let streamed =
-                Fun.protect
-                  ~finally:(fun () -> Stream.close stream)
-                  (fun () ->
-                    robust_exn label
-                      (Resim.run ~config
-                         (Pull (fun () -> Stream.next stream))))
-              in
-              check i64
-                (label ^ ": major cycles")
-                (Stats.get Stats.major_cycles in_memory.outcome.stats)
-                (Stats.get Stats.major_cycles streamed.outcome.stats);
-              check string
-                (label ^ ": full stats dump")
-                (stats_dump in_memory.outcome.stats)
-                (stats_dump streamed.outcome.stats);
-              check (Alcotest.float 0.0)
-                (label ^ ": bits/instr")
-                in_memory.outcome.bits_per_instruction
-                streamed.outcome.bits_per_instruction)
-            [ Config.Scan; Config.Event ]))
-    (Lazy.force kernel_records)
+          let config = Config.reference in
+          let in_memory =
+            robust_exn name (Resim.run ~config (Records records))
+          in
+          let stream =
+            match Stream.open_file ~chunk:512 path with
+            | Ok stream -> stream
+            | Error e ->
+                Alcotest.failf "%s: open_file: %s" name
+                  (Codec.error_to_string e)
+          in
+          let streamed =
+            Fun.protect
+              ~finally:(fun () -> Stream.close stream)
+              (fun () ->
+                robust_exn name
+                  (Resim.run ~config (Pull (fun () -> Stream.next stream))))
+          in
+          check i64
+            (name ^ ": major cycles")
+            (Stats.get Stats.major_cycles in_memory.outcome.stats)
+            (Stats.get Stats.major_cycles streamed.outcome.stats);
+          check string
+            (name ^ ": full stats dump")
+            (stats_dump in_memory.outcome.stats)
+            (stats_dump streamed.outcome.stats);
+          check (Alcotest.float 0.0)
+            (name ^ ": bits/instr")
+            in_memory.outcome.bits_per_instruction
+            streamed.outcome.bits_per_instruction))
+    (Lazy.force Test_event.kernel_records)
 
 (* The CLI face of the differential: [simulate --stream -t F] prints the
    report [simulate -t F] prints, bits/instr line included, and writes
@@ -326,7 +295,7 @@ let test_read_file_missing_is_typed () =
 
 let shard_records =
   (* A kernel trace, so real wrong-path blocks cross naive cut points. *)
-  lazy (snd (List.hd (Lazy.force kernel_records)))
+  lazy (snd (List.hd (Lazy.force Test_event.kernel_records)))
 
 let with_shards ~records_per_shard records f =
   let stem = Filename.temp_file "resim_frontier_shard" "" in

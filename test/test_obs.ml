@@ -1,6 +1,6 @@
 (* Tests for the observability layer (DESIGN.md §11): the pipetrace
-   JSONL stream and its bit-identity between the Scan and Event
-   schedulers, the schema validator (RSM-P codes), the waterfall
+   JSONL stream and its bit-identity between the default engine and
+   the reference phases, the schema validator (RSM-P codes), the waterfall
    renderer, the host profiler, and the guarantee that attaching no
    sink leaves the run's statistics untouched. *)
 
@@ -15,12 +15,12 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let with_scheduler scheduler (config : Config.t) = { config with scheduler }
-
 (* Run one engine with a buffer-backed JSONL sink; return the stream
-   and the final stats. *)
-let pipetrace ~config records =
+   and the final stats. [reference] runs the reference phases
+   ({!Engine.use_reference}) instead of the default engine. *)
+let pipetrace ?(reference = false) ~config records =
   let engine = Engine.create ~config records in
+  if reference then Engine.use_reference engine;
   let buffer = Buffer.create 4096 in
   let sinks = [ Obs.jsonl_buffer buffer ] in
   Obs.attach engine sinks;
@@ -29,22 +29,18 @@ let pipetrace ~config records =
   (Buffer.contents buffer, stats)
 
 (* ------------------------------------------------------------------- *)
-(* Differential: the pipetrace stream is part of the Scan/Event
-   equivalence contract, not just the end-of-run statistics.            *)
+(* Differential: the pipetrace stream, cycle stamps included, is part
+   of the engine/reference equivalence contract, not just the
+   end-of-run statistics.                                               *)
 
 let streams_identical ~config records =
-  let scan, _ = pipetrace ~config:(with_scheduler Config.Scan config) records in
-  let event, _ =
-    pipetrace ~config:(with_scheduler Config.Event config) records
-  in
-  String.equal scan event
+  String.equal
+    (fst (pipetrace ~reference:true ~config records))
+    (fst (pipetrace ~config records))
 
 let assert_streams_identical ~name ~config records =
-  let scan, _ = pipetrace ~config:(with_scheduler Config.Scan config) records in
-  let event, _ =
-    pipetrace ~config:(with_scheduler Config.Event config) records
-  in
-  check string (name ^ ": pipetrace streams") scan event
+  check bool (name ^ ": pipetrace streams") true
+    (streams_identical ~config records)
 
 let test_kernel_streams_bit_identical () =
   List.iter
@@ -56,7 +52,7 @@ let test_kernel_streams_bit_identical () =
 
 let random_streams_bit_identical =
   QCheck.Test.make
-    ~name:"Scan and Event emit bit-identical pipetrace streams" ~count:60
+    ~name:"random streams bit-identical to the reference" ~count:60
     QCheck.(
       pair (int_bound 100_000)
         (pair
@@ -237,18 +233,18 @@ let test_no_sink_no_observer () =
 
 let test_observed_run_stats_unchanged () =
   (* The pipetrace is pure observation: same counters with and without
-     a sink attached, on both schedulers. *)
+     a sink attached, in the default engine and the reference phases. *)
   let records = Lazy.force small_records in
+  let config = Config.reference in
+  let bare = Engine.simulate ~config records in
   List.iter
-    (fun scheduler ->
-      let config = with_scheduler scheduler Config.reference in
-      let bare = Engine.simulate ~config records in
-      let _, observed = pipetrace ~config records in
+    (fun (name, reference) ->
+      let _, observed = pipetrace ~reference ~config records in
       check string
-        (Config.scheduler_name scheduler ^ ": observation is pure")
+        (name ^ ": observation is pure")
         (Format.asprintf "%a" Stats.pp bare)
         (Format.asprintf "%a" Stats.pp observed))
-    [ Config.Scan; Config.Event ]
+    [ ("reference phases", true); ("engine", false) ]
 
 let suite =
   [ ("obs:pipetrace",

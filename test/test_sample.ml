@@ -1,7 +1,7 @@
 (* Tests for the sampled-simulation layer (DESIGN.md §13) and the
    hardening satellites that shipped with it: the differential suite
    asserting the sampled IPC confidence interval covers the full-run
-   IPC across the kernel x organization x scheduler grid, determinism
+   IPC across the kernel x organization grid, determinism
    for a fixed seed, budget composition, the structured RSM-K
    checkpoint parse errors, the sweep timed-region pin (host_mips must
    exclude trace generation), the shared JSON escape, and the CLI exit
@@ -172,16 +172,12 @@ let test_commit_target () =
 
 (* --- the differential suite -------------------------------------------- *)
 
-let org_sched_grid =
-  List.concat_map
-    (fun organization ->
-      List.map
-        (fun scheduler ->
-          { Config.reference with organization; scheduler })
-        [ Config.Scan; Config.Event ])
+let org_grid =
+  List.map
+    (fun organization -> { Config.reference with organization })
     [ Config.Simple; Config.Improved; Config.Optimized ]
 
-(* For every kernel and every (organization, scheduler) point: the
+(* For every kernel and every organization: the
    full detailed run's IPC must fall inside the sampled run's reported
    95% confidence interval, non-vacuously (enough intervals for a
    finite CI). This is the acceptance gate from the issue. *)
@@ -195,9 +191,8 @@ let test_differential_grid () =
       List.iter
         (fun config ->
           let label =
-            Printf.sprintf "%s/%s/%s" name
+            Printf.sprintf "%s/%s" name
               (Config.organization_name config.Config.organization)
-              (Config.scheduler_name config.Config.scheduler)
           in
           let full_ipc =
             Stats.ipc
@@ -218,7 +213,7 @@ let test_differential_grid () =
                    label full_ipc report.Sample.mean_ipc report.Sample.ci95)
                 true
                 (Sample.covers report full_ipc))
-        org_sched_grid)
+        org_grid)
     Workload.all
 
 let test_determinism () =
@@ -494,16 +489,22 @@ let run_cli args =
     (Printf.sprintf "%s %s > /dev/null 2> /dev/null"
        (Filename.quote cli) args)
 
-let cli_stdout args =
+(* Exit code, stdout and stderr of one CLI run. *)
+let cli_output args =
   let out = Filename.temp_file "resim_test" ".out" in
+  let err = Filename.temp_file "resim_test" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote cli) args
-         (Filename.quote out))
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args
+         (Filename.quote out) (Filename.quote err))
   in
-  let text = In_channel.with_open_text out In_channel.input_all in
-  Sys.remove out;
-  (code, text)
+  let read path =
+    let text = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let stdout = read out in
+  (code, stdout, read err)
 
 let write_tmp suffix content =
   let path = Filename.temp_file "resim_test" suffix in
@@ -614,6 +615,22 @@ let test_cli_exit_codes () =
           check int (Printf.sprintf "%s (`resim %s`)" label args) expected
             (run_cli args))
         cases;
+      (* An unwritable output path is a usage error that names the
+         path, not an uncaught exception. *)
+      List.iter
+        (fun (label, args, path) ->
+          let code, _, errors = cli_output args in
+          check int (Printf.sprintf "%s (`resim %s`)" label args) 2 code;
+          check bool (label ^ ": stderr names the path") true
+            (contains errors (path ^ ": "));
+          check bool (label ^ ": no internal error") false
+            (contains errors "internal error"))
+        [ ( "metrics into a missing directory",
+            "simulate -k gzip -s 200 --metrics /nonexistent/m.json",
+            "/nonexistent/m.json" );
+          ( "trace into a missing directory",
+            "tracegen -k gzip -s 200 -o /nonexistent/k.rtr",
+            "/nonexistent/k.rtr" ) ];
       check int "truncated run writes the resume checkpoint" 0
         (run_cli
            (Printf.sprintf "simulate -k gzip -s 512 --max-cycles 2000 --checkpoint %s"
@@ -654,8 +671,8 @@ let test_cli_exit_codes () =
                 (Option.bind (Json.member "outcome" job) Json.string_value))
             jobs);
       check bool "several shards" true (List.length shards > 1);
-      let code, output =
-        cli_stdout (Printf.sprintf "profile -t %s" (Filename.quote (List.hd shards)))
+      let code, output, _ =
+        cli_output (Printf.sprintf "profile -t %s" (Filename.quote (List.hd shards)))
       in
       check int "profile of a shard exits 0" 0 code;
       let committed =

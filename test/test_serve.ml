@@ -40,15 +40,14 @@ let gen_opt g = QCheck.Gen.(oneof [ return None; map Option.some g ])
 let gen_config_spec =
   QCheck.Gen.(
     map
-      (fun (base, width, rob, lsq, organization, scheduler) ->
-        { Protocol.base; width; rob; lsq; organization; scheduler })
-      (tup6
+      (fun (base, width, rob, lsq, organization) ->
+        { Protocol.base; width; rob; lsq; organization })
+      (tup5
          (oneofl [ "reference"; "fast"; "weird" ])
          (gen_opt (int_range 1 8))
          (gen_opt (int_range 1 512))
          (gen_opt (int_range 1 128))
-         (gen_opt (oneofl [ "simple"; "improved"; "optimized" ]))
-         (gen_opt (oneofl [ "scan"; "event" ]))))
+         (gen_opt (oneofl [ "simple"; "improved"; "optimized" ]))))
 
 let gen_sim_spec =
   QCheck.Gen.(
@@ -251,6 +250,26 @@ let simulate_request ?(client = "test") ?(scale = 200) kernel =
           max_cycles = None;
           timeout = None;
           sample = None } }
+
+(* Older clients may still send a [scheduler] config member; it is
+   ignored like any unknown member, so the request decodes to the one
+   it was spliced into. *)
+let test_scheduler_member_ignored () =
+  let request = simulate_request "gzip" in
+  let encoded = Protocol.encode_request request in
+  let needle = "\"base\":\"reference\"" in
+  let rec find i =
+    if String.sub encoded i (String.length needle) = needle then
+      i + String.length needle
+    else find (i + 1)
+  in
+  let at = find 0 in
+  let spliced =
+    String.sub encoded 0 at ^ ",\"scheduler\":\"scan\""
+    ^ String.sub encoded at (String.length encoded - at)
+  in
+  check bool "decodes to the same request" true
+    (Protocol.decode_request spliced = Ok request)
 
 let test_crash_recovery () =
   let socket = fresh_socket () in
@@ -485,7 +504,9 @@ let suite =
        QCheck_alcotest.to_alcotest property_event_round_trip;
        QCheck_alcotest.to_alcotest property_frame_round_trip;
        Alcotest.test_case "frame error taxonomy" `Quick test_frame_errors;
-       Alcotest.test_case "exit-code mapping" `Quick test_exit_code_mapping ]);
+       Alcotest.test_case "exit-code mapping" `Quick test_exit_code_mapping;
+       Alcotest.test_case "a scheduler member is ignored" `Quick
+         test_scheduler_member_ignored ]);
     ("serve:server",
      [ Alcotest.test_case "crashed worker: retry budget then crash outcome"
          `Slow test_crash_recovery;

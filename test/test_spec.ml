@@ -1,9 +1,12 @@
 (* Tests for the engine implementations (DESIGN.md §14): the closure
-   family every engine runs must be bit-identical to the reference
-   phases — same cycles, same full statistics dump, same observer event
-   stream — on the kernel grid and on random traces over random
-   structurally sound configurations, and through checkpoint resume;
-   plus the [Resim_spec.Spec] modes the layered benchmark links. *)
+   family every engine runs (event-driven) must be bit-identical to the
+   reference phases (the paper's per-cycle scan) — same cycles, same
+   full statistics dump, same observer event stream — on the kernel
+   grid and on random traces over random structurally sound
+   configurations, and through checkpoint resume; plus the
+   [Resim_spec.Spec] modes the layered benchmark links. The one
+   differential harness lives here; test_event.ml feeds it its
+   kernel, corner-case and random-trace inputs. *)
 
 open Resim_core
 module Spec = Resim_spec.Spec
@@ -25,20 +28,49 @@ let run_engine ~reference config records =
   let stats = Engine.run engine in
   { stats; events = Buffer.contents buffer; variant = Engine.variant engine }
 
-let assert_identical ~name config records =
+(* The differential harness: run the default engine and the reference
+   phases on the same input and return the first disagreement — in
+   engine identity, major cycles, the full stats dump or the observer
+   event stream — or [None]. *)
+let disagreement config records =
   let reference = run_engine ~reference:true config records in
-  let closures = run_engine ~reference:false config records in
-  check bool (name ^ ": the closure family ran") true (closures.variant <> None);
-  check string
-    (name ^ ": full stats dump")
-    (stats_dump reference.stats) (stats_dump closures.stats);
-  check string (name ^ ": event stream") reference.events closures.events;
-  closures
+  let engine = run_engine ~reference:false config records in
+  let cycles run = Stats.get Stats.major_cycles run.stats in
+  if engine.variant = None then Some "the closure family did not run"
+  else if not (Int64.equal (cycles reference) (cycles engine)) then
+    Some
+      (Printf.sprintf "major cycles: reference %Ld, engine %Ld"
+         (cycles reference) (cycles engine))
+  else if
+    not (String.equal (stats_dump reference.stats) (stats_dump engine.stats))
+  then
+    Some
+      (Printf.sprintf "full stats dump:\nreference:\n%s\nengine:\n%s"
+         (stats_dump reference.stats) (stats_dump engine.stats))
+  else if not (String.equal reference.events engine.events) then begin
+    (* The streams run to megabytes: report only where they part. *)
+    let limit =
+      min (String.length reference.events) (String.length engine.events)
+    in
+    let rec first i =
+      if i < limit && reference.events.[i] = engine.events.[i] then
+        first (i + 1)
+      else i
+    in
+    Some (Printf.sprintf "event stream, from byte %d" (first 0))
+  end
+  else None
+
+let identical config records = Option.is_none (disagreement config records)
+
+let assert_identical ~name config records =
+  Option.iter
+    (fun what ->
+      Alcotest.failf "%s: engine differs from the reference: %s" name what)
+    (disagreement config records)
 
 (* ------------------------------------------------------------------- *)
-(* Three-way kernel differential: five kernels x the three
-   organizations x both schedulers, each point proving Scan-reference,
-   Event-reference and the closure family agree on everything. *)
+(* Kernel differential: five kernels x the three organizations. *)
 
 let kernel_records =
   lazy
@@ -54,29 +86,12 @@ let test_kernel_differential () =
     (fun (kernel, records) ->
       List.iter
         (fun organization ->
-          let dumps =
-            List.map
-              (fun scheduler ->
-                let config =
-                  { Config.reference with Config.organization; scheduler }
-                in
-                let name =
-                  Printf.sprintf "%s/%s/%s" kernel
-                    (Config.organization_name organization)
-                    (Config.scheduler_name scheduler)
-                in
-                stats_dump (assert_identical ~name config records).stats)
-              [ Config.Scan; Config.Event ]
-          in
-          (* The third leg: the two schedulers agree with each other, so
-             all three engines pin the same timing. *)
-          match dumps with
-          | [ scan; event ] ->
-              check string
-                (Printf.sprintf "%s/%s: scan vs event" kernel
-                   (Config.organization_name organization))
-                scan event
-          | _ -> assert false)
+          assert_identical
+            ~name:
+              (Printf.sprintf "%s/%s" kernel
+                 (Config.organization_name organization))
+            { Config.reference with Config.organization }
+            records)
         [ Config.Simple; Config.Improved; Config.Optimized ])
     (Lazy.force kernel_records)
 
@@ -123,17 +138,10 @@ let test_install_modes () =
 
 (* An off-grid configuration falls back to nothing: the closure family
    is built from it at create time and stays bit-identical to the
-   reference phases under both schedulers. *)
+   reference phases. *)
 let test_always_fallback_is_identical () =
   let records = snd (List.hd (Lazy.force kernel_records)) in
-  List.iter
-    (fun scheduler ->
-      let config = { off_grid with Config.scheduler } in
-      ignore
-        (assert_identical
-           ~name:(Config.scheduler_name scheduler ^ ": off-grid")
-           config records))
-    [ Config.Scan; Config.Event ]
+  assert_identical ~name:"off-grid" off_grid records
 
 (* A budget-truncated run hands the resume a checkpoint it accepts, and
    the resumed statistics equal an uninterrupted run's — on a
@@ -170,12 +178,7 @@ let closures_match_reference =
           Synthetic.dependency_density = 0.5;
           mispredict_rate = 0.08 }
       in
-      let records = Synthetic.generate ~seed profile in
-      let reference = run_engine ~reference:true config records in
-      let closures = run_engine ~reference:false config records in
-      closures.variant <> None
-      && String.equal (stats_dump reference.stats) (stats_dump closures.stats)
-      && String.equal reference.events closures.events)
+      identical config (Synthetic.generate ~seed profile))
 
 (* ------------------------------------------------------------------- *)
 
@@ -189,6 +192,6 @@ let suite =
          "checkpoint resume of a truncated run on an off-grid config" `Quick
          test_checkpoint_resume ]);
     ("spec:differential",
-     [ Alcotest.test_case "kernels x organizations x schedulers" `Slow
+     [ Alcotest.test_case "kernels x organizations" `Slow
          test_kernel_differential;
        QCheck_alcotest.to_alcotest closures_match_reference ]) ]

@@ -113,13 +113,9 @@ let test_sweep_parallel_equals_serial () =
 
 (* High-parallelism determinism, the runtime counterpart of the
    resim-dsafe static gate: the same grid must produce the same report
-   at -j 1/4/8 under both schedulers, with the default policy's
-   progress watchdog armed so a pool regression shows up as a bounded
-   deadlock report instead of a hang. *)
-let with_scheduler scheduler (job : Sweep.job) =
-  { job with
-    Sweep.config = { job.Sweep.config with Resim_core.Config.scheduler } }
-
+   at -j 1/4/8, with the default policy's progress watchdog armed so a
+   pool regression shows up as a bounded deadlock report instead of a
+   hang. *)
 let fingerprint report =
   List.map
     (fun (r : Sweep.result) ->
@@ -130,24 +126,20 @@ let fingerprint report =
     (Sweep.completed report)
 
 let test_sweep_high_j_deterministic () =
+  let grid = small_grid () in
+  let run jobs =
+    fingerprint (Sweep.run ~policy:Sweep.default_policy ~jobs grid)
+  in
+  let reference = run 1 in
+  check int "all jobs completed serially" (List.length grid)
+    (List.length reference);
   List.iter
-    (fun scheduler ->
-      let name = Resim_core.Config.scheduler_name scheduler in
-      let grid = List.map (with_scheduler scheduler) (small_grid ()) in
-      let run jobs =
-        fingerprint (Sweep.run ~policy:Sweep.default_policy ~jobs grid)
-      in
-      let reference = run 1 in
-      check int (name ^ ": all jobs completed serially")
-        (List.length grid) (List.length reference);
-      List.iter
-        (fun jobs ->
-          check bool
-            (Printf.sprintf "%s scheduler: -j %d report = serial" name jobs)
-            true
-            (run jobs = reference))
-        [ 4; 8 ])
-    [ Resim_core.Config.Scan; Resim_core.Config.Event ]
+    (fun jobs ->
+      check bool
+        (Printf.sprintf "-j %d report = serial" jobs)
+        true
+        (run jobs = reference))
+    [ 4; 8 ]
 
 let test_sweep_telemetry () =
   let results =
@@ -262,7 +254,7 @@ let suite =
     ("sweep:determinism",
      [ Alcotest.test_case "-j 4 = serial (byte-identical)" `Quick
          test_sweep_parallel_equals_serial;
-       Alcotest.test_case "-j 1/4/8 x schedulers (watchdog armed)" `Quick
+       Alcotest.test_case "-j 1/4/8 (watchdog armed)" `Quick
          test_sweep_high_j_deterministic;
        Alcotest.test_case "telemetry" `Quick test_sweep_telemetry ]);
     ("sweep:runner",
