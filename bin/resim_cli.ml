@@ -211,7 +211,7 @@ let tracegen_cmd =
                 in constant memory, cycling the kernel trace until \
                 $(b,--limit) records went out — or forever, until the \
                 reading end of the pipe closes. Pair with $(b,resim \
-                simulate --stream -t -) for traces larger than RAM.")
+                simulate -t -) for traces larger than RAM.")
   in
   let limit =
     Arg.(
@@ -338,12 +338,6 @@ let faultgen_cmd =
 
 (* --- simulate ------------------------------------------------------ *)
 
-let read_file_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Exit codes: 0 clean, 1 generic failure (lint errors, malformed
    foreign trace lines), 2 invalid configuration or usage (including a
    missing or unreadable trace file, RSM-T009), 3 structured trace
@@ -381,12 +375,21 @@ let adapter_format_arg =
               own branch predictor; malformed lines are RSM-A \
               diagnostics with file:line:col (DESIGN.md §17).")
 
-let report_open_error path (error : Resim_trace.Codec.error) =
+(* The hint a decode fault prints, unless the run already salvages. *)
+let degraded_hint () =
+  Format.eprintf "(simulate --degraded resync skips damaged records)@."
+
+let report_open_error ?(salvaging = false) path
+    (error : Resim_trace.Codec.error) =
   Format.eprintf "%s: %s@." path
     (Resim_trace.Codec.error_to_string error);
   (* Host-level I/O problems are usage errors (exit 2); malformed
      bytes are trace faults (exit 3). *)
-  if String.equal error.error_code "RSM-T009" then exit 2 else exit fault_exit
+  if String.equal error.error_code "RSM-T009" then exit 2
+  else begin
+    if not salvaging then degraded_hint ();
+    exit fault_exit
+  end
 
 let report_adapter_stats ~file adapter =
   let stats = Adapter.stats adapter in
@@ -396,51 +399,83 @@ let report_adapter_stats ~file adapter =
     file stats.Adapter.lines stats.instructions stats.wrong_path
     stats.mispredicted
 
-(* An encoded trace file, or the whole shard set it belongs to, read
-   into memory — the trace [simulate -t] and [profile -t] run. Host I/O
-   errors exit 2 (RSM-T009) and malformed bytes exit 3. With
-   [degraded], damaged records are skipped and returned as faults. *)
-let read_trace ?(degraded = false) path =
-  if degraded then begin
-    let data =
-      match read_file_bytes path with
-      | data -> data
-      | exception Sys_error reason ->
-          Format.eprintf "%s: [RSM-T009] %s@." path reason;
+(* Every trace file [simulate -t] and [profile -t] read reaches the
+   engine as one pull stream, never as an array: an encoded file or
+   the whole shard set it belongs to, [-] for stdin, or a foreign text
+   trace ([format]). Returns the stream and its cleanup, which closes
+   what the stream owns and, for an adapted trace that parsed, prints
+   the adaptation stats. With [salvage] an encoded trace is read degraded:
+   each damaged record goes to [salvage] and the stream resumes past
+   it. A missing or unreadable path exits 2 (RSM-T009) and a malformed
+   header exits 3; later faults surface mid-run. *)
+let open_trace ?format ?salvage path =
+  let stdin_path = String.equal path "-" in
+  let file = if stdin_path then "<stdin>" else path in
+  match format with
+  | Some format ->
+      let ic, owned =
+        if stdin_path then (stdin, false)
+        else
+          match open_in_bin path with
+          | ic -> (ic, true)
+          | exception Sys_error reason ->
+              Format.eprintf "%s: [RSM-T009] %s@." path reason;
+              exit 2
+      in
+      let adapter = Adapter.of_channel ~format ~file ic in
+      (* A malformed line ends the run with its diagnostic alone. *)
+      let malformed = ref false in
+      let pull () =
+        match Adapter.pull_exn adapter () with
+        | next -> next
+        | exception (Resim_trace.Fault.Trace_fault _ as fault) ->
+            malformed := true;
+            raise fault
+      in
+      ( Resim_core.Resim.Pull pull,
+        fun () ->
+          if not !malformed then report_adapter_stats ~file adapter;
+          if owned then close_in_noerr ic )
+  | None ->
+      let salvaging = Option.is_some salvage in
+      let stream =
+        if stdin_path then begin
+          set_binary_mode_in stdin true;
+          match Resim_trace.Codec.Cursor.of_channel_result stdin with
+          | Error error -> report_open_error ~salvaging file error
+          | Ok cursor -> Stream.of_cursor ~source:file ?salvage cursor
+        end
+        else
+          match Stream.open_path ?salvage path with
+          | Error error -> report_open_error ~salvaging path error
+          | Ok stream -> stream
+      in
+      (Resim_core.Resim.Pull (fun () -> Stream.next stream),
+       fun () -> Stream.close stream)
+
+(* A failed run's diagnostic and exit status (see [fault_exit]). A
+   malformed foreign line is a user-input problem: its RSM-A fault
+   carries the adapter's [file:line:col] line, printed alone, exit 1. A
+   host read error mid-stream is RSM-T009, exit 2. Everything else is a
+   trace fault or deadlock, exit 3. *)
+let report_failure ~command ?(salvaging = false) failure =
+  match failure with
+  | Resim_core.Resim.Fault { Resim_trace.Fault.code; context; _ }
+    when String.starts_with ~prefix:"RSM-A" code ->
+      Format.eprintf "%s@." context;
+      exit 1
+  | failure ->
+      Format.eprintf "%s: %s@." command
+        (Resim_core.Resim.failure_to_string failure);
+      (match failure with
+      | Resim_core.Resim.Fault { Resim_trace.Fault.code = "RSM-T009"; _ } ->
           exit 2
-    in
-    match Resim_trace.Codec.decode_degraded data with
-    | Error error ->
-        Format.eprintf "%s: %s@." path
-          (Resim_trace.Codec.error_to_string error);
-        exit fault_exit
-    | Ok (records, _format, faults) -> (records, faults)
-  end
-  else
-    match Resim_trace.Codec.Shard.expand path with
-    | Some shards -> (
-        (* A shard set: concatenate through the streaming cursor. *)
-        match Stream.open_sharded shards with
-        | Error error -> report_open_error path error
-        | Ok s -> (
-            match Stream.to_array s with
-            | records -> (records, [])
-            | exception Resim_trace.Fault.Trace_fault fault ->
-                Format.eprintf "%s: %s@." path
-                  (Resim_trace.Fault.to_string fault);
-                exit fault_exit))
-    | None -> (
-        match Resim_trace.Codec.read_file_result path with
-        | Error error ->
-            Format.eprintf "%s: %s@." path
-              (Resim_trace.Codec.error_to_string error);
-            if String.equal error.error_code "RSM-T009" then exit 2
-            else begin
-              Format.eprintf
-                "(simulate --degraded resync skips damaged records)@.";
-              exit fault_exit
-            end
-        | Ok (records, _format) -> (records, []))
+      | Resim_core.Resim.Fault
+          { Resim_trace.Fault.code = "RSM-T002" | "RSM-T003"; _ }
+        when not salvaging ->
+          degraded_hint ()
+      | Resim_core.Resim.Fault _ | Resim_core.Resim.Deadlock _ -> ());
+      exit fault_exit
 
 (* Mirror of [Sample.splice_metrics]: inject the engine identity into
    the stats JSON object, so every metrics document says which engine
@@ -466,7 +501,7 @@ let splice_engine_identity ~variant stats_json =
       | Some name -> Resim_core.Json.quote name
       | None -> "null")
 
-let simulate workload scale source_file trace_file trace_format stream
+let simulate workload scale source_file trace_file trace_format _stream
     perfect_bp caches max_cycles timeout checkpoint_out resume_file
     degraded pipetrace_out waterfall_window metrics_out sample =
   let sample_spec =
@@ -494,37 +529,26 @@ let simulate workload scale source_file trace_file trace_format stream
           other;
         exit 2
   in
-  if stream && trace_file = None then begin
-    Format.eprintf "--stream requires a trace source (--trace FILE or -)@.";
-    exit 2
-  end;
   if trace_format <> None && trace_file = None then begin
     Format.eprintf "--format requires a trace source (--trace FILE or -)@.";
     exit 2
   end;
-  if stream && sample_spec <> None then begin
+  if degraded_resync && trace_format <> None then begin
     Format.eprintf
-      "--sample does not combine with --stream (sampling needs the \
-       materialized trace)@.";
+      "--degraded applies to encoded traces only (no --format)@.";
     exit 2
   end;
-  if stream && resume_file <> None then begin
-    Format.eprintf
-      "--resume does not combine with --stream (resume replays a \
-       materialized trace)@.";
-    exit 2
-  end;
-  if degraded_resync && (stream || trace_format <> None) then begin
-    Format.eprintf
-      "--degraded applies to in-memory encoded traces only (no --stream, \
-       no --format)@.";
-    exit 2
-  end;
-  (* How the trace reaches the engine: a materialized array (the
-     default; required by --sample and --resume, which need random
-     access / replay) or a constant-memory pull stream (--stream), with
-     the cleanup to run once the engine is done with it. *)
-  let trace, cleanup, salvage_faults =
+  (* Faults a degraded run skipped, newest first. *)
+  let salvaged = ref [] in
+  let salvage =
+    if degraded_resync then Some (fun fault -> salvaged := fault :: !salvaged)
+    else None
+  in
+  (* How the trace reaches the engine: a generated kernel is already an
+     array; every trace file is a pull stream, with the cleanup to run
+     once the engine is done with it. The cleanup also reports the
+     regions a degraded run skipped. *)
+  let trace, close_trace =
     match trace_file with
     | None ->
         if degraded_resync then begin
@@ -534,75 +558,16 @@ let simulate workload scale source_file trace_file trace_format stream
         end;
         let program = program_of ?source_file workload scale in
         (Resim_core.Resim.Records (Resim_tracegen.Generator.records program),
-         ignore, [])
-    | Some path -> (
-        match trace_format with
-        | Some format ->
-            (* Foreign text trace: one-pass adapter either way. A
-               malformed line is a user-input problem (RSM-A, exit 1 on
-               the materialized path; on --stream it surfaces mid-run
-               as a trace fault). *)
-            let file = if String.equal path "-" then "<stdin>" else path in
-            let ic, owned =
-              if String.equal path "-" then (stdin, false)
-              else
-                match open_in_bin path with
-                | ic -> (ic, true)
-                | exception Sys_error reason ->
-                    Format.eprintf "%s: [RSM-T009] %s@." path reason;
-                    exit 2
-            in
-            let adapter = Adapter.of_channel ~format ~file ic in
-            let close () = if owned then close_in_noerr ic in
-            if stream then
-              ( Resim_core.Resim.Pull (Adapter.pull_exn adapter),
-                (fun () ->
-                  report_adapter_stats ~file adapter;
-                  close ()),
-                [] )
-            else begin
-              match Adapter.to_records_result adapter with
-              | Error error ->
-                  Format.eprintf "%s@." (Adapter.error_to_string error);
-                  exit 1
-              | Ok records ->
-                  report_adapter_stats ~file adapter;
-                  close ();
-                  (Resim_core.Resim.Records records, ignore, [])
-            end
-        | None when stream ->
-            (* Encoded trace through the chunked cursor: O(chunk)
-               memory however large the file or pipe. *)
-            let s =
-              if String.equal path "-" then begin
-                set_binary_mode_in stdin true;
-                match Resim_trace.Codec.Cursor.of_channel_result stdin with
-                | Error error -> report_open_error "<stdin>" error
-                | Ok cursor -> Stream.of_cursor ~source:"<stdin>" cursor
-              end
-              else
-                match Stream.open_path path with
-                | Error error -> report_open_error path error
-                | Ok s -> s
-            in
-            ( Resim_core.Resim.Pull (fun () -> Stream.next s),
-              (fun () -> Stream.close s),
-              [] )
-        | None ->
-            if String.equal path "-" then begin
-              Format.eprintf
-                "--trace - (stdin) requires --stream or --format@.";
-              exit 2
-            end;
-            let records, faults = read_trace ~degraded:degraded_resync path in
-            (Resim_core.Resim.Records records, ignore, faults))
+         ignore)
+    | Some path -> open_trace ?format:trace_format ?salvage path
   in
-  let records =
-    (* The paths that need random access were guarded against --stream
-       above; a pulled trace only reaches [Resim.run]. *)
-    match trace with
-    | Resim_core.Resim.Records records -> records
-    | Resim_core.Resim.Pull _ -> [||]
+  let cleanup () =
+    close_trace ();
+    List.iter
+      (fun fault ->
+        Format.eprintf "degraded: skipped %s@."
+          (Resim_trace.Fault.to_string fault))
+      (List.rev !salvaged)
   in
   let config =
     let base = Resim_core.Config.reference in
@@ -618,11 +583,6 @@ let simulate workload scale source_file trace_file trace_format stream
     else base
   in
   ensure_valid_config ~context:"simulate" config;
-  List.iter
-    (fun fault ->
-      Format.eprintf "degraded: skipped %s@."
-        (Resim_trace.Fault.to_string fault))
-    salvage_faults;
   (* Observability sinks (DESIGN.md §11): the JSONL pipetrace streams
      to its file as the run progresses; the waterfall renders on close.
      Both attach through one engine observer, so without them the
@@ -682,9 +642,9 @@ let simulate workload scale source_file trace_file trace_format stream
         end
   in
   let finish ?report outcome =
-    if salvage_faults <> [] then
+    if !salvaged <> [] then
       Resim_core.Stats.mark_degraded
-        ~faults:(List.length salvage_faults)
+        ~faults:(List.length !salvaged)
         outcome.Resim_core.Resim.stats;
     Format.printf "%a@.@." Resim_core.Resim.pp_outcome outcome;
     List.iter
@@ -703,7 +663,10 @@ let simulate workload scale source_file trace_file trace_format stream
           exit 2
       | Ok checkpoint -> (
           engine_variant := Some (Resim_core.Engine.variant_name config);
-          match Resim_core.Resim.resume_trace ~config ~checkpoint records with
+          match
+            Fun.protect ~finally:cleanup (fun () ->
+                Resim_core.Resim.resume_trace ~config ~checkpoint trace)
+          with
           | Error message ->
               Format.eprintf "resume failed: %s@." message;
               exit fault_exit
@@ -733,9 +696,7 @@ let simulate workload scale source_file trace_file trace_format stream
         (* Flush the partial pipetrace — the events up to the fault
            are exactly what a post-mortem wants. *)
         close_sinks ();
-        Format.eprintf "simulate: %s@."
-          (Resim_core.Resim.failure_to_string failure);
-        exit fault_exit
+        report_failure ~command:"simulate" ~salvaging:degraded_resync failure
       in
       let conclude ?report robust =
         close_sinks ();
@@ -786,8 +747,6 @@ let simulate workload scale source_file trace_file trace_format stream
                 report.warmed_instructions);
         finish ?report robust.Resim_core.Resim.outcome
       in
-      (* The cleanup closes owned channels (and, for adapters, prints
-         the adaptation stats) once the engine is done with the trace. *)
       let result =
         Fun.protect ~finally:cleanup (fun () ->
             match sample_spec with
@@ -795,7 +754,7 @@ let simulate workload scale source_file trace_file trace_format stream
                 Result.map
                   (fun (robust, report) -> (robust, Some report))
                   (Resim_sample.Sample.run ~config ?deadline ?max_cycles
-                     ?instrument ~spec records)
+                     ?instrument ~spec trace)
             | None ->
                 Result.map
                   (fun robust -> (robust, None))
@@ -815,23 +774,21 @@ let simulate_cmd =
           ~doc:"Simulate a trace file instead of a kernel: an encoded \
                 RSTR stream, a shard set (any shard name or the bare \
                 stem), a foreign text trace (with $(b,--format)), or \
-                $(b,-) for stdin (with $(b,--stream) or \
-                $(b,--format)). A missing or unreadable file exits 2 \
-                with an RSM-T009 diagnostic.")
+                $(b,-) for stdin. Every trace streams through the \
+                chunked cursor into the engine's record window, so \
+                host memory stays O(chunk) however large the file, \
+                shard set or pipe ($(b,tracegen --stream |)) — sampled, \
+                resumed, budgeted and degraded runs included. A missing \
+                or unreadable file exits 2 with an RSM-T009 \
+                diagnostic; a malformed record exits 3, a malformed \
+                foreign line 1.")
   in
   let stream =
     Arg.(
       value & flag
       & info [ "stream" ]
-          ~doc:"Pull the trace through the chunked streaming cursor \
-                instead of materializing it: O(chunk) host memory \
-                however large the trace, so multi-GB files, shard sets \
-                and unbounded pipes ($(b,tracegen --stream |)) \
-                simulate in constant memory. Statistics are \
-                bit-identical to the in-memory path, and so is the \
-                $(b,bits/instr) line once the trace drains. Not \
-                combinable with \
-                $(b,--sample)/$(b,--resume)/$(b,--degraded).")
+          ~doc:"Accepted and ignored: every trace streams (see \
+                $(b,--trace)).")
   in
   let perfect_bp =
     Arg.(value & flag & info [ "perfect-bp" ] ~doc:"Oracle predictor.")
@@ -880,10 +837,11 @@ let simulate_cmd =
       value
       & opt (some string) None
       & info [ "degraded" ] ~docv:"MODE"
-          ~doc:"Degraded decode mode for damaged trace files; $(docv) \
-                must be $(b,resync) — skip to the next decodable record \
-                boundary, report each skipped region and mark the \
-                statistics as degraded.")
+          ~doc:"Degraded decode mode for damaged encoded traces \
+                (not $(b,--format)); $(docv) must be $(b,resync) — skip \
+                to the next decodable record boundary as the trace \
+                streams, report each skipped region on stderr after the \
+                run and mark the statistics as degraded.")
   in
   let pipetrace =
     Arg.(
@@ -1033,12 +991,15 @@ let ptrace_cmd =
 (* --- profile ---------------------------------------------------------- *)
 
 let profile workload scale source_file trace_file json =
-  let records =
+  (* A trace file streams, so its decode is charged to the fetch phase
+     that pulls it. *)
+  let trace, cleanup =
     match trace_file with
-    | Some path -> fst (read_trace path)
+    | Some path -> open_trace path
     | None ->
         let program = program_of ?source_file workload scale in
-        Resim_tracegen.Generator.records program
+        (Resim_core.Resim.Records (Resim_tracegen.Generator.records program),
+         ignore)
   in
   let config = Resim_core.Config.reference in
   ensure_valid_config ~context:"profile" config;
@@ -1048,18 +1009,16 @@ let profile workload scale source_file trace_file json =
   let closer = ref (fun () -> ()) in
   let engine_variant = ref None in
   let result =
-    Resim_core.Resim.run ~config
-      ~instrument:(fun engine ->
-        engine_variant := Resim_core.Engine.variant engine;
-        closer := Resim_obs.Prof.instrument_engine prof engine)
-      (Resim_core.Resim.Records records)
+    Fun.protect ~finally:cleanup (fun () ->
+        Resim_core.Resim.run ~config
+          ~instrument:(fun engine ->
+            engine_variant := Resim_core.Engine.variant engine;
+            closer := Resim_obs.Prof.instrument_engine prof engine)
+          trace)
   in
   !closer ();
   match result with
-  | Error failure ->
-      Format.eprintf "profile: %s@."
-        (Resim_core.Resim.failure_to_string failure);
-      exit fault_exit
+  | Error failure -> report_failure ~command:"profile" failure
   | Ok robust ->
       let stats = robust.Resim_core.Resim.outcome.Resim_core.Resim.stats in
       Format.printf "%Ld major cycles, %Ld instructions committed@."

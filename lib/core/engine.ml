@@ -1065,25 +1065,11 @@ let make_run (t : t) =
   let no_unit = Fu.no_unit in
   let commit_widths = Stats.commit_width_histogram stats in
   let issue_widths = Stats.issue_width_histogram stats in
-  (* Whole-array sources expose their length once so the per-cycle
-     end-of-trace check is a bare compare; pull sources keep the
-     ordinary calls. *)
-  let source_limit =
-    match source with
-    | Source.Whole records -> Array.length records
-    | Source.Windowed _ -> -1
-  in
-  let source_has index =
-    if source_limit >= 0 then index >= 0 && index < source_limit
-    else Source.has source index
-  in
-  let source_get index =
-    match source with
-    | Source.Whole records ->
-        if index < 0 || index >= Array.length records then
-          invalid_arg "Source.get: out of range";
-        records.(index)
-    | Source.Windowed _ -> Source.get source index
+  (* Fetch and the end-of-trace check read a window hit inline; only a
+     miss calls [Source.has], to refill or to find the end (source.mli). *)
+  let[@inline] source_has index =
+    let i = index - source.Source.base in
+    (i >= 0 && i < source.Source.length) || Source.has source index
   in
   (* Constant-time queue operations, transcribed over the exposed
      representations (ring.mli, event_queue.mli): [-opaque] keeps the
@@ -1816,7 +1802,7 @@ let make_run (t : t) =
   let rec fetch_loop count =
     if count < width && ifq.Ring.length <> ifq.Ring.capacity then begin
       if source_has t.cursor then begin
-        let record = source_get t.cursor in
+        let record = source.Source.window.(t.cursor - source.Source.base) in
         match t.fetch_mode with
         | Awaiting_resolution -> ()
         | Wrong_path when not record.wrong_path ->
@@ -1869,7 +1855,9 @@ let make_run (t : t) =
     if not t.fetch_enabled then ()
     else if t.fetch_stall > 0 then burn_fetch_stall t
     else begin
-      if source_limit < 0 then Source.release_below source t.cursor;
+      (* [max_int] for an array source: only pulled windows release. *)
+      if t.cursor > source.Source.reclaim_below then
+        Source.release_below source t.cursor;
       fetch_loop 0
     end
   in

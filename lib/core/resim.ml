@@ -22,12 +22,6 @@ let outcome_of ~config engine stats (trace_summary, bits_per_instruction) =
     icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
     dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) }
 
-(* The trace half of an outcome: its summary and Fixed-format bits per
-   instruction (Table 3). *)
-let describe records =
-  ( Resim_trace.Summary.of_records records,
-    Resim_trace.Codec.bits_per_instruction records )
-
 (* One generator for every run that derives its trace from the engine
    configuration: the same predictor, so generator and engine model the
    same front end, and tagged blocks bounded by ROB + IFQ entries. *)
@@ -54,30 +48,35 @@ type robust = {
   resume : Checkpoint.t option;  (* Some whenever the run was truncated *)
 }
 
+(* The engine's source for a trace, and its summary and Fixed-format
+   bits per instruction (Table 3) once the run is over: an array is
+   summarized then; a pull stream counts its records as they go past. *)
+let open_trace trace =
+  match trace with
+  | Records records ->
+      ( Source.of_array records,
+        fun () ->
+          ( Resim_trace.Summary.of_records records,
+            Resim_trace.Codec.bits_per_instruction records ) )
+  | Pull pull ->
+      let summary = Resim_trace.Summary.counter () in
+      let bits = Resim_trace.Codec.Bit_count.create () in
+      let counted () =
+        match pull () with
+        | Some record as next ->
+            Resim_trace.Summary.count summary record;
+            Resim_trace.Codec.Bit_count.add bits record;
+            next
+        | None -> None
+      in
+      ( Source.of_pull counted,
+        fun () ->
+          ( Resim_trace.Summary.result summary,
+            Resim_trace.Codec.Bit_count.per_instruction bits ) )
+
 let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
     ?instrument ?driver trace =
-  (* An array keeps the whole-array source, whose fetch path the engine
-     inlines, and is summarized after the run. A pull stream never
-     materialises: its summary and Fixed-format bit count accumulate as
-     the records go past. *)
-  let source, describe_trace =
-    match trace with
-    | Records records -> (Source.of_array records, fun () -> describe records)
-    | Pull pull ->
-        let summary = ref Resim_trace.Summary.zero in
-        let bits = Resim_trace.Codec.Bit_count.create () in
-        let counted () =
-          match pull () with
-          | Some record as next ->
-              summary := Resim_trace.Summary.add !summary record;
-              Resim_trace.Codec.Bit_count.add bits record;
-              next
-          | None -> None
-        in
-        ( Source.of_pull counted,
-          fun () ->
-            (!summary, Resim_trace.Codec.Bit_count.per_instruction bits) )
-  in
+  let source, describe_trace = open_trace trace in
   match
     let engine = Engine.create_from_source ~config source in
     (* Observability hook: attach sinks/probes to the freshly created
@@ -108,7 +107,7 @@ let outcome_exn = function
   | Error (Fault fault) -> raise (Resim_trace.Fault.Trace_fault fault)
   | Error (Deadlock deadlock) -> raise (Engine.Deadlock deadlock)
 
-let resume_trace ?(config = Config.reference) ~checkpoint records =
+let resume_trace ?(config = Config.reference) ~checkpoint trace =
   let target = checkpoint.Checkpoint.cycle in
   (* Identity check first (RSM-K007): refusing a foreign-build handle
      outright beats letting the replay run to a baffling statistics
@@ -119,7 +118,8 @@ let resume_trace ?(config = Config.reference) ~checkpoint records =
   | Error error -> Error (Checkpoint.error_to_string error)
   | Ok () ->
   match
-    let engine = Engine.create ~config records in
+    let source, describe_trace = open_trace trace in
+    let engine = Engine.create_from_source ~config source in
     while
       Int64.compare (Engine.cycle engine) target < 0
       && not (Engine.finished engine)
@@ -141,7 +141,11 @@ let resume_trace ?(config = Config.reference) ~checkpoint records =
     else if
       Stats.to_assoc (Engine.stats engine) <> checkpoint.Checkpoint.counters
     then Error "statistics mismatch at checkpoint cycle — wrong trace or configuration"
-    else Ok (outcome_of ~config engine (Engine.run engine) (describe records))
+    else begin
+      (* Describe the trace only once the run has pulled all of it. *)
+      let final = Engine.run engine in
+      Ok (outcome_of ~config engine final (describe_trace ()))
+    end
   with
   | result -> result
   | exception Resim_trace.Fault.Trace_fault fault ->

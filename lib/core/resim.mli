@@ -40,15 +40,19 @@ val generator_config : Config.t -> Resim_tracegen.Generator.config
     {!simulate_program}, {!Cosim.run}, sweep jobs and the
     execution-driven baseline all use it. *)
 
-(** How a trace reaches the engine. *)
+(** How a trace reaches the engine. Both become one {!Source} window,
+    which the engine reads inline. *)
 type trace =
   | Records of Resim_trace.Record.t array
-      (** materialized: the engine fetches straight from the array *)
+      (** a trace already in memory (a generated kernel, a sweep or
+          resimd kernel job, an API caller's array): the window covers
+          the whole array, so nothing is pulled or copied *)
   | Pull of (unit -> Resim_trace.Record.t option)
-      (** a pull stream drawn on demand through a {!Source} window, so
+      (** a pull stream drawn on demand through a sliding window, so
           the trace never materialises — constant memory for traces
-          larger than RAM (chunked file cursors, pipes, foreign-format
-          adapters, a live functional simulator) *)
+          larger than RAM. Every trace file the CLI reads arrives this
+          way (chunked file cursors, shard sets, pipes, foreign-format
+          adapters), as does a live functional simulator. *)
 
 (** Why a run could not produce statistics. *)
 type failure =
@@ -83,7 +87,8 @@ val run :
 
     The trace summary and bits per instruction describe the whole array
     for [Records], and the records pulled for [Pull] — the same figures
-    once the stream drains.
+    once the stream drains. A pull is wrapped once, here, to count both
+    as the records go past; {!resume_trace} uses the same wrapper.
 
     [instrument] runs on the freshly created engine before the first
     cycle, so callers can attach observability sinks
@@ -111,15 +116,17 @@ val simulate_program :
 val resume_trace :
   ?config:Config.t ->
   checkpoint:Checkpoint.t ->
-  Resim_trace.Record.t array ->
+  trace ->
   (outcome, string) result
-(** Deterministically resume a truncated run: replay the trace to the
-    checkpoint cycle, verify the cursor and every statistics register
-    match the snapshot (refusing a checkpoint from a different trace or
-    configuration), then run to completion. The final statistics are
-    bit-identical to an unbounded run by construction. A checkpoint
-    stamped with a different {!engine_identity} is refused before the
-    replay starts ([RSM-K007]). *)
+(** Deterministically resume a truncated run: replay the trace (an
+    array, or a fresh pull stream over the same records — the replay
+    only walks forward) to the checkpoint cycle, verify the cursor and
+    every statistics register match the snapshot (refusing a checkpoint
+    from a different trace or configuration), then run to completion.
+    The final statistics are bit-identical to an unbounded run by
+    construction. A checkpoint stamped with a different
+    {!engine_identity} is refused before the replay starts
+    ([RSM-K007]). *)
 
 (** {1 Paper metrics} *)
 

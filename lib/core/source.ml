@@ -1,4 +1,4 @@
-type pull_state = {
+type t = {
   pull : unit -> Resim_trace.Record.t option;
   mutable window : Resim_trace.Record.t array;
   mutable base : int;       (* absolute index of window.(0) *)
@@ -7,108 +7,94 @@ type pull_state = {
   mutable reclaim_below : int;
 }
 
-type t =
-  | Whole of Resim_trace.Record.t array
-  | Windowed of pull_state
-
-let of_array records = Whole records
+(* An array is a full window over the whole trace: nothing to pull, and
+   a [reclaim_below] no cursor passes, so the window is never compacted
+   and the caller's array is never written. *)
+let of_array records =
+  { pull = (fun () -> None);
+    window = records;
+    base = 0;
+    length = Array.length records;
+    exhausted = true;
+    reclaim_below = max_int }
 
 let initial_window = 1024
 
 let of_pull pull =
-  Windowed
-    { pull;
-      window = Array.make initial_window Resim_trace.Record.
-        { pc = 0; wrong_path = false; dest = 0; src1 = 0; src2 = 0;
-          payload = Other { op_class = Alu } };
-      base = 0;
-      length = 0;
-      exhausted = false;
-      reclaim_below = 0 }
+  { pull;
+    window = Array.make initial_window Resim_trace.Record.
+      { pc = 0; wrong_path = false; dest = 0; src1 = 0; src2 = 0;
+        payload = Other { op_class = Alu } };
+    base = 0;
+    length = 0;
+    exhausted = false;
+    reclaim_below = 0 }
 
 (* Drop reclaimed records by shifting the window down; grow it when the
    producer runs ahead of reclamation. *)
-let compact state =
-  let reclaimable = state.reclaim_below - state.base in
+let compact t =
+  let reclaimable = t.reclaim_below - t.base in
   let reclaimable = if reclaimable < 0 then 0 else reclaimable in
-  let drop = if reclaimable < state.length then reclaimable else state.length in
+  let drop = if reclaimable < t.length then reclaimable else t.length in
   if drop > 0 then begin
-    Array.blit state.window drop state.window 0 (state.length - drop);
-    state.base <- state.base + drop;
-    state.length <- state.length - drop
+    Array.blit t.window drop t.window 0 (t.length - drop);
+    t.base <- t.base + drop;
+    t.length <- t.length - drop
   end
 
-let append state record =
-  if state.length = Array.length state.window then begin
-    compact state;
-    if state.length = Array.length state.window then begin
-      let bigger = Array.make (2 * Array.length state.window) record in
-      Array.blit state.window 0 bigger 0 state.length;
-      state.window <- bigger
+let append t record =
+  if t.length = Array.length t.window then begin
+    compact t;
+    if t.length = Array.length t.window then begin
+      let bigger = Array.make (2 * Array.length t.window) record in
+      Array.blit t.window 0 bigger 0 t.length;
+      t.window <- bigger
     end
   end;
-  state.window.(state.length) <- record;
-  state.length <- state.length + 1
+  t.window.(t.length) <- record;
+  t.length <- t.length + 1
 
-let rec fill_to state index =
-  if state.base + state.length > index || state.exhausted then ()
+let rec fill_to t index =
+  if t.base + t.length > index || t.exhausted then ()
   else
-    match state.pull () with
+    match t.pull () with
     | Some record ->
-        append state record;
-        fill_to state index
-    | None -> state.exhausted <- true
+        append t record;
+        fill_to t index
+    | None -> t.exhausted <- true
 
-let at t index =
-  match t with
-  | Whole records ->
-      if index < 0 then invalid_arg "Source.at: negative index"
-      else if index < Array.length records then Some records.(index)
-      else None
-  | Windowed state ->
-      if index < state.base then
-        invalid_arg "Source.at: index already reclaimed";
-      fill_to state index;
-      if index < state.base + state.length then
-        Some state.window.(index - state.base)
-      else None
+(* A hit is a bounds test and an array read; a miss below the window
+   was reclaimed, and past it the producer is asked for more. *)
+let[@inline] hit t index =
+  let i = index - t.base in
+  i >= 0 && i < t.length
 
-let get t index =
-  match t with
-  | Whole records ->
-      if index < 0 || index >= Array.length records then
-        invalid_arg "Source.get: out of range";
-      records.(index)
-  | Windowed state ->
-      if index < state.base then
-        invalid_arg "Source.get: index already reclaimed";
-      fill_to state index;
-      if index < state.base + state.length then
-        state.window.(index - state.base)
-      else invalid_arg "Source.get: past end of stream"
+let refill t index ~reclaimed =
+  if index < t.base then invalid_arg reclaimed;
+  fill_to t index;
+  index < t.base + t.length
 
 let has t index =
-  match t with
-  | Whole records -> index >= 0 && index < Array.length records
-  | Windowed state ->
-      if index < state.base then
-        invalid_arg "Source.has: index already reclaimed";
-      fill_to state index;
-      index < state.base + state.length
+  hit t index || refill t index ~reclaimed:"Source.has: index already reclaimed"
+
+let at t index =
+  if hit t index
+     || refill t index ~reclaimed:"Source.at: index already reclaimed"
+  then Some t.window.(index - t.base)
+  else None
+
+let get t index =
+  if hit t index
+     || refill t index ~reclaimed:"Source.get: index already reclaimed"
+  then t.window.(index - t.base)
+  else invalid_arg "Source.get: past end of stream"
 
 let release_below t index =
-  match t with
-  | Whole _ -> ()
-  | Windowed state ->
-      if index > state.reclaim_below then begin
-        state.reclaim_below <- index;
-        (* Compact lazily but keep the window from growing without
-           bound when the producer is bursty. *)
-        if state.reclaim_below - state.base > Array.length state.window / 2
-        then compact state
-      end
+  if index > t.reclaim_below then begin
+    t.reclaim_below <- index;
+    (* Compact lazily but keep the window from growing without bound
+       when the producer is bursty. *)
+    if t.reclaim_below - t.base > Array.length t.window / 2 then compact t
+  end
 
-let buffered t =
-  match t with
-  | Whole records -> Array.length records
-  | Windowed state -> state.length
+let buffered t = t.length

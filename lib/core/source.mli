@@ -2,30 +2,28 @@
 
     The engine walks its input monotonically (a cursor plus one-record
     lookahead for Tag-Bit detection), so besides whole in-memory arrays
-    it can consume records *pulled on demand* from a live producer — the
-    paper's future-work idea of feeding ReSim directly from a functional
-    simulator, as in FAST. A pull source buffers a sliding window and
-    reclaims records once the engine's cursor has passed them, keeping
-    memory bounded for arbitrarily long co-simulations.
+    it can consume records *pulled on demand* — a chunked trace file, a
+    pipe, a foreign-format adapter, or a live functional simulator as
+    in FAST. A pull source buffers a sliding window and reclaims
+    records once the cursor has passed them, so memory stays bounded.
 
-    The representation is exposed for the engine's closure family
-    (DESIGN.md §14): its fetch loop inlines the [Whole] fast
-    path (a bounds check plus an array read) and falls back to the
-    ordinary calls for [Windowed] sources. Treat the type as private
-    elsewhere. *)
+    Both are one window record. An array source is a full, exhausted
+    window whose [reclaim_below] no cursor passes: never compacted, so
+    the caller's array is never written. The representation is exposed
+    for the engine's closure family (DESIGN.md §14), which reads a
+    window hit inline and calls this module only to refill or, past
+    [reclaim_below], to release. Treat it as private elsewhere. *)
 
-type pull_state = {
+type t = {
   pull : unit -> Resim_trace.Record.t option;
   mutable window : Resim_trace.Record.t array;
-  mutable base : int;  (* absolute index of [window.(0)] *)
-  mutable length : int;  (* valid records in the window *)
-  mutable exhausted : bool;
+  mutable base : int;  (** absolute index of [window.(0)] *)
+  mutable length : int;  (** valid records in the window *)
+  mutable exhausted : bool;  (** [pull] returned [None] *)
   mutable reclaim_below : int;
+      (** records below this index may be dropped; [max_int] for an
+          array source *)
 }
-
-type t =
-  | Whole of Resim_trace.Record.t array
-  | Windowed of pull_state
 
 val of_array : Resim_trace.Record.t array -> t
 
@@ -37,7 +35,7 @@ val at : t -> int -> Resim_trace.Record.t option
 (** [at source index] is the record at absolute position [index], pulling
     from the producer as needed. [None] means the stream ended before
     [index]. Raises [Invalid_argument] if [index] was already reclaimed
-    by {!release_below}. *)
+    by {!release_below} (or is negative). *)
 
 val has : t -> int -> bool
 (** [has source index] is [at source index <> None] without allocating

@@ -287,10 +287,10 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
     finish (Option.get !result)
   end
 
-let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec records =
+let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec trace =
   let cell = ref None in
   let driver = driver ?watchdog ?deadline ?max_cycles ~spec cell in
-  match Resim.run ?config ?instrument ~driver (Resim.Records records) with
+  match Resim.run ?config ?instrument ~driver trace with
   | Error _ as error -> error
   | Ok robust -> (
       match !cell with

@@ -93,10 +93,12 @@ val run :
   ?max_cycles:int64 ->
   ?instrument:(Resim_core.Engine.t -> unit) ->
   spec:spec ->
-  Resim_trace.Record.t array ->
+  Resim_core.Resim.trace ->
   (Resim_core.Resim.robust * report, Resim_core.Resim.failure) result
-(** {!Resim_core.Resim.run} over the materialized trace under the
-    sampling {!driver}.
+(** {!Resim_core.Resim.run} under the sampling {!driver}. The driver
+    only walks the trace forward (warm-up advances the cursor, detailed
+    intervals fetch), so a pulled stream samples exactly like the same
+    records in an array.
     The outcome's statistics cover only the detailed portions (plus
     drain and priming cycles); [report] carries the sampled IPC
     estimate. *)

@@ -88,41 +88,25 @@ let sim_job spec =
       (* Validate existence and header eagerly (typed invalid-config
          instead of a mid-run fault), then hand the worker a stream
          opener so the trace never materialises — exec runs traces
-         larger than RAM. Sampling still needs random access, so
-         sampled requests decode the whole file as before. *)
+         larger than RAM, sampled or not. *)
       match Resim_trace.Stream.open_path path with
       | Error error ->
           Error
             (Printf.sprintf "%s: %s" path
                (Resim_trace.Codec.error_to_string error))
-      | Ok probe -> (
+      | Ok probe ->
           Resim_trace.Stream.close probe;
-          match sample with
-          | None ->
-              let open_stream () =
-                match Resim_trace.Stream.open_path path with
-                | Ok stream -> fun () -> Resim_trace.Stream.next stream
-                | Error { Resim_trace.Codec.error_code; byte_offset; reason }
-                  ->
-                    Resim_trace.Fault.fail ~code:error_code ~offset:0
-                      (Printf.sprintf "%s: byte %d: %s" path byte_offset
-                         reason)
-              in
-              Ok
-                (Sweep.stream_job
-                   ~label:(Filename.basename path)
-                   ?timeout:spec.Protocol.timeout ~config open_stream)
-          | Some _ -> (
-              match Resim_trace.Codec.read_file_result path with
-              | Error error ->
-                  Error
-                    (Printf.sprintf "%s: %s" path
-                       (Resim_trace.Codec.error_to_string error))
-              | Ok (records, _format) ->
-                  Ok
-                    (Sweep.trace_job
-                       ~label:(Filename.basename path)
-                       ?timeout:spec.Protocol.timeout ?sample ~config records))))
+          let open_stream () =
+            match Resim_trace.Stream.open_path path with
+            | Ok stream -> fun () -> Resim_trace.Stream.next stream
+            | Error { Resim_trace.Codec.error_code; byte_offset; reason } ->
+                Resim_trace.Fault.fail ~code:error_code ~offset:0
+                  (Printf.sprintf "%s: byte %d: %s" path byte_offset reason)
+          in
+          Ok
+            (Sweep.stream_job
+               ~label:(Filename.basename path)
+               ?timeout:spec.Protocol.timeout ?sample ~config open_stream))
   | None -> (
       match Resim_workloads.Workload.find spec.Protocol.kernel with
       | exception Not_found ->

@@ -40,16 +40,14 @@ let trace_job ?(label = "trace") ?timeout ?sample ~config records =
     timeout;
     sample }
 
-let stream_job ?(label = "stream") ?timeout ~config open_stream =
+let stream_job ?(label = "stream") ?timeout ?sample ~config open_stream =
   { label;
     workload = List.hd Resim_workloads.Workload.all;
     config;
     scale = Exact 0;
     trace = Some (fun () -> Resim.Pull (open_stream ()));
     timeout;
-    (* Sampling needs random access into the trace; a one-pass pull
-       stream cannot provide it. *)
-    sample = None }
+    sample }
 
 type telemetry = { wall_seconds : float; host_mips : float }
 
@@ -207,16 +205,16 @@ let attempt ~policy ?instrument job : outcome =
         in
         let { watchdog; max_cycles; _ } = policy in
         let simulated =
-          match (job.sample, trace) with
-          | Some spec, Resim.Records records ->
+          match job.sample with
+          | Some spec ->
               (* Sampled under the same budgets: the driver threads the
                  deadline and cycle ceiling through every detailed
                  interval, so truncation behaves like an unsampled run. *)
               Result.map
                 (fun (robust, report) -> (robust, Some report))
                 (Resim_sample.Sample.run ~config:job.config ?watchdog
-                   ?max_cycles ?deadline ?instrument ~spec records)
-          | None, _ | Some _, Resim.Pull _ ->
+                   ?max_cycles ?deadline ?instrument ~spec trace)
+          | None ->
               Result.map
                 (fun robust -> (robust, None))
                 (Resim.run ~config:job.config ?watchdog ?max_cycles

@@ -39,7 +39,8 @@ type job = {
       (** run sampled (functional warm-up + detailed intervals,
           DESIGN.md §13) instead of fully detailed; the statistics then
           cover only the detailed portions and the result carries the
-          sampled IPC report. A pulled trace runs fully detailed. *)
+          sampled IPC report. Generated, array and pulled traces all
+          sample alike. *)
 }
 
 val job :
@@ -68,6 +69,7 @@ val trace_job :
 val stream_job :
   ?label:string ->
   ?timeout:float ->
+  ?sample:Resim_sample.Sample.spec ->
   config:Resim_core.Config.t ->
   (unit -> unit -> Resim_trace.Record.t option) ->
   job
@@ -79,7 +81,8 @@ val stream_job :
     than RAM sweeps in constant memory. There is no up-front lint
     gate on this path: the codec's typed stream errors (truncation,
     corruption — RSM-T codes) surface mid-run and land in
-    [Failed (Fault _)]. Sampling is unavailable (one-pass stream). *)
+    [Failed (Fault _)]. [sample] runs it sampled, as {!trace_job}
+    does: the sampling driver only walks the stream forward. *)
 
 type telemetry = {
   wall_seconds : float;

@@ -448,20 +448,6 @@ let next_result t =
             t.failed <- Some error;
             Error error))
 
-(* Drain the whole stream into an array — the in-memory entry point
-   (simulate/sweep on adapted traces that fit in RAM). *)
-let to_records_result t =
-  let rec collect acc =
-    match next_result t with
-    | Ok (Some record) -> collect (record :: acc)
-    | Ok None -> Ok (Array.of_list (List.rev acc))
-    | Error error -> Error error
-  in
-  collect []
-
-let adapt_string_result ?config ~format ?file data =
-  to_records_result (of_string ?config ~format ?file data)
-
 (* Pull interface for the streaming engine path: adapter errors surface
    as the same typed {!Fault.Trace_fault} the codec cursors raise, so
    robust runners report them uniformly. *)

@@ -81,16 +81,6 @@ val next_result : t -> (Record.t option, error) result
     first malformed line (sticky — subsequent calls return the same
     error). *)
 
-val to_records_result : t -> (Record.t array, error) result
-(** Drain the whole stream into an array. *)
-
-val adapt_string_result :
-  ?config:config ->
-  format:format ->
-  ?file:string ->
-  string ->
-  (Record.t array, error) result
-
 val pull_exn : t -> unit -> Record.t option
 (** Pull closure for the streaming engine path: a malformed line
     raises {!Fault.Trace_fault} with the RSM-A code, matching how codec

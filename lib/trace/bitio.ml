@@ -183,11 +183,21 @@ module Reader = struct
      (= stream length so far when exhausted). *)
   let byte_position r = r.base + r.byte
 
-  let seek_byte r byte =
+  (* Past the buffered bytes, a chunked reader consumes them and refills
+     until [byte] is buffered: a forward scan walks any stream. *)
+  let rec seek_byte r byte =
     let local = byte - r.base in
-    if local < 0 || local > String.length r.data then
-      invalid_arg "Bitio.Reader.seek_byte: out of range";
-    r.byte <- local;
-    r.bit <- 0;
-    r.total <- byte * 8
+    if local < 0 then invalid_arg "Bitio.Reader.seek_byte: behind the window";
+    if local <= String.length r.data then begin
+      r.byte <- local;
+      r.bit <- 0;
+      r.total <- byte * 8;
+      true
+    end
+    else begin
+      r.byte <- String.length r.data;
+      r.bit <- 0;
+      r.total <- (r.base + r.byte) * 8;
+      ensure_bits r 8 && seek_byte r byte
+    end
 end

@@ -63,9 +63,12 @@ module Reader : sig
   (** Absolute stream offset of the byte holding the next unread bit;
       the stream length consumed so far once the reader is exhausted. *)
 
-  val seek_byte : t -> int -> unit
+  val seek_byte : t -> int -> bool
   (** Reposition the reader to the start of the given absolute byte
-      (resync support for degraded decoding). Raises [Invalid_argument]
-      outside the currently buffered window — whole-string readers can
-      seek anywhere, chunked readers only within the window. *)
+      (resync support for degraded decoding); [false] when the stream
+      ends before that byte, leaving the reader at its end. Forward of
+      the buffered window a chunked reader refills, dropping the bytes
+      it passes, so it can seek anywhere ahead of the oldest byte it
+      still holds. Raises [Invalid_argument] behind that byte —
+      whole-string readers hold every byte. *)
 end

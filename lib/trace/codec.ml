@@ -121,6 +121,14 @@ let encode_record format w state (record : Record.t) =
    every record. *)
 let record_head_bits = type_bits + 1 + (3 * reg_bits) + 1
 
+(* The longest record either format writes: a non-sequential PC and a
+   branch target, each a selector plus an absolute escape. *)
+let max_record_bits =
+  let field abs_bits = selector_bits + abs_bits in
+  record_head_bits + field pc_bits
+  + Int.max class_bits
+      (Int.max (1 + field addr_bits) (kind_bits + 1 + field pc_bits))
+
 let record_bits format state (record : Record.t) =
   let pc_bits_used =
     if record.pc = state.prev_pc + 1 then 0
@@ -244,6 +252,8 @@ module Cursor = struct
     count : int;
     state : encoder_state;
     mutable decoded : int;
+    mutable salvage_over : bool;
+        (* the salvage loop found no boundary to resume at *)
   }
 
   let header_error data =
@@ -286,7 +296,8 @@ module Cursor = struct
             format;
             count;
             state = fresh_state ();
-            decoded = 0 }
+            decoded = 0;
+            salvage_over = false }
 
   (* Chunked construction: parse the header from the channel, then hand
      the payload to a refilling reader that holds O(chunk) bytes at a
@@ -297,29 +308,33 @@ module Cursor = struct
   let of_channel_result ?(chunk = default_chunk) ic =
     if chunk <= 0 then invalid_arg "Codec.Cursor.of_channel: chunk";
     let header = Bytes.create header_length in
-    let got =
-      let rec fill at =
-        if at >= header_length then at
-        else
-          let n = input ic header at (header_length - at) in
-          if n = 0 then at else fill (at + n)
-      in
-      fill 0
+    let rec fill at =
+      if at >= header_length then at
+      else
+        let n = input ic header at (header_length - at) in
+        if n = 0 then at else fill (at + n)
     in
-    match header_error (Bytes.sub_string header 0 got) with
-    | Some error -> Error error
-    | None ->
-        let refill () =
-          let buffer = Bytes.create chunk in
-          let n = input ic buffer 0 chunk in
-          Bytes.sub_string buffer 0 n
-        in
-        Ok
-          { reader = Bitio.Reader.of_refill refill;
-            format = format_of_code (Bytes.get_uint8 header 5);
-            count = Int64.to_int (Bytes.get_int64_be header 6);
-            state = fresh_state ();
-            decoded = 0 }
+    match fill 0 with
+    | exception Sys_error reason ->
+        Error { error_code = "RSM-T009"; byte_offset = 0; reason }
+    | got -> (
+        match header_error (Bytes.sub_string header 0 got) with
+        | Some error -> Error error
+        | None ->
+            let refill () =
+              let buffer = Bytes.create chunk in
+              match input ic buffer 0 chunk with
+              | n -> Bytes.sub_string buffer 0 n
+              | exception Sys_error reason ->
+                  Fault.fail ~code:"RSM-T009" ~offset:0 reason
+            in
+            Ok
+              { reader = Bitio.Reader.of_refill refill;
+                format = format_of_code (Bytes.get_uint8 header 5);
+                count = Int64.to_int (Bytes.get_int64_be header 6);
+                state = fresh_state ();
+                decoded = 0;
+                salvage_over = false })
 
   let of_string data =
     match of_string_result data with
@@ -398,37 +413,59 @@ module Cursor = struct
      it) decodes cleanly, then park the cursor there. Decoder state
      (previous PC/address) carries over from the last good record, so
      resynced deltas may still be semantically wrong — the caller marks
-     the run degraded; resync only restores structural decodability. *)
+     the run degraded; resync only restores structural decodability.
+     The scan only moves forward, so it runs on a chunked cursor too:
+     each trial first makes two maximal records from its offset
+     resident, so it never refills mid-trial and re-parking never seeks
+     into a dropped chunk. It ends where [seek_byte] finds no byte. *)
   let resync t =
-    let start = Bitio.Reader.byte_position t.reader in
-    let reader_length =
-      (Bitio.Reader.bits_consumed t.reader + Bitio.Reader.bits_remaining t.reader)
-      / 8
-    in
-    let try_at offset =
-      Bitio.Reader.seek_byte t.reader offset;
+    let r = t.reader in
+    let start = Bitio.Reader.byte_position r in
+    let try_at () =
+      ignore (Bitio.Reader.has_bits r (2 * max_record_bits));
       let trial =
         { prev_pc = t.state.prev_pc; prev_addr = t.state.prev_addr }
       in
       match
-        let first = decode_record t.format t.reader trial in
-        if Bitio.Reader.bits_remaining t.reader >= 8 then
-          ignore (decode_record t.format t.reader trial);
+        let first = decode_record t.format r trial in
+        if Bitio.Reader.bits_remaining r >= 8 then
+          ignore (decode_record t.format r trial);
         first
       with
       | _ -> true
       | exception (Bitio.Reader.Out_of_bits | Corrupt _) -> false
     in
     let rec scan offset =
-      if offset > reader_length then None
-      else if try_at offset then begin
+      if not (Bitio.Reader.seek_byte r offset) then None
+      else if try_at () then begin
         (* Re-park at the validated offset: the probe consumed records. *)
-        Bitio.Reader.seek_byte t.reader offset;
+        ignore (Bitio.Reader.seek_byte r offset);
         Some (offset - start)
       end
       else scan (offset + 1)
     in
     scan (start + 1)
+
+  (* The one salvage loop. Skipping abandons the record-count
+     bookkeeping for the skipped span, so decoding goes on until the
+     payload runs dry or the count is met. *)
+  let rec next_salvaged t ~fault =
+    if t.salvage_over || not (has_next t) then None
+    else
+      match next_result t with
+      | Ok record -> Some record
+      | Error error -> (
+          fault
+            (Fault.make ~code:error.error_code ~offset:t.decoded
+               ~context:
+                 (Printf.sprintf "byte %d: %s" error.byte_offset error.reason));
+          match resync t with
+          | Some _skipped ->
+              t.decoded <- t.decoded + 1;
+              next_salvaged t ~fault
+          | None ->
+              t.salvage_over <- true;
+              None)
 end
 
 (* How many records to pre-size a decode for: the declared count, capped
@@ -470,38 +507,23 @@ let decode_result data =
       in
       collect ()
 
-(* Degraded decode: salvage every structurally decodable record from a
-   corrupt stream. On a decode failure the cursor resyncs to the next
-   byte boundary that decodes cleanly and the failure is reported as a
-   structured fault; the caller is expected to mark the resulting run
-   degraded. Returns [Error] only when the stream header itself is
-   unusable. *)
+(* Degraded decode: the salvage loop drained over an in-memory cursor.
+   Returns [Error] only when the stream header itself is unusable. *)
 let decode_degraded data =
   match Cursor.of_string_result data with
   | Error error -> Error error
   | Ok cursor ->
       let faults = ref [] in
       let records = Collect.create (initial_capacity cursor) in
-      let fault (error : error) =
-        faults :=
-          Fault.make ~code:error.error_code ~offset:cursor.Cursor.decoded
-            ~context:
-              (Printf.sprintf "byte %d: %s" error.byte_offset error.reason)
-          :: !faults
+      let fault f = faults := f :: !faults in
+      let rec drain () =
+        match Cursor.next_salvaged cursor ~fault with
+        | Some record ->
+            Collect.push records record;
+            drain ()
+        | None -> ()
       in
-      let stop = ref false in
-      while (not !stop) && Cursor.has_next cursor do
-        match Cursor.next_result cursor with
-        | Ok record -> Collect.push records record
-        | Error error -> (
-            fault error;
-            (* Skipping to the next decodable boundary also abandons the
-               record-count bookkeeping for the skipped span: we keep
-               decoding until the payload runs dry or the count is met. *)
-            match Cursor.resync cursor with
-            | Some _skipped -> cursor.Cursor.decoded <- cursor.Cursor.decoded + 1
-            | None -> stop := true)
-      done;
+      drain ();
       Ok (Collect.contents records, Cursor.format cursor, List.rev !faults)
 
 (* Payload bits counted record by record, never encoded: the materialized

@@ -51,12 +51,15 @@ val decode_result : string -> (Record.t array * format, error) result
 
 val decode_degraded :
   string -> (Record.t array * format * Fault.t list, error) result
-(** Salvage decode for corrupt streams: on an undecodable record the
-    cursor skips to the next byte boundary that decodes cleanly
-    ({!Cursor.resync}) and the failure is recorded as a {!Fault.t}.
-    Returns every structurally decodable record plus the fault list;
-    [Error] only when the header itself is unusable. A non-empty fault
-    list means downstream results must be treated as degraded. *)
+(** Salvage decode for corrupt streams: {!Cursor.next_salvaged} drained
+    over an in-memory cursor. On an undecodable record the cursor skips
+    to the next byte boundary that decodes cleanly ({!Cursor.resync})
+    and the failure is recorded as a {!Fault.t}. Returns every
+    structurally decodable record plus the fault list; [Error] only
+    when the header itself is unusable. A non-empty fault list means
+    downstream results must be treated as degraded. A chunked cursor
+    salvages the same records and faults, one record at a time
+    ({!Stream.open_path} with [~salvage]). *)
 
 (** Streaming decode: one record at a time without materialising the
     whole array — the trace linter's view of a stream. *)
@@ -78,7 +81,9 @@ module Cursor : sig
   (** Chunked streaming cursor over a channel: holds O([chunk] + one
       record) bytes regardless of stream length, so traces larger than
       RAM decode in constant memory. Byte offsets in diagnostics remain
-      absolute file offsets across refills. The channel must stay open
+      absolute file offsets across refills. A channel that cannot be
+      read (a directory, say) is RSM-T009: an [Error] at the header,
+      {!Fault.Trace_fault} at a later refill. The channel must stay open
       for the cursor's lifetime and is not closed by the cursor. *)
 
   val format : t -> format
@@ -116,9 +121,20 @@ module Cursor : sig
   (** Skip forward to the next byte boundary from which a record (and
       its successor, when enough payload remains) decodes cleanly;
       returns the bytes skipped, or [None] when no boundary exists
-      before the end of the payload. Decoder delta state carries over,
-      so resynced records are structurally sound but may be
-      semantically wrong — mark the run degraded. *)
+      before the end of the stream. The scan only moves forward, and
+      each trial first makes two maximal records resident, so a chunked
+      cursor resyncs across refills exactly as an in-memory one does.
+      Decoder delta state carries over, so resynced records are
+      structurally sound but may be semantically wrong — mark the run
+      degraded. *)
+
+  val next_salvaged : t -> fault:(Fault.t -> unit) -> Record.t option
+  (** The salvage loop, one record at a time: the next structurally
+      decodable record, or [None] at the end of the stream (or once no
+      boundary is left to resync to). An undecodable record is passed
+      to [fault] — its RSM-T code, the record offset and ["byte B:
+      reason"] — and the cursor resyncs past it. Never raises on
+      malformed bytes. *)
 
   val bits_remaining : t -> int
   (** Bits buffered but not yet decoded: exact for in-memory cursors, a

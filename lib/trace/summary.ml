@@ -11,32 +11,58 @@ type t = {
   divides : int;
 }
 
-let zero =
-  { total = 0; correct_path = 0; wrong_path = 0; branches = 0;
-    cond_branches = 0; taken_branches = 0; loads = 0; stores = 0;
-    mults = 0; divides = 0 }
+(* One mutable cell per field, so counting allocates nothing; the
+   immutable [t] is built once, by [result]. *)
+type counter = {
+  mutable c_total : int;
+  mutable c_wrong_path : int;
+  mutable c_branches : int;
+  mutable c_cond_branches : int;
+  mutable c_taken_branches : int;
+  mutable c_loads : int;
+  mutable c_stores : int;
+  mutable c_mults : int;
+  mutable c_divides : int;
+}
 
-let add acc (record : Record.t) =
-  let acc =
-    { acc with
-      total = acc.total + 1;
-      correct_path = acc.correct_path + (if record.wrong_path then 0 else 1);
-      wrong_path = acc.wrong_path + (if record.wrong_path then 1 else 0) }
-  in
+let counter () =
+  { c_total = 0; c_wrong_path = 0; c_branches = 0; c_cond_branches = 0;
+    c_taken_branches = 0; c_loads = 0; c_stores = 0; c_mults = 0;
+    c_divides = 0 }
+
+let count c (record : Record.t) =
+  c.c_total <- c.c_total + 1;
+  if record.wrong_path then c.c_wrong_path <- c.c_wrong_path + 1;
   match record.payload with
   | Branch { kind; taken; _ } ->
-      { acc with
-        branches = acc.branches + 1;
-        cond_branches = (acc.cond_branches + match kind with Cond -> 1 | _ -> 0);
-        taken_branches = acc.taken_branches + (if taken then 1 else 0) }
+      c.c_branches <- c.c_branches + 1;
+      (match kind with
+      | Cond -> c.c_cond_branches <- c.c_cond_branches + 1
+      | Jump | Call | Ret | Indirect -> ());
+      if taken then c.c_taken_branches <- c.c_taken_branches + 1
   | Memory { is_load; _ } ->
-      if is_load then { acc with loads = acc.loads + 1 }
-      else { acc with stores = acc.stores + 1 }
-  | Other { op_class = Mult } -> { acc with mults = acc.mults + 1 }
-  | Other { op_class = Divide } -> { acc with divides = acc.divides + 1 }
-  | Other { op_class = Alu } -> acc
+      if is_load then c.c_loads <- c.c_loads + 1
+      else c.c_stores <- c.c_stores + 1
+  | Other { op_class = Mult } -> c.c_mults <- c.c_mults + 1
+  | Other { op_class = Divide } -> c.c_divides <- c.c_divides + 1
+  | Other { op_class = Alu } -> ()
 
-let of_records records = Array.fold_left add zero records
+let result c =
+  { total = c.c_total;
+    correct_path = c.c_total - c.c_wrong_path;
+    wrong_path = c.c_wrong_path;
+    branches = c.c_branches;
+    cond_branches = c.c_cond_branches;
+    taken_branches = c.c_taken_branches;
+    loads = c.c_loads;
+    stores = c.c_stores;
+    mults = c.c_mults;
+    divides = c.c_divides }
+
+let of_records records =
+  let c = counter () in
+  Array.iter (count c) records;
+  result c
 
 let wrong_path_fraction t =
   if t.total = 0 then 0.0 else float_of_int t.wrong_path /. float_of_int t.total

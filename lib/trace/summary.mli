@@ -13,14 +13,22 @@ type t = {
   divides : int;
 }
 
-val zero : t
+type counter
+(** Running counts for a summary built one record at a time — how
+    streaming consumers (pull-based engines, linters) summarize a trace
+    without materialising it. Counting allocates nothing. *)
 
-val add : t -> Record.t -> t
-(** Incremental fold step — how streaming consumers (pull-based
-    engines, linters) accumulate a summary without materialising the
-    trace. [of_records] is [fold_left add zero]. *)
+val counter : unit -> counter
+(** A fresh counter: no records seen. *)
+
+val count : counter -> Record.t -> unit
+(** Count the next record. *)
+
+val result : counter -> t
+(** The summary of the records counted so far. *)
 
 val of_records : Record.t array -> t
+(** Every record counted by one {!counter}. *)
 
 val wrong_path_fraction : t -> float
 (** Fraction of trace records that are tagged — the paper reports this

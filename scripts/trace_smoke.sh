@@ -7,15 +7,19 @@
 #      simulate with nonzero synthesized wrong-path fetches; malformed
 #      input exits 1 with an RSM-A file:line diagnostic (never a
 #      backtrace) and a missing file exits 2 with RSM-T009.
-#   2. Streamed runs (--stream, chunked cursor) produce metrics
-#      byte-identical to the in-memory path, on counted files, on
-#      streamed-header files and through a pipe.
+#   2. `simulate -t` (every trace file streams through the chunked
+#      cursor) produces metrics byte-identical to an independent
+#      oracle: the same kernel generated in memory (`simulate -k`).
+#      A streamed-header file agrees with itself through a pipe
+#      (`-t -`, no flag) and with the no-op --stream flag.
 #   3. Sharded traces (tracegen --records-per-shard) lint clean shard
 #      by shard and simulate identically to the unsharded trace.
-#   4. Constant-memory guard: a 2M-record trace streams through the
-#      engine within a peak-RSS budget ~16x below what materializing
-#      it costs (measured: ~19 MB streamed vs ~300 MB in-memory), so a
-#      regression that silently materializes the stream fails the gate.
+#   4. Constant-memory guard: plain `simulate -t` on a 2M-record trace
+#      stays within a peak-RSS budget several times below what holding
+#      the trace in memory costs (measured: ~19 MB streamed; the
+#      retired materialized path peaked at ~220 MB on this trace), so
+#      a regression that silently materializes the trace fails the
+#      gate.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -114,31 +118,33 @@ if grep -qi 'backtrace\|Fatal error' "$TMP/missing.out"; then
     fail=1
 fi
 
-# --- 2. streamed == in-memory -----------------------------------------
+# --- 2. streamed == an in-memory oracle ---------------------------------
 
+# The oracle generates the same kernel trace in memory and never reads
+# a file, so it shares no decode or stream code with `-t`.
 timeout 120 "$CLI" tracegen -k gzip -s 4000 -o "$TMP/t.rtr" > /dev/null
+timeout 120 "$CLI" simulate -k gzip -s 4000 --metrics "$TMP/k.json" \
+    > /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --metrics "$TMP/a.json" \
     > /dev/null
-timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --stream \
-    --metrics "$TMP/b.json" > /dev/null
-if ! cmp -s "$TMP/a.json" "$TMP/b.json"; then
-    echo "FAIL streamed file: metrics differ from in-memory"
+if ! cmp -s "$TMP/k.json" "$TMP/a.json"; then
+    echo "FAIL streamed file: metrics differ from the in-memory kernel run"
     fail=1
 fi
 
-# Streamed-header file (count unknown to the producer): both paths
-# again, plus the same trace through a pipe.
+# Streamed-header file (count unknown to the producer): the file, the
+# same bytes through a pipe with no flag, and the no-op --stream flag.
 timeout 120 "$CLI" tracegen --stream --limit 50000 -k gzip \
     > "$TMP/s.rtr" 2> /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/s.rtr" --metrics "$TMP/sa.json" \
     > /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/s.rtr" --stream \
     --metrics "$TMP/sb.json" > /dev/null
-timeout 120 "$CLI" simulate --stream -t - --metrics "$TMP/sc.json" \
+timeout 120 "$CLI" simulate -t - --metrics "$TMP/sc.json" \
     < "$TMP/s.rtr" > /dev/null
 if ! cmp -s "$TMP/sa.json" "$TMP/sb.json" \
     || ! cmp -s "$TMP/sa.json" "$TMP/sc.json"; then
-    echo "FAIL streamed header: file/stream/pipe metrics disagree"
+    echo "FAIL streamed header: file/--stream/pipe metrics disagree"
     fail=1
 fi
 
@@ -166,9 +172,10 @@ fi
 
 # --- 4. constant-memory guard ------------------------------------------
 
-# 2M records: materializing costs ~300 MB peak RSS; the streamed path
-# was measured at ~19 MB. Budget 64 MB — a silent materialization (or
-# an unbounded refill buffer) blows through it.
+# 2M records: the streamed path was measured at ~19 MB peak RSS, the
+# retired materialized path at ~220 MB. Budget 64 MB on the default
+# `simulate -t` — a silent materialization (or an unbounded refill
+# buffer) blows through it.
 RSS_BUDGET_KB=65536
 timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
     > "$TMP/big.rtr" 2> /dev/null
@@ -176,7 +183,7 @@ timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
 # Background the CLI directly (no `timeout` wrapper: $pid must be the
 # simulator itself for /proc VmHWM); the poll loop doubles as the
 # watchdog.
-"$CLI" simulate --stream -t "$TMP/big.rtr" \
+"$CLI" simulate -t "$TMP/big.rtr" \
     --metrics "$TMP/p.json" > /dev/null 2>&1 &
 pid=$!
 peak=0
@@ -195,7 +202,7 @@ while kill -0 "$pid" 2> /dev/null; do
 done
 status=0
 wait "$pid" || status=$?
-expect_exit "2M-record streamed simulate" 0 $status
+expect_exit "2M-record simulate -t" 0 $status
 if [ "$peak" -gt "$RSS_BUDGET_KB" ]; then
     echo "FAIL constant-memory guard: peak RSS ${peak} kB > budget ${RSS_BUDGET_KB} kB"
     fail=1
@@ -210,4 +217,4 @@ if [ "$fail" -ne 0 ]; then
     echo "trace smoke: FAILED"
     exit 1
 fi
-echo "trace smoke: OK (foreign formats, streamed==in-memory, shards, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"
+echo "trace smoke: OK (foreign formats, -t == in-memory kernel, shards, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"

@@ -331,7 +331,7 @@ let test_checkpoint_resume_bit_identical () =
         | Ok checkpoint -> checkpoint
         | Error error -> Alcotest.fail (Checkpoint.error_to_string error)
       in
-      match Resim.resume_trace ~checkpoint records with
+      match Resim.resume_trace ~checkpoint (Records records) with
       | Error message -> Alcotest.fail message
       | Ok outcome ->
           check bool "resumed stats bit-identical to unbounded run" true
@@ -358,12 +358,12 @@ let test_resume_refuses_mismatch () =
           Resim_trace.Record.payload =
             Resim_trace.Record.Other
               { op_class = Resim_trace.Record.Divide } };
-      (match Resim.resume_trace ~checkpoint other with
+      (match Resim.resume_trace ~checkpoint (Records other) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "resume accepted a divergent trace");
       (* Nor can a different configuration. *)
       let config = { Config.reference with rob_entries = 32 } in
-      match Resim.resume_trace ~config ~checkpoint records with
+      match Resim.resume_trace ~config ~checkpoint (Records records) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "resume accepted a foreign configuration")
 

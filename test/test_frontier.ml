@@ -40,6 +40,9 @@ let read_bytes path =
 
 let stats_dump stats = Format.asprintf "%a" Stats.pp stats
 
+let stream_records stream =
+  Array.of_list (List.rev (Stream.fold (fun acc r -> r :: acc) [] stream))
+
 (* ------------------------------------------------------------------- *)
 (* Differential: streamed pull path vs in-memory array path, every
    workload kernel (plus a synthetic eighth).                           *)
@@ -86,9 +89,85 @@ let test_streamed_matches_in_memory () =
             streamed.outcome.bits_per_instruction))
     (Lazy.force Test_event.kernel_records)
 
-(* The CLI face of the differential: [simulate --stream -t F] prints the
-   report [simulate -t F] prints, bits/instr line included, and writes
-   the same metrics document; only the "wrote metrics" line differs. *)
+(* Sampling and resume used to read a trace file whole; [simulate -t]
+   now streams it for them too. Anchor the stream to the array the old
+   path decoded: a [Records] trace from [Codec.read_file_result] and a
+   [Pull] from [Stream.open_file] over the same file give the same
+   sampled statistics and report, and the same resumed run from a
+   cycle-budget checkpoint. *)
+let test_sampled_and_resumed_streams_match_arrays () =
+  let name, records =
+    List.find
+      (fun (name, _) -> String.equal name "gzip")
+      (Lazy.force Test_event.kernel_records)
+  in
+  with_tmp ~suffix:".rtr" (fun path ->
+      Codec.write_file path records;
+      let array =
+        match Codec.read_file_result path with
+        | Ok (records, _) -> Resim.Records records
+        | Error e -> Alcotest.failf "%s: %s" name (Codec.error_to_string e)
+      in
+      (* A fresh stream per run, closed after it. *)
+      let pulled run =
+        match Stream.open_file ~chunk:4096 path with
+        | Error e -> Alcotest.failf "%s: %s" name (Codec.error_to_string e)
+        | Ok stream ->
+            Fun.protect
+              ~finally:(fun () -> Stream.close stream)
+              (fun () -> run (Resim.Pull (fun () -> Stream.next stream)))
+      in
+      let spec =
+        { Resim_sample.Sample.detail = 1000; warmup = 19000; seed = 7 }
+      in
+      let sampled trace =
+        match Resim_sample.Sample.run ~spec trace with
+        | Ok (robust, report) ->
+            (robust.Resim.outcome, Resim_sample.Sample.report_to_json report)
+        | Error failure ->
+            Alcotest.failf "%s: sampled: %s" name
+              (Resim.failure_to_string failure)
+      in
+      let describe (outcome : Resim.outcome) =
+        ( stats_dump outcome.stats,
+          Format.asprintf "%a" Resim_trace.Summary.pp outcome.trace_summary,
+          outcome.bits_per_instruction )
+      in
+      let same label (a : Resim.outcome) (b : Resim.outcome) =
+        let a_stats, a_summary, a_bits = describe a
+        and b_stats, b_summary, b_bits = describe b in
+        check string (label ^ ": stats") a_stats b_stats;
+        check string (label ^ ": trace summary") a_summary b_summary;
+        check (Alcotest.float 0.0) (label ^ ": bits/instr") a_bits b_bits
+      in
+      let array_sampled, array_report = sampled array in
+      let pulled_sampled, pulled_report = pulled sampled in
+      check bool "several intervals" true
+        (String.length array_report > 0
+        && array_sampled.Resim.trace_summary.total = Array.length records);
+      same "sampled" array_sampled pulled_sampled;
+      check string "sample report" array_report pulled_report;
+      let checkpoint =
+        match Resim.run ~max_cycles:50_000L array with
+        | Ok { Resim.resume = Some checkpoint; _ } -> checkpoint
+        | Ok _ -> Alcotest.failf "%s: the budget did not truncate" name
+        | Error failure ->
+            Alcotest.failf "%s: %s" name (Resim.failure_to_string failure)
+      in
+      let resumed trace =
+        match Resim.resume_trace ~checkpoint trace with
+        | Ok outcome -> outcome
+        | Error message -> Alcotest.failf "%s: resume: %s" name message
+      in
+      let full = (robust_exn name (Resim.run array)).Resim.outcome in
+      let array_resumed = resumed array in
+      same "resumed array = unbounded" full array_resumed;
+      same "resumed stream = resumed array" array_resumed (pulled resumed))
+
+(* The CLI face of the differential: [--stream] is accepted and changes
+   nothing — [simulate --stream -t F] prints the report [simulate -t F]
+   prints, bits/instr line included, and writes the same metrics
+   document; only the "wrote metrics" line differs. *)
 let test_cli_stream_report_matches_file () =
   let cli = Filename.quote Test_sample.cli in
   let tmp suffix = Filename.temp_file "resim_frontier" suffix in
@@ -232,6 +311,100 @@ let test_error_offset_is_past_first_chunk () =
         true
         (e.byte_offset > chunk)
 
+(* Degraded decode on a chunked cursor. The salvage loop drained over a
+   file read [chunk] bytes at a time must yield what
+   [Codec.decode_degraded] salvages from the whole string: the same
+   records, the same faults (code, record offset, and the byte offset
+   in their context) and the same final byte offset — on every
+   corruption class, for chunks of 1 to 17 bytes. A resync trial makes
+   two maximal records (22 bytes) resident first, so at these chunk
+   sizes every resync crosses refills. *)
+let salvage cursor =
+  let faults = ref [] in
+  let fault f = faults := f :: !faults in
+  let rec drain acc =
+    match Codec.Cursor.next_salvaged cursor ~fault with
+    | Some record -> drain (record :: acc)
+    | None -> (List.rev acc, List.rev !faults, Codec.Cursor.byte_offset cursor)
+  in
+  drain []
+
+let test_chunked_degraded_matches_in_memory () =
+  let records = Lazy.force corruption_records in
+  let resynced = ref 0 in
+  let fault_lines faults = List.map Fault.to_string faults in
+  List.iter
+    (fun fault ->
+      List.iter
+        (fun format ->
+          List.iter
+            (fun seed ->
+              let data = Fault_inject.apply ~seed ~format fault records in
+              let label =
+                Printf.sprintf "%s/%s/seed %d" (Fault_inject.name fault)
+                  (match format with
+                  | Codec.Fixed -> "fixed"
+                  | Codec.Compact -> "compact")
+                  seed
+              in
+              match Codec.decode_degraded data with
+              | Error e ->
+                  (* An unusable header fails the chunked open alike. *)
+                  List.iter
+                    (fun chunk ->
+                      match chunked_view ~chunk data with
+                      | [], Some c ->
+                          check string (label ^ ": header error") e.error_code
+                            c.Codec.error_code
+                      | _ -> Alcotest.failf "%s: chunked header opened" label)
+                    [ 1; 17 ]
+              | Ok (expected, _, expected_faults) ->
+                  let in_memory = salvage (Codec.Cursor.of_string data) in
+                  let mem_records, mem_faults, _ = in_memory in
+                  check bool (label ^ ": drain = decode_degraded") true
+                    (mem_records = Array.to_list expected);
+                  check (Alcotest.list string) (label ^ ": faults")
+                    (fault_lines expected_faults) (fault_lines mem_faults);
+                  (match expected_faults with
+                  | first :: _ when Array.length expected > first.Fault.offset
+                    ->
+                      incr resynced
+                  | _ -> ());
+                  with_tmp ~suffix:".rtr" (fun path ->
+                      write_bytes path data;
+                      for chunk = 1 to 17 do
+                        let ic = open_in_bin path in
+                        Fun.protect
+                          ~finally:(fun () -> close_in_noerr ic)
+                          (fun () ->
+                            match Codec.Cursor.of_channel_result ~chunk ic with
+                            | Error e ->
+                                Alcotest.failf "%s: chunk %d: %s" label chunk
+                                  (Codec.error_to_string e)
+                            | Ok cursor ->
+                                let chk_records, chk_faults, chk_end =
+                                  salvage cursor
+                                in
+                                let _, _, mem_end = in_memory in
+                                let at =
+                                  Printf.sprintf "%s: chunk %d" label chunk
+                                in
+                                check int (at ^ ": record count")
+                                  (List.length mem_records)
+                                  (List.length chk_records);
+                                check bool (at ^ ": records") true
+                                  (mem_records = chk_records);
+                                check (Alcotest.list string) (at ^ ": faults")
+                                  (fault_lines mem_faults)
+                                  (fault_lines chk_faults);
+                                check int (at ^ ": final byte offset") mem_end
+                                  chk_end)
+                      done))
+            [ 1; 2; 3 ])
+        [ Codec.Fixed; Codec.Compact ])
+    Fault_inject.all;
+  check bool "some resync resumed decoding mid-stream" true (!resynced > 0)
+
 (* ------------------------------------------------------------------- *)
 (* Streaming encoder: push through a bounded buffer, read back the
    streamed header, decode exactly the pushed records.                  *)
@@ -274,7 +447,7 @@ let test_encoder_streamed_roundtrip () =
           | Error e -> Alcotest.failf "open_file: %s" (Codec.error_to_string e)
           | Ok stream ->
               check bool "stream face round-trips" true
-                (Stream.to_array stream = records)))
+                (stream_records stream = records)))
     [ Codec.Fixed; Codec.Compact ]
 
 let test_read_file_missing_is_typed () =
@@ -333,12 +506,12 @@ let test_shard_roundtrip_and_lint () =
       | Error e -> Alcotest.failf "open_sharded: %s" (Codec.error_to_string e)
       | Ok stream ->
           check bool "sharded concat round-trips" true
-            (Stream.to_array stream = records));
+            (stream_records stream = records));
       match Stream.open_path stem with
       | Error e -> Alcotest.failf "open_path: %s" (Codec.error_to_string e)
       | Ok stream ->
           check bool "open_path finds the set" true
-            (Stream.to_array stream = records))
+            (stream_records stream = records))
 
 let test_shard_empty_trace () =
   with_shards ~records_per_shard:10 [||] (fun ~stem:_ paths ->
@@ -423,8 +596,18 @@ let test_multicore_stream_feed_matches_records_feed () =
 (* Adapters: grammar acceptance, typed RSM-A diagnostics, round-trip
    through the codec, lint-clean synthesis.                             *)
 
+(* Drain an adapter into an array, or its first error. *)
+let drain_adapter adapter =
+  let rec collect acc =
+    match Adapter.next_result adapter with
+    | Ok (Some record) -> collect (record :: acc)
+    | Ok None -> Ok (Array.of_list (List.rev acc))
+    | Error error -> Error error
+  in
+  collect []
+
 let adapt ?(format = Adapter.Text) source =
-  Adapter.adapt_string_result ~format ~file:"test.trc" source
+  drain_adapter (Adapter.of_string ~format ~file:"test.trc" source)
 
 let adapt_exn ?format label source =
   match adapt ?format source with
@@ -607,7 +790,7 @@ let test_adapter_wrong_path_reaches_engine () =
       (Buffer.contents buffer)
   in
   let records =
-    match Adapter.to_records_result adapter with
+    match drain_adapter adapter with
     | Ok records -> records
     | Error e -> Alcotest.failf "adapt: %s" (Adapter.error_to_string e)
   in
@@ -665,14 +848,18 @@ let suite =
      [ Alcotest.test_case "pull path matches in-memory on all kernels" `Slow
          test_streamed_matches_in_memory;
        Alcotest.test_case "simulate --stream prints the -t report" `Quick
-         test_cli_stream_report_matches_file ]);
+         test_cli_stream_report_matches_file;
+       Alcotest.test_case "sampled and resumed streams match arrays" `Slow
+         test_sampled_and_resumed_streams_match_arrays ]);
     ("frontier:chunked cursor",
      [ Alcotest.test_case "agrees with in-memory on every corruption class"
          `Quick test_chunked_agrees_on_every_corruption_class;
        Alcotest.test_case "truncation at chunk boundaries" `Quick
          test_truncation_at_chunk_boundaries;
        Alcotest.test_case "offsets are absolute past refills" `Quick
-         test_error_offset_is_past_first_chunk ]);
+         test_error_offset_is_past_first_chunk;
+       Alcotest.test_case "degraded resync matches in-memory, chunks 1-17"
+         `Quick test_chunked_degraded_matches_in_memory ]);
     ("frontier:streamed encoder",
      [ Alcotest.test_case "push/close round-trips with exact count" `Quick
          test_encoder_streamed_roundtrip;

@@ -198,7 +198,7 @@ let test_differential_grid () =
             Stats.ipc
               (Resim.outcome_exn (Resim.run ~config (Records records))).stats
           in
-          match Sample.run ~config ~spec records with
+          match Sample.run ~config ~spec (Resim.Records records) with
           | Error failure ->
               Alcotest.fail (label ^ ": " ^ Resim.failure_to_string failure)
           | Ok (robust, report) ->
@@ -220,7 +220,7 @@ let test_determinism () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 400; seed = 42 } in
   let run () =
-    match Sample.run ~spec records with
+    match Sample.run ~spec (Resim.Records records) with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   in
@@ -229,7 +229,9 @@ let test_determinism () =
   (* A different seed moves the initial offset (and with it the
      interval boundaries) for this period. *)
   let moved =
-    match Sample.run ~spec:{ spec with Sample.seed = 43 } records with
+    match
+      Sample.run ~spec:{ spec with Sample.seed = 43 } (Resim.Records records)
+    with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   in
@@ -243,7 +245,7 @@ let test_report_accounting () =
       (Resim.outcome_exn (Resim.run (Records records))).stats
   in
   let spec = { Sample.detail = 100; warmup = 400; seed = 3 } in
-  match Sample.run ~spec records with
+  match Sample.run ~spec (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (_, report) ->
       check bool "measured something" true
@@ -271,7 +273,7 @@ let test_report_accounting () =
 let test_sample_cycle_budget () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 100; seed = 0 } in
-  match Sample.run ~max_cycles:120L ~spec records with
+  match Sample.run ~max_cycles:120L ~spec (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, report) ->
       check bool "stops on the cycle budget" true
@@ -290,7 +292,7 @@ let test_sample_deadline () =
   (* The engine polls the deadline every 256 cycles, so the detailed
      interval must be long enough to reach a poll point. *)
   let spec = { Sample.detail = 2000; warmup = 0; seed = 0 } in
-  match Sample.run ~deadline:(fun () -> true) ~spec records with
+  match Sample.run ~deadline:(fun () -> true) ~spec (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, _) ->
       check bool "stops on the deadline" true
@@ -315,6 +317,45 @@ let test_sweep_sampled_job () =
       check bool "pooled sampled job keeps the report" true
         (result.Sweep.sample_report <> None)
   | _ -> Alcotest.fail "sampled sweep job did not complete"
+
+(* A sampled job over a pulled trace samples like the same records in
+   an array: equal statistics and an equal report. (Sampling used to be
+   dropped on pulled traces, so the job ran fully detailed.) *)
+let test_sweep_sampled_stream_job () =
+  let records = Lazy.force base_records in
+  let spec = { Sample.detail = 100; warmup = 400; seed = 5 } in
+  let config = Config.reference in
+  let open_stream () =
+    let at = ref 0 in
+    fun () ->
+      if !at >= Array.length records then None
+      else begin
+        incr at;
+        Some records.(!at - 1)
+      end
+  in
+  check bool "stream_job carries its sample spec" true
+    ((Sweep.stream_job ~sample:spec ~config open_stream).Sweep.sample
+    = Some spec);
+  let array_job = Sweep.trace_job ~label:"array" ~sample:spec ~config records in
+  let pulled_job =
+    { (Sweep.stream_job ~label:"pulled" ~config open_stream) with
+      Sweep.sample = Some spec }
+  in
+  let array_result = Sweep.run_job array_job in
+  let pulled_result = Sweep.run_job pulled_job in
+  check str "statistics"
+    (Stats.to_json array_result.Sweep.outcome.Resim.stats)
+    (Stats.to_json pulled_result.Sweep.outcome.Resim.stats);
+  match
+    (array_result.Sweep.sample_report, pulled_result.Sweep.sample_report)
+  with
+  | Some expected, Some report ->
+      check str "sample report"
+        (Sample.report_to_json expected)
+        (Sample.report_to_json report)
+  | None, _ -> Alcotest.fail "array job lost its report"
+  | Some _, None -> Alcotest.fail "pulled job ran unsampled"
 
 (* --- checkpoint: structured RSM-K parse errors ------------------------- *)
 
@@ -437,7 +478,7 @@ let test_emitters_parse () =
   in
   validates "Sweep.metrics_json" (Sweep.metrics_json report);
   (* sample report and the spliced --metrics document *)
-  (match Sample.run ~spec records with
+  (match Sample.run ~spec (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, sample_report) ->
       validates "Sample.report_to_json" (Sample.report_to_json sample_report);
@@ -468,7 +509,7 @@ let property_sample_spec_json =
     (fun (detail, warmup) ->
       let records = Lazy.force base_records in
       let spec = { Sample.detail; warmup; seed = detail + warmup } in
-      match Sample.run ~spec records with
+      match Sample.run ~spec (Resim.Records records) with
       | Error _ -> false
       | Ok (_, report) ->
           Json.validate (Sample.report_to_json report) = Ok ())
@@ -519,6 +560,18 @@ let test_cli_exit_codes () =
   let bad_checkpoint = write_tmp ".rscp" "RSCP 1\ncycle 0x10\ncursor 2\n" in
   let good_text = write_tmp ".trc" "1000 0 1 2 3\n1004 0 2 1 1\n1000 0 1 2 3\n" in
   let bad_text = write_tmp ".trc" "1000 0 1 2 3\n1004 9 1 2 3\n" in
+  let sharded =
+    (Generator.run (Workload.program_of (Workload.find "gzip") ~scale:512 ()))
+      .records
+  in
+  let good_trace = write_tmp ".rtr" (Resim_trace.Codec.encode sharded) in
+  (* A damaged trace: degraded resync salvages it (exit 0) unless what
+     it salvages breaks the tag-bit protocol mid-run (exit 3). *)
+  let damaged_trace =
+    write_tmp ".rtr"
+      (Resim_trace.Fault_inject.apply ~seed:2 Resim_trace.Fault_inject.Bit_flip
+         sharded)
+  in
   let cases =
     [ ("clean simulate", "simulate -k gzip -s 200", 0);
       ("sampled simulate", "simulate -k gzip -s 2000 --sample 50:450:3", 0);
@@ -562,8 +615,15 @@ let test_cli_exit_codes () =
       ( "malformed foreign lint",
         Printf.sprintf "lint %s --format text" (Filename.quote bad_text),
         1 );
-      ("stream + sample refused", "simulate -k gzip --stream --sample 50:450", 2);
-      ("stream without trace", "simulate -k gzip --stream", 2) ]
+      (* every trace file streams: sampling, stdin and the no-op
+         --stream flag need nothing else *)
+      ( "streamed sample",
+        Printf.sprintf "simulate -t %s --sample 50:450"
+          (Filename.quote good_trace),
+        0 );
+      ( "stdin without a flag",
+        Printf.sprintf "simulate -t - < %s" (Filename.quote good_trace),
+        0 ) ]
   in
   (* Rows that also pin bytes of the --metrics document: the engine
      identity perfbench's simulate-file golden digest hashes, and the
@@ -595,10 +655,6 @@ let test_cli_exit_codes () =
   (* A shard set: `profile -t` on one shard profiles the whole set, as
      `simulate -t` reads it. *)
   let shard_stem = Filename.temp_file "resim_test_shard" "" in
-  let sharded =
-    (Generator.run (Workload.program_of (Workload.find "gzip") ~scale:512 ()))
-      .records
-  in
   let shards =
     Resim_trace.Codec.Shard.write ~records_per_shard:1000 ~stem:shard_stem
       sharded
@@ -606,8 +662,9 @@ let test_cli_exit_codes () =
   Fun.protect
     ~finally:(fun () ->
       List.iter Sys.remove
-        ([ corrupt_trace; bad_checkpoint; good_text; bad_text; fresh_metrics;
-           resumed_metrics; checkpoint; sweep_metrics; shard_stem ]
+        ([ corrupt_trace; bad_checkpoint; good_text; bad_text; good_trace;
+           damaged_trace; fresh_metrics; resumed_metrics; checkpoint;
+           sweep_metrics; shard_stem ]
         @ shards))
     (fun () ->
       List.iter
@@ -615,6 +672,16 @@ let test_cli_exit_codes () =
           check int (Printf.sprintf "%s (`resim %s`)" label args) expected
             (run_cli args))
         cases;
+      (let args =
+         Printf.sprintf "simulate -t %s --degraded resync"
+           (Filename.quote damaged_trace)
+       in
+       let code = run_cli args in
+       check bool
+         (Printf.sprintf "degraded resync (`resim %s`) exits 0 or 3, got %d"
+            args code)
+         true
+         (code = 0 || code = 3));
       (* An unwritable output path is a usage error that names the
          path, not an uncaught exception. *)
       List.iter
@@ -707,7 +774,9 @@ let suite =
          test_sample_cycle_budget;
        Alcotest.test_case "deadline truncates" `Quick test_sample_deadline;
        Alcotest.test_case "sweep jobs carry sampled reports" `Quick
-         test_sweep_sampled_job ]);
+         test_sweep_sampled_job;
+       Alcotest.test_case "pulled sweep jobs sample like arrays" `Quick
+         test_sweep_sampled_stream_job ]);
     ("sample:checkpoint",
      [ Alcotest.test_case "every malformation class has its code" `Quick
          test_checkpoint_malformations;

@@ -155,7 +155,8 @@ let test_checkpoint_resume () =
       match robust.Resim.resume with
       | None -> Alcotest.fail "expected a resume checkpoint"
       | Some checkpoint -> (
-          match Resim.resume_trace ~config ~checkpoint records with
+          match Resim.resume_trace ~config ~checkpoint (Records records)
+          with
           | Error message -> Alcotest.fail message
           | Ok outcome ->
               check string "resumed run matches uninterrupted"
