@@ -33,12 +33,14 @@ let ensure_valid_config ~context config =
    code an unreadable input gets, instead of escaping as an uncaught
    [Sys_error]. [write] is {!write_file} or a library writer that opens
    the path itself. *)
+let write_failed path reason =
+  Format.eprintf "%s: %s@." path reason;
+  exit 2
+
 let writing path write =
   match write () with
   | result -> result
-  | exception Sys_error reason ->
-      Format.eprintf "%s: %s@." path reason;
-      exit 2
+  | exception Sys_error reason -> write_failed path reason
 
 (* The explicit flush surfaces a short write (a full disk) as the
    [Sys_error] [writing] reports; [with_open_bin] then closes without
@@ -595,7 +597,19 @@ let simulate workload scale source_file trace_file trace_format _stream
   in
   let sinks =
     (match pipetrace_channel with
-    | Some (_, channel) -> [ Resim_obs.Obs.jsonl_channel channel ]
+    | Some (path, channel) ->
+        (* The pipetrace is written inside the engine, mid-run: a write
+           that fails (a full disk) exits 2 naming the path, like any
+           other output. One reused line buffer; the channel's own
+           buffering batches the writes. *)
+        let line = Buffer.create 64 in
+        [ Resim_obs.Obs.make_sink
+            ~on_close:(fun () -> writing path (fun () -> flush channel))
+            (fun ~cycle event ->
+              Buffer.clear line;
+              Resim_obs.Obs.add_jsonl_event line ~cycle event;
+              try Buffer.output_buffer channel line
+              with Sys_error reason -> write_failed path reason) ]
     | None -> [])
     @
     match waterfall_window with

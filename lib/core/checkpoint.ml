@@ -163,12 +163,18 @@ let verify_engine ~expected t =
               "engine identity mismatch: checkpoint %s, this build %s" engine
               expected }
 
+(* The flush inside the protected body raises a failed write (a full
+   disk) as [Sys_error]: a checkpoint fits in the channel buffer, so
+   otherwise only [close_out_noerr] would write it, and swallow the
+   error. *)
 let save path t =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (* resim-lint: allow — writes to an explicit file channel, not the console *)
-    (fun () -> output_string oc (to_string t))
+    (fun () ->
+      (* resim-lint: allow — writes to an explicit file channel, not the console *)
+      output_string oc (to_string t);
+      flush oc)
 
 let load path =
   match open_in_bin path with

@@ -63,17 +63,6 @@ let add_jsonl_event buffer ~cycle event =
       Buffer.add_char buffer '"');
   Buffer.add_string buffer "}\n"
 
-let jsonl_channel channel =
-  (* One reused line buffer; the channel's own buffering batches the
-     writes. *)
-  let line = Buffer.create 64 in
-  make_sink
-    ~on_close:(fun () -> flush channel)
-    (fun ~cycle event ->
-      Buffer.clear line;
-      add_jsonl_event line ~cycle event;
-      Buffer.output_buffer channel line)
-
 let jsonl_buffer buffer =
   make_sink (fun ~cycle event -> add_jsonl_event buffer ~cycle event)
 

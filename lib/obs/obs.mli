@@ -55,9 +55,9 @@ val close : sink list -> unit
 val add_jsonl_event :
   Buffer.t -> cycle:int64 -> Resim_core.Engine.event -> unit
 (** Append one pipetrace line (with trailing newline) to [buffer] —
-    the single encoder both JSONL sinks share. *)
+    the single encoder of every JSONL pipetrace ([simulate
+    --pipetrace] builds its file sink on it). *)
 
-val jsonl_channel : out_channel -> sink
 val jsonl_buffer : Buffer.t -> sink
 (** In-memory variant, for tests comparing whole streams. *)
 

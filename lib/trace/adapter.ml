@@ -44,11 +44,13 @@ let index_of_pc pc = (pc lsr 2) land pc_mask
 let addr_mask = (1 lsl 32) - 1
 
 (* One parsed line, before branch classification (which needs one line
-   of lookahead: taken-ness is inferred from the next PC). *)
+   of lookahead: taken-ness is inferred from the next PC). A [Ctl]
+   target is the static target's index, or -1 when only the next line
+   can tell (jalr). *)
 type shape =
   | Plain of Record.op_class
   | Mem of { is_load : bool; address : int }
-  | Ctl of { kind : Opcode.branch_kind; target : int option }
+  | Ctl of { kind : Opcode.branch_kind; target : int }
 
 type parsed = {
   index : int;
@@ -58,35 +60,208 @@ type parsed = {
   shape : shape;
 }
 
-(* --- tokenizing ----------------------------------------------------- *)
+type stats = {
+  lines : int;
+  instructions : int;
+  wrong_path : int;
+  mispredicted : int;
+}
 
-(* Split on runs of spaces/tabs, keeping 1-based start columns for
-   diagnostics. A trailing '\r' (CRLF input) and trailing whitespace are
-   tolerated silently. *)
-let tokenize line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  let n = String.length line in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done;
-    if !i < n then begin
-      let start = !i in
-      while !i < n && line.[!i] <> ' ' && line.[!i] <> '\t' do incr i done;
-      out := (String.sub line start (!i - start), start + 1) :: !out
-    end
-  done;
-  List.rev !out
+(* --- the line window ------------------------------------------------
+   Input arrives through one reusable window, refilled from its source
+   (a channel's [input], or a blit from the string for [of_string]). A
+   line is a [head, stop) range in the window and its fields are
+   offsets into it, parsed in place: no string, token list or copy per
+   line. The window holds at least [max_line_bytes + 2] bytes, so a
+   line that fits is always found whole, and one that does not is
+   RSM-A004 as soon as [max_line_bytes + 1] of its bytes are buffered.
+   Memory is the window, whatever the input's size or line lengths. *)
 
-let bad ~file ~line ~col ~code fmt =
+let window_bytes = 65536
+
+(* The profiles need at most five fields; fields past them are only
+   counted, for RSM-A001. *)
+let max_fields = 5
+
+type t = {
+  file : string;
+  format : format;
+  config : config;
+  read : bytes -> int -> int -> int;
+      (* [input]-like: at most [len] bytes into the window at [pos];
+         0 at end of input *)
+  window : bytes;
+  mutable head : int;        (* first unconsumed byte *)
+  mutable tail : int;        (* end of the buffered bytes *)
+  mutable at_end : bool;     (* [read] has returned 0 *)
+  mutable line_start : int;  (* window offset of the current line *)
+  mutable fields : int;      (* its field count, past [max_fields] too *)
+  starts : int array;        (* window offsets of its first fields *)
+  stops : int array;
+  predictor : Predictor.t;
+  branch_targets : (int, int) Hashtbl.t;
+      (* PCs seen as taken (inferred) branches, with their last taken
+         target: a later fall-through at such a PC is a not-taken
+         conditional, not a plain op. O(distinct branch PCs) — the only
+         state in the adapter that grows with the trace. *)
+  mutable line : int;          (* lines consumed so far *)
+  mutable ahead : parsed option;
+  mutable primed : bool;       (* [ahead] is valid (maybe None = EOF) *)
+  mutable wrong_left : int;    (* synthesized records still to emit *)
+  mutable wrong_pc : int;      (* the next one's index *)
+  mutable instructions : int;
+  mutable wrong : int;
+  mutable mispredicted : int;
+  mutable failed : error option;
+}
+
+let error_at t ~line ~col ~code fmt =
   Printf.ksprintf
-    (fun reason -> raise (Bad_line { code; file; line; col; reason }))
+    (fun reason -> raise (Bad_line { code; file = t.file; line; col; reason }))
     fmt
 
-let parse_hex ~file ~line ~what (token, col) =
+(* An error on the current line. *)
+let bad t ~col ~code fmt = error_at t ~line:t.line ~col ~code fmt
+
+(* Compact the unconsumed bytes to the front and read more behind them.
+   They are at most [max_line_bytes] long (a longer line is RSM-A004
+   first), so the window always has room. *)
+let refill t =
+  let pending = t.tail - t.head in
+  Bytes.blit t.window t.head t.window 0 pending;
+  t.head <- 0;
+  t.tail <- pending;
+  let read = t.read t.window pending (Bytes.length t.window - pending) in
+  if read = 0 then t.at_end <- true else t.tail <- pending + read
+
+let is_blank c = c = ' ' || c = '\t'
+
+(* Record the fields of [start, stop): runs of bytes other than spaces
+   and tabs. *)
+let split_fields t start stop =
+  let window = t.window in
+  let fields = ref 0 and i = ref start in
+  while !i < stop do
+    if is_blank (Bytes.unsafe_get window !i) then incr i
+    else begin
+      let first = !i in
+      while !i < stop && not (is_blank (Bytes.unsafe_get window !i)) do
+        incr i
+      done;
+      if !fields < max_fields then begin
+        t.starts.(!fields) <- first;
+        t.stops.(!fields) <- !i
+      end;
+      incr fields
+    end
+  done;
+  t.fields <- !fields
+
+(* Make [head, stop) the current line, minus one trailing '\r' (CRLF
+   input), and resume after it at [next]. *)
+let take_line t stop next =
+  let start = t.head in
+  let stop =
+    if stop > start && Bytes.get t.window (stop - 1) = '\r' then stop - 1
+    else stop
+  in
+  t.line <- t.line + 1;
+  t.line_start <- start;
+  t.head <- next;
+  split_fields t start stop
+
+(* The first newline in [i, stop), or [stop]. *)
+let rec newline window i stop =
+  if i = stop || Bytes.unsafe_get window i = '\n' then i
+  else newline window (i + 1) stop
+
+(* Advance to the next line, scanning for its end from [from]. False at
+   end of input; raises RSM-A004 on a line over [max_line_bytes] (its
+   length counts a trailing '\r'). *)
+let rec find_line t from =
+  let longest = t.config.max_line_bytes in
+  let limit = Int.min t.tail (t.head + longest + 1) in
+  let stop = newline t.window from limit in
+  if stop < limit then begin
+    take_line t stop (stop + 1);
+    true
+  end
+  else if t.tail - t.head > longest then begin
+    t.line <- t.line + 1;
+    bad t ~col:(longest + 1) ~code:"RSM-A004" "line exceeds %d bytes" longest
+  end
+  else if t.at_end then
+    if t.head = t.tail then false
+    else begin
+      (* a final line without a newline *)
+      take_line t t.tail t.tail;
+      true
+    end
+  else begin
+    let scanned = stop - t.head in
+    refill t;
+    find_line t scanned
+  end
+
+let create ?(config = default_config) ~format ~file read =
+  (* The scan's bounds ([find_line]) rely on the window holding a whole
+     line and on [head + max_line_bytes + 1] not overflowing. *)
+  if config.max_line_bytes < 0
+     || config.max_line_bytes > Sys.max_string_length - 2
+  then invalid_arg "Adapter: max_line_bytes out of range";
+  { file;
+    format;
+    config;
+    read;
+    window = Bytes.create (Int.max window_bytes (config.max_line_bytes + 2));
+    head = 0;
+    tail = 0;
+    at_end = false;
+    line_start = 0;
+    fields = 0;
+    starts = Array.make max_fields 0;
+    stops = Array.make max_fields 0;
+    predictor = Predictor.create config.predictor;
+    branch_targets = Hashtbl.create 64;
+    line = 0;
+    ahead = None;
+    primed = false;
+    wrong_left = 0;
+    wrong_pc = 0;
+    instructions = 0;
+    wrong = 0;
+    mispredicted = 0;
+    failed = None }
+
+let of_channel ?config ~format ~file ic = create ?config ~format ~file (input ic)
+
+let of_string ?config ~format ?(file = "<string>") data =
+  let next = ref 0 in
+  create ?config ~format ~file (fun window pos len ->
+      let read = Int.min len (String.length data - !next) in
+      Bytes.blit_string data !next window pos read;
+      next := !next + read;
+      read)
+
+let stats t =
+  { lines = t.line;
+    instructions = t.instructions;
+    wrong_path = t.wrong;
+    mispredicted = t.mispredicted }
+
+(* --- fields ----------------------------------------------------------
+   Hex fields of the plain shape, an optional 0x/0X and 1-15 hex digits
+   (which cannot overflow), parse in place. Every other field goes, as
+   a string, to [parse_hex] or [parse_int], which define the grammar
+   ([int_of_string]'s literals: underscores, a '+', 0b/0o prefixes,
+   leading zeros) and every message. *)
+
+let col t k = t.starts.(k) - t.line_start + 1
+
+let field t k =
+  Bytes.sub_string t.window t.starts.(k) (t.stops.(k) - t.starts.(k))
+
+let parse_hex t ~col ~what token =
   let literal =
     if String.length token > 1 && (token.[1] = 'x' || token.[1] = 'X')
        && token.[0] = '0'
@@ -95,23 +270,55 @@ let parse_hex ~file ~line ~what (token, col) =
   in
   match int_of_string_opt literal with
   | Some v when v >= 0 -> v
-  | Some v -> bad ~file ~line ~col ~code:"RSM-A003" "%s %d is negative" what v
+  | Some v -> bad t ~col ~code:"RSM-A003" "%s %d is negative" what v
   | None ->
-      bad ~file ~line ~col ~code:"RSM-A002" "%s %S is not a hex number" what
-        token
+      bad t ~col ~code:"RSM-A002" "%s %S is not a hex number" what token
 
-let parse_int ~file ~line ~what (token, col) =
+let parse_int t ~col ~what token =
   match int_of_string_opt token with
   | Some v -> v
-  | None ->
-      bad ~file ~line ~col ~code:"RSM-A002" "%s %S is not a number" what token
+  | None -> bad t ~col ~code:"RSM-A002" "%s %S is not a number" what token
+
+(* The value of the hex digits in [i, stop), or -1 at a byte that is
+   not one. *)
+let rec hex_digits window i stop acc =
+  if i = stop then acc
+  else
+    match Bytes.unsafe_get window i with
+    | '0' .. '9' as c ->
+        hex_digits window (i + 1) stop ((acc lsl 4) lor (Char.code c - 48))
+    | 'a' .. 'f' as c ->
+        hex_digits window (i + 1) stop ((acc lsl 4) lor (Char.code c - 87))
+    | 'A' .. 'F' as c ->
+        hex_digits window (i + 1) stop ((acc lsl 4) lor (Char.code c - 55))
+    | _ -> -1
+
+let hex_field t ~what k =
+  let window = t.window and start = t.starts.(k) and stop = t.stops.(k) in
+  let first =
+    if stop - start > 1
+       && Bytes.unsafe_get window start = '0'
+       && (match Bytes.unsafe_get window (start + 1) with
+          | 'x' | 'X' -> true
+          | _ -> false)
+    then start + 2
+    else start
+  in
+  let value =
+    if stop - first >= 1 && stop - first <= 15 then
+      hex_digits window first stop 0
+    else -1
+  in
+  if value >= 0 then value else parse_hex t ~col:(col t k) ~what (field t k)
+
+let int_field t ~what k = parse_int t ~col:(col t k) ~what (field t k)
 
 (* Foreign register fields: -1 means "none" (our register 0); larger
    files than ours fold into the 32-register namespace. *)
-let parse_reg ~file ~line ~what token =
-  let v = parse_int ~file ~line ~what token in
+let reg_field t ~what k =
+  let v = int_field t ~what k in
   if v < -1 then
-    bad ~file ~line ~col:(snd token) ~code:"RSM-A003"
+    bad t ~col:(col t k) ~code:"RSM-A003"
       "%s register %d is out of domain (minimum -1)" what v
   else if v = -1 then 0
   else v mod Resim_isa.Reg.count
@@ -123,29 +330,26 @@ let parse_reg ~file ~line ~what token =
    whose successor PC is not PC+4 is reclassified as a taken
    conditional branch targeting the successor. *)
 
-let parse_text ~file ~line tokens =
-  match tokens with
-  | [ pc; op; dst; s1; s2 ] ->
-      let pc = parse_hex ~file ~line ~what:"PC" pc in
-      let opv = parse_int ~file ~line ~what:"op" op in
-      let op_class =
-        match opv with
-        | 0 -> Record.Alu
-        | 1 -> Record.Mult
-        | 2 -> Record.Divide
-        | n ->
-            bad ~file ~line ~col:(snd op) ~code:"RSM-A003"
-              "op %d is out of domain (0=alu 1=mult 2=divide)" n
-      in
-      { index = index_of_pc pc;
-        dest = parse_reg ~file ~line ~what:"dst" dst;
-        src1 = parse_reg ~file ~line ~what:"src1" s1;
-        src2 = parse_reg ~file ~line ~what:"src2" s2;
-        shape = Plain op_class }
-  | _ ->
-      bad ~file ~line ~col:1 ~code:"RSM-A001"
-        "expected 5 fields (<PC> <op> <dst> <src1> <src2>), got %d"
-        (List.length tokens)
+let parse_text t =
+  if t.fields <> 5 then
+    bad t ~col:1 ~code:"RSM-A001"
+      "expected 5 fields (<PC> <op> <dst> <src1> <src2>), got %d" t.fields;
+  let pc = hex_field t ~what:"PC" 0 in
+  let shape =
+    match int_field t ~what:"op" 1 with
+    | 0 -> Plain Record.Alu
+    | 1 -> Plain Record.Mult
+    | 2 -> Plain Record.Divide
+    | n ->
+        bad t ~col:(col t 1) ~code:"RSM-A003"
+          "op %d is out of domain (0=alu 1=mult 2=divide)" n
+  in
+  (* Registers are checked src2, src1, dst: a line with several bad
+     ones reports its src2. *)
+  let src2 = reg_field t ~what:"src2" 4 in
+  let src1 = reg_field t ~what:"src1" 3 in
+  let dest = reg_field t ~what:"dst" 2 in
+  { index = index_of_pc pc; dest; src1; src2; shape }
 
 (* --- RISC-V instruction-trace profile -------------------------------
    <PC> <INSN> [mem <ADDR>]
@@ -171,30 +375,38 @@ let j_immediate insn =
   in
   if v land (1 lsl 20) <> 0 then v - (1 lsl 21) else v
 
-let parse_riscv ~file ~line tokens =
-  let pc_tok, insn_tok, mem =
-    match tokens with
-    | [ pc; insn ] -> (pc, insn, None)
-    | [ pc; insn; (("mem", _) as kw); addr ] -> (pc, insn, Some (kw, addr))
-    | _ ->
-        bad ~file ~line ~col:1 ~code:"RSM-A001"
-          "expected <PC> <INSN> [mem <ADDR>], got %d fields"
-          (List.length tokens)
-  in
-  let pc = parse_hex ~file ~line ~what:"PC" pc_tok in
-  let insn = parse_hex ~file ~line ~what:"instruction" insn_tok in
+let is_mem_keyword t k =
+  let start = t.starts.(k) in
+  t.stops.(k) - start = 3
+  && Bytes.get t.window start = 'm'
+  && Bytes.get t.window (start + 1) = 'e'
+  && Bytes.get t.window (start + 2) = 'm'
+
+(* [address] is -1 when the line has no mem operand. *)
+let require_mem t ~what address =
+  if address < 0 then
+    bad t ~col:1 ~code:"RSM-A001" "%s line is missing 'mem <ADDR>'" what
+  else address
+
+let is_link r = r = 1 || r = 5
+
+let parse_riscv t =
+  let fields = t.fields in
+  if not (fields = 2 || (fields = 4 && is_mem_keyword t 2)) then
+    bad t ~col:1 ~code:"RSM-A001"
+      "expected <PC> <INSN> [mem <ADDR>], got %d fields" fields;
+  let pc = hex_field t ~what:"PC" 0 in
+  let insn = hex_field t ~what:"instruction" 1 in
   if insn > 0xffff_ffff then
-    bad ~file ~line ~col:(snd insn_tok) ~code:"RSM-A005"
+    bad t ~col:(col t 1) ~code:"RSM-A005"
       "instruction word %x wider than 32 bits" insn;
   if insn land 0x3 <> 0x3 then
-    bad ~file ~line ~col:(snd insn_tok) ~code:"RSM-A005"
+    bad t ~col:(col t 1) ~code:"RSM-A005"
       "compressed or invalid instruction word %08x (insn[1:0] must be 11)"
       insn;
   let address =
-    match mem with
-    | None -> None
-    | Some (_, addr) ->
-        Some (parse_hex ~file ~line ~what:"mem address" addr land addr_mask)
+    if fields = 4 then hex_field t ~what:"mem address" 3 land addr_mask
+    else -1
   in
   let opcode = insn land 0x7f in
   let rd = (insn lsr 7) land 0x1f in
@@ -203,39 +415,42 @@ let parse_riscv ~file ~line tokens =
   let rs2 = (insn lsr 20) land 0x1f in
   let funct7 = (insn lsr 25) land 0x7f in
   let index = index_of_pc pc in
-  let require_mem what =
-    match address with
-    | Some a -> a
-    | None ->
-        bad ~file ~line ~col:1 ~code:"RSM-A001" "%s line is missing 'mem <ADDR>'"
-          what
-  in
-  let link r = r = 1 || r = 5 in
-  let plain ?(dest = rd) ?(src1 = rs1) ?(src2 = rs2) shape =
-    { index; dest; src1; src2; shape }
-  in
   match opcode with
   | 0x63 ->
       (* conditional branch: static target from the B-type immediate *)
-      plain ~dest:0
-        (Ctl { kind = Cond; target = Some (index_of_pc (pc + b_immediate insn)) })
+      { index; dest = 0; src1 = rs1; src2 = rs2;
+        shape =
+          Ctl { kind = Cond; target = index_of_pc (pc + b_immediate insn) } }
   | 0x6f ->
-      let kind : Opcode.branch_kind = if link rd then Call else Jump in
-      plain ~src1:0 ~src2:0
-        (Ctl { kind; target = Some (index_of_pc (pc + j_immediate insn)) })
+      { index; dest = rd; src1 = 0; src2 = 0;
+        shape =
+          Ctl
+            { kind = (if is_link rd then Call else Jump);
+              target = index_of_pc (pc + j_immediate insn) } }
   | 0x67 ->
       let kind : Opcode.branch_kind =
-        if (not (link rd)) && link rs1 then Ret
-        else if link rd then Call
+        if (not (is_link rd)) && is_link rs1 then Ret
+        else if is_link rd then Call
         else Indirect
       in
-      plain ~src2:0 (Ctl { kind; target = None })
-  | 0x03 -> plain ~src2:0 (Mem { is_load = true; address = require_mem "load" })
+      { index; dest = rd; src1 = rs1; src2 = 0;
+        shape = Ctl { kind; target = -1 } }
+  | 0x03 ->
+      { index; dest = rd; src1 = rs1; src2 = 0;
+        shape =
+          Mem { is_load = true; address = require_mem t ~what:"load" address }
+      }
   | 0x23 ->
-      plain ~dest:0 (Mem { is_load = false; address = require_mem "store" })
+      { index; dest = 0; src1 = rs1; src2 = rs2;
+        shape =
+          Mem
+            { is_load = false; address = require_mem t ~what:"store" address }
+      }
   | 0x33 when funct7 = 1 ->
-      plain (Plain (if funct3 < 4 then Record.Mult else Record.Divide))
-  | _ -> plain (Plain Record.Alu)
+      { index; dest = rd; src1 = rs1; src2 = rs2;
+        shape = (if funct3 < 4 then Plain Record.Mult else Plain Record.Divide)
+      }
+  | _ -> { index; dest = rd; src1 = rs1; src2 = rs2; shape = Plain Record.Alu }
 
 (* --- streaming adapter ----------------------------------------------
    Pulls lines, classifies with one line of lookahead, and synthesizes
@@ -245,119 +460,22 @@ let parse_riscv ~file ~line tokens =
    [wrong_path_limit] sequential instructions down the path the
    predictor chose. *)
 
-type stats = {
-  lines : int;
-  instructions : int;
-  wrong_path : int;
-  mispredicted : int;
-}
-
-type t = {
-  file : string;
-  format : format;
-  config : config;
-  read_line : unit -> string option;
-  predictor : Predictor.t;
-  branch_targets : (int, int) Hashtbl.t;
-      (* PCs seen as taken (inferred) branches, with their last taken
-         target: a later fall-through at such a PC is a not-taken
-         conditional, not a plain op. O(distinct branch PCs) — the only
-         state in the adapter that grows with the trace. *)
-  mutable line : int;          (* lines consumed so far *)
-  mutable ahead : parsed option;
-  mutable primed : bool;       (* [ahead] is valid (maybe None = EOF) *)
-  mutable pending : Record.t list;
-  mutable instructions : int;
-  mutable wrong : int;
-  mutable mispredicted : int;
-  mutable failed : error option;
-}
-
-let create ?(config = default_config) ~format ~file read_line =
-  { file;
-    format;
-    config;
-    read_line;
-    predictor = Predictor.create config.predictor;
-    branch_targets = Hashtbl.create 64;
-    line = 0;
-    ahead = None;
-    primed = false;
-    pending = [];
-    instructions = 0;
-    wrong = 0;
-    mispredicted = 0;
-    failed = None }
-
-let of_channel ?config ~format ~file ic =
-  create ?config ~format ~file (fun () ->
-      match input_line ic with
-      | line -> Some line
-      | exception End_of_file -> None)
-
-let of_string ?config ~format ?(file = "<string>") data =
-  let lines = String.split_on_char '\n' data in
-  (* [split_on_char] leaves a final "" for newline-terminated input;
-     drop it so it does not count as a (blank) line. *)
-  let lines =
-    match List.rev lines with
-    | "" :: rest -> List.rev rest
-    | _ -> lines
-  in
-  let remaining = ref lines in
-  create ?config ~format ~file (fun () ->
-      match !remaining with
-      | [] -> None
-      | line :: rest ->
-          remaining := rest;
-          Some line)
-
-let stats t =
-  { lines = t.line;
-    instructions = t.instructions;
-    wrong_path = t.wrong;
-    mispredicted = t.mispredicted }
-
-let blank tokens = tokens = []
-
-let comment = function
-  | (tok, _) :: _ -> String.length tok > 0 && tok.[0] = '#'
-  | [] -> false
-
 (* Read and parse the next instruction line, skipping blanks and
    [#] comments. Raises [Bad_line]. *)
 let rec parse_next t =
-  match t.read_line () with
-  | None -> None
-  | Some raw ->
-      t.line <- t.line + 1;
-      if String.length raw > t.config.max_line_bytes then
-        bad ~file:t.file ~line:t.line ~col:(t.config.max_line_bytes + 1)
-          ~code:"RSM-A004" "line exceeds %d bytes" t.config.max_line_bytes;
-      let tokens = tokenize raw in
-      if blank tokens || comment tokens then parse_next t
-      else
-        Some
-          (match t.format with
-          | Text -> parse_text ~file:t.file ~line:t.line tokens
-          | Riscv -> parse_riscv ~file:t.file ~line:t.line tokens)
+  if not (find_line t t.head) then None
+  else if t.fields = 0 || Bytes.get t.window t.starts.(0) = '#' then
+    parse_next t
+  else
+    Some (match t.format with Text -> parse_text t | Riscv -> parse_riscv t)
 
 let wrong_path_block t wrong_pc =
-  let limit = t.config.wrong_path_limit in
-  let block =
-    List.init limit (fun i ->
-        { Record.pc = (wrong_pc + i) land pc_mask;
-          wrong_path = true;
-          dest = 0;
-          src1 = 0;
-          src2 = 0;
-          payload = Record.Other { op_class = Record.Alu } })
-  in
-  t.wrong <- t.wrong + limit;
-  t.pending <- t.pending @ block
+  t.wrong_pc <- wrong_pc;
+  t.wrong_left <- t.config.wrong_path_limit;
+  t.wrong <- t.wrong + t.config.wrong_path_limit
 
-(* Classify [cur] given the lookahead [next] and emit it (plus any
-   synthesized wrong-path block onto [pending]). *)
+(* Classify [cur] given the lookahead [next] and emit it (queueing any
+   synthesized wrong-path block behind it). *)
 let emit t cur next =
   let fallthrough = cur.index + 1 in
   let discontinuous =
@@ -390,8 +508,7 @@ let emit t cur next =
         let target =
           match next with
           | Some n when taken -> n.index
-          | _ -> (
-              match target with Some s -> s | None -> fallthrough)
+          | _ -> if target >= 0 then target else fallthrough
         in
         Record.Branch { kind; taken; target }
   in
@@ -421,32 +538,41 @@ let emit t cur next =
   | Record.Memory _ | Record.Other _ -> ());
   record
 
+let next_wrong_path t =
+  let record =
+    { Record.pc = t.wrong_pc land pc_mask;
+      wrong_path = true;
+      dest = 0;
+      src1 = 0;
+      src2 = 0;
+      payload = Record.Other { op_class = Record.Alu } }
+  in
+  t.wrong_pc <- t.wrong_pc + 1;
+  t.wrong_left <- t.wrong_left - 1;
+  record
+
 let next_result t =
   match t.failed with
   | Some error -> Error error
+  | None when t.wrong_left > 0 -> Ok (Some (next_wrong_path t))
   | None -> (
-      match t.pending with
-      | record :: rest ->
-          t.pending <- rest;
-          Ok (Some record)
-      | [] -> (
-          try
-            if not t.primed then begin
-              t.ahead <- parse_next t;
-              t.primed <- true;
-              if t.ahead = None then
-                bad ~file:t.file ~line:1 ~col:1 ~code:"RSM-A006"
-                  "no instructions in %s trace" (format_to_string t.format)
-            end;
-            match t.ahead with
-            | None -> Ok None
-            | Some cur ->
-                let next = parse_next t in
-                t.ahead <- next;
-                Ok (Some (emit t cur next))
-          with Bad_line error ->
-            t.failed <- Some error;
-            Error error))
+      try
+        if not t.primed then begin
+          t.ahead <- parse_next t;
+          t.primed <- true;
+          if t.ahead = None then
+            error_at t ~line:1 ~col:1 ~code:"RSM-A006"
+              "no instructions in %s trace" (format_to_string t.format)
+        end;
+        match t.ahead with
+        | None -> Ok None
+        | Some cur ->
+            let next = parse_next t in
+            t.ahead <- next;
+            Ok (Some (emit t cur next))
+      with Bad_line error ->
+        t.failed <- Some error;
+        Error error)
 
 (* Pull interface for the streaming engine path: adapter errors surface
    as the same typed {!Fault.Trace_fault} the codec cursors raise, so

@@ -58,15 +58,23 @@ type config = {
   wrong_path_limit : int;
       (** records per synthesized wrong-path block (ROB + IFQ in the
           reference generator) *)
-  max_line_bytes : int;  (** lines longer than this are RSM-A004 *)
+  max_line_bytes : int;
+      (** lines longer than this are RSM-A004; {!of_channel} and
+          {!of_string} raise [Invalid_argument] unless it is between 0
+          and [Sys.max_string_length - 2] *)
 }
 
 val default_config : config
 
 type t
-(** A streaming adapter: pulls lines from its source one at a time
-    (one line of lookahead, O(1) memory beyond the synthesized block
-    queue), so foreign traces larger than RAM adapt in one pass. *)
+(** A streaming adapter: reads its source through one reusable window
+    of 64 KiB (at least [max_line_bytes + 2] bytes) and parses each
+    line in place, with one line of lookahead. Reading costs that
+    window, whatever the input's size or line lengths (an overlong line
+    is RSM-A004 once [max_line_bytes + 1] of its bytes are buffered);
+    beyond it the adapter keeps its predictor and one entry per
+    distinct branch PC, so foreign traces larger than RAM adapt in one
+    pass. *)
 
 val of_channel :
   ?config:config -> format:format -> file:string -> in_channel -> t

@@ -19,7 +19,10 @@
 #      the trace in memory costs (measured: ~19 MB streamed; the
 #      retired materialized path peaked at ~220 MB on this trace), so
 #      a regression that silently materializes the trace fails the
-#      gate.
+#      gate. A foreign trace that is one 96 MiB line with no newline
+#      exits 1 with RSM-A004 under the same budget: the adapter stops
+#      once max_line_bytes are buffered instead of reading the line
+#      whole (which peaks at about twice its length).
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -172,6 +175,33 @@ fi
 
 # --- 4. constant-memory guard ------------------------------------------
 
+# watch_peak PID LABEL: poll the process's peak RSS (VmHWM, kB) into
+# $peak until it exits, then leave its exit code in $status. PID must
+# be the simulator itself (backgrounded directly, no `timeout`
+# wrapper); the poll loop doubles as a ~600 s watchdog.
+watch_peak() {
+    peak=0
+    ticks=0
+    while kill -0 "$1" 2> /dev/null; do
+        v=$(awk '/VmHWM/ { print $2 }' "/proc/$1/status" 2> /dev/null || echo 0)
+        if [ "${v:-0}" -gt "$peak" ]; then peak=$v; fi
+        ticks=$((ticks + 1))
+        if [ "$ticks" -gt 6000 ]; then
+            echo "FAIL constant-memory guard: $2 still running after ~600s"
+            kill -9 "$1" 2> /dev/null || true
+            fail=1
+            break
+        fi
+        sleep 0.1
+    done
+    status=0
+    wait "$1" || status=$?
+    if [ "$peak" -gt "$RSS_BUDGET_KB" ]; then
+        echo "FAIL constant-memory guard: $2 peak RSS ${peak} kB > budget ${RSS_BUDGET_KB} kB"
+        fail=1
+    fi
+}
+
 # 2M records: the streamed path was measured at ~19 MB peak RSS, the
 # retired materialized path at ~220 MB. Budget 64 MB on the default
 # `simulate -t` — a silent materialization (or an unbounded refill
@@ -180,36 +210,31 @@ RSS_BUDGET_KB=65536
 timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
     > "$TMP/big.rtr" 2> /dev/null
 
-# Background the CLI directly (no `timeout` wrapper: $pid must be the
-# simulator itself for /proc VmHWM); the poll loop doubles as the
-# watchdog.
 "$CLI" simulate -t "$TMP/big.rtr" \
     --metrics "$TMP/p.json" > /dev/null 2>&1 &
-pid=$!
-peak=0
-ticks=0
-while kill -0 "$pid" 2> /dev/null; do
-    v=$(awk '/VmHWM/ { print $2 }' "/proc/$pid/status" 2> /dev/null || echo 0)
-    if [ "${v:-0}" -gt "$peak" ]; then peak=$v; fi
-    ticks=$((ticks + 1))
-    if [ "$ticks" -gt 6000 ]; then
-        echo "FAIL constant-memory guard: simulate still running after ~600s"
-        kill -9 "$pid" 2> /dev/null || true
-        fail=1
-        break
-    fi
-    sleep 0.1
-done
-status=0
-wait "$pid" || status=$?
+watch_peak $! "2M-record simulate -t"
 expect_exit "2M-record simulate -t" 0 $status
-if [ "$peak" -gt "$RSS_BUDGET_KB" ]; then
-    echo "FAIL constant-memory guard: peak RSS ${peak} kB > budget ${RSS_BUDGET_KB} kB"
-    fail=1
-fi
+trace_peak=$peak
 committed=$(metric "$TMP/p.json" committed)
 if [ "${committed:-0}" -le 1000000 ]; then
     echo "FAIL constant-memory guard: committed=$committed, want > 1000000"
+    fail=1
+fi
+
+# One 96 MiB foreign line with no newline, through a FIFO so it never
+# reaches the disk. The writer dies of SIGPIPE once the simulator has
+# stopped reading; the kill covers a simulator that never opened it.
+mkfifo "$TMP/long.trc"
+head -c 100663296 /dev/zero | tr '\0' a > "$TMP/long.trc" &
+writer=$!
+"$CLI" simulate --format text -t "$TMP/long.trc" > "$TMP/long.out" 2>&1 &
+watch_peak $! "96 MiB foreign line"
+kill "$writer" 2> /dev/null || true
+wait "$writer" 2> /dev/null || true
+expect_exit "96 MiB foreign line" 1 $status
+if ! grep -q 'long.trc:1:4097: \[RSM-A004\]' "$TMP/long.out"; then
+    echo "FAIL 96 MiB foreign line: no RSM-A004 diagnostic at 1:4097"
+    head -c 2000 "$TMP/long.out"
     fail=1
 fi
 
@@ -217,4 +242,4 @@ if [ "$fail" -ne 0 ]; then
     echo "trace smoke: FAILED"
     exit 1
 fi
-echo "trace smoke: OK (foreign formats, -t == in-memory kernel, shards, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"
+echo "trace smoke: OK (foreign formats, -t == in-memory kernel, shards, peak RSS ${trace_peak} kB on 2M records and ${peak} kB on a 96 MiB line <= ${RSS_BUDGET_KB} kB)"

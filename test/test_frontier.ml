@@ -713,6 +713,25 @@ let test_adapter_errors_are_sticky () =
   | _ -> Alcotest.fail "pull_exn returned on a malformed line"
   | exception Fault.Trace_fault f -> check string "pull fault" "RSM-A003" f.Fault.code
 
+let test_adapter_rejects_bad_line_limit () =
+  let adapt max_line_bytes =
+    Adapter.of_string
+      ~config:{ Adapter.default_config with max_line_bytes }
+      ~format:Adapter.Text "1000 0 1 2 3\n"
+  in
+  List.iter
+    (fun max_line_bytes ->
+      match adapt max_line_bytes with
+      | _ -> Alcotest.failf "max_line_bytes %d accepted" max_line_bytes
+      | exception Invalid_argument _ -> ())
+    [ -1; min_int; Sys.max_string_length - 1; max_int ];
+  (* the smallest limit stays usable: every non-empty line is A004 *)
+  match Adapter.next_result (adapt 0) with
+  | Error e ->
+      check string "zero limit" "RSM-A004" e.Adapter.code;
+      check int "zero limit col" 1 e.Adapter.col
+  | Ok _ -> Alcotest.fail "a 12-byte line passed a 0-byte limit"
+
 let riscv_loop_source =
   (* A tight RV32 loop: lw a0,0(a1); mul a0,a1,a2; sw a0,0(a2);
      bne x12,x13,-12 — the branch is taken (back to 0x1000) 5 times,
@@ -842,6 +861,670 @@ let adapter_roundtrip =
           && Trace_check.clean (Trace_check.lint_records records))
 
 (* ------------------------------------------------------------------- *)
+(* Differential: the window scanner against the string-per-line parser
+   it replaced. [String_lines] is that adapter, kept as the oracle: one
+   string per line ([input_line] / [split_on_char]), [tokenize]'s list
+   of (field, column) pairs and [int_of_string] on every field, with
+   [tokenize], [parse_text] and [parse_riscv] verbatim. Records, stats
+   and the first error must be identical on every input.               *)
+
+module String_lines = struct
+  module Opcode = Resim_isa.Opcode
+  module Predictor = Resim_bpred.Predictor
+
+  type format = Adapter.format = Text | Riscv
+
+  type error = Adapter.error = {
+    code : string;
+    file : string;
+    line : int;
+    col : int;
+    reason : string;
+  }
+
+  exception Bad_line of error
+
+  type config = Adapter.config = {
+    predictor : Predictor.config;
+    wrong_path_limit : int;
+    max_line_bytes : int;
+  }
+
+  type stats = Adapter.stats = {
+    lines : int;
+    instructions : int;
+    wrong_path : int;
+    mispredicted : int;
+  }
+
+  let default_config = Adapter.default_config
+  let format_to_string = Adapter.format_to_string
+  let pc_mask = (1 lsl 30) - 1
+  let index_of_pc pc = (pc lsr 2) land pc_mask
+  let addr_mask = (1 lsl 32) - 1
+
+  (* One parsed line, before branch classification (which needs one line
+     of lookahead: taken-ness is inferred from the next PC). *)
+  type shape =
+    | Plain of Record.op_class
+    | Mem of { is_load : bool; address : int }
+    | Ctl of { kind : Opcode.branch_kind; target : int option }
+
+  type parsed = {
+    index : int;
+    dest : int;
+    src1 : int;
+    src2 : int;
+    shape : shape;
+  }
+
+  (* --- tokenizing ----------------------------------------------------- *)
+
+  (* Split on runs of spaces/tabs, keeping 1-based start columns for
+     diagnostics. A trailing '\r' (CRLF input) and trailing whitespace are
+     tolerated silently. *)
+  let tokenize line =
+    let line =
+      let n = String.length line in
+      if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+    in
+    let n = String.length line in
+    let out = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done;
+      if !i < n then begin
+        let start = !i in
+        while !i < n && line.[!i] <> ' ' && line.[!i] <> '\t' do incr i done;
+        out := (String.sub line start (!i - start), start + 1) :: !out
+      end
+    done;
+    List.rev !out
+
+  let bad ~file ~line ~col ~code fmt =
+    Printf.ksprintf
+      (fun reason -> raise (Bad_line { code; file; line; col; reason }))
+      fmt
+
+  let parse_hex ~file ~line ~what (token, col) =
+    let literal =
+      if String.length token > 1 && (token.[1] = 'x' || token.[1] = 'X')
+         && token.[0] = '0'
+      then token
+      else "0x" ^ token
+    in
+    match int_of_string_opt literal with
+    | Some v when v >= 0 -> v
+    | Some v -> bad ~file ~line ~col ~code:"RSM-A003" "%s %d is negative" what v
+    | None ->
+        bad ~file ~line ~col ~code:"RSM-A002" "%s %S is not a hex number" what
+          token
+
+  let parse_int ~file ~line ~what (token, col) =
+    match int_of_string_opt token with
+    | Some v -> v
+    | None ->
+        bad ~file ~line ~col ~code:"RSM-A002" "%s %S is not a number" what token
+
+  (* Foreign register fields: -1 means "none" (our register 0); larger
+     files than ours fold into the 32-register namespace. *)
+  let parse_reg ~file ~line ~what token =
+    let v = parse_int ~file ~line ~what token in
+    if v < -1 then
+      bad ~file ~line ~col:(snd token) ~code:"RSM-A003"
+        "%s register %d is out of domain (minimum -1)" what v
+    else if v = -1 then 0
+    else v mod Resim_isa.Reg.count
+
+  (* --- text profile ---------------------------------------------------
+     <PC> <op> <dst> <src1> <src2>
+     PC hex (0x optional), op 0=alu 1=mult 2=divide, registers decimal
+     with -1 = none. Branches are not marked in the file: an instruction
+     whose successor PC is not PC+4 is reclassified as a taken
+     conditional branch targeting the successor. *)
+
+  let parse_text ~file ~line tokens =
+    match tokens with
+    | [ pc; op; dst; s1; s2 ] ->
+        let pc = parse_hex ~file ~line ~what:"PC" pc in
+        let opv = parse_int ~file ~line ~what:"op" op in
+        let op_class =
+          match opv with
+          | 0 -> Record.Alu
+          | 1 -> Record.Mult
+          | 2 -> Record.Divide
+          | n ->
+              bad ~file ~line ~col:(snd op) ~code:"RSM-A003"
+                "op %d is out of domain (0=alu 1=mult 2=divide)" n
+        in
+        { index = index_of_pc pc;
+          dest = parse_reg ~file ~line ~what:"dst" dst;
+          src1 = parse_reg ~file ~line ~what:"src1" s1;
+          src2 = parse_reg ~file ~line ~what:"src2" s2;
+          shape = Plain op_class }
+    | _ ->
+        bad ~file ~line ~col:1 ~code:"RSM-A001"
+          "expected 5 fields (<PC> <op> <dst> <src1> <src2>), got %d"
+          (List.length tokens)
+
+  (* --- RISC-V instruction-trace profile -------------------------------
+     <PC> <INSN> [mem <ADDR>]
+     PC and the 32-bit instruction word in hex; loads/stores carry their
+     effective address in the optional "mem" operand. Uncompressed
+     RV32/RV64 only (insn[1:0] must be 11). *)
+
+  let b_immediate insn =
+    let v =
+      (((insn lsr 31) land 0x1) lsl 12)
+      lor (((insn lsr 7) land 0x1) lsl 11)
+      lor (((insn lsr 25) land 0x3f) lsl 5)
+      lor (((insn lsr 8) land 0xf) lsl 1)
+    in
+    if v land (1 lsl 12) <> 0 then v - (1 lsl 13) else v
+
+  let j_immediate insn =
+    let v =
+      (((insn lsr 31) land 0x1) lsl 20)
+      lor (((insn lsr 12) land 0xff) lsl 12)
+      lor (((insn lsr 20) land 0x1) lsl 11)
+      lor (((insn lsr 21) land 0x3ff) lsl 1)
+    in
+    if v land (1 lsl 20) <> 0 then v - (1 lsl 21) else v
+
+  let parse_riscv ~file ~line tokens =
+    let pc_tok, insn_tok, mem =
+      match tokens with
+      | [ pc; insn ] -> (pc, insn, None)
+      | [ pc; insn; (("mem", _) as kw); addr ] -> (pc, insn, Some (kw, addr))
+      | _ ->
+          bad ~file ~line ~col:1 ~code:"RSM-A001"
+            "expected <PC> <INSN> [mem <ADDR>], got %d fields"
+            (List.length tokens)
+    in
+    let pc = parse_hex ~file ~line ~what:"PC" pc_tok in
+    let insn = parse_hex ~file ~line ~what:"instruction" insn_tok in
+    if insn > 0xffff_ffff then
+      bad ~file ~line ~col:(snd insn_tok) ~code:"RSM-A005"
+        "instruction word %x wider than 32 bits" insn;
+    if insn land 0x3 <> 0x3 then
+      bad ~file ~line ~col:(snd insn_tok) ~code:"RSM-A005"
+        "compressed or invalid instruction word %08x (insn[1:0] must be 11)"
+        insn;
+    let address =
+      match mem with
+      | None -> None
+      | Some (_, addr) ->
+          Some (parse_hex ~file ~line ~what:"mem address" addr land addr_mask)
+    in
+    let opcode = insn land 0x7f in
+    let rd = (insn lsr 7) land 0x1f in
+    let funct3 = (insn lsr 12) land 0x7 in
+    let rs1 = (insn lsr 15) land 0x1f in
+    let rs2 = (insn lsr 20) land 0x1f in
+    let funct7 = (insn lsr 25) land 0x7f in
+    let index = index_of_pc pc in
+    let require_mem what =
+      match address with
+      | Some a -> a
+      | None ->
+          bad ~file ~line ~col:1 ~code:"RSM-A001" "%s line is missing 'mem <ADDR>'"
+            what
+    in
+    let link r = r = 1 || r = 5 in
+    let plain ?(dest = rd) ?(src1 = rs1) ?(src2 = rs2) shape =
+      { index; dest; src1; src2; shape }
+    in
+    match opcode with
+    | 0x63 ->
+        (* conditional branch: static target from the B-type immediate *)
+        plain ~dest:0
+          (Ctl { kind = Cond; target = Some (index_of_pc (pc + b_immediate insn)) })
+    | 0x6f ->
+        let kind : Opcode.branch_kind = if link rd then Call else Jump in
+        plain ~src1:0 ~src2:0
+          (Ctl { kind; target = Some (index_of_pc (pc + j_immediate insn)) })
+    | 0x67 ->
+        let kind : Opcode.branch_kind =
+          if (not (link rd)) && link rs1 then Ret
+          else if link rd then Call
+          else Indirect
+        in
+        plain ~src2:0 (Ctl { kind; target = None })
+    | 0x03 -> plain ~src2:0 (Mem { is_load = true; address = require_mem "load" })
+    | 0x23 ->
+        plain ~dest:0 (Mem { is_load = false; address = require_mem "store" })
+    | 0x33 when funct7 = 1 ->
+        plain (Plain (if funct3 < 4 then Record.Mult else Record.Divide))
+    | _ -> plain (Plain Record.Alu)
+
+  (* --- streaming adapter ----------------------------------------------
+     Pulls lines, classifies with one line of lookahead, and synthesizes
+     wrong-path blocks by running the inferred branch stream through our
+     own predictor — the same protocol as the reference generator: on a
+     conditional direction mispredict, the front end runs
+     [wrong_path_limit] sequential instructions down the path the
+     predictor chose. *)
+  type t = {
+    file : string;
+    format : format;
+    config : config;
+    read_line : unit -> string option;
+    predictor : Predictor.t;
+    branch_targets : (int, int) Hashtbl.t;
+        (* PCs seen as taken (inferred) branches, with their last taken
+           target: a later fall-through at such a PC is a not-taken
+           conditional, not a plain op. O(distinct branch PCs) — the only
+           state in the adapter that grows with the trace. *)
+    mutable line : int;          (* lines consumed so far *)
+    mutable ahead : parsed option;
+    mutable primed : bool;       (* [ahead] is valid (maybe None = EOF) *)
+    mutable pending : Record.t list;
+    mutable instructions : int;
+    mutable wrong : int;
+    mutable mispredicted : int;
+    mutable failed : error option;
+  }
+
+  let create ?(config = default_config) ~format ~file read_line =
+    { file;
+      format;
+      config;
+      read_line;
+      predictor = Predictor.create config.predictor;
+      branch_targets = Hashtbl.create 64;
+      line = 0;
+      ahead = None;
+      primed = false;
+      pending = [];
+      instructions = 0;
+      wrong = 0;
+      mispredicted = 0;
+      failed = None }
+
+  let of_string ?config ~format ?(file = "<string>") data =
+    let lines = String.split_on_char '\n' data in
+    (* [split_on_char] leaves a final "" for newline-terminated input;
+       drop it so it does not count as a (blank) line. *)
+    let lines =
+      match List.rev lines with
+      | "" :: rest -> List.rev rest
+      | _ -> lines
+    in
+    let remaining = ref lines in
+    create ?config ~format ~file (fun () ->
+        match !remaining with
+        | [] -> None
+        | line :: rest ->
+            remaining := rest;
+            Some line)
+
+  let stats t =
+    { lines = t.line;
+      instructions = t.instructions;
+      wrong_path = t.wrong;
+      mispredicted = t.mispredicted }
+
+  let blank tokens = tokens = []
+
+  let comment = function
+    | (tok, _) :: _ -> String.length tok > 0 && tok.[0] = '#'
+    | [] -> false
+
+  (* Read and parse the next instruction line, skipping blanks and
+     [#] comments. Raises [Bad_line]. *)
+  let rec parse_next t =
+    match t.read_line () with
+    | None -> None
+    | Some raw ->
+        t.line <- t.line + 1;
+        if String.length raw > t.config.max_line_bytes then
+          bad ~file:t.file ~line:t.line ~col:(t.config.max_line_bytes + 1)
+            ~code:"RSM-A004" "line exceeds %d bytes" t.config.max_line_bytes;
+        let tokens = tokenize raw in
+        if blank tokens || comment tokens then parse_next t
+        else
+          Some
+            (match t.format with
+            | Text -> parse_text ~file:t.file ~line:t.line tokens
+            | Riscv -> parse_riscv ~file:t.file ~line:t.line tokens)
+
+  let wrong_path_block t wrong_pc =
+    let limit = t.config.wrong_path_limit in
+    let block =
+      List.init limit (fun i ->
+          { Record.pc = (wrong_pc + i) land pc_mask;
+            wrong_path = true;
+            dest = 0;
+            src1 = 0;
+            src2 = 0;
+            payload = Record.Other { op_class = Record.Alu } })
+    in
+    t.wrong <- t.wrong + limit;
+    t.pending <- t.pending @ block
+
+  (* Classify [cur] given the lookahead [next] and emit it (plus any
+     synthesized wrong-path block onto [pending]). *)
+  let emit t cur next =
+    let fallthrough = cur.index + 1 in
+    let discontinuous =
+      match next with Some n -> n.index <> fallthrough | None -> false
+    in
+    let payload =
+      match cur.shape with
+      | Mem { is_load; address } -> Record.Memory { is_load; address }
+      | Plain op_class -> (
+          (* Unmarked control flow (text profile): a PC break means this
+             instruction transferred control — a taken conditional. A
+             fall-through at a PC previously seen branching is the same
+             branch not taken (otherwise every inferred branch would be
+             taken and no direction could ever mispredict). *)
+          match next with
+          | Some n when discontinuous ->
+              Hashtbl.replace t.branch_targets cur.index n.index;
+              Record.Branch { kind = Opcode.Cond; taken = true; target = n.index }
+          | _ -> (
+              match Hashtbl.find_opt t.branch_targets cur.index with
+              | Some target ->
+                  Record.Branch { kind = Opcode.Cond; taken = false; target }
+              | None -> Record.Other { op_class }))
+      | Ctl { kind; target } ->
+          let taken =
+            match kind with
+            | Opcode.Cond -> discontinuous
+            | Jump | Call | Ret | Indirect -> true
+          in
+          let target =
+            match next with
+            | Some n when taken -> n.index
+            | _ -> (
+                match target with Some s -> s | None -> fallthrough)
+          in
+          Record.Branch { kind; taken; target }
+    in
+    let record =
+      { Record.pc = cur.index;
+        wrong_path = false;
+        dest = cur.dest;
+        src1 = cur.src1;
+        src2 = cur.src2;
+        payload }
+    in
+    t.instructions <- t.instructions + 1;
+    (match payload with
+    | Record.Branch { kind; taken; target } ->
+        let prediction =
+          Predictor.predict t.predictor ~pc:cur.index ~kind ~fallthrough
+            ~actual_taken:taken ~actual_target:target
+        in
+        Predictor.update t.predictor ~pc:cur.index ~kind ~taken ~target;
+        let direction_wrong = prediction.taken <> taken in
+        Predictor.record_resolution t.predictor ~correct:(not direction_wrong);
+        if direction_wrong && kind = Opcode.Cond then begin
+          t.mispredicted <- t.mispredicted + 1;
+          let wrong_pc = if prediction.taken then target else fallthrough in
+          wrong_path_block t wrong_pc
+        end
+    | Record.Memory _ | Record.Other _ -> ());
+    record
+
+  let next_result t =
+    match t.failed with
+    | Some error -> Error error
+    | None -> (
+        match t.pending with
+        | record :: rest ->
+            t.pending <- rest;
+            Ok (Some record)
+        | [] -> (
+            try
+              if not t.primed then begin
+                t.ahead <- parse_next t;
+                t.primed <- true;
+                if t.ahead = None then
+                  bad ~file:t.file ~line:1 ~col:1 ~code:"RSM-A006"
+                    "no instructions in %s trace" (format_to_string t.format)
+              end;
+              match t.ahead with
+              | None -> Ok None
+              | Some cur ->
+                  let next = parse_next t in
+                  t.ahead <- next;
+                  Ok (Some (emit t cur next))
+            with Bad_line error ->
+              t.failed <- Some error;
+              Error error))
+end
+
+(* Inputs: valid lines of one profile, spelled every way the grammar
+   accepts, mixed with comments, blanks, CRLF and LF endings and lines
+   of exactly [max_line_bytes] bytes; at most one line from
+   [bad_lines] (malformed, or an edge token the fast path hands to the
+   fallback), anywhere; a final newline or not. A fifth of the inputs run past
+   64 KiB, so their lines straddle window refills. *)
+let max_line = Adapter.default_config.max_line_bytes
+
+(* [body] padded with blanks to [width] bytes, the last one '\r' when
+   [cr]. *)
+let padded ~cr width body =
+  let fill = width - String.length body - if cr then 1 else 0 in
+  body ^ String.make fill ' ' ^ if cr then "\r" else ""
+
+(* Spellings of [v] that parse to [v], in and out of the fast path. *)
+let hex_spellings v =
+  let plain = Printf.sprintf "%x" v in
+  let underscored =
+    if String.length plain < 2 then plain
+    else
+      String.sub plain 0 1 ^ "_" ^ String.sub plain 1 (String.length plain - 1)
+  in
+  [ plain; "0x" ^ plain; Printf.sprintf "0X%X" v; Printf.sprintf "%015x" v;
+    Printf.sprintf "%016x" v; underscored; "0x" ^ underscored ]
+
+let rec binary v =
+  if v < 2 then string_of_int v else binary (v / 2) ^ string_of_int (v mod 2)
+
+let dec_spellings v =
+  [ string_of_int v; Printf.sprintf "%03d" v ]
+  @
+  if v < 0 then []
+  else
+    [ Printf.sprintf "+%d" v; Printf.sprintf "0x%x" v; Printf.sprintf "0o%o" v;
+      "0b" ^ binary v; Printf.sprintf "%010d" v;
+      Printf.sprintf "%d_%d" (v / 10) (v mod 10) ]
+
+(* Fields separated by runs of blanks, maybe led and trailed by some. *)
+let line_of fields =
+  QCheck.Gen.(
+    let blanks = frequencyl [ (8, " "); (1, "\t"); (1, " \t  ") ] in
+    let* lead = frequencyl [ (6, ""); (1, " \t") ] in
+    let* trail = frequencyl [ (6, ""); (1, "  ") ] in
+    let* rest =
+      flatten_l
+        (List.map (fun f -> map (fun b -> b ^ f) blanks) (List.tl fields))
+    in
+    return (lead ^ List.hd fields ^ String.concat "" rest ^ trail))
+
+let text_line pc =
+  QCheck.Gen.(
+    let field spellings value = value >>= fun v -> oneofl (spellings v) in
+    let* pc = oneofl (hex_spellings pc) in
+    let* op = field dec_spellings (int_bound 2) in
+    let* regs = list_repeat 3 (field dec_spellings (int_range (-1) 40)) in
+    line_of (pc :: op :: regs))
+
+let riscv_line pc =
+  QCheck.Gen.(
+    let reg = int_bound 31 and link = oneofl [ 0; 1; 5; 7 ] in
+    let upper = map (fun v -> v lsl 7) (int_bound ((1 lsl 25) - 1)) in
+    (* (word, is a load or store): add, mul/div, lw, sw, branch, jal,
+       jalr and addi, with random register and immediate fields *)
+    let word ?(funct7 = 0) ?(rs2 = 0) ?(rs1 = 0) ?(funct3 = 0) ?(rd = 0) op =
+      (funct7 lsl 25) lor (rs2 lsl 20) lor (rs1 lsl 15) lor (funct3 lsl 12)
+      lor (rd lsl 7) lor op
+    in
+    let* insn, memory =
+      oneof
+        [ map3 (fun rd rs1 rs2 -> (word ~rs2 ~rs1 ~rd 0x33, false)) reg reg reg;
+          map3
+            (fun rd funct3 rs1 -> (word ~funct7:1 ~rs1 ~funct3 ~rd 0x33, false))
+            reg (int_bound 7) reg;
+          map2 (fun rd rs1 -> (word ~rs1 ~funct3:2 ~rd 0x03, true)) reg reg;
+          map2 (fun rs1 rs2 -> (word ~rs2 ~rs1 ~funct3:2 0x23, true)) reg reg;
+          map (fun bits -> (bits lor 0x63, false)) upper;
+          map2
+            (fun bits rd -> ((bits land lnot 0xf80) lor word ~rd 0x6f, false))
+            upper link;
+          map2 (fun rd rs1 -> (word ~rs1 ~rd 0x67, false)) link link;
+          map (fun bits -> (bits lor 0x13, false)) upper ]
+    in
+    let* spelled_insn =
+      oneofl
+        [ Printf.sprintf "%08x" insn; Printf.sprintf "0x%08x" insn;
+          Printf.sprintf "%X" insn;
+          Printf.sprintf "%04x_%04x" (insn lsr 16) (insn land 0xffff) ]
+    in
+    (* a mem operand on any other instruction is accepted and unused *)
+    let* mem =
+      if memory then return true else frequencyl [ (1, true); (8, false) ]
+    in
+    let* operand =
+      if mem then
+        map
+          (fun a -> [ "mem"; a ])
+          (int_bound 0xfffff >>= fun a -> oneofl (hex_spellings a))
+      else return []
+    in
+    let* pc = oneofl (hex_spellings pc) in
+    line_of (pc :: spelled_insn :: operand))
+
+let bad_lines : Adapter.format -> string list = function
+  | Adapter.Text ->
+      [ "1000 0 1 2"; "1000 0 1"; "1000 0 1 2 3 4"; "1000 0 1 2 3 4 5 6 7";
+        "1000 x 1 2 3"; "1000 3 1 2 3"; "1000 -1 1 2 3"; "1000 0 -2 1 1";
+        "1000 0 1 x 1"; "7fffffffffffffff 0 1 2 3"; "ffffffffffffffff 0 1 2 3";
+        "10000000000000000 0 1 2 3"; "0x 0 1 2 3"; "g00 0 1 2 3";
+        "+1000 0 1 2 3"; "0o17 0 1 2 3"; "0b1 0 0b1 0o7 +0";
+        "1000 0 99999999999999999999 1 2"; "1000 0 1\r 2 3";
+        "1000 0 1 2 3\r\r"; "1000 0 -5 2 -7"; "1000 0 x 2 -7"; "1000 0 -5 x 3";
+        "zz 9 x y z"; "1000 9 -5 2 -7" ]
+  | Adapter.Riscv ->
+      [ "1000"; "1000 00000833 mem"; "1000 00000833 MEM 10";
+        "1000 00000833 mem 10 20"; "1000 00000833 mem 10 20 30";
+        "1000 00000833 a b c d e"; "1000 0005a503"; "1000 0b33"; "0o10 00000833";
+        "1000 00a62023"; "1000 00000001"; "1000 0001"; "1000 1ffffffff";
+        "1000 7fffffffffffffff"; "1000 10000000000000000";
+        "1000 0005a503 mem zz"; "1000 0005a503 mem -5"; "xyz 00000833";
+        "zz 00000001 MEM q";
+        "zz 00000001"; "1000 00000833\r mem 10" ]
+
+let scanner_input format =
+  QCheck.Gen.(
+    let valid pc =
+      match format with Adapter.Text -> text_line pc | Riscv -> riscv_line pc
+    in
+    let* crlf = oneofl [ return false; return true; bool ] in
+    let ending cr line = if cr then line ^ "\r" else line in
+    let step pc =
+      let* cr = crlf in
+      let* next =
+        frequencyl
+          [ (8, pc + 4); (2, 0x1000); (1, 0x1000 + (4 * (pc land 0x3f))) ]
+      in
+      frequency
+        [ (30, map (fun line -> (ending cr line, next)) (valid pc));
+          ( 3,
+            map
+              (fun line -> (ending cr line, pc))
+              (oneofl
+                 [ ""; "   "; "\t"; "# comment"; "  # indented"; "#";
+                   "# a b c d e f" ]) );
+          (1, map (fun line -> (padded ~cr max_line line, next)) (valid pc)) ]
+    in
+    let rec lines n pc acc =
+      if n = 0 then return (List.rev acc)
+      else
+        let* line, pc = step pc in
+        lines (n - 1) pc (line :: acc)
+    in
+    let* big = frequencyl [ (4, false); (1, true) ] in
+    let* count = if big then int_range 5000 6000 else int_range 0 40 in
+    let* lines = lines count 0x1000 [] in
+    let* bad =
+      let* cr = crlf in
+      frequency
+        [ (3, return None);
+          (6, map (fun l -> Some (ending cr l)) (oneofl (bad_lines format)));
+          (1, map (fun l -> Some (padded ~cr (max_line + 1) l)) (valid 0x2000)) ]
+    in
+    let* at = int_bound count in
+    let* final_newline = bool in
+    let lines =
+      match bad with
+      | None -> lines
+      | Some bad ->
+          List.filteri (fun i _ -> i < at) lines
+          @ (bad :: List.filteri (fun i _ -> i >= at) lines)
+    in
+    return (String.concat "\n" lines ^ if final_newline then "\n" else ""))
+
+type drained = {
+  records : Record.t list;
+  error : Adapter.error option;
+  stats : Adapter.stats;
+}
+
+let collect next_result stats adapter =
+  let rec go acc =
+    match next_result adapter with
+    | Ok (Some record) -> go (record :: acc)
+    | Ok None -> (List.rev acc, None)
+    | Error error -> (List.rev acc, Some error)
+  in
+  let records, error = go [] in
+  { records; error; stats = stats adapter }
+
+let describe d =
+  Printf.sprintf "%d records, %d lines, error %s" (List.length d.records)
+    d.stats.Adapter.lines
+    (match d.error with Some e -> Adapter.error_to_string e | None -> "none")
+
+let same label a b =
+  a = b
+  || QCheck.Test.fail_reportf "%s:@ %s@ vs@ %s" label (describe a)
+       (describe b)
+
+let scanner_matches_string_lines format =
+  let show source =
+    let n = String.length source in
+    Printf.sprintf "%d bytes: %S%s" n (String.sub source 0 (Int.min n 2000))
+      (if n > 2000 then "..." else "")
+  in
+  QCheck.Test.make ~count:150
+    ~name:
+      (Printf.sprintf "%s: window scanner = string-per-line parser"
+         (Adapter.format_to_string format))
+    (QCheck.make ~print:show (scanner_input format))
+    (fun source ->
+      let file = "diff.trc" in
+      let oracle =
+        collect String_lines.next_result String_lines.stats
+          (String_lines.of_string ~format ~file source)
+      in
+      let scanned =
+        collect Adapter.next_result Adapter.stats
+          (Adapter.of_string ~format ~file source)
+      in
+      let read =
+        with_tmp ~suffix:".trc" (fun path ->
+            write_bytes path source;
+            In_channel.with_open_bin path (fun ic ->
+                collect Adapter.next_result Adapter.stats
+                  (Adapter.of_channel ~format ~file ic)))
+      in
+      same "of_string vs the string-per-line parser" oracle scanned
+      && same "of_channel vs of_string" scanned read)
+
+(* ------------------------------------------------------------------- *)
 
 let suite =
   [ ("frontier:streamed differential",
@@ -884,10 +1567,15 @@ let suite =
          test_adapter_rsm_a_catalog;
        Alcotest.test_case "errors are sticky; pull raises typed fault" `Quick
          test_adapter_errors_are_sticky;
+       Alcotest.test_case "an out-of-range line limit is rejected" `Quick
+         test_adapter_rejects_bad_line_limit;
        Alcotest.test_case "riscv decode classes" `Quick
          test_riscv_decode_classes;
        Alcotest.test_case "adapted streams lint clean" `Quick
          test_adapted_streams_lint_clean;
        Alcotest.test_case "synthesized wrong path reaches the engine" `Quick
          test_adapter_wrong_path_reaches_engine;
-       QCheck_alcotest.to_alcotest adapter_roundtrip ]) ]
+       QCheck_alcotest.to_alcotest adapter_roundtrip;
+       QCheck_alcotest.to_alcotest (scanner_matches_string_lines Adapter.Text);
+       QCheck_alcotest.to_alcotest
+         (scanner_matches_string_lines Adapter.Riscv) ]) ]

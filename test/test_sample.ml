@@ -697,7 +697,16 @@ let test_cli_exit_codes () =
             "/nonexistent/m.json" );
           ( "trace into a missing directory",
             "tracegen -k gzip -s 200 -o /nonexistent/k.rtr",
-            "/nonexistent/k.rtr" ) ];
+            "/nonexistent/k.rtr" );
+          (* a full device fails the write itself, not the open: the
+             checkpoint when it is flushed, the pipetrace mid-run *)
+          ( "checkpoint onto a full device",
+            Printf.sprintf "simulate -t %s --max-cycles 500 --checkpoint /dev/full"
+              (Filename.quote good_trace),
+            "/dev/full" );
+          ( "pipetrace onto a full device",
+            "simulate -k gzip -s 200 --pipetrace /dev/full",
+            "/dev/full" ) ];
       check int "truncated run writes the resume checkpoint" 0
         (run_cli
            (Printf.sprintf "simulate -k gzip -s 512 --max-cycles 2000 --checkpoint %s"
