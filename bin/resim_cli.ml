@@ -2,6 +2,7 @@
 
    Subcommands:
      tracegen   generate a binary trace from a built-in kernel
+     faultgen   write a trace with one injected corruption class
      simulate   run the timing engine on a trace file or kernel
      area       evaluate the FPGA area model
      schedule   render a minor-cycle schedule (Figures 2-4)
@@ -9,8 +10,13 @@
      sweep      run the ablation grid as a domain-parallel sweep
      bench      measure engine host throughput (kernel x configuration)
      lint       statically lint encoded trace files or pipetrace JSONL
+     disasm     disassemble a kernel or assembly file
+     vhdl       generate the VHDL bundle for a configuration
      profile    attribute host time/allocation to engine phases
-     workloads  list the built-in kernels *)
+     workloads  list the built-in kernels
+     serve      run the resimd job server on a Unix socket
+     submit     send jobs to a running server
+     loadgen    drive a running server with concurrent clients *)
 
 open Cmdliner
 module Check = Resim_check.Check
@@ -342,9 +348,9 @@ let faultgen_cmd =
 
 (* Exit codes: 0 clean, 1 generic failure (lint errors, malformed
    foreign trace lines), 2 invalid configuration or usage (including a
-   missing or unreadable trace file, RSM-T009), 3 structured trace
-   fault / deadlock (the diagnostic names the RSM code and record
-   offset). *)
+   missing or unreadable trace file, RSM-T009, or a malformed
+   checkpoint), 3 structured trace fault / deadlock (the diagnostic
+   names the RSM code and record offset) or a refused resume. *)
 let fault_exit = 3
 
 module Adapter = Resim_trace.Adapter
@@ -455,18 +461,40 @@ let open_trace ?format ?salvage path =
       (Resim_core.Resim.Pull (fun () -> Stream.next stream),
        fun () -> Stream.close stream)
 
+(* [-t/--trace] of both [simulate] and [profile]: a path [open_trace]
+   reads, not checked here, so [-], a shard stem and a missing file
+   reach it as they are. *)
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "t"; "trace" ] ~docv:"FILE"
+        ~doc:"Run a trace file instead of a kernel: an encoded RSTR \
+              stream, a shard set (any shard name or the bare stem), \
+              $(b,-) for stdin, or (with $(b,simulate --format)) a \
+              foreign text trace. Every trace streams through the \
+              chunked cursor into the engine's record window, so host \
+              memory stays O(chunk) however large the file, shard set \
+              or pipe ($(b,tracegen --stream |)) — sampled, resumed, \
+              budgeted and degraded runs included. A missing or \
+              unreadable file exits 2 with an RSM-T009 diagnostic; a \
+              malformed record exits 3, a malformed foreign line 1.")
+
 (* A failed run's diagnostic and exit status (see [fault_exit]). A
    malformed foreign line is a user-input problem: its RSM-A fault
    carries the adapter's [file:line:col] line, printed alone, exit 1. A
-   host read error mid-stream is RSM-T009, exit 2. Everything else is a
-   trace fault or deadlock, exit 3. *)
+   host read error mid-stream is RSM-T009, exit 2. A checkpoint the
+   resume refuses, a trace fault or a deadlock is exit 3. *)
 let report_failure ~command ?(salvaging = false) failure =
   match failure with
   | Resim_core.Resim.Fault { Resim_trace.Fault.code; context; _ }
     when String.starts_with ~prefix:"RSM-A" code ->
       Format.eprintf "%s@." context;
       exit 1
-  | failure ->
+  | Resim_core.Resim.Refused reason ->
+      Format.eprintf "resume failed: %s@." reason;
+      exit fault_exit
+  | (Resim_core.Resim.Fault _ | Resim_core.Resim.Deadlock _) as failure ->
       Format.eprintf "%s: %s@." command
         (Resim_core.Resim.failure_to_string failure);
       (match failure with
@@ -476,32 +504,8 @@ let report_failure ~command ?(salvaging = false) failure =
           { Resim_trace.Fault.code = "RSM-T002" | "RSM-T003"; _ }
         when not salvaging ->
           degraded_hint ()
-      | Resim_core.Resim.Fault _ | Resim_core.Resim.Deadlock _ -> ());
+      | _ -> ());
       exit fault_exit
-
-(* Mirror of [Sample.splice_metrics]: inject the engine identity into
-   the stats JSON object, so every metrics document says which engine
-   implementation (the closure family and its variant, DESIGN.md §14)
-   produced it. *)
-let splice_engine_identity ~variant stats_json =
-  let n = ref (String.length stats_json) in
-  while
-    !n > 0
-    &&
-    match stats_json.[!n - 1] with
-    | ' ' | '\t' | '\n' | '\r' -> true
-    | _ -> false
-  do
-    decr n
-  done;
-  if !n = 0 || stats_json.[!n - 1] <> '}' then
-    invalid_arg "splice_engine_identity: not a JSON object";
-  String.sub stats_json 0 (!n - 1)
-  ^ Printf.sprintf ",\n  \"specialized\": %b,\n  \"variant\": %s\n}\n"
-      (match variant with Some _ -> true | None -> false)
-      (match variant with
-      | Some name -> Resim_core.Json.quote name
-      | None -> "null")
 
 let simulate workload scale source_file trace_file trace_format _stream
     perfect_bp caches max_cycles timeout checkpoint_out resume_file
@@ -640,14 +644,23 @@ let simulate workload scale source_file trace_file trace_format _stream
             Resim_core.Stats.csv_header () ^ "\n"
             ^ Resim_core.Stats.csv_row stats ^ "\n"
           else
+            (* Every metrics document names the engine implementation
+               (the closure family and its variant, DESIGN.md §14) that
+               produced it. *)
             let stats_json =
-              splice_engine_identity ~variant:!engine_variant
+              Resim_core.Json.append_members
                 (Resim_core.Stats.to_json stats)
+                [ ("specialized", string_of_bool (!engine_variant <> None));
+                  ( "variant",
+                    match !engine_variant with
+                    | Some name -> Resim_core.Json.quote name
+                    | None -> "null" ) ]
             in
             match report with
             | None -> stats_json
             | Some report ->
-                Resim_sample.Sample.splice_metrics ~stats_json report
+                Resim_core.Json.append_members stats_json
+                  [ ("sample", Resim_sample.Sample.report_to_json report) ]
         in
         if String.equal path "-" then print_string body
         else begin
@@ -668,135 +681,112 @@ let simulate workload scale source_file trace_file trace_format _stream
       Resim_fpga.Device.all;
     write_metrics ?report outcome.Resim_core.Resim.stats
   in
-  match resume_file with
-  | Some path -> (
-      match Resim_core.Checkpoint.load path with
-      | Error message ->
-          Format.eprintf "--resume %s: %s@." path
-            (Resim_core.Checkpoint.error_to_string message);
-          exit 2
-      | Ok checkpoint -> (
-          engine_variant := Some (Resim_core.Engine.variant_name config);
-          match
-            Fun.protect ~finally:cleanup (fun () ->
-                Resim_core.Resim.resume_trace ~config ~checkpoint trace)
-          with
-          | Error message ->
-              Format.eprintf "resume failed: %s@." message;
-              exit fault_exit
-          | Ok outcome ->
-              Format.printf "resumed from cycle %Ld (cursor %d)@."
-                checkpoint.Resim_core.Checkpoint.cycle
-                checkpoint.Resim_core.Checkpoint.cursor;
-              finish outcome))
-  | None -> (
-      let deadline =
-        Option.map
-          (fun seconds ->
-            let limit = Unix.gettimeofday () +. seconds in
-            fun () -> Unix.gettimeofday () > limit)
-          timeout
-      in
-      (* Record the engine identity, then attach the observability
-         sinks. With no sinks the engine keeps its observer-free hot
-         path. *)
-      let instrument =
-        Some
-          (fun engine ->
-            engine_variant := Resim_core.Engine.variant engine;
-            if sinks <> [] then Resim_obs.Obs.attach engine sinks)
-      in
-      let fail failure =
-        (* Flush the partial pipetrace — the events up to the fault
-           are exactly what a post-mortem wants. *)
-        close_sinks ();
-        report_failure ~command:"simulate" ~salvaging:degraded_resync failure
-      in
-      let conclude ?report robust =
-        close_sinks ();
-        (match !engine_variant with
-        | Some name -> Format.printf "engine: specialized (%s)@." name
-        | None -> ());
-        (match robust.Resim_core.Resim.stop with
-        | Resim_core.Engine.Drained -> ()
-        | Resim_core.Engine.Cycle_budget ->
-            Format.printf
-              "run truncated by --max-cycles; statistics are partial@."
-        | Resim_core.Engine.Time_budget ->
-            Format.printf
-              "run truncated by --timeout; statistics are partial@."
-        | Resim_core.Engine.Commit_target ->
-            Format.printf
-              "run truncated at commit target; statistics are partial@.");
-        (match (robust.Resim_core.Resim.resume, checkpoint_out) with
-        | Some checkpoint, Some path ->
-            writing path (fun () ->
-                Resim_core.Checkpoint.save path checkpoint);
-            Format.printf "wrote checkpoint %s (resume with --resume)@."
-              path
-        | Some _, None | None, None -> ()
-        | None, Some _ ->
-            Format.printf
-              "run completed; no checkpoint needed or written@.");
-        (match report with
-        | None -> ()
-        | Some report ->
-            let open Resim_sample.Sample in
-            if Float.is_finite report.ci95 then
-              Format.printf
-                "sampled (%s): %d intervals, IPC %.4f +- %.4f (95%% CI), \
-                 %d detailed / %d warmed instructions@."
-                (spec_to_string report.spec)
-                (List.length report.intervals)
-                report.mean_ipc report.ci95 report.detailed_instructions
-                report.warmed_instructions
-            else
-              Format.printf
-                "sampled (%s): %d interval(s), IPC %.4f (CI undefined \
-                 below two intervals), %d detailed / %d warmed \
-                 instructions@."
-                (spec_to_string report.spec)
-                (List.length report.intervals)
-                report.mean_ipc report.detailed_instructions
-                report.warmed_instructions);
-        finish ?report robust.Resim_core.Resim.outcome
-      in
-      let result =
-        Fun.protect ~finally:cleanup (fun () ->
-            match sample_spec with
-            | Some spec ->
-                Result.map
-                  (fun (robust, report) -> (robust, Some report))
-                  (Resim_sample.Sample.run ~config ?deadline ?max_cycles
-                     ?instrument ~spec trace)
-            | None ->
-                Result.map
-                  (fun robust -> (robust, None))
-                  (Resim_core.Resim.run ~config ?max_cycles ?deadline
-                     ?instrument trace))
-      in
-      match result with
-      | Error failure -> fail failure
-      | Ok (robust, report) -> conclude ?report robust)
+  (* A resumed run is a fresh run with a checkpoint: the same budgets,
+     the same failure report; only its sinks are refused (above). *)
+  let resume =
+    Option.map
+      (fun path ->
+        match Resim_core.Checkpoint.load path with
+        | Ok checkpoint -> checkpoint
+        | Error error ->
+            Format.eprintf "--resume %s: %s@." path
+              (Resim_core.Checkpoint.error_to_string error);
+            exit 2)
+      resume_file
+  in
+  let deadline =
+    Option.map
+      (fun seconds ->
+        let limit = Unix.gettimeofday () +. seconds in
+        fun () -> Unix.gettimeofday () > limit)
+      timeout
+  in
+  (* Record the engine identity, then attach the observability sinks.
+     With no sinks the engine keeps its observer-free hot path. *)
+  let instrument =
+    Some
+      (fun engine ->
+        engine_variant := Resim_core.Engine.variant engine;
+        if sinks <> [] then Resim_obs.Obs.attach engine sinks)
+  in
+  let fail failure =
+    (* Flush the partial pipetrace — the events up to the fault are
+       exactly what a post-mortem wants. *)
+    close_sinks ();
+    report_failure ~command:"simulate" ~salvaging:degraded_resync failure
+  in
+  let conclude ?report robust =
+    close_sinks ();
+    (match (resume, !engine_variant) with
+    | Some checkpoint, _ ->
+        Format.printf "resumed from cycle %Ld (cursor %d)@."
+          checkpoint.Resim_core.Checkpoint.cycle
+          checkpoint.Resim_core.Checkpoint.cursor
+    | None, Some name -> Format.printf "engine: specialized (%s)@." name
+    | None, None -> ());
+    (match robust.Resim_core.Resim.stop with
+    | Resim_core.Engine.Drained -> ()
+    | Resim_core.Engine.Cycle_budget ->
+        Format.printf
+          "run truncated by --max-cycles; statistics are partial@."
+    | Resim_core.Engine.Time_budget ->
+        Format.printf
+          "run truncated by --timeout; statistics are partial@."
+    | Resim_core.Engine.Commit_target ->
+        Format.printf
+          "run truncated at commit target; statistics are partial@.");
+    (match (robust.Resim_core.Resim.resume, checkpoint_out) with
+    | Some checkpoint, Some path ->
+        writing path (fun () ->
+            Resim_core.Checkpoint.save path checkpoint);
+        Format.printf "wrote checkpoint %s (resume with --resume)@."
+          path
+    | Some _, None | None, None -> ()
+    | None, Some _ ->
+        Format.printf
+          "run completed; no checkpoint needed or written@.");
+    (match report with
+    | None -> ()
+    | Some report ->
+        let open Resim_sample.Sample in
+        if Float.is_finite report.ci95 then
+          Format.printf
+            "sampled (%s): %d intervals, IPC %.4f +- %.4f (95%% CI), \
+             %d detailed / %d warmed instructions@."
+            (spec_to_string report.spec)
+            (List.length report.intervals)
+            report.mean_ipc report.ci95 report.detailed_instructions
+            report.warmed_instructions
+        else
+          Format.printf
+            "sampled (%s): %d interval(s), IPC %.4f (CI undefined \
+             below two intervals), %d detailed / %d warmed \
+             instructions@."
+            (spec_to_string report.spec)
+            (List.length report.intervals)
+            report.mean_ipc report.detailed_instructions
+            report.warmed_instructions);
+    finish ?report robust.Resim_core.Resim.outcome
+  in
+  let result =
+    Fun.protect ~finally:cleanup (fun () ->
+        match sample_spec with
+        | Some spec ->
+            Result.map
+              (fun (robust, report) -> (robust, Some report))
+              (Resim_sample.Sample.run ~config ?deadline ?max_cycles
+                 ?instrument ~spec trace)
+        | None ->
+            Result.map
+              (fun robust -> (robust, None))
+              (Resim_core.Resim.run ~config ?max_cycles ?deadline
+                 ?instrument ?resume trace))
+  in
+  match result with
+  | Error failure -> fail failure
+  | Ok (robust, report) -> conclude ?report robust
 
 let simulate_cmd =
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "trace" ] ~docv:"FILE"
-          ~doc:"Simulate a trace file instead of a kernel: an encoded \
-                RSTR stream, a shard set (any shard name or the bare \
-                stem), a foreign text trace (with $(b,--format)), or \
-                $(b,-) for stdin. Every trace streams through the \
-                chunked cursor into the engine's record window, so \
-                host memory stays O(chunk) however large the file, \
-                shard set or pipe ($(b,tracegen --stream |)) — sampled, \
-                resumed, budgeted and degraded runs included. A missing \
-                or unreadable file exits 2 with an RSM-T009 \
-                diagnostic; a malformed record exits 3, a malformed \
-                foreign line 1.")
-  in
   let stream =
     Arg.(
       value & flag
@@ -819,14 +809,17 @@ let simulate_cmd =
       & opt (some int64) None
       & info [ "max-cycles" ] ~docv:"N"
           ~doc:"Stop after $(docv) major cycles with partial statistics \
-                and a replay checkpoint (see --checkpoint/--resume).")
+                and a replay checkpoint (see --checkpoint/--resume). \
+                The count is absolute: a resumed run stops at cycle \
+                $(docv) too.")
   in
   let timeout =
     Arg.(
       value
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget; the run truncates gracefully with \
+          ~doc:"Wall-clock budget for the whole command, a resume's \
+                replay included; the run truncates gracefully with \
                 partial statistics when it expires.")
   in
   let checkpoint_out =
@@ -844,7 +837,9 @@ let simulate_cmd =
       & info [ "resume" ] ~docv:"FILE"
           ~doc:"Resume a truncated run from a checkpoint written by \
                 --checkpoint; final statistics are bit-identical to an \
-                unbounded run.")
+                unbounded run. The resumed run honours --max-cycles, \
+                --timeout and --checkpoint like any run. A checkpoint \
+                of another trace or configuration is refused (exit 3).")
   in
   let degraded =
     Arg.(
@@ -901,7 +896,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the ReSim timing engine")
     Term.(
-      const simulate $ kernel_arg $ scale_arg $ program_arg $ trace_file
+      const simulate $ kernel_arg $ scale_arg $ program_arg $ trace_arg
       $ adapter_format_arg $ stream $ perfect_bp $ caches $ max_cycles
       $ timeout $ checkpoint_out $ resume_file $ degraded $ pipetrace
       $ waterfall $ metrics $ sample)
@@ -979,29 +974,6 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Regenerate one of the paper's tables")
     Term.(const table $ number)
 
-(* --- ptrace ----------------------------------------------------------- *)
-
-let ptrace workload scale source_file window =
-  let program = program_of ?source_file workload scale in
-  let records = Resim_tracegen.Generator.records program in
-  let engine = Resim_core.Engine.create records in
-  let trace = Resim_core.Pipeline_trace.create ~window engine in
-  Resim_core.Pipeline_trace.run trace;
-  print_string (Resim_core.Pipeline_trace.render trace)
-
-let ptrace_cmd =
-  let window =
-    Arg.(
-      value & opt int 32
-      & info [ "window" ] ~docv:"N"
-          ~doc:"How many instructions to trace from the start.")
-  in
-  Cmd.v
-    (Cmd.info "ptrace"
-       ~doc:"Render a per-instruction pipeline Gantt chart (ptrace \
-             analog)")
-    Term.(const ptrace $ kernel_arg $ scale_arg $ program_arg $ window)
-
 (* --- profile ---------------------------------------------------------- *)
 
 let profile workload scale source_file trace_file json =
@@ -1054,13 +1026,6 @@ let profile workload scale source_file trace_file json =
       | None -> ())
 
 let profile_cmd =
-  let trace_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "t"; "trace" ] ~docv:"FILE"
-          ~doc:"Profile a trace file instead of a kernel.")
-  in
   let json =
     Arg.(
       value
@@ -1074,7 +1039,7 @@ let profile_cmd =
              (phase probes; markedly slower than a bare run, ratios \
              stay representative)")
     Term.(
-      const profile $ kernel_arg $ scale_arg $ program_arg $ trace_file
+      const profile $ kernel_arg $ scale_arg $ program_arg $ trace_arg
       $ json)
 
 (* --- vhdl ------------------------------------------------------------- *)
@@ -1910,5 +1875,5 @@ let () =
        (Cmd.group info
           [ tracegen_cmd; faultgen_cmd; simulate_cmd; area_cmd;
             schedule_cmd; table_cmd; sweep_cmd; bench_cmd; lint_cmd;
-            disasm_cmd; vhdl_cmd; ptrace_cmd; profile_cmd;
+            disasm_cmd; vhdl_cmd; profile_cmd;
             workloads_cmd; serve_cmd; submit_cmd; loadgen_cmd ]))

@@ -7,7 +7,7 @@
     to [cycle], the engine's cursor and every statistics register must
     equal the recorded values — a mismatch means the checkpoint belongs
     to a different trace or configuration and the resume is refused
-    ({!Resim.resume_trace}). *)
+    ({!Resim.run}'s [resume]). *)
 
 type t = {
   cycle : int64;   (** major cycles completed when the run stopped *)

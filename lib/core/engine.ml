@@ -60,8 +60,7 @@ let stall_reason_name = function
   | Stall_misfetch_recovery -> "misfetch"
   | Stall_mispredict_recovery -> "mispredict"
 
-(* Observable pipeline events, for tracing tools (Pipeline_trace and
-   the Obs sinks). *)
+(* Observable pipeline events, for tracing tools (the Obs sinks). *)
 type event =
   | Ev_fetch of Trace.Record.t
   | Ev_dispatch of Entry.t

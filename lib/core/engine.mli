@@ -52,8 +52,9 @@ val all_stall_reasons : stall_reason list
 (** Every reason once, in taxonomy order. *)
 
 (** Pipeline events observable through {!set_observer}; the hook for
-    tracing tools such as {!Pipeline_trace} and the [Resim_obs] sinks.
-    Entries are live engine state — read, never mutate. *)
+    tracing tools such as the [Resim_obs] sinks (the JSONL pipetrace
+    and the waterfall). Entries are live engine state — read, never
+    mutate. *)
 type event =
   | Ev_fetch of Resim_trace.Record.t
   | Ev_dispatch of Entry.t

@@ -26,6 +26,33 @@ let add_string buffer s =
 
 let quote s = "\"" ^ escape s ^ "\""
 
+let append_members document members =
+  (* Accept any trailing whitespace after the closing brace; the result
+     keeps one trailing newline. *)
+  let n = ref (String.length document) in
+  while
+    !n > 0
+    &&
+    match document.[!n - 1] with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    decr n
+  done;
+  if !n = 0 || document.[!n - 1] <> '}' then
+    invalid_arg "Json.append_members: not a JSON object";
+  let buffer = Buffer.create (!n + 64) in
+  Buffer.add_substring buffer document 0 (!n - 1);
+  List.iter
+    (fun (key, value) ->
+      Buffer.add_string buffer ",\n  ";
+      add_string buffer key;
+      Buffer.add_string buffer ": ";
+      Buffer.add_string buffer value)
+    members;
+  Buffer.add_string buffer "\n}\n";
+  Buffer.contents buffer
+
 (* ------------------------------------------------------------------ *)
 (* Strict parser (RFC 8259 grammar). [parse] builds a value tree — the
    wire-protocol layer (Resim_serve.Protocol) reads requests through

@@ -21,6 +21,17 @@ val add_string : Buffer.t -> string -> unit
 val quote : string -> string
 (** [quote s] is ["\"" ^ escape s ^ "\""]. *)
 
+val append_members : string -> (string * string) list -> string
+(** [append_members document members] adds [members], each a key and an
+    already-encoded JSON value, at the end of [document]: an object such
+    as {!Stats.to_json} emits, trailing whitespace allowed. Each member
+    goes on its own line as [,\n  "key": value] and the object closes
+    with ["\n}\n"]; the line before the first appended member keeps its
+    newline, so each appended group starts with a line holding only
+    [,]. Every [--metrics] document's engine identity and ["sample"]
+    report, and resimd's sampled metrics, are appended this way. Raises
+    [Invalid_argument] if [document] does not end in [}]. *)
+
 (** Parsed JSON document. Object members keep their source order;
     duplicate keys are preserved ([member] returns the first). *)
 type value =

@@ -37,10 +37,12 @@ type trace =
 type failure =
   | Fault of Resim_trace.Fault.t
   | Deadlock of Engine.deadlock
+  | Refused of string
 
 let failure_to_string = function
   | Fault fault -> Resim_trace.Fault.to_string fault
   | Deadlock d -> Format.asprintf "deadlock: %a" Engine.pp_deadlock d
+  | Refused reason -> reason
 
 type robust = {
   outcome : outcome;
@@ -74,84 +76,103 @@ let open_trace trace =
           ( Resim_trace.Summary.result summary,
             Resim_trace.Codec.Bit_count.per_instruction bits ) )
 
-let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
-    ?instrument ?driver trace =
-  let source, describe_trace = open_trace trace in
-  match
-    let engine = Engine.create_from_source ~config source in
-    (* Observability hook: attach sinks/probes to the freshly created
-       engine before the first cycle runs. *)
-    (match instrument with Some f -> f engine | None -> ());
+exception Refusal of string
+
+(* Step a resumed run back to its checkpoint cycle under the caller's
+   watchdog and deadline; [Some] is a replay the deadline cut short (a
+   checkpoint of an earlier point of the same run). [run_bounded] looks
+   for the trace's end after every step, so it stops one cycle short
+   and the last step runs alone: a replay that ends at the checkpoint
+   pulls no record past it, and a refused resume has read exactly what
+   the replay needed. *)
+let replay ?watchdog ?deadline engine (checkpoint : Checkpoint.t) =
+  if Int64.compare checkpoint.cycle 0L <= 0 then None
+  else
     let bounded =
-      match driver with
-      | Some drive -> drive engine
-      | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
+      Engine.run_bounded ?watchdog ~max_cycles:(Int64.pred checkpoint.cycle)
+        ?deadline engine
     in
-    { outcome =
-        outcome_of ~config engine bounded.Engine.final (describe_trace ());
-      stop = bounded.Engine.stop;
-      resume =
-        (* Stamp truncation handles with the engine identity so a
-           client holding one cannot replay it on a different build or
-           configuration (RSM-K007 at resume). *)
-        Option.map
-          (Checkpoint.with_engine (engine_identity config))
-          bounded.Engine.resume }
+    match bounded.Engine.stop with
+    | Engine.Time_budget -> Some bounded
+    | Engine.Cycle_budget ->
+        Engine.step engine;
+        None
+    | Engine.Drained | Engine.Commit_target -> None
+
+(* Why a replayed engine is not the checkpointed run, if it is not. *)
+let replay_mismatch engine (checkpoint : Checkpoint.t) =
+  if Int64.compare (Engine.cycle engine) checkpoint.cycle <> 0 then
+    Some
+      (Printf.sprintf
+         "trace drains at cycle %Ld, before the checkpoint cycle %Ld — \
+          wrong trace for this checkpoint"
+         (Engine.cycle engine) checkpoint.cycle)
+  else if Engine.cursor engine <> checkpoint.cursor then
+    Some
+      (Printf.sprintf
+         "cursor mismatch at checkpoint cycle: replayed %d, recorded %d — \
+          wrong trace or configuration"
+         (Engine.cursor engine) checkpoint.cursor)
+  else if Stats.to_assoc (Engine.stats engine) <> checkpoint.counters then
+    Some "statistics mismatch at checkpoint cycle — wrong trace or configuration"
+  else None
+
+let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
+    ?instrument ?driver ?resume trace =
+  (* A checkpoint from another build or configuration is refused
+     (RSM-K007) before the trace is touched: that beats a replay that
+     runs to a baffling statistics mismatch. *)
+  match
+    Option.map (Checkpoint.verify_engine ~expected:(engine_identity config))
+      resume
   with
-  | robust -> Ok robust
-  | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
-  | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
+  | Some (Error error) -> Error (Refused (Checkpoint.error_to_string error))
+  | Some (Ok ()) | None -> (
+      let source, describe_trace = open_trace trace in
+      match
+        let engine = Engine.create_from_source ~config source in
+        (* Observability hook: attach sinks/probes to the freshly
+           created engine before the first cycle runs. *)
+        (match instrument with Some f -> f engine | None -> ());
+        let proceed () =
+          match driver with
+          | Some drive -> drive engine
+          | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
+        in
+        let bounded =
+          match resume with
+          | None -> proceed ()
+          | Some checkpoint -> (
+              (* The engine is deterministic: the replayed prefix is the
+                 checkpointed run, or the checkpoint is not this run's. *)
+              match replay ?watchdog ?deadline engine checkpoint with
+              | Some truncated -> truncated
+              | None -> (
+                  match replay_mismatch engine checkpoint with
+                  | Some reason -> raise (Refusal reason)
+                  | None -> proceed ()))
+        in
+        { outcome =
+            outcome_of ~config engine bounded.Engine.final (describe_trace ());
+          stop = bounded.Engine.stop;
+          resume =
+            (* Stamp truncation handles with the engine identity so a
+               client holding one cannot replay it on a different build
+               or configuration (RSM-K007 at resume). *)
+            Option.map
+              (Checkpoint.with_engine (engine_identity config))
+              bounded.Engine.resume }
+      with
+      | robust -> Ok robust
+      | exception Refusal reason -> Error (Refused reason)
+      | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
+      | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock))
 
 let outcome_exn = function
   | Ok robust -> robust.outcome
   | Error (Fault fault) -> raise (Resim_trace.Fault.Trace_fault fault)
   | Error (Deadlock deadlock) -> raise (Engine.Deadlock deadlock)
-
-let resume_trace ?(config = Config.reference) ~checkpoint trace =
-  let target = checkpoint.Checkpoint.cycle in
-  (* Identity check first (RSM-K007): refusing a foreign-build handle
-     outright beats letting the replay run to a baffling statistics
-     mismatch. *)
-  match
-    Checkpoint.verify_engine ~expected:(engine_identity config) checkpoint
-  with
-  | Error error -> Error (Checkpoint.error_to_string error)
-  | Ok () ->
-  match
-    let source, describe_trace = open_trace trace in
-    let engine = Engine.create_from_source ~config source in
-    while
-      Int64.compare (Engine.cycle engine) target < 0
-      && not (Engine.finished engine)
-    do
-      Engine.step engine
-    done;
-    if Int64.compare (Engine.cycle engine) target <> 0 then
-      Error
-        (Printf.sprintf
-           "trace drains at cycle %Ld, before the checkpoint cycle %Ld — \
-            wrong trace for this checkpoint"
-           (Engine.cycle engine) target)
-    else if Engine.cursor engine <> checkpoint.Checkpoint.cursor then
-      Error
-        (Printf.sprintf
-           "cursor mismatch at checkpoint cycle: replayed %d, recorded %d — \
-            wrong trace or configuration"
-           (Engine.cursor engine) checkpoint.Checkpoint.cursor)
-    else if
-      Stats.to_assoc (Engine.stats engine) <> checkpoint.Checkpoint.counters
-    then Error "statistics mismatch at checkpoint cycle — wrong trace or configuration"
-    else begin
-      (* Describe the trace only once the run has pulled all of it. *)
-      let final = Engine.run engine in
-      Ok (outcome_of ~config engine final (describe_trace ()))
-    end
-  with
-  | result -> result
-  | exception Resim_trace.Fault.Trace_fault fault ->
-      Error (Resim_trace.Fault.to_string fault)
-  | exception Engine.Deadlock deadlock ->
-      Error (Format.asprintf "deadlock: %a" Engine.pp_deadlock deadlock)
+  | Error (Refused reason) -> failwith reason
 
 let simulate_program ?(config = Config.reference) ?generator program =
   let generator = Option.value generator ~default:(generator_config config) in

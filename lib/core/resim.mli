@@ -59,6 +59,9 @@ type failure =
   | Fault of Resim_trace.Fault.t
       (** the trace violated the format or tag-bit protocol *)
   | Deadlock of Engine.deadlock  (** the progress watchdog tripped *)
+  | Refused of string
+      (** a [resume] checkpoint does not belong to this engine, trace or
+          configuration; the text says which check failed *)
 
 val failure_to_string : failure -> string
 
@@ -76,6 +79,7 @@ val run :
   ?deadline:(unit -> bool) ->
   ?instrument:(Engine.t -> unit) ->
   ?driver:(Engine.t -> Engine.bounded) ->
+  ?resume:Checkpoint.t ->
   trace ->
   (robust, failure) result
 (** Run the timing engine over a trace — the one way every caller runs
@@ -88,7 +92,7 @@ val run :
     The trace summary and bits per instruction describe the whole array
     for [Records], and the records pulled for [Pull] — the same figures
     once the stream drains. A pull is wrapped once, here, to count both
-    as the records go past; {!resume_trace} uses the same wrapper.
+    as the records go past.
 
     [instrument] runs on the freshly created engine before the first
     cycle, so callers can attach observability sinks
@@ -97,13 +101,28 @@ val run :
     {!Engine.run_bounded} as the run loop — the sampled-simulation
     driver ({!Resim_sample.Sample}) uses it to alternate functional
     warm-up and detailed intervals; when given, it owns all budget
-    handling and [watchdog]/[max_cycles]/[deadline] are ignored. Trace
-    faults and deadlocks it raises are still caught into [Error]. *)
+    handling and [watchdog]/[max_cycles]/[deadline] are ignored (a
+    [resume] replay still runs under [watchdog] and [deadline]). Trace
+    faults and deadlocks it raises are still caught into [Error].
+
+    [resume] continues a truncated run from its checkpoint. A
+    checkpoint stamped with a different {!engine_identity} is refused
+    before the trace is touched ([RSM-K007]). Otherwise the engine
+    replays the trace (an array, or a fresh pull stream over the same
+    records — the replay only walks forward) to the checkpoint cycle
+    under [watchdog] and [deadline], and must then stand where the
+    checkpoint says: same cursor, every statistics register equal. A
+    trace that drains first, or any mismatch, is [Refused]. A clean
+    replay continues as a fresh run does, under [max_cycles] (still an
+    absolute cycle count) and [deadline], or under [driver]; the final
+    statistics are bit-identical to an unbounded run by construction.
+    A deadline that fires during the replay truncates it there, with a
+    checkpoint of that earlier point. *)
 
 val outcome_exn : (robust, failure) result -> outcome
 (** The fail-fast view of {!run}: the outcome, or the caught
     {!Resim_trace.Fault.Trace_fault} or {!Engine.Deadlock} raised
-    again. *)
+    again ([Failure] for a refused resume). *)
 
 val simulate_program :
   ?config:Config.t ->
@@ -112,21 +131,6 @@ val simulate_program :
   outcome
 (** Trace generation ({!Resim_tracegen.Generator}, by default with
     {!generator_config}) followed by a fail-fast {!run}. *)
-
-val resume_trace :
-  ?config:Config.t ->
-  checkpoint:Checkpoint.t ->
-  trace ->
-  (outcome, string) result
-(** Deterministically resume a truncated run: replay the trace (an
-    array, or a fresh pull stream over the same records — the replay
-    only walks forward) to the checkpoint cycle, verify the cursor and
-    every statistics register match the snapshot (refusing a checkpoint
-    from a different trace or configuration), then run to completion.
-    The final statistics are bit-identical to an unbounded run by
-    construction. A checkpoint stamped with a different
-    {!engine_identity} is refused before the replay starts
-    ([RSM-K007]). *)
 
 (** {1 Paper metrics} *)
 

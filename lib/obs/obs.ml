@@ -68,10 +68,10 @@ let jsonl_buffer buffer =
 
 (* ------------------------------------------------------------------ *)
 (* Waterfall: per-instruction stage cycles for a window of dispatched
-   instructions, rendered as a Gantt chart on close. The fetch->entry
-   pairing mirrors Pipeline_trace: fetch events carry no id, so fetch
-   cycles queue up and marry the next dispatches in order; a front-end
-   flush drops the still-unmarried ones.                               *)
+   instructions, rendered as a Gantt chart on close. Fetch events carry
+   no id, so fetch cycles queue up and marry the next dispatches in
+   order (fetch order is dispatch order); a front-end flush drops the
+   still-unmarried ones.                                               *)
 
 type slot = {
   slot_id : int;

@@ -137,24 +137,6 @@ let report_to_json report =
   Buffer.add_string buffer "]}";
   Buffer.contents buffer
 
-let splice_metrics ~stats_json report =
-  (* Stats.to_json ends in "}\n"; accept any trailing whitespace after
-     the closing brace and keep the trailing newline. *)
-  let n = ref (String.length stats_json) in
-  while
-    !n > 0
-    &&
-    match stats_json.[!n - 1] with
-    | ' ' | '\t' | '\n' | '\r' -> true
-    | _ -> false
-  do
-    decr n
-  done;
-  if !n = 0 || stats_json.[!n - 1] <> '}' then
-    invalid_arg "Sample.splice_metrics: not a JSON object";
-  String.sub stats_json 0 (!n - 1)
-  ^ ",\n  \"sample\": " ^ report_to_json report ^ "\n}\n"
-
 (* ------------------------------------------------------------------ *)
 (* The alternating driver.                                             *)
 

@@ -63,12 +63,9 @@ val covers : report -> float -> bool
 
 val report_to_json : report -> string
 (** Stable JSON object: the spec, interval count and per-interval IPCs,
-    mean, [ci95] (null when not finite), and instruction totals. *)
-
-val splice_metrics : stats_json:string -> report -> string
-(** Extend a {!Resim_core.Stats.to_json} document with a ["sample"]
-    member carrying {!report_to_json} — the [--metrics] output of a
-    sampled run. *)
+    mean, [ci95] (null when not finite), and instruction totals. A
+    sampled run's [--metrics] document appends it to the statistics as
+    a ["sample"] member ({!Resim_core.Json.append_members}). *)
 
 val driver :
   ?watchdog:int ->

@@ -127,7 +127,9 @@ let metrics_of (result : Sweep.result) =
   let stats_json = Stats.to_json result.outcome.Resim.stats in
   match result.sample_report with
   | None -> stats_json
-  | Some report -> Resim_sample.Sample.splice_metrics ~stats_json report
+  | Some report ->
+      Resim_core.Json.append_members stats_json
+        [ ("sample", Resim_sample.Sample.report_to_json report) ]
 
 let report_payload (report : Sweep.job_report) =
   let attempts = report.attempts in

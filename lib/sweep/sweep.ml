@@ -223,6 +223,10 @@ let attempt ~policy ?instrument job : outcome =
         match simulated with
         | Stdlib.Error (Resim.Fault fault) -> Failed (Fault fault)
         | Stdlib.Error (Resim.Deadlock d) -> Failed (Deadlock d)
+        | Stdlib.Error (Resim.Refused reason) ->
+            (* Unreachable: sweep jobs never resume. A refusal is
+               deterministic, so it must not be retried. *)
+            Failed (Invalid reason)
         | Stdlib.Ok (robust, sample_report) -> (
             let wall_seconds = Unix.gettimeofday () -. started in
             let outcome = robust.Resim.outcome in

@@ -19,9 +19,11 @@ fi
 fail=0
 
 # --- pipetrace + metrics + waterfall through one simulate run --------
+# (the waterfall's rows, header and legend are a dune test:
+# obs:render "simulate --waterfall 8")
 timeout 120 "$CLI" simulate -k gzip -s 256 \
     --pipetrace "$TMP/run.jsonl" --metrics "$TMP/run.json" \
-    --waterfall 8 > "$TMP/simulate.out"
+    --waterfall 8 > /dev/null
 
 for artifact in run.jsonl run.json; do
     if [ ! -s "$TMP/$artifact" ]; then
@@ -35,10 +37,6 @@ if ! grep -q '"e":"C"' "$TMP/run.jsonl"; then
 fi
 if ! grep -q '"stall_causes"' "$TMP/run.json"; then
     echo "FAIL metrics: no stall_causes section"
-    fail=1
-fi
-if ! grep -q '^#0 ' "$TMP/simulate.out"; then
-    echo "FAIL waterfall: no instruction rows rendered"
     fail=1
 fi
 

@@ -100,7 +100,9 @@ let exercise_engine data =
           match
             Resim.run ~config ~watchdog:50_000 (Records records)
           with
-          | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ())
+          | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ()
+          | Error (Resim.Refused reason) ->
+              Alcotest.failf "a fresh run refused: %s" reason)
         org_grid
 
 let test_no_escape_across_configs () =
@@ -331,11 +333,12 @@ let test_checkpoint_resume_bit_identical () =
         | Ok checkpoint -> checkpoint
         | Error error -> Alcotest.fail (Checkpoint.error_to_string error)
       in
-      match Resim.resume_trace ~checkpoint (Records records) with
-      | Error message -> Alcotest.fail message
-      | Ok outcome ->
+      match Resim.run ~resume:checkpoint (Records records) with
+      | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+      | Ok resumed ->
+          check bool "resumed run drains" true (resumed.stop = Engine.Drained);
           check bool "resumed stats bit-identical to unbounded run" true
-            (Stats.to_assoc outcome.stats = Stats.to_assoc full))
+            (Stats.to_assoc resumed.outcome.stats = Stats.to_assoc full))
 
 let test_resume_refuses_mismatch () =
   let records = Lazy.force base_records in
@@ -358,14 +361,66 @@ let test_resume_refuses_mismatch () =
           Resim_trace.Record.payload =
             Resim_trace.Record.Other
               { op_class = Resim_trace.Record.Divide } };
-      (match Resim.resume_trace ~checkpoint (Records other) with
-      | Error _ -> ()
+      (match Resim.run ~resume:checkpoint (Records other) with
+      | Error (Resim.Refused _) -> ()
+      | Error failure ->
+          Alcotest.failf "divergent trace: %s, not a refusal"
+            (Resim.failure_to_string failure)
       | Ok _ -> Alcotest.fail "resume accepted a divergent trace");
       (* Nor can a different configuration. *)
       let config = { Config.reference with rob_entries = 32 } in
-      match Resim.resume_trace ~config ~checkpoint (Records records) with
-      | Error _ -> ()
+      match Resim.run ~config ~resume:checkpoint (Records records) with
+      | Error (Resim.Refused _) -> ()
+      | Error failure ->
+          Alcotest.failf "foreign configuration: %s, not a refusal"
+            (Resim.failure_to_string failure)
       | Ok _ -> Alcotest.fail "resume accepted a foreign configuration")
+
+(* A refused resume has read exactly the records that stepping to the
+   checkpoint cycle reads, none past it: what it reports of its input
+   (an adapted trace's line count, a degraded run's skipped regions)
+   is what the replay needed. *)
+let test_refused_replay_reads_no_further () =
+  let records = Lazy.force base_records in
+  let counted () =
+    let pulled = ref 0 in
+    ( (fun () ->
+        if !pulled < Array.length records then begin
+          incr pulled;
+          Some records.(!pulled - 1)
+        end
+        else None),
+      pulled )
+  in
+  match Resim.run ~max_cycles:1_000L (Records records) with
+  | Ok { resume = Some checkpoint; _ } -> (
+      let pull, stepped = counted () in
+      let engine =
+        Engine.create_from_source (Resim_core.Source.of_pull pull)
+      in
+      for _ = 1 to Int64.to_int checkpoint.Checkpoint.cycle do
+        Engine.step engine
+      done;
+      (* Same trace, one counter off: the replay runs to the end and
+         only the last check refuses. *)
+      let tampered =
+        { checkpoint with
+          Checkpoint.counters =
+            List.map
+              (fun (name, value) ->
+                if name = "committed" then (name, Int64.succ value)
+                else (name, value))
+              checkpoint.Checkpoint.counters }
+      in
+      let pull, replayed = counted () in
+      match Resim.run ~resume:tampered (Pull pull) with
+      | Error (Resim.Refused _) ->
+          check int "records pulled: refused replay = stepping" !stepped
+            !replayed
+      | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+      | Ok _ -> Alcotest.fail "resume accepted a tampered checkpoint")
+  | Ok _ -> Alcotest.fail "truncated run must yield a checkpoint"
+  | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
 
 let test_degraded_decode_marks_stats () =
   let records = Lazy.force base_records in
@@ -404,4 +459,6 @@ let suite =
        Alcotest.test_case "resume refuses mismatches" `Quick
          test_resume_refuses_mismatch;
        Alcotest.test_case "degraded decode marks stats" `Quick
-         test_degraded_decode_marks_stats ]) ]
+         test_degraded_decode_marks_stats;
+       Alcotest.test_case "a refused replay reads no further" `Quick
+         test_refused_replay_reads_no_further ]) ]

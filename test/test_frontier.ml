@@ -155,9 +155,8 @@ let test_sampled_and_resumed_streams_match_arrays () =
             Alcotest.failf "%s: %s" name (Resim.failure_to_string failure)
       in
       let resumed trace =
-        match Resim.resume_trace ~checkpoint trace with
-        | Ok outcome -> outcome
-        | Error message -> Alcotest.failf "%s: resume: %s" name message
+        (robust_exn (name ^ ": resume") (Resim.run ~resume:checkpoint trace))
+          .Resim.outcome
       in
       let full = (robust_exn name (Resim.run array)).Resim.outcome in
       let array_resumed = resumed array in

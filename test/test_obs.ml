@@ -174,6 +174,38 @@ let test_waterfall_renders () =
       check bool "window honoured: no ninth row" false (has_line "#8");
       check bool "legend" true (has_line "F fetch"))
 
+(* The CLI face: [simulate --waterfall 8] prints the header, exactly
+   eight instruction rows and the legend, in that order. *)
+let test_cli_waterfall () =
+  let out = Filename.temp_file "resim_waterfall" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      check int "simulate --waterfall 8 exits 0" 0
+        (Sys.command
+           (Printf.sprintf "%s simulate -k gzip -s 256 --waterfall 8 > %s"
+              (Filename.quote Test_sample.cli) (Filename.quote out)));
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_text out In_channel.input_all)
+      in
+      let rec from_header = function
+        | line :: rest when String.starts_with ~prefix:"id    pc      |" line ->
+            rest
+        | _ :: rest -> from_header rest
+        | [] -> Alcotest.fail "no waterfall header"
+      in
+      let rec rows acc = function
+        | line :: rest when String.starts_with ~prefix:"#" line ->
+            rows (acc + 1) rest
+        | rest -> (acc, rest)
+      in
+      let count, after = rows 0 (from_header lines) in
+      check int "eight instruction rows" 8 count;
+      check string "legend follows the rows"
+        "F fetch  D dispatch  I issue  W writeback  C commit  x squashed"
+        (match after with line :: _ -> line | [] -> ""))
+
 (* ------------------------------------------------------------------- *)
 (* Profiler.                                                            *)
 
@@ -263,7 +295,8 @@ let suite =
        Alcotest.test_case "stall taxonomy round-trips" `Quick
          test_stall_reasons_all_legal ]);
     ("obs:render",
-     [ Alcotest.test_case "waterfall" `Quick test_waterfall_renders ]);
+     [ Alcotest.test_case "waterfall" `Quick test_waterfall_renders;
+       Alcotest.test_case "simulate --waterfall 8" `Quick test_cli_waterfall ]);
     ("obs:prof",
      [ Alcotest.test_case "engine phases charged" `Quick
          test_profiler_sections;

@@ -482,10 +482,10 @@ let test_emitters_parse () =
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, sample_report) ->
       validates "Sample.report_to_json" (Sample.report_to_json sample_report);
-      validates "Sample.splice_metrics"
-        (Sample.splice_metrics
-           ~stats_json:(Stats.to_json robust.Resim.outcome.Resim.stats)
-           sample_report));
+      validates "Json.append_members"
+        (Json.append_members
+           (Stats.to_json robust.Resim.outcome.Resim.stats)
+           [ ("sample", Sample.report_to_json sample_report) ]));
   (* profiler sections with adversarial names *)
   let prof = Resim_obs.Prof.create () in
   Resim_obs.Prof.time prof evil (fun () -> ());
@@ -546,6 +546,11 @@ let cli_output args =
   in
   let stdout = read out in
   (code, stdout, read err)
+
+let contains document needle =
+  let n = String.length document and m = String.length needle in
+  let rec scan i = i + m <= n && (String.sub document i m = needle || scan (i + 1)) in
+  scan 0
 
 let write_tmp suffix content =
   let path = Filename.temp_file "resim_test" suffix in
@@ -645,11 +650,6 @@ let test_cli_exit_codes () =
           (Filename.quote checkpoint)
           (Filename.quote resumed_metrics),
         resumed_metrics ) ]
-  in
-  let contains document needle =
-    let n = String.length document and m = String.length needle in
-    let rec scan i = i + m <= n && (String.sub document i m = needle || scan (i + 1)) in
-    scan 0
   in
   let sweep_metrics = Filename.temp_file "resim_test" ".json" in
   (* A shard set: `profile -t` on one shard profiles the whole set, as
@@ -757,7 +757,119 @@ let test_cli_exit_codes () =
           0 sharded
       in
       check bool "profile of a shard runs the whole set" true
-        (contains output (Printf.sprintf "%d instructions committed" committed)))
+        (contains output (Printf.sprintf "%d instructions committed" committed));
+      (* profile -t reads what simulate -t reads: a bare stem, stdin,
+         and a missing path as a typed usage error *)
+      let code, output, _ =
+        cli_output (Printf.sprintf "profile -t %s" (Filename.quote shard_stem))
+      in
+      check int "profile of a shard stem exits 0" 0 code;
+      check bool "profile of a shard stem runs the whole set" true
+        (contains output (Printf.sprintf "%d instructions committed" committed));
+      check int "profile from stdin exits 0" 0
+        (run_cli (Printf.sprintf "profile -t - < %s" (Filename.quote good_trace)));
+      let code, _, errors = cli_output "profile -t /nonexistent/x.rtr" in
+      check int "profile of a missing file exits 2" 2 code;
+      check bool "profile of a missing file is RSM-T009" true
+        (contains errors "/nonexistent/x.rtr: [RSM-T009]"))
+
+(* A resumed run is a fresh run that starts from a checkpoint: it
+   honours the budget flags, the checkpoints it writes chain back to
+   the unbounded run's statistics, and a fault after the checkpoint
+   exits as it would in any run. *)
+let test_cli_resume_budgets () =
+  let records =
+    (Generator.run (Workload.program_of (Workload.find "gzip") ~scale:512 ()))
+      .records
+  in
+  let trace = write_tmp ".rtr" (Resim_trace.Codec.encode records) in
+  (* A foreign trace whose line 3001 is malformed, far past the cycle
+     300 checkpoint. *)
+  let bad_text =
+    write_tmp ".trc"
+      (String.concat ""
+         (List.init 4000 (fun i ->
+              if i = 3000 then Printf.sprintf "%x 9 1 2 3\n" (0x1000 + (4 * i))
+              else
+                Printf.sprintf "%x 0 %d %d %d\n" (0x1000 + (4 * i))
+                  (1 + (i mod 7)) (1 + ((i + 3) mod 7)) (1 + ((i + 5) mod 7)))))
+  in
+  let tmp suffix = Filename.temp_file "resim_test" suffix in
+  let first = tmp ".rscp" and chained = tmp ".rscp" and timed = tmp ".rscp"
+  and text_checkpoint = tmp ".rscp" in
+  let full_metrics = tmp ".json" and chained_metrics = tmp ".json"
+  and timed_metrics = tmp ".json" in
+  let q = Filename.quote in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (* Each checkpoint a resumed run writes must be its own. *)
+  List.iter Sys.remove [ chained; timed ];
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun path -> if Sys.file_exists path then Sys.remove path)
+        [ trace; bad_text; first; chained; timed; text_checkpoint;
+          full_metrics; chained_metrics; timed_metrics ])
+    (fun () ->
+      check int "unbounded run" 0
+        (run_cli
+           (Printf.sprintf "simulate -t %s --metrics %s" (q trace)
+              (q full_metrics)));
+      check int "first leg truncates" 0
+        (run_cli
+           (Printf.sprintf "simulate -t %s --max-cycles 500 --checkpoint %s"
+              (q trace) (q first)));
+      let args =
+        Printf.sprintf
+          "simulate -t %s --resume %s --max-cycles 1000 --checkpoint %s"
+          (q trace) (q first) (q chained)
+      in
+      let code, output, _ = cli_output args in
+      check int (Printf.sprintf "`resim %s`" args) 0 code;
+      check bool "the resumed leg stops at --max-cycles" true
+        (contains output "run truncated by --max-cycles");
+      check bool "the resumed leg writes its checkpoint" true
+        (Sys.file_exists chained
+        && contains (read chained) "cycle 1000\n");
+      check int "the chained resume completes" 0
+        (run_cli
+           (Printf.sprintf "simulate -t %s --resume %s --metrics %s" (q trace)
+              (q chained) (q chained_metrics)));
+      check Alcotest.string "chained resume --metrics = unbounded --metrics"
+        (read full_metrics) (read chained_metrics);
+      (* The deadline bounds the whole command, replay included. *)
+      let args =
+        Printf.sprintf
+          "simulate -t %s --resume %s --timeout 0.000001 --checkpoint %s"
+          (q trace) (q first) (q timed)
+      in
+      let code, output, _ = cli_output args in
+      check int (Printf.sprintf "`resim %s`" args) 0 code;
+      check bool "the resumed run stops at --timeout" true
+        (contains output "run truncated by --timeout");
+      check bool "the timed-out resume writes its checkpoint" true
+        (Sys.file_exists timed);
+      check int "the timed-out checkpoint resumes" 0
+        (run_cli
+           (Printf.sprintf "simulate -t %s --resume %s --metrics %s" (q trace)
+              (q timed) (q timed_metrics)));
+      check Alcotest.string "timed-out chain --metrics = unbounded --metrics"
+        (read full_metrics) (read timed_metrics);
+      (* A malformed foreign line met after the checkpoint. *)
+      check int "text checkpoint" 0
+        (run_cli
+           (Printf.sprintf
+              "simulate -t %s --format text --max-cycles 300 --checkpoint %s"
+              (q bad_text) (q text_checkpoint)));
+      let code, _, errors =
+        cli_output
+          (Printf.sprintf "simulate -t %s --format text --resume %s"
+             (q bad_text) (q text_checkpoint))
+      in
+      check int "a malformed line after the checkpoint exits 1" 1 code;
+      check bool "stderr is the adapter's file:line:col line alone" true
+        (String.starts_with ~prefix:(bad_text ^ ":3001:") errors
+        && contains errors "[RSM-A003]"
+        && List.length (String.split_on_char '\n' (String.trim errors)) = 1))
 
 let suite =
   [ ("sample:spec",
@@ -801,4 +913,6 @@ let suite =
        QCheck_alcotest.to_alcotest property_escape_round_trips;
        QCheck_alcotest.to_alcotest property_sample_spec_json ]);
     ("sample:cli",
-     [ Alcotest.test_case "exit-code table" `Slow test_cli_exit_codes ]) ]
+     [ Alcotest.test_case "exit-code table" `Slow test_cli_exit_codes;
+       Alcotest.test_case "resumed runs honour the budgets" `Slow
+         test_cli_resume_budgets ]) ]

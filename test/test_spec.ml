@@ -155,13 +155,12 @@ let test_checkpoint_resume () =
       match robust.Resim.resume with
       | None -> Alcotest.fail "expected a resume checkpoint"
       | Some checkpoint -> (
-          match Resim.resume_trace ~config ~checkpoint (Records records)
-          with
-          | Error message -> Alcotest.fail message
-          | Ok outcome ->
+          match Resim.run ~config ~resume:checkpoint (Records records) with
+          | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+          | Ok resumed ->
               check string "resumed run matches uninterrupted"
                 (stats_dump (Engine.simulate ~config records))
-                (stats_dump outcome.Resim.stats)))
+                (stats_dump resumed.Resim.outcome.Resim.stats)))
 
 (* ------------------------------------------------------------------- *)
 (* Random traces over random structurally sound configurations.        *)

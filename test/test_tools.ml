@@ -1,11 +1,14 @@
 (* Tests for the tooling layer: the VHDL generator and the pipeline
-   tracer. *)
+   tracer (the Obs pipetrace and waterfall sinks). *)
 
 module Record = Resim_trace.Record
+module Json = Resim_core.Json
+module Obs = Resim_obs.Obs
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let char = Alcotest.char
 
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
@@ -161,47 +164,104 @@ let chain n =
   Array.init n (fun i ->
       alu ~pc:i ~dest:(1 + (i mod 2)) ~src1:(1 + ((i + 1) mod 2)) ())
 
-let find_event kind timeline =
-  List.assoc_opt kind timeline.Resim_core.Pipeline_trace.events
+(* One run with the JSONL pipetrace and the waterfall both attached:
+   the event stream, the rendered waterfall and the final statistics.
+   The waterfall overwrites marks that fall in one cycle, so stage
+   order comes from the stream; fetch-first, the rendering and the
+   window come from the waterfall's rows. *)
+let traced ~window records =
+  let path = Filename.temp_file "resim_waterfall" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let buffer = Buffer.create 4096 in
+      let channel = open_out path in
+      let sinks = [ Obs.jsonl_buffer buffer; Obs.waterfall ~window channel ] in
+      let engine = Resim_core.Engine.create records in
+      Obs.attach engine sinks;
+      let stats = Resim_core.Engine.run engine in
+      Obs.close sinks;
+      close_out channel;
+      ( Buffer.contents buffer,
+        In_channel.with_open_text path In_channel.input_all,
+        stats ))
 
-let trace_of records ~window =
-  let engine = Resim_core.Engine.create records in
-  let trace = Resim_core.Pipeline_trace.create ~window engine in
-  Resim_core.Pipeline_trace.run trace;
-  trace
+(* The stream's per-instruction events as (kind, id, cycle, wrong
+   path); fetches, flushes and stalls carry no id and are dropped. *)
+let instruction_events jsonl =
+  List.filter_map
+    (fun line ->
+      if line = "" then None
+      else
+        match Json.parse line with
+        | Error message -> Alcotest.failf "pipetrace line %S: %s" line message
+        | Ok event -> (
+            let int key = Option.bind (Json.member key event) Json.int_value in
+            match
+              (Option.bind (Json.member "e" event) Json.string_value,
+               int "id", int "c")
+            with
+            | Some kind, Some id, Some cycle ->
+                Some (kind, id, cycle, Json.member "wp" event <> None)
+            | _ -> None))
+    (String.split_on_char '\n' jsonl)
+
+let ids_with kind events =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (k, id, _, _) -> if k = kind then Some id else None)
+       events)
+
+let cycle_of kind id events =
+  List.find_map
+    (fun (k, i, cycle, _) -> if k = kind && i = id then Some cycle else None)
+    events
+
+(* The waterfall's instruction rows, each cut after its [|]. *)
+let waterfall_rows text =
+  List.filter_map
+    (fun line ->
+      if String.length line > 0 && line.[0] = '#' then
+        let bar = String.index line '|' in
+        Some (String.sub line (bar + 1) (String.length line - bar - 1))
+      else None)
+    (String.split_on_char '\n' text)
 
 let test_ptrace_stage_order () =
-  let trace = trace_of (chain 8) ~window:8 in
-  let lines = Resim_core.Pipeline_trace.timelines trace in
-  check int "eight instructions traced" 8 (List.length lines);
+  let jsonl, waterfall, _ = traced (chain 8) ~window:8 in
+  let events = instruction_events jsonl in
+  let dispatched = ids_with "D" events in
+  check int "eight instructions dispatched" 8 (List.length dispatched);
   List.iter
-    (fun timeline ->
+    (fun id ->
       let cycle kind =
-        match find_event kind timeline with
+        match cycle_of kind id events with
         | Some cycle -> cycle
-        | None -> Alcotest.failf "missing stage for #%d"
-                    timeline.Resim_core.Pipeline_trace.id
+        | None -> Alcotest.failf "missing %s for #%d" kind id
       in
-      let fetched = cycle Resim_core.Pipeline_trace.Fetched in
-      let dispatched = cycle Resim_core.Pipeline_trace.Dispatched in
-      let issued = cycle Resim_core.Pipeline_trace.Issued in
-      let completed = cycle Resim_core.Pipeline_trace.Completed in
-      let committed = cycle Resim_core.Pipeline_trace.Committed in
-      check bool "F < D" true (Int64.compare fetched dispatched < 0);
-      check bool "D <= i" true (Int64.compare dispatched issued <= 0);
-      check bool "i < W" true (Int64.compare issued completed < 0);
-      check bool "W < C" true (Int64.compare completed committed < 0))
-    lines
+      let dispatched = cycle "D" and issued = cycle "I"
+      and completed = cycle "W" and committed = cycle "C" in
+      check bool "D <= I" true (dispatched <= issued);
+      check bool "I < W" true (issued < completed);
+      check bool "W < C" true (completed < committed))
+    dispatched;
+  let rows = waterfall_rows waterfall in
+  check int "eight rows" 8 (List.length rows);
+  List.iter
+    (fun row ->
+      check char "fetch is each row's first mark, before dispatch" 'F'
+        (String.trim row).[0])
+    rows
 
 let test_ptrace_serial_chain_issues_in_order () =
-  let trace = trace_of (chain 6) ~window:6 in
-  let lines = Resim_core.Pipeline_trace.timelines trace in
+  let jsonl, _, _ = traced (chain 6) ~window:6 in
+  let events = instruction_events jsonl in
   let issue_cycles =
-    List.filter_map (find_event Resim_core.Pipeline_trace.Issued) lines
+    List.filter_map (fun id -> cycle_of "I" id events) (ids_with "I" events)
   in
+  check int "every instruction issued" 6 (List.length issue_cycles);
   let rec strictly_increasing = function
-    | a :: (b :: _ as rest) ->
-        Int64.compare a b < 0 && strictly_increasing rest
+    | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
     | [ _ ] | [] -> true
   in
   check bool "dependent chain issues one per cycle" true
@@ -219,52 +279,40 @@ let test_ptrace_squash_recorded () =
         Array.init 3 (fun i -> alu ~wrong:true ~pc:(2 + i) ~dest:(3 + i) ~src1:29 ());
         [| alu ~pc:50 ~dest:9 ~src1:29 () |] ]
   in
-  let trace = trace_of records ~window:16 in
-  let lines = Resim_core.Pipeline_trace.timelines trace in
-  let squashed =
-    List.filter
-      (fun timeline ->
-        find_event Resim_core.Pipeline_trace.Squashed timeline <> None)
-      lines
+  let jsonl, _, _ = traced records ~window:16 in
+  let events = instruction_events jsonl in
+  let wrong_path =
+    List.filter_map
+      (fun (kind, id, _, wrong) ->
+        if kind = "D" && wrong then Some id else None)
+      events
   in
-  check bool "wrong-path instructions squashed" true
-    (List.length squashed > 0);
+  let squashed = ids_with "X" events in
+  check bool "wrong-path instructions squashed" true (squashed <> []);
   List.iter
-    (fun timeline ->
-      check bool "only wrong-path squashes" true
-        timeline.Resim_core.Pipeline_trace.wrong_path)
+    (fun id ->
+      check bool "only wrong-path squashes" true (List.mem id wrong_path))
     squashed;
-  let committed_wrong =
-    List.exists
-      (fun timeline ->
-        timeline.Resim_core.Pipeline_trace.wrong_path
-        && find_event Resim_core.Pipeline_trace.Committed timeline <> None)
-      lines
-  in
-  check bool "no wrong-path commit in the trace" false committed_wrong
+  check bool "no wrong-path commit in the trace" false
+    (List.exists (fun id -> List.mem id wrong_path) (ids_with "C" events))
 
 let test_ptrace_render () =
-  let trace = trace_of (chain 4) ~window:4 in
-  let rendered = Resim_core.Pipeline_trace.render trace in
-  check bool "has legend" true (contains rendered "F fetch");
-  check bool "has rows" true (contains rendered "#0")
+  let _, waterfall, _ = traced (chain 4) ~window:4 in
+  check bool "has legend" true (contains waterfall "F fetch");
+  check bool "has rows" true (contains waterfall "#0")
 
 let test_ptrace_window_limits () =
-  let trace = trace_of (chain 50) ~window:5 in
-  check int "window respected" 5
-    (List.length (Resim_core.Pipeline_trace.timelines trace))
+  let _, waterfall, _ = traced (chain 50) ~window:5 in
+  check int "window respected" 5 (List.length (waterfall_rows waterfall))
 
 let test_ptrace_does_not_change_timing () =
   let records = chain 64 in
   let plain = Resim_core.Engine.simulate records in
-  let engine = Resim_core.Engine.create records in
-  let trace = Resim_core.Pipeline_trace.create ~window:16 engine in
-  Resim_core.Pipeline_trace.run trace;
+  let _, _, traced_stats = traced records ~window:16 in
   check bool "identical timing with tracer attached" true
     (Int64.equal
        (Resim_core.Stats.get Resim_core.Stats.major_cycles plain)
-       (Resim_core.Stats.get Resim_core.Stats.major_cycles
-          (Resim_core.Engine.stats engine)))
+       (Resim_core.Stats.get Resim_core.Stats.major_cycles traced_stats))
 
 let suite =
   [ ("tools:vhdl",
