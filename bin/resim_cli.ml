@@ -650,17 +650,20 @@ let simulate workload scale source_file trace_file trace_format _stream
             let stats_json =
               Resim_core.Json.append_members
                 (Resim_core.Stats.to_json stats)
-                [ ("specialized", string_of_bool (!engine_variant <> None));
+                [ ( "specialized",
+                    Resim_core.Json.Bool (!engine_variant <> None) );
                   ( "variant",
                     match !engine_variant with
-                    | Some name -> Resim_core.Json.quote name
-                    | None -> "null" ) ]
+                    | Some name -> Resim_core.Json.String name
+                    | None -> Resim_core.Json.Null ) ]
             in
             match report with
             | None -> stats_json
             | Some report ->
                 Resim_core.Json.append_members stats_json
-                  [ ("sample", Resim_sample.Sample.report_to_json report) ]
+                  [ ( "sample",
+                      Resim_core.Json.Raw
+                        (Resim_sample.Sample.report_to_json report) ) ]
         in
         if String.equal path "-" then print_string body
         else begin

@@ -1,62 +1,41 @@
-(* One escape routine for every hand-rolled JSON emitter in the tree
-   (Stats, Sweep, Hostbench, Prof, the sample driver): free-form
-   strings — labels, kernel names, fault reasons — must never be able
-   to break a document. *)
+(* The one JSON builder of the tree: every metrics document and wire
+   message is a [value] printed by [to_string]. Free-form strings —
+   labels, kernel names, fault reasons — are escaped on the way out,
+   so none of them can break a document. *)
+
+let add_escaped buffer s =
+  (* Copy runs of plain bytes whole; only the escaped ones go one by
+     one. *)
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !start then Buffer.add_substring buffer s !start (i - !start);
+      start := i + 1;
+      Buffer.add_string buffer
+        (match c with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  if n > !start then Buffer.add_substring buffer s !start (n - !start)
 
 let escape s =
   let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
+  add_escaped buffer s;
   Buffer.contents buffer
 
 let add_string buffer s =
   Buffer.add_char buffer '"';
-  Buffer.add_string buffer (escape s);
+  add_escaped buffer s;
   Buffer.add_char buffer '"'
 
 let quote s = "\"" ^ escape s ^ "\""
-
-let append_members document members =
-  (* Accept any trailing whitespace after the closing brace; the result
-     keeps one trailing newline. *)
-  let n = ref (String.length document) in
-  while
-    !n > 0
-    &&
-    match document.[!n - 1] with
-    | ' ' | '\t' | '\n' | '\r' -> true
-    | _ -> false
-  do
-    decr n
-  done;
-  if !n = 0 || document.[!n - 1] <> '}' then
-    invalid_arg "Json.append_members: not a JSON object";
-  let buffer = Buffer.create (!n + 64) in
-  Buffer.add_substring buffer document 0 (!n - 1);
-  List.iter
-    (fun (key, value) ->
-      Buffer.add_string buffer ",\n  ";
-      add_string buffer key;
-      Buffer.add_string buffer ": ";
-      Buffer.add_string buffer value)
-    members;
-  Buffer.add_string buffer "\n}\n";
-  Buffer.contents buffer
-
-(* ------------------------------------------------------------------ *)
-(* Strict parser (RFC 8259 grammar). [parse] builds a value tree — the
-   wire-protocol layer (Resim_serve.Protocol) reads requests through
-   it — and [validate] is the same grammar with the tree discarded. *)
 
 type value =
   | Null
@@ -65,6 +44,100 @@ type value =
   | String of string
   | List of value list
   | Obj of (string * value) list
+  | Raw of string
+
+let int n = Raw (string_of_int n)
+let int64 n = Raw (Int64.to_string n)
+
+let fixed digits f =
+  if Float.is_finite f then Raw (Printf.sprintf "%.*f" digits f) else Null
+
+type layout = Compact | Lines
+
+let add_number buffer f =
+  if not (Float.is_finite f) then Buffer.add_string buffer "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string buffer (Printf.sprintf "%.0f" f)
+  else
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string buffer
+      (if Float.equal (float_of_string short) f then short
+       else Printf.sprintf "%.17g" f)
+
+(* [comma] and [colon] are the separators inside arrays and objects:
+   [","]/[":"] for [Compact], [", "]/[": "] for values nested in a
+   [Lines] document. *)
+let rec add_value buffer ~comma ~colon = function
+  | Null -> Buffer.add_string buffer "null"
+  | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+  | Number f -> add_number buffer f
+  | String s -> add_string buffer s
+  | Raw text -> Buffer.add_string buffer text
+  | List items ->
+      Buffer.add_char buffer '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_string buffer comma;
+          add_value buffer ~comma ~colon item)
+        items;
+      Buffer.add_char buffer ']'
+  | Obj members ->
+      Buffer.add_char buffer '{';
+      List.iteri
+        (fun i (key, value) ->
+          if i > 0 then Buffer.add_string buffer comma;
+          add_string buffer key;
+          Buffer.add_string buffer colon;
+          add_value buffer ~comma ~colon value)
+        members;
+      Buffer.add_char buffer '}'
+
+(* The start of one member of a [Lines] object: [\n  "key": ]. *)
+let add_line_key buffer key =
+  Buffer.add_string buffer "\n  ";
+  add_string buffer key;
+  Buffer.add_string buffer ": "
+
+let to_string ?(layout = Compact) value =
+  let buffer = Buffer.create 1024 in
+  (match (layout, value) with
+  | Compact, _ -> add_value buffer ~comma:"," ~colon:":" value
+  | Lines, Obj members ->
+      Buffer.add_char buffer '{';
+      List.iteri
+        (fun i (key, value) ->
+          if i > 0 then Buffer.add_char buffer ',';
+          add_line_key buffer key;
+          add_value buffer ~comma:", " ~colon:": " value)
+        members;
+      Buffer.add_string buffer "\n}\n"
+  | Lines, _ ->
+      add_value buffer ~comma:", " ~colon:": " value;
+      Buffer.add_char buffer '\n');
+  Buffer.contents buffer
+
+let append_members document members =
+  (* Whitespace after the closing brace is dropped; the result keeps one
+     trailing newline. *)
+  let document = String.trim document in
+  let n = String.length document in
+  if n = 0 || document.[n - 1] <> '}' then
+    invalid_arg "Json.append_members: not a JSON object";
+  let buffer = Buffer.create (n + 64) in
+  Buffer.add_substring buffer document 0 (n - 1);
+  List.iter
+    (fun (key, value) ->
+      Buffer.add_char buffer ',';
+      add_line_key buffer key;
+      add_value buffer ~comma:"," ~colon:":" value)
+    members;
+  Buffer.add_string buffer "\n}\n";
+  Buffer.contents buffer
+
+(* ------------------------------------------------------------------ *)
+(* Strict parser (RFC 8259 grammar). [parse] builds a value tree — the
+   wire-protocol layer (Resim_serve.Protocol) reads requests through
+   it — and [validate] is the same grammar with the tree discarded. *)
 
 exception Bad of int * string
 
@@ -97,20 +170,39 @@ let parse data =
     | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
     | _ -> false
   in
-  (* Decoded \uXXXX escapes are emitted as UTF-8; our own emitters only
-     produce \u00xx (control bytes), so escape/parse round-trips
+  let hex4 () =
+    let cp = ref 0 in
+    for _ = 1 to 4 do
+      match peek () with
+      | Some c when is_hex c ->
+          cp := (!cp * 16) + int_of_string ("0x" ^ String.make 1 c);
+          advance ()
+      | _ -> fail "bad \\u escape"
+    done;
+    !cp
+  in
+  (* The code point of one [\uXXXX] escape, [pos] on its [u], decoded
+     to UTF-8 by the caller: a high surrogate must be followed by a low
+     one, and the pair is one code point above U+FFFF. Our emitters
+     only write \u00xx (control bytes), so escape/parse round-trips
      byte-for-byte on every string [escape] can produce. *)
-  let add_code_point buffer cp =
-    if cp < 0x80 then Buffer.add_char buffer (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buffer (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
+  let unicode_escape () =
+    let start = !pos - 1 in
+    let unpaired cp =
+      raise (Bad (start, Printf.sprintf "unpaired surrogate \\u%04x" cp))
+    in
+    advance ();
+    let high = hex4 () in
+    if high >= 0xdc00 && high <= 0xdfff then unpaired high
+    else if high < 0xd800 || high > 0xdbff then high
+    else if !pos + 1 < n && data.[!pos] = '\\' && data.[!pos + 1] = 'u'
+    then begin
+      pos := !pos + 2;
+      let low = hex4 () in
+      if low < 0xdc00 || low > 0xdfff then unpaired high;
+      0x10000 + ((high - 0xd800) lsl 10) + (low - 0xdc00)
     end
-    else begin
-      Buffer.add_char buffer (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buffer (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buffer (Char.chr (0x80 lor (cp land 0x3f)))
-    end
+    else unpaired high
   in
   let parse_string () =
     expect '"';
@@ -132,22 +224,7 @@ let parse data =
           | Some 'r' -> Buffer.add_char buffer '\r'; advance ()
           | Some 't' -> Buffer.add_char buffer '\t'; advance ()
           | Some 'u' ->
-              advance ();
-              let cp = ref 0 in
-              for _ = 1 to 4 do
-                match peek () with
-                | Some c when is_hex c ->
-                    let digit =
-                      match c with
-                      | '0' .. '9' -> Char.code c - Char.code '0'
-                      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                      | _ -> Char.code c - Char.code 'A' + 10
-                    in
-                    cp := (!cp * 16) + digit;
-                    advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              add_code_point buffer !cp
+              Buffer.add_utf_8_uchar buffer (Uchar.of_int (unicode_escape ()))
           | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
           | None -> fail "unterminated escape")
       | Some c when Char.code c < 0x20 -> fail "raw control character"
@@ -167,7 +244,13 @@ let parse data =
   let parse_number () =
     let start = !pos in
     if peek () = Some '-' then advance ();
-    digits ();
+    if peek () = Some '0' then begin
+      advance ();
+      match peek () with
+      | Some '0' .. '9' -> fail "leading zero in number"
+      | _ -> ()
+    end
+    else digits ();
     if peek () = Some '.' then begin
       advance ();
       digits ()

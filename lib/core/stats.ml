@@ -203,57 +203,39 @@ let commit_starved_fraction t =
   if Int64.equal (Histogram.total t.commit_width) 0L then 0.0
   else Histogram.fraction_at t.commit_width 0
 
-(* Counter names are internal identifiers today, but the document must
-   stay well-formed whatever they become — one shared escape routine
-   for every emitter in the tree. *)
-let json_escape = Json.escape
-
-let add_histogram buffer histogram =
-  Buffer.add_char buffer '[';
-  let first = ref true in
-  for value = 0 to Histogram.bins histogram - 1 do
-    let count = Histogram.count histogram value in
-    if not (Int64.equal count 0L) then begin
-      if not !first then Buffer.add_string buffer ", ";
-      first := false;
-      Buffer.add_string buffer
-        (Printf.sprintf "{\"value\": %d, \"count\": %Ld}" value count)
-    end
-  done;
-  Buffer.add_char buffer ']'
-
 let to_json t =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{\n  \"counters\": {";
-  List.iteri
-    (fun index (name, value) ->
-      if index > 0 then Buffer.add_string buffer ", ";
-      Buffer.add_string buffer
-        (Printf.sprintf "\"%s\": %Ld" (json_escape name) value))
-    (to_assoc t);
-  Buffer.add_string buffer "},\n  \"stall_causes\": {";
-  List.iteri
-    (fun index (name, value) ->
-      if index > 0 then Buffer.add_string buffer ", ";
-      Buffer.add_string buffer (Printf.sprintf "\"%s\": %Ld" name value))
-    (stall_causes t);
-  Buffer.add_string buffer "},\n  \"derived\": {";
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "\"ipc\": %.6f, \"fetched_per_cycle\": %.6f, \
-        \"fetch_penalty_fraction\": %.6f, \"commit_starved_fraction\": %.6f, \
-        \"mean_ifq_occupancy\": %.6f, \"mean_rob_occupancy\": %.6f, \
-        \"mean_lsq_occupancy\": %.6f"
-       (ipc t) (fetched_per_cycle t) (fetch_penalty_fraction t)
-       (commit_starved_fraction t) (mean_ifq_occupancy t)
-       (mean_rob_occupancy t) (mean_lsq_occupancy t));
-  Buffer.add_string buffer "},\n  \"commit_width\": ";
-  add_histogram buffer t.commit_width;
-  Buffer.add_string buffer ",\n  \"issue_width\": ";
-  add_histogram buffer t.issue_width;
-  Buffer.add_string buffer
-    (Printf.sprintf ",\n  \"degraded\": %b\n}\n" (degraded t));
-  Buffer.contents buffer
+  let counters assoc =
+    Json.Obj (List.map (fun (name, value) -> (name, Json.int64 value)) assoc)
+  in
+  let histogram h =
+    Json.List
+      (List.filter_map
+         (fun value ->
+           let count = Histogram.count h value in
+           if Int64.equal count 0L then None
+           else
+             Some
+               (Json.Obj
+                  [ ("value", Json.int value); ("count", Json.int64 count) ]))
+         (List.init (Histogram.bins h) Fun.id))
+  in
+  let ratio f = Json.fixed 6 (f t) in
+  Json.to_string ~layout:Lines
+    (Json.Obj
+       [ ("counters", counters (to_assoc t));
+         ("stall_causes", counters (stall_causes t));
+         ( "derived",
+           Json.Obj
+             [ ("ipc", ratio ipc);
+               ("fetched_per_cycle", ratio fetched_per_cycle);
+               ("fetch_penalty_fraction", ratio fetch_penalty_fraction);
+               ("commit_starved_fraction", ratio commit_starved_fraction);
+               ("mean_ifq_occupancy", ratio mean_ifq_occupancy);
+               ("mean_rob_occupancy", ratio mean_rob_occupancy);
+               ("mean_lsq_occupancy", ratio mean_lsq_occupancy) ] );
+         ("commit_width", histogram t.commit_width);
+         ("issue_width", histogram t.issue_width);
+         ("degraded", Json.Bool (degraded t)) ])
 
 let csv_header () = String.concat "," (List.map fst (to_assoc (create ())))
 

@@ -133,9 +133,9 @@ val commit_starved_fraction : t -> float
 
 val to_json : t -> string
 (** The stable metrics document: every counter, the stall-cause
-    taxonomy, zero-guarded derived ratios and the width histograms.
-    Consumed by [resim simulate --metrics] and the sweep/bench
-    exporters. *)
+    taxonomy, zero-guarded derived ratios (six decimals) and the width
+    histograms, printed in {!Json.layout} [Lines]. Consumed by [resim
+    simulate --metrics] and the sweep/bench exporters. *)
 
 val csv_header : unit -> string
 val csv_row : t -> string

@@ -28,12 +28,3 @@ let incr t name = Atomic.incr (cell t name)
 let add t name n = ignore (Atomic.fetch_and_add (cell t name) n)
 let get t name = Atomic.get (cell t name)
 let snapshot t = List.map (fun (name, cell) -> (name, Atomic.get cell)) t
-
-let add_json_fields buffer t =
-  List.iteri
-    (fun i (name, cell) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Resim_core.Json.add_string buffer name;
-      Buffer.add_char buffer ':';
-      Buffer.add_string buffer (string_of_int (Atomic.get cell)))
-    t

@@ -20,8 +20,3 @@ val snapshot : t -> (string * int) list
 (** Point-in-time read of every counter, in [make] order. Each cell is
     read atomically; the snapshot as a whole is not a cross-counter
     transaction. *)
-
-val add_json_fields : Buffer.t -> t -> unit
-(** Append the counters as JSON object members — [key:count] pairs
-    with quoted keys, comma-separated, no surrounding braces — in
-    [make] order. *)

@@ -127,33 +127,24 @@ let pp ppf t =
   Format.fprintf ppf "%-20s %12s %12.4f %6.1f@]" "total" "" total 100.0
 
 let to_json ?specialized ?variant t =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer "{";
+  let open Resim_core.Json in
   (* The engine identity the sections were measured against, when the
      caller knows it: the closure family and the reference phases have
      different phase-cost shapes, so the document must say which one it profiles. *)
-  (match specialized with
-  | Some flag ->
-      Buffer.add_string buffer
-        (Printf.sprintf "\"specialized\":%b," flag);
-      Buffer.add_string buffer
-        (match variant with
-        | Some name ->
-            Printf.sprintf "\"variant\":%s," (Resim_core.Json.quote name)
-        | None -> "\"variant\":null,")
-  | None -> ());
-  Buffer.add_string buffer "\"sections\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buffer ',';
-      (* Section names are caller-chosen free-form strings — escape
-         them like every other emitter in the tree. *)
-      Buffer.add_string buffer
-        (Printf.sprintf
-           "{\"name\":%s,\"calls\":%d,\"seconds\":%.6f,\
-            \"allocated_words\":%.0f}"
-           (Resim_core.Json.quote s.name)
-           s.calls s.seconds s.allocated_words))
-    (sections t);
-  Buffer.add_string buffer "]}";
-  Buffer.contents buffer
+  let identity =
+    match specialized with
+    | Some flag ->
+        [ ("specialized", Bool flag);
+          ( "variant",
+            match variant with Some name -> String name | None -> Null ) ]
+    | None -> []
+  in
+  let section s =
+    Obj
+      [ ("name", String s.name);
+        ("calls", int s.calls);
+        ("seconds", fixed 6 s.seconds);
+        ("allocated_words", fixed 0 s.allocated_words) ]
+  in
+  to_string
+    (Obj (identity @ [ ("sections", List (List.map section (sections t))) ]))

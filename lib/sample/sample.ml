@@ -104,38 +104,25 @@ let covers report ipc =
 (* JSON.                                                               *)
 
 let report_to_json report =
-  let buffer = Buffer.create 512 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "{\"spec\":{\"detail\":%d,\"warmup\":%d,\"seed\":%d},"
-       report.spec.detail report.spec.warmup report.spec.seed);
-  Buffer.add_string buffer
-    (Printf.sprintf "\"initial_offset\":%d," report.initial_offset);
-  Buffer.add_string buffer
-    (Printf.sprintf "\"intervals\":%d," (List.length report.intervals));
-  Buffer.add_string buffer
-    (Printf.sprintf "\"discarded_partial\":%d," report.discarded_partial);
-  Buffer.add_string buffer
-    (Printf.sprintf "\"mean_ipc\":%.6f," report.mean_ipc);
-  (if Float.is_finite report.ci95 then
-     Buffer.add_string buffer
-       (Printf.sprintf "\"ci95\":%.6f," report.ci95)
-   else Buffer.add_string buffer "\"ci95\":null,");
-  Buffer.add_string buffer
-    (Printf.sprintf "\"detailed_instructions\":%d,"
-       report.detailed_instructions);
-  Buffer.add_string buffer
-    (Printf.sprintf "\"warmed_instructions\":%d,"
-       report.warmed_instructions);
-  Buffer.add_string buffer "\"interval_ipc\":[";
-  List.iteri
-    (fun i interval ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer
-        (Printf.sprintf "%.6f" interval.interval_ipc))
-    report.intervals;
-  Buffer.add_string buffer "]}";
-  Buffer.contents buffer
+  let open Json in
+  to_string
+    (Obj
+       [ ( "spec",
+           Obj
+             [ ("detail", int report.spec.detail);
+               ("warmup", int report.spec.warmup);
+               ("seed", int report.spec.seed) ] );
+         ("initial_offset", int report.initial_offset);
+         ("intervals", int (List.length report.intervals));
+         ("discarded_partial", int report.discarded_partial);
+         ("mean_ipc", fixed 6 report.mean_ipc);
+         ("ci95", fixed 6 report.ci95);
+         ("detailed_instructions", int report.detailed_instructions);
+         ("warmed_instructions", int report.warmed_instructions);
+         ( "interval_ipc",
+           List
+             (List.map (fun i -> fixed 6 i.interval_ipc) report.intervals) )
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* The alternating driver.                                             *)

@@ -129,7 +129,8 @@ let metrics_of (result : Sweep.result) =
   | None -> stats_json
   | Some report ->
       Resim_core.Json.append_members stats_json
-        [ ("sample", Resim_sample.Sample.report_to_json report) ]
+        [ ( "sample",
+            Resim_core.Json.Raw (Resim_sample.Sample.report_to_json report) ) ]
 
 let report_payload (report : Sweep.job_report) =
   let attempts = report.attempts in

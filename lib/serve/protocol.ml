@@ -199,149 +199,84 @@ type event =
 
 (* --- encoding ----------------------------------------------------- *)
 
-let add_field b first name value =
-  if not !first then Buffer.add_char b ',';
-  first := false;
-  Json.add_string b name;
-  Buffer.add_char b ':';
-  Buffer.add_string b value
+(* Optional members are left out when absent. *)
+let opt name encode = function None -> [] | Some v -> [ (name, encode v) ]
+let str s = Json.String s
 
-let add_string_field b first name value =
-  add_field b first name (Json.quote value)
+let config_spec_json spec =
+  Json.Obj
+    ([ ("base", str spec.base) ]
+    @ opt "width" Json.int spec.width
+    @ opt "rob" Json.int spec.rob
+    @ opt "lsq" Json.int spec.lsq
+    @ opt "organization" str spec.organization)
 
-let add_opt add b first name = function
-  | None -> ()
-  | Some value -> add b first name value
+let budget_members ~max_cycles ~timeout ~sample =
+  opt "max_cycles" Json.int64 max_cycles
+  @ opt "timeout" (Json.fixed 6) timeout
+  @ opt "sample" str sample
 
-let add_config_spec b spec =
-  let first = ref true in
-  Buffer.add_char b '{';
-  add_string_field b first "base" spec.base;
-  add_opt
-    (fun b f n v -> add_field b f n (string_of_int v))
-    b first "width" spec.width;
-  add_opt
-    (fun b f n v -> add_field b f n (string_of_int v))
-    b first "rob" spec.rob;
-  add_opt
-    (fun b f n v -> add_field b f n (string_of_int v))
-    b first "lsq" spec.lsq;
-  add_opt add_string_field b first "organization" spec.organization;
-  Buffer.add_char b '}'
-
-let add_sim_fields b first spec =
-  add_string_field b first "kernel" spec.kernel;
-  add_opt
-    (fun b f n v -> add_field b f n (string_of_int v))
-    b first "scale" spec.scale;
-  add_opt add_string_field b first "trace" spec.trace;
-  (if not !first then Buffer.add_char b ',');
-  first := false;
-  Json.add_string b "config";
-  Buffer.add_char b ':';
-  add_config_spec b spec.config;
-  add_opt
-    (fun b f n v -> add_field b f n (Int64.to_string v))
-    b first "max_cycles" spec.max_cycles;
-  add_opt
-    (fun b f n v -> add_field b f n (Printf.sprintf "%.6f" v))
-    b first "timeout" spec.timeout;
-  add_opt add_string_field b first "sample" spec.sample
+let body_members = function
+  | Simulate spec ->
+      [ ("kind", str "simulate"); ("kernel", str spec.kernel) ]
+      @ opt "scale" Json.int spec.scale
+      @ opt "trace" str spec.trace
+      @ [ ("config", config_spec_json spec.config) ]
+      @ budget_members ~max_cycles:spec.max_cycles ~timeout:spec.timeout
+          ~sample:spec.sample
+  | Sweep_grid { kernels; widths; config; max_cycles; timeout; sample } ->
+      [ ("kind", str "sweep");
+        ("kernels", Json.List (List.map str kernels));
+        ("widths", Json.List (List.map Json.int widths));
+        ("config", config_spec_json config) ]
+      @ budget_members ~max_cycles ~timeout ~sample
+  | Lint { path; max_run } ->
+      [ ("kind", str "lint"); ("trace", str path) ]
+      @ opt "max_run" Json.int max_run
+  | Status -> [ ("kind", str "status") ]
+  | Crash_worker -> [ ("kind", str "crash-worker") ]
 
 let encode_request { client; body } =
-  let b = Buffer.create 256 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  add_field b first "v" "1";
-  add_string_field b first "client" client;
-  (match body with
-  | Simulate spec ->
-      add_string_field b first "kind" "simulate";
-      add_sim_fields b first spec
-  | Sweep_grid { kernels; widths; config; max_cycles; timeout; sample } ->
-      add_string_field b first "kind" "sweep";
-      add_field b first "kernels"
-        ("[" ^ String.concat "," (List.map Json.quote kernels) ^ "]");
-      add_field b first "widths"
-        ("[" ^ String.concat "," (List.map string_of_int widths) ^ "]");
-      (if not !first then Buffer.add_char b ',');
-      Json.add_string b "config";
-      Buffer.add_char b ':';
-      add_config_spec b config;
-      add_opt
-        (fun b f n v -> add_field b f n (Int64.to_string v))
-        b first "max_cycles" max_cycles;
-      add_opt
-        (fun b f n v -> add_field b f n (Printf.sprintf "%.6f" v))
-        b first "timeout" timeout;
-      add_opt add_string_field b first "sample" sample
-  | Lint { path; max_run } ->
-      add_string_field b first "kind" "lint";
-      add_string_field b first "trace" path;
-      add_opt
-        (fun b f n v -> add_field b f n (string_of_int v))
-        b first "max_run" max_run
-  | Status -> add_string_field b first "kind" "status"
-  | Crash_worker -> add_string_field b first "kind" "crash-worker");
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       ([ ("v", Json.int 1); ("client", str client) ] @ body_members body))
 
-let encode_done payload =
-  let b = Buffer.create 256 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  add_string_field b first "event" "done";
-  add_string_field b first "outcome" payload.outcome;
-  add_field b first "exit" (string_of_int payload.exit_code);
-  add_field b first "cached" (string_of_bool payload.cached);
-  add_field b first "attempts" (string_of_int payload.attempts);
-  add_opt add_string_field b first "detail" payload.detail;
-  add_opt add_string_field b first "metrics" payload.metrics;
-  add_opt add_string_field b first "checkpoint" payload.checkpoint;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let event name members =
+  Json.to_string (Json.Obj (("event", str name) :: members))
 
 let encode_event = function
-  | Accepted { job_id } ->
-      Printf.sprintf "{\"event\":\"accepted\",\"job\":%d}" job_id
+  | Accepted { job_id } -> event "accepted" [ ("job", Json.int job_id) ]
   | Rejected rejection ->
-      let b = Buffer.create 64 in
-      let first = ref true in
-      Buffer.add_char b '{';
-      add_string_field b first "event" "rejected";
-      add_string_field b first "reason" (rejection_tag rejection);
-      (match rejection with
-      | Bad_request detail -> add_string_field b first "detail" detail
-      | _ -> ());
-      Buffer.add_char b '}';
-      Buffer.contents b
+      event "rejected"
+        (("reason", str (rejection_tag rejection))
+        :: (match rejection with
+           | Bad_request detail -> [ ("detail", str detail) ]
+           | _ -> []))
   | Progress { completed; total; label } ->
-      Printf.sprintf
-        "{\"event\":\"progress\",\"done\":%d,\"total\":%d,\"label\":%s}"
-        completed total (Json.quote label)
-  | Done payload -> encode_done payload
+      event "progress"
+        [ ("done", Json.int completed);
+          ("total", Json.int total);
+          ("label", str label) ]
+  | Done p ->
+      event "done"
+        ([ ("outcome", str p.outcome);
+           ("exit", Json.int p.exit_code);
+           ("cached", Json.Bool p.cached);
+           ("attempts", Json.int p.attempts) ]
+        @ opt "detail" str p.detail
+        @ opt "metrics" str p.metrics
+        @ opt "checkpoint" str p.checkpoint)
   | Status_report { counters; queue; running; workers; draining } ->
-      let b = Buffer.create 128 in
-      let first = ref true in
-      Buffer.add_char b '{';
-      add_string_field b first "event" "status";
-      add_field b first "queue" (string_of_int queue);
-      add_field b first "running" (string_of_int running);
-      add_field b first "workers" (string_of_int workers);
-      add_field b first "draining" (string_of_bool draining);
-      add_field b first "counters"
-        ("{"
-        ^ String.concat ","
-            (List.map
-               (fun (name, v) ->
-                 Printf.sprintf "%s:%d" (Json.quote name) v)
-               counters)
-        ^ "}");
-      Buffer.add_char b '}';
-      Buffer.contents b
+      event "status"
+        [ ("queue", Json.int queue);
+          ("running", Json.int running);
+          ("workers", Json.int workers);
+          ("draining", Json.Bool draining);
+          ( "counters",
+            Json.Obj (List.map (fun (name, n) -> (name, Json.int n)) counters)
+          ) ]
   | Protocol_error { code; detail } ->
-      Printf.sprintf "{\"event\":\"error\",\"code\":%s,\"detail\":%s}"
-        (Json.quote code) (Json.quote detail)
+      event "error" [ ("code", str code); ("detail", str detail) ]
 
 (* --- decoding ----------------------------------------------------- *)
 

@@ -134,8 +134,11 @@ type event =
 
 (** {1 Codec}
 
-    [decode_* (encode_* x) = Ok x] — the qcheck property in
-    [test/test_serve.ml]. *)
+    Messages are {!Resim_core.Json.value}s printed compact; absent
+    options are left out, and a non-finite [timeout] is written [null],
+    which decodes as [None]. [decode_* (encode_* x) = Ok x] for finite
+    timeouts — the qcheck property in [test/test_serve.ml], which also
+    pins the bytes of every message kind. *)
 
 val encode_request : request -> string
 val decode_request : string -> (request, frame_error) result

@@ -435,35 +435,28 @@ let outcome_tag = function
   | Truncated _ -> "truncated"
 
 let metrics_json report =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{\"jobs\":[";
-  List.iteri
-    (fun i jr ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer
-        (Printf.sprintf "{\"label\":\"%s\",\"outcome\":\"%s\",\"attempts\":%d"
-           (Resim_core.Json.escape jr.job.label)
-           (outcome_tag jr.outcome)
-           jr.attempts);
-      (match jr.outcome with
-      | Ok result | Truncated (result, _) ->
-          Buffer.add_string buffer
-            (Printf.sprintf
-               ",\"telemetry\":{\"wall_seconds\":%.6f,\"host_mips\":%.4f}"
-               result.telemetry.wall_seconds result.telemetry.host_mips);
-          (match result.sample_report with
+  let open Resim_core.Json in
+  let results = function
+    | Ok result | Truncated (result, _) ->
+        [ ( "telemetry",
+            Obj
+              [ ("wall_seconds", fixed 6 result.telemetry.wall_seconds);
+                ("host_mips", fixed 4 result.telemetry.host_mips) ] ) ]
+        @ (match result.sample_report with
           | Some report ->
-              Buffer.add_string buffer ",\"sample\":";
-              Buffer.add_string buffer
-                (Resim_sample.Sample.report_to_json report)
-          | None -> ());
-          Buffer.add_string buffer ",\"metrics\":";
-          Buffer.add_string buffer (Stats.to_json result.outcome.stats)
-      | Failed _ | Timed_out _ -> Buffer.add_string buffer ",\"metrics\":null");
-      Buffer.add_char buffer '}')
-    report.job_reports;
-  Buffer.add_string buffer "]}";
-  Buffer.contents buffer
+              [ ("sample", Raw (Resim_sample.Sample.report_to_json report)) ]
+          | None -> [])
+        @ [ ("metrics", Raw (Stats.to_json result.outcome.stats)) ]
+    | Failed _ | Timed_out _ -> [ ("metrics", Null) ]
+  in
+  let job jr =
+    Obj
+      ([ ("label", String jr.job.label);
+         ("outcome", String (outcome_tag jr.outcome));
+         ("attempts", int jr.attempts) ]
+      @ results jr.outcome)
+  in
+  to_string (Obj [ ("jobs", List (List.map job report.job_reports)) ])
 
 let scale_tag job =
   match job.scale with

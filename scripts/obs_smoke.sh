@@ -3,8 +3,10 @@
 # `make obs-smoke`): simulate a kernel with --pipetrace/--metrics,
 # validate the JSONL stream with the resim-check schema validator
 # (RSM-P codes, both clean and deliberately corrupted), check the
-# metrics documents parse and carry the stall-cause taxonomy, and run
-# the profile subcommand end to end. Everything under `timeout`.
+# metrics document carries the stall-cause taxonomy, and run the
+# profile subcommand end to end. Everything under `timeout`. That the
+# `--metrics` and `profile --json` documents parse is a dune test
+# (sample:cli "exit-code table").
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -92,23 +94,6 @@ done
 if [ ! -s "$TMP/prof.json" ]; then
     echo "FAIL profile: --json wrote nothing"
     fail=1
-fi
-
-# --- sweep metrics export (smallest possible grid via bench is too
-#     slow here; the sweep CLI path is covered by --quick in CI and by
-#     the library tests; validate the simulate-side document instead
-#     with a JSON-well-formedness probe when python3 is present) ------
-if command -v python3 > /dev/null 2>&1; then
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-            "$TMP/run.json"; then
-        echo "FAIL metrics: run.json is not valid JSON"
-        fail=1
-    fi
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-            "$TMP/prof.json"; then
-        echo "FAIL profile: prof.json is not valid JSON"
-        fail=1
-    fi
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -4,8 +4,8 @@
    IPC across the kernel x organization grid, determinism
    for a fixed seed, budget composition, the structured RSM-K
    checkpoint parse errors, the sweep timed-region pin (host_mips must
-   exclude trace generation), the shared JSON escape, and the CLI exit
-   code contract. *)
+   exclude trace generation), the JSON printer and parser, and the CLI
+   exit code contract. *)
 
 module Config = Resim_core.Config
 module Engine = Resim_core.Engine
@@ -485,7 +485,7 @@ let test_emitters_parse () =
       validates "Json.append_members"
         (Json.append_members
            (Stats.to_json robust.Resim.outcome.Resim.stats)
-           [ ("sample", Sample.report_to_json sample_report) ]));
+           [ ("sample", Json.Raw (Sample.report_to_json sample_report)) ]));
   (* profiler sections with adversarial names *)
   let prof = Resim_obs.Prof.create () in
   Resim_obs.Prof.time prof evil (fun () -> ());
@@ -501,6 +501,132 @@ let property_escape_round_trips =
       match Json.validate (Printf.sprintf "{\"k\":%s}" (Json.quote s)) with
       | Ok () -> true
       | Error _ -> false)
+
+(* The bytes of the sampled report: compact, six decimals, and [null]
+   for a CI that is not finite. *)
+let test_report_bytes () =
+  let interval index interval_ipc =
+    { Sample.index; start_cursor = 100 * index; instructions = 50;
+      cycles = 40L; interval_ipc }
+  in
+  check str "finite ci95"
+    {|{"spec":{"detail":50,"warmup":450,"seed":7},"initial_offset":13,"intervals":2,"discarded_partial":1,"mean_ipc":0.791667,"ci95":0.666667,"detailed_instructions":100,"warmed_instructions":900,"interval_ipc":[1.250000,0.333333]}|}
+    (Sample.report_to_json
+       { Sample.spec = { Sample.detail = 50; warmup = 450; seed = 7 };
+         initial_offset = 13;
+         intervals = [ interval 0 1.25; interval 1 (1.0 /. 3.0) ];
+         discarded_partial = 1; mean_ipc = 0.7916666; ci95 = 2.0 /. 3.0;
+         detailed_instructions = 100; warmed_instructions = 900 });
+  check str "infinite ci95"
+    {|{"spec":{"detail":200,"warmup":0,"seed":0},"initial_offset":0,"intervals":1,"discarded_partial":0,"mean_ipc":2.500000,"ci95":null,"detailed_instructions":200,"warmed_instructions":0,"interval_ipc":[2.500000]}|}
+    (Sample.report_to_json
+       { Sample.spec = { Sample.detail = 200; warmup = 0; seed = 0 };
+         initial_offset = 0; intervals = [ interval 0 2.5 ];
+         discarded_partial = 0; mean_ipc = 2.5; ci95 = infinity;
+         detailed_instructions = 200; warmed_instructions = 0 })
+
+let test_printer () =
+  let nested =
+    Json.Obj
+      [ ("a", Json.List [ Json.int 1; Json.Number 2.5; Json.Null ]);
+        ("b", Json.Obj [ ("c", Json.Bool true); ("d", Json.String "x\"y") ]) ]
+  in
+  check str "compact" {|{"a":[1,2.5,null],"b":{"c":true,"d":"x\"y"}}|}
+    (Json.to_string nested);
+  check str "lines"
+    "{\n  \"a\": [1, 2.5, null],\n  \"b\": {\"c\": true, \"d\": \"x\\\"y\"}\n}\n"
+    (Json.to_string ~layout:Json.Lines nested);
+  check str "numbers"
+    "[3,-0.1,1e+300,0.30000000000000004,1.2345678901234568e+17]"
+    (Json.to_string
+       (Json.List
+          (List.map
+             (fun f -> Json.Number f)
+             [ 3.0; -0.1; 1e300; 0.1 +. 0.2; 123456789012345678.0 ])));
+  check str "non-finite floats are null" "[null,null,null,null,null]"
+    (Json.to_string
+       (Json.List
+          [ Json.Number nan; Json.Number infinity; Json.Number neg_infinity;
+            Json.fixed 6 nan; Json.fixed 6 infinity ]));
+  check str "fixed precision" "[0.333333,0.3333,3]"
+    (Json.to_string
+       (Json.List
+          [ Json.fixed 6 (1. /. 3.); Json.fixed 4 (1. /. 3.); Json.fixed 0 3.2 ]))
+
+(* What RFC 8259 forbids is an error at the offending byte: a leading
+   zero, an unpaired surrogate. A surrogate pair — how Python's
+   [json.dumps] writes any character above U+FFFF — decodes to one
+   4-byte UTF-8 sequence. *)
+let test_parser_strictness () =
+  let rejects label document offset reason =
+    match Json.parse document with
+    | Ok _ -> Alcotest.failf "%s: %S parsed" label document
+    | Error message ->
+        check str label (Printf.sprintf "offset %d: %s" offset reason) message
+  in
+  check bool "surrogate pair is one code point" true
+    (Json.parse {|"\ud83d\ude00"|} = Ok (Json.String "\xf0\x9f\x98\x80"));
+  check bool "BMP escape is three bytes" true
+    (Json.parse {|"\u20ac"|} = Ok (Json.String "\xe2\x82\xac"));
+  rejects "lone high surrogate" {|"\ud83d"|} 1 {|unpaired surrogate \ud83d|};
+  rejects "lone low surrogate" {|["\ude00"]|} 2 {|unpaired surrogate \ude00|};
+  rejects "high surrogate before a letter" {|"\ud83dx"|} 1
+    {|unpaired surrogate \ud83d|};
+  rejects "high surrogate before a BMP escape" {|"\ud83d\u0041"|} 1
+    {|unpaired surrogate \ud83d|};
+  rejects "leading zero" "01" 1 "leading zero in number";
+  rejects "negative leading zero" "-01" 2 "leading zero in number";
+  rejects "leading zero in an array" "[1, 00.5]" 5 "leading zero in number";
+  List.iter
+    (fun (document, expected) ->
+      check bool document true
+        (Json.parse document = Ok (Json.Number expected)))
+    [ ("0", 0.); ("-0", -0.); ("0.5", 0.5); ("10", 10.); ("-0e3", -0.);
+      ("1E2", 100.) ];
+  (* the wire reads through the same parser: RSM-S003 *)
+  match Resim_serve.Protocol.decode_request {|{"v":01}|} with
+  | Error { Resim_serve.Protocol.code = "RSM-S003"; detail } ->
+      check str "wire detail" "offset 6: leading zero in number" detail
+  | _ -> Alcotest.fail "a leading zero on the wire should be RSM-S003"
+
+(* Values as [parse] returns them (no [Raw]) print and parse back equal,
+   in both layouts. *)
+let gen_json =
+  let open QCheck.Gen in
+  let text = string_size ~gen:char (int_bound 8) in
+  let number =
+    oneof
+      [ map float_of_int small_signed_int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float ]
+  in
+  let scalar =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Number f) number;
+        map (fun s -> Json.String s) text ]
+  in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [ (2, scalar);
+          ( 1,
+            map
+              (fun l -> Json.List l)
+              (list_size (int_bound 4) (value (depth - 1))) );
+          ( 1,
+            map
+              (fun m -> Json.Obj m)
+              (list_size (int_bound 4) (pair text (value (depth - 1)))) ) ]
+  in
+  value 3
+
+let property_print_parse =
+  QCheck.Test.make ~name:"any value: parse (to_string v) = Ok v" ~count:500
+    (QCheck.make gen_json) (fun v ->
+      Json.parse (Json.to_string v) = Ok v
+      && Json.parse (Json.to_string ~layout:Json.Lines v) = Ok v)
 
 let property_sample_spec_json =
   QCheck.Test.make
@@ -635,10 +761,23 @@ let test_cli_exit_codes () =
      same identity after a resume. *)
   let fresh_metrics = Filename.temp_file "resim_test" ".json" in
   let resumed_metrics = Filename.temp_file "resim_test" ".json" in
+  let profile_json = Filename.temp_file "resim_test" ".json" in
   let checkpoint = Filename.temp_file "resim_test" ".rscp" in
+  let reference_variant = "optimized-event-w4-rob16-lsq8-rp2wp1" in
   let reference_identity =
-    [ "\"specialized\": true";
-      "\"variant\": \"optimized-event-w4-rob16-lsq8-rp2wp1\"" ]
+    [ "\"specialized\": true"; "\"variant\": \"" ^ reference_variant ^ "\"" ]
+  in
+  (* Every document the CLI writes parses, and names the engine that
+     produced it. *)
+  let names_the_engine label path =
+    match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+    | Error message -> Alcotest.failf "%s: invalid JSON (%s)" label message
+    | Ok document ->
+        check bool (label ^ ": specialized") true
+          (Json.member "specialized" document = Some (Json.Bool true));
+        check (Alcotest.option str) (label ^ ": variant")
+          (Some reference_variant)
+          (Option.bind (Json.member "variant" document) Json.string_value)
   in
   let metrics_cases =
     [ ( "simulate --metrics names the engine",
@@ -663,8 +802,8 @@ let test_cli_exit_codes () =
     ~finally:(fun () ->
       List.iter Sys.remove
         ([ corrupt_trace; bad_checkpoint; good_text; bad_text; good_trace;
-           damaged_trace; fresh_metrics; resumed_metrics; checkpoint;
-           sweep_metrics; shard_stem ]
+           damaged_trace; fresh_metrics; resumed_metrics; profile_json;
+           checkpoint; sweep_metrics; shard_stem ]
         @ shards))
     (fun () ->
       List.iter
@@ -720,8 +859,14 @@ let test_cli_exit_codes () =
             (fun needle ->
               check bool (Printf.sprintf "%s: contains %s" label needle) true
                 (contains document needle))
-            reference_identity)
+            reference_identity;
+          names_the_engine label metrics)
         metrics_cases;
+      check int "profile --json exits 0" 0
+        (run_cli
+           (Printf.sprintf "profile -k gzip -s 256 --json %s"
+              (Filename.quote profile_json)));
+      names_the_engine "profile --json" profile_json;
       (* Every sweep runs its jobs in fault domains under the budget
          flags: a cycle budget truncates each job, which is not a
          failure. *)
@@ -911,7 +1056,12 @@ let suite =
     ("sample:json",
      [ Alcotest.test_case "every emitter parses" `Quick test_emitters_parse;
        QCheck_alcotest.to_alcotest property_escape_round_trips;
-       QCheck_alcotest.to_alcotest property_sample_spec_json ]);
+       QCheck_alcotest.to_alcotest property_sample_spec_json;
+       Alcotest.test_case "sample report bytes are pinned" `Quick
+         test_report_bytes;
+       Alcotest.test_case "printer layouts and numbers" `Quick test_printer;
+       Alcotest.test_case "parser strictness" `Quick test_parser_strictness;
+       QCheck_alcotest.to_alcotest property_print_parse ]);
     ("sample:cli",
      [ Alcotest.test_case "exit-code table" `Slow test_cli_exit_codes;
        Alcotest.test_case "resumed runs honour the budgets" `Slow

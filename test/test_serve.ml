@@ -140,6 +140,154 @@ let property_event_round_trip =
     (QCheck.make gen_event) (fun event ->
       Protocol.decode_event (Protocol.encode_event event) = Ok event)
 
+(* --- pinned wire bytes ------------------------------------------------ *)
+
+(* The round-trips above hold for any encoding both sides agree on; the
+   bytes themselves are a contract too (a resimd cache dir stores
+   encoded [done] events, and perfbench hashes the replies), so every
+   request and event kind is pinned here, with optional members absent
+   and present and a string holding a quote, a backslash, a newline and
+   a control byte. *)
+let tricky = "q\"b\\s\nc\x01e"
+
+let full_config =
+  { Protocol.base = "fast";
+    width = Some 2;
+    rob = Some 32;
+    lsq = Some 8;
+    organization = Some "optimized" }
+
+let pinned_requests =
+  let request body = { Protocol.client = "cli"; body } in
+  [ ( "simulate, options absent",
+      request
+        (Protocol.Simulate
+           { Protocol.kernel = "gzip"; scale = None; trace = None;
+             config = Protocol.reference_spec; max_cycles = None;
+             timeout = None; sample = None }),
+      {|{"v":1,"client":"cli","kind":"simulate","kernel":"gzip","config":{"base":"reference"}}|}
+    );
+    ( "simulate, options present",
+      { Protocol.client = tricky;
+        body =
+          Protocol.Simulate
+            { Protocol.kernel = "mcf"; scale = Some 200; trace = Some tricky;
+              config = full_config; max_cycles = Some 5000L;
+              timeout = Some 1.5; sample = Some "50:450:7" } },
+      {|{"v":1,"client":"q\"b\\s\nc\u0001e","kind":"simulate","kernel":"mcf","scale":200,"trace":"q\"b\\s\nc\u0001e","config":{"base":"fast","width":2,"rob":32,"lsq":8,"organization":"optimized"},"max_cycles":5000,"timeout":1.500000,"sample":"50:450:7"}|}
+    );
+    ( "sweep, options absent",
+      request
+        (Protocol.Sweep_grid
+           { kernels = [ "gzip" ]; widths = [ 4 ];
+             config = Protocol.reference_spec; max_cycles = None;
+             timeout = None; sample = None }),
+      {|{"v":1,"client":"cli","kind":"sweep","kernels":["gzip"],"widths":[4],"config":{"base":"reference"}}|}
+    );
+    ( "sweep, options present",
+      request
+        (Protocol.Sweep_grid
+           { kernels = [ "gzip"; tricky ]; widths = [ 2; 4; 8 ];
+             config = full_config; max_cycles = Some 1000L;
+             timeout = Some 0.25; sample = Some "100:900" }),
+      {|{"v":1,"client":"cli","kind":"sweep","kernels":["gzip","q\"b\\s\nc\u0001e"],"widths":[2,4,8],"config":{"base":"fast","width":2,"rob":32,"lsq":8,"organization":"optimized"},"max_cycles":1000,"timeout":0.250000,"sample":"100:900"}|}
+    );
+    ( "lint, options absent",
+      request (Protocol.Lint { path = "/t.rtr"; max_run = None }),
+      {|{"v":1,"client":"cli","kind":"lint","trace":"/t.rtr"}|} );
+    ( "lint, options present",
+      request (Protocol.Lint { path = tricky; max_run = Some 64 }),
+      {|{"v":1,"client":"cli","kind":"lint","trace":"q\"b\\s\nc\u0001e","max_run":64}|}
+    );
+    ( "status",
+      request Protocol.Status,
+      {|{"v":1,"client":"cli","kind":"status"}|} );
+    ( "crash-worker",
+      request Protocol.Crash_worker,
+      {|{"v":1,"client":"cli","kind":"crash-worker"}|} ) ]
+
+let pinned_events =
+  let rejected reason = {|{"event":"rejected","reason":"|} ^ reason ^ {|"}|} in
+  [ ( "accepted",
+      Protocol.Accepted { job_id = 42 },
+      {|{"event":"accepted","job":42}|} );
+    ("over-quota", Protocol.Rejected Over_quota, rejected "over-quota");
+    ("queue-full", Protocol.Rejected Queue_full, rejected "queue-full");
+    ("shed-lint", Protocol.Rejected Shed_lint, rejected "shed-lint");
+    ("shed-sweep", Protocol.Rejected Shed_sweep, rejected "shed-sweep");
+    ("draining", Protocol.Rejected Draining, rejected "draining");
+    ( "bad-request",
+      Protocol.Rejected (Protocol.Bad_request tricky),
+      {|{"event":"rejected","reason":"bad-request","detail":"q\"b\\s\nc\u0001e"}|} );
+    ( "progress",
+      Protocol.Progress { completed = 3; total = 14; label = tricky },
+      {|{"event":"progress","done":3,"total":14,"label":"q\"b\\s\nc\u0001e"}|} );
+    ( "done, options absent",
+      Protocol.Done
+        { Protocol.outcome = "ok"; exit_code = 0; cached = false; attempts = 1;
+          detail = None; metrics = None; checkpoint = None },
+      {|{"event":"done","outcome":"ok","exit":0,"cached":false,"attempts":1}|} );
+    ( "done, options present",
+      Protocol.Done
+        { Protocol.outcome = "truncated"; exit_code = 0; cached = true;
+          attempts = 2; detail = Some tricky;
+          metrics = Some "{\n  \"degraded\": false\n}\n";
+          checkpoint = Some "RSCP 1\ncycle 5\n" },
+      {|{"event":"done","outcome":"truncated","exit":0,"cached":true,"attempts":2,"detail":"q\"b\\s\nc\u0001e","metrics":"{\n  \"degraded\": false\n}\n","checkpoint":"RSCP 1\ncycle 5\n"}|}
+    );
+    ( "status, no counters",
+      Protocol.Status_report
+        { counters = []; queue = 0; running = 0; workers = 1;
+          draining = false },
+      {|{"event":"status","queue":0,"running":0,"workers":1,"draining":false,"counters":{}}|}
+    );
+    ( "status, counters",
+      Protocol.Status_report
+        { counters = [ ("accepted", 7); (tricky, 0) ]; queue = 3; running = 2;
+          workers = 4; draining = true },
+      {|{"event":"status","queue":3,"running":2,"workers":4,"draining":true,"counters":{"accepted":7,"q\"b\\s\nc\u0001e":0}}|}
+    );
+    ( "error",
+      Protocol.Protocol_error { code = "RSM-S003"; detail = tricky },
+      {|{"event":"error","code":"RSM-S003","detail":"q\"b\\s\nc\u0001e"}|} ) ]
+
+let test_request_bytes () =
+  List.iter
+    (fun (label, request, expected) ->
+      check string label expected (Protocol.encode_request request))
+    pinned_requests
+
+let test_event_bytes () =
+  List.iter
+    (fun (label, event, expected) ->
+      check string label expected (Protocol.encode_event event))
+    pinned_events
+
+(* A non-finite budget (`submit --timeout inf`, `nan`, `1e400`) goes on
+   the wire as [null] and comes back as no budget. *)
+let test_non_finite_timeout () =
+  List.iter
+    (fun timeout ->
+      let label = Printf.sprintf "timeout %h" timeout in
+      let request =
+        { Protocol.client = "cli";
+          body =
+            Protocol.Simulate
+              { Protocol.kernel = "gzip"; scale = None; trace = None;
+                config = Protocol.reference_spec; max_cycles = None;
+                timeout = Some timeout; sample = None } }
+      in
+      let encoded = Protocol.encode_request request in
+      check bool (label ^ ": validates") true (Json.validate encoded = Ok ());
+      match Protocol.decode_request encoded with
+      | Ok { Protocol.body = Protocol.Simulate spec; _ } ->
+          check bool (label ^ ": decodes to no budget") true
+            (spec.Protocol.timeout = None)
+      | Ok _ -> fail (label ^ ": decoded to another request kind")
+      | Error error ->
+          fail (label ^ ": " ^ Protocol.frame_error_to_string error))
+    [ infinity; nan; neg_infinity ]
+
 let property_frame_round_trip =
   QCheck.Test.make ~count:200 ~name:"frame streams reassemble"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 8) (QCheck.make gen_text))
@@ -479,6 +627,12 @@ let test_cli_exit_codes () =
           ( "clean simulate over the wire",
             Printf.sprintf "submit --socket %s -k gzip -s 200 --quiet" quoted,
             0 );
+          (* a non-finite budget is no budget, as `simulate --timeout
+             inf` reads it *)
+          ( "infinite timeout over the wire",
+            Printf.sprintf
+              "submit --socket %s -k gzip -s 200 --quiet --timeout inf" quoted,
+            0 );
           ( "invalid config over the wire",
             Printf.sprintf "submit --socket %s -k gzip --base nope" quoted,
             2 );
@@ -506,7 +660,11 @@ let suite =
        Alcotest.test_case "frame error taxonomy" `Quick test_frame_errors;
        Alcotest.test_case "exit-code mapping" `Quick test_exit_code_mapping;
        Alcotest.test_case "a scheduler member is ignored" `Quick
-         test_scheduler_member_ignored ]);
+         test_scheduler_member_ignored;
+       Alcotest.test_case "request bytes are pinned" `Quick test_request_bytes;
+       Alcotest.test_case "event bytes are pinned" `Quick test_event_bytes;
+       Alcotest.test_case "a non-finite timeout decodes to no budget" `Quick
+         test_non_finite_timeout ]);
     ("serve:server",
      [ Alcotest.test_case "crashed worker: retry budget then crash outcome"
          `Slow test_crash_recovery;
