@@ -204,33 +204,57 @@ let parse data =
     end
     else unpaired high
   in
+  let add_escape buffer =
+    match peek () with
+    | Some ('"' | '\\' | '/') as c ->
+        Buffer.add_char buffer (Option.get c);
+        advance ()
+    | Some 'b' -> Buffer.add_char buffer '\b'; advance ()
+    | Some 'f' -> Buffer.add_char buffer '\012'; advance ()
+    | Some 'n' -> Buffer.add_char buffer '\n'; advance ()
+    | Some 'r' -> Buffer.add_char buffer '\r'; advance ()
+    | Some 't' -> Buffer.add_char buffer '\t'; advance ()
+    | Some 'u' ->
+        Buffer.add_utf_8_uchar buffer (Uchar.of_int (unicode_escape ()))
+    | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
+    | None -> fail "unterminated escape"
+  in
+  (* Moves [pos] past a run of plain string bytes and returns where the
+     run began: strings are copied a run at a time, and one without
+     escapes is a single [String.sub]. *)
+  let plain_run () =
+    let start = !pos in
+    while
+      !pos < n
+      && (let c = data.[!pos] in c <> '"' && c <> '\\' && c >= ' ')
+    do
+      advance ()
+    done;
+    start
+  in
   let parse_string () =
     expect '"';
-    let buffer = Buffer.create 16 in
-    let closed = ref false in
-    while not !closed do
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance (); closed := true
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/') as c ->
-              Buffer.add_char buffer (Option.get c);
-              advance ()
-          | Some 'b' -> Buffer.add_char buffer '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buffer '\012'; advance ()
-          | Some 'n' -> Buffer.add_char buffer '\n'; advance ()
-          | Some 'r' -> Buffer.add_char buffer '\r'; advance ()
-          | Some 't' -> Buffer.add_char buffer '\t'; advance ()
-          | Some 'u' ->
-              Buffer.add_utf_8_uchar buffer (Uchar.of_int (unicode_escape ()))
-          | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
-          | None -> fail "unterminated escape")
-      | Some c when Char.code c < 0x20 -> fail "raw control character"
-      | Some c -> Buffer.add_char buffer c; advance ()
-    done;
-    Buffer.contents buffer
+    let start = plain_run () in
+    if !pos < n && data.[!pos] = '"' then begin
+      advance ();
+      String.sub data start (!pos - 1 - start)
+    end
+    else begin
+      let buffer = Buffer.create 64 in
+      let rec run start =
+        Buffer.add_substring buffer data start (!pos - start);
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+            advance ();
+            add_escape buffer;
+            run (plain_run ())
+        | Some _ -> fail "raw control character"
+      in
+      run start;
+      Buffer.contents buffer
+    end
   in
   let digits () =
     let start = !pos in

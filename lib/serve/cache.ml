@@ -5,9 +5,13 @@
    build version and every configuration field, the trace component is
    either the file-content hash (for [--trace] jobs) or
    ["kernel:<name>:<scale>"] (generation is deterministic), and the
-   sample spec changes which cycles are measured. The value is the
-   fully-encoded [done] event payload of a *completed* run — partial
-   (truncated) and failed outcomes are never cached.
+   sample spec changes which cycles are measured. Only *completed* runs
+   are stored — partial (truncated) and failed outcomes never are. The
+   persisted value is the encoded [done] event the run replied with;
+   the value in memory is the reply a hit sends, that event marked
+   [cached] and framed, so a hit writes bytes that already exist. A
+   persisted entry that does not decode to a [done] event is a miss
+   and never enters memory.
 
    Layering: [Reports.Runner] memoizes per-config traces within one
    process; this cache memoizes whole results across processes and
@@ -25,7 +29,7 @@ module Sync = Resim_core.Sync
 type t = {
   dir : string option;
   mutex : Mutex.t;
-  table : (string, string) Hashtbl.t;
+  table : (string, string) Hashtbl.t;  (* key → hit frame *)
 }
 
 let create ?dir () =
@@ -53,19 +57,32 @@ let read_file path =
           | data -> Some data
           | exception (Sys_error _ | End_of_file) -> None)
 
+(* The frame a hit replies with, built once per entry; [None] when
+   [encoded] is not a [done] event. *)
+let hit_frame encoded =
+  match Protocol.decode_event encoded with
+  | Ok (Protocol.Done payload) ->
+      Some
+        (Protocol.frame
+           (Protocol.encode_event
+              (Protocol.Done { payload with Protocol.cached = true })))
+  | Ok _ | Error _ -> None
+
+let remember t key frame =
+  Sync.with_lock t.mutex (fun () -> Hashtbl.replace t.table key frame)
+
 let find t key =
   match Sync.with_lock t.mutex (fun () -> Hashtbl.find_opt t.table key) with
-  | Some payload -> Some payload
-  | None -> (
-      match Option.bind (path_of t key) read_file with
-      | None -> None
-      | Some payload ->
-          Sync.with_lock t.mutex (fun () ->
-              Hashtbl.replace t.table key payload);
-          Some payload)
+  | Some frame -> Some frame
+  | None ->
+      let frame =
+        Option.bind (Option.bind (path_of t key) read_file) hit_frame
+      in
+      Option.iter (remember t key) frame;
+      frame
 
-let store t key payload =
-  Sync.with_lock t.mutex (fun () -> Hashtbl.replace t.table key payload);
+let store t key encoded =
+  Option.iter (remember t key) (hit_frame encoded);
   match path_of t key with
   | None -> ()
   | Some path ->
@@ -76,7 +93,7 @@ let store t key payload =
          let oc = open_out_bin tmp in
          Fun.protect
            ~finally:(fun () -> close_out_noerr oc)
-           (fun () -> output_string oc payload);
+           (fun () -> output_string oc encoded);
          Sys.rename tmp path
        with Sys_error _ -> ())
 

@@ -3,10 +3,12 @@
     Keys derive from (engine identity, trace identity, sample spec) —
     the engine identity ({!Resim_core.Resim.engine_identity}) already
     folds in the build version and a hash of every configuration
-    field. Values are fully-encoded [done] event payloads of
-    *completed* runs; truncated or failed outcomes are never stored.
-    Entries persist as [<dir>/<key>.json], so a repeat submission from
-    any client — or after a daemon restart — is a hit, not a re-run.
+    field. Only *completed* runs are stored; truncated or failed
+    outcomes never are. Entries persist as [<dir>/<key>.json], the
+    encoded [done] event, so a repeat submission from any client — or
+    after a daemon restart — is a hit, not a re-run. In memory an entry
+    is its hit frame: the event marked [cached], framed, ready to
+    write.
 
     All table accesses are [Sync.with_lock]-bracketed (PR 8 bar). *)
 
@@ -22,10 +24,12 @@ val key : engine:string -> trace:string -> sample:string option -> string
     file jobs or ["kernel:<name>:<scale>"] for generated ones. *)
 
 val find : t -> string -> string option
-(** Memory first, then the persisted entry (promoted into memory). *)
+(** The hit frame: memory first, then the persisted entry, promoted
+    into memory when it decodes to a [done] event (otherwise a miss). *)
 
 val store : t -> string -> string -> unit
-(** Insert and persist (write-then-rename; IO failures degrade to
-    memory-only). *)
+(** [store t key encoded] takes a run's encoded [done] event: its hit
+    frame goes into memory, the event itself to disk (write-then-rename;
+    IO failures degrade to memory-only). *)
 
 val size : t -> int

@@ -62,48 +62,45 @@ let is_terminal = function
       true
   | Protocol.Accepted _ | Protocol.Progress _ -> false
 
-(* Send [raw] as one frame and read events until a terminal one.
-   [raw] is normally [Protocol.encode_request r]; tests use it to
-   shove garbage and truncated frames down the wire. *)
+(* Exactly [n] bytes from [fd]: the end of the stream before them is a
+   transport error. *)
+let read_exactly fd n =
+  let buffer = Bytes.create n in
+  let rec go got =
+    if got = n then Ok (Bytes.unsafe_to_string buffer)
+    else
+      match Unix.read fd buffer got (n - got) with
+      | exception Unix.Unix_error (EINTR, _, _) -> go got
+      | exception Unix.Unix_error (code, _, _) ->
+          Error (Transport (Unix.error_message code))
+      | 0 ->
+          Error (Transport "server closed the stream before a terminal event")
+      | read -> go (got + read)
+  in
+  go 0
+
+let malformed result = Result.map_error (fun fe -> Malformed fe) result
+
+(* Send [raw] as one frame and read events until a terminal one: each
+   frame's header, then exactly its payload. [raw] is normally
+   [Protocol.frame (Protocol.encode_request r)]; tests use it to shove
+   garbage and truncated frames down the wire. *)
 let converse_raw ?(on_event = fun (_ : Protocol.event) -> ()) ~socket raw =
-  match connect socket with
-  | Error _ as e -> e
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match send_all fd raw with
-          | Error _ as e -> e
-          | Ok () ->
-              let inbuf = Buffer.create 512 in
-              let chunk = Bytes.create 65536 in
-              let rec read_events offset =
-                let data = Buffer.contents inbuf in
-                match Protocol.next_frame data ~offset with
-                | Error fe -> Error (Malformed fe)
-                | Ok (Some (payload, next)) -> (
-                    match Protocol.decode_event payload with
-                    | Error fe -> Error (Malformed fe)
-                    | Ok event ->
-                        on_event event;
-                        if is_terminal event then Ok event
-                        else read_events next)
-                | Ok None -> (
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | exception Unix.Unix_error (EINTR, _, _) ->
-                        read_events offset
-                    | exception Unix.Unix_error (code, _, _) ->
-                        Error (Transport (Unix.error_message code))
-                    | 0 ->
-                        Error
-                          (Transport
-                             "server closed the stream before a terminal \
-                              event")
-                    | n ->
-                        Buffer.add_subbytes inbuf chunk 0 n;
-                        read_events offset)
-              in
-              read_events 0)
+  let ( let* ) = Result.bind in
+  let* fd = connect socket in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let* () = send_all fd raw in
+      let rec read_events () =
+        let* header = read_exactly fd 4 in
+        let* n = malformed (Protocol.frame_length header ~offset:0) in
+        let* payload = read_exactly fd n in
+        let* event = malformed (Protocol.decode_event payload) in
+        on_event event;
+        if is_terminal event then Ok event else read_events ()
+      in
+      read_events ())
 
 let converse ?on_event ~socket request =
   converse_raw ?on_event ~socket

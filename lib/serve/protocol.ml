@@ -25,28 +25,30 @@ let frame payload =
   let n = String.length payload in
   if n > max_frame then
     invalid_arg (Printf.sprintf "Protocol.frame: %d bytes exceeds max" n);
-  let b = Buffer.create (n + 4) in
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Bytes.create (n + 4) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.unsafe_to_string b
+
+let frame_length header ~offset =
+  let n = Int32.to_int (String.get_int32_be header offset) land 0xffff_ffff in
+  if n > max_frame then
+    Error
+      { code = "RSM-S001";
+        detail =
+          Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
+            max_frame }
+  else Ok n
 
 let next_frame data ~offset =
   let available = String.length data - offset in
   if available < 4 then Ok None
   else
-    let byte i = Char.code data.[offset + i] in
-    let n = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-    if n > max_frame then
-      Error
-        { code = "RSM-S001";
-          detail =
-            Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
-              max_frame }
-    else if available - 4 < n then Ok None
-    else Ok (Some (String.sub data (offset + 4) n, offset + 4 + n))
+    Result.map
+      (fun n ->
+        if available - 4 < n then None
+        else Some (String.sub data (offset + 4) n, offset + 4 + n))
+      (frame_length data ~offset)
 
 let finish data ~offset =
   if offset = String.length data then Ok ()

@@ -22,6 +22,10 @@ val frame : string -> string
     [Invalid_argument] beyond {!max_frame} (server payloads are
     bounded by construction). *)
 
+val frame_length : string -> offset:int -> (int, frame_error) result
+(** The payload length declared by the 4-byte header at [offset];
+    beyond {!max_frame} it is [RSM-S001]. *)
+
 val next_frame :
   string -> offset:int -> ((string * int) option, frame_error) result
 (** Extract the next complete frame from a receive buffer:

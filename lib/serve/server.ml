@@ -153,8 +153,8 @@ type session = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
   mutable in_pos : int;   (* bytes of [inbuf] already consumed *)
-  out : Buffer.t;
-  mutable out_pos : int;  (* bytes of [out] already written *)
+  out : string Queue.t;   (* frames to send, oldest first *)
+  mutable out_pos : int;  (* bytes of the oldest frame already written *)
   mutable requested : bool;
   mutable close_after_flush : bool;
 }
@@ -167,6 +167,7 @@ type loop = {
   cache : Cache.t;
   listen_fd : Unix.file_descr;
   wake_r : Unix.file_descr;
+  read_buf : Bytes.t;  (* every socket and self-pipe read lands here *)
   sessions : (int, session) Hashtbl.t;
   client_counts : (string, int) Hashtbl.t;
   attempts : (int, int) Hashtbl.t;  (* job id → worker-domain attempts *)
@@ -182,7 +183,9 @@ let log loop fmt =
   else Printf.ksprintf ignore fmt
 
 let send_event session event =
-  Buffer.add_string session.out (Protocol.frame (Protocol.encode_event event))
+  Queue.push (Protocol.frame (Protocol.encode_event event)) session.out
+
+let has_output session = not (Queue.is_empty session.out)
 
 let session_of_job loop (job : job) =
   Hashtbl.find_opt loop.sessions job.session
@@ -281,17 +284,6 @@ let status_event loop =
       workers = Array.length loop.slots;
       draining = Atomic.get loop.shared.draining }
 
-let cached_done loop key =
-  match Cache.find loop.cache key with
-  | None -> None
-  | Some stored -> (
-      (* A corrupt persisted entry decodes to an error — treat as a
-         miss rather than serving garbage. *)
-      match Protocol.decode_event stored with
-      | Ok (Protocol.Done payload) ->
-          Some { payload with Protocol.cached = true }
-      | Ok _ | Error _ -> None)
-
 let admit loop session (request : Protocol.request) =
   let { Protocol.client; body } = request in
   match Protocol.body_class body with
@@ -324,10 +316,11 @@ let admit loop session (request : Protocol.request) =
           then reject loop session Protocol.Queue_full
           else
             let cache_key = Exec.cache_key body in
-            match Option.bind cache_key (cached_done loop) with
-            | Some payload ->
+            match Option.bind cache_key (Cache.find loop.cache) with
+            | Some frame ->
+                (* the stored [done] event, already marked cached *)
                 Counters.incr loop.shared.counters "cache_hits";
-                send_event session (Protocol.Done payload);
+                Queue.push frame session.out;
                 session.close_after_flush <- true
             | None ->
                 if Option.is_some cache_key then
@@ -369,7 +362,7 @@ let on_frame loop session payload =
   end
 
 let on_readable loop session =
-  let chunk = Bytes.create 65536 in
+  let chunk = loop.read_buf in
   match Unix.read session.fd chunk 0 (Bytes.length chunk) with
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_session loop session
@@ -380,8 +373,7 @@ let on_readable loop session =
       (match Protocol.finish data ~offset:session.in_pos with
       | Ok () -> ()
       | Error _ -> Counters.incr loop.shared.counters "malformed");
-      if Buffer.length session.out > session.out_pos then
-        session.close_after_flush <- true
+      if has_output session then session.close_after_flush <- true
       else close_session loop session
   | n ->
       Buffer.add_subbytes session.inbuf chunk 0 n;
@@ -400,18 +392,29 @@ let on_readable loop session =
       in
       frames session.in_pos
 
+(* Write queued frames until the socket would block; a frame leaves
+   the queue once it is written whole. *)
 let on_writable loop session =
-  let data = Buffer.contents session.out in
-  let remaining = String.length data - session.out_pos in
-  if remaining > 0 then begin
-    match Unix.write_substring session.fd data session.out_pos remaining with
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> close_session loop session
-    | written -> session.out_pos <- session.out_pos + written
-  end;
+  let rec flush () =
+    match Queue.peek_opt session.out with
+    | None -> ()
+    | Some frame -> (
+        let at = session.out_pos in
+        let remaining = String.length frame - at in
+        match Unix.write_substring session.fd frame at remaining with
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+        | exception Unix.Unix_error _ -> close_session loop session
+        | written when written < remaining ->
+            session.out_pos <- at + written
+        | _ ->
+            ignore (Queue.pop session.out);
+            session.out_pos <- 0;
+            flush ())
+  in
+  flush ();
   if
     session.close_after_flush
-    && session.out_pos >= Buffer.length session.out
+    && (not (has_output session))
     && Hashtbl.mem loop.sessions session.sid
   then close_session loop session
 
@@ -429,7 +432,7 @@ let accept_clients loop =
             fd;
             inbuf = Buffer.create 512;
             in_pos = 0;
-            out = Buffer.create 512;
+            out = Queue.create ();
             out_pos = 0;
             requested = false;
             close_after_flush = false };
@@ -589,6 +592,7 @@ let run config =
           cache = Cache.create ?dir:config.cache_dir ();
           listen_fd;
           wake_r;
+          read_buf = Bytes.create 65536;
           sessions = Hashtbl.create 16;
           client_counts = Hashtbl.create 16;
           attempts = Hashtbl.create 16;
@@ -649,16 +653,14 @@ let run config =
           Hashtbl.iter
             (fun _ session ->
               reads := session.fd :: !reads;
-              if Buffer.length session.out > session.out_pos then
-                writes := session.fd :: !writes)
+              if has_output session then writes := session.fd :: !writes)
             loop.sessions;
           match Unix.select !reads !writes [] 0.2 with
           | exception Unix.Unix_error (EINTR, _, _) -> ()
           | readable, writable, _ ->
               if List.memq loop.wake_r readable then begin
-                let buf = Bytes.create 256 in
                 let rec drain () =
-                  match Unix.read loop.wake_r buf 0 256 with
+                  match Unix.read loop.wake_r loop.read_buf 0 256 with
                   | exception Unix.Unix_error _ -> ()
                   | 0 -> ()
                   | _ -> drain ()
@@ -689,8 +691,7 @@ let run config =
                  waiting for the next select round. *)
               Hashtbl.iter
                 (fun _ session ->
-                  if Buffer.length session.out > session.out_pos then
-                    on_writable loop session)
+                  if has_output session then on_writable loop session)
                 (Hashtbl.copy loop.sessions)
         end
       done;

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Sampled-simulation smoke test, wired into `make check` (and available
 # as `make sample-smoke`): run one kernel end to end under --sample,
-# check the --metrics document carries the sample section and parses,
-# check the run is deterministic for a fixed seed, check the spec
-# grammar is enforced (exit 2), and push one sampled sweep through the
-# grid. Everything under `timeout`.
+# check the --metrics document carries the sample section, check the
+# run is deterministic for a fixed seed, check the spec grammar is
+# enforced (exit 2), and push one sampled sweep through the grid.
+# Everything under `timeout`. The sample section's contents (spec,
+# intervals, a CI covering the full run's IPC) are checked by the dune
+# test `sample:cli` ("sampled metrics cover the full run").
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -21,8 +23,6 @@ fail=0
 # --- one sampled run, metrics spliced --------------------------------
 timeout 300 "$CLI" simulate -k gzip -s 4000 --sample 200:1800:7 \
     --metrics "$TMP/sampled.json" > "$TMP/first.out"
-timeout 300 "$CLI" simulate -k gzip -s 4000 \
-    --metrics "$TMP/full.json" > /dev/null
 
 if ! grep -q 'sampled (200:1800:7):' "$TMP/first.out"; then
     echo "FAIL simulate: no sampled summary line"
@@ -31,37 +31,6 @@ fi
 if ! grep -q '"sample"' "$TMP/sampled.json"; then
     echo "FAIL metrics: no sample section in the JSON document"
     fail=1
-fi
-
-if command -v python3 > /dev/null 2>&1; then
-    python3 - "$TMP/sampled.json" "$TMP/full.json" <<'EOF' || fail=1
-import json, sys
-
-with open(sys.argv[1]) as handle:
-    document = json.load(handle)
-sample = document["sample"]
-assert sample["spec"] == {"detail": 200, "warmup": 1800, "seed": 7}, \
-    sample["spec"]
-assert sample["intervals"] >= 2, "too few intervals for a CI"
-assert sample["mean_ipc"] > 0.0, "sampled IPC must be positive"
-assert sample["ci95"] is not None and sample["ci95"] >= 0.0
-assert len(sample["interval_ipc"]) == sample["intervals"]
-
-# The statistical contract: the full run's IPC falls inside the
-# sampled run's reported 95% confidence interval.
-with open(sys.argv[2]) as handle:
-    full_ipc = json.load(handle)["derived"]["ipc"]
-lo = sample["mean_ipc"] - sample["ci95"]
-hi = sample["mean_ipc"] + sample["ci95"]
-assert lo <= full_ipc <= hi, \
-    f"full IPC {full_ipc:.4f} outside sampled CI [{lo:.4f}, {hi:.4f}]"
-print("sample-smoke: metrics ok "
-      f"({sample['intervals']} intervals, "
-      f"IPC {sample['mean_ipc']:.4f} +- {sample['ci95']:.4f} "
-      f"covers full {full_ipc:.4f})")
-EOF
-else
-    echo "sample-smoke: python3 not available, skipping JSON checks"
 fi
 
 # --- determinism: a fixed seed reproduces the report -----------------

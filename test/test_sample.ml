@@ -493,14 +493,43 @@ let test_emitters_parse () =
   (* the bench document's skeleton (null sweep/sampled sections) *)
   validates "Hostbench.to_json" (Hostbench.to_json [])
 
+(* Strings up to 4 KiB: plain runs of any length broken by the bytes the
+   escaper and the parser treat specially. *)
+let gen_long_string =
+  let open QCheck.Gen in
+  let plain = string_size ~gen:(char_range ' ' '~') (int_bound 600) in
+  let special =
+    map (String.make 1)
+      (oneof [ return '"'; return '\\'; char_range '\000' '\031';
+               char_range '\128' '\255' ])
+  in
+  map
+    (fun parts ->
+      let s = String.concat "" parts in
+      String.sub s 0 (min 4096 (String.length s)))
+    (list_size (int_bound 40) (frequency [ (1, plain); (2, special) ]))
+
 let property_escape_round_trips =
   QCheck.Test.make ~name:"any string: Json.quote emits parseable JSON"
     ~count:500
-    QCheck.(string_of_size Gen.(0 -- 64))
-    (fun s ->
-      match Json.validate (Printf.sprintf "{\"k\":%s}" (Json.quote s)) with
-      | Ok () -> true
-      | Error _ -> false)
+    (QCheck.make ~print:String.escaped gen_long_string)
+    (fun s -> Json.parse (Json.quote s) = Ok (Json.String s))
+
+(* A string error after a long plain run keeps its offset and message. *)
+let test_string_errors () =
+  let run = String.make 5000 'a' in
+  List.iter
+    (fun (label, document, expected) ->
+      check (Alcotest.result Alcotest.reject str) label (Error expected)
+        (Result.map ignore (Json.parse document)))
+    [ ("unterminated string", "\"" ^ run, "offset 5001: unterminated string");
+      ( "raw control byte",
+        "\"" ^ run ^ "\x01\"",
+        "offset 5001: raw control character" );
+      ("bad escape", "\"" ^ run ^ "\\q\"", "offset 5002: bad escape \\'q'");
+      ( "unterminated escape",
+        "\"" ^ run ^ "\\",
+        "offset 5002: unterminated escape" ) ]
 
 (* The bytes of the sampled report: compact, six decimals, and [null]
    for a CI that is not finite. *)
@@ -918,6 +947,63 @@ let test_cli_exit_codes () =
       check bool "profile of a missing file is RSM-T009" true
         (contains errors "/nonexistent/x.rtr: [RSM-T009]"))
 
+(* The sampled --metrics document: its sample section carries the spec,
+   enough intervals for a confidence interval, one IPC per interval, and
+   a CI that covers the full run's IPC. *)
+let test_cli_sampled_metrics () =
+  let sampled = Filename.temp_file "resim_test" ".json" in
+  let full = Filename.temp_file "resim_test" ".json" in
+  let document path =
+    match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+    | Ok document -> document
+    | Error message -> Alcotest.failf "%s: invalid JSON (%s)" path message
+  in
+  let path keys document =
+    List.fold_left
+      (fun v key -> Option.bind v (Json.member key))
+      (Some document) keys
+  in
+  let number keys document =
+    match Option.bind (path keys document) Json.number_value with
+    | Some value -> value
+    | None -> Alcotest.failf "no number at %s" (String.concat "." keys)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ sampled; full ])
+    (fun () ->
+      check int "sampled run exits 0" 0
+        (run_cli
+           (Printf.sprintf
+              "simulate -k gzip -s 4000 --sample 200:1800:7 --metrics %s"
+              (Filename.quote sampled)));
+      check int "full run exits 0" 0
+        (run_cli
+           (Printf.sprintf "simulate -k gzip -s 4000 --metrics %s"
+              (Filename.quote full)));
+      let sampled = document sampled in
+      let sample keys = number ("sample" :: keys) sampled in
+      check (Alcotest.list (Alcotest.float 0.)) "spec" [ 200.; 1800.; 7. ]
+        (List.map
+           (fun k -> sample [ "spec"; k ])
+           [ "detail"; "warmup"; "seed" ]);
+      let intervals = sample [ "intervals" ] in
+      check bool "at least 2 intervals" true (intervals >= 2.);
+      let mean = sample [ "mean_ipc" ] in
+      check bool "sampled IPC is positive" true (mean > 0.);
+      let ci95 = sample [ "ci95" ] in
+      check bool "ci95 is not negative" true (ci95 >= 0.);
+      (match path [ "sample"; "interval_ipc" ] sampled with
+      | Some (Json.List ipcs) ->
+          check int "one IPC per interval" (int_of_float intervals)
+            (List.length ipcs)
+      | _ -> Alcotest.fail "no interval_ipc list");
+      let full_ipc = number [ "derived"; "ipc" ] (document full) in
+      check bool
+        (Printf.sprintf "full IPC %.4f inside [%.4f, %.4f]" full_ipc
+           (mean -. ci95) (mean +. ci95))
+        true
+        (mean -. ci95 <= full_ipc && full_ipc <= mean +. ci95))
+
 (* A resumed run is a fresh run that starts from a checkpoint: it
    honours the budget flags, the checkpoints it writes chain back to
    the unbounded run's statistics, and a fault after the checkpoint
@@ -1061,8 +1147,12 @@ let suite =
          test_report_bytes;
        Alcotest.test_case "printer layouts and numbers" `Quick test_printer;
        Alcotest.test_case "parser strictness" `Quick test_parser_strictness;
+       Alcotest.test_case "string errors after a long run" `Quick
+         test_string_errors;
        QCheck_alcotest.to_alcotest property_print_parse ]);
     ("sample:cli",
      [ Alcotest.test_case "exit-code table" `Slow test_cli_exit_codes;
+       Alcotest.test_case "sampled metrics cover the full run" `Slow
+         test_cli_sampled_metrics;
        Alcotest.test_case "resumed runs honour the budgets" `Slow
          test_cli_resume_budgets ]) ]

@@ -347,6 +347,107 @@ let test_exit_code_mapping () =
     4
     (Client.exit_code_of_error (Client.Refused "ECONNREFUSED"))
 
+(* --- the client against split frames ---------------------------------- *)
+
+(* Run [Client.converse_raw] against a one-connection fake peer: it
+   reads the request whole, then writes [pieces] with a pause between
+   them, so the client's reads see the stream split where they fall,
+   and hangs up. *)
+let converse_with_peer pieces =
+  (* a client that stops reading early fails the test, not the run *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let socket = Filename.temp_file "resim_peer" ".sock" in
+  Sys.remove socket;
+  let request =
+    Protocol.frame
+      (Protocol.encode_request
+         { Protocol.client = "test"; body = Protocol.Status })
+  in
+  let listen_fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.bind listen_fd (ADDR_UNIX socket);
+  Unix.listen listen_fd 1;
+  let peer =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept listen_fd in
+        let buffer = Bytes.create (String.length request) in
+        let rec read_request got =
+          if got < Bytes.length buffer then
+            match Unix.read fd buffer got (Bytes.length buffer - got) with
+            | 0 -> ()
+            | read -> read_request (got + read)
+        in
+        read_request 0;
+        List.iter
+          (fun piece ->
+            Unix.sleepf 0.001;
+            ignore (Unix.write_substring fd piece 0 (String.length piece)))
+          pieces;
+        Unix.close fd)
+  in
+  let events = ref [] in
+  let result =
+    Client.converse_raw ~on_event:(fun e -> events := e :: !events) ~socket
+      request
+  in
+  Domain.join peer;
+  Unix.close listen_fd;
+  Sys.remove socket;
+  (result, List.rev !events)
+
+(* [stream] cut into pieces of the given sizes, cycling through them. *)
+let cut sizes stream =
+  let n = String.length stream in
+  let rec go at = function
+    | _ when at >= n -> []
+    | [] -> go at sizes
+    | size :: rest ->
+        let len = min size (n - at) in
+        String.sub stream at len :: go (at + len) rest
+  in
+  go 0 sizes
+
+let test_client_split_frames () =
+  let framed event = Protocol.frame (Protocol.encode_event event) in
+  let metrics =
+    String.concat ""
+      (List.init 6000 (fun i -> Printf.sprintf "{\"line\": %d}\n" i))
+  in
+  let events =
+    [ Protocol.Accepted { job_id = 7 };
+      Protocol.Progress { completed = 1; total = 2; label = tricky };
+      Protocol.Done
+        { Protocol.outcome = "ok"; exit_code = 0; cached = false;
+          attempts = 1; detail = None; metrics = Some metrics;
+          checkpoint = None } ]
+  in
+  let done_frame = framed (List.nth events 2) in
+  check bool "the done frame is larger than 64 KiB" true
+    (String.length done_frame > 65536);
+  let head = framed (List.nth events 0) ^ framed (List.nth events 1) in
+  (match
+     converse_with_peer
+       (cut [ 1 ] head @ cut [ 3; 4093; 7; 8191; 1; 65537 ] done_frame)
+   with
+  | Ok terminal, seen ->
+      check bool "every event decodes" true (seen = events);
+      check bool "the terminal event is the done" true
+        (terminal = List.nth events 2)
+  | Error error, _ -> fail (Client.error_to_string error));
+  let closed =
+    Error
+      (Client.Transport "server closed the stream before a terminal event")
+  in
+  check bool "the stream ends mid-header" true
+    (fst (converse_with_peer [ head; String.sub done_frame 0 2 ]) = closed);
+  check bool "the stream ends mid-payload" true
+    (fst
+       (converse_with_peer
+          (cut [ 5; 1000 ] (head ^ String.sub done_frame 0 40_000)))
+    = closed);
+  match converse_with_peer [ "\xff\xff"; "\xff\xff" ] with
+  | Error (Client.Malformed { code = "RSM-S001"; _ }), [] -> ()
+  | _ -> fail "an oversized header should be Malformed RSM-S001"
+
 (* --- in-process server ---------------------------------------------- *)
 
 let fresh_socket () =
@@ -455,16 +556,24 @@ let test_crash_recovery () =
           check bool "retries recorded" true (count "retried" >= 2)
       | _ -> fail "status should report counters")
 
+(* A cache dir that does not exist yet: the daemon creates it. *)
+let fresh_cache_dir () =
+  let dir = Filename.temp_file "resimd" ".cache" in
+  Sys.remove dir;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+let cached_server cache_dir =
+  { (Server.default_config ~socket_path:(fresh_socket ())) with
+    Server.workers = 1;
+    cache_dir = Some cache_dir }
+
 let test_quota_and_cache () =
-  let socket = fresh_socket () in
-  let cache_dir = Filename.temp_file "resimd" ".cache" in
-  Sys.remove cache_dir;
-  let config =
-    { (Server.default_config ~socket_path:socket) with
-      Server.workers = 1;
-      cache_dir = Some cache_dir }
-  in
-  with_server config (fun socket ->
+  let cache_dir = fresh_cache_dir () in
+  with_server (cached_server cache_dir) (fun socket ->
       (* Identical resubmission is a content-addressed cache hit. *)
       (match submit_ok socket (simulate_request "gzip") with
       | Protocol.Done payload ->
@@ -477,10 +586,63 @@ let test_quota_and_cache () =
           check bool "cached metrics preserved" true
             (payload.Protocol.metrics <> None)
       | _ -> fail "cached simulate should complete");
-  let entries = Sys.readdir cache_dir in
-  check bool "cache entry persisted" true (Array.length entries > 0);
-  Array.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) entries;
-  Unix.rmdir cache_dir
+  check bool "cache entry persisted" true
+    (Array.length (Sys.readdir cache_dir) > 0);
+  remove_dir cache_dir
+
+let done_payload = function
+  | Protocol.Done payload -> payload
+  | _ -> fail "expected a done event"
+
+(* The persisted entry of [request] under [cache_dir]. *)
+let cache_entry cache_dir (request : Protocol.request) =
+  let key = Option.get (Resim_serve.Exec.cache_key request.Protocol.body) in
+  Filename.concat cache_dir (key ^ ".json")
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A persisted entry that does not decode is a miss: the job runs, its
+   result replaces the entry, and the next submission hits. *)
+let test_corrupt_cache_entry () =
+  let cache_dir = fresh_cache_dir () in
+  let request = simulate_request "gzip" in
+  let entry = cache_entry cache_dir request in
+  Unix.mkdir cache_dir 0o755;
+  Out_channel.with_open_bin entry (fun oc ->
+      output_string oc "{\"event\":\"done\",\x00garbage");
+  with_server (cached_server cache_dir) (fun socket ->
+      let first = done_payload (submit_ok socket request) in
+      check bool "a corrupt entry is a miss" false first.Protocol.cached;
+      check string "the job runs" "ok" first.Protocol.outcome;
+      check string "its result replaces the entry"
+        (Protocol.encode_event (Protocol.Done first))
+        (read_file entry);
+      check bool "the next submission hits" true
+        (done_payload (submit_ok socket request)).Protocol.cached);
+  remove_dir cache_dir
+
+(* A second daemon on the first one's cache dir answers from disk with
+   the first reply marked cached; the entry is the first reply's [done]
+   event as it was sent. *)
+let test_cache_survives_restart () =
+  let cache_dir = fresh_cache_dir () in
+  let request = simulate_request "gzip" in
+  let first =
+    with_server (cached_server cache_dir) (fun socket ->
+        done_payload (submit_ok socket request))
+  in
+  check bool "first run not cached" false first.Protocol.cached;
+  check string "the entry is the encoded done event"
+    (Protocol.encode_event (Protocol.Done first))
+    (read_file (cache_entry cache_dir request));
+  let second =
+    with_server (cached_server cache_dir) (fun socket ->
+        submit_ok socket request)
+  in
+  check bool "the restarted daemon replies with the first result, cached"
+    true
+    (second = Protocol.Done { first with Protocol.cached = true });
+  remove_dir cache_dir
 
 let test_admission_rejections () =
   let socket = fresh_socket () in
@@ -665,13 +827,20 @@ let suite =
        Alcotest.test_case "event bytes are pinned" `Quick test_event_bytes;
        Alcotest.test_case "a non-finite timeout decodes to no budget" `Quick
          test_non_finite_timeout ]);
+    ("serve:client",
+     [ Alcotest.test_case "split, truncated and oversized frames" `Quick
+         test_client_split_frames ]);
     ("serve:server",
      [ Alcotest.test_case "crashed worker: retry budget then crash outcome"
          `Slow test_crash_recovery;
        Alcotest.test_case "result cache hits on resubmission" `Slow
          test_quota_and_cache;
        Alcotest.test_case "quota rejection and refused connection" `Slow
-         test_admission_rejections ]);
+         test_admission_rejections;
+       Alcotest.test_case "a corrupt cache entry is a miss, then replaced"
+         `Slow test_corrupt_cache_entry;
+       Alcotest.test_case "a restarted daemon hits the persisted cache" `Slow
+         test_cache_survives_restart ]);
     ("serve:pool",
      [ Alcotest.test_case "shutdown is idempotent; submit after is typed"
          `Quick test_pool_shutdown_idempotent;
