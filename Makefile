@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-smoke obs-guard sample-smoke serve-smoke trace-smoke bench-service
+.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-smoke obs-guard serve-smoke trace-smoke bench-service
 
 # Wall-clock guard on the PR gate: a hang in any step (the very class
 # of bug the robustness layer exists to prevent) fails the gate after
@@ -40,9 +40,9 @@ dsafe-smoke: build
 # bench smoke that exercises the --json path end to end, the
 # fault-injection smoke (every corruption class through the CLI), the
 # observability smoke (pipetrace + metrics + schema + profile), the
-# sampled-simulation smoke (--sample end to end, determinism, spec
-# grammar, sampled sweep), the resimd smoke and the trace-frontier
-# smoke.
+# resimd smoke and the trace-frontier smoke. Sampled simulation end to
+# end (--sample, determinism, spec grammar, sampled sweep) is the dune
+# test group sample:cli.
 check:
 	$(TIMEOUT) 300 dune build @fmt
 	$(TIMEOUT) 900 dune build
@@ -53,7 +53,6 @@ check:
 	$(MAKE) dsafe-smoke
 	$(MAKE) faultsmoke
 	$(MAKE) obs-smoke
-	$(MAKE) sample-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 
@@ -66,11 +65,6 @@ faultsmoke: build
 # RSM-P schema validation (clean + corrupted), resim profile.
 obs-smoke: build
 	$(TIMEOUT) 600 sh scripts/obs_smoke.sh
-
-# Sampled simulation end to end: simulate --sample (metrics splice,
-# determinism, spec grammar) and one sampled sweep (DESIGN.md §13).
-sample-smoke: build
-	$(TIMEOUT) 900 sh scripts/sample_smoke.sh
 
 # resimd end to end (DESIGN.md §16): daemon up, simulate/sweep/lint
 # jobs over the wire with the documented exit codes, cache hit on

@@ -1243,8 +1243,9 @@ let sweep_cmd =
     Arg.(
       value & flag
       & info [ "profile" ]
-          ~doc:"Profile the worker pool: per-domain wait vs run time \
-                and allocation, printed after the sweep.")
+          ~doc:"Profile the worker domains: host time and allocation \
+                of every job attempt (pool/run), printed after the \
+                sweep.")
   in
   let sample =
     Arg.(

@@ -5,7 +5,7 @@ type run = {
   outcome : Resim_core.Resim.outcome;
 }
 
-type scale_spec = Evaluation | Default | Exact of int
+type scale_spec = Resim_sweep.Sweep.scale = Default | Evaluation | Exact of int
 
 (* The memo key is the full structural identity of a simulation: the
    kernel, the resolved scale and the complete engine configuration
@@ -60,16 +60,11 @@ type request = {
 let request ~key ~config ?(scale = Evaluation) workload =
   { key; workload; config; scale }
 
-let sweep_scale = function
-  | Evaluation -> Resim_sweep.Sweep.Evaluation
-  | Default -> Resim_sweep.Sweep.Default
-  | Exact scale -> Resim_sweep.Sweep.Exact scale
-
 let job_of_request request =
   let module K = (val request.workload : Resim_workloads.Kernel_sig.S) in
   Resim_sweep.Sweep.job
     ~label:(request.key ^ ":" ^ K.name)
-    ~scale:(sweep_scale request.scale) ~config:request.config
+    ~scale:request.scale ~config:request.config
     request.workload
 
 let run_of_result (result : Resim_sweep.Sweep.result) =

@@ -16,10 +16,10 @@ type run = {
   outcome : Resim_core.Resim.outcome;
 }
 
-(** Which input size to run a kernel at. *)
-type scale_spec =
-  | Evaluation      (** the kernel's [evaluation_scale] — table runs *)
+(** Which input size to run a kernel at: the sweep's own scale. *)
+type scale_spec = Resim_sweep.Sweep.scale =
   | Default         (** the kernel's default scale — quick ablations *)
+  | Evaluation      (** the kernel's [evaluation_scale] — table runs *)
   | Exact of int
 
 val run_kernel :

@@ -94,7 +94,7 @@ let converse_raw ?(on_event = fun (_ : Protocol.event) -> ()) ~socket raw =
       let* () = send_all fd raw in
       let rec read_events () =
         let* header = read_exactly fd 4 in
-        let* n = malformed (Protocol.frame_length header ~offset:0) in
+        let* n = malformed (Protocol.frame_length header) in
         let* payload = read_exactly fd n in
         let* event = malformed (Protocol.decode_event payload) in
         on_event event;

@@ -30,8 +30,8 @@ let frame payload =
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
 
-let frame_length header ~offset =
-  let n = Int32.to_int (String.get_int32_be header offset) land 0xffff_ffff in
+let frame_length header =
+  let n = Int32.to_int (String.get_int32_be header 0) land 0xffff_ffff in
   if n > max_frame then
     Error
       { code = "RSM-S001";
@@ -40,24 +40,25 @@ let frame_length header ~offset =
             max_frame }
   else Ok n
 
-let next_frame data ~offset =
-  let available = String.length data - offset in
+let next_frame buffer ~offset =
+  let available = Buffer.length buffer - offset in
   if available < 4 then Ok None
   else
     Result.map
       (fun n ->
         if available - 4 < n then None
-        else Some (String.sub data (offset + 4) n, offset + 4 + n))
-      (frame_length data ~offset)
+        else Some (Buffer.sub buffer (offset + 4) n, offset + 4 + n))
+      (frame_length (Buffer.sub buffer offset 4))
 
-let finish data ~offset =
-  if offset = String.length data then Ok ()
+let finish buffer ~offset =
+  let trailing = Buffer.length buffer - offset in
+  if trailing = 0 then Ok ()
   else
     Error
       { code = "RSM-S002";
         detail =
           Printf.sprintf "stream ended mid-frame with %d trailing byte(s)"
-            (String.length data - offset) }
+            trailing }
 
 (* --- requests ----------------------------------------------------- *)
 

@@ -22,18 +22,20 @@ val frame : string -> string
     [Invalid_argument] beyond {!max_frame} (server payloads are
     bounded by construction). *)
 
-val frame_length : string -> offset:int -> (int, frame_error) result
-(** The payload length declared by the 4-byte header at [offset];
-    beyond {!max_frame} it is [RSM-S001]. *)
+val frame_length : string -> (int, frame_error) result
+(** The payload length declared by a 4-byte header; beyond
+    {!max_frame} it is [RSM-S001]. *)
 
 val next_frame :
-  string -> offset:int -> ((string * int) option, frame_error) result
-(** Extract the next complete frame from a receive buffer:
+  Buffer.t -> offset:int -> ((string * int) option, frame_error) result
+(** Extract the next complete frame from a receive buffer, copying
+    only its 4-byte header and, once complete, its payload — never
+    the bytes before [offset]:
     [Ok (Some (payload, next_offset))] on a complete frame, [Ok None]
     when more bytes are needed, [Error] ([RSM-S001]) when the declared
     length exceeds {!max_frame}. *)
 
-val finish : string -> offset:int -> (unit, frame_error) result
+val finish : Buffer.t -> offset:int -> (unit, frame_error) result
 (** At end-of-stream: trailing bytes that never completed a frame are
     [RSM-S002]. *)
 

@@ -41,7 +41,6 @@ type config = {
   max_per_client : int;
   retries : int;        (* extra attempts after a worker-domain death *)
   backoff : float;
-  max_backoff : float;
   cache_dir : string option;
   test_hooks : bool;
   verbose : bool;
@@ -54,10 +53,12 @@ let default_config ~socket_path =
     max_per_client = 8;
     retries = 2;
     backoff = 0.05;
-    max_backoff = 1.0;
     cache_dir = None;
     test_hooks = false;
     verbose = false }
+
+(* The crash-requeue backoff cap, seconds. *)
+let max_backoff = 1.0
 
 let counter_names =
   [ "accepted"; "rejected"; "shed"; "retried"; "cache_hits"; "cache_misses";
@@ -74,7 +75,7 @@ type job = {
 }
 
 type completion =
-  | Finished of int * job * Protocol.done_payload  (* worker slot, .. *)
+  | Finished of job * Protocol.done_payload
   | Progressed of job * int * int * string
 
 type shared = {
@@ -87,9 +88,6 @@ type shared = {
   draining : bool Atomic.t;
   wake_w : Unix.file_descr;
   counters : Counters.t;
-  in_worker_retries : int;
-  backoff : float;
-  max_backoff : float;
   test_hooks : bool;
 }
 
@@ -128,14 +126,15 @@ let worker_body shared slot =
                 shared.completions);
           wake shared
         in
+        (* No host-transient retries inside a worker: crash retries
+           belong to the supervisor, which requeues the job. *)
         let payload =
-          Exec.run ~progress ~retries:shared.in_worker_retries
-            ~backoff:shared.backoff ~max_backoff:shared.max_backoff
+          Exec.run ~progress ~retries:0 ~backoff:0.0 ~max_backoff:0.0
             ~test_hooks:shared.test_hooks job.body
         in
         Sync.with_lock shared.mutex (fun () ->
             Hashtbl.remove shared.running slot;
-            Queue.push (Finished (slot, job, payload)) shared.completions);
+            Queue.push (Finished (job, payload)) shared.completions);
         wake shared;
         go ()
   in
@@ -215,14 +214,20 @@ let finish_job loop (job : job) =
   decr_client loop job.client;
   Hashtbl.remove loop.attempts job.id
 
+(* A job's [done] event is encoded once: a completed simulate stores
+   those bytes in the cache, and the reply frames the same string. *)
 let deliver_done loop (job : job) payload =
   finish_job loop job;
   Counters.incr loop.shared.counters
     (if payload.Protocol.exit_code = 0 then "completed" else "failed");
+  let encoded = Protocol.encode_event (Protocol.Done payload) in
+  (match (job.cache_key, payload.Protocol.outcome) with
+  | Some key, "ok" -> Cache.store loop.cache key encoded
+  | _ -> ());
   match session_of_job loop job with
-  | None -> ()  (* client hung up; result is dropped (or cached) *)
+  | None -> ()  (* client hung up; the result is dropped (or cached) *)
   | Some session ->
-      send_event session (Protocol.Done payload);
+      Queue.push (Protocol.frame encoded) session.out;
       session.close_after_flush <- true
 
 (* --- admission ----------------------------------------------------- *)
@@ -369,17 +374,17 @@ let on_readable loop session =
   | 0 ->
       (* EOF. Leftover bytes mean the peer died mid-frame (RSM-S002) —
          nobody to tell, but the counter records it. *)
-      let data = Buffer.contents session.inbuf in
-      (match Protocol.finish data ~offset:session.in_pos with
+      (match Protocol.finish session.inbuf ~offset:session.in_pos with
       | Ok () -> ()
       | Error _ -> Counters.incr loop.shared.counters "malformed");
       if has_output session then session.close_after_flush <- true
       else close_session loop session
   | n ->
+      (* Append, then split from [in_pos]: bytes that arrived earlier
+         are never copied again, so a large frame costs linear time. *)
       Buffer.add_subbytes session.inbuf chunk 0 n;
-      let data = Buffer.contents session.inbuf in
       let rec frames offset =
-        match Protocol.next_frame data ~offset with
+        match Protocol.next_frame session.inbuf ~offset with
         | Ok None -> session.in_pos <- offset
         | Ok (Some (payload, next)) ->
             on_frame loop session payload;
@@ -458,7 +463,7 @@ let drain_completions loop =
           | Some session ->
               send_event session
                 (Protocol.Progress { completed; total; label }))
-      | Finished (_slot, job, payload) ->
+      | Finished (job, payload) ->
           let attempts_so_far =
             Option.value ~default:payload.Protocol.attempts
               (Hashtbl.find_opt loop.attempts job.id)
@@ -467,11 +472,6 @@ let drain_completions loop =
             { payload with
               Protocol.attempts = max payload.Protocol.attempts attempts_so_far }
           in
-          (match (job.cache_key, payload.Protocol.outcome) with
-          | Some key, "ok" ->
-              Cache.store loop.cache key
-                (Protocol.encode_event (Protocol.Done payload))
-          | _ -> ());
           deliver_done loop job payload)
     batch
 
@@ -506,7 +506,7 @@ let supervise loop =
               Hashtbl.replace loop.attempts job.id (attempts_so_far + 1);
               Counters.incr loop.shared.counters "retried";
               let delay =
-                Float.min loop.config.max_backoff
+                Float.min max_backoff
                   (loop.config.backoff
                   *. (2. ** float_of_int (attempts_so_far - 1)))
               in
@@ -581,9 +581,6 @@ let run config =
           draining = Atomic.make false;
           wake_w;
           counters = Counters.make counter_names;
-          in_worker_retries = 0;
-          backoff = config.backoff;
-          max_backoff = config.max_backoff;
           test_hooks = config.test_hooks }
       in
       let loop =

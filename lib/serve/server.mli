@@ -28,8 +28,9 @@ type config = {
   max_queue : int;        (** queued-job bound driving shed/refuse *)
   max_per_client : int;   (** outstanding jobs per client name *)
   retries : int;          (** worker-death retries per job *)
-  backoff : float;        (** initial crash-requeue delay, seconds *)
-  max_backoff : float;    (** backoff cap, seconds *)
+  backoff : float;
+      (** initial crash-requeue delay, seconds; doubles per retry,
+          capped at 1 s *)
   cache_dir : string option;  (** persist cache entries here *)
   test_hooks : bool;      (** enable the [crash-worker] request *)
   verbose : bool;         (** supervision chatter on stderr *)

@@ -1,153 +1,51 @@
-module Sync = Resim_core.Sync
-
-type 'a state =
-  | Pending
-  | Value of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a task = {
-  mutable state : 'a state;
-  task_mutex : Mutex.t;
-  task_done : Condition.t;
-}
-
-type t = {
-  queue : (unit -> unit) Queue.t;
-  mutex : Mutex.t;
-  pending : Condition.t;
-  mutable stopping : bool;
-  down : bool Atomic.t;  (* set once by the winning shutdown call *)
-  mutable workers : unit Domain.t array;
-  jobs : int;
-  prof : Resim_obs.Prof.t option;
-}
-
-let jobs t = t.jobs
-
-let worker pool () =
-  let take () =
-    Sync.with_lock pool.mutex (fun () ->
-        while Queue.is_empty pool.queue && not pool.stopping do
-          Condition.wait pool.pending pool.mutex
-        done;
-        (* [None] only when stopping and drained. *)
-        Queue.take_opt pool.queue)
-  in
-  (* With a profile attached, charge queue-wait and thunk-run time to
-     pool/* sections (Prof is mutex-guarded, so worker domains share
-     one profile safely). Without one, the loop reads no clock. *)
-  let take, run =
-    match pool.prof with
-    | None -> (take, fun thunk -> thunk ())
-    | Some prof ->
-        ( (fun () -> Resim_obs.Prof.time prof "pool/wait" take),
-          fun thunk -> Resim_obs.Prof.time prof "pool/run" thunk )
-  in
-  let rec loop () =
-    match take () with
-    | None -> ()
-    | Some thunk ->
-        run thunk;
-        loop ()
-  in
-  loop ()
-
-let create ?prof ~jobs () =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let pool =
-    { queue = Queue.create ();
-      mutex = Mutex.create ();
-      pending = Condition.create ();
-      stopping = false;
-      down = Atomic.make false;
-      workers = [||];
-      jobs;
-      prof }
-  in
-  (* Spawn outside the lock (a lock held across Domain.spawn is an
-     RSM-D006 finding), then publish the array under [pool.mutex]:
-     [shutdown] reads [pool.workers] under the same mutex, so the
-     spawned handles are transferred with a happens-before edge rather
-     than through a bare mutable field. The workers themselves never
-     read [pool.workers]. *)
-  let workers = Array.init jobs (fun _ -> Domain.spawn (worker pool)) in
-  Sync.with_lock pool.mutex (fun () -> pool.workers <- workers);
-  pool
-
-let submit pool f =
-  let task =
-    { state = Pending;
-      task_mutex = Mutex.create ();
-      task_done = Condition.create () }
-  in
-  let thunk () =
-    let outcome =
-      match f () with
-      | value -> Value value
-      | exception exn -> Failed (exn, Printexc.get_raw_backtrace ())
-    in
-    Sync.with_lock task.task_mutex (fun () ->
-        task.state <- outcome;
-        Condition.broadcast task.task_done)
-  in
-  (* Lock-free rejection once shutdown has begun: a submit racing a
-     drain (the server calls [shutdown] from its signal-drain path)
-     must never block on [pool.mutex] only to learn the pool is gone —
-     and a submit that slips past this check still hits the guarded
-     [stopping] test below before the queue can accept it. *)
-  if Atomic.get pool.down then invalid_arg "Pool.submit: pool is shut down";
-  Sync.with_lock pool.mutex (fun () ->
-      if pool.stopping then invalid_arg "Pool.submit: pool is shut down";
-      Queue.push thunk pool.queue;
-      Condition.signal pool.pending);
-  task
-
-let await task =
-  Sync.with_lock task.task_mutex (fun () ->
-      let rec wait () =
-        match task.state with
-        | Pending ->
-            Condition.wait task.task_done task.task_mutex;
-            wait ()
-        | Value value -> value
-        | Failed (exn, backtrace) ->
-            Printexc.raise_with_backtrace exn backtrace
-      in
-      wait ())
-
-let shutdown pool =
-  (* Idempotent and safe concurrently with [submit] and with itself:
-     exactly one caller wins the CAS and performs the drain-and-join;
-     every other call — first or racing — returns immediately without
-     touching [pool.mutex], so the server's signal-drain path can call
-     this no matter what state the pool is in. The winner flips
-     [stopping] and collects the handles under the lock, then joins
-     outside it (workers must be able to take the mutex to drain). *)
-  if Atomic.compare_and_set pool.down false true then begin
-    let to_join =
-      Sync.with_lock pool.mutex (fun () ->
-          pool.stopping <- true;
-          Condition.broadcast pool.pending;
-          pool.workers)
-    in
-    Array.iter Domain.join to_join
-  end
-
-let with_pool ?prof ~jobs f =
-  let pool = create ?prof ~jobs () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+(* A parallel map: workers claim indices from one atomic counter and
+   return what they computed through [Domain.join]. The counter is the
+   only state shared while they run; each worker's results live in its
+   own list until the join hands them to the calling domain. *)
 
 let map ?prof ~jobs f input =
-  let n = Array.length input in
-  if jobs <= 1 || n <= 1 then
+  (* With a profile attached, charge each element's run to pool/run
+     (Prof is mutex-guarded, so worker domains share one profile
+     safely). Without one, no clock is read. *)
+  let run =
     match prof with
-    | None -> Array.map f input
-    | Some prof ->
-        Array.map (fun x -> Resim_obs.Prof.time prof "pool/run" (fun () -> f x))
-          input
-  else
-    with_pool ?prof ~jobs:(min jobs n) (fun pool ->
-        let tasks = Array.map (fun x -> submit pool (fun () -> f x)) input in
-        Array.map await tasks)
+    | None -> f
+    | Some prof -> fun x -> Resim_obs.Prof.time prof "pool/run" (fun () -> f x)
+  in
+  let n = Array.length input in
+  if jobs <= 1 || n <= 1 then Array.map run input
+  else begin
+    let next = Atomic.make 0 in
+    let worker () =
+      let rec claim results =
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n then results
+        else
+          let outcome =
+            match run input.(i) with
+            | value -> Ok value
+            | exception exn -> Error (exn, Printexc.get_raw_backtrace ())
+          in
+          claim ((i, outcome) :: results)
+      in
+      claim []
+    in
+    let workers = Array.init (min jobs n) (fun _ -> Domain.spawn worker) in
+    let outcomes = Array.make n None in
+    Array.iter
+      (fun domain ->
+        List.iter (fun (i, outcome) -> outcomes.(i) <- Some outcome)
+          (Domain.join domain))
+      workers;
+    (* Every index was claimed exactly once, so every slot is filled;
+       the scan in index order finds the lowest-index failure first. *)
+    Array.map
+      (function
+        | Some (Ok value) -> value
+        | Some (Error (exn, backtrace)) ->
+            Printexc.raise_with_backtrace exn backtrace
+        | None -> assert false)
+      outcomes
+  end
 
 let recommended_jobs () = Domain.recommended_domain_count ()

@@ -1,55 +1,26 @@
-(** Fixed-size pool of worker domains behind a FIFO work queue.
+(** Parallel [Array.map] over worker domains.
 
-    The substrate for domain-parallel sweeps: jobs are submitted as
-    thunks, executed by [jobs] worker domains pulling from a shared
-    queue (plain [Mutex]/[Condition], no dependencies), and observed
-    through per-task futures. Submission order is preserved by the
-    queue and {!map} awaits results in input order, so a pool of any
-    size produces results in a deterministic order.
+    The substrate for domain-parallel sweeps: up to [jobs] worker
+    domains claim input indices from one atomic counter, run the
+    function on their elements, and hand their [(index, result)] pairs
+    back through [Domain.join]. Nothing but the counter is shared
+    while they run — no queue, no lock, no future — and results come
+    back in input order, so a map of any width produces the same
+    array.
 
-    Each thunk runs entirely on one worker domain — a mutable island
-    such as an [Engine.t] created inside a thunk never migrates. *)
-
-type t
-
-val create : ?prof:Resim_obs.Prof.t -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains. Raises [Invalid_argument] when
-    [jobs < 1]. With [prof], workers charge queue-wait and thunk-run
-    spans to the profile's [pool/wait] and [pool/run] sections. *)
-
-val jobs : t -> int
-
-type 'a task
-(** A future for one submitted thunk. *)
-
-val submit : t -> (unit -> 'a) -> 'a task
-(** Enqueue a thunk. Raises [Invalid_argument] after {!shutdown} —
-    without blocking: once a shutdown has begun, rejection is decided
-    on a lock-free fast path, so a submit racing a drain never hangs
-    on the pool mutex. *)
-
-val await : 'a task -> 'a
-(** Block until the task completes; re-raises (with its backtrace) any
-    exception the thunk raised. *)
-
-val shutdown : t -> unit
-(** Drain the queue, then join every worker. Pending tasks still run.
-    Idempotent and safe to call concurrently — with another [shutdown]
-    or with in-flight {!submit}s: exactly one caller performs the
-    drain-and-join, every other call returns immediately without
-    taking the pool mutex (the server's signal-drain path depends on
-    this). *)
-
-val with_pool : ?prof:Resim_obs.Prof.t -> jobs:int -> (t -> 'a) -> 'a
-(** [create], run the body, and {!shutdown} even on exceptions. *)
+    Each element runs entirely on one worker domain — a mutable island
+    such as an [Engine.t] created inside [f] never migrates. *)
 
 val map :
   ?prof:Resim_obs.Prof.t -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with results in input order. [jobs <= 1] (or
-    an input shorter than two elements) runs serially on the calling
-    domain with no pool at all, so a serial sweep is exactly the code
-    a parallel sweep runs per worker. On a thunk exception, the
-    lowest-index failure is re-raised. *)
+(** Parallel [Array.map] with results in input order, on at most
+    [min jobs n] worker domains. [jobs <= 1] (or an input shorter
+    than two elements) runs serially on the calling domain with no
+    domain at all, so a serial sweep is exactly the code a parallel
+    sweep runs per worker. When elements raise, the lowest-index
+    exception is re-raised with its backtrace; in parallel every
+    other element still runs first. With [prof], each element's run
+    is charged to the profile's [pool/run] section. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the host's useful

@@ -103,8 +103,7 @@ type report = { job_reports : job_report list }
 type policy = {
   timeout : float option;       (* default per-job budget, seconds *)
   max_cycles : int64 option;
-  watchdog : int option;
-  retries : int;                (* extra attempts for Failed outcomes *)
+  retries : int;                (* extra attempts for retryable outcomes *)
   backoff : float;              (* first retry delay, seconds *)
   max_backoff : float;
 }
@@ -112,7 +111,6 @@ type policy = {
 let default_policy =
   { timeout = None;
     max_cycles = None;
-    watchdog = None;
     retries = 0;
     backoff = 0.25;
     max_backoff = 5.0 }
@@ -203,7 +201,7 @@ let attempt ~policy ?instrument job : outcome =
               fun () -> Unix.gettimeofday () > limit)
             (match job.timeout with Some _ as t -> t | None -> policy.timeout)
         in
-        let { watchdog; max_cycles; _ } = policy in
+        let max_cycles = policy.max_cycles in
         let simulated =
           match job.sample with
           | Some spec ->
@@ -212,13 +210,13 @@ let attempt ~policy ?instrument job : outcome =
                  interval, so truncation behaves like an unsampled run. *)
               Result.map
                 (fun (robust, report) -> (robust, Some report))
-                (Resim_sample.Sample.run ~config:job.config ?watchdog
-                   ?max_cycles ?deadline ?instrument ~spec trace)
+                (Resim_sample.Sample.run ~config:job.config ?max_cycles
+                   ?deadline ?instrument ~spec trace)
           | None ->
               Result.map
                 (fun robust -> (robust, None))
-                (Resim.run ~config:job.config ?watchdog ?max_cycles
-                   ?deadline ?instrument trace)
+                (Resim.run ~config:job.config ?max_cycles ?deadline
+                   ?instrument trace)
         in
         match simulated with
         | Stdlib.Error (Resim.Fault fault) -> Failed (Fault fault)
@@ -284,74 +282,47 @@ let retryable = function
   | Failed (Crashed _) | Timed_out _ -> true
   | Ok _ | Truncated _ | Failed (Fault _ | Deadlock _ | Invalid _) -> false
 
-let run_job_robust ?(policy = default_policy) ?instrument job : job_report =
-  let rec go (report : job_report) backoff =
-    if report.attempts > policy.retries || not (retryable report.outcome)
-    then report
-    else begin
-      (* Direct single-job callers back off on the calling domain; the
-         pooled [run] path retries in coordinator-driven rounds instead,
-         so a worker slot never sleeps. Attempt telemetry is measured
-         inside [attempt], so backoff never inflates wall_seconds. *)
-      Unix.sleepf backoff;
-      go
-        { report with
-          outcome = attempt ~policy ?instrument job;
-          attempts = report.attempts + 1 }
-        (Float.min policy.max_backoff (backoff *. 2.0))
-    end
-  in
-  go { job; outcome = attempt ~policy ?instrument job; attempts = 1 }
-    policy.backoff
-
 let run ?(policy = default_policy) ?prof ?jobs ?instrument list =
   let jobs =
     match jobs with Some jobs -> jobs | None -> Pool.recommended_jobs ()
   in
-  let job_array = Array.of_list list in
+  let attempt job = attempt ~policy ?instrument job in
   (* Round 0: one attempt per job across the pool. *)
   let reports =
     Pool.map ?prof ~jobs
-      (fun job -> { job; outcome = attempt ~policy ?instrument job; attempts = 1 })
-      job_array
+      (fun job -> { job; outcome = attempt job; attempts = 1 })
+      (Array.of_list list)
   in
-  (* Retry rounds: the coordinator sleeps out the backoff once per
-     round while every worker slot stays free, then resubmits only the
-     still-retryable jobs. Merging by index preserves job order. *)
-  let backoff = ref policy.backoff in
-  let round = ref 0 in
-  let pending () =
-    let indices = ref [] in
-    Array.iteri
-      (fun i (report : job_report) ->
-        if retryable report.outcome then indices := i :: !indices)
-      reports;
-    Array.of_list (List.rev !indices)
-  in
-  let continue = ref (policy.retries > 0) in
-  while !continue && !round < policy.retries do
-    let indices = pending () in
-    if Array.length indices = 0 then continue := false
-    else begin
-      incr round;
-      Unix.sleepf !backoff;
-      backoff := Float.min policy.max_backoff (!backoff *. 2.0);
+  (* Retry rounds, the library's only retry loop: the coordinator
+     sleeps out the (doubling, capped) backoff once per round while no
+     worker domain runs, then reruns only the still-retryable jobs.
+     Attempt telemetry is measured inside [attempt], so backoff never
+     inflates wall_seconds. Merging by index preserves job order. *)
+  let rec retry round backoff =
+    let pending =
+      List.filter
+        (fun i -> retryable reports.(i).outcome)
+        (List.init (Array.length reports) Fun.id)
+    in
+    if round < policy.retries && pending <> [] then begin
+      Unix.sleepf backoff;
       let retried =
         Pool.map ?prof ~jobs
-          (fun i -> attempt ~policy ?instrument job_array.(i))
-          indices
+          (fun (report : job_report) ->
+            { report with
+              outcome = attempt report.job;
+              attempts = report.attempts + 1 })
+          (Array.of_list (List.map (Array.get reports) pending))
       in
-      Array.iteri
-        (fun slot i ->
-          let previous = reports.(i) in
-          reports.(i) <-
-            { previous with
-              outcome = retried.(slot);
-              attempts = previous.attempts + 1 })
-        indices
+      List.iteri (fun slot i -> reports.(i) <- retried.(slot)) pending;
+      retry (round + 1) (Float.min policy.max_backoff (backoff *. 2.0))
     end
-  done;
+  in
+  retry 0 policy.backoff;
   { job_reports = Array.to_list reports }
+
+let run_job_robust ?policy ?instrument job =
+  List.hd (run ?policy ~jobs:1 ?instrument [ job ]).job_reports
 
 let completed report =
   List.filter_map

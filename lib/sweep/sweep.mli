@@ -1,8 +1,8 @@
 (** Domain-parallel design-space sweeps with per-job fault domains.
 
     A sweep is a list of independent jobs — (workload, configuration,
-    scale) triples, or pre-built traces — sharded across worker domains
-    ({!Pool}). Each job generates or takes its trace and runs
+    scale) triples, or pre-built traces — mapped over worker domains
+    by {!Pool.map}. Each job generates or takes its trace and runs
     {!Resim_core.Resim.run} entirely on one domain (every [Engine.t] is
     an independent mutable island, so confinement is the whole safety
     argument), and outcomes come back in job order.
@@ -11,13 +11,16 @@
     configuration, a corrupt trace, a watchdog deadlock, a per-job
     timeout or cycle budget, or an unexpected crash becomes a
     structured {!outcome} in the {!report}, and the rest of the sweep
-    still completes. {!run_job} is the fail-fast view of one job.
+    still completes. {!run} is the one way jobs run: its retry rounds
+    are the library's only retry loop, {!run_job_robust} is {!run} of
+    one job, and {!run_job} is the fail-fast view of one job.
 
     Trace generation and the timing engine are deterministic, so a
     sweep's results are identical at any [jobs] count; a parallel run
     only changes wall-clock time. *)
 
-(** Which input size to run a kernel at (mirrors the report runner). *)
+(** Which input size to run a kernel at (also the report runner's
+    [Runner.scale_spec]). *)
 type scale =
   | Default         (** the kernel's default scale *)
   | Evaluation      (** the kernel's [evaluation_scale] — table runs *)
@@ -138,15 +141,15 @@ type report = { job_reports : job_report list  (** in job order *) }
 type policy = {
   timeout : float option;   (** default per-job budget, seconds *)
   max_cycles : int64 option;
-  watchdog : int option;    (** no-progress cycles before deadlock *)
   retries : int;            (** extra attempts for {!retryable} outcomes *)
   backoff : float;          (** first retry delay, seconds; doubles *)
   max_backoff : float;      (** backoff cap, seconds *)
 }
+(** Every job runs under the engine's default progress watchdog
+    ({!Resim_core.Engine.default_watchdog}). *)
 
 val default_policy : policy
-(** No budgets, no retries, engine-default watchdog, 0.25 s → 5 s
-    backoff. *)
+(** No budgets, no retries, 0.25 s → 5 s backoff. *)
 
 val retryable : outcome -> bool
 (** Whether another attempt could help: only host-side transients —
@@ -171,11 +174,9 @@ val run_job_robust :
   job ->
   job_report
 (** Run one job inside its fault domain on the calling domain: never
-    raises. {!retryable} outcomes are retried with doubling, capped
-    backoff up to [policy.retries] extra attempts; the backoff sleeps
-    on the calling domain (the pooled {!run} path uses coordinator
-    rounds instead). Attempt wall time is measured per attempt, so
-    backoff never counts into [telemetry.wall_seconds]. *)
+    raises. This is {!run} [~jobs:1] of the one job, so its
+    {!retryable} outcomes are retried by {!run}'s rounds, with the
+    same doubling, capped backoff and per-attempt wall time. *)
 
 val run :
   ?policy:policy ->
@@ -189,10 +190,12 @@ val run :
     domain). Every job runs in its own fault domain under the [policy]
     budgets, and the sweep always completes with a full per-job report
     — partial results stay available when some jobs fail. {!retryable}
-    outcomes are retried in coordinator-driven rounds: the coordinator
-    sleeps out the (doubling, capped) backoff between rounds and
-    resubmits only the still-retryable jobs, so no worker slot ever
-    sleeps. [prof] charges pool queue-wait/run spans ({!Pool.map}).
+    outcomes are retried in coordinator-driven rounds, the library's
+    only retry loop: the coordinator sleeps out the (doubling, capped)
+    backoff between rounds and reruns only the still-retryable jobs,
+    so no worker domain ever sleeps. Attempt wall time is measured per
+    attempt, so backoff never counts into [telemetry.wall_seconds].
+    [prof] charges each job attempt to [pool/run] ({!Pool.map}).
     [instrument] runs on every job's fresh engine before its first
     cycle (see {!run_job}); each worker domain calls it on its own
     engines, so the hook must be domain-safe — per-engine probes

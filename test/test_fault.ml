@@ -227,7 +227,10 @@ let test_sweep_truncation_and_retry () =
   | _ -> Alcotest.fail "expected one truncated job");
   (* Deterministic failures (trace faults, deadlocks, invalid configs)
      fail identically every attempt: the runner must not burn retries
-     on them. One attempt, no retry, still Failed. *)
+     on them. One attempt, no retry, still Failed. Host-side transients
+     are the retryable class: an immediately expired per-job deadline
+     times out on every attempt, so a retry budget of 1 yields exactly
+     two attempts. Both entry points share one retry loop. *)
   let corrupt =
     match
       Fault_inject.inject_records Fault_inject.Orphan_tag
@@ -240,38 +243,43 @@ let test_sweep_truncation_and_retry () =
     { Sweep.default_policy with
       retries = 1; backoff = 0.01; max_backoff = 0.02 }
   in
-  let report =
-    Sweep.run ~policy:retrying ~jobs:1
-      [ Sweep.trace_job ~label:"corrupt" ~config:Config.reference corrupt ]
-  in
-  let counts = Sweep.counts report in
-  check int "still failed" 1 counts.failed;
-  check int "deterministic failure is not retried" 0 counts.retried;
-  (match report.job_reports with
-  | [ { Sweep.attempts; _ } ] ->
-      check int "fault reported after exactly one attempt" 1 attempts
-  | _ -> Alcotest.fail "expected one job report");
-  (* Host-side transients are the retryable class. An immediately
-     expired per-job deadline times out on every attempt, so a retry
-     budget of 1 yields exactly two attempts. *)
   let impatient =
     { Sweep.default_policy with
       timeout = Some 0.0; retries = 1; backoff = 0.001;
       max_backoff = 0.002 }
   in
-  let report =
-    Sweep.run ~policy:impatient ~jobs:1
-      [ Sweep.job ~label:"transient" ~scale:(Sweep.Exact 256)
-          ~config:Config.reference gzip ]
+  let runners =
+    [ ( "run ~jobs:1",
+        fun policy job ->
+          match (Sweep.run ~policy ~jobs:1 [ job ]).job_reports with
+          | [ report ] -> report
+          | _ -> Alcotest.fail "expected one job report" );
+      ("run_job_robust", fun policy job -> Sweep.run_job_robust ~policy job) ]
   in
-  let counts = Sweep.counts report in
-  check int "timed out" 1 counts.timed_out;
-  check int "transient was retried" 1 counts.retried;
-  (match report.job_reports with
-  | [ { Sweep.attempts; outcome; _ } ] ->
-      check int "retry budget spent" 2 attempts;
-      check bool "timeouts are retryable" true (Sweep.retryable outcome)
-  | _ -> Alcotest.fail "expected one job report");
+  List.iter
+    (fun (via, run) ->
+      let report =
+        run retrying
+          (Sweep.trace_job ~label:"corrupt" ~config:Config.reference corrupt)
+      in
+      let counts = Sweep.counts { Sweep.job_reports = [ report ] } in
+      check int (via ^ ": still failed") 1 counts.failed;
+      check int (via ^ ": deterministic failure is not retried") 0
+        counts.retried;
+      check int (via ^ ": fault reported after exactly one attempt") 1
+        report.attempts;
+      let report =
+        run impatient
+          (Sweep.job ~label:"transient" ~scale:(Sweep.Exact 256)
+             ~config:Config.reference gzip)
+      in
+      let counts = Sweep.counts { Sweep.job_reports = [ report ] } in
+      check int (via ^ ": timed out") 1 counts.timed_out;
+      check int (via ^ ": transient was retried") 1 counts.retried;
+      check int (via ^ ": retry budget spent") 2 report.attempts;
+      check bool (via ^ ": timeouts are retryable") true
+        (Sweep.retryable report.outcome))
+    runners;
   (* The classifier itself, over the whole outcome space. *)
   check bool "crash is retryable" true
     (Sweep.retryable (Sweep.Failed (Sweep.Crashed "boom")));

@@ -737,6 +737,8 @@ let test_cli_exit_codes () =
       ("sampled simulate", "simulate -k gzip -s 2000 --sample 50:450:3", 0);
       ("bad --sample spec", "simulate -k gzip -s 200 --sample nonsense", 2);
       ("zero-detail --sample", "simulate -k gzip -s 200 --sample 0:100", 2);
+      ("negative --sample warm-up", "simulate -k gzip -s 200 --sample 100:-1", 2);
+      ("four-field --sample", "simulate -k gzip -s 200 --sample 1:2:3:4", 2);
       ("sweep bad --sample", "sweep --quick --sample 0:5", 2);
       ( "sample + resume refused",
         Printf.sprintf "simulate -k gzip --sample 50:450 --resume %s"
@@ -949,10 +951,12 @@ let test_cli_exit_codes () =
 
 (* The sampled --metrics document: its sample section carries the spec,
    enough intervals for a confidence interval, one IPC per interval, and
-   a CI that covers the full run's IPC. *)
+   a CI that covers the full run's IPC. The summary line is printed and
+   a fixed seed reproduces it; a sampled sweep samples every job. *)
 let test_cli_sampled_metrics () =
   let sampled = Filename.temp_file "resim_test" ".json" in
   let full = Filename.temp_file "resim_test" ".json" in
+  let sweep = Filename.temp_file "resim_test" ".json" in
   let document path =
     match Json.parse (In_channel.with_open_text path In_channel.input_all) with
     | Ok document -> document
@@ -969,13 +973,29 @@ let test_cli_sampled_metrics () =
     | None -> Alcotest.failf "no number at %s" (String.concat "." keys)
   in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ sampled; full ])
+    ~finally:(fun () -> List.iter Sys.remove [ sampled; full; sweep ])
     (fun () ->
-      check int "sampled run exits 0" 0
-        (run_cli
-           (Printf.sprintf
-              "simulate -k gzip -s 4000 --sample 200:1800:7 --metrics %s"
-              (Filename.quote sampled)));
+      let summary args =
+        let code, output, _ = cli_output args in
+        check int (Printf.sprintf "`resim %s` exits 0" args) 0 code;
+        match
+          List.find_opt
+            (String.starts_with ~prefix:"sampled (")
+            (String.split_on_char '\n' output)
+        with
+        | Some line -> line
+        | None -> Alcotest.failf "`resim %s`: no sampled summary line" args
+      in
+      let first =
+        summary
+          (Printf.sprintf
+             "simulate -k gzip -s 4000 --sample 200:1800:7 --metrics %s"
+             (Filename.quote sampled))
+      in
+      check bool "the summary line names the spec" true
+        (String.starts_with ~prefix:"sampled (200:1800:7):" first);
+      check str "a fixed seed reproduces the summary line" first
+        (summary "simulate -k gzip -s 4000 --sample 200:1800:7");
       check int "full run exits 0" 0
         (run_cli
            (Printf.sprintf "simulate -k gzip -s 4000 --metrics %s"
@@ -1002,7 +1022,19 @@ let test_cli_sampled_metrics () =
         (Printf.sprintf "full IPC %.4f inside [%.4f, %.4f]" full_ipc
            (mean -. ci95) (mean +. ci95))
         true
-        (mean -. ci95 <= full_ipc && full_ipc <= mean +. ci95))
+        (mean -. ci95 <= full_ipc && full_ipc <= mean +. ci95);
+      check int "sampled sweep exits 0" 0
+        (run_cli
+           (Printf.sprintf "sweep --quick -j 2 --sample 200:1800:7 --metrics %s"
+              (Filename.quote sweep)));
+      match Json.member "jobs" (document sweep) with
+      | Some (Json.List (_ :: _ as jobs)) ->
+          List.iter
+            (fun job ->
+              check bool "every sweep job has a sample member" true
+                (Json.member "sample" job <> None))
+            jobs
+      | _ -> Alcotest.fail "sweep metrics list no jobs")
 
 (* A resumed run is a fresh run that starts from a checkpoint: it
    honours the budget flags, the checkpoints it writes chain back to

@@ -13,7 +13,6 @@ module Protocol = Resim_serve.Protocol
 module Client = Resim_serve.Client
 module Server = Resim_serve.Server
 module Load = Resim_serve.Load
-module Pool = Resim_sweep.Pool
 module Checkpoint = Resim_core.Checkpoint
 module Resim = Resim_core.Resim
 module Config = Resim_core.Config
@@ -288,11 +287,18 @@ let test_non_finite_timeout () =
           fail (label ^ ": " ^ Protocol.frame_error_to_string error))
     [ infinity; nan; neg_infinity ]
 
+let buffer_of text =
+  let buffer = Buffer.create (String.length text) in
+  Buffer.add_string buffer text;
+  buffer
+
 let property_frame_round_trip =
   QCheck.Test.make ~count:200 ~name:"frame streams reassemble"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 8) (QCheck.make gen_text))
     (fun payloads ->
-      let stream = String.concat "" (List.map Protocol.frame payloads) in
+      let stream =
+        buffer_of (String.concat "" (List.map Protocol.frame payloads))
+      in
       let rec collect offset acc =
         match Protocol.next_frame stream ~offset with
         | Ok (Some (payload, next)) -> collect next (payload :: acc)
@@ -305,7 +311,7 @@ let test_frame_errors () =
   (* Truncated: a frame promising more bytes than the stream holds is
      incomplete (wait for more), and EOF there is RSM-S002. *)
   let framed = Protocol.frame "{\"v\":1}" in
-  let truncated = String.sub framed 0 (String.length framed - 3) in
+  let truncated = buffer_of (String.sub framed 0 (String.length framed - 3)) in
   (match Protocol.next_frame truncated ~offset:0 with
   | Ok None -> ()
   | _ -> fail "truncated frame should be incomplete, not an error");
@@ -313,7 +319,7 @@ let test_frame_errors () =
   | Error { code = "RSM-S002"; _ } -> ()
   | _ -> fail "EOF mid-frame should be RSM-S002");
   (* Oversized: a length prefix beyond max_frame is RSM-S001. *)
-  let oversized = "\xff\xff\xff\xff" ^ "junk" in
+  let oversized = buffer_of ("\xff\xff\xff\xff" ^ "junk") in
   (match Protocol.next_frame oversized ~offset:0 with
   | Error { code = "RSM-S001"; _ } -> ()
   | _ -> fail "oversized frame should be RSM-S001");
@@ -644,6 +650,98 @@ let test_cache_survives_restart () =
     (second = Protocol.Done { first with Protocol.cached = true });
   remove_dir cache_dir
 
+(* --- raw frames against a live server --------------------------------- *)
+
+(* Write [pieces] to a fresh connection, half-close it, and return
+   every event the server sends before it closes the stream. *)
+let raw_exchange socket pieces =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (ADDR_UNIX socket);
+      List.iter
+        (fun piece ->
+          let rec go at =
+            if at < String.length piece then
+              go (at + Unix.write_substring fd piece at (String.length piece - at))
+          in
+          go 0)
+        pieces;
+      Unix.shutdown fd SHUTDOWN_SEND;
+      let received = Buffer.create 256 in
+      let chunk = Bytes.create 4096 in
+      let rec slurp () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes received chunk 0 n;
+            slurp ()
+      in
+      slurp ();
+      let rec events offset acc =
+        match Protocol.next_frame received ~offset with
+        | Ok (Some (payload, next)) -> (
+            match Protocol.decode_event payload with
+            | Ok event -> events next (event :: acc)
+            | Error error -> fail (Protocol.frame_error_to_string error))
+        | Ok None -> List.rev acc
+        | Error error -> fail (Protocol.frame_error_to_string error)
+      in
+      events 0 [])
+
+let protocol_error_code = function
+  | [ Protocol.Protocol_error { code; _ } ] -> code
+  | _ -> fail "expected exactly one protocol error"
+
+let malformed_count socket =
+  match submit_ok socket { Protocol.client = "test"; body = Protocol.Status } with
+  | Protocol.Status_report { counters; _ } -> List.assoc "malformed" counters
+  | _ -> fail "status should report counters"
+
+(* A 4 MiB payload arriving 4 KiB at a time is split once it is whole:
+   not JSON, so RSM-S003. An oversized header is refused at once. *)
+let test_large_garbage_frame () =
+  let config = Server.default_config ~socket_path:(fresh_socket ()) in
+  with_server config (fun socket ->
+      let size = 4 lsl 20 in
+      let framed = Protocol.frame (String.make size 'x') in
+      let pieces =
+        List.init
+          ((String.length framed + 4095) / 4096)
+          (fun i ->
+            String.sub framed (i * 4096)
+              (min 4096 (String.length framed - (i * 4096))))
+      in
+      check string "a 4 MiB non-JSON frame is RSM-S003" "RSM-S003"
+        (protocol_error_code (raw_exchange socket pieces));
+      check string "an oversized header is RSM-S001" "RSM-S001"
+        (protocol_error_code (raw_exchange socket [ "\xff\xff\xff\xff" ])))
+
+(* One request per connection: the first frame is answered, the second
+   is RSM-S004. *)
+let test_second_frame () =
+  let config = Server.default_config ~socket_path:(fresh_socket ()) in
+  with_server config (fun socket ->
+      let status =
+        Protocol.frame
+          (Protocol.encode_request
+             { Protocol.client = "test"; body = Protocol.Status })
+      in
+      match raw_exchange socket [ status ^ Protocol.frame "{}" ] with
+      | [ Protocol.Status_report _; Protocol.Protocol_error { code; _ } ] ->
+          check string "the second frame is RSM-S004" "RSM-S004" code
+      | _ -> fail "expected the status reply, then RSM-S004")
+
+(* A peer that dies mid-frame gets no reply; the counter records it. *)
+let test_truncated_frame () =
+  let config = Server.default_config ~socket_path:(fresh_socket ()) in
+  with_server config (fun socket ->
+      let framed = Protocol.frame (String.make 100 'x') in
+      check int "no reply to a truncated frame" 0
+        (List.length (raw_exchange socket [ String.sub framed 0 14 ]));
+      check int "the truncated frame is malformed" 1 (malformed_count socket))
+
 let test_admission_rejections () =
   let socket = fresh_socket () in
   let config =
@@ -664,35 +762,6 @@ let test_admission_rejections () =
       check int "refused exit code" 4 (Client.exit_code_of_error error)
   | Ok _ -> fail "drained server should refuse connections"
   | Error other -> fail (Client.error_to_string other)
-
-(* --- pool shutdown (satellite 1) ------------------------------------ *)
-
-let test_pool_shutdown_idempotent () =
-  let pool = Pool.create ~jobs:2 () in
-  let task = Pool.submit pool (fun () -> 21 * 2) in
-  check int "task ran" 42 (Pool.await task);
-  Pool.shutdown pool;
-  (* Second shutdown: no-op, returns immediately, no exception. *)
-  Pool.shutdown pool;
-  (* Submit after shutdown: typed error, never a hang. *)
-  match Pool.submit pool (fun () -> 0) with
-  | exception Invalid_argument _ -> ()
-  | _task -> fail "submit after shutdown should raise Invalid_argument"
-
-let test_pool_shutdown_concurrent () =
-  let pool = Pool.create ~jobs:2 () in
-  let barrier = Atomic.make 0 in
-  let racer () =
-    Atomic.incr barrier;
-    while Atomic.get barrier < 2 do Domain.cpu_relax () done;
-    Pool.shutdown pool
-  in
-  let a = Domain.spawn racer and b = Domain.spawn racer in
-  Domain.join a;
-  Domain.join b;
-  match Pool.submit pool (fun () -> 0) with
-  | exception Invalid_argument _ -> ()
-  | _task -> fail "pool should be down after concurrent shutdowns"
 
 (* --- checkpoint identity (satellite 2) ------------------------------ *)
 
@@ -840,12 +909,13 @@ let suite =
        Alcotest.test_case "a corrupt cache entry is a miss, then replaced"
          `Slow test_corrupt_cache_entry;
        Alcotest.test_case "a restarted daemon hits the persisted cache" `Slow
-         test_cache_survives_restart ]);
-    ("serve:pool",
-     [ Alcotest.test_case "shutdown is idempotent; submit after is typed"
-         `Quick test_pool_shutdown_idempotent;
-       Alcotest.test_case "concurrent shutdowns race safely" `Quick
-         test_pool_shutdown_concurrent ]);
+         test_cache_survives_restart;
+       Alcotest.test_case "a 4 MiB non-JSON frame in 4 KiB pieces is RSM-S003"
+         `Slow test_large_garbage_frame;
+       Alcotest.test_case "a request, then a second frame: reply, then RSM-S004"
+         `Slow test_second_frame;
+       Alcotest.test_case "a truncated frame, then EOF, counts as malformed"
+         `Slow test_truncated_frame ]);
     ("serve:checkpoint-identity",
      [ Alcotest.test_case "engine identity is config-sensitive" `Quick
          test_engine_identity;

@@ -1,4 +1,4 @@
-(* Tests for the domain-parallel sweep layer: the worker pool, the
+(* Tests for the domain-parallel sweep layer: the parallel map, the
    sweep runner's determinism across -j values, and the reworked
    (config-keyed, domain-safe) report runner cache. *)
 
@@ -17,12 +17,21 @@ let i64 = Alcotest.int64
 let test_pool_map_order () =
   let input = Array.init 100 (fun i -> i) in
   let serial = Array.map (fun i -> i * i) input in
-  let parallel = Pool.map ~jobs:4 (fun i -> i * i) input in
-  check bool "results in input order" true (serial = parallel);
+  (* jobs = 0 runs serially on the calling domain. *)
+  List.iter
+    (fun jobs ->
+      check bool
+        (Printf.sprintf "results in input order at jobs = %d" jobs)
+        true
+        (Pool.map ~jobs (fun i -> i * i) input = serial))
+    [ 0; 1; 4 ];
+  (* More jobs than elements: one domain per element. *)
+  check bool "jobs larger than the input" true
+    (Pool.map ~jobs:8 (fun i -> i * i) (Array.sub input 0 3) = [| 0; 1; 4 |]);
   check bool "empty input" true (Pool.map ~jobs:4 (fun i -> i) [||] = [||])
 
 let test_pool_map_uneven_work () =
-  (* Make late-submitted tasks finish first; order must still hold. *)
+  (* Make late-claimed elements finish first; order must still hold. *)
   let input = Array.init 16 (fun i -> i) in
   let work i =
     let spin = (16 - i) * 10_000 in
@@ -39,33 +48,22 @@ let test_pool_map_uneven_work () =
       check int "work ran" 0 zero)
     results
 
-let test_pool_exception_propagates () =
-  let boom i = if i = 7 then failwith "boom" else i in
-  (match Pool.map ~jobs:3 boom (Array.init 20 (fun i -> i)) with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure message -> check bool "message" true (message = "boom"));
-  (* The pool survives a failing sibling: other tasks still complete. *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let failing = Pool.submit pool (fun () -> failwith "late") in
-      let fine = Pool.submit pool (fun () -> 41 + 1) in
-      check int "sibling unaffected" 42 (Pool.await fine);
-      match Pool.await failing with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure _ -> ())
+exception Boom of int
 
-let test_pool_submit_after_shutdown () =
-  let pool = Pool.create ~jobs:2 () in
-  check int "jobs" 2 (Pool.jobs pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Pool.submit pool (fun () -> ())))
+let test_pool_exception_propagates () =
+  (* Elements 3 and 11 raise: every element still runs, and the
+     lowest-index exception is the one re-raised. *)
+  let ran = Array.init 16 (fun _ -> Atomic.make false) in
+  let element i =
+    Atomic.set ran.(i) true;
+    if i = 3 || i = 11 then raise (Boom i) else i
+  in
+  (match Pool.map ~jobs:4 element (Array.init 16 (fun i -> i)) with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> check int "element 3's exception is raised" 3 i);
+  check bool "all 16 elements ran" true (Array.for_all Atomic.get ran)
 
 let test_pool_validation () =
-  Alcotest.check_raises "zero jobs"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0 ()));
   check bool "recommended >= 1" true (Pool.recommended_jobs () >= 1)
 
 (* --- Sweep determinism --------------------------------------------------- *)
@@ -249,7 +247,6 @@ let suite =
        Alcotest.test_case "uneven work" `Quick test_pool_map_uneven_work;
        Alcotest.test_case "exceptions propagate" `Quick
          test_pool_exception_propagates;
-       Alcotest.test_case "shutdown" `Quick test_pool_submit_after_shutdown;
        Alcotest.test_case "validation" `Quick test_pool_validation ]);
     ("sweep:determinism",
      [ Alcotest.test_case "-j 4 = serial (byte-identical)" `Quick
