@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-smoke obs-guard serve-smoke trace-smoke bench-service
+.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-guard trace-smoke
 
 # Wall-clock guard on the PR gate: a hang in any step (the very class
 # of bug the robustness layer exists to prevent) fails the gate after
@@ -38,11 +38,13 @@ dsafe-smoke: build
 # The PR gate: formatting, full build, source lint, domain-safety
 # analysis (dsafe) plus its negative smoke, test suite, a
 # bench smoke that exercises the --json path end to end, the
-# fault-injection smoke (every corruption class through the CLI), the
-# observability smoke (pipetrace + metrics + schema + profile), the
-# resimd smoke and the trace-frontier smoke. Sampled simulation end to
-# end (--sample, determinism, spec grammar, sampled sweep) is the dune
-# test group sample:cli.
+# fault-injection smoke (every corruption class through the CLI) and
+# the trace-frontier smoke. The CLI ends of the other layers are dune
+# test groups: sampled simulation (--sample, determinism, spec grammar,
+# sampled sweep) is sample:cli; observability (pipetrace, metrics JSON
+# and CSV, RSM-P schema validation, waterfall, profile) is obs:render;
+# resimd (exit codes, cache hit, sweep grid, supervision, SIGTERM
+# drain) is serve:cli.
 check:
 	$(TIMEOUT) 300 dune build @fmt
 	$(TIMEOUT) 900 dune build
@@ -52,26 +54,12 @@ check:
 	$(TIMEOUT) 600 dune exec bench/main.exe -- --quick --json /dev/null
 	$(MAKE) dsafe-smoke
 	$(MAKE) faultsmoke
-	$(MAKE) obs-smoke
-	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 
 # Every Fault_inject corruption class end to end through resim
 # faultgen / lint / simulate --degraded, each step under timeout.
 faultsmoke: build
 	$(TIMEOUT) 600 sh scripts/faultsmoke.sh
-
-# Observability end to end: simulate --pipetrace/--metrics/--waterfall,
-# RSM-P schema validation (clean + corrupted), resim profile.
-obs-smoke: build
-	$(TIMEOUT) 600 sh scripts/obs_smoke.sh
-
-# resimd end to end (DESIGN.md §16): daemon up, simulate/sweep/lint
-# jobs over the wire with the documented exit codes, cache hit on
-# resubmission, crashed-worker supervision, garbage-frame handling,
-# loadgen --quick, SIGTERM drain with no stale socket.
-serve-smoke: build
-	$(TIMEOUT) 900 sh scripts/serve_smoke.sh
 
 # The trace frontier end to end (DESIGN.md §17): foreign-format
 # adapters (text + riscv) through lint/simulate with synthesized
@@ -81,12 +69,6 @@ serve-smoke: build
 # O(chunk) on a 2M-record trace.
 trace-smoke: build
 	$(TIMEOUT) 900 sh scripts/trace_smoke.sh
-
-# Refresh the committed service benchmark (BENCH_service.json):
-# jobs/sec and p50/p99 latency at 1/4/16 clients against a local
-# daemon.
-bench-service: build
-	$(TIMEOUT) 900 sh scripts/bench_service.sh
 
 # No-sink throughput guard: full bench grid vs the committed
 # BENCH_engine.json anchors, gated on the geometric mean (default 2%

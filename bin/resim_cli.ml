@@ -15,8 +15,7 @@
      profile    attribute host time/allocation to engine phases
      workloads  list the built-in kernels
      serve      run the resimd job server on a Unix socket
-     submit     send jobs to a running server
-     loadgen    drive a running server with concurrent clients *)
+     submit     send jobs to a running server *)
 
 open Cmdliner
 module Check = Resim_check.Check
@@ -480,6 +479,17 @@ let trace_arg =
               unreadable file exits 2 with an RSM-T009 diagnostic; a \
               malformed record exits 3, a malformed foreign line 1.")
 
+(* [--sample SPEC] of both [simulate] and [sweep]: a malformed spec
+   prints [--sample <message>] and exits 2. *)
+let sample_spec_of = function
+  | None -> None
+  | Some raw -> (
+      match Resim_sample.Sample.spec_of_string raw with
+      | Ok spec -> Some spec
+      | Error message ->
+          Format.eprintf "--sample %s@." message;
+          exit 2)
+
 (* A failed run's diagnostic and exit status (see [fault_exit]). A
    malformed foreign line is a user-input problem: its RSM-A fault
    carries the adapter's [file:line:col] line, printed alone, exit 1. A
@@ -510,16 +520,7 @@ let report_failure ~command ?(salvaging = false) failure =
 let simulate workload scale source_file trace_file trace_format _stream
     perfect_bp caches max_cycles timeout checkpoint_out resume_file
     degraded pipetrace_out waterfall_window metrics_out sample =
-  let sample_spec =
-    match sample with
-    | None -> None
-    | Some raw -> (
-        match Resim_sample.Sample.spec_of_string raw with
-        | Ok spec -> Some spec
-        | Error message ->
-            Format.eprintf "--sample %s@." message;
-            exit 2)
-  in
+  let sample_spec = sample_spec_of sample in
   if sample_spec <> None && resume_file <> None then begin
     Format.eprintf
       "--sample does not combine with --resume (resume replays the full \
@@ -589,6 +590,7 @@ let simulate workload scale source_file trace_file trace_format _stream
     else base
   in
   ensure_valid_config ~context:"simulate" config;
+  let variant = Resim_core.Engine.variant_name config in
   (* Observability sinks (DESIGN.md §11): the JSONL pipetrace streams
      to its file as the run progresses; the waterfall renders on close.
      Both attach through one engine observer, so without them the
@@ -634,7 +636,6 @@ let simulate workload scale source_file trace_file trace_format _stream
         Format.printf "wrote pipetrace %s@." path
     | Some _ | None -> ()
   in
-  let engine_variant = ref None in
   let write_metrics ?report stats =
     match metrics_out with
     | None -> ()
@@ -650,12 +651,8 @@ let simulate workload scale source_file trace_file trace_format _stream
             let stats_json =
               Resim_core.Json.append_members
                 (Resim_core.Stats.to_json stats)
-                [ ( "specialized",
-                    Resim_core.Json.Bool (!engine_variant <> None) );
-                  ( "variant",
-                    match !engine_variant with
-                    | Some name -> Resim_core.Json.String name
-                    | None -> Resim_core.Json.Null ) ]
+                [ ("specialized", Resim_core.Json.Bool true);
+                  ("variant", Resim_core.Json.String variant) ]
             in
             match report with
             | None -> stats_json
@@ -704,13 +701,10 @@ let simulate workload scale source_file trace_file trace_format _stream
         fun () -> Unix.gettimeofday () > limit)
       timeout
   in
-  (* Record the engine identity, then attach the observability sinks.
-     With no sinks the engine keeps its observer-free hot path. *)
+  (* With no sinks the engine keeps its observer-free hot path. *)
   let instrument =
-    Some
-      (fun engine ->
-        engine_variant := Resim_core.Engine.variant engine;
-        if sinks <> [] then Resim_obs.Obs.attach engine sinks)
+    if sinks = [] then None
+    else Some (fun engine -> Resim_obs.Obs.attach engine sinks)
   in
   let fail failure =
     (* Flush the partial pipetrace — the events up to the fault are
@@ -720,13 +714,12 @@ let simulate workload scale source_file trace_file trace_format _stream
   in
   let conclude ?report robust =
     close_sinks ();
-    (match (resume, !engine_variant) with
-    | Some checkpoint, _ ->
+    (match resume with
+    | Some checkpoint ->
         Format.printf "resumed from cycle %Ld (cursor %d)@."
           checkpoint.Resim_core.Checkpoint.cycle
           checkpoint.Resim_core.Checkpoint.cursor
-    | None, Some name -> Format.printf "engine: specialized (%s)@." name
-    | None, None -> ());
+    | None -> Format.printf "engine: specialized (%s)@." variant);
     (match robust.Resim_core.Resim.stop with
     | Resim_core.Engine.Drained -> ()
     | Resim_core.Engine.Cycle_budget ->
@@ -996,12 +989,10 @@ let profile workload scale source_file trace_file json =
   (* The phase-probe closer charges the span still open when the run
      ends; Resim.run owns the engine, so capture it here. *)
   let closer = ref (fun () -> ()) in
-  let engine_variant = ref None in
   let result =
     Fun.protect ~finally:cleanup (fun () ->
         Resim_core.Resim.run ~config
           ~instrument:(fun engine ->
-            engine_variant := Resim_core.Engine.variant engine;
             closer := Resim_obs.Prof.instrument_engine prof engine)
           trace)
   in
@@ -1013,18 +1004,12 @@ let profile workload scale source_file trace_file json =
       Format.printf "%Ld major cycles, %Ld instructions committed@."
         (Resim_core.Stats.get Resim_core.Stats.major_cycles stats)
         (Resim_core.Stats.get Resim_core.Stats.committed stats);
-      Format.printf "engine: %s@.@."
-        (match !engine_variant with
-        | Some name -> "specialized (" ^ name ^ ")"
-        | None -> "generic");
+      let variant = Resim_core.Engine.variant_name config in
+      Format.printf "engine: specialized (%s)@.@." variant;
       Format.printf "%a@." Resim_obs.Prof.pp prof;
       (match json with
       | Some path ->
-          write_file path
-            (Resim_obs.Prof.to_json
-               ~specialized:
-                 (match !engine_variant with Some _ -> true | None -> false)
-               ?variant:!engine_variant prof);
+          write_file path (Resim_obs.Prof.to_json ~variant prof);
           Format.printf "wrote profile %s@." path
       | None -> ())
 
@@ -1117,16 +1102,7 @@ let dedupe_jobs jobs =
 
 let sweep jobs quick timeout max_cycles retries metrics_out profile_pool
     sample =
-  let sample_spec =
-    match sample with
-    | None -> None
-    | Some raw -> (
-        match Resim_sample.Sample.spec_of_string raw with
-        | Ok spec -> Some spec
-        | Error message ->
-            Format.eprintf "--sample %s@." message;
-            exit 2)
-  in
+  let sample_spec = sample_spec_of sample in
   let jobs = max 1 jobs in
   let grid =
     List.map Resim_reports.Runner.job_of_request
@@ -1168,10 +1144,7 @@ let sweep jobs quick timeout max_cycles retries metrics_out profile_pool
   let wall = Unix.gettimeofday () -. started in
   let results = Resim_sweep.Sweep.completed report in
   Format.printf "%a@." Resim_sweep.Sweep.pp_table results;
-  Format.printf "wall clock %.2f s at -j %d (%.2fx vs serial-equivalent)@."
-    wall jobs
-    (if wall > 0.0 then Resim_sweep.Sweep.total_wall results /. wall
-     else 1.0);
+  Format.printf "wall clock %.2f s at -j %d@." wall jobs;
   let counts = Resim_sweep.Sweep.counts report in
   Format.printf
     "outcomes: %d ok, %d failed, %d timed out, %d truncated, %d retried@."
@@ -1477,12 +1450,11 @@ let workloads_cmd =
     (Cmd.info "workloads" ~doc:"List the built-in kernels")
     Term.(const workloads $ const ())
 
-(* --- serve / submit / loadgen (DESIGN.md §16) ------------------------ *)
+(* --- serve / submit (DESIGN.md §16) ---------------------------------- *)
 
 module Server = Resim_serve.Server
 module Serve_client = Resim_serve.Client
 module Serve_protocol = Resim_serve.Protocol
-module Serve_load = Resim_serve.Load
 
 let socket_arg =
   Arg.(
@@ -1555,8 +1527,8 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "test-hooks" ]
-          ~doc:"Enable the $(b,crash-worker) request so tests and the \
-                smoke script can exercise the supervisor.")
+          ~doc:"Enable the $(b,crash-worker) request so tests can \
+                exercise the supervisor.")
   in
   let verbose =
     Arg.(
@@ -1809,65 +1781,6 @@ let submit_cmd =
       $ width $ rob $ lsq $ organization $ max_cycles $ timeout $ sample
       $ quiet)
 
-let loadgen socket kernel jobs clients quick output =
-  let client_counts = if quick then [ 1; 2 ] else clients in
-  let jobs_per_client = if quick then 2 else jobs in
-  let tiers =
-    Serve_load.run ~kernel ~jobs_per_client ~client_counts ~socket ()
-  in
-  List.iter
-    (fun tier ->
-      Printf.printf
-        "%2d client(s): %5.1f jobs/s  p50 %6.1f ms  p99 %6.1f ms  (%d \
-         job(s), %d error(s))\n"
-        tier.Serve_load.clients tier.Serve_load.jobs_per_sec
-        tier.Serve_load.p50_ms tier.Serve_load.p99_ms tier.Serve_load.jobs
-        tier.Serve_load.errors)
-    tiers;
-  match output with
-  | None -> ()
-  | Some path ->
-      write_file path (Serve_load.to_json tiers);
-      Printf.printf "wrote %s\n" path
-
-let loadgen_cmd =
-  let kernel =
-    Arg.(
-      value & opt string "gzip"
-      & info [ "k"; "kernel" ] ~docv:"KERNEL" ~doc:"Kernel to submit.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 8
-      & info [ "jobs" ] ~docv:"N" ~doc:"Jobs per client.")
-  in
-  let clients =
-    Arg.(
-      value
-      & opt (list int) [ 1; 4; 16 ]
-      & info [ "clients" ] ~docv:"N1,N2"
-          ~doc:"Client-count tiers to measure.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"CI-sized run: tiers 1,2 with 2 jobs per client.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the tier table as JSON (BENCH_service.json).")
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:"Drive a running $(b,resim serve) daemon with N concurrent \
-             clients and report jobs/sec with p50/p99 latency per tier")
-    Term.(
-      const loadgen $ socket_arg $ kernel $ jobs $ clients $ quick $ output)
-
 let () =
   let info =
     Cmd.info "resim" ~version:Resim_core.Resim.version
@@ -1880,4 +1793,4 @@ let () =
           [ tracegen_cmd; faultgen_cmd; simulate_cmd; area_cmd;
             schedule_cmd; table_cmd; sweep_cmd; bench_cmd; lint_cmd;
             disasm_cmd; vhdl_cmd; profile_cmd;
-            workloads_cmd; serve_cmd; submit_cmd; loadgen_cmd ]))
+            workloads_cmd; serve_cmd; submit_cmd ]))

@@ -126,17 +126,13 @@ let pp ppf t =
     all;
   Format.fprintf ppf "%-20s %12s %12.4f %6.1f@]" "total" "" total 100.0
 
-let to_json ?specialized ?variant t =
+let to_json ?variant t =
   let open Resim_core.Json in
   (* The engine identity the sections were measured against, when the
-     caller knows it: the closure family and the reference phases have
-     different phase-cost shapes, so the document must say which one it profiles. *)
+     caller knows it. *)
   let identity =
-    match specialized with
-    | Some flag ->
-        [ ("specialized", Bool flag);
-          ( "variant",
-            match variant with Some name -> String name | None -> Null ) ]
+    match variant with
+    | Some name -> [ ("specialized", Bool true); ("variant", String name) ]
     | None -> []
   in
   let section s =

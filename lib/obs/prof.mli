@@ -41,10 +41,8 @@ val sections : t -> section list
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : ?specialized:bool -> ?variant:string -> t -> string
-(** The section table as a JSON object. When [specialized] is given
-    the document leads with [{"specialized": ..., "variant": ...}] —
-    which engine implementation (the closure family and its variant,
-    or the reference phases; see DESIGN.md §14) the phase costs were
-    measured against. [variant]
-    is only meaningful alongside [specialized]. *)
+val to_json : ?variant:string -> t -> string
+(** The section table as a JSON object. When [variant] is given the
+    document leads with [{"specialized": true, "variant": ...}]: the
+    closure family's variant (DESIGN.md §14) the phase costs were
+    measured against. *)

@@ -156,6 +156,7 @@ type session = {
   mutable out_pos : int;  (* bytes of the oldest frame already written *)
   mutable requested : bool;
   mutable close_after_flush : bool;
+  mutable hung_up : bool;  (* the peer sent EOF; never read again *)
 }
 
 type slot = { mutable handle : unit Domain.t; mutable alive : bool Atomic.t }
@@ -377,7 +378,13 @@ let on_readable loop session =
       (match Protocol.finish session.inbuf ~offset:session.in_pos with
       | Ok () -> ()
       | Error _ -> Counters.incr loop.shared.counters "malformed");
-      if has_output session then session.close_after_flush <- true
+      if session.requested && not session.close_after_flush then
+        (* An admitted job's terminal event is still to come: a client
+           that half-closed after its request waits for it. A peer that
+           closed fully makes that write fail, which closes the
+           session. *)
+        session.hung_up <- true
+      else if has_output session then session.close_after_flush <- true
       else close_session loop session
   | n ->
       (* Append, then split from [in_pos]: bytes that arrived earlier
@@ -440,7 +447,8 @@ let accept_clients loop =
             out = Queue.create ();
             out_pos = 0;
             requested = false;
-            close_after_flush = false };
+            close_after_flush = false;
+            hung_up = false };
         go ()
   in
   go ()
@@ -649,7 +657,7 @@ let run config =
           let writes = ref [] in
           Hashtbl.iter
             (fun _ session ->
-              reads := session.fd :: !reads;
+              if not session.hung_up then reads := session.fd :: !reads;
               if has_output session then writes := session.fd :: !writes)
             loop.sessions;
           match Unix.select !reads !writes [] 0.2 with

@@ -457,7 +457,8 @@ let pp_table ppf results =
         result.telemetry.wall_seconds result.telemetry.host_mips)
     results;
   Format.fprintf ppf
-    "@,%d job(s); serial-equivalent wall %.2f s; aggregate host %.3f MIPS@]"
+    "@,%d job(s); engine time summed over jobs %.2f s; aggregate host %.3f \
+     MIPS@]"
     (List.length results) (total_wall results)
     (aggregate_host_mips results)
 

@@ -221,8 +221,10 @@ val counts : report -> counts
 (** {1 Aggregates and rendering} *)
 
 val total_wall : result list -> float
-(** Sum of per-job wall times — the serial-equivalent cost, which a
-    parallel run divides across domains. *)
+(** Engine time summed over jobs: the sum of each job's
+    [telemetry.wall_seconds], which times the simulate phase only. Trace
+    generation falls outside it, so it is not what the sweep would take
+    serially, and a sweep's wall clock is not comparable with it. *)
 
 val aggregate_host_mips : result list -> float
 (** Total committed instructions over {!total_wall}, in MIPS. *)
@@ -230,7 +232,8 @@ val aggregate_host_mips : result list -> float
 val pp_table : Format.formatter -> result list -> unit
 (** One row per job: label, kernel, scale, width/ROB/organization,
     major cycles, IPC, simulated MIPS on the Virtex-5 device, and host
-    telemetry. *)
+    telemetry; the footer gives {!total_wall} and
+    {!aggregate_host_mips}. *)
 
 val pp_failures : Format.formatter -> report -> unit
 (** Failure-summary table: label, outcome tag, attempts, detail. *)

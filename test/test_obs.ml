@@ -206,6 +206,80 @@ let test_cli_waterfall () =
         "F fetch  D dispatch  I issue  W writeback  C commit  x squashed"
         (match after with line :: _ -> line | [] -> ""))
 
+(* The CLI's pipetrace and metrics files: one simulate writes commit
+   events and the stall causes, a [.csv] path a header and one row of
+   the same width, and [lint --pipetrace] passes the stream clean and
+   flags a corrupted copy with its RSM-P codes. *)
+let test_cli_pipetrace_and_metrics () =
+  let temp suffix = Filename.temp_file "resim_obs" suffix in
+  let stream = temp ".jsonl" and metrics = temp ".json" in
+  let csv = temp ".csv" and corrupt = temp ".jsonl" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let run label args =
+    let code, output, _ = Test_sample.cli_output args in
+    check int (Printf.sprintf "%s (`resim %s`)" label args) 0 code;
+    output
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ stream; metrics; csv; corrupt ])
+    (fun () ->
+      ignore
+        (run "pipetrace and metrics"
+           (Printf.sprintf "simulate -k gzip -s 256 --pipetrace %s --metrics %s"
+              (Filename.quote stream) (Filename.quote metrics)));
+      check bool "the pipetrace has commit events" true
+        (Test_sample.contains (read stream) {|"e":"C"|});
+      check bool "the metrics have stall causes" true
+        (Test_sample.contains (read metrics) {|"stall_causes"|});
+      ignore
+        (run "CSV metrics"
+           (Printf.sprintf "simulate -k gzip -s 256 --metrics %s"
+              (Filename.quote csv)));
+      (match String.split_on_char '\n' (read csv) with
+      | header :: row :: _ ->
+          let columns line = List.length (String.split_on_char ',' line) in
+          check int "header and row have the same columns" (columns header)
+            (columns row);
+          check bool "at least 20 columns" true (columns header >= 20)
+      | _ -> Alcotest.fail "the CSV has no header and row");
+      let output =
+        run "lint of the clean stream"
+          (Printf.sprintf "lint --pipetrace %s" (Filename.quote stream))
+      in
+      check bool "lint reports clean" true
+        (Test_sample.contains output "clean");
+      let first_lines =
+        List.filteri
+          (fun i _ -> i < 5)
+          (String.split_on_char '\n' (read stream))
+      in
+      Out_channel.with_open_bin corrupt (fun channel ->
+          List.iter
+            (fun line -> output_string channel (line ^ "\n"))
+            (first_lines @ [ {|{"c":1,"e":"Z"}|}; "not json at all" ]));
+      let code, output, errors =
+        Test_sample.cli_output
+          (Printf.sprintf "lint --pipetrace %s" (Filename.quote corrupt))
+      in
+      check int "lint of the corrupted stream exits 1" 1 code;
+      List.iter
+        (fun code ->
+          check bool ("the corrupted stream reports " ^ code) true
+            (Test_sample.contains (output ^ errors) code))
+        [ "RSM-P001"; "RSM-P002" ])
+
+(* [profile] charges and names every engine phase. *)
+let test_cli_profile_phases () =
+  let code, output, _ = Test_sample.cli_output "profile -k gzip -s 256" in
+  check int "profile exits 0" 0 code;
+  check int "seven engine phases" 7 (List.length Engine.all_phases);
+  List.iter
+    (fun phase ->
+      let name = "engine/" ^ Engine.phase_name phase in
+      check bool (name ^ " in the section table") true
+        (Test_sample.contains output name))
+    Engine.all_phases
+
 (* ------------------------------------------------------------------- *)
 (* Profiler.                                                            *)
 
@@ -296,7 +370,11 @@ let suite =
          test_stall_reasons_all_legal ]);
     ("obs:render",
      [ Alcotest.test_case "waterfall" `Quick test_waterfall_renders;
-       Alcotest.test_case "simulate --waterfall 8" `Quick test_cli_waterfall ]);
+       Alcotest.test_case "simulate --waterfall 8" `Quick test_cli_waterfall;
+       Alcotest.test_case "simulate --pipetrace --metrics, then lint" `Quick
+         test_cli_pipetrace_and_metrics;
+       Alcotest.test_case "profile names every engine phase" `Quick
+         test_cli_profile_phases ]);
     ("obs:prof",
      [ Alcotest.test_case "engine phases charged" `Quick
          test_profiler_sections;

@@ -1023,10 +1023,24 @@ let test_cli_sampled_metrics () =
            (mean -. ci95) (mean +. ci95))
         true
         (mean -. ci95 <= full_ipc && full_ipc <= mean +. ci95);
-      check int "sampled sweep exits 0" 0
-        (run_cli
-           (Printf.sprintf "sweep --quick -j 2 --sample 200:1800:7 --metrics %s"
-              (Filename.quote sweep)));
+      let code, output, _ =
+        cli_output
+          (Printf.sprintf "sweep --quick -j 2 --sample 200:1800:7 --metrics %s"
+             (Filename.quote sweep))
+      in
+      check int "sampled sweep exits 0" 0 code;
+      (* The footer's sum is engine time, which leaves trace generation
+         out, so no ratio of it to the sweep's wall clock is printed. *)
+      check bool "the wall-clock line is the wall clock alone" true
+        (List.exists
+           (fun line ->
+             String.starts_with ~prefix:"wall clock " line
+             && String.ends_with ~suffix:" s at -j 2" line)
+           (String.split_on_char '\n' output));
+      check bool "the footer sums engine time over jobs" true
+        (contains output " job(s); engine time summed over jobs ");
+      check bool "no serial-equivalent figure" false
+        (contains output "serial-equivalent");
       match Json.member "jobs" (document sweep) with
       | Some (Json.List (_ :: _ as jobs)) ->
           List.iter

@@ -12,7 +12,6 @@ open Alcotest
 module Protocol = Resim_serve.Protocol
 module Client = Resim_serve.Client
 module Server = Resim_serve.Server
-module Load = Resim_serve.Load
 module Checkpoint = Resim_core.Checkpoint
 module Resim = Resim_core.Resim
 module Config = Resim_core.Config
@@ -742,6 +741,21 @@ let test_truncated_frame () =
         (List.length (raw_exchange socket [ String.sub framed 0 14 ]));
       check int "the truncated frame is malformed" 1 (malformed_count socket))
 
+(* A client may half-close its write side once its request is sent
+   ([raw_exchange] does): the daemon still delivers the job's [done]. *)
+let test_half_closed_client () =
+  let config = Server.default_config ~socket_path:(fresh_socket ()) in
+  with_server config (fun socket ->
+      let request =
+        Protocol.frame (Protocol.encode_request (simulate_request "gzip"))
+      in
+      match raw_exchange socket [ request ] with
+      | [ Protocol.Accepted _; Protocol.Done payload ] ->
+          check string "the done event's outcome" "ok" payload.Protocol.outcome
+      | events ->
+          failf "expected accepted, then done; got %d event(s)"
+            (List.length events))
+
 let test_admission_rejections () =
   let socket = fresh_socket () in
   let config =
@@ -814,74 +828,88 @@ let test_checkpoint_legacy_unstamped () =
   | Ok () -> ()
   | Error _ -> fail "unstamped checkpoints must stay loadable"
 
-(* --- loadgen JSON ---------------------------------------------------- *)
+(* --- the CLI against a subprocess daemon ------------------------------ *)
 
-let test_load_json_parses () =
-  let tiers =
-    [ { Load.clients = 1; jobs = 8; completed = 8; errors = 0;
-        duration = 1.25; jobs_per_sec = 6.4; p50_ms = 150.; p99_ms = 310. } ]
-  in
-  check bool "BENCH_service.json parses" true
-    (Json.validate (Load.to_json tiers) = Ok ())
-
-(* --- table-driven CLI exit codes (satellite 6) ----------------------- *)
-
-let cli =
-  Filename.concat
-    (Filename.concat
-       (Filename.dirname (Filename.dirname Sys.executable_name))
-       "bin")
-    "resim_cli.exe"
-
-let run_cli args =
-  Sys.command
-    (Printf.sprintf "%s %s > /dev/null 2> /dev/null" (Filename.quote cli) args)
-
+(* One daemon, driven through `resim submit`: each row's exit code, and
+   the stdout lines a row names. The rows run in order, so the second
+   simulate is the first one's cache hit, and the simulate after the
+   crashed worker and the garbage frame shows the daemon still runs
+   jobs. Then SIGTERM drains it: exit 0, and the socket file is gone. *)
 let test_cli_exit_codes () =
+  let cli = Test_sample.cli in
   check bool ("CLI binary present at " ^ cli) true (Sys.file_exists cli);
   let socket = fresh_socket () in
-  let quoted = Filename.quote socket in
+  let submit args =
+    Printf.sprintf "submit --socket %s %s" (Filename.quote socket) args
+  in
   let daemon =
     Unix.create_process cli
       [| cli; "serve"; "--socket"; socket; "--workers"; "1"; "--retries";
          "0"; "--test-hooks" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
+  let reaped = ref false in
+  let stop () =
+    Unix.kill daemon Sys.sigterm;
+    reaped := true;
+    snd (Unix.waitpid [] daemon)
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Unix.kill daemon Sys.sigterm;
-      ignore (Unix.waitpid [] daemon))
+    ~finally:(fun () -> if not !reaped then ignore (stop ()))
     (fun () ->
       wait_ready socket;
       let cases =
-        [ ("status", Printf.sprintf "submit --socket %s --status" quoted, 0);
+        [ ("status", submit "--status", 0, []);
           ( "clean simulate over the wire",
-            Printf.sprintf "submit --socket %s -k gzip -s 200 --quiet" quoted,
-            0 );
+            submit "-k gzip -s 200 --quiet",
+            0,
+            [ "outcome: ok (attempt(s): 1)"; "\"ipc\"" ] );
+          ( "the same simulate again is a cache hit",
+            submit "-k gzip -s 200 --quiet",
+            0,
+            [ "[cached]" ] );
           (* a non-finite budget is no budget, as `simulate --timeout
              inf` reads it *)
           ( "infinite timeout over the wire",
-            Printf.sprintf
-              "submit --socket %s -k gzip -s 200 --quiet --timeout inf" quoted,
-            0 );
-          ( "invalid config over the wire",
-            Printf.sprintf "submit --socket %s -k gzip --base nope" quoted,
-            2 );
+            submit "-k gzip -s 200 --quiet --timeout inf",
+            0,
+            [] );
+          ( "a sweep grid over the wire",
+            submit "--sweep --kernels gzip --widths 2,4 --quiet",
+            0,
+            [ "\"gzip/w2\"" ] );
+          ("invalid config over the wire", submit "-k gzip --base nope", 2, []);
           ( "server-side fault (crashed worker, no retries)",
-            Printf.sprintf "submit --socket %s --crash-worker" quoted,
-            3 );
-          ( "garbage frame gets a typed error",
-            Printf.sprintf "submit --socket %s --send-garbage" quoted,
-            3 );
+            submit "--crash-worker",
+            3,
+            [] );
+          ("garbage frame gets a typed error", submit "--send-garbage", 3, []);
+          ( "a simulate after the crash and the garbage frame",
+            submit "-k gzip -s 300 --quiet",
+            0,
+            [ "outcome: ok (attempt(s): 1)" ] );
           ( "connection refused",
             "submit --socket /nonexistent/resimd.sock --status",
-            4 ) ]
+            4,
+            [] ) ]
       in
       List.iter
-        (fun (label, args, expected) ->
-          check int (Printf.sprintf "%s (`resim %s`)" label args) expected
-            (run_cli args))
-        cases)
+        (fun (label, args, expected, needles) ->
+          let label = Printf.sprintf "%s (`resim %s`)" label args in
+          let code, output, _ = Test_sample.cli_output args in
+          check int label expected code;
+          List.iter
+            (fun needle ->
+              check bool
+                (Printf.sprintf "%s prints %s" label needle)
+                true
+                (Test_sample.contains output needle))
+            needles)
+        cases;
+      check bool "the daemon exits 0 on SIGTERM" true
+        (stop () = Unix.WEXITED 0);
+      check bool "the drained daemon removed its socket" false
+        (Sys.file_exists socket))
 
 let suite =
   [ ("serve:protocol",
@@ -915,7 +943,9 @@ let suite =
        Alcotest.test_case "a request, then a second frame: reply, then RSM-S004"
          `Slow test_second_frame;
        Alcotest.test_case "a truncated frame, then EOF, counts as malformed"
-         `Slow test_truncated_frame ]);
+         `Slow test_truncated_frame;
+       Alcotest.test_case "a half-closed client gets accepted, then done"
+         `Slow test_half_closed_client ]);
     ("serve:checkpoint-identity",
      [ Alcotest.test_case "engine identity is config-sensitive" `Quick
          test_engine_identity;
@@ -923,8 +953,6 @@ let suite =
          test_checkpoint_identity_round_trip;
        Alcotest.test_case "legacy unstamped handles stay loadable" `Quick
          test_checkpoint_legacy_unstamped ]);
-    ("serve:loadgen",
-     [ Alcotest.test_case "tier JSON parses" `Quick test_load_json_parses ]);
     ("serve:cli",
      [ Alcotest.test_case "serve/submit exit-code table" `Slow
          test_cli_exit_codes ]) ]
