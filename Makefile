@@ -16,8 +16,9 @@ build:
 test:
 	dune runtest
 
-# resim-check layer 3: the hot-path source lint over lib/core
-# (bin/resim_lint.ml; rules RSM-L001..L004, catalog in DESIGN.md §9).
+# resim-check layer 3: the hot-path source lint over lib/core and the
+# per-record files of lib/trace, lib/bpred, lib/isa and lib/tracegen
+# (bin/resim_lint.ml; rules RSM-L001..L005, catalog in DESIGN.md §9).
 lint:
 	dune build @lint
 

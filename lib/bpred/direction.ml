@@ -20,13 +20,13 @@ type state =
   | S_two_level of {
       bht : int array;
       hist_mask : int;
-      history_bits : int;
+      pc_bits : int;  (* see [pc_bits], fixed when the table is built *)
       pht : Saturating.t array;
     }
   | S_gshare of {
       mutable history : int;
       hist_mask : int;
-      history_bits : int;
+      pc_bits : int;
       pht : Saturating.t array;
     }
 
@@ -37,6 +37,17 @@ let positive name value =
     invalid_arg (Printf.sprintf "Direction.create: %s must be positive" name)
 
 let counters entries = Array.init entries (fun _ -> Saturating.create ())
+
+let bits_of n =
+  let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
+  loop n 0
+
+(* The PHT index holds the history register concatenated with as many
+   low PC bits as the table leaves room for (e.g. 8 history bits + 4 PC
+   bits fill the paper's 4096-entry PHT). *)
+let pc_bits ~history_bits ~pht_entries =
+  let bits = bits_of pht_entries - history_bits in
+  if bits > 0 then bits else 0
 
 let create config =
   let state =
@@ -54,7 +65,7 @@ let create config =
         S_two_level
           { bht = Array.make bht_entries 0;
             hist_mask = (1 lsl history_bits) - 1;
-            history_bits;
+            pc_bits = pc_bits ~history_bits ~pht_entries;
             pht = counters pht_entries }
     | Gshare { history_bits; pht_entries } ->
         positive "history_bits" history_bits;
@@ -62,22 +73,14 @@ let create config =
         S_gshare
           { history = 0;
             hist_mask = (1 lsl history_bits) - 1;
-            history_bits;
+            pc_bits = pc_bits ~history_bits ~pht_entries;
             pht = counters pht_entries }
   in
   { config; state }
 
 let config t = t.config
 
-let bits_of n =
-  let rec loop n acc = if n <= 1 then acc else loop (n lsr 1) (acc + 1) in
-  loop n 0
-
-(* PHT index of a two-level predictor: the history register concatenated
-   with as many low PC bits as the table leaves room for (e.g. 8 history
-   bits + 4 PC bits fill the paper's 4096-entry PHT). *)
-let pattern_index ~pc ~history ~history_bits ~pht_entries =
-  let pc_bits = max 0 (bits_of pht_entries - history_bits) in
+let pattern_index ~pc ~history ~pc_bits ~pht_entries =
   let index = (history lsl pc_bits) lor (pc land ((1 lsl pc_bits) - 1)) in
   index mod pht_entries
 
@@ -87,16 +90,15 @@ let predict t ~pc ~actual =
   | S_fixed (Some direction) -> direction
   | S_bimodal table ->
       Saturating.predict_taken table.(pc mod Array.length table)
-  | S_two_level { bht; pht; history_bits; hist_mask = _ } ->
+  | S_two_level { bht; pht; pc_bits; hist_mask = _ } ->
       let history = bht.(pc mod Array.length bht) in
       let index =
-        pattern_index ~pc ~history ~history_bits
-          ~pht_entries:(Array.length pht)
+        pattern_index ~pc ~history ~pc_bits ~pht_entries:(Array.length pht)
       in
       Saturating.predict_taken pht.(index)
-  | S_gshare { history; pht; history_bits; hist_mask = _ } ->
+  | S_gshare { history; pht; pc_bits; hist_mask = _ } ->
       let index =
-        pattern_index ~pc ~history:(history lxor pc) ~history_bits
+        pattern_index ~pc ~history:(history lxor pc) ~pc_bits
           ~pht_entries:(Array.length pht)
       in
       Saturating.predict_taken pht.(index)
@@ -106,19 +108,18 @@ let update t ~pc ~taken =
   | S_fixed _ -> ()
   | S_bimodal table ->
       Saturating.train table.(pc mod Array.length table) ~taken
-  | S_two_level { bht; hist_mask; history_bits; pht } ->
+  | S_two_level { bht; hist_mask; pc_bits; pht } ->
       let slot = pc mod Array.length bht in
       let history = bht.(slot) in
       let index =
-        pattern_index ~pc ~history ~history_bits
-          ~pht_entries:(Array.length pht)
+        pattern_index ~pc ~history ~pc_bits ~pht_entries:(Array.length pht)
       in
       Saturating.train pht.(index) ~taken;
       bht.(slot) <- ((history lsl 1) lor (if taken then 1 else 0)) land hist_mask
   | S_gshare g ->
       let index =
-        pattern_index ~pc ~history:(g.history lxor pc)
-          ~history_bits:g.history_bits ~pht_entries:(Array.length g.pht)
+        pattern_index ~pc ~history:(g.history lxor pc) ~pc_bits:g.pc_bits
+          ~pht_entries:(Array.length g.pht)
       in
       Saturating.train g.pht.(index) ~taken;
       g.history <-
@@ -134,11 +135,10 @@ let snapshot t =
     match t.state with
     | S_fixed f -> S_fixed f
     | S_bimodal table -> S_bimodal (copy_counters table)
-    | S_two_level { bht; hist_mask; history_bits; pht } ->
+    | S_two_level { bht; hist_mask; pc_bits; pht } ->
         S_two_level
-          { bht = Array.copy bht; hist_mask; history_bits;
-            pht = copy_counters pht }
-    | S_gshare { history; hist_mask; history_bits; pht } ->
-        S_gshare { history; hist_mask; history_bits; pht = copy_counters pht }
+          { bht = Array.copy bht; hist_mask; pc_bits; pht = copy_counters pht }
+    | S_gshare { history; hist_mask; pc_bits; pht } ->
+        S_gshare { history; hist_mask; pc_bits; pht = copy_counters pht }
   in
   { config = t.config; state }

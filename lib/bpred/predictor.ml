@@ -13,6 +13,7 @@ let perfect_config = { default_config with direction = Direction.Perfect }
 
 type t = {
   config : config;
+  oracle : bool;  (* [config.direction] is [Perfect] *)
   direction : Direction.t;
   btb : Btb.t;
   ras : Ras.t;
@@ -28,6 +29,11 @@ type prediction = {
 
 let create config =
   { config;
+    oracle =
+      (match config.direction with
+      | Perfect -> true
+      | Static_taken | Static_not_taken | Bimodal _ | Two_level _ | Gshare _ ->
+          false);
     direction = Direction.create config.direction;
     btb = Btb.create config.btb;
     ras = Ras.create config.ras_depth;
@@ -36,11 +42,9 @@ let create config =
 
 let config t = t.config
 
-let is_oracle t = t.config.direction = Direction.Perfect
-
 let predict t ~pc ~kind ~fallthrough ~actual_taken ~actual_target =
   t.predictions <- t.predictions + 1;
-  let oracle = is_oracle t in
+  let oracle = t.oracle in
   match (kind : Resim_isa.Opcode.branch_kind) with
   | Cond ->
       let taken = Direction.predict t.direction ~pc ~actual:actual_taken in

@@ -1,14 +1,14 @@
 type t = { mutable value : int; max : int; threshold : int }
 
 let create ?(bits = 2) ?initial () =
-  let max = (1 lsl bits) - 1 in
+  let top = (1 lsl bits) - 1 in
   let threshold = 1 lsl (bits - 1) in
   let value =
     match initial with
-    | Some v -> (if v < 0 then 0 else if v > max then max else v)
+    | Some v -> (if v < 0 then 0 else if v > top then top else v)
     | None -> threshold
   in
-  { value; max; threshold }
+  { value; max = top; threshold }
 
 let value c = c.value
 let predict_taken c = c.value >= c.threshold

@@ -52,69 +52,76 @@ let alu_result (op : Opcode.t) a b imm =
   | J | Jal | Jr | Jalr | Halt ->
       assert false
 
-let step m program =
+(* The tails of [step], as top-level functions rather than closures
+   built on every step: on the correct path the only allocation left is
+   the outcome. *)
+let stepped m index instr next_index effective_address control =
+  Machine.set_pc m next_index;
+  Machine.incr_retired m;
+  Stepped { index; instr; next_index; effective_address; control }
+
+let access m index instr addr =
+  stepped m index instr (index + 1) (Some addr) None
+
+let branch m index instr kind taken target =
+  let next_index = if taken then target else index + 1 in
+  stepped m index instr next_index None (Some { kind; taken; target })
+
+let step m (program : Program.t) =
   if Machine.halted m then Halted_
   else
     let index = Machine.pc m in
-    match Program.fetch program index with
-    | None ->
-        Machine.set_halted m true;
-        Halted_
-    | Some instr -> (
-        let fallthrough = index + 1 in
-        let a = src m instr.Instruction.src1
-        and b = src m instr.Instruction.src2 in
-        let finish ?effective_address ?control next_index =
-          Machine.set_pc m next_index;
-          Machine.incr_retired m;
-          Stepped { index; instr; next_index; effective_address; control }
-        in
-        let branch kind taken target =
-          let next = if taken then target else fallthrough in
-          finish ~control:{ kind; taken; target } next
-        in
-        match instr.op with
-        | Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt
-        | Addi | Andi | Ori | Xori | Slti | Lui | Mul | Div | Rem | Nop ->
-            write m instr.dest (alu_result instr.op a b instr.imm);
-            finish fallthrough
-        | Halt ->
-            Machine.set_halted m true;
-            Halted_
-        | Lw ->
-            let addr = a + instr.imm in
-            write m instr.dest (Machine.read_word m addr);
-            finish ~effective_address:addr fallthrough
-        | Lb ->
-            let addr = a + instr.imm in
-            write m instr.dest (Machine.read_byte m addr);
-            finish ~effective_address:addr fallthrough
-        | Sw ->
-            let addr = a + instr.imm in
-            Machine.write_word m addr b;
-            finish ~effective_address:addr fallthrough
-        | Sb ->
-            let addr = a + instr.imm in
-            Machine.write_byte m addr b;
-            finish ~effective_address:addr fallthrough
-        | Beq -> branch Cond (a = b) instr.imm
-        | Bne -> branch Cond (a <> b) instr.imm
-        | Blt -> branch Cond (a < b) instr.imm
-        | Bge -> branch Cond (a >= b) instr.imm
-        | J -> branch Jump true instr.imm
-        | Jal ->
-            write m instr.dest fallthrough;
-            branch Call true instr.imm
-        | Jr ->
-            let kind : Opcode.branch_kind =
-              match instr.src1 with
-              | Some reg when Reg.equal reg Reg.ra -> Ret
-              | Some _ | None -> Indirect
-            in
-            branch kind true a
-        | Jalr ->
-            write m instr.dest fallthrough;
-            branch Indirect true a)
+    if index < 0 || index >= Array.length program.code then begin
+      Machine.set_halted m true;
+      Halted_
+    end
+    else
+      let instr = program.code.(index) in
+      let fallthrough = index + 1 in
+      let a = src m instr.Instruction.src1
+      and b = src m instr.Instruction.src2 in
+      match instr.op with
+      | Add | Sub | And | Or | Xor | Sll | Srl | Sra | Slt
+      | Addi | Andi | Ori | Xori | Slti | Lui | Mul | Div | Rem | Nop ->
+          write m instr.dest (alu_result instr.op a b instr.imm);
+          stepped m index instr fallthrough None None
+      | Halt ->
+          Machine.set_halted m true;
+          Halted_
+      | Lw ->
+          let addr = a + instr.imm in
+          write m instr.dest (Machine.read_word m addr);
+          access m index instr addr
+      | Lb ->
+          let addr = a + instr.imm in
+          write m instr.dest (Machine.read_byte m addr);
+          access m index instr addr
+      | Sw ->
+          let addr = a + instr.imm in
+          Machine.write_word m addr b;
+          access m index instr addr
+      | Sb ->
+          let addr = a + instr.imm in
+          Machine.write_byte m addr b;
+          access m index instr addr
+      | Beq -> branch m index instr Cond (a = b) instr.imm
+      | Bne -> branch m index instr Cond (a <> b) instr.imm
+      | Blt -> branch m index instr Cond (a < b) instr.imm
+      | Bge -> branch m index instr Cond (a >= b) instr.imm
+      | J -> branch m index instr Jump true instr.imm
+      | Jal ->
+          write m instr.dest fallthrough;
+          branch m index instr Call true instr.imm
+      | Jr ->
+          let kind : Opcode.branch_kind =
+            match instr.src1 with
+            | Some reg when Reg.equal reg Reg.ra -> Ret
+            | Some _ | None -> Indirect
+          in
+          branch m index instr kind true a
+      | Jalr ->
+          write m instr.dest fallthrough;
+          branch m index instr Indirect true a
 
 let run ?(max_steps = 10_000_000) m program =
   let rec loop executed =

@@ -31,6 +31,8 @@ let is_store r =
   | Memory { is_load; _ } -> not is_load
   | Branch _ | Other _ -> false
 
+(* [r0] reads and writes are no dependency, so they encode as 0, the
+   same as an absent register. *)
 let reg_field = function
   | Some reg -> Resim_isa.Reg.to_int reg
   | None -> 0
@@ -57,17 +59,14 @@ let of_observation ~wrong_path (obs : Resim_isa.Interpreter.observation) =
         in
         Other { op_class }
   in
+  (* The sources actually read, in order: a missing or [r0] first
+     source moves the second one up. *)
+  let first = reg_field instr.src1 and second = reg_field instr.src2 in
   { pc = obs.index;
     wrong_path;
-    dest = reg_field (Resim_isa.Instruction.destination instr);
-    src1 =
-      (match Resim_isa.Instruction.sources instr with
-      | s :: _ -> Resim_isa.Reg.to_int s
-      | [] -> 0);
-    src2 =
-      (match Resim_isa.Instruction.sources instr with
-      | _ :: s :: _ -> Resim_isa.Reg.to_int s
-      | [ _ ] | [] -> 0);
+    dest = reg_field instr.dest;
+    src1 = (if first = 0 then second else first);
+    src2 = (if first = 0 then 0 else second);
     payload }
 
 let equal a b = a = b

@@ -29,6 +29,35 @@ val default_config : config
 (** Paper predictor, wrong-path limit 16 + 4 (ROB + IFQ of the reference
     processor), 1 M instruction budget. *)
 
+(** {1 Stepping}
+
+    The one generation loop: {!run} drains it into an array and
+    {!Stream} into a queue, so both produce the same records in the
+    same order. *)
+
+type t
+
+val create :
+  ?config:config -> emit:(Resim_trace.Record.t -> unit) ->
+  Resim_isa.Program.t -> t
+(** A generator at the program's entry point; it hands every record to
+    [emit], in trace order. *)
+
+val step : t -> bool
+(** Execute the next correct-path instruction and emit its record, then,
+    when the predictor missed its direction, the tagged block down the
+    predicted path. [false], with nothing emitted, once the program has
+    halted or the instruction budget is spent. *)
+
+val correct_path : t -> int
+val wrong_path : t -> int
+val mispredicted_branches : t -> int
+
+val halted : t -> bool
+(** [step] has returned [false]. *)
+
+(** {1 Whole traces} *)
+
 type result = {
   records : Resim_trace.Record.t array;
   correct_path : int;       (** untagged records *)

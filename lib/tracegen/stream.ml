@@ -1,90 +1,19 @@
-module Isa = Resim_isa
-module Bpred = Resim_bpred
-module Trace = Resim_trace
-
 type t = {
-  config : Generator.config;
-  program : Isa.Program.t;
-  machine : Isa.Machine.t;
-  predictor : Bpred.Predictor.t;
-  pending : Trace.Record.t Queue.t;
-  mutable correct : int;
-  mutable wrong : int;
-  mutable mispredicted : int;
-  mutable halted : bool;
+  generator : Generator.t;
+  pending : Resim_trace.Record.t Queue.t;
 }
 
-let create ?(config = Generator.default_config) program =
-  { config;
-    program;
-    machine = Isa.Machine.create ~program ();
-    predictor = Bpred.Predictor.create config.predictor;
-    pending = Queue.create ();
-    correct = 0;
-    wrong = 0;
-    mispredicted = 0;
-    halted = false }
-
-(* Speculatively execute the wrong path and queue its tagged records,
-   then roll the machine back — same procedure as the batch generator. *)
-let queue_wrong_path t ~wrong_pc =
-  let saved = Isa.Machine.checkpoint t.machine in
-  Isa.Machine.set_pc t.machine wrong_pc;
-  let rec loop emitted =
-    if emitted >= t.config.wrong_path_limit then ()
-    else
-      match Isa.Interpreter.step t.machine t.program with
-      | Halted_ -> ()
-      | Stepped obs ->
-          Queue.add (Trace.Record.of_observation ~wrong_path:true obs)
-            t.pending;
-          t.wrong <- t.wrong + 1;
-          loop (emitted + 1)
-  in
-  loop 0;
-  Isa.Machine.rollback t.machine saved
-
-let advance t =
-  if t.correct >= t.config.max_instructions then t.halted <- true
-  else
-    match Isa.Interpreter.step t.machine t.program with
-    | Halted_ -> t.halted <- true
-    | Stepped obs ->
-        t.correct <- t.correct + 1;
-        Queue.add (Trace.Record.of_observation ~wrong_path:false obs)
-          t.pending;
-        (match obs.control with
-        | None -> ()
-        | Some { kind; taken; target } ->
-            let prediction =
-              Bpred.Predictor.predict t.predictor ~pc:obs.index ~kind
-                ~fallthrough:(obs.index + 1) ~actual_taken:taken
-                ~actual_target:target
-            in
-            Bpred.Predictor.update t.predictor ~pc:obs.index ~kind ~taken
-              ~target;
-            let direction_wrong = prediction.taken <> taken in
-            Bpred.Predictor.record_resolution t.predictor
-              ~correct:(not direction_wrong);
-            if direction_wrong && kind = Cond then begin
-              t.mispredicted <- t.mispredicted + 1;
-              let wrong_pc =
-                if prediction.taken then target else obs.index + 1
-              in
-              queue_wrong_path t ~wrong_pc
-            end)
+let create ?config program =
+  let pending = Queue.create () in
+  { generator = Generator.create ?config ~emit:(fun r -> Queue.add r pending) program;
+    pending }
 
 let rec pull t =
   match Queue.take_opt t.pending with
-  | Some record -> Some record
-  | None ->
-      if t.halted then None
-      else begin
-        advance t;
-        pull t
-      end
+  | Some _ as record -> record
+  | None -> if Generator.step t.generator then pull t else None
 
-let correct_path t = t.correct
-let wrong_path t = t.wrong
-let mispredicted_branches t = t.mispredicted
-let finished t = t.halted && Queue.is_empty t.pending
+let correct_path t = Generator.correct_path t.generator
+let wrong_path t = Generator.wrong_path t.generator
+let mispredicted_branches t = Generator.mispredicted_branches t.generator
+let finished t = Generator.halted t.generator && Queue.is_empty t.pending

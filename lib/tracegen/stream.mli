@@ -5,9 +5,10 @@
     concurrently with functional simulation instead of materialising the
     whole trace first — the paper's future-work idea of producing “the
     trace on the fly directly from a functional simulator” (§VI), as in
-    FAST. Wrong-path blocks are synthesised eagerly into an internal
-    queue when their branch is generated, so the stream's record order is
-    identical to {!Generator.run}'s. *)
+    FAST. It drains the same generation loop as {!Generator.run}
+    ({!Generator.step}) into an internal queue, wrong-path blocks
+    included, so it yields {!Generator.run}'s records in the same
+    order. *)
 
 type t
 

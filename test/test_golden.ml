@@ -127,9 +127,63 @@ let check_against_table ~prepare () =
     (List.length actual);
   List.iter2 (Alcotest.(check string) "digest") expected actual
 
+(* Golden traces: the committed table [golden_traces.txt] pins the
+   generator itself, not only the stats it leads to. One line per
+   built-in kernel at its default scale and generator configuration:
+   the default one, and the one a non-reference engine configuration
+   derives (perfect predictor and ROB 32: the predictor's oracle path,
+   and no wrong-path blocks). The digest covers the whole Fixed
+   encoding, so every record field and the record count are pinned.
+   Regenerate only for a deliberate change to the trace the generator
+   produces, with [RESIM_GOLDEN_TRACES_WRITE=$PWD/test/golden_traces.txt
+   dune exec ./test/test_main.exe]. *)
+let generator_configs =
+  [ ("default", Resim_tracegen.Generator.default_config);
+    ( "perfect-rob32",
+      Resim.generator_config
+        { Config.reference with
+          Config.predictor = Resim_bpred.Predictor.perfect_config;
+          rob_entries = 32 } ) ]
+
+let trace_table () =
+  List.concat_map
+    (fun kernel ->
+      let program = Workload.program_of kernel () in
+      List.map
+        (fun (name, config) ->
+          let result = Resim_tracegen.Generator.run ~config program in
+          Printf.sprintf "trace %s %s correct=%d wrong=%d mispredicted=%d \
+                          completed=%b %s"
+            (Workload.name_of kernel) name result.correct_path
+            result.wrong_path result.mispredicted_branches
+            result.executed_to_completion
+            (Hash.string
+               (Resim_trace.Codec.encode ~format:Resim_trace.Codec.Fixed
+                  result.records)))
+        generator_configs)
+    (Workload.all @ Workload.extended)
+
+let write_traces path =
+  let oc = open_out path in
+  List.iter (fun line -> output_string oc (line ^ "\n")) (trace_table ());
+  close_out oc
+
+let check_traces () =
+  let expected =
+    In_channel.with_open_text "golden_traces.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  let actual = trace_table () in
+  Alcotest.(check int) "trace count" (List.length expected)
+    (List.length actual);
+  List.iter2 (Alcotest.(check string) "trace") expected actual
+
 let suite =
   [ ("golden:digests",
      [ Alcotest.test_case "default engine" `Slow
          (check_against_table ~prepare:ignore);
        Alcotest.test_case "reference phases" `Slow
-         (check_against_table ~prepare:Engine.use_reference) ]) ]
+         (check_against_table ~prepare:Engine.use_reference) ]);
+    ("golden:traces",
+     [ Alcotest.test_case "generated traces" `Slow check_traces ]) ]

@@ -8,6 +8,11 @@ let () =
       Test_golden.write path;
       exit 0)
     (Sys.getenv_opt "RESIM_GOLDEN_WRITE");
+  Option.iter
+    (fun path ->
+      Test_golden.write_traces path;
+      exit 0)
+    (Sys.getenv_opt "RESIM_GOLDEN_TRACES_WRITE");
   Alcotest.run "resim"
     (List.concat
        [ Test_isa.suite;

@@ -116,6 +116,26 @@ let test_straight_line_has_no_branch_records () =
   check int "no branches" 0 summary.branches;
   check int "four instructions" 4 result.correct_path
 
+(* Generation allocates little beyond the records it returns: the
+   interpreter's outcome of each step (8 to 14 words) and the memory and
+   branch records it cannot reuse (9 to 11 words each), 14.8 words per
+   record on gzip. Building the trace as a list, with an option per
+   fetch and memory lookup, a boxed retired count, per-step closures and
+   two source lists per record, took 66.6. *)
+let words_per_record_bound = 20.
+
+let test_allocation_per_record () =
+  let program =
+    Resim_workloads.Workload.(program_of (find "gzip")) ()
+  in
+  let before = Gc.minor_words () in
+  let result = Generator.run program in
+  let words = Gc.minor_words () -. before in
+  let per_record = words /. float_of_int (Array.length result.records) in
+  if per_record > words_per_record_bound then
+    Alcotest.failf "%.1f minor words per record (bound %.0f)" per_record
+      words_per_record_bound
+
 (* --- synthetic ---------------------------------------------------------- *)
 
 let test_synthetic_counts () =
@@ -200,7 +220,9 @@ let suite =
        Alcotest.test_case "determinism" `Quick test_generator_deterministic;
        Alcotest.test_case "instruction budget" `Quick test_budget_respected;
        Alcotest.test_case "straight line" `Quick
-         test_straight_line_has_no_branch_records ]);
+         test_straight_line_has_no_branch_records;
+       Alcotest.test_case "allocation per record" `Quick
+         test_allocation_per_record ]);
     ("tracegen:synthetic",
      [ Alcotest.test_case "counts" `Quick test_synthetic_counts;
        Alcotest.test_case "determinism" `Quick test_synthetic_deterministic;
