@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-guard trace-smoke
+.PHONY: all build test check lint dsafe faultsmoke obs-guard trace-smoke
 
 # Wall-clock guard on the PR gate: a hang in any step (the very class
 # of bug the robustness layer exists to prevent) fails the gate after
@@ -27,33 +27,28 @@ lint:
 # DESIGN.md §15). Gates the concurrency layer: every shared mutable
 # object must be Atomic, lock-bracketed via Sync.with_lock, or carry a
 # justified `resim-dsafe:` annotation, within the checked-in budget.
+# Its negative self-test (racy fixtures rejected, the annotation budget
+# enforced) is the dune test group dsafe.
 dsafe:
 	dune build @dsafe
 
-# Negative self-test of the gate: the analyzer must *fail* on a
-# deliberately racy scratch module with the expected RSM-D codes and
-# pass a clean one (scripts/dsafe_smoke.sh).
-dsafe-smoke: build
-	$(TIMEOUT) 300 sh scripts/dsafe_smoke.sh
-
 # The PR gate: formatting, full build, source lint, domain-safety
-# analysis (dsafe) plus its negative smoke, test suite, a
-# bench smoke that exercises the --json path end to end, the
-# fault-injection smoke (every corruption class through the CLI) and
-# the trace-frontier smoke. The CLI ends of the other layers are dune
-# test groups: sampled simulation (--sample, determinism, spec grammar,
-# sampled sweep) is sample:cli; observability (pipetrace, metrics JSON
-# and CSV, RSM-P schema validation, waterfall, profile) is obs:render;
+# analysis (dsafe), test suite, the fault-injection smoke (every
+# corruption class through the CLI) and the trace-frontier smoke. The
+# CLI ends of the other layers are dune test groups: the dsafe
+# analyzer's exit codes on racy and clean fixtures are in dsafe;
+# sampled simulation (--sample, determinism, spec grammar, sampled
+# sweep) is sample:cli; observability (pipetrace, metrics JSON and
+# CSV, RSM-P schema validation, waterfall, profile) is obs:render;
 # resimd (exit codes, cache hit, sweep grid, supervision, SIGTERM
-# drain) is serve:cli.
+# drain) is serve:cli; perfbench's smoke runs every benchmark
+# workload on tiny inputs.
 check:
 	$(TIMEOUT) 300 dune build @fmt
 	$(TIMEOUT) 900 dune build
 	$(TIMEOUT) 300 dune build @lint
 	$(TIMEOUT) 300 dune build @dsafe
 	$(TIMEOUT) 1800 dune runtest
-	$(TIMEOUT) 600 dune exec bench/main.exe -- --quick --json /dev/null
-	$(MAKE) dsafe-smoke
 	$(MAKE) faultsmoke
 	$(MAKE) trace-smoke
 
@@ -71,14 +66,10 @@ faultsmoke: build
 trace-smoke: build
 	$(TIMEOUT) 900 sh scripts/trace_smoke.sh
 
-# No-sink throughput guard: full bench grid vs the committed
-# BENCH_engine.json anchors, gated on the geometric mean (default 2%
-# tolerance; OBS_GUARD_TOLERANCE overrides). Costs a full bench run —
-# use when touching engine hot paths.
+# Paired engine-speed gate: ten interleaved perfbench simulate-stream
+# pairs, HEAD (built from `git archive`) against the working tree,
+# judged by `resim_bench compare` with the bounds in BENCHMARK.json.
+# Fails on any incorrect run or a `worse` row. Takes about 7 minutes on
+# a 2-CPU host; use when touching engine hot paths.
 obs-guard: build
 	$(TIMEOUT) 2400 sh scripts/obs_bench_guard.sh
-
-# Refresh the committed perf trajectory (full engine grid, no paper
-# tables; takes a few minutes).
-bench:
-	dune exec bin/resim_cli.exe -- bench --json BENCH_engine.json

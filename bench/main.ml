@@ -1,15 +1,8 @@
 (* Benchmark harness: regenerates every table (1-4) and figure (2-4) of
-   the paper, runs the ablation studies, and measures host throughput of
-   the trace-driven engine against the execution-driven baseline with
-   Bechamel.
-
-   Flags:
-     --json PATH   also write the engine host-throughput grid (host MIPS
-                   per kernel x config) as JSON to PATH —
-                   the perf trajectory tracked across PRs
-                   (BENCH_engine.json at the repo root)
-     --quick       smoke mode: only the (shrunken) host-throughput grid,
-                   skipping tables, Bechamel and the sweep comparison *)
+   the paper, runs the ablation studies, writes the tables as CSV and
+   measures host throughput of the trace-driven engine against the
+   execution-driven baseline with Bechamel. Engine speed itself is
+   perfbench's (perfbench/README.md). *)
 
 open Bechamel
 
@@ -132,100 +125,11 @@ let bechamel_section () =
      sweep (trace reused);@.the fused row repeats functional work every \
      run, as execution-driven simulators must.@."
 
-(* ------------------------------------------------------------------ *)
-(* Serial vs domain-parallel sweep throughput.                         *)
-
-let sweep_section () =
-  section "Sweep throughput: serial vs domain-parallel (this machine)";
-  let grid =
-    List.map Resim_reports.Runner.job_of_request
-      (Resim_reports.Ablations.requests ())
-  in
-  Format.printf
-    "full ablation grid: %d jobs; host recommends %d domain(s)@.@."
-    (List.length grid)
-    (Resim_sweep.Pool.recommended_jobs ());
-  let time f =
-    let started = Unix.gettimeofday () in
-    let result = f () in
-    (result, Unix.gettimeofday () -. started)
-  in
-  let serial_report, serial_wall =
-    time (fun () -> Resim_sweep.Sweep.run ~jobs:1 grid)
-  in
-  let parallel_report, parallel_wall =
-    time (fun () -> Resim_sweep.Sweep.run ~jobs:4 grid)
-  in
-  let serial = Resim_sweep.Sweep.completed serial_report in
-  let parallel = Resim_sweep.Sweep.completed parallel_report in
-  let cycles (r : Resim_sweep.Sweep.result) =
-    Resim_core.Stats.get Resim_core.Stats.major_cycles r.outcome.stats
-  in
-  let committed (r : Resim_sweep.Sweep.result) =
-    Resim_core.Stats.get Resim_core.Stats.committed r.outcome.stats
-  in
-  let identical =
-    List.for_all2
-      (fun (a : Resim_sweep.Sweep.result) (b : Resim_sweep.Sweep.result) ->
-        Int64.equal (cycles a) (cycles b)
-        && Int64.equal (committed a) (committed b)
-        && Array.length a.generated.records
-           = Array.length b.generated.records)
-      serial parallel
-  in
-  Format.printf "%-16s %10.2f s@." "serial (-j 1)" serial_wall;
-  Format.printf
-    "%-16s %10.2f s   speedup %.2fx   results identical: %b@."
-    "parallel (-j 4)" parallel_wall
-    (if parallel_wall > 0.0 then serial_wall /. parallel_wall else 1.0)
-    identical;
-  Format.printf
-    "@.(speedup tracks physical cores; oversubscribing a smaller host \
-     costs domain-scheduling and GC overhead, but results stay identical)@.";
-  let counts = Resim_sweep.Sweep.counts parallel_report in
-  Format.printf
-    "@.per-job outcomes: %d ok, %d failed, %d timed out, %d truncated, \
-     %d retried@."
-    counts.ok counts.failed counts.timed_out counts.truncated counts.retried;
-  counts
-
-(* ------------------------------------------------------------------ *)
-(* Engine host-throughput grid (kernel x configuration).                *)
-
-let engine_section ~quick ~json ?sweep_outcomes () =
-  section "Engine host throughput";
-  let measurements = Resim_reports.Hostbench.measure ~quick () in
-  Format.printf "%a@." Resim_reports.Hostbench.pp_table measurements;
-  match json with
-  | Some path ->
-      Out_channel.with_open_text path (fun channel ->
-          output_string channel
-            (Resim_reports.Hostbench.to_json ?sweep_outcomes measurements));
-      Format.printf "@.wrote %s@." path
-  | None -> ()
-
 let () =
-  let json = ref None in
-  let quick = ref false in
-  Arg.parse
-    [ ("--json", Arg.String (fun path -> json := Some path),
-       "PATH  write the engine host-MIPS grid as JSON to PATH");
-      ("--quick", Arg.Set quick,
-       "  smoke mode: host-throughput grid only, small inputs") ]
-    (fun anon -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" anon)))
-    "bench [--quick] [--json PATH]";
   Format.printf "ReSim reproduction benchmark harness (v%s)@."
     Resim_core.Resim.version;
-  if !quick then engine_section ~quick:true ~json:!json ()
-  else begin
-    reports ();
-    let csvs = Resim_reports.Csv_export.write_all ~dir:"." in
-    Format.printf "@.machine-readable tables: %s@."
-      (String.concat ", " csvs);
-    bechamel_section ();
-    (* The sweep runs first so its per-job outcome counts land in the
-       JSON the engine section writes. *)
-    let sweep_outcomes = sweep_section () in
-    engine_section ~quick:false ~json:!json ~sweep_outcomes ()
-  end;
+  reports ();
+  let csvs = Resim_reports.Csv_export.write_all ~dir:"." in
+  Format.printf "@.machine-readable tables: %s@." (String.concat ", " csvs);
+  bechamel_section ();
   Format.printf "@.done.@."

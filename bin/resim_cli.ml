@@ -8,7 +8,6 @@
      schedule   render a minor-cycle schedule (Figures 2-4)
      table      regenerate one of the paper's tables
      sweep      run the ablation grid as a domain-parallel sweep
-     bench      measure engine host throughput (kernel x configuration)
      lint       statically lint encoded trace files or pipetrace JSONL
      disasm     disassemble a kernel or assembly file
      vhdl       generate the VHDL bundle for a configuration
@@ -1237,71 +1236,6 @@ let sweep_cmd =
       const sweep $ jobs $ quick $ timeout $ max_cycles $ retries $ metrics
       $ profile_pool $ sample)
 
-(* --- bench ----------------------------------------------------------- *)
-
-let bench json quick =
-  (* The bench grid runs exactly these two configurations. *)
-  ensure_valid_config ~context:"bench reference"
-    Resim_core.Config.reference;
-  ensure_valid_config ~context:"bench fast-comparable"
-    Resim_core.Config.fast_comparable;
-  let measurements = Resim_reports.Hostbench.measure ~quick () in
-  Format.printf "%a@." Resim_reports.Hostbench.pp_table measurements;
-  let sampled = Resim_reports.Hostbench.measure_sampled ~quick () in
-  Format.printf "%a@." Resim_reports.Hostbench.pp_sampled sampled;
-  (* Full runs also sweep the (default-scale) ablation grid through the
-     fault-domain runner, recording per-job outcome counts in the JSON;
-     quick mode skips it and the counts report null. *)
-  let sweep_outcomes =
-    if quick then None
-    else begin
-      let grid =
-        dedupe_jobs
-          (List.map
-             (fun request ->
-               { (Resim_reports.Runner.job_of_request request) with
-                 Resim_sweep.Sweep.scale = Resim_sweep.Sweep.Default })
-             (Resim_reports.Ablations.requests ()))
-      in
-      let report = Resim_sweep.Sweep.run grid in
-      let counts = Resim_sweep.Sweep.counts report in
-      Format.printf
-        "sweep outcomes (%d job(s)): %d ok, %d failed, %d timed out, \
-         %d truncated, %d retried@."
-        (List.length grid) counts.ok counts.failed counts.timed_out
-        counts.truncated counts.retried;
-      Some counts
-    end
-  in
-  match json with
-  | Some path ->
-      write_file path
-        (Resim_reports.Hostbench.to_json ?sweep_outcomes ~sampled
-           measurements);
-      Format.printf "wrote %s@." path
-  | None -> ()
-
-let bench_cmd =
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the host-MIPS grid (kernel x config) as JSON to \
-                $(docv) — the cross-PR perf trajectory (conventionally \
-                BENCH_engine.json).")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Shrink the grid to one small kernel for a smoke run.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Measure engine host throughput per (kernel, config)")
-    Term.(const bench $ json $ quick)
-
 (* --- lint ------------------------------------------------------------ *)
 
 let lint trace_files max_run pipetrace foreign_format =
@@ -1791,6 +1725,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ tracegen_cmd; faultgen_cmd; simulate_cmd; area_cmd;
-            schedule_cmd; table_cmd; sweep_cmd; bench_cmd; lint_cmd;
+            schedule_cmd; table_cmd; sweep_cmd; lint_cmd;
             disasm_cmd; vhdl_cmd; profile_cmd;
             workloads_cmd; serve_cmd; submit_cmd ]))

@@ -14,16 +14,6 @@ let make ?dest ?src1 ?src2 ?(imm = 0) op = { op; dest; src1; src2; imm }
 let nop = make Opcode.Nop
 let halt = make Opcode.Halt
 
-let real_reg reg =
-  match reg with
-  | Some r when not (Reg.equal r Reg.zero) -> Some r
-  | Some _ | None -> None
-
-let sources instr =
-  List.filter_map real_reg [ instr.src1; instr.src2 ]
-
-let destination instr = real_reg instr.dest
-
 let pp ppf instr =
   let reg_opt ppf = function
     | Some r -> Format.fprintf ppf " %a" Reg.pp r

@@ -27,12 +27,4 @@ val make :
 val nop : t
 val halt : t
 
-val sources : t -> Reg.t list
-(** Source registers actually read (excluding [r0], which is never a
-    dependency). *)
-
-val destination : t -> Reg.t option
-(** Destination register actually written ([r0] writes are discarded and
-    reported as [None]). *)
-
 val pp : Format.formatter -> t -> unit

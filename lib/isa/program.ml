@@ -10,10 +10,6 @@ let make ?(entry = 0) ?(symbols = []) ?(data = []) code =
 
 let length program = Array.length program.code
 
-let fetch program pc =
-  if pc < 0 || pc >= Array.length program.code then None
-  else Some program.code.(pc)
-
 let resolve program label = List.assoc label program.symbols
 
 let pp ppf program =

@@ -19,10 +19,6 @@ val make :
 val length : t -> int
 (** Number of instructions. *)
 
-val fetch : t -> int -> Instruction.t option
-(** [fetch program pc] is the instruction at index [pc], or [None] when
-    [pc] is outside the image (running off the end halts execution). *)
-
 val resolve : t -> string -> int
 (** [resolve program label] is the instruction index of [label].
     Raises [Not_found] when the label does not exist. *)

@@ -180,6 +180,15 @@ let generated_of_trace trace (summary : Resim_trace.Summary.t) =
     mispredicted_branches = 0;
     executed_to_completion = true }
 
+(* The instructions a run covered: its commits plus, when sampled, the
+   functional warm-up between detailed intervals, which the wall-clock
+   window also spans. *)
+let instructions_run stats sample_report =
+  Stats.get_int Stats.committed stats
+  + Option.fold ~none:0
+      ~some:(fun report -> report.Resim_sample.Sample.warmed_instructions)
+      sample_report
+
 (* One attempt at a job on the calling domain, whatever its kind:
    validate the configuration, acquire the trace, run it under the
    policy's budgets and map the stop reason to an outcome. Never
@@ -228,11 +237,11 @@ let attempt ~policy ?instrument job : outcome =
         | Stdlib.Ok (robust, sample_report) -> (
             let wall_seconds = Unix.gettimeofday () -. started in
             let outcome = robust.Resim.outcome in
-            let committed =
-              Int64.to_float (Stats.get Stats.committed outcome.stats)
+            let covered =
+              float_of_int (instructions_run outcome.stats sample_report)
             in
             let host_mips =
-              if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6
+              if wall_seconds > 0.0 then covered /. wall_seconds /. 1e6
               else 0.0
             in
             let generated =
@@ -369,14 +378,14 @@ let total_wall results =
     0.0 results
 
 let aggregate_host_mips results =
-  let committed =
+  let covered =
     List.fold_left
       (fun acc (result : result) ->
-        Int64.add acc (Stats.get Stats.committed result.outcome.stats))
-      0L results
+        acc + instructions_run result.outcome.stats result.sample_report)
+      0 results
   in
   let wall = total_wall results in
-  if wall > 0.0 then Int64.to_float committed /. wall /. 1e6 else 0.0
+  if wall > 0.0 then float_of_int covered /. wall /. 1e6 else 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export: per-job engine metrics and sweep-wide stall causes,

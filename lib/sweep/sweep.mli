@@ -92,8 +92,11 @@ type telemetry = {
       (** the simulate phase only — trace generation/acquisition is
           excluded from the window on every path *)
   host_mips : float;
-      (** committed simulated instructions per host wall-clock second,
-          in millions; 0 when the clock resolution swallowed the run *)
+      (** simulated instructions the run covered per host wall-clock
+          second, in millions: the committed ones plus, for a sampled
+          run, the functionally warmed ones (a drained sampled run
+          covers the whole trace, as a full run does); 0 when the clock
+          resolution swallowed the run *)
 }
 
 type result = {
@@ -227,7 +230,8 @@ val total_wall : result list -> float
     serially, and a sweep's wall clock is not comparable with it. *)
 
 val aggregate_host_mips : result list -> float
-(** Total committed instructions over {!total_wall}, in MIPS. *)
+(** Total covered instructions (as in [telemetry.host_mips]) over
+    {!total_wall}, in MIPS. *)
 
 val pp_table : Format.formatter -> result list -> unit
 (** One row per job: label, kernel, scale, width/ROB/organization,

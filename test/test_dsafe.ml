@@ -1,6 +1,6 @@
 (* Tests for the resim-dsafe domain-safety analyzer (DESIGN.md §15).
 
-   Two halves:
+   Three parts:
    - directed fixtures under dsafe_fixtures/: each racy_dXXX.ml module
      is engineered to trip exactly its RSM-D code at a known subject,
      the cross-module pair checks owner attribution, and clean_guarded
@@ -8,7 +8,8 @@
    - the gate itself: every module under lib/ must analyze clean, with
      the number of `resim-dsafe:` allow annotations at or under the
      checked-in budget (mirrored by --max-annotations in the root dune
-     @dsafe rule). *)
+     @dsafe rule);
+   - the resim_dsafe binary's exit codes and output on the fixtures. *)
 
 module Dsafe = Resim_check.Dsafe
 module Diagnostic = Resim_check.Diagnostic
@@ -122,6 +123,48 @@ let test_lib_is_dsafe_clean () =
     true
     (annotations <= annotation_budget)
 
+(* The analyzer binary, as `dune build @dsafe` runs it: exit 1 on a
+   racy module, every code the racy fixtures trip named on its output,
+   exit 0 with the clean summary within the annotation budget and exit 1
+   over it. It sits next to the CLI binary. *)
+let dsafe_exe = Filename.concat (Filename.dirname Test_sample.cli) "resim_dsafe.exe"
+
+let run_dsafe args =
+  let out = Filename.temp_file "resim_dsafe" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote dsafe_exe)
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote out))
+  in
+  let output = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  (code, output)
+
+let test_exe_exit_codes () =
+  let code, _ = run_dsafe [ fixture "racy_d004.ml" ] in
+  check int "racy_d004.ml fails the gate" 1 code;
+  let codes = [ "D001"; "D002"; "D004"; "D005"; "D006"; "D007"; "D008" ] in
+  let code, output =
+    run_dsafe
+      (List.map
+         (fun code -> fixture ("racy_" ^ String.lowercase_ascii code ^ ".ml"))
+         codes)
+  in
+  check int "the racy fixtures fail the gate" 1 code;
+  List.iter
+    (fun code ->
+      check bool ("RSM-" ^ code ^ " reported") true
+        (Test_sample.contains output ("error[RSM-" ^ code ^ "]")))
+    codes;
+  let clean = fixture "clean_guarded.ml" in
+  let code, output = run_dsafe [ "--max-annotations"; "1"; clean ] in
+  check int "clean_guarded.ml passes within a budget of 1" 0 code;
+  check Alcotest.string "clean summary"
+    "resim-dsafe: clean (1 module(s), 1 annotation(s))\n" output;
+  let code, _ = run_dsafe [ "--max-annotations"; "0"; clean ] in
+  check int "its one annotation fails a budget of 0" 1 code
+
 let suite =
   [ ( "dsafe",
       [ Alcotest.test_case "directed racy fixtures" `Quick
@@ -133,4 +176,6 @@ let suite =
         Alcotest.test_case "clean fixture analyzes clean" `Quick
           test_clean_fixture;
         Alcotest.test_case "lib/ is dsafe-clean within budget" `Quick
-          test_lib_is_dsafe_clean ] ) ]
+          test_lib_is_dsafe_clean;
+        Alcotest.test_case "exe exit codes on the fixtures" `Quick
+          test_exe_exit_codes ] ) ]

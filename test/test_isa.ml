@@ -77,16 +77,6 @@ let test_opcode_mnemonics_distinct () =
 
 (* --- instructions --------------------------------------------------- *)
 
-let test_instruction_sources () =
-  let instr =
-    Instruction.make ~dest:Reg.zero ~src1:(Reg.r 3) ~src2:Reg.zero Opcode.Add
-  in
-  check int "r0 sources dropped" 1 (List.length (Instruction.sources instr));
-  check bool "r0 dest dropped" true (Instruction.destination instr = None);
-  let real = Instruction.make ~dest:(Reg.r 4) Opcode.Addi in
-  check bool "real dest kept" true
-    (Instruction.destination real = Some (Reg.r 4))
-
 let test_instruction_addresses () =
   check int "8 bytes per instruction" 8 Instruction.bytes_per_instruction;
   check int "byte address" 80 (Instruction.byte_address 10)
@@ -100,15 +90,13 @@ let test_asm_labels () =
   check int "three instructions" 3 (Program.length program);
   check int "top resolves" 0 (Program.resolve program "top");
   check int "end resolves" 2 (Program.resolve program "end");
-  match Program.fetch program 1 with
-  | Some { op = Opcode.J; imm; _ } -> check int "jump target" 0 imm
-  | Some _ | None -> Alcotest.fail "expected a jump at index 1"
+  match program.Program.code.(1) with
+  | { op = Opcode.J; imm; _ } -> check int "jump target" 0 imm
+  | _ -> Alcotest.fail "expected a jump at index 1"
 
 let test_asm_forward_reference () =
   let program = Asm.(assemble [ j "later"; nop; label "later"; halt ]) in
-  match Program.fetch program 0 with
-  | Some { imm; _ } -> check int "forward target" 2 imm
-  | None -> Alcotest.fail "missing instruction"
+  check int "forward target" 2 program.Program.code.(0).imm
 
 let test_asm_duplicate_label () =
   Alcotest.check_raises "duplicate" (Asm.Duplicate_label "x") (fun () ->
@@ -500,8 +488,7 @@ let suite =
        Alcotest.test_case "mnemonics distinct" `Quick
          test_opcode_mnemonics_distinct ]);
     ("isa:instruction",
-     [ Alcotest.test_case "sources/dest" `Quick test_instruction_sources;
-       Alcotest.test_case "byte addresses" `Quick test_instruction_addresses
+     [ Alcotest.test_case "byte addresses" `Quick test_instruction_addresses
      ]);
     ("isa:asm",
      [ Alcotest.test_case "labels" `Quick test_asm_labels;

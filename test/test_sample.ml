@@ -17,7 +17,6 @@ module Sample = Resim_sample.Sample
 module Sweep = Resim_sweep.Sweep
 module Workload = Resim_workloads.Workload
 module Generator = Resim_tracegen.Generator
-module Hostbench = Resim_reports.Hostbench
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -238,35 +237,62 @@ let test_determinism () =
   check bool "seed moves the initial offset" true
     (moved.Sample.initial_offset <> first.Sample.initial_offset)
 
+(* For a drained sampled run, every instruction of the trace is either
+   committed by the engine (priming and measured windows alike) or
+   functionally warmed, exactly once; and each period of
+   [detail + warmup] instructions measures at most [detail] of them.
+   This is the deterministic form of "sampling does less detailed
+   work": a gap that drops an instruction, or runs in detail, breaks
+   one of the two. *)
 let test_report_accounting () =
-  let records = Lazy.force base_records in
-  let full =
-    Stats.get_int Stats.committed
-      (Resim.outcome_exn (Resim.run (Records records))).stats
+  let specs =
+    [ { Sample.detail = 500; warmup = 4500; seed = 7 };
+      { Sample.detail = 100; warmup = 400; seed = 3 };
+      { Sample.detail = 300; warmup = 700; seed = 11 } ]
   in
-  let spec = { Sample.detail = 100; warmup = 400; seed = 3 } in
-  match Sample.run ~spec (Resim.Records records) with
-  | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
-  | Ok (_, report) ->
-      check bool "measured something" true
-        (report.Sample.detailed_instructions > 0);
-      check bool "warmed something" true
-        (report.Sample.warmed_instructions > 0);
-      (* Detailed + warmed + priming partitions the correct path. *)
-      check bool "accounting never exceeds the trace" true
-        (report.Sample.detailed_instructions
-         + report.Sample.warmed_instructions
-        <= full);
-      List.iteri
-        (fun index interval ->
-          check int "intervals are in order" index interval.Sample.index;
-          check bool "interval IPC is cycles/instructions" true
-            (Float.abs
-               (interval.Sample.interval_ipc
-               -. float_of_int interval.Sample.instructions
-                  /. Int64.to_float interval.Sample.cycles)
-            < 1e-9))
-        report.Sample.intervals
+  List.iter
+    (fun workload ->
+      let records = (Generator.run (Workload.program_of workload ())).records in
+      let full =
+        Stats.get_int Stats.committed
+          (Resim.outcome_exn (Resim.run (Records records))).stats
+      in
+      List.iter
+        (fun (spec : Sample.spec) ->
+          let label =
+            Printf.sprintf "%s %s" (Workload.name_of workload)
+              (Sample.spec_to_string spec)
+          in
+          match Sample.run ~spec (Resim.Records records) with
+          | Error failure ->
+              Alcotest.fail (label ^ ": " ^ Resim.failure_to_string failure)
+          | Ok (robust, report) ->
+              check bool (label ^ ": drains") true
+                (robust.Resim.stop = Engine.Drained);
+              check bool (label ^ ": measured something") true
+                (report.Sample.detailed_instructions > 0);
+              check bool (label ^ ": warmed something") true
+                (report.Sample.warmed_instructions > 0);
+              check int (label ^ ": committed + warmed = the full run") full
+                (Stats.get_int Stats.committed robust.Resim.outcome.Resim.stats
+                + report.Sample.warmed_instructions);
+              let period = spec.detail + spec.warmup in
+              check bool (label ^ ": at most detail per period") true
+                (report.Sample.detailed_instructions
+                <= (full + period - 1) / period * spec.detail);
+              List.iteri
+                (fun index interval ->
+                  check int "intervals are in order" index
+                    interval.Sample.index;
+                  check bool "interval IPC is cycles/instructions" true
+                    (Float.abs
+                       (interval.Sample.interval_ipc
+                       -. float_of_int interval.Sample.instructions
+                          /. Int64.to_float interval.Sample.cycles)
+                    < 1e-9))
+                report.Sample.intervals)
+        specs)
+    Workload.all
 
 (* --- budget composition ------------------------------------------------ *)
 
@@ -451,6 +477,26 @@ let test_sweep_times_simulate_only () =
         (result.Sweep.telemetry.Sweep.wall_seconds < 0.25)
   | _ -> Alcotest.fail "slow-generation job did not complete"
 
+(* A drained sampled job covers the whole trace, as the unsampled run
+   does, and its host MIPS counts the functional warm-up the window
+   also spans: MIPS x seconds gives back the full run's commits. *)
+let test_sweep_sampled_host_mips () =
+  let records = Lazy.force base_records in
+  let config = Config.reference in
+  let full =
+    Stats.get_int Stats.committed
+      (Resim.outcome_exn (Resim.run ~config (Records records))).stats
+  in
+  let spec = { Sample.detail = 100; warmup = 400; seed = 5 } in
+  let result =
+    Sweep.run_job (Sweep.trace_job ~label:"sampled" ~sample:spec ~config records)
+  in
+  let telemetry = result.Sweep.telemetry in
+  check int "host_mips x wall_seconds is the full run's committed" full
+    (Float.to_int
+       (Float.round
+          (telemetry.Sweep.host_mips *. telemetry.Sweep.wall_seconds *. 1e6)))
+
 (* --- JSON: every emitter produces parseable documents ------------------ *)
 
 let validates label document =
@@ -489,9 +535,7 @@ let test_emitters_parse () =
   (* profiler sections with adversarial names *)
   let prof = Resim_obs.Prof.create () in
   Resim_obs.Prof.time prof evil (fun () -> ());
-  validates "Prof.to_json" (Resim_obs.Prof.to_json prof);
-  (* the bench document's skeleton (null sweep/sampled sections) *)
-  validates "Hostbench.to_json" (Hostbench.to_json [])
+  validates "Prof.to_json" (Resim_obs.Prof.to_json prof)
 
 (* Strings up to 4 KiB: plain runs of any length broken by the bytes the
    escaper and the parser treat specially. *)
@@ -1184,7 +1228,9 @@ let suite =
          test_checkpoint_error_to_string ]);
     ("sample:sweep-timing",
      [ Alcotest.test_case "host_mips window excludes generation" `Quick
-         test_sweep_times_simulate_only ]);
+         test_sweep_times_simulate_only;
+       Alcotest.test_case "sampled host_mips counts the warm-up" `Quick
+         test_sweep_sampled_host_mips ]);
     ("sample:json",
      [ Alcotest.test_case "every emitter parses" `Quick test_emitters_parse;
        QCheck_alcotest.to_alcotest property_escape_round_trips;

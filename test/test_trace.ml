@@ -236,6 +236,30 @@ let test_record_of_observation () =
       check int "target" 5 target
   | Record.Memory _ | Record.Other _ -> Alcotest.fail "expected branch"
 
+(* [r0] is never a dependency: an [r0] destination or source encodes as
+   0 (none), and a missing or [r0] first source moves the second one
+   up. *)
+let test_record_r0_registers () =
+  let open Resim_isa in
+  let record ?dest ?src1 ?src2 () =
+    Record.of_observation ~wrong_path:false
+      { Interpreter.index = 0;
+        instr = Instruction.make ?dest ?src1 ?src2 Opcode.Add;
+        next_index = 1;
+        effective_address = None;
+        control = None }
+  in
+  let fields (r : Record.t) = (r.dest, r.src1, r.src2) in
+  let triple = Alcotest.(triple int int int) in
+  check triple "r0 dest and first source dropped" (0, 3, 0)
+    (fields (record ~dest:Reg.zero ~src1:Reg.zero ~src2:(Reg.r 3) ()));
+  check triple "missing first source" (4, 5, 0)
+    (fields (record ~dest:(Reg.r 4) ~src2:(Reg.r 5) ()));
+  check triple "r0 second source dropped" (0, 3, 0)
+    (fields (record ~src1:(Reg.r 3) ~src2:Reg.zero ()));
+  check triple "real registers kept in order" (4, 6, 7)
+    (fields (record ~dest:(Reg.r 4) ~src1:(Reg.r 6) ~src2:(Reg.r 7) ()))
+
 (* --- codec --------------------------------------------------------------- *)
 
 let test_codec_roundtrip_fixed () =
@@ -535,7 +559,8 @@ let suite =
        QCheck_alcotest.to_alcotest bitio_reader_matches_serial_property ]);
     ("trace:record",
      [ Alcotest.test_case "predicates" `Quick test_record_predicates;
-       Alcotest.test_case "of_observation" `Quick test_record_of_observation
+       Alcotest.test_case "of_observation" `Quick test_record_of_observation;
+       Alcotest.test_case "r0 sources/dest" `Quick test_record_r0_registers
      ]);
     ("trace:codec",
      [ Alcotest.test_case "fixed roundtrip" `Quick test_codec_roundtrip_fixed;
