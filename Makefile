@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check lint dsafe faultsmoke obs-guard trace-smoke
+.PHONY: all build test check lint dsafe obs-guard trace-smoke
 
 # Wall-clock guard on the PR gate: a hang in any step (the very class
 # of bug the robustness layer exists to prevent) fails the gate after
@@ -33,13 +33,13 @@ dsafe:
 	dune build @dsafe
 
 # The PR gate: formatting, full build, source lint, domain-safety
-# analysis (dsafe), test suite, the fault-injection smoke (every
-# corruption class through the CLI) and the trace-frontier smoke. The
-# CLI ends of the other layers are dune test groups: the dsafe
-# analyzer's exit codes on racy and clean fixtures are in dsafe;
-# sampled simulation (--sample, determinism, spec grammar, sampled
-# sweep) is sample:cli; observability (pipetrace, metrics JSON and
-# CSV, RSM-P schema validation, waterfall, profile) is obs:render;
+# analysis (dsafe), test suite and the trace-frontier smoke. The CLI
+# ends of the other layers are dune test groups: the dsafe analyzer's
+# exit codes on racy and clean fixtures are in dsafe; sampled
+# simulation (--sample, determinism, spec grammar, sampled sweep) and
+# every fault-injection class through faultgen/lint/simulate
+# --degraded are sample:cli; observability (pipetrace, metrics JSON
+# and CSV, RSM-P schema validation, waterfall, profile) is obs:render;
 # resimd (exit codes, cache hit, sweep grid, supervision, SIGTERM
 # drain) is serve:cli; perfbench's smoke runs every benchmark
 # workload on tiny inputs.
@@ -49,13 +49,7 @@ check:
 	$(TIMEOUT) 300 dune build @lint
 	$(TIMEOUT) 300 dune build @dsafe
 	$(TIMEOUT) 1800 dune runtest
-	$(MAKE) faultsmoke
 	$(MAKE) trace-smoke
-
-# Every Fault_inject corruption class end to end through resim
-# faultgen / lint / simulate --degraded, each step under timeout.
-faultsmoke: build
-	$(TIMEOUT) 600 sh scripts/faultsmoke.sh
 
 # The trace frontier end to end (DESIGN.md §17): foreign-format
 # adapters (text + riscv) through lint/simulate with synthesized

@@ -256,7 +256,7 @@ let faultgen workload scale source_file fault_name seed output compact
     list_classes =
   if list_classes then
     (* Machine-readable: name, expected RSM code (- when it varies),
-       severity — scripts/faultsmoke.sh iterates over these lines. *)
+       severity, description — one class per line. *)
     List.iter
       (fun fault ->
         Format.printf "%-18s %-10s %-8s %s@."

@@ -18,8 +18,6 @@ type config = {
   dcache : Resim_cache.Cache.config;
 }
 
-val default_config : config
-
 type result = {
   instructions : int64;   (** correct-path instructions timed *)
   cycles : int64;

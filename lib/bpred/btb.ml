@@ -76,10 +76,3 @@ let update t ~pc ~target =
   set.(slot).tag <- tag;
   set.(slot).target <- target;
   set.(slot).stamp <- tick t
-
-let entries_used t =
-  Array.fold_left
-    (fun acc set ->
-      Array.fold_left (fun acc way -> if way.tag >= 0 then acc + 1 else acc)
-        acc set)
-    0 t.sets

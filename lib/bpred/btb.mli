@@ -22,6 +22,3 @@ val lookup : t -> pc:int -> int option
 
 val update : t -> pc:int -> target:int -> unit
 (** Install or refresh the target for [pc] (LRU within the set). *)
-
-val entries_used : t -> int
-(** Number of currently valid entries (for occupancy statistics). *)

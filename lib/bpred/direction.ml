@@ -124,21 +124,3 @@ let update t ~pc ~taken =
       Saturating.train g.pht.(index) ~taken;
       g.history <-
         ((g.history lsl 1) lor (if taken then 1 else 0)) land g.hist_mask
-
-let snapshot t =
-  let copy_counter c =
-    let bits = bits_of (Saturating.max_value c + 1) in
-    Saturating.create ~bits ~initial:(Saturating.value c) ()
-  in
-  let copy_counters table = Array.map copy_counter table in
-  let state =
-    match t.state with
-    | S_fixed f -> S_fixed f
-    | S_bimodal table -> S_bimodal (copy_counters table)
-    | S_two_level { bht; hist_mask; pc_bits; pht } ->
-        S_two_level
-          { bht = Array.copy bht; hist_mask; pc_bits; pht = copy_counters pht }
-    | S_gshare { history; hist_mask; pc_bits; pht } ->
-        S_gshare { history; hist_mask; pc_bits; pht = copy_counters pht }
-  in
-  { config = t.config; state }

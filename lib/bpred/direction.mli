@@ -33,6 +33,3 @@ val predict : t -> pc:int -> actual:bool -> bool
 
 val update : t -> pc:int -> taken:bool -> unit
 (** Commit-time training. No-op for static and perfect predictors. *)
-
-val snapshot : t -> t
-(** Deep copy, for engine/generator alignment experiments. *)

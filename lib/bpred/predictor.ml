@@ -88,6 +88,4 @@ let update t ~pc ~kind ~taken ~target =
 let ras_snapshot t = Ras.snapshot t.ras
 let ras_restore t saved = Ras.restore t.ras saved
 
-let predictions_made t = t.predictions
-let direction_hits t = t.correct
 let record_resolution t ~correct = if correct then t.correct <- t.correct + 1

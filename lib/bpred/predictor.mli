@@ -59,8 +59,6 @@ val ras_restore : t -> Ras.t -> unit
 
 (** {1 Accuracy accounting} *)
 
-val predictions_made : t -> int
-val direction_hits : t -> int
 val record_resolution : t -> correct:bool -> unit
 (** Called by the engine when a branch resolves, to feed accuracy
     statistics. *)

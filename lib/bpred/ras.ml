@@ -23,8 +23,6 @@ let pop t =
     Some t.slots.(t.top)
   end
 
-let occupancy t = t.occupancy
-
 let snapshot t =
   { slots = Array.copy t.slots; top = t.top; occupancy = t.occupancy }
 

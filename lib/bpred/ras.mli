@@ -10,13 +10,11 @@ type t
 val create : int -> t
 (** [create depth]; raises [Invalid_argument] when [depth <= 0]. *)
 
-val depth : t -> int
 val push : t -> int -> unit
 val pop : t -> int option
 (** [None] when the stack is empty (the front end then falls back to the
     BTB or sequential fetch). *)
 
-val occupancy : t -> int
 val snapshot : t -> t
 val restore : t -> t -> unit
 (** [restore ras saved] copies [saved]'s contents into [ras]; both must

@@ -10,11 +10,8 @@ let create ?(bits = 2) ?initial () =
   in
   { value; max = top; threshold }
 
-let value c = c.value
 let predict_taken c = c.value >= c.threshold
 
 let train c ~taken =
   if taken then (if c.value < c.max then c.value <- c.value + 1)
   else if c.value > 0 then c.value <- c.value - 1
-
-let max_value c = c.max

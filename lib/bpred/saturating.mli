@@ -7,9 +7,6 @@ type t
 val create : ?bits:int -> ?initial:int -> unit -> t
 (** Default 2 bits, initialised to the weakly-taken threshold value. *)
 
-val value : t -> int
 val predict_taken : t -> bool
 val train : t -> taken:bool -> unit
 (** Increment towards taken, decrement towards not-taken, saturating. *)
-
-val max_value : t -> int

@@ -14,10 +14,6 @@ let l1_32k_8way_64b =
   Set_associative
     { size_bytes = 32 * 1024; associativity = 8; block_bytes = 64 }
 
-let l1_32k_2way_64b =
-  Set_associative
-    { size_bytes = 32 * 1024; associativity = 2; block_bytes = 64 }
-
 type way = { mutable tag : int; mutable stamp : int }
 (* tag = -1 marks an invalid way. *)
 
@@ -147,19 +143,3 @@ let stats t =
     hits = Int64.of_int t.counters.hits;
     misses = Int64.of_int t.counters.misses;
     evictions = Int64.of_int t.counters.evictions }
-
-let reset_stats t =
-  let c = t.counters in
-  c.accesses <- 0;
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0
-
-let miss_rate t =
-  if t.counters.accesses = 0 then 0.0
-  else float_of_int t.counters.misses /. float_of_int t.counters.accesses
-
-let pp_stats ppf t =
-  Format.fprintf ppf "accesses=%d hits=%d misses=%d (%.2f%% miss)"
-    t.counters.accesses t.counters.hits t.counters.misses
-    (100.0 *. miss_rate t)

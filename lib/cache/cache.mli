@@ -28,9 +28,6 @@ val l1_32k_8way_64b : config
 (** The FAST-comparable L1: 32 KB, 8-way, 64-byte blocks (Table 1,
     right). *)
 
-val l1_32k_2way_64b : config
-(** The §V.C variant: 32 KB, 2-way. *)
-
 type counters = {
   mutable clock : int;
   mutable accesses : int;
@@ -70,6 +67,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
-val miss_rate : t -> float
-val pp_stats : Format.formatter -> t -> unit

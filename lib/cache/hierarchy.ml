@@ -13,5 +13,3 @@ let access t ~addr ~write =
     | Some l2 -> hit + Cache.access l2 ~addr ~write
 
 let l1 t = t.l1
-let l2 t = t.l2
-let l1_stats t = Cache.stats t.l1

@@ -18,6 +18,3 @@ val access : t -> addr:int -> write:bool -> int
 (** Total latency in major cycles. *)
 
 val l1 : t -> Cache.t
-val l2 : t -> Cache.t option
-
-val l1_stats : t -> Cache.stats

@@ -15,12 +15,6 @@ val validate : Resim_core.Config.t -> Diagnostic.t list
     clean; {!Resim_core.Config.reference} and
     {!Resim_core.Config.fast_comparable} validate clean. *)
 
-val errors : Resim_core.Config.t -> Diagnostic.t list
-(** Only the error-severity findings of {!validate}. *)
-
 val error_summary : Resim_core.Config.t -> string option
 (** [None] when there are no errors; otherwise a one-line summary
     naming every error code and subject, suitable for exceptions. *)
-
-val is_power_of_two : int -> bool
-(** Shared helper: [n > 0] and a single bit set. *)

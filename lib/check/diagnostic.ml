@@ -22,14 +22,9 @@ let errors list = List.filter is_error list
 let warnings list = List.filter (fun t -> not (is_error t)) list
 let has_errors list = List.exists is_error list
 
-let codes list =
-  List.rev
-    (List.fold_left
-       (fun acc t -> if List.mem t.code acc then acc else t.code :: acc)
-       [] list)
-
 let severity_name = function Error -> "error" | Warning -> "warning"
 
+(* One line: [error[RSM-C013] mem_read_ports: message (fix: hint)]. *)
 let pp ppf t =
   Format.fprintf ppf "%s[%s] %s: %s" (severity_name t.severity) t.code
     t.subject t.message;
@@ -46,5 +41,3 @@ let summary list =
     Printf.sprintf "%d error(s), %d warning(s)"
       (List.length (errors list))
       (List.length (warnings list))
-
-let to_string t = Format.asprintf "%a" pp t

@@ -20,20 +20,11 @@ type t = {
 val error : code:string -> subject:string -> ?hint:string -> string -> t
 val warning : code:string -> subject:string -> ?hint:string -> string -> t
 
-val is_error : t -> bool
 val errors : t list -> t list
 val warnings : t list -> t list
 val has_errors : t list -> bool
-
-val codes : t list -> string list
-(** Distinct codes in first-appearance order. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line: [error[RSM-C013] mem_read_ports: message (fix: hint)]. *)
 
 val pp_list : Format.formatter -> t list -> unit
 
 val summary : t list -> string
 (** ["2 error(s), 1 warning(s)"] — or ["clean"] for the empty list. *)
-
-val to_string : t -> string

@@ -29,6 +29,4 @@ type report = {
 val analyze_files : string list -> (report, string) result
 (** [Error message] if any file fails to read or parse. *)
 
-val analyze_sources : Dsafe_ast.source list -> report
-
 val pp_inventories : Format.formatter -> report -> unit

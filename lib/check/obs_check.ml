@@ -204,5 +204,3 @@ let lint_file path =
     ~finally:(fun () -> close_in_noerr channel)
     (fun () ->
       lint_string (really_input_string channel (in_channel_length channel)))
-
-let clean report = report.diagnostics = []

@@ -28,6 +28,3 @@ val lint_string : string -> report
 val lint_file : string -> report
 (** [lint_string] over a file's contents. Raises [Sys_error] only when
     the file cannot be read. *)
-
-val clean : report -> bool
-(** No diagnostics at all (not even warnings). *)

@@ -9,6 +9,9 @@ type report = {
   format : Codec.format option;
 }
 
+(* 4096 — far above any generator's wrong-path block limit (the
+   reference generator stops at ROB + IFQ entries), yet small enough
+   to catch a tag bit stuck on. *)
 let default_max_run = 4096
 
 (* Streaming lint state: one record of lookbehind plus the running

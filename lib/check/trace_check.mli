@@ -10,8 +10,7 @@
     - the tag bit delimits wrong-path blocks that start only right
       after an untagged branch record — the branch the generator's
       predictor missed;
-    - wrong-path runs are bounded ([max_wrong_path_run], default
-      {!default_max_run});
+    - wrong-path runs are bounded ([max_wrong_path_run], default 4096);
     - payloads are internally consistent: non-negative PCs, targets and
       addresses, register fields within the ISA, unconditional branches
       are taken. *)
@@ -25,11 +24,6 @@ type report = {
       (** [None] when the header did not decode *)
 }
 
-val default_max_run : int
-(** 4096 — far above any generator's wrong-path block limit (the
-    reference generator stops at ROB + IFQ entries), yet small enough
-    to catch a tag bit stuck on. *)
-
 val lint_records :
   ?max_wrong_path_run:int -> Resim_trace.Record.t array -> report
 (** Structural rules only, on already-decoded records — the path used
@@ -38,10 +32,6 @@ val lint_records :
 val lint_string : ?max_wrong_path_run:int -> string -> report
 (** Full streaming lint of an encoded stream, header included. Never
     raises: decode failures become diagnostics. *)
-
-val lint_cursor : ?max_wrong_path_run:int -> Resim_trace.Codec.Cursor.t -> report
-(** The shared streaming loop over any cursor — in-memory or chunked.
-    Byte offsets in diagnostics are absolute file offsets on both. *)
 
 val lint_file : ?max_wrong_path_run:int -> ?chunk:int -> string -> report
 (** Streaming lint through the chunked cursor: O([chunk]) memory

@@ -184,7 +184,3 @@ let load path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
-let pp ppf t =
-  Format.fprintf ppf "checkpoint: cycle %Ld, cursor %d, %d counters" t.cycle
-    t.cursor (List.length t.counters)

@@ -62,5 +62,3 @@ val save : string -> t -> unit
 val load : string -> (t, error) result
 (** Read from a file; IO failures come back as [RSM-K000], parse
     failures with their RSM-K code. *)
-
-val pp : Format.formatter -> t -> unit

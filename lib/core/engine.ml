@@ -176,10 +176,7 @@ let config t = t.config
 let stats t = t.stats
 let icache t = Hierarchy.l1 t.icache
 let dcache t = Hierarchy.l1 t.dcache
-let l2cache t = t.l2cache
-let predictor t = t.predictor
 let cycle t = Int64.of_int t.cycle
-let minor_cycles t = Int64.of_int (t.cycle * t.s_minor_latency)
 
 let use_reference t = t.stepper <- Reference
 
@@ -1070,11 +1067,11 @@ let make_run (t : t) =
     let i = index - source.Source.base in
     (i >= 0 && i < source.Source.length) || Source.has source index
   in
-  (* Constant-time queue operations, transcribed over the exposed
-     representations (ring.mli, event_queue.mli): [-opaque] keeps the
-     cross-module originals out of line in the default build, and
-     these run a dozen-plus times per cycle. Guards and exception
-     messages match the originals exactly. *)
+  (* Queue operations over the exposed representations, run a
+     dozen-plus times per cycle. The ring ones are transcribed from
+     ring.ml ([-opaque] keeps the cross-module originals out of line in
+     the default build), with the same guards and exception messages;
+     the event heap's (event_queue.mli) exist only here. *)
   let ring_front r =
     if r.Ring.length = 0 then invalid_arg "Ring.front: empty";
     r.Ring.slots.(r.Ring.head)
@@ -1107,9 +1104,9 @@ let make_run (t : t) =
     if q.Event_queue.size = 0 then invalid_arg "Event_queue.top: empty";
     q.Event_queue.payload.(0)
   in
-  (* [Event_queue.push]/[drop] unfolded, with the four column arrays
-     hoisted into locals around the sift loops. Key order is the same
-     lexicographic (at, id, seq). *)
+  (* The heap's push and drop, with the four column arrays hoisted into
+     locals around the sift loops. Keys order lexicographically by
+     (at, id, seq); [seq] keeps equal keys in insertion order. *)
   let eq_grow (q : Entry.t Event_queue.t) payload =
     let capacity = Array.length q.Event_queue.at in
     if q.Event_queue.size = capacity then begin

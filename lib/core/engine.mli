@@ -99,11 +99,6 @@ val icache : t -> Resim_cache.Cache.t
 val dcache : t -> Resim_cache.Cache.t
 (** The L1 data cache. *)
 
-val l2cache : t -> Resim_cache.Cache.t option
-(** The shared L2, when the configuration has one. *)
-
-val predictor : t -> Resim_bpred.Predictor.t
-
 val set_observer : t -> (event -> unit) -> unit
 (** Install the (single) event observer. Events fire in pipeline order
     within a cycle. With no observer installed the hot paths construct
@@ -119,9 +114,6 @@ val clear_phase_probe : t -> unit
 
 val cycle : t -> int64
 (** Major cycles elapsed. *)
-
-val minor_cycles : t -> int64
-(** [cycle * L(N)]. *)
 
 val finished : t -> bool
 (** Trace fully consumed and pipeline drained. *)
@@ -175,9 +167,6 @@ exception Deadlock of deadlock
 
 val pp_deadlock : Format.formatter -> deadlock -> unit
 
-val checkpoint : t -> Checkpoint.t
-(** Snapshot the current position for a deterministic replay resume. *)
-
 (** Why a bounded run returned. *)
 type stop =
   | Drained       (** trace consumed and pipeline empty — a full run *)
@@ -191,9 +180,6 @@ type bounded = {
   resume : Checkpoint.t option;
       (** a replay checkpoint whenever the run was truncated *)
 }
-
-val default_watchdog : int
-(** No-progress cycles before {!Deadlock} (100k). *)
 
 val run_bounded :
   ?watchdog:int ->

@@ -56,15 +56,4 @@ let is_completed t =
 
 let is_load t = Resim_trace.Record.is_load t.record
 let is_store t = Resim_trace.Record.is_store t.record
-let is_branch t = Resim_trace.Record.is_branch t.record
 let is_wrong_path t = t.record.Resim_trace.Record.wrong_path
-
-let pp ppf t =
-  let state_name =
-    match t.state with
-    | Dispatched -> "dispatched"
-    | Issued -> "issued"
-    | Completed -> "completed"
-  in
-  Format.fprintf ppf "#%d %a [%s]" t.id Resim_trace.Record.pp t.record
-    state_name

@@ -61,6 +61,4 @@ val is_completed : t -> bool
 
 val is_load : t -> bool
 val is_store : t -> bool
-val is_branch : t -> bool
 val is_wrong_path : t -> bool
-val pp : Format.formatter -> t -> unit

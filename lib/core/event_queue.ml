@@ -13,130 +13,3 @@ type 'a t = {
 
 let create () =
   { at = [||]; id = [||]; seq = [||]; payload = [||]; size = 0; stamp = 0 }
-
-let length t = t.size
-let is_empty t = t.size = 0
-
-let clear t =
-  t.at <- [||];
-  t.id <- [||];
-  t.seq <- [||];
-  t.payload <- [||];
-  t.size <- 0
-
-(* Lexicographic (at, id, seq): seq makes duplicate keys pop in
-   insertion order. Is the explicit key strictly before slot [j]? *)
-let key_before t ~at ~id ~seq j =
-  at < t.at.(j)
-  || (at = t.at.(j)
-      && (id < t.id.(j) || (id = t.id.(j) && seq < t.seq.(j))))
-
-(* Is slot [j] strictly before the explicit key? *)
-let slot_before_key t j ~at ~id ~seq =
-  t.at.(j) < at
-  || (t.at.(j) = at
-      && (t.id.(j) < id || (t.id.(j) = id && t.seq.(j) < seq)))
-
-let move t ~src ~dst =
-  t.at.(dst) <- t.at.(src);
-  t.id.(dst) <- t.id.(src);
-  t.seq.(dst) <- t.seq.(src);
-  t.payload.(dst) <- t.payload.(src)
-
-let set t i ~at ~id ~seq payload =
-  t.at.(i) <- at;
-  t.id.(i) <- id;
-  t.seq.(i) <- seq;
-  t.payload.(i) <- payload
-
-let grow t payload =
-  let capacity = Array.length t.at in
-  if t.size = capacity then begin
-    let grown = if capacity < 8 then 16 else 2 * capacity in
-    let at = Array.make grown 0 in
-    let id = Array.make grown 0 in
-    let seq = Array.make grown 0 in
-    let payloads = Array.make grown payload in
-    Array.blit t.at 0 at 0 t.size;
-    Array.blit t.id 0 id 0 t.size;
-    Array.blit t.seq 0 seq 0 t.size;
-    Array.blit t.payload 0 payloads 0 t.size;
-    t.at <- at;
-    t.id <- id;
-    t.seq <- seq;
-    t.payload <- payloads
-  end
-
-let push t ~at ~id payload =
-  let seq = t.stamp in
-  t.stamp <- t.stamp + 1;
-  grow t payload;
-  (* Sift the hole up from the end. *)
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  let continue_ = ref true in
-  while !continue_ && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if key_before t ~at ~id ~seq parent then begin
-      move t ~src:parent ~dst:!i;
-      i := parent
-    end
-    else continue_ := false
-  done;
-  set t !i ~at ~id ~seq payload
-
-let min_key t = if t.size = 0 then None else Some (t.at.(0), t.id.(0))
-
-(* Sift the key/payload taken from the old last slot down from the
-   root. *)
-let sift_down t ~at ~id ~seq payload =
-  let size = t.size in
-  let i = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let left = (2 * !i) + 1 in
-    if left >= size then continue_ := false
-    else begin
-      let right = left + 1 in
-      let child =
-        if
-          right < size
-          && key_before t ~at:t.at.(right) ~id:t.id.(right)
-               ~seq:t.seq.(right) left
-        then right
-        else left
-      in
-      if slot_before_key t child ~at ~id ~seq then begin
-        move t ~src:child ~dst:!i;
-        i := child
-      end
-      else continue_ := false
-    end
-  done;
-  set t !i ~at ~id ~seq payload
-
-let min_at t = if t.size = 0 then max_int else t.at.(0)
-
-let top t =
-  if t.size = 0 then invalid_arg "Event_queue.top: empty";
-  t.payload.(0)
-
-let drop t =
-  if t.size = 0 then invalid_arg "Event_queue.drop: empty";
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    let last = t.size in
-    sift_down t ~at:t.at.(last) ~id:t.id.(last) ~seq:t.seq.(last)
-      t.payload.(last)
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let root = t.payload.(0) in
-    drop t;
-    Some root
-  end
-
-let pop_due t ~now =
-  if t.size > 0 && t.at.(0) <= now then pop t else None

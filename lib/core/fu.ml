@@ -50,9 +50,3 @@ let try_allocate t request ~now =
       scan 0
 
 let flush t = Array.fill t.div_busy_until 0 (Array.length t.div_busy_until) 0
-
-let alu_busy_fraction t ~cycles =
-  if Int64.equal cycles 0L || t.config.alu_count = 0 then 0.0
-  else
-    float_of_int t.alu_allocations
-    /. (Int64.to_float cycles *. float_of_int t.config.alu_count)

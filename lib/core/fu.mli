@@ -8,9 +8,8 @@
 
     The representation is exposed for the engine's closure family
     (DESIGN.md §14), which inlines allocation in its issue loop.
-    [div_busy_until.(i)] is the first cycle divider [i] is free again;
-    [alu_allocations] feeds {!alu_busy_fraction}. Treat the type as
-    private elsewhere. *)
+    [div_busy_until.(i)] is the first cycle divider [i] is free again.
+    Treat the type as private elsewhere. *)
 
 type t = {
   config : Config.t;
@@ -38,6 +37,3 @@ val try_allocate : t -> request -> now:int -> int
 
 val flush : t -> unit
 (** Squash: abandon in-flight work (frees the divider). *)
-
-val alu_busy_fraction : t -> cycles:int64 -> float
-(** Mean ALU allocations per cycle divided by ALU count. *)

@@ -17,7 +17,6 @@ val observe : t -> int -> unit
 
 val count : t -> int -> int64
 val total : t -> int64
-val mean : t -> float
 val fraction_at : t -> int -> float
 val pp : Format.formatter -> t -> unit
 (** Non-empty bins as [value:count] pairs. *)

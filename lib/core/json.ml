@@ -25,6 +25,10 @@ let add_escaped buffer s =
   done;
   if n > !start then Buffer.add_substring buffer s !start (n - !start)
 
+(* Escape a string for inclusion between double quotes in a JSON
+   document: ["\""], ["\\"] and all control characters below 0x20
+   (["\n"]/["\r"]/["\t"] as their short forms, the rest as [\u00xx]).
+   Everything else passes through byte-for-byte. *)
 let escape s =
   let buffer = Buffer.create (String.length s + 2) in
   add_escaped buffer s;
@@ -356,9 +360,6 @@ let parse data =
   | value -> Ok value
   | exception Bad (offset, reason) ->
       Error (Printf.sprintf "offset %d: %s" offset reason)
-
-let validate data =
-  match parse data with Ok _ -> Ok () | Error reason -> Error reason
 
 (* --- accessors over parsed values --------------------------------- *)
 

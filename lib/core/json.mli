@@ -9,17 +9,12 @@
     profiler section names — can never produce an invalid document,
     and neither can a NaN or an infinity. {!parse} is a strict
     RFC-8259 parser: the wire protocol reads every message through it,
-    and the test suite's "every emitted document parses" property
-    through {!validate}. *)
-
-val escape : string -> string
-(** Escape a string for inclusion between double quotes in a JSON
-    document: ["\""], ["\\"] and all control characters below 0x20
-    (["\n"]/["\r"]/["\t"] as their short forms, the rest as [\u00xx]).
-    Everything else passes through byte-for-byte. *)
+    and so does the test suite's "every emitted document parses"
+    property. *)
 
 val quote : string -> string
-(** [quote s] is ["\"" ^ escape s ^ "\""]. *)
+(** [s] as a JSON string literal: double-quoted, with quotes,
+    backslashes and control characters escaped. *)
 
 (** A JSON document. Object members keep their order; duplicate keys
     are preserved ([member] returns the first). *)
@@ -52,8 +47,8 @@ type layout =
           [", "]. The layout of {!Stats.to_json}. *)
 
 val to_string : ?layout:layout -> value -> string
-(** Print a value ([Compact] by default). Strings are escaped with
-    {!escape}; a [Number] prints as an integer when it is one (below
+(** Print a value ([Compact] by default). Strings are escaped as
+    {!quote} escapes them; a [Number] prints as an integer when it is one (below
     10{^15}), otherwise in the shortest [%g] form that reads back the
     same float, and as [null] when NaN or infinite. *)
 
@@ -75,10 +70,6 @@ val parse : string -> (value, string) result
     [true], [false], [null]. An unpaired surrogate, a leading zero or
     any other departure from the grammar is an [Error] carrying the
     byte offset and reason. *)
-
-val validate : string -> (unit, string) result
-(** [parse] with the tree discarded. Used to assert that every emitter
-    in the tree produces well-formed documents. *)
 
 val member : string -> value -> value option
 (** First member with that key of an [Obj]; [None] otherwise. *)

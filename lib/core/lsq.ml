@@ -2,10 +2,8 @@ type t = { ring : Entry.t Ring.t }
 
 let create ~entries = { ring = Ring.create ~capacity:entries }
 
-let capacity t = Ring.capacity t.ring
 let length t = Ring.length t.ring
 let is_full t = Ring.is_full t.ring
-let is_empty t = Ring.is_empty t.ring
 
 let dispatch t entry = Ring.push t.ring entry
 
@@ -103,5 +101,3 @@ let release_head t entry =
 
 let squash_younger t ~than_id =
   Ring.drop_while_back (fun (entry : Entry.t) -> entry.id > than_id) t.ring
-
-let iter f t = Ring.iter f t.ring

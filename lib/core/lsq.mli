@@ -12,10 +12,8 @@
 type t
 
 val create : entries:int -> t
-val capacity : t -> int
 val length : t -> int
 val is_full : t -> bool
-val is_empty : t -> bool
 
 val dispatch : t -> Entry.t -> unit
 (** Append a memory-op entry (program order). *)
@@ -41,4 +39,3 @@ val release_head : t -> Entry.t -> unit
 (** Commit of the memory op [entry]: it must be the queue head. *)
 
 val squash_younger : t -> than_id:int -> int
-val iter : (Entry.t -> unit) -> t -> unit

@@ -105,11 +105,6 @@ let build organization ~width =
     placements;
   { organization; width; length; slots = slots_of_placements ~length placements }
 
-let first_issue_slot_allows_loads t =
-  match t.organization with
-  | Config.Simple | Config.Improved -> true
-  | Config.Optimized -> false
-
 (* Lanes for the diagram, one row per stage. *)
 let lanes =
   [ ("Fetch", function Fetch i -> Some i | _ -> None);

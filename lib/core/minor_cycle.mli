@@ -29,8 +29,6 @@ type unit_ =
   | Commit of int
   | Bookkeeping
 
-val unit_name : unit_ -> string
-
 type slot = { minor : int; units : unit_ list }
 (** Units active in one minor cycle (distinct pipeline lanes). *)
 
@@ -44,9 +42,6 @@ type t = {
 val build : Config.organization -> width:int -> t
 (** Raises [Invalid_argument] when [width <= 0]. The resulting [length]
     always equals {!Config.minor_cycles_per_major}. *)
-
-val first_issue_slot_allows_loads : t -> bool
-(** [false] exactly for the Optimized organization. *)
 
 val render : t -> string
 (** ASCII lane diagram in the style of the paper's figures. *)

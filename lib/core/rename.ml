@@ -21,8 +21,3 @@ let clear t ~reg ~id =
 
 let reset t =
   Array.fill t.producers 0 (Array.length t.producers) Entry.no_producer
-
-let pending t =
-  Array.fold_left
-    (fun acc slot -> if slot >= 0 then acc + 1 else acc)
-    0 t.producers

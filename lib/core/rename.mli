@@ -27,5 +27,3 @@ val clear : t -> reg:int -> id:int -> unit
 (** Writeback: remove the mapping only if [id] still owns it. *)
 
 val reset : t -> unit
-val pending : t -> int
-(** Number of registers currently renamed. *)

@@ -15,7 +15,6 @@ let create ~capacity =
 
 let capacity t = t.capacity
 let length t = t.length
-let space t = t.capacity - t.length
 let is_empty t = t.length = 0
 let is_full t = t.length = t.capacity
 
@@ -47,8 +46,6 @@ let take t =
   drop t;
   value
 
-let peek t = if is_empty t then None else Some t.slots.(t.head)
-
 let pop t = if is_empty t then None else Some (take t)
 
 let get t i =
@@ -61,20 +58,6 @@ let iteri f t =
   done
 
 let iter f t = iteri (fun _ value -> f value) t
-
-let exists predicate t =
-  let rec scan i =
-    i < t.length && (predicate (get t i) || scan (i + 1))
-  in
-  scan 0
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun value -> acc := f !acc value) t;
-  !acc
-
-(* Observer/debug path only, never per-cycle. resim-lint: allow *)
-let to_list t = List.rev (fold (fun acc value -> value :: acc) [] t)
 
 let clear t =
   t.slots <- [||];

@@ -19,21 +19,17 @@ val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 val length : 'a t -> int
-val space : 'a t -> int
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Append at the tail. Raises [Failure] when full. *)
 
-val peek : 'a t -> 'a option
-(** Oldest element. *)
-
 val pop : 'a t -> 'a option
 (** Remove and return the oldest element. *)
 
 val front : 'a t -> 'a
-(** [peek] without the option — allocation-free; raises
+(** The oldest element, left in place — allocation-free; raises
     [Invalid_argument] when empty. Every record funnels through two
     rings per cycle, so the engine uses these unboxed accessors. *)
 
@@ -51,9 +47,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest to newest. *)
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_list : 'a t -> 'a list
 val clear : 'a t -> unit
 
 val drop_while_back : ('a -> bool) -> 'a t -> int

@@ -112,7 +112,6 @@ let ifq_empty_stalls t = t.ifq_empty_stalls
 let fu_busy_stalls t = t.fu_busy_stalls
 let misfetch_recovery_cycles t = t.misfetch_recovery_cycles
 let mispredict_recovery_cycles t = t.mispredict_recovery_cycles
-let degraded_faults t = t.degraded_faults
 
 let mark_degraded ?(faults = 1) t =
   t.degraded_faults := !(t.degraded_faults) + faults
@@ -140,6 +139,8 @@ let mean_lsq_occupancy t = mean t.lsq_occupancy_sum t
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 let ipc t = ratio !(t.committed) !(t.major_cycles)
+(* All fetched records (wrong path included) per major cycle — the
+   Table 3 throughput basis. *)
 let fetched_per_cycle t = ratio !(t.fetched) !(t.major_cycles)
 
 let get_int field t = !(field t)

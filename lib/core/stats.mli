@@ -70,9 +70,6 @@ val mispredict_recovery_cycles : t -> counter
     attribute {!fetch_penalty_cycles} per cause; icache-miss cycles are
     already attributed by {!icache_stall_cycles}. *)
 
-val degraded_faults : t -> counter
-(** Faults survived in degraded mode (codec resyncs, salvage decodes). *)
-
 val mark_degraded : ?faults:int -> t -> unit
 (** Mark the run degraded, attributing [faults] (default 1) survived
     faults; derived figures are approximate from then on. *)
@@ -94,18 +91,11 @@ val observe_issue_width : t -> int -> unit
 (** {1 Occupancy accumulators} (sampled once per major cycle) *)
 
 val sample_occupancy : t -> ifq:int -> rob:int -> lsq:int -> unit
-val mean_ifq_occupancy : t -> float
-val mean_rob_occupancy : t -> float
-val mean_lsq_occupancy : t -> float
 
 (** {1 Derived} *)
 
 val ipc : t -> float
 (** Committed instructions per major cycle. *)
-
-val fetched_per_cycle : t -> float
-(** All fetched records (wrong path included) per major cycle — the
-    Table 3 throughput basis. *)
 
 val get : (t -> counter) -> t -> int64
 
@@ -123,13 +113,6 @@ val stall_causes : t -> (string * int64) list
 (** The stall-cause taxonomy (DESIGN.md §11) in stable order:
     ifq_empty, rob_full, lsq_full, fu_busy, rd_port, wr_port, icache,
     misfetch_recovery, mispredict_recovery. *)
-
-val fetch_penalty_fraction : t -> float
-(** Fetch penalty cycles over major cycles; 0 on a zero-cycle run. *)
-
-val commit_starved_fraction : t -> float
-(** Fraction of major cycles that committed nothing; 0 on a zero-cycle
-    run. *)
 
 val to_json : t -> string
 (** The stable metrics document: every counter, the stall-cause

@@ -46,7 +46,6 @@ type structure =
   | Icache
 
 val structure_name : structure -> string
-val structures : structure list
 
 type cost = { slices : int; luts : int; brams : int }
 

@@ -22,9 +22,3 @@ let virtex5_xc5vlx330t =
     brams = 324; minor_cycle_mhz = 105.0 }
 
 let all = [ virtex4_xc4vlx40; virtex5_xc5vlx50t; virtex5_xc5vlx330t ]
-
-let pp ppf d =
-  Format.fprintf ppf "%s (%s, %d slices, %d LUTs, %d BRAMs, %.0f MHz)"
-    d.name
-    (match d.family with Virtex4 -> "Virtex-4" | Virtex5 -> "Virtex-5")
-    d.slices d.luts d.brams d.minor_cycle_mhz

@@ -25,4 +25,3 @@ val virtex5_xc5vlx330t : t
     future-work direction. *)
 
 val all : t list
-val pp : Format.formatter -> t -> unit

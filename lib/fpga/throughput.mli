@@ -8,9 +8,6 @@
     fetched wrong-path instructions and derives the input trace bandwidth
     demand in MB/s. *)
 
-val simulated_cycles_per_second :
-  mhz:float -> minor_cycles_per_major:int -> float
-
 val mips :
   mhz:float ->
   minor_cycles_per_major:int ->

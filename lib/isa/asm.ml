@@ -9,19 +9,15 @@ type proto = {
   target : target option;
 }
 
-type stmt = Label of string | Proto of proto | Comment of string
+type stmt = Label of string | Proto of proto
 
 exception Unknown_label of string
 exception Duplicate_label of string
 
 let label name = Label name
-let comment text = Comment text
 
 let proto ?dest ?src1 ?src2 ?(imm = 0) ?target op =
   Proto { op; dest; src1; src2; imm; target }
-
-let instr (i : Instruction.t) =
-  proto ?dest:i.dest ?src1:i.src1 ?src2:i.src2 ~imm:i.imm i.op
 
 let rrr op dest src1 src2 = proto ~dest ~src1 ~src2 op
 
@@ -99,8 +95,7 @@ let assemble ?entry ?(data = []) stmts =
   List.iter
     (function
       | Label name -> bind name !next
-      | Proto _ -> incr next
-      | Comment _ -> ())
+      | Proto _ -> incr next)
     stmts;
   let resolve = function
     | Named name -> (
@@ -111,7 +106,7 @@ let assemble ?entry ?(data = []) stmts =
   let code =
     List.filter_map
       (function
-        | Label _ | Comment _ -> None
+        | Label _ -> None
         | Proto p ->
             let imm =
               match p.target with

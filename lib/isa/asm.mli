@@ -21,11 +21,6 @@ exception Duplicate_label of string
 (** {1 Labels and raw statements} *)
 
 val label : string -> stmt
-val instr : Instruction.t -> stmt
-(** Embed a pre-built instruction (no label resolution applied). *)
-
-val comment : string -> stmt
-(** Ignored by assembly; useful for listing readability. *)
 
 (** {1 ALU, register-register} *)
 

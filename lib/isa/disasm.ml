@@ -10,6 +10,8 @@ let target ~label_of index =
   | Some label -> label
   | None -> string_of_int index
 
+(* One instruction in parser syntax; [label_of index] supplies the
+   label for a control-flow target. *)
 let instruction ~label_of (instr : Instruction.t) =
   let d = reg_or_zero instr.dest in
   let a = reg_or_zero instr.src1 in

@@ -6,10 +6,6 @@
     program built through {!Asm} or {!Parser} — a property the test
     suite checks. *)
 
-val instruction : label_of:(int -> string option) -> Instruction.t -> string
-(** One instruction in parser syntax; [label_of index] supplies the
-    label for a control-flow target. *)
-
 val program : Program.t -> string
 (** Full listing with generated [L<n>] labels at every control-flow
     target, plus [.entry] and [.word] directives. *)

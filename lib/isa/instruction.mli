@@ -20,11 +20,3 @@ val bytes_per_instruction : int
 val byte_address : int -> int
 (** [byte_address index] is the simulated byte address of the instruction
     at [index]. *)
-
-val make :
-  ?dest:Reg.t -> ?src1:Reg.t -> ?src2:Reg.t -> ?imm:int -> Opcode.t -> t
-
-val nop : t
-val halt : t
-
-val pp : Format.formatter -> t -> unit

@@ -105,8 +105,6 @@ let set_halted m value =
   if m.journaling > 0 then note m (Halted_was m.halted);
   m.halted <- value
 
-let instructions_retired m = Int64.of_int m.retired
-
 let incr_retired m =
   if m.journaling > 0 then note m (Retired_was m.retired);
   m.retired <- m.retired + 1
@@ -145,10 +143,5 @@ let release m = m.journaling <- (if m.journaling > 0 then m.journaling - 1 else 
 
 let rollback m cp =
   unwind m cp.mark;
-  release m;
-  reset_if_idle m
-
-let discard m cp =
-  ignore cp.mark;
   release m;
   reset_if_idle m

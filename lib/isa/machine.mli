@@ -37,7 +37,6 @@ val pc : t -> int
 val set_pc : t -> int -> unit
 val halted : t -> bool
 val set_halted : t -> bool -> unit
-val instructions_retired : t -> int64
 val incr_retired : t -> unit
 
 (** {1 Speculation} *)
@@ -46,11 +45,7 @@ type checkpoint
 
 val checkpoint : t -> checkpoint
 (** Start (or nest) journaling; every subsequent register/memory/PC/halt
-    mutation is recorded until the matching {!rollback} or {!discard}. *)
+    mutation is recorded until the matching {!rollback}. *)
 
 val rollback : t -> checkpoint -> unit
 (** Undo every mutation performed since the checkpoint was taken. *)
-
-val discard : t -> checkpoint -> unit
-(** Commit the speculative work: drop the journal entries belonging to the
-    checkpoint without undoing them. *)

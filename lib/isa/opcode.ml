@@ -36,13 +36,6 @@ let is_cond_kind = function
   | Cond -> true
   | Jump | Call | Ret | Indirect -> false
 
-let is_memory op =
-  match op_class op with
-  | Load | Store -> true
-  | Int_alu | Int_mult | Int_div | Ctrl -> false
-
-let is_control op = op_class op = Ctrl
-
 let mnemonic = function
   | Add -> "add" | Sub -> "sub" | And -> "and" | Or -> "or" | Xor -> "xor"
   | Sll -> "sll" | Srl -> "srl" | Sra -> "sra" | Slt -> "slt"
@@ -53,8 +46,6 @@ let mnemonic = function
   | Beq -> "beq" | Bne -> "bne" | Blt -> "blt" | Bge -> "bge"
   | J -> "j" | Jal -> "jal" | Jr -> "jr" | Jalr -> "jalr"
   | Nop -> "nop" | Halt -> "halt"
-
-let pp ppf op = Format.pp_print_string ppf (mnemonic op)
 
 let all =
   [ Add; Sub; And; Or; Xor; Sll; Srl; Sra; Slt;

@@ -34,9 +34,6 @@ val branch_kind : t -> branch_kind option
 val is_cond_kind : branch_kind -> bool
 (** Caml_equal-free [kind = Cond] for the engine's commit path. *)
 
-val is_memory : t -> bool
-val is_control : t -> bool
 val mnemonic : t -> string
-val pp : Format.formatter -> t -> unit
 val all : t list
 (** Every opcode, for exhaustive enumeration in tests. *)

@@ -18,10 +18,3 @@ val make :
 
 val length : t -> int
 (** Number of instructions. *)
-
-val resolve : t -> string -> int
-(** [resolve program label] is the instruction index of [label].
-    Raises [Not_found] when the label does not exist. *)
-
-val pp : Format.formatter -> t -> unit
-(** Disassembly listing. *)

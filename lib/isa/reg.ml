@@ -11,8 +11,5 @@ let to_int reg = reg
 let zero = 0
 let ra = 31
 let sp = 29
-let gp = 28
 let r = of_int
 let equal = Int.equal
-let compare = Int.compare
-let pp ppf reg = Format.fprintf ppf "r%d" reg

@@ -26,12 +26,7 @@ val ra : t
 val sp : t
 (** Stack-pointer register ([r29] by convention). *)
 
-val gp : t
-(** Global-pointer register ([r28] by convention). *)
-
 val r : int -> t
 (** Shorthand for {!of_int}. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -29,10 +29,6 @@ val create : core_spec list -> t
     the minor-cycle schedule). *)
 
 val core_count : t -> int
-val step : t -> unit
-(** One major cycle on every unfinished core. *)
-
-val finished : t -> bool
 
 val run : ?max_cycles:int64 -> t -> [ `Finished | `Truncated ]
 (** Step until every core drains, or until [max_cycles] lockstep cycles

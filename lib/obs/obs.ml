@@ -63,9 +63,6 @@ let add_jsonl_event buffer ~cycle event =
       Buffer.add_char buffer '"');
   Buffer.add_string buffer "}\n"
 
-let jsonl_buffer buffer =
-  make_sink (fun ~cycle event -> add_jsonl_event buffer ~cycle event)
-
 (* ------------------------------------------------------------------ *)
 (* Waterfall: per-instruction stage cycles for a window of dispatched
    instructions, rendered as a Gantt chart on close. Fetch events carry

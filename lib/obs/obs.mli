@@ -58,9 +58,6 @@ val add_jsonl_event :
     the single encoder of every JSONL pipetrace ([simulate
     --pipetrace] builds its file sink on it). *)
 
-val jsonl_buffer : Buffer.t -> sink
-(** In-memory variant, for tests comparing whole streams. *)
-
 (** {1 Waterfall renderer}
 
     Accumulates per-instruction stage cycles for the first [window]

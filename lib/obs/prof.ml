@@ -49,22 +49,12 @@ let time t name f =
     f
 
 let instrument_engine t engine =
-  let cell_commit = cell t "engine/commit" in
-  let cell_writeback = cell t "engine/writeback" in
-  let cell_issue = cell t "engine/issue" in
-  let cell_dispatch = cell t "engine/dispatch" in
-  let cell_decouple = cell t "engine/decouple" in
-  let cell_fetch = cell t "engine/fetch" in
-  let cell_account = cell t "engine/account" in
-  let cell_of = function
-    | Engine.Ph_commit -> cell_commit
-    | Engine.Ph_writeback -> cell_writeback
-    | Engine.Ph_issue -> cell_issue
-    | Engine.Ph_dispatch -> cell_dispatch
-    | Engine.Ph_decouple -> cell_decouple
-    | Engine.Ph_fetch -> cell_fetch
-    | Engine.Ph_account -> cell_account
+  let cells =
+    List.map
+      (fun phase -> (phase, cell t ("engine/" ^ Engine.phase_name phase)))
+      Engine.all_phases
   in
+  let cell_of phase = List.assq phase cells in
   let current = ref None in
   let last_time = ref 0.0 in
   let last_alloc = ref 0.0 in

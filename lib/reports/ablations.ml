@@ -11,6 +11,10 @@ let gzip_trace ~config =
   let run = Runner.run_kernel ~key:"ablation" ~config ~scale:(Runner.Exact 8192) (gzip ()) in
   run.Runner.generated.records
 
+(* The paper's central claim (§IV): the three internal organizations
+   are timing-equivalent at major-cycle granularity and differ only in
+   minor cycles per major cycle — same simulated cycles, different
+   simulation MIPS. *)
 let print_organizations ppf =
   let config = Config.reference in
   let records = gzip_trace ~config in
@@ -54,6 +58,9 @@ let area_params (config : Config.t) =
     rob_entries = config.rob_entries;
     lsq_entries = config.lsq_entries }
 
+(* Issue width 1/2/4/8: simulated IPC, simulation MIPS, and modelled
+   area; shows the simulation-speed cost of simulating wider
+   processors (L grows with N). *)
 let print_width_sweep ppf =
   Format.fprintf ppf
     "@[<v>Ablation: simulated issue width (gzip, improved org)@,@,\
@@ -75,6 +82,8 @@ let print_width_sweep ppf =
     [ 1; 2; 4; 8 ];
   Format.fprintf ppf "@]"
 
+(* Reorder-buffer size 8/16/32/64 at fixed width: the design-space
+   exploration use case ReSim is built for. *)
 let print_rob_sweep ppf =
   let base = Config.reference in
   let records = gzip_trace ~config:base in
@@ -93,6 +102,9 @@ let print_rob_sweep ppf =
     [ 8; 16; 32; 64 ];
   Format.fprintf ppf "@]"
 
+(* The §IV measurement that motivated serial execution: a parallel
+   N-wide implementation costs ~Nx area and is 22 % slower at N = 4.
+   Compares modelled simulation throughput per FPGA slice. *)
 let print_serial_vs_parallel ppf =
   let config = Config.reference in
   let records = gzip_trace ~config in
@@ -123,6 +135,8 @@ let print_serial_vs_parallel ppf =
     "@,(paper §IV: parallel 4-wide fetch was 4x the cost and 22%% \
      slower — serial wins on throughput per slice)@]"
 
+(* Trace-format ablation: Fixed (paper-style) vs Compact (delta)
+   encodings — bits/instruction and bandwidth demand. *)
 let print_encoding ppf =
   Format.fprintf ppf
     "@[<v>Ablation: trace encoding (evaluation-scale kernels)@,@,\
@@ -144,6 +158,8 @@ let print_encoding ppf =
     Resim_workloads.Workload.all;
   Format.fprintf ppf "@]"
 
+(* Predictor sweep on the generator/engine pair: misprediction rate and
+   simulated IPC across predictor configurations. *)
 let print_predictors ppf =
   let program = Resim_workloads.Workload.program_of (gzip ()) ~scale:8192 () in
   Format.fprintf ppf
@@ -179,6 +195,8 @@ let print_predictors ppf =
     predictors;
   Format.fprintf ppf "@]"
 
+(* Flat L1 (the paper's memory system) vs an added unified 256 KB L2 on
+   the cache-sensitive kernels — an extension study. *)
 let print_l2 ppf =
   let l2_config =
     Resim_cache.Cache.Set_associative
@@ -220,6 +238,9 @@ let print_l2 ppf =
     Resim_workloads.Workload.all;
   Format.fprintf ppf "@]"
 
+(* On-the-fly co-simulation (FAST-style streaming, §VI future work) vs
+   the offline generate-then-simulate pipeline: identical timing,
+   bounded buffering. *)
 let print_cosim ppf =
   let program = Resim_workloads.Workload.program_of (gzip ()) ~scale:8192 () in
   let cosim = Resim_core.Cosim.run program in
@@ -235,6 +256,7 @@ let print_cosim ppf =
     cosim.peak_buffered_records
     (cosim.correct_path + cosim.wrong_path)
 
+(* Out-of-order vs the in-order 5-stage baseline on the same traces. *)
 let print_in_order ppf =
   Format.fprintf ppf
     "@[<v>Ablation: out-of-order vs in-order 5-stage (default scales, \

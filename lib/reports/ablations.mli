@@ -3,46 +3,6 @@
     All use the gzip kernel at its default (small) scale unless noted,
     so they run in seconds; the conclusions are scale-independent. *)
 
-val print_organizations : Format.formatter -> unit
-(** The paper's central claim (§IV): the three internal organizations
-    are timing-equivalent at major-cycle granularity and differ only in
-    minor cycles per major cycle — same simulated cycles, different
-    simulation MIPS. *)
-
-val print_width_sweep : Format.formatter -> unit
-(** Issue width 1/2/4/8: simulated IPC, simulation MIPS, and modelled
-    area; shows the simulation-speed cost of simulating wider
-    processors (L grows with N). *)
-
-val print_rob_sweep : Format.formatter -> unit
-(** Reorder-buffer size 8/16/32/64 at fixed width: the design-space
-    exploration use case ReSim is built for. *)
-
-val print_serial_vs_parallel : Format.formatter -> unit
-(** The §IV measurement that motivated serial execution: a parallel
-    N-wide implementation costs ~Nx area and is 22 % slower at N = 4.
-    Compares modelled simulation throughput per FPGA slice. *)
-
-val print_encoding : Format.formatter -> unit
-(** Trace-format ablation: Fixed (paper-style) vs Compact (delta)
-    encodings — bits/instruction and bandwidth demand. *)
-
-val print_predictors : Format.formatter -> unit
-(** Predictor sweep on the generator/engine pair: misprediction rate and
-    simulated IPC across predictor configurations. *)
-
-val print_l2 : Format.formatter -> unit
-(** Flat L1 (the paper's memory system) vs an added unified 256 KB L2 on
-    the cache-sensitive kernels — an extension study. *)
-
-val print_cosim : Format.formatter -> unit
-(** On-the-fly co-simulation (FAST-style streaming, §VI future work) vs
-    the offline generate-then-simulate pipeline: identical timing,
-    bounded buffering. *)
-
-val print_in_order : Format.formatter -> unit
-(** Out-of-order vs the in-order 5-stage baseline on the same traces. *)
-
 val requests : unit -> Runner.request list
 (** The full ablation grid: every memoisable (kernel, configuration,
     scale) simulation the ablations and Tables 1/3 run — the Table 1
@@ -51,9 +11,6 @@ val requests : unit -> Runner.request list
     default-scale runs of the in-order comparison. Ordered and
     duplicate-free, so it can be handed to {!Runner.prewarm} or run
     directly as a {!Resim_sweep.Sweep}. *)
-
-val prewarm : ?jobs:int -> unit -> unit
-(** [Runner.prewarm ?jobs (requests ())]. *)
 
 val print_all : ?jobs:int -> Format.formatter -> unit
 (** Prewarms the grid across [jobs] worker domains (default: the host's

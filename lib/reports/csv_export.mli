@@ -4,9 +4,6 @@
     paper reference columns included), so downstream analysis does not
     need to scrape the bench's text output. *)
 
-val write_table1 : string -> unit
-val write_table2 : string -> unit
-val write_table3 : string -> unit
 val write_table4 : string -> unit
 
 val write_all : dir:string -> string list

@@ -3,11 +3,4 @@
     Renders the minor-cycle schedules (4-wide, as in the paper's figures)
     and the latency formulas [2N+3] / [N+4] / [N+3] across widths. *)
 
-val print_figure2 : Format.formatter -> unit
-val print_figure3 : Format.formatter -> unit
-val print_figure4 : Format.formatter -> unit
-
-val print_latency_table : Format.formatter -> unit
-(** Latency in minor cycles for widths 1–8, all three organizations. *)
-
 val print_all : Format.formatter -> unit

@@ -13,6 +13,4 @@ type row = {
 }
 
 val rows : unit -> row list
-val speedup_vs_fast : unit -> float
-val speedup_vs_aports : unit -> float
 val print : Format.formatter -> unit

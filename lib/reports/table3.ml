@@ -22,8 +22,7 @@ let measure workload =
     bits_per_instr = run.Runner.outcome.bits_per_instruction;
     throughput_mips = mips;
     trace_mbytes_s =
-      Resim_fpga.Throughput.trace_mbytes_per_second ~mips
-        ~bits_per_instruction:run.Runner.outcome.bits_per_instruction;
+      Resim_core.Resim.trace_bandwidth_mbytes run.Runner.outcome ~device:v4;
     wrong_path_overhead =
       (if Int64.equal fetched 0L then 0.0
        else Int64.to_float wrong /. Int64.to_float fetched) }

@@ -96,10 +96,6 @@ let mean_and_ci95 = function
       let stddev = sqrt (sum_sq /. float_of_int (n - 1)) in
       (mean, t_critical ~df:(n - 1) *. stddev /. sqrt nf)
 
-let covers report ipc =
-  (not (Float.is_nan ipc))
-  && Float.abs (ipc -. report.mean_ipc) <= report.ci95
-
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)
 
@@ -132,6 +128,13 @@ let report_to_json report =
    cold, so a few ROB-fulls of commits prime it first. *)
 let priming_commits config = 4 * config.Config.rob_entries
 
+(* The run loop handed to {!Resim_core.Resim.run} via its
+   [?driver] parameter: alternate functional warm-up and detailed
+   intervals until the trace drains, writing the accumulated {!report}
+   through the ref (also on truncation — the intervals completed so
+   far). [deadline] and [max_cycles] compose the sweep's budgets: the
+   detailed intervals honour them and truncate with a resume
+   checkpoint exactly like an unsampled bounded run. *)
 let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
   let stats = Engine.stats engine in
   let committed () = Stats.get_int Stats.committed stats in

@@ -57,31 +57,11 @@ type report = {
   warmed_instructions : int;  (** total functionally warmed *)
 }
 
-val covers : report -> float -> bool
-(** [covers report ipc] — does [ipc] (typically the full-run IPC) fall
-    within [mean_ipc +- ci95]? Vacuously true when [ci95] is infinite. *)
-
 val report_to_json : report -> string
 (** Stable JSON object: the spec, interval count and per-interval IPCs,
     mean, [ci95] (null when not finite), and instruction totals. A
     sampled run's [--metrics] document appends it to the statistics as
     a ["sample"] member ({!Resim_core.Json.append_members}). *)
-
-val driver :
-  ?watchdog:int ->
-  ?deadline:(unit -> bool) ->
-  ?max_cycles:int64 ->
-  spec:spec ->
-  report option ref ->
-  Resim_core.Engine.t ->
-  Resim_core.Engine.bounded
-(** The run loop handed to {!Resim_core.Resim.run} via its
-    [?driver] parameter: alternate functional warm-up and detailed
-    intervals until the trace drains, writing the accumulated {!report}
-    through the ref (also on truncation — the intervals completed so
-    far). [deadline] and [max_cycles] compose the sweep's budgets: the
-    detailed intervals honour them and truncate with a resume
-    checkpoint exactly like an unsampled bounded run. *)
 
 val run :
   ?config:Resim_core.Config.t ->
@@ -92,7 +72,7 @@ val run :
   spec:spec ->
   Resim_core.Resim.trace ->
   (Resim_core.Resim.robust * report, Resim_core.Resim.failure) result
-(** {!Resim_core.Resim.run} under the sampling {!driver}. The driver
+(** {!Resim_core.Resim.run} under the sampling driver. The driver
     only walks the trace forward (warm-up advances the cursor, detailed
     intervals fetch), so a pulled stream samples exactly like the same
     records in an array.

@@ -96,5 +96,3 @@ let store t key encoded =
            (fun () -> output_string oc encoded);
          Sys.rename tmp path
        with Sys_error _ -> ())
-
-let size t = Sync.with_lock t.mutex (fun () -> Hashtbl.length t.table)

@@ -31,5 +31,3 @@ val store : t -> string -> string -> unit
 (** [store t key encoded] takes a run's encoded [done] event: its hit
     frame goes into memory, the event itself to disk (write-then-rename;
     IO failures degrade to memory-only). *)
-
-val size : t -> int

@@ -14,17 +14,14 @@ val frame_error_to_string : frame_error -> string
 
 (** {1 Framing} *)
 
-val max_frame : int
-(** 16 MiB. A declared length beyond this is [RSM-S001]. *)
-
 val frame : string -> string
 (** Prefix the payload with its 4-byte big-endian length. Raises
-    [Invalid_argument] beyond {!max_frame} (server payloads are
+    [Invalid_argument] beyond 16 MiB (server payloads are
     bounded by construction). *)
 
 val frame_length : string -> (int, frame_error) result
-(** The payload length declared by a 4-byte header; beyond
-    {!max_frame} it is [RSM-S001]. *)
+(** The payload length declared by a 4-byte header; beyond 16 MiB it
+    is [RSM-S001]. *)
 
 val next_frame :
   Buffer.t -> offset:int -> ((string * int) option, frame_error) result
@@ -33,7 +30,7 @@ val next_frame :
     the bytes before [offset]:
     [Ok (Some (payload, next_offset))] on a complete frame, [Ok None]
     when more bytes are needed, [Error] ([RSM-S001]) when the declared
-    length exceeds {!max_frame}. *)
+    length exceeds 16 MiB. *)
 
 val finish : Buffer.t -> offset:int -> (unit, frame_error) result
 (** At end-of-stream: trailing bytes that never completed a frame are
@@ -106,7 +103,6 @@ type rejection =
   | Draining      (** server is draining after SIGTERM *)
   | Bad_request of string
 
-val rejection_tag : rejection -> string
 val rejection_to_string : rejection -> string
 
 type done_payload = {

@@ -8,12 +8,13 @@
    Domain-safety story (the PR 8 resim-dsafe bar, zero annotations):
 
    - Everything a worker domain touches is either confined (its job's
-     engine, inside [Exec]), an [Atomic.t] (stop/alive/drain flags,
-     counters), or bracketed by [Sync.with_lock shared.mutex] (the
-     pending queue, the completion queue, the running-job table).
+     engine, inside [Exec]), an [Atomic.t] (stop/alive/drain flags),
+     or bracketed by [Sync.with_lock shared.mutex] (the pending queue,
+     the completion queue, the running-job table).
    - Everything else — client sessions and their buffers, quota and
-     attempt tables, the delayed-retry list — belongs to the accept
-     loop alone and is never captured by a spawned closure.
+     attempt tables, the delayed-retry list, the status counters —
+     belongs to the accept loop alone and is never captured by a
+     spawned closure.
    - Signal handlers only flip an [Atomic.t]; the accept loop notices
      on its next select tick and performs the actual drain, so no
      lock is ever taken from handler context.
@@ -32,7 +33,6 @@
    in-flight simulates are never shed. *)
 
 module Sync = Resim_core.Sync
-module Counters = Resim_obs.Counters
 
 type config = {
   socket_path : string;
@@ -60,10 +60,6 @@ let default_config ~socket_path =
 (* The crash-requeue backoff cap, seconds. *)
 let max_backoff = 1.0
 
-let counter_names =
-  [ "accepted"; "rejected"; "shed"; "retried"; "cache_hits"; "cache_misses";
-    "completed"; "failed"; "malformed"; "worker_restarts" ]
-
 (* --- state shared with worker domains ----------------------------- *)
 
 type job = {
@@ -87,7 +83,6 @@ type shared = {
   stop : bool Atomic.t;
   draining : bool Atomic.t;
   wake_w : Unix.file_descr;
-  counters : Counters.t;
   test_hooks : bool;
 }
 
@@ -161,6 +156,28 @@ type session = {
 
 type slot = { mutable handle : unit Domain.t; mutable alive : bool Atomic.t }
 
+(* The status report's counters. Every event they count happens on the
+   accept loop. *)
+type counters = {
+  mutable accepted : int;
+  mutable rejected : int;
+  mutable shed : int;
+  mutable retried : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable completed : int;
+  mutable failed : int;
+  mutable malformed : int;
+  mutable worker_restarts : int;
+}
+
+let counter_list c =
+  [ ("accepted", c.accepted); ("rejected", c.rejected); ("shed", c.shed);
+    ("retried", c.retried); ("cache_hits", c.cache_hits);
+    ("cache_misses", c.cache_misses); ("completed", c.completed);
+    ("failed", c.failed); ("malformed", c.malformed);
+    ("worker_restarts", c.worker_restarts) ]
+
 type loop = {
   config : config;
   shared : shared;
@@ -173,6 +190,7 @@ type loop = {
   attempts : (int, int) Hashtbl.t;  (* job id → worker-domain attempts *)
   mutable delayed : (float * job) list;  (* crash-requeue backoff *)
   slots : slot array;
+  counters : counters;
   mutable next_sid : int;
   mutable next_job : int;
 }
@@ -219,8 +237,9 @@ let finish_job loop (job : job) =
    those bytes in the cache, and the reply frames the same string. *)
 let deliver_done loop (job : job) payload =
   finish_job loop job;
-  Counters.incr loop.shared.counters
-    (if payload.Protocol.exit_code = 0 then "completed" else "failed");
+  let c = loop.counters in
+  if payload.Protocol.exit_code = 0 then c.completed <- c.completed + 1
+  else c.failed <- c.failed + 1;
   let encoded = Protocol.encode_event (Protocol.Done payload) in
   (match (job.cache_key, payload.Protocol.outcome) with
   | Some key, "ok" -> Cache.store loop.cache key encoded
@@ -234,10 +253,10 @@ let deliver_done loop (job : job) payload =
 (* --- admission ----------------------------------------------------- *)
 
 let reject loop session rejection =
-  Counters.incr loop.shared.counters
-    (match rejection with
-    | Protocol.Shed_lint | Protocol.Shed_sweep -> "shed"
-    | _ -> "rejected");
+  let c = loop.counters in
+  (match rejection with
+  | Protocol.Shed_lint | Protocol.Shed_sweep -> c.shed <- c.shed + 1
+  | _ -> c.rejected <- c.rejected + 1);
   send_event session (Protocol.Rejected rejection);
   session.close_after_flush <- true
 
@@ -273,7 +292,7 @@ let evict_for_simulate loop =
         | `Lint -> Protocol.Shed_lint
         | _ -> Protocol.Shed_sweep
       in
-      Counters.incr loop.shared.counters "shed";
+      loop.counters.shed <- loop.counters.shed + 1;
       finish_job loop victim;
       (match session_of_job loop victim with
       | None -> ()
@@ -284,7 +303,7 @@ let evict_for_simulate loop =
 
 let status_event loop =
   Protocol.Status_report
-    { counters = Counters.snapshot loop.shared.counters;
+    { counters = counter_list loop.counters;
       queue = queue_depth loop;
       running = running_count loop;
       workers = Array.length loop.slots;
@@ -325,18 +344,18 @@ let admit loop session (request : Protocol.request) =
             match Option.bind cache_key (Cache.find loop.cache) with
             | Some frame ->
                 (* the stored [done] event, already marked cached *)
-                Counters.incr loop.shared.counters "cache_hits";
+                loop.counters.cache_hits <- loop.counters.cache_hits + 1;
                 Queue.push frame session.out;
                 session.close_after_flush <- true
             | None ->
                 if Option.is_some cache_key then
-                  Counters.incr loop.shared.counters "cache_misses";
+                  loop.counters.cache_misses <- loop.counters.cache_misses + 1;
                 let id = loop.next_job in
                 loop.next_job <- id + 1;
                 let job =
                   { id; session = session.sid; client; body; cache_key }
                 in
-                Counters.incr loop.shared.counters "accepted";
+                loop.counters.accepted <- loop.counters.accepted + 1;
                 Hashtbl.replace loop.client_counts client (outstanding + 1);
                 Hashtbl.replace loop.attempts id 1;
                 send_event session (Protocol.Accepted { job_id = id });
@@ -351,7 +370,7 @@ let close_session loop session =
 let on_frame loop session payload =
   if session.requested then begin
     (* One request per connection; a second frame is a shape error. *)
-    Counters.incr loop.shared.counters "malformed";
+    loop.counters.malformed <- loop.counters.malformed + 1;
     send_event session
       (Protocol.Protocol_error
          { code = "RSM-S004"; detail = "a connection carries one request" });
@@ -361,7 +380,7 @@ let on_frame loop session payload =
     session.requested <- true;
     match Protocol.decode_request payload with
     | Error error ->
-        Counters.incr loop.shared.counters "malformed";
+        loop.counters.malformed <- loop.counters.malformed + 1;
         send_event session (Protocol.Protocol_error error);
         session.close_after_flush <- true
     | Ok request -> admit loop session request
@@ -377,7 +396,7 @@ let on_readable loop session =
          nobody to tell, but the counter records it. *)
       (match Protocol.finish session.inbuf ~offset:session.in_pos with
       | Ok () -> ()
-      | Error _ -> Counters.incr loop.shared.counters "malformed");
+      | Error _ -> loop.counters.malformed <- loop.counters.malformed + 1);
       if session.requested && not session.close_after_flush then
         (* An admitted job's terminal event is still to come: a client
            that half-closed after its request waits for it. A peer that
@@ -398,7 +417,7 @@ let on_readable loop session =
             frames next
         | Error error ->
             session.in_pos <- offset;
-            Counters.incr loop.shared.counters "malformed";
+            loop.counters.malformed <- loop.counters.malformed + 1;
             send_event session (Protocol.Protocol_error error);
             session.close_after_flush <- true
       in
@@ -512,7 +531,7 @@ let supervise loop =
             in
             if attempts_so_far <= loop.config.retries then begin
               Hashtbl.replace loop.attempts job.id (attempts_so_far + 1);
-              Counters.incr loop.shared.counters "retried";
+              loop.counters.retried <- loop.counters.retried + 1;
               let delay =
                 Float.min max_backoff
                   (loop.config.backoff
@@ -537,7 +556,7 @@ let supervise loop =
                   metrics = None;
                   checkpoint = None });
         if not (Atomic.get loop.shared.stop) then begin
-          Counters.incr loop.shared.counters "worker_restarts";
+          loop.counters.worker_restarts <- loop.counters.worker_restarts + 1;
           log loop "respawning worker %d" i;
           spawn_slot loop i
         end
@@ -588,7 +607,6 @@ let run config =
           stop = Atomic.make false;
           draining = Atomic.make false;
           wake_w;
-          counters = Counters.make counter_names;
           test_hooks = config.test_hooks }
       in
       let loop =
@@ -606,6 +624,10 @@ let run config =
             Array.init (max 1 config.workers) (fun i ->
                 let alive = Atomic.make true in
                 { handle = Domain.spawn (worker_main shared i alive); alive });
+          counters =
+            { accepted = 0; rejected = 0; shed = 0; retried = 0;
+              cache_hits = 0; cache_misses = 0; completed = 0; failed = 0;
+              malformed = 0; worker_restarts = 0 };
           next_sid = 1;
           next_job = 1 }
       in

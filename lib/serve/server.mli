@@ -40,11 +40,9 @@ val default_config : socket_path:string -> config
 (** 2 workers, queue of 64, quota 8, 2 retries, 50 ms → 1 s backoff,
     memory-only cache, no test hooks. *)
 
-val counter_names : string list
-(** Counters reported by [status]: accepted, rejected, shed, retried,
-    cache_hits, cache_misses, completed, failed, malformed,
-    worker_restarts. *)
-
 val run : config -> (unit, string) result
 (** Serve until SIGTERM/SIGINT, then drain and clean up. [Error]
-    only when the socket is genuinely owned by a live server. *)
+    only when the socket is genuinely owned by a live server. A
+    [status] request reports the counters accepted, rejected, shed,
+    retried, cache_hits, cache_misses, completed, failed, malformed
+    and worker_restarts, in that order. *)

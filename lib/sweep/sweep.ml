@@ -13,9 +13,9 @@ type job = {
   workload : Resim_workloads.Workload.t;
   config : Config.t;
   scale : scale;
-  trace : (unit -> Resim.trace) option;
-      (* a pre-built trace, opened on the worker domain; None generates
-         the kernel *)
+  trace : (unit -> unit -> Resim_trace.Record.t option) option;
+      (* a pull stream, opened on the worker domain; None generates the
+         kernel *)
   timeout : float option;  (* per-job wall-clock budget, seconds *)
   sample : Resim_sample.Sample.spec option;
       (* sampled simulation instead of a full detailed run *)
@@ -29,23 +29,14 @@ let job ?label ?(scale = Evaluation) ?timeout ?sample ~config workload =
   in
   { label; workload; config; scale; trace = None; timeout; sample }
 
-let trace_job ?(label = "trace") ?timeout ?sample ~config records =
-  { label;
-    (* Placeholder for table rendering only: a pre-built trace never
-       touches the kernel. *)
-    workload = List.hd Resim_workloads.Workload.all;
-    config;
-    scale = Exact (Array.length records);
-    trace = Some (fun () -> Resim.Records records);
-    timeout;
-    sample }
-
 let stream_job ?(label = "stream") ?timeout ?sample ~config open_stream =
   { label;
+    (* Placeholder for table rendering only: a stream never touches the
+       kernel. *)
     workload = List.hd Resim_workloads.Workload.all;
     config;
     scale = Exact 0;
-    trace = Some (fun () -> Resim.Pull (open_stream ()));
+    trace = Some open_stream;
     timeout;
     sample }
 
@@ -115,37 +106,12 @@ let default_policy =
     backoff = 0.25;
     max_backoff = 5.0 }
 
-(* The §III protocol bound on a tagged block under this configuration —
-   the generator's wrong-path limit, which RSM-T007 enforces. *)
-let protocol_max_run (config : Config.t) =
-  config.rob_entries + config.ifq_entries
-
-let fault_of_diagnostic (d : Rcheck.Diagnostic.t) =
-  (* Lint subjects are "record %d" (or "header"); recover the offset. *)
-  let offset =
-    match String.index_opt d.subject ' ' with
-    | Some i -> (
-        match
-          int_of_string_opt
-            (String.sub d.subject (i + 1) (String.length d.subject - i - 1))
-        with
-        | Some n -> n
-        | None -> 0)
-    | None -> 0
-  in
-  Fault.make ~code:d.code ~offset ~context:d.message
-
 (* The job's trace, with generator metadata when it was generated. A
-   kernel is generated here. A pre-built trace opens here, on the
-   worker domain (a stream's opener captures only domain-safe values,
-   typically a path). A pre-built array passes the resim-check lint
-   gate first: the engine tolerates many protocol violations silently
-   (orphan tags are discarded, runaway blocks squashed), so structural
-   faults must surface as structured failures with their RSM-T code.
-   Generated traces are valid by construction and a one-pass stream
-   cannot be linted and then simulated, so neither is gated; a
-   stream's typed codec errors surface mid-run as faults instead, and
-   a truncated stream is exactly such a fault, never a short [Ok]. *)
+   kernel is generated here. A stream opens here, on the worker domain
+   (its opener captures only domain-safe values, typically a path). A
+   one-pass stream cannot be linted and then simulated, so it is not
+   gated: its typed codec errors surface mid-run as faults, and a
+   truncated stream is exactly such a fault, never a short [Ok]. *)
 let acquire job =
   match job.trace with
   | None ->
@@ -154,27 +120,13 @@ let acquire job =
           ~config:(Resim.generator_config job.config)
           (program_of job)
       in
-      Stdlib.Ok (Some generated, Resim.Records generated.records)
-  | Some open_trace -> (
-      match open_trace () with
-      | Resim.Pull _ as trace -> Stdlib.Ok (None, trace)
-      | Resim.Records records as trace -> (
-          let lint =
-            Rcheck.Trace.lint_records
-              ~max_wrong_path_run:(protocol_max_run job.config) records
-          in
-          match
-            List.find_opt Rcheck.Diagnostic.is_error
-              lint.Rcheck.Trace.diagnostics
-          with
-          | Some diagnostic -> Stdlib.Error (fault_of_diagnostic diagnostic)
-          | None -> Stdlib.Ok (None, trace)))
+      (Some generated, Resim.Records generated.records)
+  | Some open_stream -> (None, Resim.Pull (open_stream ()))
 
-(* A pre-built trace arrives without generator metadata; the run's
-   trace summary stands in for it. *)
-let generated_of_trace trace (summary : Resim_trace.Summary.t) =
-  { Resim_tracegen.Generator.records =
-      (match trace with Resim.Records records -> records | Resim.Pull _ -> [||]);
+(* A stream arrives without generator metadata; the run's trace summary
+   stands in for it. *)
+let generated_of_trace (summary : Resim_trace.Summary.t) =
+  { Resim_tracegen.Generator.records = [||];
     correct_path = summary.correct_path;
     wrong_path = summary.wrong_path;
     mispredicted_branches = 0;
@@ -195,71 +147,69 @@ let instructions_run stats sample_report =
    raises. *)
 let attempt ~policy ?instrument job : outcome =
   let simulate () =
-    match acquire job with
-    | Stdlib.Error fault -> Failed (Fault fault)
-    | Stdlib.Ok (generated, trace) -> (
-        (* The wall-clock window opens once the trace is in hand:
-           host_mips is an engine-throughput figure, and generation
-           (often the longer half) must not dilute it. A regression
-           test pins this. *)
-        let started = Unix.gettimeofday () in
-        let deadline =
-          Option.map
-            (fun seconds ->
-              let limit = started +. seconds in
-              fun () -> Unix.gettimeofday () > limit)
-            (match job.timeout with Some _ as t -> t | None -> policy.timeout)
+    let generated, trace = acquire job in
+    (* The wall-clock window opens once the trace is in hand:
+       host_mips is an engine-throughput figure, and generation
+       (often the longer half) must not dilute it. A regression
+       test pins this. *)
+    let started = Unix.gettimeofday () in
+    let deadline =
+      Option.map
+        (fun seconds ->
+          let limit = started +. seconds in
+          fun () -> Unix.gettimeofday () > limit)
+        (match job.timeout with Some _ as t -> t | None -> policy.timeout)
+    in
+    let max_cycles = policy.max_cycles in
+    let simulated =
+      match job.sample with
+      | Some spec ->
+          (* Sampled under the same budgets: the driver threads the
+             deadline and cycle ceiling through every detailed
+             interval, so truncation behaves like an unsampled run. *)
+          Result.map
+            (fun (robust, report) -> (robust, Some report))
+            (Resim_sample.Sample.run ~config:job.config ?max_cycles
+               ?deadline ?instrument ~spec trace)
+      | None ->
+          Result.map
+            (fun robust -> (robust, None))
+            (Resim.run ~config:job.config ?max_cycles ?deadline
+               ?instrument trace)
+    in
+    match simulated with
+    | Stdlib.Error (Resim.Fault fault) -> Failed (Fault fault)
+    | Stdlib.Error (Resim.Deadlock d) -> Failed (Deadlock d)
+    | Stdlib.Error (Resim.Refused reason) ->
+        (* Unreachable: sweep jobs never resume. A refusal is
+           deterministic, so it must not be retried. *)
+        Failed (Invalid reason)
+    | Stdlib.Ok (robust, sample_report) -> (
+        let wall_seconds = Unix.gettimeofday () -. started in
+        let outcome = robust.Resim.outcome in
+        let covered =
+          float_of_int (instructions_run outcome.stats sample_report)
         in
-        let max_cycles = policy.max_cycles in
-        let simulated =
-          match job.sample with
-          | Some spec ->
-              (* Sampled under the same budgets: the driver threads the
-                 deadline and cycle ceiling through every detailed
-                 interval, so truncation behaves like an unsampled run. *)
-              Result.map
-                (fun (robust, report) -> (robust, Some report))
-                (Resim_sample.Sample.run ~config:job.config ?max_cycles
-                   ?deadline ?instrument ~spec trace)
-          | None ->
-              Result.map
-                (fun robust -> (robust, None))
-                (Resim.run ~config:job.config ?max_cycles ?deadline
-                   ?instrument trace)
+        let host_mips =
+          if wall_seconds > 0.0 then covered /. wall_seconds /. 1e6
+          else 0.0
         in
-        match simulated with
-        | Stdlib.Error (Resim.Fault fault) -> Failed (Fault fault)
-        | Stdlib.Error (Resim.Deadlock d) -> Failed (Deadlock d)
-        | Stdlib.Error (Resim.Refused reason) ->
-            (* Unreachable: sweep jobs never resume. A refusal is
-               deterministic, so it must not be retried. *)
-            Failed (Invalid reason)
-        | Stdlib.Ok (robust, sample_report) -> (
-            let wall_seconds = Unix.gettimeofday () -. started in
-            let outcome = robust.Resim.outcome in
-            let covered =
-              float_of_int (instructions_run outcome.stats sample_report)
-            in
-            let host_mips =
-              if wall_seconds > 0.0 then covered /. wall_seconds /. 1e6
-              else 0.0
-            in
-            let generated =
-              match generated with
-              | Some generated -> generated
-              | None -> generated_of_trace trace outcome.trace_summary
-            in
-            let result =
-              { job; generated; outcome;
-                telemetry = { wall_seconds; host_mips }; sample_report }
-            in
-            match robust.Resim.stop with
-            | Engine.Drained -> Ok result
-            | Engine.Time_budget -> Timed_out wall_seconds
-            | Engine.Cycle_budget | Engine.Commit_target -> (
-                match robust.Resim.resume with
-                | Some checkpoint -> Truncated (result, checkpoint)
-                | None -> Ok result)))
+        let generated =
+          match generated with
+          | Some generated -> generated
+          | None -> generated_of_trace outcome.trace_summary
+        in
+        let result =
+          { job; generated; outcome;
+            telemetry = { wall_seconds; host_mips }; sample_report }
+        in
+        match robust.Resim.stop with
+        | Engine.Drained -> Ok result
+        | Engine.Time_budget -> Timed_out wall_seconds
+        | Engine.Cycle_budget | Engine.Commit_target -> (
+            match robust.Resim.resume with
+            | Some checkpoint -> Truncated (result, checkpoint)
+            | None -> Ok result))
   in
   match Rcheck.Config.error_summary job.config with
   | Some summary -> Failed (Invalid summary)
@@ -391,6 +341,8 @@ let aggregate_host_mips results =
 (* Metrics export: per-job engine metrics and sweep-wide stall causes,
    for `resim sweep --metrics` and report tooling.                     *)
 
+(* Element-wise sum of {!Resim_core.Stats.stall_causes} over the
+   given (typically {!completed}) results, in taxonomy order. *)
 let aggregate_stall_causes results =
   List.fold_left
     (fun acc (result : result) ->

@@ -1,11 +1,12 @@
 (** Domain-parallel design-space sweeps with per-job fault domains.
 
     A sweep is a list of independent jobs — (workload, configuration,
-    scale) triples, or pre-built traces — mapped over worker domains
-    by {!Pool.map}. Each job generates or takes its trace and runs
-    {!Resim_core.Resim.run} entirely on one domain (every [Engine.t] is
-    an independent mutable island, so confinement is the whole safety
-    argument), and outcomes come back in job order.
+    scale) triples, or trace streams ({!stream_job}) — mapped over
+    worker domains by {!Pool.map}. Each job generates or opens its
+    trace and runs {!Resim_core.Resim.run} entirely on one domain
+    (every [Engine.t] is an independent mutable island, so confinement
+    is the whole safety argument), and outcomes come back in job
+    order.
 
     Robustness: each job runs in its own fault domain — an invalid
     configuration, a corrupt trace, a watchdog deadlock, a per-job
@@ -31,19 +32,18 @@ type job = {
   workload : Resim_workloads.Workload.t;
   config : Resim_core.Config.t;
   scale : scale;
-  trace : (unit -> Resim_core.Resim.trace) option;
-      (** [None] generates the kernel at [scale]. [Some open_trace]
-          runs a pre-built trace instead: [open_trace] is called once,
-          on the worker domain that runs the job. See {!trace_job} and
-          {!stream_job}. *)
+  trace : (unit -> unit -> Resim_trace.Record.t option) option;
+      (** [None] generates the kernel at [scale]. [Some open_stream]
+          runs a pull stream instead: [open_stream] is called once, on
+          the worker domain that runs the job. See {!stream_job}. *)
   timeout : float option;
       (** per-job wall-clock budget in seconds, overriding the policy *)
   sample : Resim_sample.Sample.spec option;
       (** run sampled (functional warm-up + detailed intervals,
           DESIGN.md §13) instead of fully detailed; the statistics then
           cover only the detailed portions and the result carries the
-          sampled IPC report. Generated, array and pulled traces all
-          sample alike. *)
+          sampled IPC report. Generated and pulled traces sample
+          alike. *)
 }
 
 val job :
@@ -55,19 +55,6 @@ val job :
   Resim_workloads.Workload.t ->
   job
 (** [label] defaults to the kernel name; [scale] to [Evaluation]. *)
-
-val trace_job :
-  ?label:string ->
-  ?timeout:float ->
-  ?sample:Resim_sample.Sample.spec ->
-  config:Resim_core.Config.t ->
-  Resim_trace.Record.t array ->
-  job
-(** A job over a pre-built (possibly corrupt) trace. Every run passes
-    it through the resim-check trace lint before simulating, so
-    protocol violations surface as structured {!Fault} failures with
-    their RSM-T code rather than silently skewed statistics. Generated
-    kernel traces are valid by construction and are not linted. *)
 
 val stream_job :
   ?label:string ->
@@ -84,8 +71,8 @@ val stream_job :
     than RAM sweeps in constant memory. There is no up-front lint
     gate on this path: the codec's typed stream errors (truncation,
     corruption — RSM-T codes) surface mid-run and land in
-    [Failed (Fault _)]. [sample] runs it sampled, as {!trace_job}
-    does: the sampling driver only walks the stream forward. *)
+    [Failed (Fault _)]. [sample] runs it sampled: the sampling driver
+    only walks the stream forward. *)
 
 type telemetry = {
   wall_seconds : float;
@@ -124,10 +111,6 @@ type failure =
   | Invalid of string  (** configuration failed resim-check *)
   | Crashed of string  (** unexpected exception, [Printexc.to_string] *)
 
-val failure_code : failure -> string
-(** Short machine-readable tag: the RSM-T code, ["deadlock"],
-    ["invalid-config"] or ["crash"]. *)
-
 val failure_to_string : failure -> string
 
 type outcome =
@@ -148,8 +131,7 @@ type policy = {
   backoff : float;          (** first retry delay, seconds; doubles *)
   max_backoff : float;      (** backoff cap, seconds *)
 }
-(** Every job runs under the engine's default progress watchdog
-    ({!Resim_core.Engine.default_watchdog}). *)
+(** Every job runs under the engine's default progress watchdog. *)
 
 val default_policy : policy
 (** No budgets, no retries, 0.25 s → 5 s backoff. *)
@@ -165,11 +147,11 @@ val run_job : ?instrument:(Resim_core.Engine.t -> unit) -> job -> result
     attempt {!run_job_robust} makes under {!default_policy}, with its
     failure raised again — {!Invalid_config} before any work when the
     configuration does not validate, {!Resim_trace.Fault.Trace_fault}
-    (lint-gate faults included) and {!Resim_core.Engine.Deadlock} as
-    a direct engine run would raise them, and [Failure] for a crash or
-    an expired per-job [timeout]. [instrument] runs on the job's
-    freshly created engine before its first cycle — the hook
-    observability probes attach through. *)
+    and {!Resim_core.Engine.Deadlock} as a direct engine run would
+    raise them, and [Failure] for a crash or an expired per-job
+    [timeout]. [instrument] runs on the job's freshly created engine
+    before its first cycle — the hook observability probes attach
+    through. *)
 
 val run_job_robust :
   ?policy:policy ->
@@ -229,24 +211,16 @@ val total_wall : result list -> float
     generation falls outside it, so it is not what the sweep would take
     serially, and a sweep's wall clock is not comparable with it. *)
 
-val aggregate_host_mips : result list -> float
-(** Total covered instructions (as in [telemetry.host_mips]) over
-    {!total_wall}, in MIPS. *)
-
 val pp_table : Format.formatter -> result list -> unit
 (** One row per job: label, kernel, scale, width/ROB/organization,
     major cycles, IPC, simulated MIPS on the Virtex-5 device, and host
-    telemetry; the footer gives {!total_wall} and
-    {!aggregate_host_mips}. *)
+    telemetry; the footer gives {!total_wall} and the covered
+    instructions over it, in MIPS. *)
 
 val pp_failures : Format.formatter -> report -> unit
 (** Failure-summary table: label, outcome tag, attempts, detail. *)
 
 (** {1 Metrics export (observability layer)} *)
-
-val aggregate_stall_causes : result list -> (string * int64) list
-(** Element-wise sum of {!Resim_core.Stats.stall_causes} over the
-    given (typically {!completed}) results, in taxonomy order. *)
 
 val pp_stalls : Format.formatter -> result list -> unit
 

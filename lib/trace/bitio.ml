@@ -37,8 +37,6 @@ module Writer = struct
 
   let put_bool w b = put w ~bits:1 (if b then 1 else 0)
 
-  let bit_length w = w.total
-
   let contents w =
     (* Zero-pad the pending bits into a final byte without touching the
        writer state: [contents] is a pure snapshot, so calling it twice
@@ -167,8 +165,6 @@ module Reader = struct
     else exhaust r
 
   let get_bool r = get r ~bits:1 = 1
-
-  let bits_consumed r = r.total
 
   (* Bits known to remain without blocking on the producer: exact for
      string readers, a lower bound mid-stream for chunked ones. *)

@@ -18,7 +18,6 @@ module Writer : sig
   (** [put w ~bits v] appends the low [bits] bits of [v] (1..62). *)
 
   val put_bool : t -> bool -> unit
-  val bit_length : t -> int
   val contents : t -> string
   (** The bytes written so far, a final partial byte zero-padded. A pure
       snapshot: the writer is untouched, so [contents] is idempotent and
@@ -49,7 +48,6 @@ module Reader : sig
 
   val get : t -> bits:int -> int
   val get_bool : t -> bool
-  val bits_consumed : t -> int
   val bits_remaining : t -> int
   (** Bits remaining without blocking on the producer: exact for string
       readers, a buffered lower bound for chunked ones (see {!has_bits}

@@ -336,11 +336,6 @@ module Cursor = struct
                 decoded = 0;
                 salvage_over = false })
 
-  let of_string data =
-    match of_string_result data with
-    | Ok cursor -> cursor
-    | Error { reason; _ } -> raise (Corrupt reason)
-
   let format t = t.format
   let count t = t.count
   let decoded t = t.decoded
@@ -360,12 +355,6 @@ module Cursor = struct
      to the whole stream (header included) so diagnostics point into the
      file the user has. *)
   let byte_offset t = header_length + Bitio.Reader.byte_position t.reader
-
-  let next t =
-    if not (has_next t) then invalid_arg "Codec.Cursor.next: exhausted";
-    let record = decode_record t.format t.reader t.state in
-    t.decoded <- t.decoded + 1;
-    record
 
   let next_result t =
     if not (has_next t) then
@@ -480,16 +469,6 @@ let initial_capacity cursor =
     min (Cursor.count cursor)
       ((Cursor.bits_remaining cursor / min_record_bits) + 1)
 
-let decode data =
-  let cursor = Cursor.of_string data in
-  let records = Collect.create (initial_capacity cursor) in
-  (try
-     while Cursor.has_next cursor do
-       Collect.push records (Cursor.next cursor)
-     done
-   with Bitio.Reader.Out_of_bits -> raise (Corrupt "truncated payload"));
-  (Collect.contents records, Cursor.format cursor)
-
 let decode_result data =
   match Cursor.of_string_result data with
   | Error error -> Error error
@@ -543,8 +522,6 @@ module Bit_count = struct
     t.bits <- t.bits + record_bits t.format t.state record;
     t.records <- t.records + 1
 
-  let bits t = t.bits
-
   let per_instruction t =
     if t.records = 0 then 0.0
     else float_of_int t.bits /. float_of_int t.records
@@ -554,8 +531,6 @@ let count_bits ?format records =
   let counter = Bit_count.create ?format () in
   Array.iter (Bit_count.add counter) records;
   counter
-
-let encoded_bits ?format records = Bit_count.bits (count_bits ?format records)
 
 let bits_per_instruction ?format records =
   Bit_count.per_instruction (count_bits ?format records)
@@ -648,6 +623,7 @@ end
 module Shard = struct
   let extension = ".rtr"
 
+  (* [path ~stem:"trace" 3] is ["trace.0003.rtr"]. *)
   let path ~stem index = Printf.sprintf "%s.%04d%s" stem index extension
 
   (* [stem_of "trace.0003.rtr"] = Some ("trace", 3). *)

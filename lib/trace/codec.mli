@@ -9,7 +9,7 @@
       extension studied in the trace-bandwidth ablation.
 
     Every stream starts with a self-describing header (magic, version,
-    format, record count), so [decode] needs no side information. A
+    format, record count), so a decoder needs no side information. A
     record count of [-1] marks a *streamed* trace (producer did not know
     the total — [tracegen --stream], pipes); readers consume records
     until the payload runs dry. *)
@@ -17,7 +17,7 @@
 type format = Fixed | Compact
 
 exception Corrupt of string
-(** Raised by [decode]/[read_file] on malformed input. *)
+(** Raised by [read_file] on malformed input. *)
 
 type error = {
   error_code : string;
@@ -36,24 +36,19 @@ val header_length : int
 (** Bytes of self-describing header before the payload (magic, version,
     format, record count). *)
 
-val streamed_count : int64
-(** The header count sentinel ([-1L]) marking a streamed trace whose
-    record count was unknown to the producer. *)
-
 val encode : ?format:format -> Record.t array -> string
 (** Serialise; default format [Fixed]. *)
 
-val decode : string -> Record.t array * format
-
 val decode_result : string -> (Record.t array * format, error) result
-(** [decode] without escaping exceptions: any malformed header, field
-    code or truncation comes back as a structured {!error}. *)
+(** Decode a whole in-memory stream without escaping exceptions: any
+    malformed header, field code or truncation comes back as a
+    structured {!error}. *)
 
 val decode_degraded :
   string -> (Record.t array * format * Fault.t list, error) result
 (** Salvage decode for corrupt streams: {!Cursor.next_salvaged} drained
     over an in-memory cursor. On an undecodable record the cursor skips
-    to the next byte boundary that decodes cleanly ({!Cursor.resync})
+    to the next byte boundary that decodes cleanly (a resync)
     and the failure is recorded as a {!Fault.t}. Returns every
     structurally decodable record plus the fault list; [Error] only
     when the header itself is unusable. A non-empty fault list means
@@ -66,67 +61,45 @@ val decode_degraded :
 module Cursor : sig
   type t
 
-  val of_string : string -> t
-  (** Parses the header; raises {!Corrupt} when it is malformed. *)
-
   val of_string_result : string -> (t, error) result
-  (** [of_string] with a structured error (code RSM-T001 and the byte
-      offset of the offending header field) instead of an exception. *)
-
-  val default_chunk : int
-  (** Refill-buffer size [of_channel_result] uses by default (64 KiB). *)
+  (** Parses the header; a malformed one is a structured error (code
+      RSM-T001 and the byte offset of the offending header field). *)
 
   val of_channel_result :
     ?chunk:int -> in_channel -> (t, error) result
   (** Chunked streaming cursor over a channel: holds O([chunk] + one
-      record) bytes regardless of stream length, so traces larger than
-      RAM decode in constant memory. Byte offsets in diagnostics remain
-      absolute file offsets across refills. A channel that cannot be
-      read (a directory, say) is RSM-T009: an [Error] at the header,
-      {!Fault.Trace_fault} at a later refill. The channel must stay open
-      for the cursor's lifetime and is not closed by the cursor. *)
+      record) bytes regardless of stream length ([chunk] defaults to
+      64 KiB), so traces larger than RAM decode in constant memory. Byte
+      offsets in diagnostics remain absolute file offsets across
+      refills. A channel that cannot be read (a directory, say) is
+      RSM-T009: an [Error] at the header, {!Fault.Trace_fault} at a
+      later refill. The channel must stay open for the cursor's
+      lifetime and is not closed by the cursor. *)
 
   val format : t -> format
-  val count : t -> int
-  (** Record count the header declares; negative for streamed traces
-      (see {!streamed}). *)
 
   val decoded : t -> int
   (** Records decoded so far — the offset of the next record. *)
 
   val streamed : t -> bool
-  (** Whether the header carried {!Codec.streamed_count}: no declared
-      count, records exist while payload bytes remain. *)
+  (** Whether the header carried the streamed count ([-1]): no
+      declared count, records exist while payload bytes remain. *)
 
   val has_next : t -> bool
-  (** Counted cursors: whether fewer than [count] records were decoded.
-      Streamed cursors: whether at least one whole payload byte remains
-      (exact — end padding is under 8 bits and no record is shorter). *)
-
-  val next : t -> Record.t
-  (** Decode the next record. Raises {!Corrupt} on an undecodable
-      field, [Bitio.Reader.Out_of_bits] past the end of the payload,
-      and [Invalid_argument] when called after [count] records. *)
+  (** Counted cursors: whether fewer records were decoded than the
+      header declares. Streamed cursors: whether at least one whole
+      payload byte remains (exact — end padding is under 8 bits and no
+      record is shorter). *)
 
   val next_result : t -> (Record.t, error) result
-  (** [next] with structured errors: a truncated record is RSM-T002, an
-      undecodable field RSM-T003, both carrying the byte offset where
-      decoding stopped. Nothing escapes. *)
+  (** Decode the next record. A truncated record (or a call after the
+      declared count) is RSM-T002, an undecodable field RSM-T003, both
+      carrying the byte offset where decoding stopped. Nothing
+      escapes. *)
 
   val byte_offset : t -> int
   (** Absolute stream offset (header included) of the byte holding the
       next unread bit — a file offset even on chunked cursors. *)
-
-  val resync : t -> int option
-  (** Skip forward to the next byte boundary from which a record (and
-      its successor, when enough payload remains) decodes cleanly;
-      returns the bytes skipped, or [None] when no boundary exists
-      before the end of the stream. The scan only moves forward, and
-      each trial first makes two maximal records resident, so a chunked
-      cursor resyncs across refills exactly as an in-memory one does.
-      Decoder delta state carries over, so resynced records are
-      structurally sound but may be semantically wrong — mark the run
-      degraded. *)
 
   val next_salvaged : t -> fault:(Fault.t -> unit) -> Record.t option
   (** The salvage loop, one record at a time: the next structurally
@@ -147,8 +120,9 @@ module Cursor : sig
 end
 
 (** Constant-memory streaming encode to a channel: the header goes out
-    first with {!streamed_count}, then complete bytes are drained as
-    records are pushed; only {!Encoder.close} pads the final byte. *)
+    first with the streamed count ([-1]), then complete bytes are
+    drained as records are pushed; only {!Encoder.close} pads the final
+    byte. *)
 module Encoder : sig
   type t
 
@@ -175,13 +149,6 @@ end
 module Shard : sig
   val extension : string
   (** [".rtr"] *)
-
-  val path : stem:string -> int -> string
-  (** [path ~stem:"trace" 3] is ["trace.0003.rtr"]. *)
-
-  val stem_of : string -> (string * int) option
-  (** [stem_of "trace.0003.rtr"] is [Some ("trace", 3)]; [None] for
-      non-shard-shaped paths. *)
 
   val expand : string -> string list option
   (** Expand a user-supplied path — any shard of a set, or a bare stem —
@@ -215,19 +182,14 @@ module Bit_count : sig
   val add : t -> Record.t -> unit
   (** Count the next record of the stream. *)
 
-  val bits : t -> int
-  (** Payload bits of the records added so far. *)
-
   val per_instruction : t -> float
   (** [bits] over the records added; 0 when none were. *)
 end
 
-val encoded_bits : ?format:format -> Record.t array -> int
-(** Payload size in bits, excluding the stream header — the quantity the
-    paper reports per instruction. Counted by {!Bit_count}, not encoded. *)
-
 val bits_per_instruction : ?format:format -> Record.t array -> float
-(** [encoded_bits / Array.length records]; 0 for an empty trace. *)
+(** Payload bits (as {!Bit_count} counts them, stream header excluded —
+    the quantity the paper reports per instruction) over
+    [Array.length records]; 0 for an empty trace. *)
 
 val write_file : ?format:format -> string -> Record.t array -> unit
 

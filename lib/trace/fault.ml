@@ -8,5 +8,3 @@ let fail ~code ~offset context = raise (Trace_fault (make ~code ~offset ~context
 
 let to_string t =
   Printf.sprintf "trace fault [%s] at record %d: %s" t.code t.offset t.context
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

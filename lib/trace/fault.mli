@@ -21,4 +21,3 @@ val fail : code:string -> offset:int -> string -> 'a
 (** [fail ~code ~offset context] raises {!Trace_fault}. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

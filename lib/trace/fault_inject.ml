@@ -100,6 +100,9 @@ let set_byte data i c =
 
 (* ---- byte-level classes ------------------------------------------- *)
 
+(* Byte-level corruption of an encoded stream; [None] when the class
+   is record-level. A class that cannot apply (e.g. {!Bit_flip} on an
+   empty payload) returns the stream unchanged. *)
 let inject_encoded ?(seed = 0) fault data =
   let len = String.length data in
   let hdr = Codec.header_length in
@@ -279,6 +282,8 @@ let bad_payload seed records =
     out
   end
 
+(* Record-level injection before encoding; [None] when the class is
+   byte-level. Never mutates its input. *)
 let inject_records ?(seed = 0) ?(max_run = default_max_run) fault records =
   match fault with
   | Orphan_tag -> Some (orphan_tag seed records)

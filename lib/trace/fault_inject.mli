@@ -40,16 +40,6 @@ val default_max_run : int
 (** Wrong-path run bound used by {!Runaway_tag} (and the matching
     [max_wrong_path_run] the linter must be given to see RSM-T007). *)
 
-val inject_records :
-  ?seed:int -> ?max_run:int -> t -> Record.t array -> Record.t array option
-(** Record-level injection before encoding; [None] when the class is
-    byte-level. Never mutates its input. *)
-
-val inject_encoded : ?seed:int -> t -> string -> string option
-(** Byte-level corruption of an encoded stream; [None] when the class
-    is record-level. A class that cannot apply (e.g. {!Bit_flip} on an
-    empty payload) returns the stream unchanged. *)
-
 val apply :
   ?seed:int -> ?format:Codec.format -> ?max_run:int -> t -> Record.t array ->
   string

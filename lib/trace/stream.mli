@@ -25,8 +25,6 @@ val close : t -> unit
     does not require it (owned channels close as they drain), but
     callers abandoning a stream early must call it. *)
 
-val make : ?close:(unit -> unit) -> (unit -> Record.t option) -> t
-
 val of_cursor :
   ?source:string -> ?salvage:(Fault.t -> unit) -> Codec.Cursor.t -> t
 (** Wrap a cursor; [source] labels faults. With [salvage], each damaged
@@ -58,4 +56,3 @@ val open_path :
 
 val fold : ('a -> Record.t -> 'a) -> 'a -> t -> 'a
 (** Drain the stream, closing it even on exceptions. *)
-

@@ -134,7 +134,6 @@ let step t =
 let correct_path t = t.correct
 let wrong_path t = t.wrong
 let mispredicted_branches t = t.mispredicted
-let halted t = t.halted
 
 type result = {
   records : Trace.Record.t array;

@@ -53,9 +53,6 @@ val correct_path : t -> int
 val wrong_path : t -> int
 val mispredicted_branches : t -> int
 
-val halted : t -> bool
-(** [step] has returned [false]. *)
-
 (** {1 Whole traces} *)
 
 type result = {

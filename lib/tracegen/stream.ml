@@ -16,4 +16,3 @@ let rec pull t =
 let correct_path t = Generator.correct_path t.generator
 let wrong_path t = Generator.wrong_path t.generator
 let mispredicted_branches t = Generator.mispredicted_branches t.generator
-let finished t = Generator.halted t.generator && Queue.is_empty t.pending

@@ -23,4 +23,3 @@ val pull : t -> Resim_trace.Record.t option
 val correct_path : t -> int
 val wrong_path : t -> int
 val mispredicted_branches : t -> int
-val finished : t -> bool

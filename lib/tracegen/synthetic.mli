@@ -2,9 +2,11 @@
 
     Generates a trace directly from a workload *profile* — instruction
     mix, dependency density, branch behaviour and memory locality —
-    without running a program. Used for bulk design-space sweeps and for
-    workload calibration: the profile parameters map one-to-one onto the
-    characteristics that determine IPC in a trace-driven timing model.
+    without running a program. No product path runs it: {!generate} is
+    the source of the differential tests' random traces, and {!profile}
+    is the type each kernel describes itself with ([Kernel_sig.S]). The
+    profile parameters map one-to-one onto the characteristics that
+    determine IPC in a trace-driven timing model.
 
     Determinism: generation is driven by a caller-supplied seed; the same
     profile and seed always produce the identical trace. *)

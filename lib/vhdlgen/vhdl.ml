@@ -52,9 +52,5 @@ let architecture ~name ~of_entity ~body =
   Printf.sprintf "architecture %s of %s is\n%s\nend architecture %s;\n" name
     of_entity body name
 
-let declarations lines = String.concat "\n" lines
-
 let std_logic_vector width =
   Printf.sprintf "std_logic_vector(%d downto 0)" (width - 1)
-
-let unsigned_type width = Printf.sprintf "unsigned(%d downto 0)" (width - 1)

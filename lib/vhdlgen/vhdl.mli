@@ -20,14 +20,7 @@ val entity :
   name:string -> ?generics:generic list -> ports:port list -> unit -> string
 
 val architecture : name:string -> of_entity:string -> body:string -> string
-(** [body] is placed between [begin] and [end]; declarations go inside
-    [body]'s prefix via {!declarations}. *)
-
-val declarations : string list -> string
-(** Joins declaration lines for the architecture declarative part; pass
-    as part of a custom architecture when needed. *)
+(** [body] is placed between [begin] and [end]. *)
 
 val std_logic_vector : int -> string
 (** ["std_logic_vector(<width-1> downto 0)"]. *)
-
-val unsigned_type : int -> string

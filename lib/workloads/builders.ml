@@ -4,6 +4,8 @@ let region_buffer = 0x1_0000
 let region_table = 0x8_0000
 let region_aux = 0x10_0000
 
+(* Advance [state] by one LCG step (state = state * 1103515245 + 12345,
+   masked to 31 bits). [scratch] is clobbered. *)
 let lcg_step ~state ~scratch =
   Asm.
     [ li scratch 1103515245;

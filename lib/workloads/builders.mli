@@ -6,10 +6,6 @@
 
 open Resim_isa
 
-val lcg_step : state:Reg.t -> scratch:Reg.t -> Asm.stmt list
-(** Advance [state] by one LCG step (state = state * 1103515245 + 12345,
-    masked to 31 bits). [scratch] is clobbered. *)
-
 val fill_bytes :
   label_prefix:string ->
   base:Reg.t ->

@@ -14,6 +14,6 @@ module type S = sig
       pressure a 32 KB L1. *)
 
   val profile : instructions:int -> Resim_tracegen.Synthetic.profile
-  (** Statistical profile matching the kernel's character, for bulk
-      synthetic-trace sweeps. *)
+  (** Statistical profile matching the kernel's character, in the
+      terms {!Resim_tracegen.Synthetic} synthesizes traces from. *)
 end

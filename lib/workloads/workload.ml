@@ -17,6 +17,3 @@ let find name =
 let names = List.map name_of all
 
 let program_of (module K : Kernel_sig.S) ?scale () = K.program ?scale ()
-
-let profile_of (module K : Kernel_sig.S) ~instructions =
-  K.profile ~instructions

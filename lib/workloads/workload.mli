@@ -20,4 +20,3 @@ val names : string list
 val program_of : t -> ?scale:int -> unit -> Resim_isa.Program.t
 val name_of : t -> string
 val description_of : t -> string
-val profile_of : t -> instructions:int -> Resim_tracegen.Synthetic.profile

@@ -14,11 +14,15 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-let error_codes diagnostics =
-  Diagnostic.codes (Diagnostic.errors diagnostics)
+(* Distinct diagnostic codes, in first-appearance order. *)
+let codes diagnostics =
+  List.fold_left
+    (fun acc (d : Diagnostic.t) ->
+      if List.mem d.code acc then acc else acc @ [ d.code ])
+    [] diagnostics
 
-let warning_codes diagnostics =
-  Diagnostic.codes (Diagnostic.warnings diagnostics)
+let error_codes diagnostics = codes (Diagnostic.errors diagnostics)
+let warning_codes diagnostics = codes (Diagnostic.warnings diagnostics)
 
 let string_list = Alcotest.(list string)
 
@@ -26,9 +30,9 @@ let string_list = Alcotest.(list string)
 
 let test_reference_clean () =
   check string_list "reference has no findings" []
-    (Diagnostic.codes (Check.Config.validate Config.reference));
+    (codes (Check.Config.validate Config.reference));
   check string_list "fast_comparable has no findings" []
-    (Diagnostic.codes (Check.Config.validate Config.fast_comparable));
+    (codes (Check.Config.validate Config.fast_comparable));
   check bool "reference error summary empty" true
     (Check.Config.error_summary Config.reference = None)
 
@@ -41,7 +45,7 @@ let test_ablation_grid_clean () =
       check string_list
         (Printf.sprintf "grid config %s is clean" request.key)
         []
-        (Diagnostic.codes (Check.Config.validate request.config)))
+        (codes (Check.Config.validate request.config)))
     (Resim_reports.Ablations.requests ())
 
 (* --- Config validator: directed violations --------------------------- *)
@@ -192,7 +196,7 @@ let copy_records records = Array.map (fun r -> r) records
 let assert_clean name report =
   check bool (name ^ " lints clean") true (Check.Trace.clean report);
   check string_list (name ^ " has no codes") []
-    (Diagnostic.codes report.Check.Trace.diagnostics)
+    (codes report.Check.Trace.diagnostics)
 
 let test_clean_kernels () =
   (* Every built-in kernel, unmodified, at its default scale — plus the
@@ -374,7 +378,7 @@ let test_diagnostic_rendering () =
     Diagnostic.error ~code:"RSM-C013" ~subject:"mem_read_ports"
       ~hint:"reduce the ports" "too many ports"
   in
-  let rendered = Diagnostic.to_string diagnostic in
+  let rendered = Format.asprintf "%a" Diagnostic.pp_list [ diagnostic ] in
   List.iter
     (fun fragment ->
       check bool (Printf.sprintf "rendering contains %S" fragment) true

@@ -1,95 +1,14 @@
-(* Tests for the event-driven engine: Event_queue ordering and
-   stability, and the differential guarantee that the default engine
-   (the closure family, event-driven) is cycle-, stats- and
-   event-stream-identical to the reference phases (the paper's
-   per-cycle scan) on every workload kernel, on handcrafted corner
-   cases and on random synthetic traces across organizations, widths
-   and memory systems. The harness is {!Test_spec.assert_identical}. *)
+(* Tests for the event-driven engine: the differential guarantee that
+   the default engine (the closure family, event-driven) is cycle-,
+   stats- and event-stream-identical to the reference phases (the
+   paper's per-cycle scan) on every workload kernel, on handcrafted
+   corner cases and on random synthetic traces across organizations,
+   widths and memory systems. The harness is
+   {!Test_spec.assert_identical}. *)
 
 open Resim_core
 module Record = Resim_trace.Record
 module Synthetic = Resim_tracegen.Synthetic
-
-let check = Alcotest.check
-let int = Alcotest.int
-let bool = Alcotest.bool
-
-(* ------------------------------------------------------------------- *)
-(* Event_queue                                                          *)
-
-let drain queue =
-  let rec loop acc =
-    match Event_queue.pop queue with
-    | Some value -> loop (value :: acc)
-    | None -> List.rev acc
-  in
-  loop []
-
-let test_queue_ordering () =
-  let queue = Event_queue.create () in
-  List.iter
-    (fun (at, id) -> Event_queue.push queue ~at ~id (at, id))
-    [ (5, 3); (1, 9); (5, 1); (0, 7); (3, 2) ];
-  check int "length" 5 (Event_queue.length queue);
-  check bool "min key" true (Event_queue.min_key queue = Some (0, 7));
-  check bool "pops in (at, id) order" true
-    (drain queue = [ (0, 7); (1, 9); (3, 2); (5, 1); (5, 3) ]);
-  check bool "empty after drain" true (Event_queue.is_empty queue)
-
-let test_queue_duplicate_keys_are_fifo () =
-  (* Identical (at, id) keys must pop in insertion order. *)
-  let queue = Event_queue.create () in
-  List.iter
-    (fun payload -> Event_queue.push queue ~at:7 ~id:4 payload)
-    [ "first"; "second"; "third"; "fourth" ];
-  Event_queue.push queue ~at:7 ~id:3 "older-id";
-  Event_queue.push queue ~at:2 ~id:9 "earlier-cycle";
-  check bool "stable under duplicates" true
-    (drain queue
-    = [ "earlier-cycle"; "older-id"; "first"; "second"; "third"; "fourth" ])
-
-let test_queue_pop_due () =
-  let queue = Event_queue.create () in
-  List.iter
-    (fun (at, id) -> Event_queue.push queue ~at ~id id)
-    [ (4, 0); (2, 1); (9, 2) ];
-  check bool "nothing due at 1" true (Event_queue.pop_due queue ~now:1 = None);
-  check bool "due at 2" true (Event_queue.pop_due queue ~now:2 = Some 1);
-  check bool "4 not due at 3" true (Event_queue.pop_due queue ~now:3 = None);
-  check bool "due at 5" true (Event_queue.pop_due queue ~now:5 = Some 0);
-  check bool "9 pending" true (Event_queue.min_key queue = Some (9, 2));
-  check bool "due at 9" true (Event_queue.pop_due queue ~now:9 = Some 2);
-  check bool "drained" true (Event_queue.pop_due queue ~now:100 = None)
-
-let test_queue_clear_and_reuse () =
-  let queue = Event_queue.create () in
-  for id = 0 to 40 do
-    Event_queue.push queue ~at:(id mod 5) ~id ()
-  done;
-  check int "filled" 41 (Event_queue.length queue);
-  Event_queue.clear queue;
-  check bool "cleared" true (Event_queue.is_empty queue);
-  Event_queue.push queue ~at:1 ~id:1 ();
-  check int "usable after clear" 1 (Event_queue.length queue)
-
-let queue_matches_sorted_model =
-  (* Pushing arbitrary keys and draining must yield the stable sort of
-     the inputs by (at, id, insertion index). *)
-  QCheck.Test.make ~name:"event queue drains as a stable sort" ~count:200
-    QCheck.(list (pair (int_bound 50) (int_bound 20)))
-    (fun keys ->
-      let queue = Event_queue.create () in
-      List.iteri
-        (fun index (at, id) ->
-          Event_queue.push queue ~at ~id (at, id, index))
-        keys;
-      let expected =
-        List.stable_sort
-          (fun (a1, i1, s1) (a2, i2, s2) ->
-            compare (a1, i1, s1) (a2, i2, s2))
-          (List.mapi (fun index (at, id) -> (at, id, index)) keys)
-      in
-      drain queue = expected)
 
 (* ------------------------------------------------------------------- *)
 (* Differential: every workload kernel (plus a synthetic eighth), both
@@ -316,15 +235,7 @@ let store_heavy_differential =
 (* ------------------------------------------------------------------- *)
 
 let suite =
-  [ ("event:queue",
-     [ Alcotest.test_case "ordering" `Quick test_queue_ordering;
-       Alcotest.test_case "duplicate keys are FIFO" `Quick
-         test_queue_duplicate_keys_are_fifo;
-       Alcotest.test_case "pop_due" `Quick test_queue_pop_due;
-       Alcotest.test_case "clear and reuse" `Quick
-         test_queue_clear_and_reuse;
-       QCheck_alcotest.to_alcotest queue_matches_sorted_model ]);
-    ("event:differential",
+  [ ("event:differential",
      [ Alcotest.test_case "kernels, reference config" `Slow
          test_kernels_reference;
        Alcotest.test_case "kernels, fast-comparable config" `Slow

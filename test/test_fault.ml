@@ -28,6 +28,19 @@ let records_of ?(kernel = "gzip") scale =
 (* One small shared trace; every corruption is derived from it. *)
 let base_records = lazy (records_of 256)
 
+(* A sweep job over [records] encoded and cut short: its pull stream
+   raises the codec's RSM-T002 truncation fault mid-run, on every
+   attempt. *)
+let truncated_stream_job ~label records =
+  let encoded = Codec.encode records in
+  let truncated = String.sub encoded 0 (String.length encoded - 64) in
+  Sweep.stream_job ~label ~config:Config.reference (fun () ->
+      match Codec.Cursor.of_string_result truncated with
+      | Error error -> Alcotest.fail (Codec.error_to_string error)
+      | Ok cursor ->
+          let stream = Resim_trace.Stream.of_cursor cursor in
+          fun () -> Resim_trace.Stream.next stream)
+
 let diagnostic_codes (report : Check.Trace.report) =
   List.map (fun d -> d.Check.Diagnostic.code) report.diagnostics
 
@@ -172,18 +185,10 @@ let property_random_byte =
 let test_sweep_partial_results () =
   let gzip = Resim_workloads.Workload.find "gzip" in
   let reference = Config.reference in
-  let corrupt =
-    match
-      Fault_inject.inject_records Fault_inject.Orphan_tag
-        (Lazy.force base_records)
-    with
-    | Some records -> records
-    | None -> Alcotest.fail "orphan-tag is record-level"
-  in
   let jobs =
     [ Sweep.job ~label:"good" ~scale:(Sweep.Exact 256) ~config:reference
         gzip;
-      Sweep.trace_job ~label:"corrupt" ~config:reference corrupt;
+      truncated_stream_job ~label:"corrupt" (Lazy.force base_records);
       Sweep.job ~label:"slow" ~scale:(Sweep.Exact 256) ~timeout:0.0
         ~config:reference gzip ]
   in
@@ -200,7 +205,7 @@ let test_sweep_partial_results () =
   | { Sweep.outcome = Sweep.Failed (Sweep.Fault fault); job; _ } :: _ ->
       check bool "failure keeps the job" true (job.Sweep.label = "corrupt");
       check bool "failure carries the RSM code" true
-        (fault.Fault.code = "RSM-T005")
+        (fault.Fault.code = "RSM-T002")
   | _ -> Alcotest.fail "expected the corrupt job to fail with its fault");
   let rendered = Format.asprintf "%a" Sweep.pp_failures report in
   check bool "failure table renders" true
@@ -231,14 +236,6 @@ let test_sweep_truncation_and_retry () =
      are the retryable class: an immediately expired per-job deadline
      times out on every attempt, so a retry budget of 1 yields exactly
      two attempts. Both entry points share one retry loop. *)
-  let corrupt =
-    match
-      Fault_inject.inject_records Fault_inject.Orphan_tag
-        (Lazy.force base_records)
-    with
-    | Some records -> records
-    | None -> Alcotest.fail "orphan-tag is record-level"
-  in
   let retrying =
     { Sweep.default_policy with
       retries = 1; backoff = 0.01; max_backoff = 0.02 }
@@ -260,7 +257,7 @@ let test_sweep_truncation_and_retry () =
     (fun (via, run) ->
       let report =
         run retrying
-          (Sweep.trace_job ~label:"corrupt" ~config:Config.reference corrupt)
+          (truncated_stream_job ~label:"corrupt" (Lazy.force base_records))
       in
       let counts = Sweep.counts { Sweep.job_reports = [ report ] } in
       check int (via ^ ": still failed") 1 counts.failed;
@@ -286,39 +283,20 @@ let test_sweep_truncation_and_retry () =
   check bool "invalid config is not retryable" false
     (Sweep.retryable (Sweep.Failed (Sweep.Invalid "bad width")))
 
-(* The fail-fast view runs the same lint gate as the fault domain: every
-   record-level class that lints as an error raises the fault
-   [run_job_robust] reports, instead of returning skewed statistics. *)
-let test_run_job_lint_gate () =
-  let records = Lazy.force base_records in
-  let gated =
-    List.filter_map
-      (fun fault ->
-        match
-          (Fault_inject.severity fault, Fault_inject.inject_records fault records)
-        with
-        | `Error, Some corrupt -> Some (fault, corrupt)
-        | _ -> None)
-      Fault_inject.all
+(* The fail-fast view raises the fault the fault domain reports,
+   instead of returning a short run's statistics. *)
+let test_run_job_stream_fault () =
+  let job = truncated_stream_job ~label:"cut" (Lazy.force base_records) in
+  let reported =
+    match (Sweep.run_job_robust job).outcome with
+    | Sweep.Failed (Sweep.Fault fault) -> fault.Fault.code
+    | _ -> Alcotest.fail "run_job_robust did not report a fault"
   in
-  check (Alcotest.list Alcotest.string) "record-level error classes"
-    [ "RSM-T005"; "RSM-T007"; "RSM-T008" ]
-    (List.filter_map (fun (fault, _) -> Fault_inject.expected_code fault) gated);
-  List.iter
-    (fun (fault, corrupt) ->
-      let name = Fault_inject.name fault in
-      let job = Sweep.trace_job ~label:name ~config:Config.reference corrupt in
-      let reported =
-        match (Sweep.run_job_robust job).outcome with
-        | Sweep.Failed (Sweep.Fault fault) -> fault.Fault.code
-        | _ -> Alcotest.failf "%s: run_job_robust did not report a fault" name
-      in
-      match Sweep.run_job job with
-      | _ -> Alcotest.failf "%s: run_job returned statistics" name
-      | exception Fault.Trace_fault raised ->
-          check Alcotest.string (name ^ ": raised code") reported
-            raised.Fault.code)
-    gated
+  check Alcotest.string "reported code" "RSM-T002" reported;
+  match Sweep.run_job job with
+  | _ -> Alcotest.fail "run_job returned statistics"
+  | exception Fault.Trace_fault raised ->
+      check Alcotest.string "raised code" reported raised.Fault.code
 
 (* --- checkpoint / resume ---------------------------------------------- *)
 
@@ -459,8 +437,8 @@ let suite =
          test_sweep_partial_results;
        Alcotest.test_case "truncation and retry" `Quick
          test_sweep_truncation_and_retry;
-       Alcotest.test_case "run_job raises the lint-gate fault" `Quick
-         test_run_job_lint_gate ]);
+       Alcotest.test_case "run_job raises the stream fault" `Quick
+         test_run_job_stream_fault ]);
     ("fault:checkpoint",
      [ Alcotest.test_case "resume is bit-identical" `Quick
          test_checkpoint_resume_bit_identical;

@@ -358,7 +358,13 @@ let test_chunked_degraded_matches_in_memory () =
                       | _ -> Alcotest.failf "%s: chunked header opened" label)
                     [ 1; 17 ]
               | Ok (expected, _, expected_faults) ->
-                  let in_memory = salvage (Codec.Cursor.of_string data) in
+                  let cursor =
+                    match Codec.Cursor.of_string_result data with
+                    | Ok cursor -> cursor
+                    | Error e ->
+                        Alcotest.failf "%s: %s" label (Codec.error_to_string e)
+                  in
+                  let in_memory = salvage cursor in
                   let mem_records, mem_faults, _ = in_memory in
                   check bool (label ^ ": drain = decode_degraded") true
                     (mem_records = Array.to_list expected);
@@ -850,10 +856,11 @@ let adapter_roundtrip =
             | Ok r -> r
             | Error _ -> [||]
           in
-          let decoded_fixed, _ = Codec.decode (Codec.encode ~format:Codec.Fixed records) in
-          let decoded_compact, _ =
-            Codec.decode (Codec.encode ~format:Codec.Compact records)
+          let decode format =
+            fst (Result.get_ok (Codec.decode_result (Codec.encode ~format records)))
           in
+          let decoded_fixed = decode Codec.Fixed in
+          let decoded_compact = decode Codec.Compact in
           records = again
           && records = decoded_fixed
           && records = decoded_compact

@@ -21,8 +21,7 @@ let test_reg_bounds () =
 
 let test_reg_equal () =
   check bool "equal" true (Reg.equal (Reg.r 5) (Reg.r 5));
-  check bool "not equal" false (Reg.equal (Reg.r 5) (Reg.r 6));
-  check int "compare" 0 (Reg.compare (Reg.r 7) (Reg.r 7))
+  check bool "not equal" false (Reg.equal (Reg.r 5) (Reg.r 6))
 
 (* --- opcodes -------------------------------------------------------- *)
 
@@ -48,27 +47,6 @@ let test_opcode_branch_kinds () =
   check bool "add none" true (branch_kind Add = None);
   check bool "lw none" true (branch_kind Lw = None)
 
-let test_opcode_predicates () =
-  List.iter
-    (fun op ->
-      let by_class =
-        match Opcode.op_class op with
-        | Opcode.Load | Opcode.Store -> true
-        | Opcode.Int_alu | Opcode.Int_mult | Opcode.Int_div | Opcode.Ctrl ->
-            false
-      in
-      check bool
-        (Printf.sprintf "is_memory %s consistent" (Opcode.mnemonic op))
-        by_class (Opcode.is_memory op))
-    Opcode.all;
-  List.iter
-    (fun op ->
-      check bool
-        (Printf.sprintf "is_control %s consistent" (Opcode.mnemonic op))
-        (Opcode.op_class op = Opcode.Ctrl)
-        (Opcode.is_control op))
-    Opcode.all
-
 let test_opcode_mnemonics_distinct () =
   let mnemonics = List.map Opcode.mnemonic Opcode.all in
   let distinct = List.sort_uniq String.compare mnemonics in
@@ -88,8 +66,8 @@ let test_asm_labels () =
     Asm.(assemble [ label "top"; nop; j "top"; label "end"; halt ])
   in
   check int "three instructions" 3 (Program.length program);
-  check int "top resolves" 0 (Program.resolve program "top");
-  check int "end resolves" 2 (Program.resolve program "end");
+  check int "top resolves" 0 (List.assoc "top" program.Program.symbols);
+  check int "end resolves" 2 (List.assoc "end" program.Program.symbols);
   match program.Program.code.(1) with
   | { op = Opcode.J; imm; _ } -> check int "jump target" 0 imm
   | _ -> Alcotest.fail "expected a jump at index 1"
@@ -111,10 +89,6 @@ let test_asm_entry () =
     Asm.(assemble ~entry:"main" [ halt; label "main"; nop; halt ])
   in
   check int "entry at main" 1 program.Program.entry
-
-let test_asm_comments_ignored () =
-  let program = Asm.(assemble [ comment "hello"; nop; comment "x"; halt ]) in
-  check int "comments emit nothing" 2 (Program.length program)
 
 (* --- machine -------------------------------------------------------- *)
 
@@ -138,7 +112,11 @@ let test_machine_memory () =
   check int "byte masked" 0xff (Machine.read_byte m 0x200)
 
 let test_machine_program_load () =
-  let program = Program.make ~data:[ (0x40, 11); (0x44, 22) ] [| Instruction.halt |] in
+  let halt =
+    { Instruction.op = Opcode.Halt; dest = None; src1 = None; src2 = None;
+      imm = 0 }
+  in
+  let program = Program.make ~data:[ (0x40, 11); (0x44, 22) ] [| halt |] in
   let m = Machine.create ~program () in
   check int "data word 1" 11 (Machine.read_word m 0x40);
   check int "data word 2" 22 (Machine.read_word m 0x44)
@@ -163,16 +141,7 @@ let test_machine_rollback () =
   check int "new word removed" 0 (Machine.read_word m 0x20);
   check int "byte removed" 0 (Machine.read_byte m 0x30);
   check int "pc restored" 0 (Machine.pc m);
-  check bool "halt restored" false (Machine.halted m);
-  check bool "retired restored" true
-    (Int64.equal (Machine.instructions_retired m) 0L)
-
-let test_machine_discard () =
-  let m = Machine.create () in
-  let cp = Machine.checkpoint m in
-  Machine.write_reg m (Reg.r 1) 77;
-  Machine.discard m cp;
-  check int "discard keeps changes" 77 (Machine.read_reg m (Reg.r 1))
+  check bool "halt restored" false (Machine.halted m)
 
 let test_machine_nested_checkpoints () =
   let m = Machine.create () in
@@ -185,17 +154,6 @@ let test_machine_nested_checkpoints () =
   check int "inner rollback" 2 (Machine.read_reg m (Reg.r 1));
   Machine.rollback m outer;
   check int "outer rollback" 1 (Machine.read_reg m (Reg.r 1))
-
-let test_machine_discard_inner_rollback_outer () =
-  let m = Machine.create () in
-  let outer = Machine.checkpoint m in
-  Machine.write_reg m (Reg.r 1) 5;
-  let inner = Machine.checkpoint m in
-  Machine.write_reg m (Reg.r 1) 6;
-  Machine.discard m inner;
-  Machine.rollback m outer;
-  check int "outer rollback undoes discarded inner work" 0
-    (Machine.read_reg m (Reg.r 1))
 
 (* --- interpreter ---------------------------------------------------- *)
 
@@ -451,10 +409,7 @@ let rollback_equivalence =
       in
       regs_equal
       && Machine.pc straight = Machine.pc speculated
-      && Machine.halted straight = Machine.halted speculated
-      && Int64.equal
-           (Machine.instructions_retired straight)
-           (Machine.instructions_retired speculated))
+      && Machine.halted straight = Machine.halted speculated)
 
 let interpreter_never_crashes =
   QCheck.Test.make ~name:"random ALU programs run safely" ~count:50
@@ -484,7 +439,6 @@ let suite =
     ("isa:opcode",
      [ Alcotest.test_case "classes" `Quick test_opcode_classes;
        Alcotest.test_case "branch kinds" `Quick test_opcode_branch_kinds;
-       Alcotest.test_case "predicates" `Quick test_opcode_predicates;
        Alcotest.test_case "mnemonics distinct" `Quick
          test_opcode_mnemonics_distinct ]);
     ("isa:instruction",
@@ -496,18 +450,14 @@ let suite =
          test_asm_forward_reference;
        Alcotest.test_case "duplicate label" `Quick test_asm_duplicate_label;
        Alcotest.test_case "unknown label" `Quick test_asm_unknown_label;
-       Alcotest.test_case "entry point" `Quick test_asm_entry;
-       Alcotest.test_case "comments" `Quick test_asm_comments_ignored ]);
+       Alcotest.test_case "entry point" `Quick test_asm_entry ]);
     ("isa:machine",
      [ Alcotest.test_case "registers" `Quick test_machine_registers;
        Alcotest.test_case "memory" `Quick test_machine_memory;
        Alcotest.test_case "program data" `Quick test_machine_program_load;
        Alcotest.test_case "rollback" `Quick test_machine_rollback;
-       Alcotest.test_case "discard" `Quick test_machine_discard;
        Alcotest.test_case "nested checkpoints" `Quick
-         test_machine_nested_checkpoints;
-       Alcotest.test_case "discard inner, rollback outer" `Quick
-         test_machine_discard_inner_rollback_outer ]);
+         test_machine_nested_checkpoints ]);
     ("isa:interpreter",
      [ Alcotest.test_case "alu" `Quick test_alu_operations;
        Alcotest.test_case "shifts" `Quick test_shifts;

@@ -22,7 +22,7 @@ let pipetrace ?(reference = false) ~config records =
   let engine = Engine.create ~config records in
   if reference then Engine.use_reference engine;
   let buffer = Buffer.create 4096 in
-  let sinks = [ Obs.jsonl_buffer buffer ] in
+  let sinks = [ Obs.make_sink (Obs.add_jsonl_event buffer) ] in
   Obs.attach engine sinks;
   let stats = Engine.run engine in
   Obs.close sinks;
@@ -84,7 +84,7 @@ let small_stream =
 
 let test_stream_validates_clean () =
   let report = Check.Obs.lint_string (Lazy.force small_stream) in
-  check bool "clean" true (Check.Obs.clean report);
+  check bool "clean" true (report.Check.Obs.diagnostics = []);
   check bool "checked every line" true (report.lines_checked > 100);
   (* Every emitted kind is one the schema knows, and the fundamental
      conservation holds: at least as many fetches as commits. *)
@@ -127,7 +127,7 @@ let test_schema_rejects_corruption () =
   check bool "regressing cycle" true (List.mem "RSM-P004" (codes report));
   (* And the genuine article still passes the same validator. *)
   check bool "real stream unaffected" true
-    (Check.Obs.clean (Check.Obs.lint_string (Lazy.force small_stream)))
+    ((Check.Obs.lint_string (Lazy.force small_stream)).diagnostics = [])
 
 let test_stall_reasons_all_legal () =
   (* Synthesize one S line per taxonomy reason; all must validate. *)
@@ -139,7 +139,7 @@ let test_stall_reasons_all_legal () =
            (Engine.stall_reason_name reason)))
     Engine.all_stall_reasons;
   let report = Check.Obs.lint_string (Buffer.contents buffer) in
-  check bool "every taxonomy reason validates" true (Check.Obs.clean report);
+  check bool "every taxonomy reason validates" true (report.Check.Obs.diagnostics = []);
   check int "nine reasons" 9 (List.length Engine.all_stall_reasons)
 
 (* ------------------------------------------------------------------- *)

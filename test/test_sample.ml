@@ -30,6 +30,22 @@ let records_of ?(kernel = "gzip") scale =
 
 let base_records = lazy (records_of 256)
 
+(* A pull stream over an in-memory trace: the opener
+   [Sweep.stream_job] takes. *)
+let open_records records () =
+  let at = ref 0 in
+  fun () ->
+    if !at >= Array.length records then None
+    else begin
+      incr at;
+      Some records.(!at - 1)
+    end
+
+(* Does [ipc] fall within the sampled report's mean +- ci95? *)
+let covers report ipc =
+  (not (Float.is_nan ipc))
+  && Float.abs (ipc -. report.Sample.mean_ipc) <= report.Sample.ci95
+
 let spec_t =
   Alcotest.testable
     (fun ppf spec -> Format.pp_print_string ppf (Sample.spec_to_string spec))
@@ -95,30 +111,6 @@ let test_spec_parse_errors () =
       ("10:5:-2", "seed");
       ("10:5:zz", "seed");
       ("1:2:3:4", "expected") ]
-
-(* --- covers / report arithmetic ---------------------------------------- *)
-
-let synthetic_report ~mean_ipc ~ci95 =
-  { Sample.spec = { Sample.detail = 100; warmup = 900; seed = 0 };
-    initial_offset = 0;
-    intervals = [];
-    discarded_partial = 0;
-    mean_ipc;
-    ci95;
-    detailed_instructions = 0;
-    warmed_instructions = 0 }
-
-let test_covers () =
-  (* 0.125 is exact in binary, so the boundary check is not at the
-     mercy of rounding *)
-  let report = synthetic_report ~mean_ipc:2.0 ~ci95:0.125 in
-  check bool "inside" true (Sample.covers report 1.95);
-  check bool "at the boundary" true (Sample.covers report 2.125);
-  check bool "outside" false (Sample.covers report 2.2);
-  check bool "nan never covered" false (Sample.covers report Float.nan);
-  let vacuous = synthetic_report ~mean_ipc:2.0 ~ci95:infinity in
-  check bool "infinite CI is vacuously covering" true
-    (Sample.covers vacuous 100.0)
 
 (* --- engine warm-up primitives ----------------------------------------- *)
 
@@ -211,7 +203,7 @@ let test_differential_grid () =
                 (Printf.sprintf "%s: CI covers full IPC (%.4f in %.4f +- %.4f)"
                    label full_ipc report.Sample.mean_ipc report.Sample.ci95)
                 true
-                (Sample.covers report full_ipc))
+                (covers report full_ipc))
         org_grid)
     Workload.all
 
@@ -328,8 +320,8 @@ let test_sweep_sampled_job () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 400; seed = 5 } in
   let job =
-    Sweep.trace_job ~label:"sampled" ~sample:spec ~config:Config.reference
-      records
+    Sweep.stream_job ~label:"sampled" ~sample:spec ~config:Config.reference
+      (open_records records)
   in
   let result = Sweep.run_job job in
   (match result.Sweep.sample_report with
@@ -351,37 +343,27 @@ let test_sweep_sampled_stream_job () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 400; seed = 5 } in
   let config = Config.reference in
-  let open_stream () =
-    let at = ref 0 in
-    fun () ->
-      if !at >= Array.length records then None
-      else begin
-        incr at;
-        Some records.(!at - 1)
-      end
-  in
+  let open_stream = open_records records in
   check bool "stream_job carries its sample spec" true
     ((Sweep.stream_job ~sample:spec ~config open_stream).Sweep.sample
     = Some spec);
-  let array_job = Sweep.trace_job ~label:"array" ~sample:spec ~config records in
   let pulled_job =
     { (Sweep.stream_job ~label:"pulled" ~config open_stream) with
       Sweep.sample = Some spec }
   in
-  let array_result = Sweep.run_job array_job in
   let pulled_result = Sweep.run_job pulled_job in
-  check str "statistics"
-    (Stats.to_json array_result.Sweep.outcome.Resim.stats)
-    (Stats.to_json pulled_result.Sweep.outcome.Resim.stats);
-  match
-    (array_result.Sweep.sample_report, pulled_result.Sweep.sample_report)
-  with
-  | Some expected, Some report ->
-      check str "sample report"
-        (Sample.report_to_json expected)
-        (Sample.report_to_json report)
-  | None, _ -> Alcotest.fail "array job lost its report"
-  | Some _, None -> Alcotest.fail "pulled job ran unsampled"
+  match Sample.run ~config ~spec (Resim.Records records) with
+  | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+  | Ok (robust, expected) -> (
+      check str "statistics"
+        (Stats.to_json robust.Resim.outcome.Resim.stats)
+        (Stats.to_json pulled_result.Sweep.outcome.Resim.stats);
+      match pulled_result.Sweep.sample_report with
+      | Some report ->
+          check str "sample report"
+            (Sample.report_to_json expected)
+            (Sample.report_to_json report)
+      | None -> Alcotest.fail "pulled job ran unsampled")
 
 (* --- checkpoint: structured RSM-K parse errors ------------------------- *)
 
@@ -454,8 +436,7 @@ module Slow_generation = struct
 
   let evaluation_scale = 256
 
-  let profile ~instructions =
-    Workload.profile_of (Workload.find "gzip") ~instructions
+  let profile = Resim_workloads.Gzip_like.profile
 end
 
 let test_sweep_times_simulate_only () =
@@ -489,7 +470,9 @@ let test_sweep_sampled_host_mips () =
   in
   let spec = { Sample.detail = 100; warmup = 400; seed = 5 } in
   let result =
-    Sweep.run_job (Sweep.trace_job ~label:"sampled" ~sample:spec ~config records)
+    Sweep.run_job
+      (Sweep.stream_job ~label:"sampled" ~sample:spec ~config
+         (open_records records))
   in
   let telemetry = result.Sweep.telemetry in
   check int "host_mips x wall_seconds is the full run's committed" full
@@ -500,8 +483,8 @@ let test_sweep_sampled_host_mips () =
 (* --- JSON: every emitter produces parseable documents ------------------ *)
 
 let validates label document =
-  match Json.validate document with
-  | Ok () -> ()
+  match Json.parse document with
+  | Ok _ -> ()
   | Error message ->
       Alcotest.fail (Printf.sprintf "%s: invalid JSON (%s)" label message)
 
@@ -518,9 +501,10 @@ let test_emitters_parse () =
   let spec = { Sample.detail = 100; warmup = 400; seed = 1 } in
   let report =
     Sweep.run ~jobs:1
-      [ Sweep.trace_job ~label:evil ~config:Config.reference records;
-        Sweep.trace_job ~label:evil ~sample:spec ~config:Config.reference
-          records ]
+      [ Sweep.stream_job ~label:evil ~config:Config.reference
+          (open_records records);
+        Sweep.stream_job ~label:evil ~sample:spec ~config:Config.reference
+          (open_records records) ]
   in
   validates "Sweep.metrics_json" (Sweep.metrics_json report);
   (* sample report and the spliced --metrics document *)
@@ -711,7 +695,7 @@ let property_sample_spec_json =
       match Sample.run ~spec (Resim.Records records) with
       | Error _ -> false
       | Ok (_, report) ->
-          Json.validate (Sample.report_to_json report) = Ok ())
+          Result.is_ok (Json.parse (Sample.report_to_json report)))
 
 (* --- CLI exit codes ---------------------------------------------------- *)
 
@@ -896,6 +880,60 @@ let test_cli_exit_codes () =
             args code)
          true
          (code = 0 || code = 3));
+      (* Every corruption class end to end: faultgen writes it, lint
+         exits with the class's severity and names its RSM-T code (told
+         the injected runaway's bound, or RSM-T007 cannot fire), and a
+         degraded resync run ends in a structured outcome. *)
+      List.iter
+        (fun fault ->
+          let module Inject = Resim_trace.Fault_inject in
+          let name = Inject.name fault in
+          let trace = Filename.temp_file "resim_test" ".trace" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove trace)
+            (fun () ->
+              check int (name ^ ": faultgen exits 0") 0
+                (run_cli
+                   (Printf.sprintf
+                      "faultgen -k gzip -s 256 --fault %s --seed 3 -o %s" name
+                      (Filename.quote trace)));
+              let code, out, err =
+                cli_output
+                  (Printf.sprintf "lint --max-wrong-path-run %d %s"
+                     Inject.default_max_run (Filename.quote trace))
+              in
+              let names_its_code () =
+                match Inject.expected_code fault with
+                | Some expected ->
+                    check bool
+                      (Printf.sprintf "%s: lint names %s" name expected)
+                      true
+                      (contains (out ^ err) expected)
+                | None -> ()
+              in
+              (match Inject.severity fault with
+              | `Error ->
+                  check int (name ^ ": lint exits 1 (error)") 1 code;
+                  names_its_code ()
+              | `Warning ->
+                  check int (name ^ ": lint exits 0 (warning)") 0 code;
+                  names_its_code ()
+              | `Varies ->
+                  check bool
+                    (Printf.sprintf "%s: lint exits 0 or 1, got %d" name code)
+                    true
+                    (code = 0 || code = 1));
+              let code =
+                run_cli
+                  (Printf.sprintf "simulate -t %s --degraded resync"
+                     (Filename.quote trace))
+              in
+              check bool
+                (Printf.sprintf "%s: degraded resync exits 0 or 3, got %d"
+                   name code)
+                true
+                (code = 0 || code = 3)))
+        Resim_trace.Fault_inject.all;
       (* An unwritable output path is a usage error that names the
          path, not an uncaught exception. *)
       List.iter
@@ -1204,8 +1242,7 @@ let suite =
        Alcotest.test_case "commit target stops and resumes" `Quick
          test_commit_target ]);
     ("sample:estimate",
-     [ Alcotest.test_case "covers arithmetic" `Quick test_covers;
-       Alcotest.test_case "deterministic for a fixed seed" `Quick
+     [ Alcotest.test_case "deterministic for a fixed seed" `Quick
          test_determinism;
        Alcotest.test_case "report accounting is consistent" `Quick
          test_report_accounting;

@@ -276,7 +276,7 @@ let test_non_finite_timeout () =
                 timeout = Some timeout; sample = None } }
       in
       let encoded = Protocol.encode_request request in
-      check bool (label ^ ": validates") true (Json.validate encoded = Ok ());
+      check bool (label ^ ": validates") true (Result.is_ok (Json.parse encoded));
       match Protocol.decode_request encoded with
       | Ok { Protocol.body = Protocol.Simulate spec; _ } ->
           check bool (label ^ ": decodes to no budget") true
@@ -556,6 +556,11 @@ let test_crash_recovery () =
         submit_ok socket { Protocol.client = "test"; body = Protocol.Status }
       with
       | Protocol.Status_report { counters; _ } ->
+          check (Alcotest.list string) "counter names, in report order"
+            [ "accepted"; "rejected"; "shed"; "retried"; "cache_hits";
+              "cache_misses"; "completed"; "failed"; "malformed";
+              "worker_restarts" ]
+            (List.map fst counters);
           let count name = List.assoc name counters in
           check bool "restarts recorded" true (count "worker_restarts" >= 3);
           check bool "retries recorded" true (count "retried" >= 2)

@@ -176,7 +176,10 @@ let traced ~window records =
     (fun () ->
       let buffer = Buffer.create 4096 in
       let channel = open_out path in
-      let sinks = [ Obs.jsonl_buffer buffer; Obs.waterfall ~window channel ] in
+      let sinks =
+        [ Obs.make_sink (Obs.add_jsonl_event buffer);
+          Obs.waterfall ~window channel ]
+      in
       let engine = Resim_core.Engine.create records in
       Obs.attach engine sinks;
       let stats = Resim_core.Engine.run engine in

@@ -14,7 +14,7 @@ let test_bitio_roundtrip_basic () =
   Bitio.Writer.put_bool w true;
   Bitio.Writer.put w ~bits:16 0xbeef;
   Bitio.Writer.put w ~bits:32 0x12345678;
-  check int "bit length" (3 + 1 + 16 + 32) (Bitio.Writer.bit_length w);
+  check int "byte length" 7 (String.length (Bitio.Writer.contents w));
   let r = Bitio.Reader.create (Bitio.Writer.contents w) in
   check int "3 bits" 5 (Bitio.Reader.get r ~bits:3);
   check bool "bool" true (Bitio.Reader.get_bool r);
@@ -38,7 +38,6 @@ let test_bitio_contents_idempotent () =
   let first = Bitio.Writer.contents w in
   let second = Bitio.Writer.contents w in
   check bool "two snapshots identical" true (first = second);
-  check int "state untouched" 5 (Bitio.Writer.bit_length w);
   (* Writing after a snapshot continues from the un-padded position. *)
   Bitio.Writer.put w ~bits:3 0b011;
   let r = Bitio.Reader.create (Bitio.Writer.contents w) in
@@ -65,8 +64,7 @@ let bitio_contents_pure_property =
       let again = Bitio.Writer.contents w in
       List.iter (fun (bits, value) -> Bitio.Writer.put w ~bits value) after;
       snapshot = again
-      && Bitio.Writer.contents w = Bitio.Writer.contents reference
-      && Bitio.Writer.bit_length w = Bitio.Writer.bit_length reference)
+      && Bitio.Writer.contents w = Bitio.Writer.contents reference)
 
 let bitio_roundtrip_property =
   let field = QCheck.(pair (QCheck.int_range 1 62) (int_bound max_int)) in
@@ -122,13 +120,12 @@ let chunked_reader data ~chunk =
       piece)
 
 (* Same value or the same [Out_of_bits] for every field, and the same
-   position after each get; in-memory readers also agree on the bits
-   left. Widths run past the end of the stream on purpose. *)
+   byte position after each get; in-memory readers also agree on the
+   bits left. Widths run past the end of the stream on purpose. *)
 let reader_agrees ~exact reader data widths =
   let reference = Serial_reader.create data in
   let same_position () =
-    Bitio.Reader.bits_consumed reader = Serial_reader.bits_consumed reference
-    && Bitio.Reader.byte_position reader
+    Bitio.Reader.byte_position reader
        = Serial_reader.byte_position reference
     && ((not exact)
        || Bitio.Reader.bits_remaining reader
@@ -244,7 +241,7 @@ let test_record_r0_registers () =
   let record ?dest ?src1 ?src2 () =
     Record.of_observation ~wrong_path:false
       { Interpreter.index = 0;
-        instr = Instruction.make ?dest ?src1 ?src2 Opcode.Add;
+        instr = { Instruction.op = Opcode.Add; dest; src1; src2; imm = 0 };
         next_index = 1;
         effective_address = None;
         control = None }
@@ -262,9 +259,20 @@ let test_record_r0_registers () =
 
 (* --- codec --------------------------------------------------------------- *)
 
+let decode data =
+  match Codec.decode_result data with
+  | Ok decoded -> decoded
+  | Error error -> Alcotest.fail (Codec.error_to_string error)
+
+(* The structured error a malformed stream decodes to. *)
+let decode_error data =
+  match Codec.decode_result data with
+  | Ok _ -> Alcotest.fail "malformed stream decoded"
+  | Error error -> error
+
 let test_codec_roundtrip_fixed () =
   let encoded = Codec.encode ~format:Codec.Fixed sample_records in
-  let decoded, format = Codec.decode encoded in
+  let decoded, format = decode encoded in
   check bool "format" true (format = Codec.Fixed);
   check int "count" (Array.length sample_records) (Array.length decoded);
   Array.iteri
@@ -275,31 +283,29 @@ let test_codec_roundtrip_fixed () =
 
 let test_codec_roundtrip_compact () =
   let encoded = Codec.encode ~format:Codec.Compact sample_records in
-  let decoded, format = Codec.decode encoded in
+  let decoded, format = decode encoded in
   check bool "format" true (format = Codec.Compact);
   check bool "all equal" true
     (Array.for_all2 Record.equal sample_records decoded)
 
 let test_codec_empty () =
   let encoded = Codec.encode [||] in
-  let decoded, _format = Codec.decode encoded in
+  let decoded, _format = decode encoded in
   check int "empty" 0 (Array.length decoded);
   check bool "zero bits per instr" true
     (Codec.bits_per_instruction [||] = 0.0)
 
 let test_codec_corrupt () =
-  Alcotest.check_raises "bad magic" (Codec.Corrupt "bad magic") (fun () ->
-      ignore (Codec.decode "XXXXxxxxxxxxxxxxxx"));
-  Alcotest.check_raises "truncated header"
-    (Codec.Corrupt "truncated header (2 of 14 bytes)") (fun () ->
-      ignore (Codec.decode "RS"))
+  check Alcotest.string "bad magic" "bad magic"
+    (decode_error "XXXXxxxxxxxxxxxxxx").reason;
+  check Alcotest.string "truncated header" "truncated header (2 of 14 bytes)"
+    (decode_error "RS").reason
 
 let test_codec_truncated_payload () =
   let encoded = Codec.encode sample_records in
   let truncated = String.sub encoded 0 (String.length encoded - 2) in
-  Alcotest.check_raises "truncated payload"
-    (Codec.Corrupt "truncated payload") (fun () ->
-      ignore (Codec.decode truncated))
+  check Alcotest.string "truncated payload" "RSM-T002"
+    (decode_error truncated).error_code
 
 let test_codec_file_roundtrip () =
   let path = Filename.temp_file "resim_test" ".trace" in
@@ -370,7 +376,7 @@ let codec_roundtrip_property format name =
   QCheck.Test.make ~name ~count:60
     (QCheck.make record_gen)
     (fun records ->
-      let decoded, decoded_format = Codec.decode (Codec.encode ~format records) in
+      let decoded, decoded_format = decode (Codec.encode ~format records) in
       decoded_format = format
       && Array.length decoded = Array.length records
       && Array.for_all2 Record.equal records decoded)
@@ -448,16 +454,20 @@ let selector_records_gen =
    record is decoded is the final byte's zero padding. *)
 let real_payload_bits ~format records =
   let encoded = Codec.encode ~format records in
-  let cursor = Codec.Cursor.of_string encoded in
+  let cursor =
+    match Codec.Cursor.of_string_result encoded with
+    | Ok cursor -> cursor
+    | Error error -> Alcotest.fail (Codec.error_to_string error)
+  in
   while Codec.Cursor.has_next cursor do
-    ignore (Codec.Cursor.next cursor)
+    ignore (Codec.Cursor.next_result cursor)
   done;
   (8 * (String.length encoded - Codec.header_length))
   - Codec.Cursor.bits_remaining cursor
 
 let encoded_bits_matches_encoding_property =
   QCheck.Test.make
-    ~name:"codec: encoded_bits equals the bit length of the real encoding"
+    ~name:"codec: encoded_bits per instruction match the real encoding"
     ~count:300
     (QCheck.make
        ~print:(fun records ->
@@ -467,8 +477,11 @@ let encoded_bits_matches_encoding_property =
     (fun records ->
       List.for_all
         (fun format ->
-          Codec.encoded_bits ~format records
-          = real_payload_bits ~format records)
+          let n = Array.length records in
+          Codec.bits_per_instruction ~format records
+          =
+          if n = 0 then 0.0
+          else float_of_int (real_payload_bits ~format records) /. float_of_int n)
         [ Codec.Fixed; Codec.Compact ])
 
 (* --- profile ---------------------------------------------------------- *)

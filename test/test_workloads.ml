@@ -86,9 +86,8 @@ let test_kernel_character () =
 let test_profiles_are_sane () =
   List.iter
     (fun workload ->
-      let profile =
-        Resim_workloads.Workload.profile_of workload ~instructions:1000
-      in
+      let module K = (val workload : Resim_workloads.Kernel_sig.S) in
+      let profile = K.profile ~instructions:1000 in
       let open Resim_tracegen.Synthetic in
       let total =
         profile.loads +. profile.stores +. profile.branches +. profile.calls
