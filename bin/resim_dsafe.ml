@@ -1,9 +1,10 @@
 (* resim-dsafe: the cross-module domain-safety gate of resim-check.
 
    Drives Resim_check.Dsafe over the files named on the command line —
-   `dune build @dsafe` / `make dsafe` pass the whole lib/ tree so
-   cross-module captures resolve. Findings carry the stable codes
-   RSM-D001..D008 (catalog in DESIGN.md §15).
+   name a whole tree (every lib/*/*.ml) so cross-module captures
+   resolve; the test group dsafe analyzes lib/ the same way on every
+   `dune runtest`. Findings carry the stable codes RSM-D001..D008
+   (catalog in DESIGN.md §15).
 
    Usage: resim_dsafe [--inventory] [--max-annotations N] file.ml ...
 
@@ -60,7 +61,7 @@ let () =
           | Some hint -> Printf.printf "    fix: %s\n" hint
           | None -> ())
         report.diagnostics;
-      let annotations = List.length report.annotations in
+      let annotations = report.annotations in
       let over_budget =
         match !max_annotations with
         | Some budget when annotations > budget ->

@@ -1,26 +1,14 @@
-type config = {
-  load_use_stall : int;
-  mult_stall : int;
-  div_stall : int;
-  taken_branch_bubble : int;
-  mispredict_penalty : int;
-  miss_latency : int;
-  dcache : Resim_cache.Cache.config;
-}
-
-let default_config =
-  { load_use_stall = 1;
-    mult_stall = 2;
-    div_stall = 9;
-    taken_branch_bubble = 1;
-    mispredict_penalty = 3;
-    miss_latency = 18;
-    dcache = Resim_cache.Cache.Perfect }
+(* Stall cycles of the 5-stage pipeline. Its D-cache is perfect, so a
+   memory access never stalls beyond the load-use hazard. *)
+let load_use_stall = 1
+let mult_stall = 2
+let div_stall = 9
+let taken_branch_bubble = 1
+let mispredict_penalty = 3
 
 type result = { instructions : int64; cycles : int64; ipc : float }
 
-let simulate ?(config = default_config) records =
-  let dcache = Resim_cache.Cache.create config.dcache in
+let simulate records =
   let cycles = ref 0L in
   let instructions = ref 0L in
   let add n = cycles := Int64.add !cycles (Int64.of_int n) in
@@ -33,7 +21,7 @@ let simulate ?(config = default_config) records =
       if record.wrong_path then begin
         (* One penalty per wrong-path block: the in-order front end
            squashes the block wholesale at resolution. *)
-        if not !in_wrong_block then add config.mispredict_penalty;
+        if not !in_wrong_block then add mispredict_penalty;
         in_wrong_block := true
       end
       else begin
@@ -45,23 +33,17 @@ let simulate ?(config = default_config) records =
           && (record.src1 = !pending_load_dest
              || record.src2 = !pending_load_dest)
         in
-        if uses_pending then add config.load_use_stall;
+        if uses_pending then add load_use_stall;
         pending_load_dest := 0;
         (match record.payload with
         | Resim_trace.Record.Other { op_class = Resim_trace.Record.Mult } ->
-            add config.mult_stall
+            add mult_stall
         | Resim_trace.Record.Other { op_class = Resim_trace.Record.Divide } ->
-            add config.div_stall
+            add div_stall
         | Resim_trace.Record.Other { op_class = Resim_trace.Record.Alu } -> ()
         | Resim_trace.Record.Branch { taken; _ } ->
-            if taken then add config.taken_branch_bubble
-        | Resim_trace.Record.Memory { is_load; address } ->
-            let latency =
-              Resim_cache.Cache.access dcache ~addr:address
-                ~write:(not is_load)
-            in
-            let hit = (Resim_cache.Cache.timing dcache).hit_latency in
-            if latency > hit then add (latency - hit);
+            if taken then add taken_branch_bubble
+        | Resim_trace.Record.Memory { is_load; _ } ->
             if is_load then pending_load_dest := record.dest)
       end)
     records;

@@ -29,13 +29,11 @@ type result = {
       (** instructions interpreted, wrong paths included *)
 }
 
-val run :
-  ?config:Resim_core.Config.t ->
-  ?max_instructions:int ->
-  Resim_isa.Program.t ->
-  result
-(** Execute and time [program] in one fused pass. *)
+val run : Resim_isa.Program.t -> result
+(** Execute and time [program] in one fused pass, under
+    {!Resim_core.Config.reference} and its
+    {!Resim_core.Resim.generator_config}. *)
 
-val functional_only : ?max_steps:int -> Resim_isa.Program.t -> int
+val functional_only : Resim_isa.Program.t -> int
 (** The `sim-fast` analog: pure functional simulation, no timing.
     Returns instructions executed; used to price trace generation. *)

@@ -17,15 +17,9 @@ type t = {
   direction : Direction.t;
   btb : Btb.t;
   ras : Ras.t;
-  mutable predictions : int;
-  mutable correct : int;
 }
 
-type prediction = {
-  taken : bool;
-  target : int option;
-  from_ras : bool;
-}
+type prediction = { taken : bool; target : int option }
 
 let create config =
   { config;
@@ -36,45 +30,37 @@ let create config =
           false);
     direction = Direction.create config.direction;
     btb = Btb.create config.btb;
-    ras = Ras.create config.ras_depth;
-    predictions = 0;
-    correct = 0 }
+    ras = Ras.create config.ras_depth }
 
 let config t = t.config
 
 let predict t ~pc ~kind ~fallthrough ~actual_taken ~actual_target =
-  t.predictions <- t.predictions + 1;
   let oracle = t.oracle in
   match (kind : Resim_isa.Opcode.branch_kind) with
   | Cond ->
       let taken = Direction.predict t.direction ~pc ~actual:actual_taken in
-      if not taken then { taken = false; target = None; from_ras = false }
-      else if oracle then
-        { taken; target = Some actual_target; from_ras = false }
-      else { taken; target = Btb.lookup t.btb ~pc; from_ras = false }
+      if not taken then { taken = false; target = None }
+      else if oracle then { taken; target = Some actual_target }
+      else { taken; target = Btb.lookup t.btb ~pc }
   | Jump ->
-      if oracle then
-        { taken = true; target = Some actual_target; from_ras = false }
-      else { taken = true; target = Btb.lookup t.btb ~pc; from_ras = false }
+      if oracle then { taken = true; target = Some actual_target }
+      else { taken = true; target = Btb.lookup t.btb ~pc }
   | Call ->
       Ras.push t.ras fallthrough;
-      if oracle then
-        { taken = true; target = Some actual_target; from_ras = false }
-      else { taken = true; target = Btb.lookup t.btb ~pc; from_ras = false }
+      if oracle then { taken = true; target = Some actual_target }
+      else { taken = true; target = Btb.lookup t.btb ~pc }
   | Ret -> (
       if oracle then begin
         ignore (Ras.pop t.ras);
-        { taken = true; target = Some actual_target; from_ras = true }
+        { taken = true; target = Some actual_target }
       end
       else
         match Ras.pop t.ras with
-        | Some target -> { taken = true; target = Some target; from_ras = true }
-        | None ->
-            { taken = true; target = Btb.lookup t.btb ~pc; from_ras = false })
+        | Some target -> { taken = true; target = Some target }
+        | None -> { taken = true; target = Btb.lookup t.btb ~pc })
   | Indirect ->
-      if oracle then
-        { taken = true; target = Some actual_target; from_ras = false }
-      else { taken = true; target = Btb.lookup t.btb ~pc; from_ras = false }
+      if oracle then { taken = true; target = Some actual_target }
+      else { taken = true; target = Btb.lookup t.btb ~pc }
 
 let update t ~pc ~kind ~taken ~target =
   (match (kind : Resim_isa.Opcode.branch_kind) with
@@ -87,5 +73,3 @@ let update t ~pc ~kind ~taken ~target =
 
 let ras_snapshot t = Ras.snapshot t.ras
 let ras_restore t saved = Ras.restore t.ras saved
-
-let record_resolution t ~correct = if correct then t.correct <- t.correct + 1

@@ -27,7 +27,6 @@ type prediction = {
   taken : bool;            (** predicted direction *)
   target : int option;     (** predicted target when [taken]; [None] means
                                no target available — a misfetch *)
-  from_ras : bool;         (** target came from the RAS *)
 }
 
 val create : config -> t
@@ -56,9 +55,3 @@ val ras_snapshot : t -> Ras.t
 val ras_restore : t -> Ras.t -> unit
 (** Squash repair: restore the RAS to its state at the mispredicted
     branch. *)
-
-(** {1 Accuracy accounting} *)
-
-val record_resolution : t -> correct:bool -> unit
-(** Called by the engine when a branch resolves, to feed accuracy
-    statistics. *)

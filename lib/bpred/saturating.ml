@@ -1,17 +1,13 @@
-type t = { mutable value : int; max : int; threshold : int }
+(* A 2-bit counter: values 0..3, predicting taken from 2 up. *)
+type t = { mutable value : int }
 
-let create ?(bits = 2) ?initial () =
-  let top = (1 lsl bits) - 1 in
-  let threshold = 1 lsl (bits - 1) in
-  let value =
-    match initial with
-    | Some v -> (if v < 0 then 0 else if v > top then top else v)
-    | None -> threshold
-  in
-  { value; max = top; threshold }
+let max_value = 3
+let threshold = 2
 
-let predict_taken c = c.value >= c.threshold
+let create () = { value = threshold }
+
+let predict_taken c = c.value >= threshold
 
 let train c ~taken =
-  if taken then (if c.value < c.max then c.value <- c.value + 1)
+  if taken then (if c.value < max_value then c.value <- c.value + 1)
   else if c.value > 0 then c.value <- c.value - 1

@@ -25,7 +25,6 @@ type stats = {
   accesses : int64;
   hits : int64;
   misses : int64;
-  evictions : int64;
 }
 
 (* Counters are host ints (widened to int64 on read): [access] sits on
@@ -38,7 +37,6 @@ type counters = {
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 
 type t = {
@@ -57,7 +55,7 @@ let log2_exact name n =
   in
   loop n 0
 
-let create ?(timing = default_timing) config =
+let create ~timing config =
   let state =
     match config with
     | Perfect -> S_perfect
@@ -75,8 +73,7 @@ let create ?(timing = default_timing) config =
         S_sets { sets; block_bits; set_count }
   in
   { config; timing; state;
-    counters = { clock = 0; accesses = 0; hits = 0; misses = 0; evictions = 0 }
-  }
+    counters = { clock = 0; accesses = 0; hits = 0; misses = 0 } }
 
 let config t = t.config
 let timing t = t.timing
@@ -125,8 +122,6 @@ let access t ~addr ~write =
       | None ->
           c.misses <- c.misses + 1;
           let way = victim_way set in
-          if set.(way).tag <> -1 then
-            c.evictions <- c.evictions + 1;
           set.(way).tag <- tag;
           set.(way).stamp <- c.clock;
           t.timing.hit_latency + t.timing.miss_latency)
@@ -141,5 +136,4 @@ let probe t ~addr =
 let stats t =
   { accesses = Int64.of_int t.counters.accesses;
     hits = Int64.of_int t.counters.hits;
-    misses = Int64.of_int t.counters.misses;
-    evictions = Int64.of_int t.counters.evictions }
+    misses = Int64.of_int t.counters.misses }

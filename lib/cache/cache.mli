@@ -33,7 +33,6 @@ type counters = {
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 (** Live access counters (host ints; the {!stats} view widens to
     int64). Exposed for the engine's closure family (DESIGN.md §14),
@@ -43,7 +42,7 @@ type counters = {
 
 type t
 
-val create : ?timing:timing -> config -> t
+val create : timing:timing -> config -> t
 val config : t -> config
 val timing : t -> timing
 
@@ -63,7 +62,6 @@ type stats = {
   accesses : int64;
   hits : int64;
   misses : int64;
-  evictions : int64;
 }
 
 val stats : t -> stats

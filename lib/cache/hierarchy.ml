@@ -1,7 +1,6 @@
 type t = { l1 : Cache.t; l2 : Cache.t option }
 
-let create ?timing l1_config ~l2 =
-  { l1 = Cache.create ?timing l1_config; l2 }
+let create ~timing l1_config ~l2 = { l1 = Cache.create ~timing l1_config; l2 }
 
 let access t ~addr ~write =
   let l1_latency = Cache.access t.l1 ~addr ~write in

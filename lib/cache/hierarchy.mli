@@ -9,10 +9,10 @@
 
 type t
 
-val create :
-  ?timing:Cache.timing -> Cache.config -> l2:Cache.t option -> t
-(** [create l1_config ~l2]: the L1 is built here; when [l2] is [Some _],
-    the L1's configured miss latency is superseded by the L2 access. *)
+val create : timing:Cache.timing -> Cache.config -> l2:Cache.t option -> t
+(** [create ~timing l1_config ~l2]: the L1 is built here; when [l2] is
+    [Some _], the L1's configured miss latency is superseded by the L2
+    access. *)
 
 val access : t -> addr:int -> write:bool -> int
 (** Total latency in major cycles. *)

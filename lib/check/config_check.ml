@@ -12,10 +12,10 @@ let validate (t : Config.t) =
         out := Diagnostic.error ~code ~subject ?hint message :: !out)
       fmt
   in
-  let warn code subject ?hint fmt =
+  let warn code subject ~hint fmt =
     Printf.ksprintf
       (fun message ->
-        out := Diagnostic.warning ~code ~subject ?hint message :: !out)
+        out := Diagnostic.warning ~code ~subject ~hint message :: !out)
       fmt
   in
   (* Window shape: width, queues, ROB, LSQ. *)

@@ -1,8 +1,6 @@
-type annotation = { file : string; line : int; form : Dsafe_ast.annot_form }
-
 type report = {
   diagnostics : Diagnostic.t list;
-  annotations : annotation list;
+  annotations : int;
   inventories : Dsafe_inventory.t list;
 }
 
@@ -55,13 +53,10 @@ let analyze_sources sources =
       diagnostics
   in
   let annotations =
-    List.concat_map
-      (fun (source : Dsafe_ast.source) ->
-        List.map
-          (fun (annot : Dsafe_ast.annot) ->
-            { file = source.path; line = annot.annot_line; form = annot.form })
-          source.annots)
-      sources
+    List.fold_left
+      (fun count (source : Dsafe_ast.source) ->
+        count + List.length source.annots)
+      0 sources
   in
   { diagnostics;
     annotations;

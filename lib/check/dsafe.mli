@@ -16,13 +16,11 @@
     code catalog RSM-D001..D008 and the annotation grammar are
     documented in DESIGN.md §15. *)
 
-type annotation = { file : string; line : int; form : Dsafe_ast.annot_form }
-
 type report = {
   diagnostics : Diagnostic.t list;  (** sorted by file, then line *)
-  annotations : annotation list;
-      (** every [resim-dsafe:] annotation in the analyzed set, so
-          reviews and tests can budget them *)
+  annotations : int;
+      (** how many [resim-dsafe:] annotations the analyzed set holds,
+          so reviews and tests can budget them *)
   inventories : Dsafe_inventory.t list;
 }
 

@@ -4,8 +4,6 @@ module Inv = Dsafe_inventory
 type summary = {
   src : A.source;
   inv : Inv.t;
-  funmap : (string * Parsetree.expression) list;
-      (* module-level [let f args = …] bindings *)
   spawn_bodies : Parsetree.expression list;
       (* bodies that run on another domain (physical identity) *)
   guarded : (string, unit) Hashtbl.t;  (* keys with >= 1 locked access *)
@@ -186,12 +184,10 @@ let tracked_field (inv : Inv.t) field =
   && not (List.mem field inv.Inv.immutable_fields)
 
 let summarize (source : A.source) (inv : Inv.t) =
-  let funmap = funmap_of source in
   let summary =
     { src = source;
       inv;
-      funmap;
-      spawn_bodies = spawn_bodies_of source funmap;
+      spawn_bodies = spawn_bodies_of source (funmap_of source);
       guarded = Hashtbl.create 16;
       written = Hashtbl.create 16 }
   in
@@ -257,14 +253,14 @@ let rec captured_paths acc (expr : Parsetree.expression) =
 let check ~global summary =
   let findings = ref [] in
   let seen = Hashtbl.create 8 in
-  let report ~file ~line ~code ?hint message =
+  let report ~file ~line ~code ~hint message =
     let key = (file, line, code) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();
       findings :=
         Diagnostic.error ~code
           ~subject:(Printf.sprintf "%s:%d" file line)
-          ?hint message
+          ~hint message
         :: !findings
     end
   in

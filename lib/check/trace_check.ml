@@ -40,12 +40,11 @@ let err st ~code ~index ?hint fmt =
         :: st.out)
     fmt
 
-let warn st ~code ~index ?hint fmt =
+let warn st ~code ~index fmt =
   Printf.ksprintf
     (fun message ->
       st.out <-
-        Diagnostic.warning ~code ~subject:(record_subject index) ?hint
-          message
+        Diagnostic.warning ~code ~subject:(record_subject index) message
         :: st.out)
     fmt
 
@@ -184,7 +183,7 @@ let lint_string ?max_wrong_path_run data =
   | Error error -> header_report error
   | Ok cursor -> lint_cursor ?max_wrong_path_run cursor
 
-let lint_file ?max_wrong_path_run ?chunk path =
+let lint_file ?max_wrong_path_run path =
   match open_in_bin path with
   | exception Sys_error reason ->
       header_report { Codec.error_code = "RSM-T009"; byte_offset = 0; reason }
@@ -192,7 +191,7 @@ let lint_file ?max_wrong_path_run ?chunk path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          match Codec.Cursor.of_channel_result ?chunk ic with
+          match Codec.Cursor.of_channel_result ic with
           | Error error -> header_report error
           | Ok cursor -> lint_cursor ?max_wrong_path_run cursor)
 

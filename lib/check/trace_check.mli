@@ -33,9 +33,9 @@ val lint_string : ?max_wrong_path_run:int -> string -> report
 (** Full streaming lint of an encoded stream, header included. Never
     raises: decode failures become diagnostics. *)
 
-val lint_file : ?max_wrong_path_run:int -> ?chunk:int -> string -> report
-(** Streaming lint through the chunked cursor: O([chunk]) memory
-    regardless of file size. Never raises — an unreadable file is an
+val lint_file : ?max_wrong_path_run:int -> string -> report
+(** Streaming lint through the chunked cursor: memory bounded by one
+    chunk regardless of file size. Never raises — an unreadable file is an
     RSM-T009 diagnostic. *)
 
 val lint_adapter : ?max_wrong_path_run:int -> Resim_trace.Adapter.t -> report

@@ -14,8 +14,7 @@ type t = {
   engine : string option;  (* engine-version/config-hash identity *)
 }
 
-let make ?engine ~cycle ~cursor ~counters () =
-  { cycle; cursor; counters; engine }
+let make ~cycle ~cursor ~counters = { cycle; cursor; counters; engine = None }
 
 let with_engine engine t = { t with engine = Some engine }
 

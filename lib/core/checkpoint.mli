@@ -18,9 +18,8 @@ type t = {
           stamped at save time; [None] on legacy handles *)
 }
 
-val make :
-  ?engine:string ->
-  cycle:int64 -> cursor:int -> counters:(string * int64) list -> unit -> t
+val make : cycle:int64 -> cursor:int -> counters:(string * int64) list -> t
+(** An unstamped handle ([engine = None]); see {!with_engine}. *)
 
 val with_engine : string -> t -> t
 (** Stamp (or replace) the engine identity on a handle. *)

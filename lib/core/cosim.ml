@@ -2,27 +2,26 @@ type result = {
   stats : Stats.t;
   correct_path : int;
   wrong_path : int;
-  mispredicted_branches : int;
   peak_buffered_records : int;
 }
 
-let run ?(config = Config.reference) ?generator program =
-  let generator =
-    Option.value generator ~default:(Resim.generator_config config)
+let run program =
+  let stream =
+    Resim_tracegen.Stream.create
+      ~config:(Resim.generator_config Config.reference) program
   in
-  let stream = Resim_tracegen.Stream.create ~config:generator program in
-  let source =
-    Source.of_pull (fun () -> Resim_tracegen.Stream.pull stream)
-  in
-  let engine = Engine.create_from_source ~config source in
+  let source = Source.of_pull (fun () -> Resim_tracegen.Stream.pull stream) in
+  let engine = Engine.create_from_source source in
+  (* [Ph_account] follows fetch, the last phase that moves the window,
+     so it sees the window as the cycle leaves it. *)
   let peak = ref 0 in
-  while not (Engine.finished engine) do
-    Engine.step engine;
-    peak := max !peak (Source.buffered source)
-  done;
-  { stats = Engine.stats engine;
+  Engine.set_phase_probe engine (function
+    | Engine.Ph_account -> peak := Int.max !peak (Source.buffered source)
+    | Ph_commit | Ph_writeback | Ph_issue | Ph_dispatch | Ph_decouple
+    | Ph_fetch ->
+        ());
+  let stats = Engine.run engine in
+  { stats;
     correct_path = Resim_tracegen.Stream.correct_path stream;
     wrong_path = Resim_tracegen.Stream.wrong_path stream;
-    mispredicted_branches =
-      Resim_tracegen.Stream.mispredicted_branches stream;
     peak_buffered_records = !peak }

@@ -14,14 +14,11 @@ type result = {
   stats : Stats.t;
   correct_path : int;           (** instructions functionally executed *)
   wrong_path : int;             (** tagged records produced *)
-  mispredicted_branches : int;
   peak_buffered_records : int;  (** high-water mark of the pull window *)
 }
 
-val run :
-  ?config:Config.t ->
-  ?generator:Resim_tracegen.Generator.config ->
-  Resim_isa.Program.t ->
-  result
-(** When [generator] is omitted it is {!Resim.generator_config}, the
-    same generator {!Resim.simulate_program} uses. *)
+val run : Resim_isa.Program.t -> result
+(** Co-simulate under {!Config.reference} with
+    {!Resim.generator_config}, the configuration and generator
+    {!Resim.simulate_program} uses, in {!Engine.run}'s loop: raises
+    {!Engine.Deadlock} when the engine stops making progress. *)

@@ -130,7 +130,6 @@ type t = {
   s_write_ports : int;
   s_misfetch_penalty : int;
   s_misspeculation_penalty : int;
-  s_minor_latency : int;
   s_block_bytes : int; (* icache block granularity for fetch grouping *)
   source : Source.t;
   mutable cursor : int;
@@ -143,7 +142,6 @@ type t = {
   predictor : Bpred.Predictor.t;
   icache : Hierarchy.t;
   dcache : Hierarchy.t;
-  l2cache : Cache.t option;
   stats : Stats.t;
   (* Plain int: an [Int64.add] per cycle would box on every increment.
      63 bits exceed any reachable run; the public API still reports
@@ -328,8 +326,6 @@ let commit_phase t =
                   Stats.incr t.stats Stats.committed_cond_branches;
                 Bpred.Predictor.update t.predictor ~pc:entry.record.pc ~kind
                   ~taken ~target;
-                Bpred.Predictor.record_resolution t.predictor
-                  ~correct:(not entry.squash_on_commit);
                 if entry.squash_on_commit then begin
                   Stats.incr t.stats Stats.mispredictions;
                   squash t entry;
@@ -841,7 +837,7 @@ let cursor t = t.cursor
 
 let checkpoint t =
   Checkpoint.make ~cycle:(Int64.of_int t.cycle) ~cursor:t.cursor
-    ~counters:(Stats.to_assoc t.stats) ()
+    ~counters:(Stats.to_assoc t.stats)
 
 let deadlock_here t ~reason ~stuck_for =
   { reason;
@@ -855,15 +851,15 @@ type stop = Drained | Cycle_budget | Time_budget | Commit_target
 
 type bounded = { final : Stats.t; stop : stop; resume : Checkpoint.t option }
 
-let default_watchdog = 100_000
+(* Cycles without commit, fetch or ROB progress before [Deadlock]. *)
+let watchdog = 100_000
 
 (* How many cycles between calls of the (possibly wall-clock-reading)
    deadline closure: cheap enough to keep hot-loop overhead invisible,
    frequent enough that a timeout lands within microseconds. *)
 let deadline_poll_interval = 256
 
-let run_bounded ?(watchdog = default_watchdog) ?max_cycles ?max_commits
-    ?deadline t =
+let run_bounded ?max_cycles ?max_commits ?deadline t =
   (* The cycle budget, clamped to the int cycle counter's domain: an
      int64 budget at or beyond [max_int] cannot trip before the heat
      death of any real run. *)
@@ -946,8 +942,8 @@ let run_bounded ?(watchdog = default_watchdog) ?max_cycles ?max_commits
       | Drained -> None
       | Cycle_budget | Time_budget | Commit_target -> Some (checkpoint t)) }
 
-let run ?(max_cycles = 1_000_000_000L) t =
-  let bounded = run_bounded ~max_cycles t in
+let run t =
+  let bounded = run_bounded ~max_cycles:1_000_000_000L t in
   match bounded.stop with
   | Drained -> bounded.final
   | Cycle_budget ->
@@ -1214,7 +1210,6 @@ let make_run (t : t) =
   let alloc_alu () =
     if fu.Fu.alu_used < alu_count then begin
       fu.Fu.alu_used <- fu.Fu.alu_used + 1;
-      fu.Fu.alu_allocations <- fu.Fu.alu_allocations + 1;
       alu_latency
     end
     else no_unit
@@ -1482,8 +1477,6 @@ let make_run (t : t) =
                 Stdlib.incr st_committed_cond_branches;
               Bpred.Predictor.update predictor ~pc:entry.record.pc ~kind
                 ~taken ~target;
-              Bpred.Predictor.record_resolution predictor
-                ~correct:(not entry.squash_on_commit);
               if entry.squash_on_commit then begin
                 Stdlib.incr st_mispredictions;
                 squash entry;
@@ -1907,7 +1900,6 @@ let create_from_source ?(config = Config.reference) source =
       s_write_ports = config.mem_write_ports;
       s_misfetch_penalty = config.misfetch_penalty;
       s_misspeculation_penalty = config.misspeculation_penalty;
-      s_minor_latency = Config.minor_cycle_latency config;
       s_block_bytes = block_bytes_of_cache config.icache;
       source;
       cursor = 0;
@@ -1922,7 +1914,6 @@ let create_from_source ?(config = Config.reference) source =
         Hierarchy.create ~timing:config.cache_timing config.icache ~l2:shared_l2;
       dcache =
         Hierarchy.create ~timing:config.cache_timing config.dcache ~l2:shared_l2;
-      l2cache = shared_l2;
       stats = Stats.create ();
       cycle = 0;
       fetch_stall = 0;
@@ -1939,4 +1930,4 @@ let create_from_source ?(config = Config.reference) source =
 
 let create ?config trace = create_from_source ?config (Source.of_array trace)
 
-let simulate ?config trace = run (create ?config trace)
+let simulate trace = run (create trace)

@@ -162,8 +162,8 @@ type deadlock = {
 
 exception Deadlock of deadlock
 (** Raised by {!run}/{!run_bounded} when no commit or fetch progress is
-    made for a whole watchdog window — an engine bug or a pathological
-    trace, never expected on valid input. *)
+    made for a whole watchdog window of 100,000 cycles — an engine bug
+    or a pathological trace, never expected on valid input. *)
 
 val pp_deadlock : Format.formatter -> deadlock -> unit
 
@@ -182,7 +182,6 @@ type bounded = {
 }
 
 val run_bounded :
-  ?watchdog:int ->
   ?max_cycles:int64 ->
   ?max_commits:int ->
   ?deadline:(unit -> bool) ->
@@ -199,13 +198,11 @@ val run_bounded :
     {!Resim_trace.Fault.Trace_fault} from protocol violations
     propagate. *)
 
-val run : ?max_cycles:int64 -> t -> Stats.t
-(** Step until {!finished}; raises {!Deadlock} past [max_cycles]
-    (default 1 G). *)
+val run : t -> Stats.t
+(** Step until {!finished}; raises {!Deadlock} past 1 G cycles. *)
 
-val simulate :
-  ?config:Config.t -> Resim_trace.Record.t array -> Stats.t
-(** [create] + [run]. *)
+val simulate : Resim_trace.Record.t array -> Stats.t
+(** [create] + [run] under the reference configuration. *)
 
 (** {1 Engine implementations (DESIGN.md §14)}
 

@@ -3,7 +3,6 @@ type t = {
   mutable alu_used : int;
   mutable mult_used : int;
   div_busy_until : int array;
-  mutable alu_allocations : int;
 }
 
 type request = Alu | Mult | Div
@@ -14,8 +13,7 @@ let create (config : Config.t) =
   { config;
     alu_used = 0;
     mult_used = 0;
-    div_busy_until = Array.make config.div_count 0;
-    alu_allocations = 0 }
+    div_busy_until = Array.make config.div_count 0 }
 
 let begin_cycle t =
   t.alu_used <- 0;
@@ -28,7 +26,6 @@ let try_allocate t request ~now =
   | Alu ->
       if t.alu_used < t.config.alu_count then begin
         t.alu_used <- t.alu_used + 1;
-        t.alu_allocations <- t.alu_allocations + 1;
         t.config.alu_latency
       end
       else no_unit

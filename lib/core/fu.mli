@@ -16,7 +16,6 @@ type t = {
   mutable alu_used : int;
   mutable mult_used : int;
   div_busy_until : int array;
-  mutable alu_allocations : int;
 }
 
 type request = Alu | Mult | Div

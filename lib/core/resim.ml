@@ -10,17 +10,7 @@ type outcome = {
   stats : Stats.t;
   trace_summary : Resim_trace.Summary.t;
   bits_per_instruction : float;
-  icache_stats : Resim_cache.Cache.stats;
-  dcache_stats : Resim_cache.Cache.stats;
 }
-
-let outcome_of ~config engine stats (trace_summary, bits_per_instruction) =
-  { config;
-    stats;
-    trace_summary;
-    bits_per_instruction;
-    icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
-    dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) }
 
 (* One generator for every run that derives its trace from the engine
    configuration: the same predictor, so generator and engine model the
@@ -79,18 +69,18 @@ let open_trace trace =
 exception Refusal of string
 
 (* Step a resumed run back to its checkpoint cycle under the caller's
-   watchdog and deadline; [Some] is a replay the deadline cut short (a
+   deadline; [Some] is a replay the deadline cut short (a
    checkpoint of an earlier point of the same run). [run_bounded] looks
    for the trace's end after every step, so it stops one cycle short
    and the last step runs alone: a replay that ends at the checkpoint
    pulls no record past it, and a refused resume has read exactly what
    the replay needed. *)
-let replay ?watchdog ?deadline engine (checkpoint : Checkpoint.t) =
+let replay ?deadline engine (checkpoint : Checkpoint.t) =
   if Int64.compare checkpoint.cycle 0L <= 0 then None
   else
     let bounded =
-      Engine.run_bounded ?watchdog ~max_cycles:(Int64.pred checkpoint.cycle)
-        ?deadline engine
+      Engine.run_bounded ~max_cycles:(Int64.pred checkpoint.cycle) ?deadline
+        engine
     in
     match bounded.Engine.stop with
     | Engine.Time_budget -> Some bounded
@@ -117,8 +107,8 @@ let replay_mismatch engine (checkpoint : Checkpoint.t) =
     Some "statistics mismatch at checkpoint cycle — wrong trace or configuration"
   else None
 
-let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
-    ?instrument ?driver ?resume trace =
+let run ?(config = Config.reference) ?max_cycles ?deadline ?instrument
+    ?driver ?resume trace =
   (* A checkpoint from another build or configuration is refused
      (RSM-K007) before the trace is touched: that beats a replay that
      runs to a baffling statistics mismatch. *)
@@ -137,7 +127,7 @@ let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
         let proceed () =
           match driver with
           | Some drive -> drive engine
-          | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
+          | None -> Engine.run_bounded ?max_cycles ?deadline engine
         in
         let bounded =
           match resume with
@@ -145,15 +135,19 @@ let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
           | Some checkpoint -> (
               (* The engine is deterministic: the replayed prefix is the
                  checkpointed run, or the checkpoint is not this run's. *)
-              match replay ?watchdog ?deadline engine checkpoint with
+              match replay ?deadline engine checkpoint with
               | Some truncated -> truncated
               | None -> (
                   match replay_mismatch engine checkpoint with
                   | Some reason -> raise (Refusal reason)
                   | None -> proceed ()))
         in
+        let trace_summary, bits_per_instruction = describe_trace () in
         { outcome =
-            outcome_of ~config engine bounded.Engine.final (describe_trace ());
+            { config;
+              stats = bounded.Engine.final;
+              trace_summary;
+              bits_per_instruction };
           stop = bounded.Engine.stop;
           resume =
             (* Stamp truncation handles with the engine identity so a
@@ -174,10 +168,12 @@ let outcome_exn = function
   | Error (Deadlock deadlock) -> raise (Engine.Deadlock deadlock)
   | Error (Refused reason) -> failwith reason
 
-let simulate_program ?(config = Config.reference) ?generator program =
-  let generator = Option.value generator ~default:(generator_config config) in
-  let records = Resim_tracegen.Generator.records ~config:generator program in
-  outcome_exn (run ~config (Records records))
+let simulate_program program =
+  let records =
+    Resim_tracegen.Generator.records
+      ~config:(generator_config Config.reference) program
+  in
+  outcome_exn (run (Records records))
 
 let mips outcome ~device =
   Resim_fpga.Throughput.mips ~mhz:device.Resim_fpga.Device.minor_cycle_mhz

@@ -28,8 +28,6 @@ type outcome = {
   trace_summary : Resim_trace.Summary.t;
   bits_per_instruction : float;
       (** of the Fixed trace encoding, as in Table 3 *)
-  icache_stats : Resim_cache.Cache.stats;
-  dcache_stats : Resim_cache.Cache.stats;
 }
 
 val generator_config : Config.t -> Resim_tracegen.Generator.config
@@ -74,7 +72,6 @@ type robust = {
 
 val run :
   ?config:Config.t ->
-  ?watchdog:int ->
   ?max_cycles:int64 ->
   ?deadline:(unit -> bool) ->
   ?instrument:(Engine.t -> unit) ->
@@ -101,18 +98,18 @@ val run :
     {!Engine.run_bounded} as the run loop — the sampled-simulation
     driver ({!Resim_sample.Sample}) uses it to alternate functional
     warm-up and detailed intervals; when given, it owns all budget
-    handling and [watchdog]/[max_cycles]/[deadline] are ignored (a
-    [resume] replay still runs under [watchdog] and [deadline]). Trace
-    faults and deadlocks it raises are still caught into [Error].
+    handling and [max_cycles]/[deadline] are ignored (a [resume]
+    replay still runs under [deadline]). Trace faults and deadlocks it
+    raises are still caught into [Error].
 
     [resume] continues a truncated run from its checkpoint. A
     checkpoint stamped with a different {!engine_identity} is refused
     before the trace is touched ([RSM-K007]). Otherwise the engine
     replays the trace (an array, or a fresh pull stream over the same
     records — the replay only walks forward) to the checkpoint cycle
-    under [watchdog] and [deadline], and must then stand where the
-    checkpoint says: same cursor, every statistics register equal. A
-    trace that drains first, or any mismatch, is [Refused]. A clean
+    under [deadline], and must then stand where the checkpoint says:
+    same cursor, every statistics register equal. A trace that drains
+    first, or any mismatch, is [Refused]. A clean
     replay continues as a fresh run does, under [max_cycles] (still an
     absolute cycle count) and [deadline], or under [driver]; the final
     statistics are bit-identical to an unbounded run by construction.
@@ -124,13 +121,10 @@ val outcome_exn : (robust, failure) result -> outcome
     {!Resim_trace.Fault.Trace_fault} or {!Engine.Deadlock} raised
     again ([Failure] for a refused resume). *)
 
-val simulate_program :
-  ?config:Config.t ->
-  ?generator:Resim_tracegen.Generator.config ->
-  Resim_isa.Program.t ->
-  outcome
-(** Trace generation ({!Resim_tracegen.Generator}, by default with
-    {!generator_config}) followed by a fail-fast {!run}. *)
+val simulate_program : Resim_isa.Program.t -> outcome
+(** Trace generation ({!Resim_tracegen.Generator} with
+    {!generator_config}) followed by a fail-fast {!run}, both under
+    {!Config.reference}. *)
 
 (** {1 Paper metrics} *)
 

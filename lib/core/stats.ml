@@ -113,7 +113,7 @@ let fu_busy_stalls t = t.fu_busy_stalls
 let misfetch_recovery_cycles t = t.misfetch_recovery_cycles
 let mispredict_recovery_cycles t = t.mispredict_recovery_cycles
 
-let mark_degraded ?(faults = 1) t =
+let mark_degraded ~faults t =
   t.degraded_faults := !(t.degraded_faults) + faults
 
 let degraded t = !(t.degraded_faults) > 0

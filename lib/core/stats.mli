@@ -70,9 +70,9 @@ val mispredict_recovery_cycles : t -> counter
     attribute {!fetch_penalty_cycles} per cause; icache-miss cycles are
     already attributed by {!icache_stall_cycles}. *)
 
-val mark_degraded : ?faults:int -> t -> unit
-(** Mark the run degraded, attributing [faults] (default 1) survived
-    faults; derived figures are approximate from then on. *)
+val mark_degraded : faults:int -> t -> unit
+(** Mark the run degraded, attributing [faults] survived faults;
+    derived figures are approximate from then on. *)
 
 val degraded : t -> bool
 (** True once {!mark_degraded} has been called. *)

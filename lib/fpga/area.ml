@@ -56,7 +56,6 @@ let structures =
 type cost = { slices : int; luts : int; brams : int }
 
 type report = {
-  params : params;
   per_structure : (structure * cost) list;
   total : cost;
   total_with_caches : cost;
@@ -161,7 +160,7 @@ let estimate params =
   let total_with_caches =
     List.fold_left (fun acc (_, c) -> add_cost acc c) zero_cost per_structure
   in
-  { params; per_structure; total; total_with_caches }
+  { per_structure; total; total_with_caches }
 
 let fits report device =
   report.total_with_caches.slices <= device.Device.slices

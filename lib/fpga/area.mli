@@ -50,7 +50,6 @@ val structure_name : structure -> string
 type cost = { slices : int; luts : int; brams : int }
 
 type report = {
-  params : params;
   per_structure : (structure * cost) list;
   total : cost;          (** excluding caches, as in Table 4 *)
   total_with_caches : cost;

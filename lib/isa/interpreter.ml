@@ -7,7 +7,6 @@ type control = {
 type observation = {
   index : int;
   instr : Instruction.t;
-  next_index : int;
   effective_address : int option;
   control : control option;
 }
@@ -57,8 +56,7 @@ let alu_result (op : Opcode.t) a b imm =
    the outcome. *)
 let stepped m index instr next_index effective_address control =
   Machine.set_pc m next_index;
-  Machine.incr_retired m;
-  Stepped { index; instr; next_index; effective_address; control }
+  Stepped { index; instr; effective_address; control }
 
 let access m index instr addr =
   stepped m index instr (index + 1) (Some addr) None

@@ -17,7 +17,6 @@ type control = {
 type observation = {
   index : int;                    (** instruction index (PC) executed *)
   instr : Instruction.t;
-  next_index : int;               (** PC after the instruction *)
   effective_address : int option; (** byte address for loads/stores *)
   control : control option;
 }

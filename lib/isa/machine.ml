@@ -16,7 +16,6 @@ type undo =
   | Byte_was of int * int option
   | Pc_was of int
   | Halted_was of bool
-  | Retired_was of int
 
 type t = {
   regs : int array;
@@ -24,7 +23,6 @@ type t = {
   bytes : int Memory.t;           (* byte addr -> value, for lb/sb *)
   mutable pc : int;
   mutable halted : bool;
-  mutable retired : int;
   mutable journal : undo list;
   mutable journal_len : int;
   mutable journaling : int;       (* nesting depth of live checkpoints *)
@@ -36,25 +34,21 @@ type checkpoint = { mark : int }
 
 let default_stack_base = 0x7f_f000
 
-let create ?program () =
+let create (program : Program.t) =
   let m =
     { regs = Array.make Reg.count 0;
       words = Memory.create 1024;
       bytes = Memory.create 64;
-      pc = 0;
+      pc = program.entry;
       halted = false;
-      retired = 0;
       journal = [];
       journal_len = 0;
       journaling = 0 }
   in
   m.regs.(Reg.to_int Reg.sp) <- default_stack_base;
-  (match program with
-  | None -> ()
-  | Some p ->
-      m.pc <- p.Program.entry;
-      List.iter (fun (addr, value) -> Memory.replace m.words (addr land lnot 3) value)
-        p.Program.data);
+  List.iter
+    (fun (addr, value) -> Memory.replace m.words (addr land lnot 3) value)
+    program.data;
   m
 
 (* Every mutator tests [journaling] before it builds its undo entry, so
@@ -105,10 +99,6 @@ let set_halted m value =
   if m.journaling > 0 then note m (Halted_was m.halted);
   m.halted <- value
 
-let incr_retired m =
-  if m.journaling > 0 then note m (Retired_was m.retired);
-  m.retired <- m.retired + 1
-
 let checkpoint m =
   m.journaling <- m.journaling + 1;
   { mark = m.journal_len }
@@ -121,7 +111,6 @@ let undo_one m = function
   | Byte_was (addr, None) -> Memory.remove m.bytes addr
   | Pc_was value -> m.pc <- value
   | Halted_was value -> m.halted <- value
-  | Retired_was value -> m.retired <- value
 
 let rec unwind m target =
   if m.journal_len > target then

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?program:Program.t -> unit -> t
+val create : Program.t -> t
 (** Fresh state: registers zero, memory loaded from the program's [data]
     section, PC at the program entry, stack pointer initialised to
     {!default_stack_base}. *)
@@ -37,7 +37,6 @@ val pc : t -> int
 val set_pc : t -> int -> unit
 val halted : t -> bool
 val set_halted : t -> bool -> unit
-val incr_retired : t -> unit
 
 (** {1 Speculation} *)
 

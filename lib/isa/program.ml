@@ -5,7 +5,6 @@ type t = {
   data : (int * int) list;
 }
 
-let make ?(entry = 0) ?(symbols = []) ?(data = []) code =
-  { code; entry; symbols; data }
+let make ~entry ~symbols ~data code = { code; entry; symbols; data }
 
 let length program = Array.length program.code

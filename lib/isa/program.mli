@@ -13,7 +13,7 @@ type t = {
 }
 
 val make :
-  ?entry:int -> ?symbols:(string * int) list -> ?data:(int * int) list ->
+  entry:int -> symbols:(string * int) list -> data:(int * int) list ->
   Instruction.t array -> t
 
 val length : t -> int

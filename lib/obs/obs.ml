@@ -7,7 +7,7 @@ type sink = {
   on_close : unit -> unit;
 }
 
-let make_sink ?(on_close = fun () -> ()) on_event = { on_event; on_close }
+let make_sink ~on_close on_event = { on_event; on_close }
 
 let attach engine sinks =
   match sinks with
@@ -77,7 +77,7 @@ type slot = {
   mutable marks : (char * int64) list;  (* reversed *)
 }
 
-let waterfall ?(window = 64) channel =
+let waterfall ~window channel =
   let pending_fetches = Queue.create () in
   let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in

@@ -19,7 +19,7 @@
 type sink
 
 val make_sink :
-  ?on_close:(unit -> unit) ->
+  on_close:(unit -> unit) ->
   (cycle:int64 -> Resim_core.Engine.event -> unit) ->
   sink
 (** [on_close] runs once from {!close} — flush buffers there. *)
@@ -61,8 +61,7 @@ val add_jsonl_event :
 (** {1 Waterfall renderer}
 
     Accumulates per-instruction stage cycles for the first [window]
-    (default 64) dispatched instructions and renders the Gantt view on
-    {!close}:
+    dispatched instructions and renders the Gantt view on {!close}:
 
     {v
     id    pc      |0         1
@@ -70,4 +69,4 @@ val add_jsonl_event :
     #1    1       | FD.IWC
     v} *)
 
-val waterfall : ?window:int -> out_channel -> sink
+val waterfall : window:int -> out_channel -> sink

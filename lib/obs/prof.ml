@@ -116,15 +116,8 @@ let pp ppf t =
     all;
   Format.fprintf ppf "%-20s %12s %12.4f %6.1f@]" "total" "" total 100.0
 
-let to_json ?variant t =
+let to_json ~variant t =
   let open Resim_core.Json in
-  (* The engine identity the sections were measured against, when the
-     caller knows it. *)
-  let identity =
-    match variant with
-    | Some name -> [ ("specialized", Bool true); ("variant", String name) ]
-    | None -> []
-  in
   let section s =
     Obj
       [ ("name", String s.name);
@@ -133,4 +126,7 @@ let to_json ?variant t =
         ("allocated_words", fixed 0 s.allocated_words) ]
   in
   to_string
-    (Obj (identity @ [ ("sections", List (List.map section (sections t))) ]))
+    (Obj
+       [ ("specialized", Bool true);
+         ("variant", String variant);
+         ("sections", List (List.map section (sections t))) ])

@@ -41,8 +41,7 @@ val sections : t -> section list
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : ?variant:string -> t -> string
-(** The section table as a JSON object. When [variant] is given the
-    document leads with [{"specialized": true, "variant": ...}]: the
-    closure family's variant (DESIGN.md §14) the phase costs were
-    measured against. *)
+val to_json : variant:string -> t -> string
+(** The section table as a JSON object, led by
+    [{"specialized": true, "variant": ...}]: the closure family's
+    variant (DESIGN.md §14) the phase costs were measured against. *)

@@ -302,10 +302,8 @@ let requests () =
           ~scale:Runner.Default workload)
       Resim_workloads.Workload.all
 
-let prewarm ?jobs () = Runner.prewarm ?jobs (requests ())
-
-let print_all ?jobs ppf =
-  prewarm ?jobs ();
+let print_all ppf =
+  Runner.prewarm (requests ());
   print_organizations ppf;
   Format.fprintf ppf "@.@.";
   print_width_sweep ppf;

@@ -12,7 +12,7 @@ val requests : unit -> Runner.request list
     duplicate-free, so it can be handed to {!Runner.prewarm} or run
     directly as a {!Resim_sweep.Sweep}. *)
 
-val print_all : ?jobs:int -> Format.formatter -> unit
-(** Prewarms the grid across [jobs] worker domains (default: the host's
-    recommended domain count), then prints every ablation; the printed
-    output is identical at any [jobs] value. *)
+val print_all : Format.formatter -> unit
+(** Prewarms the grid across the host's recommended domain count, then
+    prints every ablation; the printed output is identical at any
+    domain count. *)

@@ -1,6 +1,5 @@
 type run = {
   kernel : string;
-  config : Resim_core.Config.t;
   generated : Resim_tracegen.Generator.result;
   outcome : Resim_core.Resim.outcome;
 }
@@ -8,17 +7,13 @@ type run = {
 type scale_spec = Resim_sweep.Sweep.scale = Default | Evaluation | Exact of int
 
 (* The memo key is the full structural identity of a simulation: the
-   kernel, the resolved scale and the complete engine configuration
+   kernel name, the resolved scale and the complete engine configuration
    (which also determines the trace generator). Config.t is plain data,
    so polymorphic equality/hashing are exact. The table is shared
    between domains and every access is mutex-guarded; misses are
    computed outside the lock (a racing duplicate computation is
    harmless — the first store wins and both callers get it). *)
-type cache_key = {
-  ck_kernel : string;
-  ck_scale : int;
-  ck_config : Resim_core.Config.t;
-}
+type cache_key = string * int * Resim_core.Config.t
 
 let mutex = Mutex.create ()
 let cache : (cache_key, run) Hashtbl.t = Hashtbl.create 32
@@ -47,8 +42,7 @@ let scale_tag workload scale =
 
 let cache_key workload config scale =
   let module K = (val workload : Resim_workloads.Kernel_sig.S) in
-  { ck_kernel = K.name; ck_scale = scale_tag workload scale;
-    ck_config = config }
+  (K.name, scale_tag workload scale, config)
 
 type request = {
   key : string;
@@ -69,7 +63,6 @@ let job_of_request request =
 
 let run_of_result (result : Resim_sweep.Sweep.result) =
   { kernel = Resim_workloads.Workload.name_of result.job.workload;
-    config = result.job.config;
     generated = result.generated;
     outcome = result.outcome }
 
@@ -84,7 +77,7 @@ let run_kernel ~key ~config ?(scale = Evaluation) workload =
       in
       store cache_key (run_of_result result)
 
-let prewarm ?jobs requests =
+let prewarm requests =
   let seen = Hashtbl.create 16 in
   let missing =
     List.filter
@@ -102,8 +95,7 @@ let prewarm ?jobs requests =
   (* Fail-fast: report-table inputs must all succeed, so each job runs
      through [run_job] and the lowest-index failure is raised again. *)
   let results =
-    Resim_sweep.Pool.map
-      ~jobs:(Option.value jobs ~default:(Resim_sweep.Pool.recommended_jobs ()))
+    Resim_sweep.Pool.map ~jobs:(Resim_sweep.Pool.recommended_jobs ())
       Resim_sweep.Sweep.run_job
       (Array.of_list (List.map job_of_request missing))
   in

@@ -11,7 +11,6 @@
 
 type run = {
   kernel : string;
-  config : Resim_core.Config.t;
   generated : Resim_tracegen.Generator.result;
   outcome : Resim_core.Resim.outcome;
 }
@@ -61,10 +60,10 @@ val job_of_request : request -> Resim_sweep.Sweep.job
 (** The sweep job computing exactly what {!run_kernel} computes for the
     request, labelled ["key:kernel"]. *)
 
-val prewarm : ?jobs:int -> request list -> unit
+val prewarm : request list -> unit
 (** Run every not-yet-cached request through
-    {!Resim_sweep.Sweep.run_job} across a domain pool ([jobs] defaults
-    to the host's recommended domain count) and seed the memo cache, so
+    {!Resim_sweep.Sweep.run_job} across a pool of the host's recommended
+    domain count and seed the memo cache, so
     subsequent {!run_kernel} calls hit. Duplicate and already-cached
     requests are skipped. Fail-fast like {!run_kernel}: the
     lowest-index failing job's exception is raised again. *)

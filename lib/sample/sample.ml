@@ -50,8 +50,6 @@ let hash seed salt =
 (* Per-interval accumulation and the confidence interval.              *)
 
 type interval = {
-  index : int;
-  start_cursor : int;
   instructions : int;
   cycles : int64;
   interval_ipc : float;
@@ -135,13 +133,12 @@ let priming_commits config = 4 * config.Config.rob_entries
    far). [deadline] and [max_cycles] compose the sweep's budgets: the
    detailed intervals honour them and truncate with a resume
    checkpoint exactly like an unsampled bounded run. *)
-let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
+let driver ?deadline ?max_cycles ~spec cell engine =
   let stats = Engine.stats engine in
   let committed () = Stats.get_int Stats.committed stats in
   let cycles () = Stats.get Stats.major_cycles stats in
   let priming = priming_commits (Engine.config engine) in
   let intervals = ref [] in
-  let next_index = ref 0 in
   let discarded = ref 0 in
   let detailed_instructions = ref 0 in
   let warmed_instructions = ref 0 in
@@ -184,7 +181,7 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
     bounded
   in
   let run_to_commits extra =
-    Engine.run_bounded ?watchdog ?max_cycles ?deadline
+    Engine.run_bounded ?max_cycles ?deadline
       ~max_commits:(committed () + extra) engine
   in
   (* Measure one interval: prime, measure, then drain so the next gap
@@ -197,7 +194,6 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
     | Cycle_budget | Time_budget -> `Truncated primed
     | Drained -> `Done primed
     | Commit_target ->
-        let start_cursor = Engine.cursor engine in
         let commits_before = committed () in
         let cycles_before = cycles () in
         let measured = run_to_commits spec.detail in
@@ -211,14 +207,11 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
           then begin
             detailed_instructions := !detailed_instructions + instructions;
             intervals :=
-              { index = !next_index;
-                start_cursor;
-                instructions;
+              { instructions;
                 cycles = interval_cycles;
                 interval_ipc =
                   float_of_int instructions /. Int64.to_float interval_cycles }
-              :: !intervals;
-            incr next_index
+              :: !intervals
           end
           else if partial then incr discarded
         in
@@ -259,10 +252,10 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
     finish (Option.get !result)
   end
 
-let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec trace =
+let run ~config ?deadline ?max_cycles ?instrument ~spec trace =
   let cell = ref None in
-  let driver = driver ?watchdog ?deadline ?max_cycles ~spec cell in
-  match Resim.run ?config ?instrument ~driver trace with
+  let driver = driver ?deadline ?max_cycles ~spec cell in
+  match Resim.run ~config ?instrument ~driver trace with
   | Error _ as error -> error
   | Ok robust -> (
       match !cell with

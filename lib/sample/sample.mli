@@ -34,8 +34,6 @@ val spec_to_string : spec -> string
     commits after each warm-up gap, excluded from measurement while the
     pipeline refills) precedes [instructions]. *)
 type interval = {
-  index : int;
-  start_cursor : int;  (** trace cursor when measurement began *)
   instructions : int;  (** committed in the measured window *)
   cycles : int64;  (** detailed major cycles in the measured window *)
   interval_ipc : float;
@@ -64,8 +62,7 @@ val report_to_json : report -> string
     a ["sample"] member ({!Resim_core.Json.append_members}). *)
 
 val run :
-  ?config:Resim_core.Config.t ->
-  ?watchdog:int ->
+  config:Resim_core.Config.t ->
   ?deadline:(unit -> bool) ->
   ?max_cycles:int64 ->
   ?instrument:(Resim_core.Engine.t -> unit) ->

@@ -33,8 +33,8 @@ let payload ?detail ?metrics ?checkpoint ~outcome ~exit_code ~attempts () =
     metrics;
     checkpoint }
 
-let invalid ?(attempts = 1) detail =
-  payload ~outcome:"invalid-config" ~exit_code:2 ~attempts ~detail ()
+let invalid detail =
+  payload ~outcome:"invalid-config" ~exit_code:2 ~attempts:1 ~detail ()
 
 (* --- cache identity ----------------------------------------------- *)
 

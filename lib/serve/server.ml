@@ -154,7 +154,7 @@ type session = {
   mutable hung_up : bool;  (* the peer sent EOF; never read again *)
 }
 
-type slot = { mutable handle : unit Domain.t; mutable alive : bool Atomic.t }
+type slot = { handle : unit Domain.t; alive : bool Atomic.t }
 
 (* The status report's counters. Every event they count happens on the
    accept loop. *)

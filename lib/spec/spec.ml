@@ -2,7 +2,7 @@ open Resim_core
 
 type mode = Auto | Never
 
-let install ?(mode = Auto) engine =
+let install ~mode engine =
   match mode with
   | Auto -> true
   | Never ->

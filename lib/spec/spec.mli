@@ -11,9 +11,9 @@ type mode =
           paper's per-cycle scan, where the closure family is
           event-driven *)
 
-val install : ?mode:mode -> Resim_core.Engine.t -> bool
-(** Apply [mode] (default [Auto]) to a freshly created engine; returns
-    whether the closure family runs. *)
+val install : mode:mode -> Resim_core.Engine.t -> bool
+(** Apply [mode] to a freshly created engine; returns whether the
+    closure family runs. *)
 
 val instrument : mode -> Resim_core.Engine.t -> unit
 (** {!install} shaped for the [instrument] hooks of

@@ -29,7 +29,7 @@ let job ?label ?(scale = Evaluation) ?timeout ?sample ~config workload =
   in
   { label; workload; config; scale; trace = None; timeout; sample }
 
-let stream_job ?(label = "stream") ?timeout ?sample ~config open_stream =
+let stream_job ~label ?timeout ?sample ~config open_stream =
   { label;
     (* Placeholder for table rendering only: a stream never touches the
        kernel. *)
@@ -129,8 +129,7 @@ let generated_of_trace (summary : Resim_trace.Summary.t) =
   { Resim_tracegen.Generator.records = [||];
     correct_path = summary.correct_path;
     wrong_path = summary.wrong_path;
-    mispredicted_branches = 0;
-    executed_to_completion = true }
+    mispredicted_branches = 0 }
 
 (* The instructions a run covered: its commits plus, when sampled, the
    functional warm-up between detailed intervals, which the wall-clock
@@ -220,8 +219,8 @@ let attempt ~policy ?instrument job : outcome =
       | exception Engine.Deadlock d -> Failed (Deadlock d)
       | exception exn -> Failed (Crashed (Printexc.to_string exn)))
 
-let run_job ?instrument job =
-  match attempt ~policy:default_policy ?instrument job with
+let run_job job =
+  match attempt ~policy:default_policy job with
   | Ok result | Truncated (result, _) -> result
   | Timed_out seconds ->
       failwith
@@ -241,10 +240,7 @@ let retryable = function
   | Failed (Crashed _) | Timed_out _ -> true
   | Ok _ | Truncated _ | Failed (Fault _ | Deadlock _ | Invalid _) -> false
 
-let run ?(policy = default_policy) ?prof ?jobs ?instrument list =
-  let jobs =
-    match jobs with Some jobs -> jobs | None -> Pool.recommended_jobs ()
-  in
+let run ?(policy = default_policy) ?prof ~jobs ?instrument list =
   let attempt job = attempt ~policy ?instrument job in
   (* Round 0: one attempt per job across the pool. *)
   let reports =
@@ -280,8 +276,8 @@ let run ?(policy = default_policy) ?prof ?jobs ?instrument list =
   retry 0 policy.backoff;
   { job_reports = Array.to_list reports }
 
-let run_job_robust ?policy ?instrument job =
-  List.hd (run ?policy ~jobs:1 ?instrument [ job ]).job_reports
+let run_job_robust ~policy job =
+  List.hd (run ~policy ~jobs:1 [ job ]).job_reports
 
 let completed report =
   List.filter_map

@@ -57,7 +57,7 @@ val job :
 (** [label] defaults to the kernel name; [scale] to [Evaluation]. *)
 
 val stream_job :
-  ?label:string ->
+  label:string ->
   ?timeout:float ->
   ?sample:Resim_sample.Sample.spec ->
   config:Resim_core.Config.t ->
@@ -142,22 +142,16 @@ val retryable : outcome -> bool
     failures ([Fault], [Deadlock], [Invalid]) fail identically every
     attempt and are reported after exactly one. *)
 
-val run_job : ?instrument:(Resim_core.Engine.t -> unit) -> job -> result
+val run_job : job -> result
 (** Run one job on the calling domain, fail-fast: the same single
     attempt {!run_job_robust} makes under {!default_policy}, with its
     failure raised again — {!Invalid_config} before any work when the
     configuration does not validate, {!Resim_trace.Fault.Trace_fault}
     and {!Resim_core.Engine.Deadlock} as a direct engine run would
     raise them, and [Failure] for a crash or an expired per-job
-    [timeout]. [instrument] runs on the job's freshly created engine
-    before its first cycle — the hook observability probes attach
-    through. *)
+    [timeout]. *)
 
-val run_job_robust :
-  ?policy:policy ->
-  ?instrument:(Resim_core.Engine.t -> unit) ->
-  job ->
-  job_report
+val run_job_robust : policy:policy -> job -> job_report
 (** Run one job inside its fault domain on the calling domain: never
     raises. This is {!run} [~jobs:1] of the one job, so its
     {!retryable} outcomes are retried by {!run}'s rounds, with the
@@ -166,25 +160,24 @@ val run_job_robust :
 val run :
   ?policy:policy ->
   ?prof:Resim_obs.Prof.t ->
-  ?jobs:int ->
+  jobs:int ->
   ?instrument:(Resim_core.Engine.t -> unit) ->
   job list ->
   report
-(** Shard the jobs over [jobs] worker domains (default
-    {!Pool.recommended_jobs}; [1] runs everything on the calling
-    domain). Every job runs in its own fault domain under the [policy]
-    budgets, and the sweep always completes with a full per-job report
-    — partial results stay available when some jobs fail. {!retryable}
-    outcomes are retried in coordinator-driven rounds, the library's
-    only retry loop: the coordinator sleeps out the (doubling, capped)
-    backoff between rounds and reruns only the still-retryable jobs,
-    so no worker domain ever sleeps. Attempt wall time is measured per
-    attempt, so backoff never counts into [telemetry.wall_seconds].
-    [prof] charges each job attempt to [pool/run] ({!Pool.map}).
-    [instrument] runs on every job's fresh engine before its first
-    cycle (see {!run_job}); each worker domain calls it on its own
-    engines, so the hook must be domain-safe — per-engine probes
-    are. *)
+(** Shard the jobs over [jobs] worker domains ([1] runs everything on
+    the calling domain). Every job runs in its own fault domain under
+    the [policy] budgets, and the sweep always completes with a full
+    per-job report — partial results stay available when some jobs
+    fail. {!retryable} outcomes are retried in coordinator-driven
+    rounds, the library's only retry loop: the coordinator sleeps out
+    the (doubling, capped) backoff between rounds and reruns only the
+    still-retryable jobs, so no worker domain ever sleeps. Attempt wall
+    time is measured per attempt, so backoff never counts into
+    [telemetry.wall_seconds]. [prof] charges each job attempt to
+    [pool/run] ({!Pool.map}). [instrument] runs on every job's fresh
+    engine before its first cycle — the hook observability probes
+    attach through; each worker domain calls it on its own engines, so
+    the hook must be domain-safe — per-engine probes are. *)
 
 val completed : report -> result list
 (** Results with statistics, in job order: [Ok] plus [Truncated]

@@ -233,7 +233,7 @@ let create ?(config = default_config) ~format ~file read =
     mispredicted = 0;
     failed = None }
 
-let of_channel ?config ~format ~file ic = create ?config ~format ~file (input ic)
+let of_channel ~format ~file ic = create ~format ~file (input ic)
 
 let of_string ?config ~format ?(file = "<string>") data =
   let next = ref 0 in
@@ -529,7 +529,6 @@ let emit t cur next =
       in
       Predictor.update t.predictor ~pc:cur.index ~kind ~taken ~target;
       let direction_wrong = prediction.taken <> taken in
-      Predictor.record_resolution t.predictor ~correct:(not direction_wrong);
       if direction_wrong && kind = Opcode.Cond then begin
         t.mispredicted <- t.mispredicted + 1;
         let wrong_pc = if prediction.taken then target else fallthrough in

@@ -59,9 +59,9 @@ type config = {
       (** records per synthesized wrong-path block (ROB + IFQ in the
           reference generator) *)
   max_line_bytes : int;
-      (** lines longer than this are RSM-A004; {!of_channel} and
-          {!of_string} raise [Invalid_argument] unless it is between 0
-          and [Sys.max_string_length - 2] *)
+      (** lines longer than this are RSM-A004; {!of_string} raises
+          [Invalid_argument] unless it is between 0 and
+          [Sys.max_string_length - 2] *)
 }
 
 val default_config : config
@@ -76,10 +76,9 @@ type t
     distinct branch PC, so foreign traces larger than RAM adapt in one
     pass. *)
 
-val of_channel :
-  ?config:config -> format:format -> file:string -> in_channel -> t
-(** [file] is used for diagnostics only; the channel is not closed by
-    the adapter. *)
+val of_channel : format:format -> file:string -> in_channel -> t
+(** Under {!default_config}. [file] is used for diagnostics only; the
+    channel is not closed by the adapter. *)
 
 val of_string :
   ?config:config -> format:format -> ?file:string -> string -> t

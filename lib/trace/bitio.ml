@@ -3,10 +3,9 @@ module Writer = struct
     buffer : Buffer.t;
     mutable acc : int;     (* pending bits, left-aligned in [acc_bits] *)
     mutable acc_bits : int;
-    mutable total : int;
   }
 
-  let create () = { buffer = Buffer.create 4096; acc = 0; acc_bits = 0; total = 0 }
+  let create () = { buffer = Buffer.create 4096; acc = 0; acc_bits = 0 }
 
   let flush_bytes w =
     while w.acc_bits >= 8 do
@@ -32,8 +31,7 @@ module Writer = struct
 
   let put w ~bits value =
     if bits <= 0 || bits > 62 then invalid_arg "Bitio.Writer.put: bits";
-    put_field w bits value;
-    w.total <- w.total + bits
+    put_field w bits value
 
   let put_bool w b = put w ~bits:1 (if b then 1 else 0)
 

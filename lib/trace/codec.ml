@@ -535,11 +535,11 @@ let count_bits ?format records =
 let bits_per_instruction ?format records =
   Bit_count.per_instruction (count_bits ?format records)
 
-let write_file ?format path records =
+let write_file ~format path records =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (encode ?format records))
+    (fun () -> output_string oc (encode ~format records))
 
 (* Host-level failures (missing file, permissions, a file shorter than
    its own header claims) are part of the same typed-error surface as
@@ -582,7 +582,7 @@ module Encoder = struct
     mutable closed : bool;
   }
 
-  let to_channel ?(format = Fixed) ?(flush_bytes = 64 * 1024) channel =
+  let to_channel ~format ?(flush_bytes = 64 * 1024) channel =
     if flush_bytes <= 0 then invalid_arg "Codec.Encoder.to_channel: flush";
     output_string channel
       (header_string ~format ~count:(Int64.to_int streamed_count));
@@ -663,7 +663,7 @@ module Shard = struct
     | None -> None
     | Some stem -> ( match from_stem stem with [] -> None | p -> Some p)
 
-  let write ?format ~records_per_shard ~stem records =
+  let write ~format ~records_per_shard ~stem records =
     if records_per_shard <= 0 then
       invalid_arg "Codec.Shard.write: records_per_shard";
     let total = Array.length records in
@@ -680,7 +680,7 @@ module Shard = struct
         done;
         let slice = Array.sub records start (!stop - start) in
         let shard_path = path ~stem index in
-        write_file ?format shard_path slice;
+        write_file ~format shard_path slice;
         cut (index + 1) !stop (shard_path :: acc)
       end
     in
@@ -689,7 +689,7 @@ module Shard = struct
         (* An empty trace still writes one (empty) shard, so the set
            exists on disk and expands. *)
         let shard_path = path ~stem 0 in
-        write_file ?format shard_path [||];
+        write_file ~format shard_path [||];
         [ shard_path ]
     | shards -> shards
 end

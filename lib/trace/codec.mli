@@ -126,7 +126,7 @@ end
 module Encoder : sig
   type t
 
-  val to_channel : ?format:format -> ?flush_bytes:int -> out_channel -> t
+  val to_channel : format:format -> ?flush_bytes:int -> out_channel -> t
   (** Writes the streamed header immediately. [flush_bytes] bounds the
       internal buffer (default 64 KiB). The channel is flushed at every
       drain but never closed by the encoder. *)
@@ -156,7 +156,7 @@ module Shard : sig
       names no shard set. *)
 
   val write :
-    ?format:format ->
+    format:format ->
     records_per_shard:int ->
     stem:string ->
     Record.t array ->
@@ -191,7 +191,7 @@ val bits_per_instruction : ?format:format -> Record.t array -> float
     the quantity the paper reports per instruction) over
     [Array.length records]; 0 for an empty trace. *)
 
-val write_file : ?format:format -> string -> Record.t array -> unit
+val write_file : format:format -> string -> Record.t array -> unit
 
 val read_file : string -> Record.t array * format
 (** Raises {!Corrupt} on malformed bytes or host I/O failure — a typed

@@ -103,7 +103,7 @@ let set_byte data i c =
 (* Byte-level corruption of an encoded stream; [None] when the class
    is record-level. A class that cannot apply (e.g. {!Bit_flip} on an
    empty payload) returns the stream unchanged. *)
-let inject_encoded ?(seed = 0) fault data =
+let inject_encoded ~seed fault data =
   let len = String.length data in
   let hdr = Codec.header_length in
   match fault with
@@ -284,19 +284,18 @@ let bad_payload seed records =
 
 (* Record-level injection before encoding; [None] when the class is
    byte-level. Never mutates its input. *)
-let inject_records ?(seed = 0) ?(max_run = default_max_run) fault records =
+let inject_records ~seed fault records =
   match fault with
   | Orphan_tag -> Some (orphan_tag seed records)
   | Tag_after_uncond -> Some (tag_after_uncond seed records)
-  | Runaway_tag -> Some (runaway_tag max_run records)
+  | Runaway_tag -> Some (runaway_tag default_max_run records)
   | Bad_payload -> Some (bad_payload seed records)
   | Bit_flip | Truncate_payload | Truncate_header | Bad_magic | Bad_version
   | Bad_format | Count_overrun | Bad_field | Trailing_garbage ->
       None
 
-let apply ?(seed = 0) ?(format = Codec.Fixed) ?(max_run = default_max_run)
-    fault records =
-  match inject_records ~seed ~max_run fault records with
+let apply ~seed ~format fault records =
+  match inject_records ~seed fault records with
   | Some corrupted -> Codec.encode ~format corrupted
   | None -> (
       let encoded = Codec.encode ~format records in

@@ -40,8 +40,6 @@ val default_max_run : int
 (** Wrong-path run bound used by {!Runaway_tag} (and the matching
     [max_wrong_path_run] the linter must be given to see RSM-T007). *)
 
-val apply :
-  ?seed:int -> ?format:Codec.format -> ?max_run:int -> t -> Record.t array ->
-  string
+val apply : seed:int -> format:Codec.format -> t -> Record.t array -> string
 (** Encode [records] with the corruption injected — record-level classes
     rewrite the array first, byte-level classes damage the encoding. *)

@@ -1,7 +1,6 @@
 type branch_site = {
   pc : int;
   executions : int;
-  taken : int;
   taken_rate : float;
 }
 
@@ -9,7 +8,7 @@ let correct_path records =
   Array.to_seq records
   |> Seq.filter (fun (r : Record.t) -> not r.wrong_path)
 
-let hot_branches ?(top = 10) records =
+let hot_branches ~top records =
   let sites = Hashtbl.create 64 in
   Seq.iter
     (fun (record : Record.t) ->
@@ -24,19 +23,17 @@ let hot_branches ?(top = 10) records =
     (correct_path records);
   Hashtbl.fold
     (fun pc (executions, taken) acc ->
-      { pc; executions; taken;
+      { pc;
+        executions;
         taken_rate = float_of_int taken /. float_of_int executions }
       :: acc)
     sites []
   |> List.sort (fun a b -> compare b.executions a.executions)
   |> List.filteri (fun i _ -> i < top)
 
-let validate_page_bytes page_bytes =
-  if page_bytes <= 0 || page_bytes land (page_bytes - 1) <> 0 then
-    invalid_arg "Profile: page_bytes must be a power of two"
+let page_bytes = 4096
 
-let page_counts ~page_bytes records =
-  validate_page_bytes page_bytes;
+let page_counts records =
   let pages = Hashtbl.create 64 in
   Seq.iter
     (fun (record : Record.t) ->
@@ -49,9 +46,9 @@ let page_counts ~page_bytes records =
     (correct_path records);
   pages
 
-let hot_pages ?(top = 10) ?(page_bytes = 4096) records =
+let hot_pages ~top records =
   Hashtbl.fold (fun page count acc -> (page, count) :: acc)
-    (page_counts ~page_bytes records) []
+    (page_counts records) []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
   |> List.filteri (fun i _ -> i < top)
 
@@ -86,8 +83,7 @@ let instruction_mix records =
     load = fraction load; store = fraction store; branch = fraction branch }
 
 let memory_footprint_bytes records =
-  let page_bytes = 4096 in
-  page_bytes * Hashtbl.length (page_counts ~page_bytes records)
+  page_bytes * Hashtbl.length (page_counts records)
 
 let pp_report ppf records =
   let mix = instruction_mix records in

@@ -6,17 +6,16 @@
 type branch_site = {
   pc : int;
   executions : int;
-  taken : int;
   taken_rate : float;
 }
 
-val hot_branches : ?top:int -> Record.t array -> branch_site list
-(** Most frequently executed conditional-branch sites, descending;
-    [top] defaults to 10. *)
+val hot_branches : top:int -> Record.t array -> branch_site list
+(** The [top] most frequently executed conditional-branch sites,
+    descending. *)
 
-val hot_pages : ?top:int -> ?page_bytes:int -> Record.t array -> (int * int) list
-(** (page base address, accesses) for the most-touched memory pages;
-    [page_bytes] defaults to 4096 and must be a power of two. *)
+val hot_pages : top:int -> Record.t array -> (int * int) list
+(** (page base address, accesses) for the [top] most-touched 4 KiB
+    memory pages. *)
 
 type mix = {
   alu : float;

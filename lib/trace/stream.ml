@@ -27,7 +27,7 @@ let io_error reason =
 (* Wrap a cursor: decode errors surface as Trace_fault carrying the
    record offset and the absolute byte offset in [source], or, with
    [salvage], go to the salvage loop. *)
-let of_cursor ?(source = "<trace>") ?salvage cursor =
+let of_cursor ~source ?salvage cursor =
   let next =
     match salvage with
     | Some fault -> fun () -> Codec.Cursor.next_salvaged cursor ~fault
@@ -64,11 +64,11 @@ let open_file ?chunk path = open_cursor ?chunk path
    complete stream with its own header and fresh delta state. The
    first shard is opened eagerly so header problems come back as a
    value; failures in later shards are mid-stream faults. *)
-let open_sharded ?chunk ?salvage paths =
+let open_sharded ?salvage paths =
   match paths with
   | [] -> Error (io_error "empty shard list")
   | first :: rest -> (
-      match open_cursor ?chunk ?salvage first with
+      match open_cursor ?salvage first with
       | Error error -> Error error
       | Ok head ->
           let current = ref head in
@@ -82,7 +82,7 @@ let open_sharded ?chunk ?salvage paths =
                 | [] -> None
                 | path :: tail -> (
                     remaining := tail;
-                    match open_cursor ?chunk ?salvage path with
+                    match open_cursor ?salvage path with
                     | Ok stream ->
                         current := stream;
                         next ()
@@ -95,10 +95,10 @@ let open_sharded ?chunk ?salvage paths =
 
 (* Open [path] as whatever it is on disk: a shard set (any shard name
    or a bare stem with a 0000 shard next to it) or a single file. *)
-let open_path ?chunk ?salvage path =
+let open_path ?salvage path =
   match Codec.Shard.expand path with
-  | Some shards -> open_sharded ?chunk ?salvage shards
-  | None -> open_cursor ?chunk ?salvage path
+  | Some shards -> open_sharded ?salvage shards
+  | None -> open_cursor ?salvage path
 
 let fold f init t =
   let rec loop acc =

@@ -26,7 +26,7 @@ val close : t -> unit
     callers abandoning a stream early must call it. *)
 
 val of_cursor :
-  ?source:string -> ?salvage:(Fault.t -> unit) -> Codec.Cursor.t -> t
+  source:string -> ?salvage:(Fault.t -> unit) -> Codec.Cursor.t -> t
 (** Wrap a cursor; [source] labels faults. With [salvage], each damaged
     record is passed to it and decoding resumes at the next clean
     boundary. Does not own the channel a chunked cursor reads from. *)
@@ -37,19 +37,13 @@ val open_file : ?chunk:int -> string -> (t, Codec.error) result
     RSM-T001; the stream owns the channel. *)
 
 val open_sharded :
-  ?chunk:int ->
-  ?salvage:(Fault.t -> unit) ->
-  string list ->
-  (t, Codec.error) result
+  ?salvage:(Fault.t -> unit) -> string list -> (t, Codec.error) result
 (** Concatenate a shard set, opening shards one at a time. The first
     shard's failure is the returned [Error]; later shards fail
     mid-stream as {!Fault.Trace_fault}. *)
 
 val open_path :
-  ?chunk:int ->
-  ?salvage:(Fault.t -> unit) ->
-  string ->
-  (t, Codec.error) result
+  ?salvage:(Fault.t -> unit) -> string -> (t, Codec.error) result
 (** {!open_sharded} when [path] names a shard set on disk (any shard
     of it, or the bare stem), {!open_file} otherwise; [salvage] as in
     {!of_cursor}. *)

@@ -33,21 +33,19 @@ type t = {
   mutable wrong : int;
   mutable mispredicted : int;
   mutable halted : bool;
-  mutable completed : bool;
 }
 
 let create ?(config = default_config) ~emit program =
   { config;
     program;
-    machine = Isa.Machine.create ~program ();
+    machine = Isa.Machine.create program;
     predictor = Bpred.Predictor.create config.predictor;
     emit;
     last = Array.make (2 * Isa.Program.length program) hole;
     correct = 0;
     wrong = 0;
     mispredicted = 0;
-    halted = false;
-    completed = false }
+    halted = false }
 
 (* Records are immutable, and a record is a function of its static
    instruction, its path and its dynamic outcome. So each program index
@@ -103,7 +101,6 @@ let step t =
     match Isa.Interpreter.step t.machine t.program with
     | Halted_ ->
         t.halted <- true;
-        t.completed <- true;
         false
     | Stepped obs ->
         t.correct <- t.correct + 1;
@@ -119,8 +116,6 @@ let step t =
             Bpred.Predictor.update t.predictor ~pc:obs.index ~kind ~taken
               ~target;
             let direction_wrong = prediction.taken <> taken in
-            Bpred.Predictor.record_resolution t.predictor
-              ~correct:(not direction_wrong);
             if direction_wrong && Isa.Opcode.is_cond_kind kind then begin
               t.mispredicted <- t.mispredicted + 1;
               (* The front end runs down the path the predictor chose:
@@ -133,14 +128,12 @@ let step t =
 
 let correct_path t = t.correct
 let wrong_path t = t.wrong
-let mispredicted_branches t = t.mispredicted
 
 type result = {
   records : Trace.Record.t array;
   correct_path : int;
   wrong_path : int;
   mispredicted_branches : int;
-  executed_to_completion : bool;
 }
 
 let run ?config program =
@@ -159,7 +152,6 @@ let run ?config program =
   { records = Array.sub !records 0 !length;
     correct_path = t.correct;
     wrong_path = t.wrong;
-    mispredicted_branches = t.mispredicted;
-    executed_to_completion = t.completed }
+    mispredicted_branches = t.mispredicted }
 
 let records ?config program = (run ?config program).records

@@ -51,7 +51,6 @@ val step : t -> bool
 
 val correct_path : t -> int
 val wrong_path : t -> int
-val mispredicted_branches : t -> int
 
 (** {1 Whole traces} *)
 
@@ -60,8 +59,6 @@ type result = {
   correct_path : int;       (** untagged records *)
   wrong_path : int;         (** tagged records *)
   mispredicted_branches : int;
-  executed_to_completion : bool;
-      (** the program halted within the budget *)
 }
 
 val run : ?config:config -> Resim_isa.Program.t -> result

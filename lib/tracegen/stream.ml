@@ -3,9 +3,10 @@ type t = {
   pending : Resim_trace.Record.t Queue.t;
 }
 
-let create ?config program =
+let create ~config program =
   let pending = Queue.create () in
-  { generator = Generator.create ?config ~emit:(fun r -> Queue.add r pending) program;
+  { generator =
+      Generator.create ~config ~emit:(fun r -> Queue.add r pending) program;
     pending }
 
 let rec pull t =
@@ -15,4 +16,3 @@ let rec pull t =
 
 let correct_path t = Generator.correct_path t.generator
 let wrong_path t = Generator.wrong_path t.generator
-let mispredicted_branches t = Generator.mispredicted_branches t.generator

@@ -12,7 +12,7 @@
 
 type t
 
-val create : ?config:Generator.config -> Resim_isa.Program.t -> t
+val create : config:Generator.config -> Resim_isa.Program.t -> t
 
 val pull : t -> Resim_trace.Record.t option
 (** Next record, or [None] once the program has halted (or the
@@ -22,4 +22,3 @@ val pull : t -> Resim_trace.Record.t option
 
 val correct_path : t -> int
 val wrong_path : t -> int
-val mispredicted_branches : t -> int

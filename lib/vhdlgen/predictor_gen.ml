@@ -161,7 +161,7 @@ let direction_predictor (config : Resim_bpred.Direction.config) =
         gshare_architecture ~history_bits ~pht_entries
   in
   Vhdl.header ~description
-  ^ Vhdl.entity ~name:"direction_predictor" ~ports:predictor_ports ()
+  ^ Vhdl.entity ~name:"direction_predictor" ~ports:predictor_ports
   ^ architecture
 
 let btb (config : Resim_bpred.Btb.config) =
@@ -276,7 +276,6 @@ let btb (config : Resim_bpred.Btb.config) =
               port_type = std_logic_vector pc_width };
             { port_name = "update_target"; direction = In;
               port_type = std_logic_vector pc_width } ]
-      ()
   ^ Vhdl.architecture ~name:"rtl" ~of_entity:"btb" ~body
 
 let ras ~depth =
@@ -320,7 +319,6 @@ let ras ~depth =
               port_type = std_logic_vector pc_width };
             { port_name = "empty"; direction = Out; port_type = "std_logic" }
           ]
-      ()
   ^ Vhdl.architecture ~name:"rtl" ~of_entity:"ras" ~body
 
 let predictor_unit (config : Resim_bpred.Predictor.config) =

@@ -57,7 +57,6 @@ let circular_queue ~name ~depth ~payload_bits =
             { port_name = "empty"; direction = Out; port_type = "std_logic" };
             { port_name = "occupancy"; direction = Out;
               port_type = std_logic_vector (Vhdl.bits_for (depth + 1)) } ]
-      ()
   ^ Vhdl.architecture ~name:"rtl" ~of_entity:name ~body
 
 let rename_table ~registers ~rob_entries =
@@ -132,7 +131,6 @@ let rename_table ~registers ~rob_entries =
               port_type = std_logic_vector reg_bits };
             { port_name = "clear_tag"; direction = In;
               port_type = std_logic_vector rob_bits } ]
-      ()
   ^ Vhdl.architecture ~name:"rtl" ~of_entity:"rename_table" ~body
 
 (* The pre-decoded record width in the queues: opcode class, registers

@@ -2,8 +2,6 @@ type port_direction = In | Out
 
 type port = { port_name : string; direction : port_direction; port_type : string }
 
-type generic = { generic_name : string; generic_type : string; default : string }
-
 let bits_for n =
   let rec loop value bits = if value <= 1 then bits else loop ((value + 1) / 2) (bits + 1) in
   max 1 (loop n 0)
@@ -19,21 +17,9 @@ let header ~description =
 
 let direction_keyword = function In -> "in " | Out -> "out"
 
-let entity ~name ?(generics = []) ~ports () =
+let entity ~name ~ports =
   let buffer = Buffer.create 256 in
   Printf.bprintf buffer "entity %s is\n" name;
-  if generics <> [] then begin
-    Buffer.add_string buffer "  generic (\n";
-    let lines =
-      List.map
-        (fun g ->
-          Printf.sprintf "    %-24s : %s := %s" g.generic_name g.generic_type
-            g.default)
-        generics
-    in
-    Buffer.add_string buffer (String.concat ";\n" lines);
-    Buffer.add_string buffer "\n  );\n"
-  end;
   Buffer.add_string buffer "  port (\n";
   let lines =
     List.map

@@ -1,13 +1,11 @@
 (** Tiny VHDL emission helpers shared by the generators: entities with
-    generics and ports, signal declarations, processes, and the numeric
-    utilities (log2 widths) parametric hardware needs. All output is
-    VHDL-93 with numeric_std. *)
+    ports, signal declarations, processes, and the numeric utilities
+    (log2 widths) parametric hardware needs. All output is VHDL-93 with
+    numeric_std. *)
 
 type port_direction = In | Out
 
 type port = { port_name : string; direction : port_direction; port_type : string }
-
-type generic = { generic_name : string; generic_type : string; default : string }
 
 val bits_for : int -> int
 (** Address width for a structure of [n] entries: [ceil(log2 n)], at
@@ -16,8 +14,7 @@ val bits_for : int -> int
 val header : description:string -> string
 (** File banner + library/use clauses. *)
 
-val entity :
-  name:string -> ?generics:generic list -> ports:port list -> unit -> string
+val entity : name:string -> ports:port list -> string
 
 val architecture : name:string -> of_entity:string -> body:string -> string
 (** [body] is placed between [begin] and [end]. *)

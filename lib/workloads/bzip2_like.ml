@@ -94,17 +94,3 @@ let program ?(scale = 8192) () =
         addi t4 t4 1;
         blt t4 a1 "bz_inv";
         halt ])
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.24;
-    stores = 0.14;
-    branches = 0.09;
-    calls = 0.0;
-    mults = 0.002;
-    divides = 0.0;
-    dependency_density = 0.22;
-    mispredict_rate = 0.012;
-    taken_rate = 0.92;
-    working_set_bytes = 512 * 1024;
-    sequential_locality = 0.9 }

@@ -71,17 +71,3 @@ let program ?(scale = 16384) () =
         addi t0 t0 1;
         blt t0 a1 "gz_scan";
         halt ])
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.27;
-    stores = 0.07;
-    branches = 0.17;
-    calls = 0.0;
-    mults = 0.03;
-    divides = 0.0;
-    dependency_density = 0.4;
-    mispredict_rate = 0.055;
-    taken_rate = 0.72;
-    working_set_bytes = 48 * 1024;
-    sequential_locality = 0.65 }

@@ -3,5 +3,4 @@ module type S = sig
   val description : string
   val program : ?scale:int -> unit -> Resim_isa.Program.t
   val evaluation_scale : int
-  val profile : instructions:int -> Resim_tracegen.Synthetic.profile
 end

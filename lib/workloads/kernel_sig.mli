@@ -12,8 +12,4 @@ module type S = sig
   (** The scale the benchmark harness uses to regenerate the paper's
       tables: large enough for steady state and for the working set to
       pressure a 32 KB L1. *)
-
-  val profile : instructions:int -> Resim_tracegen.Synthetic.profile
-  (** Statistical profile matching the kernel's character, in the
-      terms {!Resim_tracegen.Synthetic} synthesizes traces from. *)
 end

@@ -72,17 +72,3 @@ let program ?(scale = 4096) () =
         addi t0 t0 1;
         blt t0 a0 "mc_arc";
         halt ])
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.34;
-    stores = 0.04;
-    branches = 0.16;
-    calls = 0.0;
-    mults = 0.08;
-    divides = 0.0;
-    dependency_density = 0.55;
-    mispredict_rate = 0.1;
-    taken_rate = 0.6;
-    working_set_bytes = 192 * 1024;
-    sequential_locality = 0.3 }

@@ -73,17 +73,3 @@ let program ?(scale = 6144) () =
         slti t2 t0 buckets;
         bne t2 Reg.zero "pr_bucket";
         halt ])
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.33;
-    stores = 0.1;
-    branches = 0.21;
-    calls = 0.0;
-    mults = 0.0;
-    divides = 0.0;
-    dependency_density = 0.6;
-    mispredict_rate = 0.085;
-    taken_rate = 0.55;
-    working_set_bytes = 96 * 1024;
-    sequential_locality = 0.25 }

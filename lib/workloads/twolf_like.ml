@@ -62,17 +62,3 @@ let program ?(scale = 4096) () =
         addi t0 t0 1;
         blt t0 a0 "tw_swap";
         halt ])
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.26;
-    stores = 0.06;
-    branches = 0.14;
-    calls = 0.0;
-    mults = 0.12;
-    divides = 0.0;
-    dependency_density = 0.45;
-    mispredict_rate = 0.07;
-    taken_rate = 0.7;
-    working_set_bytes = 64 * 1024;
-    sequential_locality = 0.45 }

@@ -110,17 +110,3 @@ let program ?(scale = 4096) () =
       addi s3 s3 1;
       blt s3 a2 "vx_find_loop";
       halt ]
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.2;
-    stores = 0.17;
-    branches = 0.12;
-    calls = 0.04;
-    mults = 0.035;
-    divides = 0.0;
-    dependency_density = 0.38;
-    mispredict_rate = 0.035;
-    taken_rate = 0.7;
-    working_set_bytes = 256 * 1024;
-    sequential_locality = 0.45 }

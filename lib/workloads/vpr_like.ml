@@ -76,17 +76,3 @@ let program ?(scale = 3) () =
       addi s1 s1 1;
       blt s1 a1 "vp_sweep";
       halt ]
-
-let profile ~instructions =
-  { (Resim_tracegen.Synthetic.balanced ~name ~instructions) with
-    loads = 0.28;
-    stores = 0.05;
-    branches = 0.11;
-    calls = 0.0;
-    mults = 0.09;
-    divides = 0.004;
-    dependency_density = 0.35;
-    mispredict_rate = 0.03;
-    taken_rate = 0.85;
-    working_set_bytes = 128 * 1024;
-    sequential_locality = 0.75 }

@@ -38,7 +38,7 @@ let test_fused_agrees_with_trace_driven () =
 let test_functional_only_matches_interpreter () =
   let program = gzip_program () in
   let via_baseline = Resim_baseline.Sim_outorder.functional_only program in
-  let machine = Resim_isa.Machine.create ~program () in
+  let machine = Resim_isa.Machine.create program in
   let via_interpreter = Resim_isa.Interpreter.run machine program in
   check int "same instruction count" via_interpreter via_baseline
 

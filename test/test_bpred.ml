@@ -33,21 +33,6 @@ let test_counter_basics () =
   Saturating.train c ~taken:false;
   check bool "two down: not taken" false (Saturating.predict_taken c)
 
-let test_counter_initial_clamped () =
-  let c = Saturating.create ~initial:99 () in
-  Saturating.train c ~taken:false;
-  check bool "clamped to max: one down stays taken" true
-    (Saturating.predict_taken c);
-  Saturating.train c ~taken:false;
-  check bool "clamped to max: two down not taken" false
-    (Saturating.predict_taken c);
-  let c = Saturating.create ~initial:(-5) () in
-  Saturating.train c ~taken:true;
-  check bool "clamped to zero: one up stays not taken" false
-    (Saturating.predict_taken c);
-  Saturating.train c ~taken:true;
-  check bool "clamped to zero: two up taken" true (Saturating.predict_taken c)
-
 (* --- direction predictors ------------------------------------------- *)
 
 let test_perfect () =
@@ -240,8 +225,8 @@ let test_unit_call_return_pair () =
     Predictor.predict p ~pc:60 ~kind:Resim_isa.Opcode.Ret ~fallthrough:61
       ~actual_taken:true ~actual_target:11
   in
-  check bool "return target from RAS" true (ret.target = Some 11);
-  check bool "came from RAS" true ret.from_ras
+  check bool "return target is the pushed fall-through" true
+    (ret.target = Some 11)
 
 let test_unit_btb_training () =
   let p = Predictor.create Predictor.default_config in
@@ -311,9 +296,7 @@ let ras_push_pop_identity =
 
 let suite =
   [ ("bpred:saturating",
-     [ Alcotest.test_case "basics" `Quick test_counter_basics;
-       Alcotest.test_case "initial clamp" `Quick test_counter_initial_clamped
-     ]);
+     [ Alcotest.test_case "basics" `Quick test_counter_basics ]);
     ("bpred:direction",
      [ Alcotest.test_case "perfect" `Quick test_perfect;
        Alcotest.test_case "static" `Quick test_static;

@@ -6,13 +6,15 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
+let create = Cache.create ~timing:Cache.default_timing
+
 let small_config =
   (* 4 sets x 2 ways x 64-byte blocks = 512 bytes. *)
   Cache.Set_associative
     { Cache.size_bytes = 512; associativity = 2; block_bytes = 64 }
 
 let test_perfect_always_hits () =
-  let c = Cache.create Cache.Perfect in
+  let c = create Cache.Perfect in
   for i = 0 to 99 do
     check int "hit latency" (Cache.default_timing).hit_latency
       (Cache.access c ~addr:(i * 8192) ~write:false)
@@ -22,7 +24,7 @@ let test_perfect_always_hits () =
   check bool "all hits" true (Int64.equal stats.hits 100L)
 
 let test_miss_then_hit () =
-  let c = Cache.create small_config in
+  let c = create small_config in
   let miss = Cache.access c ~addr:0x1000 ~write:false in
   let hit = Cache.access c ~addr:0x1004 ~write:false in
   check int "miss latency" (1 + 18) miss;
@@ -38,7 +40,7 @@ let test_custom_timing () =
   check int "custom hit" 2 (Cache.access c ~addr:0 ~write:false)
 
 let test_lru_eviction () =
-  let c = Cache.create small_config in
+  let c = create small_config in
   (* Three blocks mapping to the same set (set stride = 4 sets x 64 B =
      256 B). *)
   let a = 0x0 and b = 0x100 and d = 0x200 in
@@ -51,7 +53,7 @@ let test_lru_eviction () =
   check bool "d cached" true (Cache.probe c ~addr:d)
 
 let test_probe_is_pure () =
-  let c = Cache.create small_config in
+  let c = create small_config in
   ignore (Cache.access c ~addr:0 ~write:false);
   let before = Cache.stats c in
   ignore (Cache.probe c ~addr:0);
@@ -62,7 +64,7 @@ let test_probe_is_pure () =
 let test_capacity_fits () =
   (* Sequentially touching exactly the capacity leaves everything
      resident: re-touching gives pure hits. *)
-  let c = Cache.create Cache.l1_32k_8way_64b in
+  let c = create Cache.l1_32k_8way_64b in
   for block = 0 to (32 * 1024 / 64) - 1 do
     ignore (Cache.access c ~addr:(block * 64) ~write:false)
   done;
@@ -75,7 +77,7 @@ let test_capacity_fits () =
 let test_thrash_misses () =
   (* A working set twice the capacity with sequential sweeps misses on
      every block revisit. *)
-  let c = Cache.create Cache.l1_32k_8way_64b in
+  let c = create Cache.l1_32k_8way_64b in
   for _ = 1 to 2 do
     for block = 0 to (64 * 1024 / 64) - 1 do
       ignore (Cache.access c ~addr:(block * 64) ~write:false)
@@ -90,19 +92,19 @@ let test_validation () =
     (Invalid_argument "Cache.create: block_bytes must be a power of two")
     (fun () ->
       ignore
-        (Cache.create
+        (create
            (Cache.Set_associative
               { Cache.size_bytes = 1024; associativity = 2; block_bytes = 48 })));
   Alcotest.check_raises "zero associativity"
     (Invalid_argument "Cache.create: associativity must be positive")
     (fun () ->
       ignore
-        (Cache.create
+        (create
            (Cache.Set_associative
               { Cache.size_bytes = 1024; associativity = 0; block_bytes = 64 })))
 
 let test_write_accesses_counted () =
-  let c = Cache.create small_config in
+  let c = create small_config in
   ignore (Cache.access c ~addr:0 ~write:true);
   ignore (Cache.access c ~addr:0 ~write:true);
   let stats = Cache.stats c in
@@ -141,7 +143,7 @@ let matches_reference_model =
     ~count:30
     QCheck.(list_of_size (Gen.int_range 50 400) (int_bound 4095))
     (fun addresses ->
-      let cache = Cache.create small_config in
+      let cache = create small_config in
       let reference = Reference.create ~sets:4 ~assoc:2 ~block_bits:6 in
       List.for_all
         (fun addr ->

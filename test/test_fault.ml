@@ -38,7 +38,9 @@ let truncated_stream_job ~label records =
       match Codec.Cursor.of_string_result truncated with
       | Error error -> Alcotest.fail (Codec.error_to_string error)
       | Ok cursor ->
-          let stream = Resim_trace.Stream.of_cursor cursor in
+          let stream =
+            Resim_trace.Stream.of_cursor ~source:"<trace>" cursor
+          in
           fun () -> Resim_trace.Stream.next stream)
 
 let diagnostic_codes (report : Check.Trace.report) =
@@ -51,7 +53,9 @@ let test_classes_surface_codes () =
   List.iter
     (fun fault ->
       let name = Fault_inject.name fault in
-      let data = Fault_inject.apply ~seed:7 fault records in
+      let data =
+        Fault_inject.apply ~seed:7 ~format:Codec.Fixed fault records
+      in
       let report =
         Check.Trace.lint_string
           ~max_wrong_path_run:Fault_inject.default_max_run data
@@ -77,7 +81,10 @@ let test_classes_surface_codes () =
 let test_diagnostics_carry_offsets () =
   let records = Lazy.force base_records in
   let total = Array.length records in
-  let data = Fault_inject.apply ~seed:3 Fault_inject.Truncate_payload records in
+  let data =
+    Fault_inject.apply ~seed:3 ~format:Codec.Fixed
+      Fault_inject.Truncate_payload records
+  in
   let report = Check.Trace.lint_string data in
   match
     List.find_opt
@@ -110,9 +117,7 @@ let exercise_engine data =
   | Ok (records, _format, _salvage) ->
       List.iter
         (fun config ->
-          match
-            Resim.run ~config ~watchdog:50_000 (Records records)
-          with
+          match Resim.run ~config (Records records) with
           | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ()
           | Error (Resim.Refused reason) ->
               Alcotest.failf "a fresh run refused: %s" reason)
@@ -122,7 +127,9 @@ let test_no_escape_across_configs () =
   let records = Lazy.force base_records in
   List.iter
     (fun fault ->
-      let data = Fault_inject.apply ~seed:11 fault records in
+      let data =
+        Fault_inject.apply ~seed:11 ~format:Codec.Fixed fault records
+      in
       exercise_engine data)
     Fault_inject.all
 
@@ -139,7 +146,9 @@ let property_class_seed =
     (fun (seed, index) ->
       let fault = class_of_index index in
       let records = Lazy.force base_records in
-      let data = Fault_inject.apply ~seed fault records in
+      let data =
+        Fault_inject.apply ~seed ~format:Codec.Fixed fault records
+      in
       let report =
         Check.Trace.lint_string
           ~max_wrong_path_run:Fault_inject.default_max_run data
@@ -155,7 +164,7 @@ let property_class_seed =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.run ~watchdog:50_000 (Records salvaged) with
+          match Resim.run (Records salvaged) with
           | Ok _ | Error _ -> ()));
       diagnosed)
 
@@ -176,7 +185,7 @@ let property_random_byte =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.run ~watchdog:50_000 (Records salvaged) with
+          match Resim.run (Records salvaged) with
           | Ok _ | Error _ -> ()));
       true)
 
@@ -288,7 +297,7 @@ let test_sweep_truncation_and_retry () =
 let test_run_job_stream_fault () =
   let job = truncated_stream_job ~label:"cut" (Lazy.force base_records) in
   let reported =
-    match (Sweep.run_job_robust job).outcome with
+    match (Sweep.run_job_robust ~policy:Sweep.default_policy job).outcome with
     | Sweep.Failed (Sweep.Fault fault) -> fault.Fault.code
     | _ -> Alcotest.fail "run_job_robust did not report a fault"
   in
@@ -411,7 +420,8 @@ let test_refused_replay_reads_no_further () =
 let test_degraded_decode_marks_stats () =
   let records = Lazy.force base_records in
   let data =
-    Fault_inject.apply ~seed:5 Fault_inject.Truncate_payload records
+    Fault_inject.apply ~seed:5 ~format:Codec.Fixed
+      Fault_inject.Truncate_payload records
   in
   match Codec.decode_degraded data with
   | Error error -> Alcotest.fail (Codec.error_to_string error)

@@ -102,7 +102,7 @@ let test_sampled_and_resumed_streams_match_arrays () =
       (Lazy.force Test_event.kernel_records)
   in
   with_tmp ~suffix:".rtr" (fun path ->
-      Codec.write_file path records;
+      Codec.write_file ~format:Codec.Fixed path records;
       let array =
         match Codec.read_file_result path with
         | Ok (records, _) -> Resim.Records records
@@ -121,7 +121,7 @@ let test_sampled_and_resumed_streams_match_arrays () =
         { Resim_sample.Sample.detail = 1000; warmup = 19000; seed = 7 }
       in
       let sampled trace =
-        match Resim_sample.Sample.run ~spec trace with
+        match Resim_sample.Sample.run ~config:Config.reference ~spec trace with
         | Ok (robust, report) ->
             (robust.Resim.outcome, Resim_sample.Sample.report_to_json report)
         | Error failure ->
@@ -478,7 +478,9 @@ let shard_records =
 let with_shards ~records_per_shard records f =
   let stem = Filename.temp_file "resim_frontier_shard" "" in
   Sys.remove stem;
-  let paths = Codec.Shard.write ~records_per_shard ~stem records in
+  let paths =
+    Codec.Shard.write ~format:Codec.Fixed ~records_per_shard ~stem records
+  in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
@@ -574,7 +576,7 @@ let test_multicore_stream_feed_matches_records_feed () =
       (Synthetic.balanced ~name:"twin" ~instructions:300)
   in
   with_tmp ~suffix:".rtr" (fun path ->
-      Codec.write_file path records;
+      Codec.write_file ~format:Codec.Fixed path records;
       let stream =
         match Stream.open_file ~chunk:128 path with
         | Ok stream -> stream
@@ -1264,7 +1266,6 @@ module String_lines = struct
         in
         Predictor.update t.predictor ~pc:cur.index ~kind ~taken ~target;
         let direction_wrong = prediction.taken <> taken in
-        Predictor.record_resolution t.predictor ~correct:(not direction_wrong);
         if direction_wrong && kind = Opcode.Cond then begin
           t.mispredicted <- t.mispredicted + 1;
           let wrong_pc = if prediction.taken then target else fallthrough in
@@ -1531,6 +1532,273 @@ let scanner_matches_string_lines format =
       && same "of_channel vs of_string" scanned read)
 
 (* ------------------------------------------------------------------- *)
+(* The trace frontier through the CLI: foreign formats, trace files,
+   pipes and shards against the in-memory kernel run, and the
+   constant-memory guard on the streamed paths.                         *)
+
+let with_tmp_dir f =
+  let dir = Filename.temp_dir "resim_frontier" "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun entry -> remove (Filename.concat path entry))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
+
+let cli = Filename.quote Test_sample.cli
+let shell label command = check int label 0 (Sys.command command)
+
+let resim label args = check int label 0 (Test_sample.run_cli args)
+
+(* One counter of a --metrics document. *)
+let metrics_counter path name =
+  match Json.parse (read_bytes path) with
+  | Error message -> Alcotest.failf "%s: invalid JSON (%s)" path message
+  | Ok document -> (
+      match
+        Option.bind
+          (Option.bind (Json.member "counters" document) (Json.member name))
+          Json.int_value
+      with
+      | Some value -> value
+      | None -> Alcotest.failf "%s: no counter %s" path name)
+
+(* Text profile: a loop whose branch at 0x1004 alternates taken (back to
+   0x1000) and not-taken (falling through to 0x1008), so the synthesis
+   predictor must mispredict and emit tagged wrong-path blocks. *)
+let alternating_text =
+  String.concat ""
+    (List.init 100 (fun i ->
+         "1000 0 1 2 3\n1004 0 2 1 1\n"
+         ^ if i mod 2 = 1 then "1008 0 3 2 1\n" else ""))
+
+(* RISC-V profile: a lw / mul / sw / bne loop, taken five times, then
+   falling through to a nop. *)
+let loop_riscv =
+  String.concat ""
+    (List.init 6 (fun i ->
+         Printf.sprintf
+           "1000 0005a503 mem %x\n1004 02c58533\n1008 00a62023 mem %x\n\
+            100c fed61ae3\n"
+           (32768 + (8 * i))
+           (36864 + (8 * i))))
+  ^ "1010 00000013\n"
+
+let test_cli_foreign_formats () =
+  with_tmp_dir (fun dir ->
+      List.iter
+        (fun (format, text) ->
+          let trace = Filename.concat dir (format ^ ".trc") in
+          let metrics = Filename.concat dir (format ^ ".json") in
+          write_bytes trace text;
+          resim (format ^ ": lint --format exits 0")
+            (Printf.sprintf "lint %s --format %s" (Filename.quote trace)
+               format);
+          resim (format ^ ": simulate --format exits 0")
+            (Printf.sprintf "simulate -t %s --format %s --metrics %s"
+               (Filename.quote trace) format (Filename.quote metrics));
+          check bool (format ^ ": synthesized wrong path reaches the engine")
+            true
+            (metrics_counter metrics "fetched_wrong_path" > 0))
+        [ ("text", alternating_text); ("riscv", loop_riscv) ];
+      let bad = Filename.concat dir "bad.trc" in
+      write_bytes bad "1000 0 1 2 3\n1004 9 1 2 3\n";
+      let code, _, err =
+        Test_sample.cli_output
+          (Printf.sprintf "simulate -t %s --format text" (Filename.quote bad))
+      in
+      check int "malformed text exits 1" 1 code;
+      check bool "stderr names RSM-A003" true
+        (Test_sample.contains err "RSM-A003");
+      check bool "stderr names the file and line" true
+        (Test_sample.contains err (bad ^ ":2"));
+      let code, out, err =
+        Test_sample.cli_output "simulate -t /nonexistent/no-such.rtr"
+      in
+      check int "missing .rtr exits 2" 2 code;
+      check bool "missing .rtr prints RSM-T009" true
+        (Test_sample.contains (out ^ err) "RSM-T009");
+      check bool "missing .rtr raises nothing" false
+        (Test_sample.contains (out ^ err) "Fatal error"))
+
+(* The oracle generates the same kernel in memory and reads no file, so
+   it shares no decode or stream code with [-t]. *)
+let test_cli_trace_files_match_kernel_run () =
+  with_tmp_dir (fun dir ->
+      let path name = Filename.quote (Filename.concat dir name) in
+      let bytes name = read_bytes (Filename.concat dir name) in
+      resim "tracegen"
+        (Printf.sprintf "tracegen -k gzip -s 4000 -o %s" (path "t.rtr"));
+      resim "kernel run"
+        (Printf.sprintf "simulate -k gzip -s 4000 --metrics %s"
+           (path "k.json"));
+      resim "simulate -t"
+        (Printf.sprintf "simulate -t %s --metrics %s" (path "t.rtr")
+           (path "a.json"));
+      check string "-t metrics = the in-memory kernel run" (bytes "k.json")
+        (bytes "a.json");
+      (* A streamed header (a count the producer did not know): the
+         file, the no-op --stream flag and the same bytes through a
+         pipe. *)
+      shell "tracegen --stream"
+        (Printf.sprintf
+           "%s tracegen --stream --limit 50000 -k gzip > %s 2> /dev/null" cli
+           (path "s.rtr"));
+      resim "streamed file"
+        (Printf.sprintf "simulate -t %s --metrics %s" (path "s.rtr")
+           (path "sa.json"));
+      resim "--stream"
+        (Printf.sprintf "simulate -t %s --stream --metrics %s" (path "s.rtr")
+           (path "sb.json"));
+      shell "-t -"
+        (Printf.sprintf "%s simulate -t - --metrics %s < %s > /dev/null" cli
+           (path "sc.json") (path "s.rtr"));
+      check string "--stream = the file" (bytes "sa.json") (bytes "sb.json");
+      check string "-t - = the file" (bytes "sa.json") (bytes "sc.json");
+      (* Shards lint alone and simulate as the unsharded trace. *)
+      let shards = Filename.concat dir "shards" in
+      Sys.mkdir shards 0o755;
+      resim "tracegen --records-per-shard"
+        (Printf.sprintf "tracegen -k gzip -s 4000 --records-per-shard 512 -o %s"
+           (Filename.quote (Filename.concat shards "t.rtr")));
+      let files = Sys.readdir shards in
+      check bool "at least two shards" true (Array.length files >= 2);
+      Array.iter
+        (fun shard ->
+          resim (shard ^ " lints clean")
+            (Printf.sprintf "lint %s"
+               (Filename.quote (Filename.concat shards shard))))
+        files;
+      resim "simulate the stem"
+        (Printf.sprintf "simulate -t %s --metrics %s"
+           (Filename.quote (Filename.concat shards "t"))
+           (path "c.json"));
+      check string "sharded = unsharded" (bytes "a.json") (bytes "c.json"))
+
+(* The streamed paths hold O(chunk) memory: a run that materialized the
+   trace, or a foreign line read whole, would blow through this. *)
+let rss_budget_kb = 65_536
+
+(* Peak RSS (VmHWM, kB) of a child polled from /proc until it exits,
+   and its exit code; the child is killed and the test fails past
+   [seconds]. *)
+let watch_peak ~label ~seconds pid =
+  let vm_hwm () =
+    match
+      In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid)
+        In_channel.input_all
+    with
+    | exception Sys_error _ -> 0
+    | status ->
+        List.fold_left
+          (fun peak line ->
+            match String.split_on_char ':' line with
+            | [ "VmHWM"; value ] -> (
+                match String.split_on_char ' ' (String.trim value) with
+                | kb :: _ -> Option.value (int_of_string_opt kb) ~default:peak
+                | [] -> peak)
+            | _ -> peak)
+          0
+          (String.split_on_char '\n' status)
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll peak =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > deadline then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "%s: still running after %.0f s" label seconds
+        end;
+        let peak = Int.max peak (vm_hwm ()) in
+        (* A clean run of the long line lasts tens of milliseconds. *)
+        Unix.sleepf 0.002;
+        poll peak
+    | _, Unix.WEXITED code -> (peak, code)
+    | _, (Unix.WSIGNALED signal | Unix.WSTOPPED signal) ->
+        Alcotest.failf "%s: stopped by signal %d" label signal
+  in
+  poll 0
+
+(* Start the CLI with [args], its stdout and stderr into [output]. *)
+let spawn_cli args ~output =
+  let out =
+    Unix.openfile output [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600
+  in
+  let null = Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close out;
+      Unix.close null)
+    (fun () ->
+      Unix.create_process Test_sample.cli
+        (Array.of_list (Test_sample.cli :: args))
+        null out out)
+
+let check_peak label peak =
+  check bool
+    (Printf.sprintf "%s: peak RSS %d kB within %d kB" label peak rss_budget_kb)
+    true
+    (peak > 0 && peak <= rss_budget_kb)
+
+let test_cli_constant_memory () =
+  with_tmp_dir (fun dir ->
+      let path name = Filename.concat dir name in
+      (* The streamed path peaks near 18 MB on 2M records; holding them
+         in memory took about 220 MB. *)
+      shell "tracegen 2M records"
+        (Printf.sprintf
+           "%s tracegen --stream --limit 2000000 -k gzip > %s 2> /dev/null" cli
+           (Filename.quote (path "big.rtr")));
+      let label = "2M-record simulate -t" in
+      let peak, code =
+        watch_peak ~label ~seconds:300.
+          (spawn_cli
+             [ "simulate"; "-t"; path "big.rtr"; "--metrics"; path "p.json" ]
+             ~output:(path "p.out"))
+      in
+      check int (label ^ " exits 0") 0 code;
+      check_peak label peak;
+      check bool (label ^ " commits more than 1,000,000") true
+        (metrics_counter (path "p.json") "committed" > 1_000_000);
+      (* One 96 MiB foreign line without a newline, through a FIFO so it
+         never reaches the disk: the adapter stops once max_line_bytes
+         are buffered. The writer dies of SIGPIPE once the simulator
+         stops reading. *)
+      let fifo = path "long.trc" in
+      Unix.mkfifo fifo 0o600;
+      let writer =
+        Unix.create_process "/bin/sh"
+          [| "/bin/sh";
+             "-c";
+             "head -c 100663296 /dev/zero | tr '\\000' a > "
+             ^ Filename.quote fifo |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      let label = "96 MiB foreign line" in
+      let peak, code =
+        watch_peak ~label ~seconds:300.
+          (spawn_cli
+             [ "simulate"; "--format"; "text"; "-t"; fifo ]
+             ~output:(path "long.out"))
+      in
+      (* A writer still blocked in open, waiting for a reader, is let
+         through to its SIGPIPE. *)
+      (try Unix.close (Unix.openfile fifo [ O_RDONLY; O_NONBLOCK ] 0)
+       with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] writer);
+      check int (label ^ " exits 1") 1 code;
+      check_peak label peak;
+      check bool (label ^ " is RSM-A004 at 1:4097") true
+        (Test_sample.contains
+           (read_bytes (path "long.out"))
+           (fifo ^ ":1:4097: [RSM-A004]")))
+
+(* ------------------------------------------------------------------- *)
 
 let suite =
   [ ("frontier:streamed differential",
@@ -1584,4 +1852,11 @@ let suite =
        QCheck_alcotest.to_alcotest adapter_roundtrip;
        QCheck_alcotest.to_alcotest (scanner_matches_string_lines Adapter.Text);
        QCheck_alcotest.to_alcotest
-         (scanner_matches_string_lines Adapter.Riscv) ]) ]
+         (scanner_matches_string_lines Adapter.Riscv) ]);
+    ("frontier:cli",
+     [ Alcotest.test_case "foreign formats lint and simulate" `Quick
+         test_cli_foreign_formats;
+       Alcotest.test_case "-t files, pipes and shards match -k" `Quick
+         test_cli_trace_files_match_kernel_run;
+       Alcotest.test_case "streamed runs within the peak-RSS budget" `Quick
+         test_cli_constant_memory ]) ]

@@ -156,7 +156,7 @@ let trace_table () =
                           completed=%b %s"
             (Workload.name_of kernel) name result.correct_path
             result.wrong_path result.mispredicted_branches
-            result.executed_to_completion
+            (result.correct_path < config.max_instructions)
             (Hash.string
                (Resim_trace.Codec.encode ~format:Resim_trace.Codec.Fixed
                   result.records)))

@@ -92,8 +92,10 @@ let test_asm_entry () =
 
 (* --- machine -------------------------------------------------------- *)
 
+let empty_program = Program.make ~entry:0 ~symbols:[] ~data:[] [||]
+
 let test_machine_registers () =
-  let m = Machine.create () in
+  let m = Machine.create empty_program in
   check int "initial zero" 0 (Machine.read_reg m (Reg.r 5));
   Machine.write_reg m (Reg.r 5) 42;
   check int "write/read" 42 (Machine.read_reg m (Reg.r 5));
@@ -103,7 +105,7 @@ let test_machine_registers () =
     (Machine.read_reg m Reg.sp)
 
 let test_machine_memory () =
-  let m = Machine.create () in
+  let m = Machine.create empty_program in
   check int "unwritten word is 0" 0 (Machine.read_word m 0x100);
   Machine.write_word m 0x100 7;
   check int "word write" 7 (Machine.read_word m 0x100);
@@ -116,13 +118,17 @@ let test_machine_program_load () =
     { Instruction.op = Opcode.Halt; dest = None; src1 = None; src2 = None;
       imm = 0 }
   in
-  let program = Program.make ~data:[ (0x40, 11); (0x44, 22) ] [| halt |] in
-  let m = Machine.create ~program () in
+  let program =
+    Program.make ~entry:0 ~symbols:[]
+      ~data:[ (0x40, 11); (0x44, 22) ]
+      [| halt |]
+  in
+  let m = Machine.create program in
   check int "data word 1" 11 (Machine.read_word m 0x40);
   check int "data word 2" 22 (Machine.read_word m 0x44)
 
 let test_machine_rollback () =
-  let m = Machine.create () in
+  let m = Machine.create empty_program in
   Machine.write_reg m (Reg.r 1) 10;
   Machine.write_word m 0x10 5;
   let cp = Machine.checkpoint m in
@@ -133,7 +139,6 @@ let test_machine_rollback () =
   Machine.write_byte m 0x30 8;
   Machine.set_pc m 99;
   Machine.set_halted m true;
-  Machine.incr_retired m;
   Machine.rollback m cp;
   check int "reg restored" 10 (Machine.read_reg m (Reg.r 1));
   check int "new reg reverted" 0 (Machine.read_reg m (Reg.r 2));
@@ -144,7 +149,7 @@ let test_machine_rollback () =
   check bool "halt restored" false (Machine.halted m)
 
 let test_machine_nested_checkpoints () =
-  let m = Machine.create () in
+  let m = Machine.create empty_program in
   Machine.write_reg m (Reg.r 1) 1;
   let outer = Machine.checkpoint m in
   Machine.write_reg m (Reg.r 1) 2;
@@ -160,7 +165,7 @@ let test_machine_nested_checkpoints () =
 (* Run [stmts] to completion and return the machine. *)
 let run_program stmts =
   let program = Asm.assemble stmts in
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   ignore (Interpreter.run m program);
   m
 
@@ -310,7 +315,7 @@ let test_jalr () =
   in
   (* jalr at index 1 jumps to index 1 (t0 = 1): an infinite self-loop;
      just take a single step and inspect the observation. *)
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   ignore (Interpreter.step m program);
   (match Interpreter.step m program with
   | Interpreter.Stepped { control = Some { kind; taken; target }; _ } ->
@@ -326,7 +331,7 @@ let test_jr_ret_kind () =
   let program =
     assemble [ li Reg.ra 2; jr Reg.ra; halt; jr t0 ]
   in
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   ignore (Interpreter.step m program);
   (match Interpreter.step m program with
   | Interpreter.Stepped { control = Some { kind; _ }; _ } ->
@@ -334,7 +339,7 @@ let test_jr_ret_kind () =
   | _ -> Alcotest.fail "expected control");
   (* jr through a non-ra register is Indirect *)
   let program2 = assemble [ li t0 1; jr t0 ] in
-  let m2 = Machine.create ~program:program2 () in
+  let m2 = Machine.create program2 in
   ignore (Interpreter.step m2 program2);
   match Interpreter.step m2 program2 with
   | Interpreter.Stepped { control = Some { kind; _ }; _ } ->
@@ -344,26 +349,26 @@ let test_jr_ret_kind () =
 let test_observation_fields () =
   let open Asm in
   let program = assemble [ li t0 0x600; lw t1 4 t0; halt ] in
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   ignore (Interpreter.step m program);
   match Interpreter.step m program with
   | Interpreter.Stepped obs ->
       check int "index" 1 obs.index;
-      check int "next" 2 obs.next_index;
+      check int "next" 2 (Machine.pc m);
       check bool "effective address" true
         (obs.effective_address = Some 0x604)
   | Interpreter.Halted_ -> Alcotest.fail "expected a step"
 
 let test_run_off_end_halts () =
   let program = Asm.(assemble [ nop; nop ]) in
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   let executed = Interpreter.run m program in
   check int "two instructions" 2 executed;
   check bool "halted" true (Machine.halted m)
 
 let test_max_steps () =
   let program = Asm.(assemble [ label "spin"; j "spin" ]) in
-  let m = Machine.create ~program () in
+  let m = Machine.create program in
   let executed = Interpreter.run ~max_steps:50 m program in
   check int "bounded" 50 executed;
   check bool "not halted" false (Machine.halted m)
@@ -393,9 +398,9 @@ let rollback_equivalence =
               bne t4 Reg.zero "loop";
               halt ])
       in
-      let straight = Machine.create ~program () in
+      let straight = Machine.create program in
       for _ = 1 to n do ignore (Interpreter.step straight program) done;
-      let speculated = Machine.create ~program () in
+      let speculated = Machine.create program in
       for _ = 1 to n do ignore (Interpreter.step speculated program) done;
       let cp = Machine.checkpoint speculated in
       for _ = 1 to k do ignore (Interpreter.step speculated program) done;
@@ -428,7 +433,7 @@ let interpreter_never_crashes =
         @ [ Asm.halt ]
       in
       let program = Asm.assemble stmts in
-      let m = Machine.create ~program () in
+      let m = Machine.create program in
       let executed = Interpreter.run m program in
       executed = (4 * List.length seeds))
 

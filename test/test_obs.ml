@@ -22,7 +22,7 @@ let pipetrace ?(reference = false) ~config records =
   let engine = Engine.create ~config records in
   if reference then Engine.use_reference engine;
   let buffer = Buffer.create 4096 in
-  let sinks = [ Obs.make_sink (Obs.add_jsonl_event buffer) ] in
+  let sinks = [ Obs.make_sink ~on_close:ignore (Obs.add_jsonl_event buffer) ] in
   Obs.attach engine sinks;
   let stats = Engine.run engine in
   Obs.close sinks;
@@ -306,7 +306,7 @@ let test_profiler_sections () =
   let seconds = List.map (fun s -> s.Prof.seconds) sections in
   check bool "sorted descending" true
     (List.sort (fun a b -> compare b a) seconds = seconds);
-  let json = Prof.to_json prof in
+  let json = Prof.to_json ~variant:"v" prof in
   check bool "json names engine/commit" true
     (let needle = "engine/commit" in
      let n = String.length json and m = String.length needle in
@@ -329,7 +329,7 @@ let test_time_charges_on_exception () =
 
 let test_no_sink_no_observer () =
   let records = Lazy.force small_records in
-  let bare = Engine.simulate ~config:Config.reference records in
+  let bare = Engine.simulate records in
   let engine = Engine.create ~config:Config.reference records in
   Obs.attach engine [];
   let attached = Engine.run engine in
@@ -342,7 +342,7 @@ let test_observed_run_stats_unchanged () =
      a sink attached, in the default engine and the reference phases. *)
   let records = Lazy.force small_records in
   let config = Config.reference in
-  let bare = Engine.simulate ~config records in
+  let bare = Engine.run (Engine.create ~config records) in
   List.iter
     (fun (name, reference) ->
       let _, observed = pipetrace ~reference ~config records in

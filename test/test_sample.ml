@@ -211,7 +211,9 @@ let test_determinism () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 400; seed = 42 } in
   let run () =
-    match Sample.run ~spec (Resim.Records records) with
+    match
+      Sample.run ~config:Config.reference ~spec (Resim.Records records)
+    with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   in
@@ -221,7 +223,8 @@ let test_determinism () =
      interval boundaries) for this period. *)
   let moved =
     match
-      Sample.run ~spec:{ spec with Sample.seed = 43 } (Resim.Records records)
+      Sample.run ~config:Config.reference ~spec:{ spec with Sample.seed = 43 }
+        (Resim.Records records)
     with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
@@ -255,7 +258,9 @@ let test_report_accounting () =
             Printf.sprintf "%s %s" (Workload.name_of workload)
               (Sample.spec_to_string spec)
           in
-          match Sample.run ~spec (Resim.Records records) with
+          match
+            Sample.run ~config:Config.reference ~spec (Resim.Records records)
+          with
           | Error failure ->
               Alcotest.fail (label ^ ": " ^ Resim.failure_to_string failure)
           | Ok (robust, report) ->
@@ -272,10 +277,8 @@ let test_report_accounting () =
               check bool (label ^ ": at most detail per period") true
                 (report.Sample.detailed_instructions
                 <= (full + period - 1) / period * spec.detail);
-              List.iteri
-                (fun index interval ->
-                  check int "intervals are in order" index
-                    interval.Sample.index;
+              List.iter
+                (fun interval ->
                   check bool "interval IPC is cycles/instructions" true
                     (Float.abs
                        (interval.Sample.interval_ipc
@@ -291,7 +294,8 @@ let test_report_accounting () =
 let test_sample_cycle_budget () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 100; seed = 0 } in
-  match Sample.run ~max_cycles:120L ~spec (Resim.Records records) with
+  match Sample.run ~config:Config.reference ~max_cycles:120L ~spec
+          (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, report) ->
       check bool "stops on the cycle budget" true
@@ -310,7 +314,8 @@ let test_sample_deadline () =
   (* The engine polls the deadline every 256 cycles, so the detailed
      interval must be long enough to reach a poll point. *)
   let spec = { Sample.detail = 2000; warmup = 0; seed = 0 } in
-  match Sample.run ~deadline:(fun () -> true) ~spec (Resim.Records records) with
+  match Sample.run ~config:Config.reference ~deadline:(fun () -> true) ~spec
+          (Resim.Records records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, _) ->
       check bool "stops on the deadline" true
@@ -345,7 +350,8 @@ let test_sweep_sampled_stream_job () =
   let config = Config.reference in
   let open_stream = open_records records in
   check bool "stream_job carries its sample spec" true
-    ((Sweep.stream_job ~sample:spec ~config open_stream).Sweep.sample
+    ((Sweep.stream_job ~label:"stream" ~sample:spec ~config open_stream)
+       .Sweep.sample
     = Some spec);
   let pulled_job =
     { (Sweep.stream_job ~label:"pulled" ~config open_stream) with
@@ -435,8 +441,6 @@ module Slow_generation = struct
     Workload.program_of (Workload.find "gzip") ?scale ()
 
   let evaluation_scale = 256
-
-  let profile = Resim_workloads.Gzip_like.profile
 end
 
 let test_sweep_times_simulate_only () =
@@ -508,7 +512,9 @@ let test_emitters_parse () =
   in
   validates "Sweep.metrics_json" (Sweep.metrics_json report);
   (* sample report and the spliced --metrics document *)
-  (match Sample.run ~spec (Resim.Records records) with
+  (match
+     Sample.run ~config:Config.reference ~spec (Resim.Records records)
+   with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, sample_report) ->
       validates "Sample.report_to_json" (Sample.report_to_json sample_report);
@@ -519,7 +525,7 @@ let test_emitters_parse () =
   (* profiler sections with adversarial names *)
   let prof = Resim_obs.Prof.create () in
   Resim_obs.Prof.time prof evil (fun () -> ());
-  validates "Prof.to_json" (Resim_obs.Prof.to_json prof)
+  validates "Prof.to_json" (Resim_obs.Prof.to_json ~variant:evil prof)
 
 (* Strings up to 4 KiB: plain runs of any length broken by the bytes the
    escaper and the parser treat specially. *)
@@ -562,23 +568,22 @@ let test_string_errors () =
 (* The bytes of the sampled report: compact, six decimals, and [null]
    for a CI that is not finite. *)
 let test_report_bytes () =
-  let interval index interval_ipc =
-    { Sample.index; start_cursor = 100 * index; instructions = 50;
-      cycles = 40L; interval_ipc }
+  let interval interval_ipc =
+    { Sample.instructions = 50; cycles = 40L; interval_ipc }
   in
   check str "finite ci95"
     {|{"spec":{"detail":50,"warmup":450,"seed":7},"initial_offset":13,"intervals":2,"discarded_partial":1,"mean_ipc":0.791667,"ci95":0.666667,"detailed_instructions":100,"warmed_instructions":900,"interval_ipc":[1.250000,0.333333]}|}
     (Sample.report_to_json
        { Sample.spec = { Sample.detail = 50; warmup = 450; seed = 7 };
          initial_offset = 13;
-         intervals = [ interval 0 1.25; interval 1 (1.0 /. 3.0) ];
+         intervals = [ interval 1.25; interval (1.0 /. 3.0) ];
          discarded_partial = 1; mean_ipc = 0.7916666; ci95 = 2.0 /. 3.0;
          detailed_instructions = 100; warmed_instructions = 900 });
   check str "infinite ci95"
     {|{"spec":{"detail":200,"warmup":0,"seed":0},"initial_offset":0,"intervals":1,"discarded_partial":0,"mean_ipc":2.500000,"ci95":null,"detailed_instructions":200,"warmed_instructions":0,"interval_ipc":[2.500000]}|}
     (Sample.report_to_json
        { Sample.spec = { Sample.detail = 200; warmup = 0; seed = 0 };
-         initial_offset = 0; intervals = [ interval 0 2.5 ];
+         initial_offset = 0; intervals = [ interval 2.5 ];
          discarded_partial = 0; mean_ipc = 2.5; ci95 = infinity;
          detailed_instructions = 200; warmed_instructions = 0 })
 
@@ -692,7 +697,9 @@ let property_sample_spec_json =
     (fun (detail, warmup) ->
       let records = Lazy.force base_records in
       let spec = { Sample.detail; warmup; seed = detail + warmup } in
-      match Sample.run ~spec (Resim.Records records) with
+      match
+        Sample.run ~config:Config.reference ~spec (Resim.Records records)
+      with
       | Error _ -> false
       | Ok (_, report) ->
           Result.is_ok (Json.parse (Sample.report_to_json report)))
@@ -757,8 +764,8 @@ let test_cli_exit_codes () =
      it salvages breaks the tag-bit protocol mid-run (exit 3). *)
   let damaged_trace =
     write_tmp ".rtr"
-      (Resim_trace.Fault_inject.apply ~seed:2 Resim_trace.Fault_inject.Bit_flip
-         sharded)
+      (Resim_trace.Fault_inject.apply ~seed:2 ~format:Resim_trace.Codec.Fixed
+         Resim_trace.Fault_inject.Bit_flip sharded)
   in
   let cases =
     [ ("clean simulate", "simulate -k gzip -s 200", 0);
@@ -854,7 +861,8 @@ let test_cli_exit_codes () =
      `simulate -t` reads it. *)
   let shard_stem = Filename.temp_file "resim_test_shard" "" in
   let shards =
-    Resim_trace.Codec.Shard.write ~records_per_shard:1000 ~stem:shard_stem
+    Resim_trace.Codec.Shard.write ~format:Resim_trace.Codec.Fixed
+      ~records_per_shard:1000 ~stem:shard_stem
       sharded
   in
   Fun.protect

@@ -799,7 +799,7 @@ let test_checkpoint_identity_round_trip () =
   let stamped =
     Checkpoint.with_engine
       (Resim.engine_identity Config.reference)
-      (Checkpoint.make ~cycle:64L ~cursor:7 ~counters:[ ("committed", 9L) ] ())
+      (Checkpoint.make ~cycle:64L ~cursor:7 ~counters:[ ("committed", 9L) ])
   in
   match Checkpoint.of_string (Checkpoint.to_string stamped) with
   | Error error -> fail (Checkpoint.error_to_string error)
@@ -825,7 +825,7 @@ let test_checkpoint_identity_round_trip () =
 let test_checkpoint_legacy_unstamped () =
   (* Pre-identity handles carry no engine line and must keep loading:
      replay verification remains their guard. *)
-  let legacy = Checkpoint.make ~cycle:1L ~cursor:0 ~counters:[] () in
+  let legacy = Checkpoint.make ~cycle:1L ~cursor:0 ~counters:[] in
   match
     Checkpoint.verify_engine
       ~expected:(Resim.engine_identity Config.reference) legacy

@@ -159,7 +159,7 @@ let test_checkpoint_resume () =
           | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
           | Ok resumed ->
               check string "resumed run matches uninterrupted"
-                (stats_dump (Engine.simulate ~config records))
+                (stats_dump (Engine.run (Engine.create ~config records)))
                 (stats_dump resumed.Resim.outcome.Resim.stats)))
 
 (* ------------------------------------------------------------------- *)

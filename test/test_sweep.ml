@@ -180,7 +180,7 @@ let test_runner_keying_sees_config () =
   in
   check bool "distinct cache entries" true (a != b);
   check bool "config preserved per entry" true
-    (a.config.rob_entries = 16 && b.config.rob_entries = 32);
+    (a.outcome.config.rob_entries = 16 && b.outcome.config.rob_entries = 32);
   check bool "different wrong-path blocks" true
     (a.generated.wrong_path <> b.generated.wrong_path
     || Array.length a.generated.records <> Array.length b.generated.records);
@@ -194,7 +194,7 @@ let test_runner_prewarm_seeds_cache () =
     Runner.request ~key:"warm" ~config ~scale:(Runner.Exact 512) workload
   in
   (* Duplicates collapse to one job; re-prewarming is a no-op. *)
-  Runner.prewarm ~jobs:2 [ request; request ];
+  Runner.prewarm [ request; request ];
   let a =
     Runner.run_kernel ~key:"warm" ~config ~scale:(Runner.Exact 512) workload
   in
@@ -203,7 +203,7 @@ let test_runner_prewarm_seeds_cache () =
       workload
   in
   check bool "run_kernel hits the prewarmed entry" true (a == b);
-  Runner.prewarm ~jobs:2 [ request ];
+  Runner.prewarm [ request ];
   let c =
     Runner.run_kernel ~key:"warm" ~config ~scale:(Runner.Exact 512) workload
   in

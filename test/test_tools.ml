@@ -177,7 +177,7 @@ let traced ~window records =
       let buffer = Buffer.create 4096 in
       let channel = open_out path in
       let sinks =
-        [ Obs.make_sink (Obs.add_jsonl_event buffer);
+        [ Obs.make_sink ~on_close:ignore (Obs.add_jsonl_event buffer);
           Obs.waterfall ~window channel ]
       in
       let engine = Resim_core.Engine.create records in

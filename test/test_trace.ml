@@ -205,7 +205,7 @@ let test_record_of_observation () =
         [ li t0 0x100; lw t1 4 t0; sw t1 8 t0; mul t2 t1 t1;
           beq t2 t2 "end"; label "end"; halt ])
   in
-  let m = Resim_isa.Machine.create ~program () in
+  let m = Resim_isa.Machine.create program in
   let obs () =
     match Resim_isa.Interpreter.step m program with
     | Resim_isa.Interpreter.Stepped obs -> obs
@@ -242,7 +242,6 @@ let test_record_r0_registers () =
     Record.of_observation ~wrong_path:false
       { Interpreter.index = 0;
         instr = { Instruction.op = Opcode.Add; dest; src1; src2; imm = 0 };
-        next_index = 1;
         effective_address = None;
         control = None }
   in
@@ -538,11 +537,6 @@ let test_profile_pages_and_mix () =
   check int "footprint one page" 4096
     (Profile.memory_footprint_bytes profile_records)
 
-let test_profile_page_validation () =
-  Alcotest.check_raises "non power of two"
-    (Invalid_argument "Profile: page_bytes must be a power of two")
-    (fun () -> ignore (Profile.hot_pages ~page_bytes:3000 profile_records))
-
 (* --- summary ---------------------------------------------------------- *)
 
 let test_summary_counts () =
@@ -596,7 +590,6 @@ let suite =
        QCheck_alcotest.to_alcotest encoded_bits_matches_encoding_property ]);
     ("trace:profile",
      [ Alcotest.test_case "hot branches" `Quick test_profile_hot_branches;
-       Alcotest.test_case "pages and mix" `Quick test_profile_pages_and_mix;
-       Alcotest.test_case "validation" `Quick test_profile_page_validation ]);
+       Alcotest.test_case "pages and mix" `Quick test_profile_pages_and_mix ]);
     ("trace:summary",
      [ Alcotest.test_case "counts" `Quick test_summary_counts ]) ]

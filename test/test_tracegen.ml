@@ -43,7 +43,8 @@ let test_counts_are_consistent () =
   check int "records = correct + wrong"
     (result.correct_path + result.wrong_path)
     (Array.length result.records);
-  check bool "program completed" true result.executed_to_completion
+  check bool "program completed within the budget" true
+    (result.correct_path < Generator.default_config.max_instructions)
 
 let test_no_wrong_path_with_perfect_predictor () =
   let config =
@@ -91,7 +92,7 @@ let test_machine_state_unpolluted_by_speculation () =
   (* The generator speculates down wrong paths and rolls back; the
      retired-instruction count must match a plain interpreter run. *)
   let result = Generator.run branchy_program in
-  let machine = Resim_isa.Machine.create ~program:branchy_program () in
+  let machine = Resim_isa.Machine.create branchy_program in
   let plain = Resim_isa.Interpreter.run machine branchy_program in
   check int "correct path length = plain execution" plain
     result.correct_path
@@ -108,7 +109,7 @@ let test_budget_respected () =
   let config = { Generator.default_config with max_instructions = 100 } in
   let result = Generator.run ~config branchy_program in
   check bool "budget enforced" true (result.correct_path <= 100);
-  check bool "did not complete" true (not result.executed_to_completion)
+  check int "stopped at the budget" 100 result.correct_path
 
 let test_straight_line_has_no_branch_records () =
   let result = Generator.run straight_program in

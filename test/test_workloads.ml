@@ -29,7 +29,7 @@ let test_extended_kernels () =
       let program =
         Resim_workloads.Workload.program_of workload ~scale:512 ()
       in
-      let machine = Resim_isa.Machine.create ~program () in
+      let machine = Resim_isa.Machine.create program in
       let executed =
         Resim_isa.Interpreter.run ~max_steps:2_000_000 machine program
       in
@@ -48,7 +48,7 @@ let test_kernels_terminate () =
         Resim_workloads.Workload.program_of workload
           ~scale:(small_scale name) ()
       in
-      let machine = Resim_isa.Machine.create ~program () in
+      let machine = Resim_isa.Machine.create program in
       let executed =
         Resim_isa.Interpreter.run ~max_steps:2_000_000 machine program
       in
@@ -83,24 +83,6 @@ let test_kernel_character () =
   check bool "bzip2 faster than parser (perfect memory)" true
     (bzip2 > parser)
 
-let test_profiles_are_sane () =
-  List.iter
-    (fun workload ->
-      let module K = (val workload : Resim_workloads.Kernel_sig.S) in
-      let profile = K.profile ~instructions:1000 in
-      let open Resim_tracegen.Synthetic in
-      let total =
-        profile.loads +. profile.stores +. profile.branches +. profile.calls
-        +. profile.mults +. profile.divides
-      in
-      check bool (profile.name ^ " fractions below 1") true (total < 1.0);
-      check bool (profile.name ^ " rates in range") true
-        (profile.mispredict_rate >= 0.0 && profile.mispredict_rate <= 1.0
-        && profile.taken_rate >= 0.0 && profile.taken_rate <= 1.0);
-      check bool (profile.name ^ " working set positive") true
-        (profile.working_set_bytes > 0))
-    Resim_workloads.Workload.all
-
 let test_deterministic_programs () =
   let build () =
     let w = Resim_workloads.Workload.find "vortex" in
@@ -117,7 +99,6 @@ let suite =
        Alcotest.test_case "termination" `Quick test_kernels_terminate;
        Alcotest.test_case "end-to-end" `Slow test_kernels_simulate_end_to_end;
        Alcotest.test_case "relative character" `Slow test_kernel_character;
-       Alcotest.test_case "profiles" `Quick test_profiles_are_sane;
        Alcotest.test_case "determinism" `Quick test_deterministic_programs;
        Alcotest.test_case "extended kernels" `Quick test_extended_kernels ])
   ]
